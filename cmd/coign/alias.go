@@ -29,16 +29,9 @@ func cmdAlias(ctx context.Context, args []string) error {
 	if *failOn != "" && *failOn != "miss" {
 		return fmt.Errorf("unknown -fail-on condition %q (supported: miss)", *failOn)
 	}
-	apps := experiments.AliasApps()
-	if *appName != "all" {
-		apps = []string{*appName}
-	}
-	var scenarios []string
-	if *scens != "" {
-		if len(apps) != 1 {
-			return fmt.Errorf("-scenarios requires a single -app")
-		}
-		scenarios = strings.Split(*scens, ",")
+	apps, scenarios, err := appsAndScenarios(*appName, *scens, experiments.AliasApps())
+	if err != nil {
+		return err
 	}
 
 	var rows []*experiments.AliasRow

@@ -14,6 +14,23 @@ import (
 	"repro/internal/scenario"
 )
 
+// appsAndScenarios resolves the -app / -scenarios flags the report
+// commands share: "all" sweeps the given population, and a scenario
+// override needs a single application to apply to.
+func appsAndScenarios(appName, scens string, all []string) (apps, scenarios []string, err error) {
+	apps = all
+	if appName != "all" {
+		apps = []string{appName}
+	}
+	if scens != "" {
+		if len(apps) != 1 {
+			return nil, nil, fmt.Errorf("-scenarios requires a single -app")
+		}
+		scenarios = strings.Split(scens, ",")
+	}
+	return apps, scenarios, nil
+}
+
 // cmdCoverage diffs the static activation-reachability graph of one or
 // all applications against their profiled training scenarios: which
 // statically possible activation sites and ICC edges the scenarios never
@@ -28,16 +45,9 @@ func cmdCoverage(_ context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	apps := scenario.Apps()
-	if *appName != "all" {
-		apps = []string{*appName}
-	}
-	var scenarios []string
-	if *scens != "" {
-		if len(apps) != 1 {
-			return fmt.Errorf("-scenarios requires a single -app")
-		}
-		scenarios = strings.Split(*scens, ",")
+	apps, scenarios, err := appsAndScenarios(*appName, *scens, scenario.Apps())
+	if err != nil {
+		return err
 	}
 
 	var rows []*experiments.CoverageRow
@@ -100,16 +110,9 @@ func cmdPurity(ctx context.Context, args []string) error {
 	if *failOn != "" && *failOn != "misclassified" {
 		return fmt.Errorf("unknown -fail-on condition %q (supported: misclassified)", *failOn)
 	}
-	apps := experiments.PurityApps()
-	if *appName != "all" {
-		apps = []string{*appName}
-	}
-	var scenarios []string
-	if *scens != "" {
-		if len(apps) != 1 {
-			return fmt.Errorf("-scenarios requires a single -app")
-		}
-		scenarios = strings.Split(*scens, ",")
+	apps, scenarios, err := appsAndScenarios(*appName, *scens, experiments.PurityApps())
+	if err != nil {
+		return err
 	}
 
 	var rows []*experiments.PurityRow

@@ -42,11 +42,9 @@ func main() {
 	// 2b. The reachability coverage diff shows what the scenario missed
 	//     (run `go run ./cmd/coign coverage -app quickstart` for the full
 	//     report).
-	if adps.Reach != nil {
-		cov := adps.Reach.Coverage(p)
-		fmt.Printf("activation coverage: %.0f%% (%d uncovered edges)\n",
-			cov.Percent(), len(cov.UncoveredEdges()))
-	}
+	cov := adps.Reach.Coverage(p)
+	fmt.Printf("activation coverage: %.0f%% (%d uncovered edges)\n",
+		cov.Percent(), len(cov.UncoveredEdges()))
 
 	// 3. The analysis engine cuts the concrete graph.
 	res, err := adps.Analyze(context.Background(), p)

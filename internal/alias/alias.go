@@ -141,49 +141,27 @@ type Result struct {
 func stateKey(class string) string  { return "state:" + class }
 func opaqueKey(class string) string { return "opq:" + class }
 
-// Scan runs the points-to analysis: it parses the image's state records,
+// Scan runs the points-to analysis: it takes the image's state records,
 // derives the opaque flow directions of every interface method, and
 // propagates points-to sets over the reachability graph's call edges to a
-// fixed point. rg may be nil, in which case the reachability analysis
-// runs internally. Malformed images produce errors, never panics.
+// fixed point. Malformed images produce errors, never panics.
 func Scan(img *binimg.Image, app *com.App, rg *reach.Graph) (*Result, error) {
-	if img == nil {
-		return nil, fmt.Errorf("alias: nil image")
+	if img == nil || rg == nil {
+		return nil, fmt.Errorf("alias: nil image or reachability graph")
 	}
 	if app == nil || app.Classes == nil || app.Interfaces == nil {
 		return nil, fmt.Errorf("alias: points-to analysis requires the class and interface registries")
 	}
-	if rg == nil {
-		var err error
-		rg, err = reach.Scan(img, app)
-		if err != nil {
-			return nil, fmt.Errorf("alias: %w", err)
-		}
-	}
 
-	// Pass 1: parse state records, keyed by CLSID, with the same
-	// duplicate and corruption discipline as the purity scanner.
-	states := make(map[com.CLSID]*com.StateDesc)
+	// Pass 1: the image's state records, keyed by CLSID.
+	states, err := img.States()
+	if err != nil {
+		return nil, fmt.Errorf("alias: %w", err)
+	}
 	var unknown []string
-	for _, s := range img.Sections {
-		key, ok := strings.CutPrefix(s.Name, binimg.StatePrefix)
-		if !ok {
-			continue
-		}
-		if key == "" {
-			return nil, fmt.Errorf("alias: state section with empty owner")
-		}
-		desc, err := binimg.DecodeState(s.Data)
-		if err != nil {
-			return nil, fmt.Errorf("alias: section %s: %w", s.Name, err)
-		}
-		clsid := com.CLSID(key)
-		if _, dup := states[clsid]; dup {
-			return nil, fmt.Errorf("alias: duplicate state record for %s", clsid)
-		}
-		states[clsid] = desc
+	for clsid := range states {
 		if app.Classes.Lookup(clsid) == nil {
-			unknown = append(unknown, key)
+			unknown = append(unknown, string(clsid))
 		}
 	}
 	sort.Strings(unknown)

@@ -48,6 +48,25 @@ func TestBuildImage(t *testing.T) {
 	}
 }
 
+func TestBuildImageFillPattern(t *testing.T) {
+	t.Parallel()
+	// Byte i of a code section is len(class name)+i, whatever the size:
+	// shorter than one 256-byte period, exactly one, and not a power of two.
+	for _, size := range []int{1, 255, 256, 257, 1024, 100000} {
+		app := testApp()
+		app.Classes.Lookup("CLSID_A").CodeBytes = size
+		data := BuildImage(app).Sections[0].Data
+		if len(data) != size {
+			t.Fatalf("size %d: section holds %d bytes", size, len(data))
+		}
+		for i, b := range data {
+			if b != byte(len("A")+i) {
+				t.Fatalf("size %d: byte %d = %d, want %d", size, i, b, byte(len("A")+i))
+			}
+		}
+	}
+}
+
 func TestBuildImageDefaultImports(t *testing.T) {
 	t.Parallel()
 	app := testApp()

@@ -11,8 +11,8 @@ import (
 //
 // The rewriter embeds one ".reloc$<CLSID>" section per component class
 // that performs instantiations (and ".reloc$<main>" for the main
-// program's activation sites). The payload is a line-oriented record the
-// reachability analysis parses back out of the binary:
+// program's activation sites). The payload is a line-oriented record that
+// Activations decodes back out of the binary:
 //
 //	coign-reloc v1
 //	dynamic            (optional: the class computes CLSIDs at run time)
@@ -20,7 +20,7 @@ import (
 //
 // The format is deliberately strict — an unknown directive or a missing
 // header is a parse error, never a guess — so corrupted images surface as
-// errors in the scanner (see reach.FuzzReachScan).
+// errors in the scanner (see FuzzRecords and reach.FuzzReachScan).
 
 // RelocPrefix is the naming convention for activation-record sections.
 const RelocPrefix = ".reloc$"
@@ -48,14 +48,15 @@ func EncodeReloc(dynamic bool, targets []com.CLSID) []byte {
 	return []byte(b.String())
 }
 
-// DecodeReloc parses an activation record payload. Malformed payloads
+// decodeReloc parses an activation record payload. Malformed payloads
 // produce errors, never panics.
-func DecodeReloc(data []byte) (dynamic bool, targets []com.CLSID, err error) {
-	lines := strings.Split(string(data), "\n")
-	if len(lines) == 0 || lines[0] != relocHeader {
-		return false, nil, fmt.Errorf("binimg: activation record missing %q header", relocHeader)
+func decodeReloc(data []byte) (dynamic bool, targets []com.CLSID, err error) {
+	line, rest, _ := strings.Cut(string(data), "\n")
+	if line != relocHeader {
+		return false, nil, fmt.Errorf("activation record missing %q header", relocHeader)
 	}
-	for _, line := range lines[1:] {
+	for rest != "" {
+		line, rest, _ = strings.Cut(rest, "\n")
 		switch {
 		case line == "":
 			// Trailing newline / blank separators are harmless.
@@ -64,11 +65,11 @@ func DecodeReloc(data []byte) (dynamic bool, targets []com.CLSID, err error) {
 		case strings.HasPrefix(line, "activate "):
 			clsid := strings.TrimPrefix(line, "activate ")
 			if clsid == "" {
-				return false, nil, fmt.Errorf("binimg: activation record with empty target CLSID")
+				return false, nil, fmt.Errorf("activation record with empty target CLSID")
 			}
 			targets = append(targets, com.CLSID(clsid))
 		default:
-			return false, nil, fmt.Errorf("binimg: unknown activation-record directive %q", line)
+			return false, nil, fmt.Errorf("unknown activation-record directive %q", line)
 		}
 	}
 	return dynamic, targets, nil

@@ -23,10 +23,8 @@ func BuildImage(app *com.App) *Image {
 		// Section contents are a deterministic fill; only sizes matter to
 		// the pipeline, but real bytes make checksums meaningful.
 		data := make([]byte, size)
-		for i := range data {
-			data[i] = byte(len(c.Name) + i)
-		}
-		im.Sections = append(im.Sections, Section{Name: ".text$" + string(c.ID), Data: data})
+		fill(data, len(c.Name))
+		im.Sections = append(im.Sections, Section{Name: CodePrefix + string(c.ID), Data: data})
 		// Activation sites become relocation records the reachability
 		// analysis scans back out of the image.
 		if len(c.Activations) > 0 || c.DynamicActivation {
@@ -51,6 +49,21 @@ func BuildImage(app *com.App) *Image {
 		})
 	}
 	return im
+}
+
+// fill writes a section's deterministic contents: byte i is seed+i, a
+// pattern with period 256. Only the first period is written by a loop; the
+// rest is copied. A byte-at-a-time loop over a whole 830 KB image ran at
+// 0.5 or 1.1 ms depending on where unrelated changes to this package moved
+// it in the binary, which is a quarter of a small pipeline run.
+func fill(data []byte, seed int) {
+	n := min(len(data), 256)
+	for i := 0; i < n; i++ {
+		data[i] = byte(seed + i)
+	}
+	for ; n < len(data); n *= 2 {
+		copy(data[n:], data[:n])
+	}
 }
 
 // Instrument performs the binary rewriter's two modifications: it inserts

@@ -12,7 +12,7 @@ import (
 //
 // The rewriter embeds one ".state$<CLSID>" section per component class
 // that ships a state descriptor. The payload is a line-oriented record
-// the purity analysis parses back out of the binary:
+// that States decodes back out of the binary:
 //
 //	coign-state v1
 //	bytes <N>        (size of the instance state block; 0 = stateless)
@@ -21,8 +21,8 @@ import (
 //
 // Like activation records the format is deliberately strict — an unknown
 // directive, a missing header, or a malformed size is a parse error,
-// never a guess — so corrupted images surface as errors in the scanner
-// (see purity.FuzzPurityScan).
+// never a guess — so corrupted images surface as errors in the scanners
+// (see FuzzRecords and purity.FuzzPurityScan).
 
 // StatePrefix is the naming convention for state-descriptor sections.
 const StatePrefix = ".state$"
@@ -51,45 +51,46 @@ func EncodeState(s *com.StateDesc) []byte {
 	return []byte(b.String())
 }
 
-// DecodeState parses a state record payload. Malformed payloads produce
+// decodeState parses a state record payload. Malformed payloads produce
 // errors, never panics.
-func DecodeState(data []byte) (*com.StateDesc, error) {
-	lines := strings.Split(string(data), "\n")
-	if len(lines) == 0 || lines[0] != stateHeader {
-		return nil, fmt.Errorf("binimg: state record missing %q header", stateHeader)
+func decodeState(data []byte) (*com.StateDesc, error) {
+	line, rest, _ := strings.Cut(string(data), "\n")
+	if line != stateHeader {
+		return nil, fmt.Errorf("state record missing %q header", stateHeader)
 	}
 	desc := &com.StateDesc{Bytes: -1}
-	for _, line := range lines[1:] {
+	for rest != "" {
+		line, rest, _ = strings.Cut(rest, "\n")
 		switch {
 		case line == "":
 			// Trailing newline / blank separators are harmless.
 		case strings.HasPrefix(line, "bytes "):
 			n, err := strconv.Atoi(strings.TrimPrefix(line, "bytes "))
 			if err != nil || n < 0 {
-				return nil, fmt.Errorf("binimg: state record with bad size %q", line)
+				return nil, fmt.Errorf("state record with bad size %q", line)
 			}
 			if desc.Bytes >= 0 {
-				return nil, fmt.Errorf("binimg: state record with duplicate bytes directive")
+				return nil, fmt.Errorf("state record with duplicate bytes directive")
 			}
 			desc.Bytes = n
 		case strings.HasPrefix(line, "read "):
 			m := strings.TrimPrefix(line, "read ")
 			if m == "" {
-				return nil, fmt.Errorf("binimg: state record with empty read method")
+				return nil, fmt.Errorf("state record with empty read method")
 			}
 			desc.Reads = append(desc.Reads, m)
 		case strings.HasPrefix(line, "write "):
 			m := strings.TrimPrefix(line, "write ")
 			if m == "" {
-				return nil, fmt.Errorf("binimg: state record with empty write method")
+				return nil, fmt.Errorf("state record with empty write method")
 			}
 			desc.Writes = append(desc.Writes, m)
 		default:
-			return nil, fmt.Errorf("binimg: unknown state-record directive %q", line)
+			return nil, fmt.Errorf("unknown state-record directive %q", line)
 		}
 	}
 	if desc.Bytes < 0 {
-		return nil, fmt.Errorf("binimg: state record missing bytes directive")
+		return nil, fmt.Errorf("state record missing bytes directive")
 	}
 	return desc, nil
 }

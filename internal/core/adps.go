@@ -27,7 +27,10 @@ import (
 	"repro/internal/staticanal"
 )
 
-// ADPS is the partitioning pipeline for one application.
+// ADPS is the partitioning pipeline for one application and its one
+// analysis session: New builds the original image once and scans it in
+// dependency order, EnableAlias scans the same image again, and a scan
+// that fails fails every later step (see Err).
 type ADPS struct {
 	App     *com.App
 	Network *netsim.Model
@@ -53,8 +56,9 @@ type ADPS struct {
 	Reach *reach.Graph
 	// Purity is the static state-mutability report recovered from the
 	// original binary's state records, derived once at pipeline
-	// construction; it feeds component grading and the purity verifier in
-	// the analysis engine.
+	// construction. AnalysisOptions.Purity is the report that feeds
+	// component grading and the purity verifier: this one, until
+	// EnableAlias replaces it with the alias-refined closure.
 	Purity *purity.Report
 	// Alias is the points-to analysis over opaque payloads, derived on
 	// demand by EnableAlias (nil until then).
@@ -67,11 +71,15 @@ type ADPS struct {
 	EnableCaching bool
 	// Seed drives all stochastic components reproducibly.
 	Seed int64
+
+	// err is the first static scan New failed (see Err).
+	err error
 }
 
 // New returns a pipeline with the paper's defaults: 10BaseT, the IFCB
 // classifier with complete stack walks, and the application's original
-// binary image.
+// binary image, statically scanned. It always returns a session; a scan
+// that failed is kept in it (see Err).
 func New(app *com.App) *ADPS {
 	a := &ADPS{
 		App:            app,
@@ -81,21 +89,37 @@ func New(app *com.App) *ADPS {
 		Samples:        25,
 		Seed:           1,
 	}
-	// Static constraint analysis runs over the original binary before any
-	// scenario executes; the derived constraint set steers every cut.
-	if rep, err := staticanal.Analyze(app, a.Image); err == nil {
-		a.Static = rep
-		a.AnalysisOptions.Constraints = rep.Constraints
-	}
-	if rg, err := reach.Scan(a.Image, app); err == nil {
-		a.Reach = rg
-	}
-	if pr, err := purity.Scan(a.Image, app, a.Reach); err == nil {
-		a.Purity = pr
-		a.AnalysisOptions.Purity = pr
-	}
+	a.err = a.scan()
 	return a
 }
+
+// scan runs the static analyses over the original binary, before any
+// scenario executes, in dependency order: the constraint set that steers
+// every cut, the reachability graph, then the purity closure over that
+// graph. It stops at the first failure.
+func (a *ADPS) scan() error {
+	var err error
+	if a.Static, err = staticanal.Analyze(a.App, a.Image); err != nil {
+		return fmt.Errorf("core: %s: static constraint analysis: %w", a.App.Name, err)
+	}
+	a.AnalysisOptions.Constraints = a.Static.Constraints
+	if a.Reach, err = reach.Scan(a.Image, a.App); err != nil {
+		return fmt.Errorf("core: %s: reachability scan: %w", a.App.Name, err)
+	}
+	if a.Purity, err = purity.Scan(a.Image, a.App, a.Reach); err != nil {
+		return fmt.Errorf("core: %s: purity scan: %w", a.App.Name, err)
+	}
+	a.AnalysisOptions.Purity = a.Purity
+	return nil
+}
+
+// Err reports the static scan that failed when the session was opened,
+// wrapped with the application and the scan's name; nil when all
+// succeeded. A failed scan must never yield a cut with fewer constraints,
+// so Instrument, EnableAlias, CoverageReport and Analyze return this
+// error instead of working from partial results, and Static, Reach and
+// Purity are non-nil exactly when it is nil.
+func (a *ADPS) Err() error { return a.err }
 
 // EnableAlias runs the points-to analysis over opaque payloads and
 // installs its refinement into the pipeline: the constraint set is
@@ -103,29 +127,33 @@ func New(app *com.App) *ADPS {
 // truly-aliasing pairs, see staticanal.Refined), the purity closure is
 // recomputed so impurity propagates only across may-alias edges (see
 // purity.ScanAliased), and the refiner's zero-miss verifier joins the
-// analysis findings. Call it before CoverageReport so coverage pairs
-// land in the refined set. Idempotent.
+// analysis findings. Both scans read the session's image — rewriting
+// leaves its record sections alone. Call it before CoverageReport so
+// coverage pairs land in the refined set. Idempotent; on failure nothing
+// is installed.
 func (a *ADPS) EnableAlias() error {
+	if a.err != nil {
+		return a.err
+	}
 	if a.Alias != nil {
 		return nil
 	}
-	ar, err := alias.Scan(binimg.BuildImage(a.App), a.App, a.Reach)
+	ar, err := alias.Scan(a.Image, a.App, a.Reach)
 	if err != nil {
-		return fmt.Errorf("core: alias analysis: %w", err)
-	}
-	a.Alias = ar
-	a.AnalysisOptions.Alias = ar
-	if a.AnalysisOptions.Constraints != nil {
-		a.AnalysisOptions.Constraints = a.AnalysisOptions.Constraints.Refined(ar)
+		return fmt.Errorf("core: %s: alias scan: %w", a.App.Name, err)
 	}
 	may := func(x, y string) bool {
 		_, ok := ar.SharedMutable(x, y)
 		return ok
 	}
-	if pr, perr := purity.ScanAliased(binimg.BuildImage(a.App), a.App, a.Reach, may); perr == nil {
-		a.Purity = pr
-		a.AnalysisOptions.Purity = pr
+	pr, err := purity.ScanAliased(a.Image, a.App, a.Reach, may)
+	if err != nil {
+		return fmt.Errorf("core: %s: alias-refined purity scan: %w", a.App.Name, err)
 	}
+	a.Alias = ar
+	a.AnalysisOptions.Alias = ar
+	a.AnalysisOptions.Constraints = a.AnalysisOptions.Constraints.Refined(ar)
+	a.AnalysisOptions.Purity = pr
 	return nil
 }
 
@@ -136,8 +164,8 @@ func (a *ADPS) EnableAlias() error {
 // constraint set as a conservative co-location pair, so subsequent
 // Analyze calls keep the endpoints of unpriced edges together.
 func (a *ADPS) CoverageReport(scenarios []string, install bool) (*reach.Coverage, *profile.Profile, error) {
-	if a.Reach == nil {
-		return nil, nil, fmt.Errorf("core: no reachability graph for %s (image lacks activation relocation records)", a.App.Name)
+	if a.err != nil {
+		return nil, nil, a.err
 	}
 	if !a.Image.Instrumented() {
 		if err := a.Instrument(); err != nil {
@@ -149,7 +177,7 @@ func (a *ADPS) CoverageReport(scenarios []string, install bool) (*reach.Coverage
 		return nil, nil, err
 	}
 	cov := a.Reach.Coverage(p)
-	if install && a.AnalysisOptions.Constraints != nil {
+	if install {
 		cov.InstallConstraints(a.AnalysisOptions.Constraints)
 	}
 	return cov, p, nil
@@ -172,6 +200,9 @@ func (a *ADPS) interfaceMetadata() map[string]string {
 // Instrument runs the binary rewriter: the Coign runtime is inserted into
 // the first import slot and a profiling configuration record is appended.
 func (a *ADPS) Instrument() error {
+	if a.err != nil {
+		return a.err
+	}
 	img, err := binimg.Instrument(a.Image, a.ClassifierKind.String(), a.ClassifierDepth,
 		a.interfaceMetadata())
 	if err != nil {
@@ -249,6 +280,9 @@ func (a *ADPS) ProfileScenarios(scenarios []string, instanceDetail bool) (*profi
 // context is threaded into the cut engine: a cancelled analysis job
 // aborts mid-cut with the context's error.
 func (a *ADPS) Analyze(ctx context.Context, p *profile.Profile) (*analysis.Result, error) {
+	if a.err != nil {
+		return nil, a.err
+	}
 	if a.NetProfile == nil {
 		if err := a.ProfileNetwork(); err != nil {
 			return nil, err
@@ -418,18 +452,25 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 	return rep, nil
 }
 
-// ClassifierAccuracy runs the Table 2 experiment for one classifier: all
-// profiling scenarios are profiled and combined, then the evaluation
-// scenario (bigone) is profiled, and the classifier's ability to correlate
-// the two is measured.
-func ClassifierAccuracy(app *com.App, kind classify.Kind, depth int,
-	scenarios []string, evalScenario string, net *netsim.Model, seed int64) (*analysis.ClassifierEval, error) {
-	np := netsim.ExactProfile(net, netsim.DefaultSampleSizes)
+// ClassifierAccuracy runs the Table 2 experiment for one classifier on
+// the session's application, network and seed: all profiling scenarios
+// are profiled and combined, then the evaluation scenario (bigone) is
+// profiled, and the classifier's ability to correlate the two is
+// measured. The purity columns grade the combined profile under both the
+// plain and the alias-refined closure, so the session's alias refinement
+// is enabled (see EnableAlias); neither depends on the classifier, and one
+// session serves every row of a table.
+func (a *ADPS) ClassifierAccuracy(kind classify.Kind, depth int,
+	scenarios []string, evalScenario string) (*analysis.ClassifierEval, error) {
+	if err := a.EnableAlias(); err != nil {
+		return nil, err
+	}
+	np := netsim.ExactProfile(a.Network, netsim.DefaultSampleSizes)
 	var combined *profile.Profile
 	for _, s := range scenarios {
 		res, err := dist.Run(dist.Config{
-			App: app, Scenario: s, Seed: seed, Mode: dist.ModeProfiling,
-			Classifier: classify.New(kind, depth), InstanceDetail: true, Network: net,
+			App: a.App, Scenario: s, Seed: a.Seed, Mode: dist.ModeProfiling,
+			Classifier: classify.New(kind, depth), InstanceDetail: true, Network: a.Network,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: profiling %s: %w", s, err)
@@ -449,8 +490,8 @@ func ClassifierAccuracy(app *com.App, kind classify.Kind, depth int,
 		return nil, fmt.Errorf("core: no profiling scenarios")
 	}
 	evalRes, err := dist.Run(dist.Config{
-		App: app, Scenario: evalScenario, Seed: seed + 1, Mode: dist.ModeProfiling,
-		Classifier: classify.New(kind, depth), InstanceDetail: true, Network: net,
+		App: a.App, Scenario: evalScenario, Seed: a.Seed + 1, Mode: dist.ModeProfiling,
+		Classifier: classify.New(kind, depth), InstanceDetail: true, Network: a.Network,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: evaluating %s: %w", evalScenario, err)
@@ -461,24 +502,14 @@ func ClassifierAccuracy(app *com.App, kind classify.Kind, depth int,
 	}
 	// Purity grades per classification: the finer the classifier, the more
 	// of the profiled population can be proven replication-eligible.
-	if pr, perr := purity.Scan(binimg.BuildImage(app), app, nil); perr == nil {
-		grading := pr.Grade(combined, 0)
-		ev.Stateless = grading.Stateless
-		ev.ReadMostly = grading.ReadMostly
-		ev.Stateful = grading.Stateful
-	}
+	grading := a.Purity.Grade(combined, 0)
+	ev.Stateless = grading.Stateless
+	ev.ReadMostly = grading.ReadMostly
+	ev.Stateful = grading.Stateful
 	// The alias-refined closure frees components whose only impurity was
 	// transitive through non-aliasing calls; report how much of the
 	// population it adds to the replication-eligible pool.
-	if ar, aerr := alias.Scan(binimg.BuildImage(app), app, nil); aerr == nil {
-		may := func(x, y string) bool {
-			_, ok := ar.SharedMutable(x, y)
-			return ok
-		}
-		if pr, perr := purity.ScanAliased(binimg.BuildImage(app), app, nil, may); perr == nil {
-			grading := pr.Grade(combined, 0)
-			ev.AliasEligible = grading.Stateless + grading.ReadMostly
-		}
-	}
+	refined := a.AnalysisOptions.Purity.Grade(combined, 0)
+	ev.AliasEligible = refined.Stateless + refined.ReadMostly
 	return ev, nil
 }

@@ -159,14 +159,14 @@ func TestClassifierAccuracyTable2Shape(t *testing.T) {
 	//     granularity (many instances per classification);
 	//   - IFCB yields the most classifications, no new classifications on
 	//     bigone, and the best correlation.
-	app := octarine.New()
+	adps := New(octarine.New())
 	training := scenario.TrainingForApp("octarine")
 	big, err := scenario.BigoneForApp("octarine")
 	if err != nil {
 		t.Fatal(err)
 	}
 	eval := func(kind classify.Kind) *analysis.ClassifierEval {
-		res, err := ClassifierAccuracy(app, kind, 0, training, big, netsim.TenBaseT, 1)
+		res, err := adps.ClassifierAccuracy(kind, 0, training, big)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -229,12 +229,12 @@ func TestClassifierAccuracyStackDepthTable3Shape(t *testing.T) {
 	t.Parallel()
 	// Accuracy and classification counts increase with stack depth and
 	// saturate (paper Table 3).
-	app := octarine.New()
+	adps := New(octarine.New())
 	training := []string{octarine.ScenOldWp0, octarine.ScenOldBth, octarine.ScenNewMus}
 	prev := -1.0
 	prevCount := -1
 	for _, depth := range []int{1, 3, 0} {
-		res, err := ClassifierAccuracy(app, classify.IFCB, depth, training, octarine.ScenOldBth, netsim.TenBaseT, 1)
+		res, err := adps.ClassifierAccuracy(classify.IFCB, depth, training, octarine.ScenOldBth)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,14 +252,14 @@ func TestClassifierAccuracyStackDepthTable3Shape(t *testing.T) {
 
 func TestClassifierAccuracyErrors(t *testing.T) {
 	t.Parallel()
-	app := octarine.New()
-	if _, err := ClassifierAccuracy(app, classify.IFCB, 0, nil, octarine.ScenBigone, netsim.TenBaseT, 1); err == nil {
+	adps := New(octarine.New())
+	if _, err := adps.ClassifierAccuracy(classify.IFCB, 0, nil, octarine.ScenBigone); err == nil {
 		t.Error("no training scenarios accepted")
 	}
-	if _, err := ClassifierAccuracy(app, classify.IFCB, 0, []string{"o_nope"}, octarine.ScenBigone, netsim.TenBaseT, 1); err == nil {
+	if _, err := adps.ClassifierAccuracy(classify.IFCB, 0, []string{"o_nope"}, octarine.ScenBigone); err == nil {
 		t.Error("bad training scenario accepted")
 	}
-	if _, err := ClassifierAccuracy(app, classify.IFCB, 0, []string{octarine.ScenNewDoc}, "o_nope", netsim.TenBaseT, 1); err == nil {
+	if _, err := adps.ClassifierAccuracy(classify.IFCB, 0, []string{octarine.ScenNewDoc}, "o_nope"); err == nil {
 		t.Error("bad eval scenario accepted")
 	}
 }

@@ -76,11 +76,6 @@ func WithMaxAttempts(n int) CallOption {
 	return func(p *CallPolicy) { p.MaxAttempts = n }
 }
 
-// WithBackoff sets the initial and maximum retry backoff for this call.
-func WithBackoff(initial, max time.Duration) CallOption {
-	return func(p *CallPolicy) { p.Backoff, p.BackoffMax = initial, max }
-}
-
 // WithoutRetries disables retries for this call: one attempt, fail fast.
 func WithoutRetries() CallOption {
 	return func(p *CallPolicy) { p.MaxAttempts = 1 }

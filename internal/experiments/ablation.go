@@ -8,10 +8,8 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/netsim"
-	"repro/internal/scenario"
 )
 
 // Ablations for the design choices DESIGN.md calls out: the graph-cutting
@@ -33,25 +31,13 @@ type MinCutComparison struct {
 // CompareMinCut builds the concrete ICC graph of one scenario and times
 // both exact minimum-cut implementations.
 func CompareMinCut(scenName string) (*MinCutComparison, error) {
-	info, err := scenario.Lookup(scenName)
-	if err != nil {
-		return nil, err
-	}
-	app, err := scenario.NewApp(info.App)
-	if err != nil {
-		return nil, err
-	}
-	adps := core.New(app)
-	if err := adps.Instrument(); err != nil {
-		return nil, err
-	}
-	p, _, err := adps.ProfileScenario(scenName, false)
+	adps, p, err := profileScenario(scenName)
 	if err != nil {
 		return nil, err
 	}
 	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
 	build := func() *graph.Graph {
-		g, _ := analysis.BuildGraph(p, np, app.Classes, analysis.Options{})
+		g, _ := analysis.BuildGraph(p, np, adps.App.Classes, analysis.Options{})
 		return g
 	}
 
@@ -92,19 +78,7 @@ type BucketingComparison struct {
 // CompareBucketing runs the analysis twice — bucket representatives versus
 // exact byte totals — and compares predictions and placements.
 func CompareBucketing(scenName string) (*BucketingComparison, error) {
-	info, err := scenario.Lookup(scenName)
-	if err != nil {
-		return nil, err
-	}
-	app, err := scenario.NewApp(info.App)
-	if err != nil {
-		return nil, err
-	}
-	adps := core.New(app)
-	if err := adps.Instrument(); err != nil {
-		return nil, err
-	}
-	p, _, err := adps.ProfileScenario(scenName, false)
+	adps, p, err := profileScenario(scenName)
 	if err != nil {
 		return nil, err
 	}
@@ -149,23 +123,11 @@ type NetProfileComparison struct {
 // CompareNetworkProfile analyzes one scenario under a statistically
 // sampled network profile and under the exact model means.
 func CompareNetworkProfile(scenName string, samples int) (*NetProfileComparison, error) {
-	info, err := scenario.Lookup(scenName)
+	adps, p, err := profileScenario(scenName)
 	if err != nil {
 		return nil, err
 	}
-	app, err := scenario.NewApp(info.App)
-	if err != nil {
-		return nil, err
-	}
-	adps := core.New(app)
 	adps.Samples = samples
-	if err := adps.Instrument(); err != nil {
-		return nil, err
-	}
-	p, _, err := adps.ProfileScenario(scenName, false)
-	if err != nil {
-		return nil, err
-	}
 	sampled, err := adps.Analyze(context.Background(), p)
 	if err != nil {
 		return nil, err
@@ -229,19 +191,7 @@ type CachingComparison struct {
 // CompareCaching runs one scenario's Coign distribution with and without
 // per-interface caching on its cacheable methods.
 func CompareCaching(scenName string) (*CachingComparison, error) {
-	info, err := scenario.Lookup(scenName)
-	if err != nil {
-		return nil, err
-	}
-	app, err := scenario.NewApp(info.App)
-	if err != nil {
-		return nil, err
-	}
-	adps := core.New(app)
-	if err := adps.Instrument(); err != nil {
-		return nil, err
-	}
-	p, _, err := adps.ProfileScenario(scenName, false)
+	adps, p, err := profileScenario(scenName)
 	if err != nil {
 		return nil, err
 	}

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/adapt"
-	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/scenario"
 )
 
 // Changing scenarios and distributions (paper §4.4): a programmer's manual
@@ -34,19 +32,7 @@ type AdaptiveRow struct {
 
 // Adaptive re-partitions one scenario for each named network model.
 func Adaptive(ctx context.Context, scenName string, networks []string) ([]AdaptiveRow, error) {
-	info, err := scenario.Lookup(scenName)
-	if err != nil {
-		return nil, err
-	}
-	app, err := scenario.NewApp(info.App)
-	if err != nil {
-		return nil, err
-	}
-	adps := core.New(app)
-	if err := adps.Instrument(); err != nil {
-		return nil, err
-	}
-	p, _, err := adps.ProfileScenario(scenName, false)
+	adps, p, err := profileScenario(scenName)
 	if err != nil {
 		return nil, err
 	}

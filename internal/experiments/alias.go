@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"repro/internal/alias"
-	"repro/internal/core"
 	"repro/internal/profile"
-	"repro/internal/scenario"
 	"repro/internal/staticanal"
 )
 
@@ -60,16 +57,15 @@ type AliasRow struct {
 // training scenarios) profile them, verify zero-miss, and compare how
 // many profiled class pairs stay welded before and after refinement.
 func Alias(ctx context.Context, appName string, scenarios []string) (*AliasRow, error) {
-	app, err := scenario.NewApp(appName)
+	adps, err := openApp(appName)
 	if err != nil {
 		return nil, err
 	}
-	adps := core.New(app)
 	baseline := adps.AnalysisOptions.Constraints
 	if err := adps.EnableAlias(); err != nil {
-		return nil, fmt.Errorf("experiments: alias scan of %s: %w", appName, err)
+		return nil, err
 	}
-	ar := adps.Alias
+	ar, refined := adps.Alias, adps.AnalysisOptions.Constraints
 	row := &AliasRow{
 		App:            appName,
 		Classes:        len(ar.Classes),
@@ -77,15 +73,10 @@ func Alias(ctx context.Context, appName string, scenarios []string) (*AliasRow, 
 		SharedPairs:    len(ar.Pairs),
 		MutablePairs:   len(ar.MutablePairs()),
 		UnknownClasses: len(ar.UnknownClasses),
+		BaselinePairs:  len(baseline.Pairs),
+		RefinedPairs:   len(refined.Pairs),
+		AliasPairs:     len(refined.AliasPairs),
 		Report:         ar,
-	}
-	refined := adps.AnalysisOptions.Constraints
-	if baseline != nil {
-		row.BaselinePairs = len(baseline.Pairs)
-	}
-	if refined != nil {
-		row.RefinedPairs = len(refined.Pairs)
-		row.AliasPairs = len(refined.AliasPairs)
 	}
 
 	if len(scenarios) == 0 {
@@ -96,27 +87,13 @@ func Alias(ctx context.Context, appName string, scenarios []string) (*AliasRow, 
 	}
 	row.Scenarios = scenarios
 
-	if err := adps.Instrument(); err != nil {
-		return nil, err
-	}
-	p, err := adps.ProfileScenarios(scenarios, false)
-	if err != nil {
-		return nil, err
-	}
-	res, err := adps.Analyze(ctx, p)
+	p, res, err := profileAndAnalyze(ctx, adps, scenarios)
 	if err != nil {
 		return nil, err
 	}
 	row.BaselineWelds = len(WeldedClassPairs(baseline, p))
 	row.RefinedWelds = len(WeldedClassPairs(refined, p))
-	for _, f := range res.Findings {
-		switch {
-		case f.Kind == alias.KindAliasMiss:
-			row.Misses++
-		case f.Kind == staticanal.KindUnknownClass && f.Severity == staticanal.SeverityWarning:
-			row.Warnings++
-		}
-	}
+	row.Misses, row.Warnings = tally(res.Findings, alias.KindAliasMiss)
 	return row, nil
 }
 
@@ -124,10 +101,10 @@ func Alias(ctx context.Context, appName string, scenarios []string) (*AliasRow, 
 // communication edges that the constraint set forces onto one machine —
 // either by an explicit co-location constraint or by the conservative
 // dynamic weld of an observed non-remotable call. This is the pin-clique
-// footprint the alias refinement is meant to shrink: with a nil set every
-// non-remotable edge welds, with a refined set only truly-aliasing pairs
-// do. Pairs are sorted; edges touching the main program or unclassified
-// components are skipped (they never weld class pairs).
+// footprint the alias refinement is meant to shrink: with an unrefined set
+// every non-remotable edge welds, with a refined set only truly-aliasing
+// pairs do. Pairs are sorted; edges touching the main program or
+// unclassified components are skipped (they never weld class pairs).
 func WeldedClassPairs(cs *staticanal.ConstraintSet, p *profile.Profile) [][2]string {
 	seen := make(map[[2]string]bool)
 	for k, e := range p.Edges {
@@ -139,15 +116,8 @@ func WeldedClassPairs(cs *staticanal.ConstraintSet, p *profile.Profile) [][2]str
 			continue
 		}
 		src, dst := srcCI.Class, dstCI.Class
-		welded := false
-		if cs != nil {
-			if _, ok := cs.MustCoLocate(src, dst); ok {
-				welded = true
-			}
-		}
-		if !welded && e.NonRemotable && (cs == nil || cs.ObservedNonRemotableWeld(src, dst)) {
-			welded = true
-		}
+		_, welded := cs.MustCoLocate(src, dst)
+		welded = welded || (e.NonRemotable && cs.ObservedNonRemotableWeld(src, dst))
 		if !welded {
 			continue
 		}

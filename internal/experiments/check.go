@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/staticanal"
 )
@@ -38,13 +36,9 @@ type CheckRow struct {
 // derived constraints, and cross-checks prediction against observation.
 // The verifier's findings accumulate into the returned row's report.
 func Check(ctx context.Context, appName string, scenarios []string) (*CheckRow, error) {
-	app, err := scenario.NewApp(appName)
+	adps, err := openApp(appName)
 	if err != nil {
 		return nil, err
-	}
-	adps := core.New(app)
-	if adps.Static == nil {
-		return nil, fmt.Errorf("experiments: %s: static analysis produced no report", appName)
 	}
 	rep := adps.Static
 	row := &CheckRow{
@@ -59,14 +53,7 @@ func Check(ctx context.Context, appName string, scenarios []string) (*CheckRow, 
 	if len(scenarios) == 0 {
 		return row, nil
 	}
-	if err := adps.Instrument(); err != nil {
-		return nil, err
-	}
-	p, err := adps.ProfileScenarios(scenarios, false)
-	if err != nil {
-		return nil, err
-	}
-	res, err := adps.Analyze(ctx, p)
+	_, res, err := profileAndAnalyze(ctx, adps, scenarios)
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/reach"
 	"repro/internal/scenario"
 )
@@ -51,13 +49,9 @@ func TrainingScenarios(appName string) []string {
 // constraint set so the row reflects what a coverage-constrained analysis
 // would honor.
 func Coverage(appName string, scenarios []string) (*CoverageRow, error) {
-	app, err := scenario.NewApp(appName)
+	adps, err := openApp(appName)
 	if err != nil {
 		return nil, err
-	}
-	adps := core.New(app)
-	if adps.Reach == nil {
-		return nil, fmt.Errorf("experiments: %s: no reachability graph (missing activation relocation records)", appName)
 	}
 	if len(scenarios) == 0 {
 		scenarios = TrainingScenarios(appName)
@@ -66,10 +60,6 @@ func Coverage(appName string, scenarios []string) (*CoverageRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	installed := 0
-	if adps.AnalysisOptions.Constraints != nil {
-		installed = cov.InstallConstraints(adps.AnalysisOptions.Constraints)
-	}
 	row := &CoverageRow{
 		App:       appName,
 		Coverage:  cov,
@@ -77,7 +67,7 @@ func Coverage(appName string, scenarios []string) (*CoverageRow, error) {
 		Reachable: len(adps.Reach.Reachable),
 		Percent:   cov.Percent(),
 		Misses:    len(cov.Misses),
-		Installed: installed,
+		Installed: cov.InstallConstraints(adps.AnalysisOptions.Constraints),
 	}
 	row.SitesCovered, row.Sites = cov.SitesCovered()
 	row.EdgesCovered, row.Edges = cov.EdgesCovered()

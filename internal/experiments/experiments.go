@@ -14,7 +14,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/com"
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/scenario"
 )
 
@@ -39,7 +38,7 @@ type Table2Row struct {
 // profile every scenario except bigone, then correlate bigone instances
 // against the profiled classifications.
 func Table2(app string) ([]Table2Row, error) {
-	a, err := scenario.NewApp(app)
+	adps, err := openApp(app)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +49,7 @@ func Table2(app string) ([]Table2Row, error) {
 	}
 	var rows []Table2Row
 	for _, kind := range classify.Kinds() {
-		res, err := core.ClassifierAccuracy(a, kind, 0, training, big, netsim.TenBaseT, 1)
+		res, err := adps.ClassifierAccuracy(kind, 0, training, big)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table 2 %s: %w", kind, err)
 		}
@@ -87,7 +86,7 @@ var Table3Depths = []int{1, 2, 3, 4, 8, 16, 0}
 
 // Table3 evaluates the IFCB classifier at limited stack depths.
 func Table3(app string) ([]Table3Row, error) {
-	a, err := scenario.NewApp(app)
+	adps, err := openApp(app)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +97,7 @@ func Table3(app string) ([]Table3Row, error) {
 	}
 	var rows []Table3Row
 	for _, depth := range Table3Depths {
-		res, err := core.ClassifierAccuracy(a, classify.IFCB, depth, training, big, netsim.TenBaseT, 1)
+		res, err := adps.ClassifierAccuracy(classify.IFCB, depth, training, big)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table 3 depth %d: %w", depth, err)
 		}
@@ -225,35 +224,20 @@ func Figures(ctx context.Context) ([]FigureRow, error) {
 		if err != nil {
 			return FigureRow{}, err
 		}
-		app, err := scenario.NewApp(info.App)
+		adps, err := openApp(info.App)
 		if err != nil {
 			return FigureRow{}, err
 		}
-		adps := core.New(app)
-		if err := adps.Instrument(); err != nil {
-			return FigureRow{}, err
-		}
-		p, _, err := adps.ProfileScenario(spec.scenario, false)
+		coign, err := adps.ScenarioExperiment(ctx, spec.scenario)
 		if err != nil {
 			return FigureRow{}, err
-		}
-		res, err := adps.Analyze(ctx, p)
-		if err != nil {
-			return FigureRow{}, err
-		}
-		coign, err2 := func() (*core.ScenarioReport, error) {
-			adps2 := core.New(app)
-			return adps2.ScenarioExperiment(ctx, spec.scenario)
-		}()
-		if err2 != nil {
-			return FigureRow{}, err2
 		}
 		return FigureRow{
 			Figure:            spec.figure,
 			Scenario:          spec.scenario,
 			TotalInstances:    coign.TotalInstances,
 			ServerInstances:   coign.ServerInstances,
-			NonRemotableEdges: res.NonRemotableEdges,
+			NonRemotableEdges: coign.Analysis.NonRemotableEdges,
 			PaperNote:         spec.note,
 		}, nil
 	})
@@ -334,19 +318,7 @@ func PrintFigures(w io.Writer, rows []FigureRow) {
 // Distribution returns the full analysis for one scenario, for figure
 // drill-down (which classifications landed where).
 func Distribution(ctx context.Context, name string) (*analysis.Result, error) {
-	info, err := scenario.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	app, err := scenario.NewApp(info.App)
-	if err != nil {
-		return nil, err
-	}
-	adps := core.New(app)
-	if err := adps.Instrument(); err != nil {
-		return nil, err
-	}
-	p, _, err := adps.ProfileScenario(name, false)
+	adps, p, err := profileScenario(name)
 	if err != nil {
 		return nil, err
 	}

@@ -244,12 +244,7 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	// mutation through a method claimed read-only, and replication — a
 	// pure edge-removal transform — can never make the cut costlier.
 	rep.check("purity-graded", ares.Purity != nil, "analysis produced no purity grading")
-	misses := 0
-	for _, f := range ares.Findings {
-		if f.Kind == purity.KindPurityMiss || f.Kind == "replication-regression" {
-			misses++
-		}
-	}
+	misses, _ := tally(ares.Findings, purity.KindPurityMiss, "replication-regression")
 	rep.check("purity-verifier-clean", misses == 0,
 		fmt.Sprintf("%d purity-miss/replication-regression finding(s): %v", misses, ares.Findings))
 	if ares.ReplicatedCut != nil {
@@ -312,19 +307,10 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	}
 	rep.RefinedCutWeight = aresA.Cut.Weight
 	refinedCS := adpsA.AnalysisOptions.Constraints
-	if refinedCS != nil {
-		rep.AliasPairs = len(refinedCS.AliasPairs)
-	}
+	rep.AliasPairs = len(refinedCS.AliasPairs)
 
-	misses, errors := 0, 0
-	for _, f := range aresA.Findings {
-		if f.Kind == alias.KindAliasMiss {
-			misses++
-		}
-		if f.Severity == staticanal.SeverityError {
-			errors++
-		}
-	}
+	misses, _ = tally(aresA.Findings, alias.KindAliasMiss)
+	errors := staticanal.ErrorCount(aresA.Findings)
 	rep.check("alias-verifier-zero-miss", misses == 0,
 		fmt.Sprintf("%d unpredicted non-remotable call(s): %v", misses, aresA.Findings))
 	rep.check("alias-refined-no-errors", errors == 0,
@@ -417,7 +403,7 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	if err := adpsA.Alias.WriteJSON(&j1); err != nil {
 		return nil, err
 	}
-	ar2, err := alias.Scan(binimg.BuildImage(a.App), a.App, nil)
+	ar2, err := alias.Scan(binimg.BuildImage(a.App), a.App, adpsA.Reach)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: alias re-scan of %s: %w", a.App.Name, err)
 	}

@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/purity"
 	"repro/internal/scenario"
-	"repro/internal/staticanal"
 )
 
 // PurityRow is the purity pipeline's summary for one application: the
@@ -50,15 +47,11 @@ type PurityRow struct {
 // observed mutations, and cut both the plain and the replication-aware
 // networks. theta <= 0 selects purity.DefaultTheta.
 func Purity(ctx context.Context, appName string, scenarios []string, theta float64) (*PurityRow, error) {
-	app, err := scenario.NewApp(appName)
+	adps, err := openApp(appName)
 	if err != nil {
 		return nil, err
 	}
-	adps := core.New(app)
-	pr, err := purity.Scan(adps.Image, app, adps.Reach)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: purity scan of %s: %w", appName, err)
-	}
+	pr := adps.Purity
 	row := &PurityRow{
 		App:     appName,
 		Theta:   theta,
@@ -85,16 +78,9 @@ func Purity(ctx context.Context, appName string, scenarios []string, theta float
 	}
 	row.Scenarios = scenarios
 
-	if err := adps.Instrument(); err != nil {
-		return nil, err
-	}
-	p, err := adps.ProfileScenarios(scenarios, false)
-	if err != nil {
-		return nil, err
-	}
 	adps.AnalysisOptions.PurityTheta = theta
 	adps.AnalysisOptions.Replicate = true
-	res, err := adps.Analyze(ctx, p)
+	_, res, err := profileAndAnalyze(ctx, adps, scenarios)
 	if err != nil {
 		return nil, err
 	}
@@ -104,25 +90,10 @@ func Purity(ctx context.Context, appName string, scenarios []string, theta float
 		row.ReplicatedWeight = res.ReplicatedCut.Weight
 	}
 	row.Replicated = res.Replicated
-	for _, f := range res.Findings {
-		switch {
-		case f.Kind == purity.KindPurityMiss || f.Kind == "replication-regression":
-			row.Misclassified++
-		case f.Kind == staticanal.KindUnknownClass && f.Severity == staticanal.SeverityWarning:
-			row.Warnings++
-		}
-	}
+	row.Misclassified, row.Warnings = tally(res.Findings, purity.KindPurityMiss, "replication-regression")
 	return row, nil
 }
 
 // PurityApps lists the applications the purity gate sweeps: the Table 1
 // suite plus the quick-start example.
 func PurityApps() []string { return append(scenario.Apps(), "quickstart") }
-
-// PurityAll runs Purity over every gate application with its training
-// suite, one application per worker on a bounded pool.
-func PurityAll(ctx context.Context, theta float64) ([]*PurityRow, error) {
-	return parallelMap(ctx, PurityApps(), func(ctx context.Context, appName string) (*PurityRow, error) {
-		return Purity(ctx, appName, nil, theta)
-	})
-}

@@ -393,17 +393,6 @@ func (q *Queue) Get(id string) (*Job, bool) {
 	return j.snapshot(), true
 }
 
-// Jobs returns snapshots of every job in enqueue order.
-func (q *Queue) Jobs() []*Job {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]*Job, 0, len(q.order))
-	for _, id := range q.order {
-		out = append(out, q.jobs[id].snapshot())
-	}
-	return out
-}
-
 // Stats counts jobs by state.
 func (q *Queue) Stats() Counts {
 	q.mu.Lock()

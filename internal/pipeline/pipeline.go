@@ -210,6 +210,9 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, err
 	}
 	adps := core.New(app)
+	if err := adps.Err(); err != nil {
+		return nil, err
+	}
 	adps.Network = model
 	adps.ClassifierKind = kind
 	adps.ClassifierDepth = spec.Depth
@@ -234,8 +237,8 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	}
 
 	res := &Result{Spec: spec, Version: version.String(), ADPS: adps}
-	if cs := adps.AnalysisOptions.Constraints; spec.Alias && cs != nil {
-		res.AliasPairs = len(cs.AliasPairs)
+	if spec.Alias {
+		res.AliasPairs = len(adps.AnalysisOptions.Constraints.AliasPairs)
 	}
 	start := time.Now()
 

@@ -6,7 +6,7 @@
 // is stateless or read-mostly. This package supplies the static proof:
 // the rewriter embeds every class's state declaration as a state record
 // (".state$<CLSID>" sections, see binimg.EncodeState); the scanner here
-// reads them back out of the image, joins them with per-method IDL
+// takes them as binimg decodes them, joins them with per-method IDL
 // metadata, and classifies every method read-only, mutating, or unknown
 // — unknown is conservatively mutating. A fixed point over the
 // reachability analysis's static ICC graph then closes transitive
@@ -24,7 +24,6 @@ package purity
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/binimg"
 	"repro/internal/com"
@@ -107,12 +106,10 @@ type Report struct {
 // Class returns the per-class analysis for the named class, or nil.
 func (r *Report) Class(name string) *ClassInfo { return r.index[name] }
 
-// Scan runs the purity analysis: it parses the image's state records,
-// joins them with the class and interface registries to classify every
-// method, and closes transitive impurity over the reachability graph's
-// static ICC edges. rg may be nil, in which case the reachability
-// analysis runs internally. Malformed images produce errors, never
-// panics.
+// Scan runs the purity analysis: it joins the image's state records with
+// the class and interface registries to classify every method, and closes
+// transitive impurity over the reachability graph's static ICC edges.
+// Malformed images produce errors, never panics.
 func Scan(img *binimg.Image, app *com.App, rg *reach.Graph) (*Report, error) {
 	return ScanAliased(img, app, rg, nil)
 }
@@ -129,43 +126,22 @@ func Scan(img *binimg.Image, app *com.App, rg *reach.Graph) (*Report, error) {
 // Because the refinement only removes propagation edges, the resulting
 // replication set is always a superset of the unrefined one.
 func ScanAliased(img *binimg.Image, app *com.App, rg *reach.Graph, may func(a, b string) bool) (*Report, error) {
-	if img == nil {
-		return nil, fmt.Errorf("purity: nil image")
+	if img == nil || rg == nil {
+		return nil, fmt.Errorf("purity: nil image or reachability graph")
 	}
 	if app == nil || app.Classes == nil || app.Interfaces == nil {
 		return nil, fmt.Errorf("purity: purity analysis requires the class and interface registries")
 	}
-	if rg == nil {
-		var err error
-		rg, err = reach.Scan(img, app)
-		if err != nil {
-			return nil, fmt.Errorf("purity: %w", err)
-		}
-	}
 
-	// Pass 1: parse state records, keyed by CLSID. Split records for one
-	// class are rejected — a class has exactly one state declaration.
-	states := make(map[com.CLSID]*com.StateDesc)
+	// Pass 1: the image's state records, keyed by CLSID.
+	states, err := img.States()
+	if err != nil {
+		return nil, fmt.Errorf("purity: %w", err)
+	}
 	var unknown []string
-	for _, s := range img.Sections {
-		key, ok := strings.CutPrefix(s.Name, binimg.StatePrefix)
-		if !ok {
-			continue
-		}
-		if key == "" {
-			return nil, fmt.Errorf("purity: state section with empty owner")
-		}
-		desc, err := binimg.DecodeState(s.Data)
-		if err != nil {
-			return nil, fmt.Errorf("purity: section %s: %w", s.Name, err)
-		}
-		clsid := com.CLSID(key)
-		if _, dup := states[clsid]; dup {
-			return nil, fmt.Errorf("purity: duplicate state record for %s", clsid)
-		}
-		states[clsid] = desc
+	for clsid := range states {
 		if app.Classes.Lookup(clsid) == nil {
-			unknown = append(unknown, key)
+			unknown = append(unknown, string(clsid))
 		}
 	}
 	sort.Strings(unknown)

@@ -8,7 +8,7 @@
 // which activation sites and ICC edges can exist at all? The rewriter
 // embeds every class's potential activation targets as relocation records
 // (".reloc$<CLSID>" sections, see binimg.EncodeReloc); the scanner here
-// reads them back out of the image, joins them with the class registry,
+// takes them as binimg decodes them, joins them with the class registry,
 // and propagates interface flows to a fixed point — which class can hold
 // which interface, including factory-returned and callback interfaces.
 // The result is an over-approximate static ICC graph with per-site
@@ -21,7 +21,6 @@ package reach
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/binimg"
 	"repro/internal/com"
@@ -76,16 +75,10 @@ type Graph struct {
 	dynamic   map[string]bool
 }
 
-// relocRecord is one parsed activation record.
-type relocRecord struct {
-	dynamic bool
-	targets []com.CLSID
-}
-
-// Scan runs the reachability analysis: it parses the image's activation
-// relocation records, joins them with the application's class registry,
-// computes the set of activatable classes from the main program's
-// activation roots, and propagates interface flows to a fixed point.
+// Scan runs the reachability analysis: it joins the image's activation
+// relocation records with the application's class registry, computes the
+// set of activatable classes from the main program's activation roots,
+// and propagates interface flows to a fixed point.
 // Malformed images produce errors, never panics.
 func Scan(img *binimg.Image, app *com.App) (*Graph, error) {
 	if img == nil {
@@ -95,28 +88,11 @@ func Scan(img *binimg.Image, app *com.App) (*Graph, error) {
 		return nil, fmt.Errorf("reach: reachability analysis requires the class and interface registries")
 	}
 
-	// Pass 1: parse relocation records, keyed by creator (CLSID string or
-	// the main program). Split records for one creator merge.
-	records := make(map[string]*relocRecord)
-	for _, s := range img.Sections {
-		key, ok := strings.CutPrefix(s.Name, binimg.RelocPrefix)
-		if !ok {
-			continue
-		}
-		if key == "" {
-			return nil, fmt.Errorf("reach: relocation section with empty owner")
-		}
-		dyn, targets, err := binimg.DecodeReloc(s.Data)
-		if err != nil {
-			return nil, fmt.Errorf("reach: section %s: %w", s.Name, err)
-		}
-		rec := records[key]
-		if rec == nil {
-			rec = &relocRecord{}
-			records[key] = rec
-		}
-		rec.dynamic = rec.dynamic || dyn
-		rec.targets = append(rec.targets, targets...)
+	// Pass 1: the image's activation records, keyed by creator (CLSID
+	// string or the main program).
+	records, err := img.Activations()
+	if err != nil {
+		return nil, fmt.Errorf("reach: %w", err)
 	}
 
 	g := &Graph{
@@ -140,14 +116,11 @@ func Scan(img *binimg.Image, app *com.App) (*Graph, error) {
 	for len(queue) > 0 {
 		item := queue[0]
 		queue = queue[1:]
-		rec := records[item.key]
-		if rec == nil {
-			continue
-		}
-		if rec.dynamic {
+		rec := records[item.key] // zero when the creator activates nothing
+		if rec.Dynamic {
 			g.dynamic[item.creator] = true
 		}
-		for _, clsid := range rec.targets {
+		for _, clsid := range rec.Targets {
 			target := app.Classes.Lookup(clsid)
 			if target == nil {
 				unknown[string(clsid)] = true
@@ -159,9 +132,7 @@ func Scan(img *binimg.Image, app *com.App) (*Graph, error) {
 				CLSID:      clsid,
 				Provenance: fmt.Sprintf("relocation record %s%s", binimg.RelocPrefix, item.key),
 			})
-			if !g.reachable[target.Name] {
-				g.reachable[target.Name] = true
-			}
+			g.reachable[target.Name] = true
 			if !visited[string(clsid)] {
 				visited[string(clsid)] = true
 				queue = append(queue, workItem{creator: target.Name, key: string(clsid)})

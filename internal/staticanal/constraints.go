@@ -254,18 +254,6 @@ func (cs *ConstraintSet) Empty() bool {
 		len(cs.CoveragePairs) == 0 && len(cs.AliasPairs) == 0)
 }
 
-// NonRemotableInterfaces returns the sorted IIDs classified non-remotable.
-func (cs *ConstraintSet) NonRemotableInterfaces() []string {
-	var out []string
-	for iid, r := range cs.Interfaces {
-		if r.Remotability == NonRemotable {
-			out = append(out, iid)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PinFor returns the location constraint for a class name, if any.
 func (cs *ConstraintSet) PinFor(class string) (Pin, bool) {
 	p, ok := cs.Pins[class]
@@ -302,21 +290,6 @@ func (cs *ConstraintSet) MustCoLocate(src, dst string) (string, bool) {
 		return reason, true
 	}
 	return "", false
-}
-
-// ClassImplementsNonRemotable reports whether the named class implements
-// at least one non-remotable interface.
-func (cs *ConstraintSet) ClassImplementsNonRemotable(class string) bool {
-	cm := cs.model.Component(class)
-	if cm == nil {
-		return false
-	}
-	for _, iid := range cm.Interfaces {
-		if r := cs.Interfaces[iid]; r != nil && r.Remotability == NonRemotable {
-			return true
-		}
-	}
-	return false
 }
 
 // ClassMayPassOpaque reports whether the named class implements an

@@ -11,16 +11,11 @@ package staticanal
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/binimg"
 	"repro/internal/com"
 	"repro/internal/idl"
 )
-
-// sectionPrefix is the code-section naming convention the binary rewriter
-// uses: one ".text$<CLSID>" section per component class.
-const sectionPrefix = ".text$"
 
 // ComponentMeta is the static view of one component class, assembled from
 // the class registry and the binary image's sections.
@@ -85,21 +80,13 @@ func ScanImage(img *binimg.Image, app *com.App) (*Model, error) {
 		m.Mode = string(img.Config.Mode)
 	}
 
-	// Index the image's component code sections by CLSID. Activation
-	// relocation records belong to the reachability analysis (package
-	// reach), not this model; they are recognized, not orphaned.
-	sectionSize := make(map[string]int)
-	for _, s := range img.Sections {
-		if strings.HasPrefix(s.Name, binimg.RelocPrefix) {
-			continue
-		}
-		clsid, ok := strings.CutPrefix(s.Name, sectionPrefix)
-		if !ok || clsid == "" {
-			m.OrphanSections = append(m.OrphanSections, s.Name)
-			continue
-		}
-		sectionSize[clsid] += len(s.Data)
+	// Activation and state records belong to the reachability, purity and
+	// alias analyses; here only code sizes and unrecognized sections count.
+	sectionSize, other, err := img.CodeSections()
+	if err != nil {
+		return nil, fmt.Errorf("staticanal: %w", err)
 	}
+	m.OrphanSections = other
 
 	if app != nil && app.Classes != nil {
 		for _, c := range app.Classes.Classes() {
@@ -111,10 +98,10 @@ func ScanImage(img *binimg.Image, app *com.App) (*Model, error) {
 				Infrastructure: c.Infrastructure,
 				Home:           c.Home,
 			}
-			if size, ok := sectionSize[string(c.ID)]; ok {
+			if size, ok := sectionSize[c.ID]; ok {
 				cm.InImage = true
 				cm.SectionBytes = size
-				delete(sectionSize, string(c.ID))
+				delete(sectionSize, c.ID)
 			} else {
 				m.MissingFromImage = append(m.MissingFromImage, c.Name)
 			}
@@ -122,14 +109,14 @@ func ScanImage(img *binimg.Image, app *com.App) (*Model, error) {
 			m.byName[c.Name] = cm
 		}
 		for clsid := range sectionSize {
-			m.OrphanSections = append(m.OrphanSections, sectionPrefix+clsid)
+			m.OrphanSections = append(m.OrphanSections, binimg.CodePrefix+string(clsid))
 		}
 	} else {
 		// No registry: every component section stands alone.
 		for clsid, size := range sectionSize {
 			cm := &ComponentMeta{
-				Name:         clsid,
-				CLSID:        com.CLSID(clsid),
+				Name:         string(clsid),
+				CLSID:        clsid,
 				SectionBytes: size,
 				InImage:      true,
 			}

@@ -111,14 +111,6 @@ func (cs *ConstraintSet) Refined(r OpaqueRefiner) *ConstraintSet {
 	return out
 }
 
-// Refiner returns the points-to refiner installed by Refined, or nil.
-func (cs *ConstraintSet) Refiner() OpaqueRefiner {
-	if cs == nil {
-		return nil
-	}
-	return cs.refiner
-}
-
 // classHasUnrefinableNonRemotable reports whether the class implements a
 // non-remotable interface whose verdict is NOT attributable to opaque
 // payloads (a bare [local] declaration with clean signatures). Such

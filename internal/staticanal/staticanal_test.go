@@ -46,6 +46,33 @@ func TestScanImagePhotodraw(t *testing.T) {
 	}
 }
 
+// TestScanImageStateRecordsAreNotOrphans: the paper apps ship no state
+// descriptors, so only a generated app shows whether the model mistakes
+// ".state$" record sections for code sections of unknown classes.
+func TestScanImageStateRecordsAreNotOrphans(t *testing.T) {
+	t.Parallel()
+	app, err := scenario.NewApp("synth:read-replica:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := binimg.BuildImage(app)
+	states, err := img.States()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(states) == 0 {
+		t.Fatal("read-replica app ships no state records; the test checks nothing")
+	}
+	m, err := staticanal.ScanImage(img, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.OrphanSections) != 0 || len(m.MissingFromImage) != 0 {
+		t.Errorf("orphans %v, missing %v; want none on a clean build",
+			m.OrphanSections, m.MissingFromImage)
+	}
+}
+
 func TestScanImageNilImage(t *testing.T) {
 	t.Parallel()
 	if _, err := staticanal.ScanImage(nil, nil); err == nil {
