@@ -1,7 +1,7 @@
 package coign
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// graph-cutting algorithm (lift-to-front vs BFS augmenting paths), the
+// graph-cutting algorithm (push-relabel vs BFS augmenting paths), the
 // exponential message-size bucketing (vs exact byte accounting), the
 // sampled network profile (vs oracle means), and the multiway-cut
 // extension.
@@ -16,9 +16,9 @@ import (
 	"repro/internal/graph"
 )
 
-// BenchmarkAblationMinCutLiftToFront times the paper's lift-to-front
-// (relabel-to-front push-relabel) algorithm on synthetic ICC graphs.
-func BenchmarkAblationMinCutLiftToFront(b *testing.B) {
+// BenchmarkAblationMinCutPushRelabel times the production cut
+// (highest-label push-relabel) on synthetic ICC graphs.
+func BenchmarkAblationMinCutPushRelabel(b *testing.B) {
 	for _, n := range []int{500, 2000, 8000} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -61,12 +61,12 @@ func BenchmarkAblationMinCutOnRealGraph(b *testing.B) {
 			b.Fatal(err)
 		}
 		if !cmp.WeightsAgree {
-			b.Fatalf("algorithms disagree: %v vs %v", cmp.WeightLTF, cmp.WeightEK)
+			b.Fatalf("algorithms disagree: %v vs %v", cmp.WeightPR, cmp.WeightEK)
 		}
 	}
 	printOnce("ablation-mincut", func() {
-		fmt.Fprintf(os.Stderr, "\nMin-cut ablation (%s, %d nodes, %d edges): lift-to-front %v, edmonds-karp %v\n",
-			cmp.Scenario, cmp.Nodes, cmp.Edges, cmp.LiftToFront, cmp.EdmondsKarp)
+		fmt.Fprintf(os.Stderr, "\nMin-cut ablation (%s, %d nodes, %d edges): push-relabel %v, edmonds-karp %v\n",
+			cmp.Scenario, cmp.Nodes, cmp.Edges, cmp.PushRelabel, cmp.EdmondsKarp)
 	})
 	b.ReportMetric(float64(cmp.Nodes), "nodes")
 }

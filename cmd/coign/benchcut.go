@@ -22,7 +22,6 @@ func cmdBenchCut(_ context.Context, args []string) error {
 	seed := fs.Int64("seed", 1, "workload seed (same seed, same graphs)")
 	degree := fs.Int("degree", 0, "average attachment degree (0 = generator default)")
 	oracleMax := fs.Int("oracle-max", 30000, "largest size the Edmonds-Karp oracle runs at (0 = default cap)")
-	oldMax := fs.Int("old-max", 0, "largest size the legacy relabel-to-front path runs at (0 = default cap 100000, negative = unlimited)")
 	repeat := fs.Int("repeat", 3, "timed repetitions per algorithm (min and mean reported)")
 	jsonPath := fs.String("json", "", "write the report as JSON to this file")
 	quiet := fs.Bool("q", false, "suppress per-size progress")
@@ -33,7 +32,6 @@ func cmdBenchCut(_ context.Context, args []string) error {
 		Seed:      *seed,
 		AvgDegree: *degree,
 		OracleMax: *oracleMax,
-		OldMax:    *oldMax,
 		Repeat:    *repeat,
 	}
 	for _, s := range strings.Split(*sizes, ",") {

@@ -3,10 +3,10 @@
 //
 // Coign takes an application built from binary components, profiles its
 // inter-component communication through usage scenarios, prices the
-// resulting graph under a network profile, cuts it with the lift-to-front
-// minimum-cut algorithm, and rewrites the application binary so that the
-// next execution runs distributed across client and server — all without
-// source code.
+// resulting graph under a network profile, cuts it with an exact
+// push-relabel minimum-cut algorithm, and rewrites the application binary
+// so that the next execution runs distributed across client and server —
+// all without source code.
 //
 // The repository layout follows the paper's toolchain:
 //
@@ -19,7 +19,7 @@
 //	internal/classify  the seven instance classifiers
 //	internal/profile   ICC profiles, size buckets, communication vectors
 //	internal/netsim    network models and the network profiler
-//	internal/graph     lift-to-front min-cut, Edmonds-Karp baseline, multiway heuristic
+//	internal/graph     push-relabel min-cut, Edmonds-Karp oracle, multiway heuristic
 //	internal/analysis  the profile analysis engine and constraint inference
 //	internal/factory   the component factory that realizes distributions
 //	internal/dist      the two-machine execution engine, replayer, TCP transport

@@ -16,14 +16,14 @@ import (
 // algorithm, the exponential message-size bucketing, and the sampled
 // network profile.
 
-// MinCutComparison cross-checks the lift-to-front algorithm against the
+// MinCutComparison cross-checks the push-relabel production cut against the
 // Edmonds–Karp baseline on a scenario's concrete graph.
 type MinCutComparison struct {
 	Scenario     string
 	Nodes, Edges int
-	LiftToFront  time.Duration
+	PushRelabel  time.Duration
 	EdmondsKarp  time.Duration
-	WeightLTF    float64
+	WeightPR     float64
 	WeightEK     float64
 	WeightsAgree bool
 }
@@ -46,12 +46,12 @@ func CompareMinCut(scenName string) (*MinCutComparison, error) {
 	cmp.Nodes, cmp.Edges = g.Len(), g.Edges()
 
 	start := time.Now()
-	ltf, err := g.MinCut()
+	pr, err := g.MinCut()
 	if err != nil {
 		return nil, err
 	}
-	cmp.LiftToFront = time.Since(start)
-	cmp.WeightLTF = ltf.Weight
+	cmp.PushRelabel = time.Since(start)
+	cmp.WeightPR = pr.Weight
 
 	g2 := build()
 	start = time.Now()
@@ -61,7 +61,7 @@ func CompareMinCut(scenName string) (*MinCutComparison, error) {
 	}
 	cmp.EdmondsKarp = time.Since(start)
 	cmp.WeightEK = ek.Weight
-	cmp.WeightsAgree = math.Abs(ltf.Weight-ek.Weight) <= 1e-6*(1+ltf.Weight)
+	cmp.WeightsAgree = math.Abs(pr.Weight-ek.Weight) <= 1e-6*(1+pr.Weight)
 	return cmp, nil
 }
 

@@ -15,8 +15,8 @@ import (
 
 // The cut-engine benchmark harness: synthetic ICC graphs from
 // graph.Synthesize, the production CSR highest-label core timed against
-// the legacy relabel-to-front path and (up to a size cap) the
-// Edmonds–Karp oracle, with every weight cross-checked. `coign bench-cut`
+// (up to a size cap) the Edmonds–Karp oracle, with every weight
+// cross-checked. `coign bench-cut`
 // drives it and writes BENCH_graphcut.json; CI runs a small-size smoke of
 // the same harness and fails on any oracle divergence.
 
@@ -35,10 +35,6 @@ type CutBenchConfig struct {
 	// OracleMax caps the sizes the Edmonds–Karp oracle runs at: EK is
 	// O(V·E²) and already needs minutes at 30k nodes. 0 means 30000.
 	OracleMax int
-	// OldMax caps the sizes the legacy relabel-to-front path runs at:
-	// its scan-restart loop goes quadratic past ~100k nodes. 0 means
-	// 100000; negative means unlimited.
-	OldMax int
 	// Repeat is how many times each timed algorithm runs per size; the
 	// fastest and the mean run are reported separately (default 3).
 	Repeat int
@@ -53,9 +49,6 @@ func (c CutBenchConfig) withDefaults() CutBenchConfig {
 	}
 	if c.OracleMax == 0 {
 		c.OracleMax = 30000
-	}
-	if c.OldMax == 0 {
-		c.OldMax = 100000
 	}
 	if c.Repeat <= 0 {
 		c.Repeat = 3
@@ -98,13 +91,9 @@ type CutBenchRow struct {
 	// unchanged-topology re-cut is than a cold build+cut.
 	WarmSpeedup float64 `json:"warm_speedup_cold_over_warm"`
 
-	// OldNS and OracleNS are the legacy relabel-to-front and Edmonds–Karp
-	// times; zero when the size cap skipped the algorithm.
-	OldNS    int64 `json:"old_ns"`
+	// OracleNS is the Edmonds–Karp time; zero when the size cap skipped it.
 	OracleNS int64 `json:"oracle_ns"`
 
-	// Speedup is OldNS/NewNS (0 when the old path was skipped).
-	Speedup float64 `json:"speedup_old_over_new"`
 	// WeightsAgree is true when every algorithm that ran returned the
 	// same cut weight (within 1e-6 relative tolerance).
 	WeightsAgree bool `json:"weights_agree"`
@@ -121,7 +110,7 @@ type CutBenchRow struct {
 
 // benchSchema names the row layout; bump it whenever CutBenchRow's JSON
 // fields change meaning so downstream readers can dispatch on it.
-const benchSchema = "coign-bench-graphcut/2"
+const benchSchema = "coign-bench-graphcut/3"
 
 // benchColumns describes every row field in the emitted report, making
 // the JSON self-describing: a reader never has to reverse-engineer what
@@ -141,9 +130,7 @@ func benchColumns() map[string]string {
 		"warm_perturbed_ns":           "arena warm re-cut after ~1% weight perturbation, best of `repeat` rounds (ns)",
 		"warm_perturbed_ns_mean":      "arena warm re-cut after perturbation, mean (ns)",
 		"warm_speedup_cold_over_warm": "new_ns / warm_ns",
-		"old_ns":                      "legacy relabel-to-front build+cut, best of `repeat` (ns, 0 = skipped)",
 		"oracle_ns":                   "Edmonds-Karp build+cut (ns, 0 = skipped)",
-		"speedup_old_over_new":        "old_ns / new_ns (0 = old skipped)",
 		"weights_agree":               "every algorithm that ran returned the same cut weight",
 		"replicated":                  "components cloned by the replication-aware variant",
 		"repl_weight":                 "cut weight on the replicated network",
@@ -255,21 +242,6 @@ func RunCutBench(cfg CutBenchConfig, progress io.Writer) (*CutBenchReport, error
 			return rep, err
 		}
 
-		if cfg.OldMax == 0 || n <= cfg.OldMax {
-			if progress != nil {
-				fmt.Fprintf(progress, " relabel-to-front...")
-			}
-			oldT, _, oldCut, err := timeCut(cfg.Repeat, mk, (*graph.Graph).MinCutRelabelToFront)
-			if err != nil {
-				return nil, fmt.Errorf("bench-cut: n=%d old: %w", n, err)
-			}
-			row.OldNS = oldT.Nanoseconds()
-			row.Speedup = float64(row.OldNS) / float64(row.NewNS)
-			if math.Abs(oldCut.Weight-newCut.Weight) > tol {
-				row.WeightsAgree = false
-				return rep, fmt.Errorf("bench-cut: n=%d: relabel-to-front weight %v != %v", n, oldCut.Weight, newCut.Weight)
-			}
-		}
 		if n <= cfg.OracleMax {
 			if progress != nil {
 				fmt.Fprintf(progress, " edmonds-karp...")
@@ -437,9 +409,9 @@ func (r *CutBenchReport) WriteJSON(w io.Writer) error {
 // replicated cut weight as a fraction of the plain one — how much of the
 // communication cost vanishes when the sampled components are cloned.
 func PrintCutBench(w io.Writer, rep *CutBenchReport) {
-	fmt.Fprintf(w, "%8s %9s %12s %12s %12s %8s %12s %12s %9s %10s %6s %6s %12s %9s\n",
-		"nodes", "edges", "hi-label", "warm", "warm-pert", "warm-x", "lift-front", "edmonds-k",
-		"speedup", "alloc", "agree", "repl", "repl-time", "repl-cut")
+	fmt.Fprintf(w, "%8s %9s %12s %12s %12s %8s %12s %10s %6s %6s %12s %9s\n",
+		"nodes", "edges", "hi-label", "warm", "warm-pert", "warm-x", "edmonds-k",
+		"alloc", "agree", "repl", "repl-time", "repl-cut")
 	ms := func(ns int64) string {
 		if ns == 0 {
 			return "-"
@@ -447,10 +419,6 @@ func PrintCutBench(w io.Writer, rep *CutBenchReport) {
 		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
 	}
 	for _, r := range rep.Rows {
-		speed := "-"
-		if r.Speedup > 0 {
-			speed = fmt.Sprintf("%.1fx", r.Speedup)
-		}
 		warmX := "-"
 		if r.WarmSpeedup > 0 {
 			warmX = fmt.Sprintf("%.1fx", r.WarmSpeedup)
@@ -459,10 +427,9 @@ func PrintCutBench(w io.Writer, rep *CutBenchReport) {
 		if r.Weight > 0 {
 			frac = fmt.Sprintf("%.3f", r.ReplWeight/r.Weight)
 		}
-		fmt.Fprintf(w, "%8d %9d %12s %12s %12s %8s %12s %12s %9s %9.1fM %6v %6d %12s %9s\n",
+		fmt.Fprintf(w, "%8d %9d %12s %12s %12s %8s %12s %9.1fM %6v %6d %12s %9s\n",
 			r.Nodes, r.Edges, ms(r.NewNS), ms(r.WarmNS), ms(r.WarmPerturbedNS), warmX,
-			ms(r.OldNS), ms(r.OracleNS),
-			speed, float64(r.NewAllocBytes)/1e6, r.WeightsAgree,
+			ms(r.OracleNS), float64(r.NewAllocBytes)/1e6, r.WeightsAgree,
 			r.Replicated, ms(r.ReplNS), frac)
 	}
 }

@@ -180,7 +180,7 @@ func TestCompareMinCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !cmp.WeightsAgree {
-		t.Errorf("algorithms disagree: ltf=%v ek=%v", cmp.WeightLTF, cmp.WeightEK)
+		t.Errorf("algorithms disagree: pr=%v ek=%v", cmp.WeightPR, cmp.WeightEK)
 	}
 	if cmp.Nodes < 100 {
 		t.Errorf("graph too small: %d nodes", cmp.Nodes)

@@ -3,16 +3,16 @@ package graph
 import (
 	"context"
 	"fmt"
-	"math"
+	"slices"
 )
 
 // CutArena makes repeated minimum cuts cheap. Adaptive repartitioning
 // re-cuts the *same topology* once per network model and per profile
 // window: the node set, edge set, welds, and pins are fixed while only
 // the edge pricing moves. A one-shot MinCut pays the full build every
-// time — sort the arc staging, lay out the CSR arrays, allocate the
-// solver scratch, run push-relabel from zero flow. The arena keeps all
-// of that alive between cuts:
+// time — stage the arcs, lay out the CSR arrays, allocate the solver
+// scratch, run push-relabel from zero flow. The arena keeps all of that
+// alive between cuts:
 //
 //   - the CSR arrays (head/to/rev/cap), the staged arc list, and the
 //     per-pair arc index, so an unchanged topology only rewrites cap
@@ -49,23 +49,21 @@ type CutArena struct {
 	n, s, t int
 	inf     float64
 
-	// Staged topology, kept to detect whether a new cut may reuse the
-	// layout: edge keys, weld keys, and pins in staging order.
-	edgeKeys  [][2]int
-	colocKeys [][2]int
-	pinNodes  []int
-	pinSides  []Side
+	// Staged topology, copied from the graph's store at restage and
+	// compared with it, array against array, to decide whether a new cut
+	// may reuse the layout. The match is by content, not by graph identity:
+	// callers that rebuild an equal graph for every cut still rewrite
+	// instead of restaging.
+	edgeKeys  []pairKey
+	colocKeys []pairKey
+	pin       []int8
 
-	pairs  []csrArc // staged arc pairs, in layout order
+	pairs  []csrArc // staged arc pairs, in layout order: edges, welds, pins
 	arcIdx []int32  // arc index of each pair's u-half (-1 for dropped self-loops)
 
-	// Cut-extraction caches. origW holds each staged edge's raw graph
-	// weight (possibly +Inf, unlike the proxy-substituted capacity), so
-	// pricing the cut needs no map lookups; freeFloat marks nodes in
-	// components touching no pinned node (Coign's free-floating rule),
-	// a topology-only fact computed once per staging instead of running
-	// a union-find over every edge on every cut.
-	origW     []float64
+	// freeFloat marks nodes in components touching no pinned node (Coign's
+	// free-floating rule), a topology-only fact computed once per staging
+	// instead of running a union-find over every edge on every cut.
 	freeFloat []bool
 
 	net      csrNet
@@ -111,26 +109,51 @@ func (a *CutArena) Reset() {
 	a.solved = false
 }
 
+// MinCut partitions the graph between client (source side) and server
+// (sink side) minimizing the weight of crossing edges, using
+// highest-label push-relabel over the CSR flow network (csr.go, hipr.go).
+// It is exact for two-way client/server cuts; partitioning across three
+// or more machines is NP-hard and handled by the heuristic in
+// multiway.go. Unpinned nodes in components touching neither terminal
+// carry no crossing cost; they land on the source side.
+func (g *Graph) MinCut() (*Cut, error) {
+	return g.MinCutCtx(context.Background())
+}
+
+// MinCutCtx is MinCut under a context: the push-relabel core polls
+// ctx.Done() between discharge batches, so a cancelled or expired
+// context aborts a long cut mid-run with the context's error instead of
+// burning the worker to completion. One-shot cuts are a single cold run
+// through a throwaway CutArena; callers that cut repeatedly should hold
+// an arena of their own (MinCutArena) to reuse its arrays and warm-start
+// from the previous flow.
+func (g *Graph) MinCutCtx(ctx context.Context) (*Cut, error) {
+	return g.MinCutArena(ctx, NewCutArena())
+}
+
 // MinCutArena is MinCutCtx backed by a reusable arena: repeated cuts on
 // an unchanged topology skip staging and allocation, and weight-only
 // changes warm-start push-relabel from the previous flow. The cut
 // returned is identical to MinCutCtx's on the same graph.
 func (g *Graph) MinCutArena(ctx context.Context, a *CutArena) (*Cut, error) {
-	return g.minCutArena(ctx, a, g.sortedPinnedNodes(), g.pinned)
+	g.settle()
+	return g.minCutArena(ctx, a, g.pin)
 }
 
-// minCutArena runs one arena-backed cut under an explicit pin
-// assignment (the multiway heuristic substitutes per-terminal pins).
-func (g *Graph) minCutArena(ctx context.Context, a *CutArena, pinNodes []int, pins map[int]Side) (*Cut, error) {
-	if err := g.validatePinned(pins); err != nil {
+// minCutArena runs one arena-backed cut of a settled graph under an
+// explicit per-node pin array (the multiway heuristic substitutes
+// per-terminal pins). It is the only path from a Graph to a production
+// Cut.
+func (g *Graph) minCutArena(ctx context.Context, a *CutArena, pin []int8) (*Cut, error) {
+	if err := g.validatePinned(pin); err != nil {
 		return nil, err
 	}
 	a.stats.Cuts++
 	warm := false
-	if a.matches(g, pinNodes, pins) {
-		warm = a.rewrite(g, pinNodes, pins)
+	if a.matches(g, pin) {
+		warm = a.rewrite(g)
 	} else {
-		a.restage(g, pinNodes, pins)
+		a.restage(g, pin)
 		a.stats.Restaged++
 	}
 	flow, err := a.net.maxFlowHL(ctx, &a.st, warm)
@@ -153,12 +176,10 @@ func (g *Graph) minCutArena(ctx context.Context, a *CutArena, pinNodes []int, pi
 	return a.extractCut(g, onSource, flow)
 }
 
-// extractCut is the arena's cut extraction: semantically identical to
-// extractCutSidesPinned (free-floating rule, sorted-order pricing of
-// crossing edges under raw weights, weld-crossing rejection), but driven
-// entirely by the staged arrays — no edge-key sort, no union-find, no
-// name-keyed map lookups per edge. On large graphs those dominate a warm
-// re-cut, where the solver itself has almost nothing left to do.
+// extractCut turns the solver's source-side indicator into a Cut: it
+// applies Coign's free-floating-component rule, prices the crossing edges
+// under the graph's weights in store order, and rejects any cut that
+// splits a co-location constraint.
 func (a *CutArena) extractCut(g *Graph, onSource []bool, flow float64) (*Cut, error) {
 	cut := &Cut{Assignment: make(map[string]Side, g.Len()), FlowValue: flow}
 	src := func(v int) bool { return onSource[v] || a.freeFloat[v] }
@@ -169,22 +190,9 @@ func (a *CutArena) extractCut(g *Graph, onSource []bool, flow float64) (*Cut, er
 			cut.Assignment[name] = SinkSide
 		}
 	}
-	// a.edgeKeys is in sorted (lo, hi) order, so this float accumulation
-	// reproduces extractCutSidesPinned's byte for byte.
-	var w float64
-	for i, e := range a.edgeKeys {
-		if src(e[0]) != src(e[1]) {
-			ew := a.origW[i]
-			if math.IsInf(ew, 1) {
-				return nil, fmt.Errorf("graph: minimum cut crosses a co-location constraint")
-			}
-			w += ew
-		}
-	}
-	for _, e := range a.colocKeys {
-		if src(e[0]) != src(e[1]) {
-			return nil, fmt.Errorf("graph: minimum cut crosses a co-location constraint")
-		}
+	w, welds := g.crossing(func(lo, hi int) bool { return src(lo) != src(hi) })
+	if welds > 0 {
+		return nil, fmt.Errorf("graph: minimum cut crosses a co-location constraint")
 	}
 	cut.Weight = w
 	if w > a.inf {
@@ -195,83 +203,61 @@ func (a *CutArena) extractCut(g *Graph, onSource []bool, flow float64) (*Cut, er
 
 // matches reports whether the staged topology is exactly the graph's
 // current one (same nodes, edge keys, weld keys, and pin assignment), so
-// the CSR layout can be reused with only capacities rewritten. It reads
-// but never mutates the arena.
-func (a *CutArena) matches(g *Graph, pinNodes []int, pins map[int]Side) bool {
-	if !a.staged || a.n != g.Len()+2 ||
-		len(a.edgeKeys) != len(g.edges) ||
-		len(a.colocKeys) != len(g.coloc) ||
-		len(a.pinNodes) != len(pinNodes) {
-		return false
-	}
-	for _, e := range a.edgeKeys {
-		if _, ok := g.edges[e]; !ok {
-			return false
-		}
-	}
-	for _, e := range a.colocKeys {
-		if !g.coloc[e] {
-			return false
-		}
-	}
-	for i, v := range a.pinNodes {
-		if pinNodes[i] != v || pins[v] != a.pinSides[i] {
-			return false
-		}
-	}
-	return true
+// the CSR layout can be reused with only capacities rewritten. Both sides
+// are flat and sorted, so it is three array compares.
+func (a *CutArena) matches(g *Graph, pin []int8) bool {
+	return a.staged && slices.Equal(a.pin, pin) &&
+		slices.Equal(a.edgeKeys, g.ekey) && slices.Equal(a.colocKeys, g.coloc)
 }
 
 // restage rebuilds the staged arc list and the CSR layout from the
-// graph, reusing every backing array with enough capacity. The solver
+// graph's store, reusing every backing array with enough capacity. Store
+// order makes the network layout, and with it the particular minimum cut
+// the solver lands on when several tie, identical run to run. The solver
 // then runs cold: a changed topology invalidates the previous flow.
-func (a *CutArena) restage(g *Graph, pinNodes []int, pins map[int]Side) {
+func (a *CutArena) restage(g *Graph, pin []int8) {
 	n := g.Len()
 	a.n, a.s, a.t = n+2, n, n+1
-
-	a.edgeKeys = append(a.edgeKeys[:0], g.sortedEdgeKeys()...)
-	a.colocKeys = append(a.colocKeys[:0], g.sortedColocKeys()...)
-	a.pinNodes = append(a.pinNodes[:0], pinNodes...)
-	a.pinSides = a.pinSides[:0]
-	for _, v := range pinNodes {
-		a.pinSides = append(a.pinSides, pins[v])
-	}
+	a.edgeKeys = append(a.edgeKeys[:0], g.ekey...)
+	a.colocKeys = append(a.colocKeys[:0], g.coloc...)
+	a.pin = append(a.pin[:0], pin...)
 
 	a.inf = g.infinityProxy()
 	a.pairs = a.pairs[:0]
-	a.origW = a.origW[:0]
-	for _, e := range a.edgeKeys {
-		c := g.edges[e]
-		a.origW = append(a.origW, c)
-		if math.IsInf(c, 1) {
-			c = a.inf
-		}
-		a.pairs = append(a.pairs, csrArc{u: int32(e[0]), v: int32(e[1]), capUV: c, capVU: c})
-	}
-	for _, e := range a.colocKeys {
-		a.pairs = append(a.pairs, csrArc{u: int32(e[0]), v: int32(e[1]), capUV: a.inf, capVU: a.inf})
-	}
-	a.pairs = stagePins(a.pairs, a.s, a.t, a.pinNodes, pins, a.inf)
-	a.layout()
-
-	// The free-floating-component rule depends only on the topology just
+	// The free-floating-component rule depends only on the topology being
 	// staged: cache it so per-cut extraction is a flat array scan.
 	uf := newUnionFind(n)
-	for _, e := range a.edgeKeys {
-		uf.union(e[0], e[1])
+	for i, k := range a.edgeKeys {
+		lo, hi := k.nodes()
+		uf.union(lo, hi)
+		a.pairs = append(a.pairs, csrArc{u: int32(lo), v: int32(hi), capUV: g.ew[i], capVU: g.ew[i]})
 	}
-	for _, e := range a.colocKeys {
-		uf.union(e[0], e[1])
+	for _, k := range a.colocKeys {
+		lo, hi := k.nodes()
+		uf.union(lo, hi)
+		a.pairs = append(a.pairs, csrArc{u: int32(lo), v: int32(hi), capUV: a.inf, capVU: a.inf})
 	}
+	// Pins: one directed infinite arc from the source terminal to every
+	// client-pinned node, and from every server-pinned node to the sink.
 	pinnedComp := make([]bool, n)
-	for _, v := range a.pinNodes {
+	for v, side := range pin {
+		switch Side(side) {
+		case SourceSide:
+			a.pairs = append(a.pairs, csrArc{u: int32(a.s), v: int32(v), capUV: a.inf})
+		case SinkSide:
+			a.pairs = append(a.pairs, csrArc{u: int32(v), v: int32(a.t), capUV: a.inf})
+		default:
+			continue
+		}
 		pinnedComp[uf.find(v)] = true
 	}
+	a.layout()
+
 	if cap(a.freeFloat) < n {
 		a.freeFloat = make([]bool, n)
 	}
 	a.freeFloat = a.freeFloat[:n]
-	for i := 0; i < n; i++ {
+	for i := range a.freeFloat {
 		a.freeFloat[i] = !pinnedComp[uf.find(i)]
 	}
 
@@ -281,8 +267,11 @@ func (a *CutArena) restage(g *Graph, pinNodes []int, pins map[int]Side) {
 
 // layout performs the counting-sort CSR layout of a.pairs into the
 // arena-owned arrays, recording each pair's u-half arc index so capacity
-// rewrites can find their slots without re-staging. Self-loop pairs are
-// dropped exactly as newCSRNet drops them.
+// rewrites can find their slots without re-staging. Self-loop pairs
+// (u == v) are dropped: a u->u arc can never cross a cut, and laying one
+// out would corrupt the reverse-arc pairing — both halves read the same
+// position slot before either increments it, so both land on one index
+// and the adjacent slot is left zeroed with a dangling rev pointer.
 func (a *CutArena) layout() {
 	n := a.n
 	m := 0
@@ -355,21 +344,17 @@ const warmRepairBudgetFactor = 4
 // residuals bit-for-bit — and repairs any deficits the clamp created;
 // without one (or after a repair blowout) it resets residuals to the new
 // capacities for a cold run.
-func (a *CutArena) rewrite(g *Graph, pinNodes []int, pins map[int]Side) bool {
+func (a *CutArena) rewrite(g *Graph) bool {
 	a.inf = g.infinityProxy()
 	warm := a.solved
 	a.deficit = a.deficit[:0]
 
+	welds := len(a.edgeKeys) + len(a.colocKeys)
 	newCaps := func(i int) (float64, float64) {
 		switch {
 		case i < len(a.edgeKeys):
-			c := g.edges[a.edgeKeys[i]]
-			a.origW[i] = c
-			if math.IsInf(c, 1) {
-				c = a.inf
-			}
-			return c, c
-		case i < len(a.edgeKeys)+len(a.colocKeys):
+			return g.ew[i], g.ew[i]
+		case i < welds:
 			return a.inf, a.inf
 		default:
 			return a.inf, 0 // terminal arcs are directed
@@ -382,7 +367,6 @@ func (a *CutArena) rewrite(g *Graph, pinNodes []int, pins map[int]Side) bool {
 		}
 		av := a.net.rev[au]
 		newUV, newVU := newCaps(i)
-		a.pairs[i].capUV, a.pairs[i].capVU = newUV, newVU
 		if newUV == a.capStart[au] && newVU == a.capStart[av] {
 			continue // untouched: keep residuals (and any flow) bit-for-bit
 		}

@@ -8,23 +8,25 @@ import (
 	"testing"
 )
 
-// TestCSRNetSelfLoopPairs is the regression test for the reverse-arc
-// corruption newCSRNet used to suffer on self-loop pairs: both halves of
-// a u==u pair read the same position slot before either incremented it,
-// so both landed on one arc index and the adjacent slot was left zeroed
-// with a dangling rev pointer. Self-loops are now dropped at staging;
-// on the pre-fix code this test fails the involution check (and the flow
-// value, since the corrupted row breaks the discharge scan).
-func TestCSRNetSelfLoopPairs(t *testing.T) {
-	t.Parallel()
-	pairs := []csrArc{
-		{u: 0, v: 1, capUV: 2, capVU: 2},
-		{u: 1, v: 1, capUV: 5, capVU: 5}, // self-loop: must be dropped
-		{u: 0, v: 0, capUV: 7, capVU: 0}, // directed self-loop too
+// layoutPairs lays raw arc pairs out through the production layout,
+// bypassing Graph (whose AddEdge/CoLocate filter self-edges before they
+// can be staged).
+func layoutPairs(n, s, t int, pairs []csrArc) *csrNet {
+	a := &CutArena{n: n, s: s, t: t, pairs: pairs}
+	a.layout()
+	return &a.net
+}
+
+// checkCSRInvariants fails unless offsets are monotone and cover every arc
+// exactly once, the reverse-arc mapping is an involution, and every arc's
+// reverse lives in the target node's row.
+func checkCSRInvariants(t *testing.T, net *csrNet) {
+	t.Helper()
+	if len(net.head) != net.n+1 || int(net.head[0]) != 0 || int(net.head[net.n]) != len(net.to) {
+		t.Fatalf("head bounds broken: %d..%d over %d arcs", net.head[0], net.head[net.n], len(net.to))
 	}
-	net := newCSRNet(2, 0, 1, pairs)
-	if len(net.to) != 2 {
-		t.Fatalf("self-loops staged: %d arcs, want 2", len(net.to))
+	if len(net.rev) != len(net.to) || len(net.cap) != len(net.to) {
+		t.Fatal("parallel arc arrays disagree on length")
 	}
 	owner := make([]int32, len(net.to))
 	for u := 0; u < net.n; u++ {
@@ -44,17 +46,31 @@ func TestCSRNetSelfLoopPairs(t *testing.T) {
 			t.Fatalf("arc %d: reverse arc lives in node %d, target is %d", a, owner[r], net.to[a])
 		}
 	}
-	flow, err := net.maxFlowHighestLabel(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(flow-2) > 1e-12 {
-		t.Fatalf("flow %v, want 2 (self-loop capacity must not count)", flow)
-	}
+}
 
-	// Dropping self-loops at staging means the network is byte-identical
-	// to one staged without them.
-	clean := newCSRNet(2, 0, 1, pairs[:1])
+// TestCSRNetSelfLoopPairs is the regression test for the reverse-arc
+// corruption the CSR layout used to suffer on self-loop pairs: both halves
+// of a u==u pair read the same position slot before either incremented
+// it, so both landed on one arc index and the adjacent slot was left
+// zeroed with a dangling rev pointer. CutArena.layout drops self-loops;
+// without that this test fails the involution check (and the flow value,
+// since the corrupted row breaks the discharge scan).
+func TestCSRNetSelfLoopPairs(t *testing.T) {
+	t.Parallel()
+	pairs := []csrArc{
+		{u: 0, v: 1, capUV: 2, capVU: 2},
+		{u: 1, v: 1, capUV: 5, capVU: 5}, // self-loop: must be dropped
+		{u: 0, v: 0, capUV: 7, capVU: 0}, // directed self-loop too
+	}
+	net := layoutPairs(2, 0, 1, pairs)
+	if len(net.to) != 2 {
+		t.Fatalf("self-loops staged: %d arcs, want 2", len(net.to))
+	}
+	checkCSRInvariants(t, net)
+
+	// Dropping self-loops at layout means the network is byte-identical
+	// to one laid out without them.
+	clean := layoutPairs(2, 0, 1, pairs[:1])
 	if len(clean.to) != len(net.to) {
 		t.Fatalf("filtered and clean networks differ in size: %d vs %d", len(net.to), len(clean.to))
 	}
@@ -62,6 +78,14 @@ func TestCSRNetSelfLoopPairs(t *testing.T) {
 		if net.to[a] != clean.to[a] || net.rev[a] != clean.rev[a] {
 			t.Fatalf("arc %d differs between filtered and clean layout", a)
 		}
+	}
+
+	flow, err := net.maxFlowHL(context.Background(), &hiprState{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(flow-2) > 1e-12 {
+		t.Fatalf("flow %v, want 2 (self-loop capacity must not count)", flow)
 	}
 }
 

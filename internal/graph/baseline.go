@@ -1,11 +1,19 @@
 package graph
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
-// MinCutEdmondsKarp computes the same exact two-way minimum cut with BFS
-// augmenting paths (Edmonds–Karp). It exists as an independent
-// implementation to cross-check the lift-to-front algorithm and as the
-// baseline for the min-cut ablation benchmark.
+// The oracle: the same exact two-way minimum cut by BFS augmenting paths
+// (Edmonds–Karp) over a naive adjacency-list network, with a union-find
+// cut extractor of its own. Nothing in this file is reachable from the
+// production path and nothing here calls into it — the two share only the
+// Graph's store and accessors, so agreement between them is evidence
+// rather than a tautology. It is also the baseline of the min-cut ablation
+// benchmark.
+
+// MinCutEdmondsKarp computes the minimum cut with the oracle.
 func (g *Graph) MinCutEdmondsKarp() (*Cut, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -13,6 +21,57 @@ func (g *Graph) MinCutEdmondsKarp() (*Cut, error) {
 	f, inf := g.build()
 	flow := f.maxFlowEdmondsKarp()
 	return g.extractCutSides(f.minCutSides(), flow, inf)
+}
+
+// flowNet is a residual network over the graph's nodes plus two terminals.
+type flowNet struct {
+	n    int
+	s, t int
+	// arcs[u] lists outgoing arcs; arc.rev is the index of the reverse arc
+	// in arcs[arc.to].
+	arcs [][]arc
+}
+
+type arc struct {
+	to  int
+	rev int
+	cap float64
+}
+
+// addArc installs an arc u->v of capacity c and its residual v->u of
+// capacity back: back == c for an undirected edge, 0 for a directed one.
+func (f *flowNet) addArc(u, v int, c, back float64) {
+	f.arcs[u] = append(f.arcs[u], arc{to: v, rev: len(f.arcs[v]), cap: c})
+	f.arcs[v] = append(f.arcs[v], arc{to: u, rev: len(f.arcs[u]) - 1, cap: back})
+}
+
+// build constructs the flow network for a two-way cut: graph nodes plus a
+// source terminal (client) and sink terminal (server); pins become
+// infinite-capacity terminal arcs and co-location constraints
+// infinite-capacity node-to-node edges, "infinite" being the finite
+// infinity proxy. Arcs go in store order, so the oracle too lands on the
+// same cut run after run when several tie.
+func (g *Graph) build() (*flowNet, float64) {
+	n := g.Len()
+	f := &flowNet{n: n + 2, s: n, t: n + 1, arcs: make([][]arc, n+2)}
+	inf := g.infinityProxy()
+	for i, k := range g.ekey {
+		lo, hi := k.nodes()
+		f.addArc(lo, hi, g.ew[i], g.ew[i])
+	}
+	for _, k := range g.coloc {
+		lo, hi := k.nodes()
+		f.addArc(lo, hi, inf, inf)
+	}
+	for v, side := range g.pin {
+		switch Side(side) {
+		case SourceSide:
+			f.addArc(f.s, v, inf, 0)
+		case SinkSide:
+			f.addArc(v, f.t, inf, 0)
+		}
+	}
+	return f, inf
 }
 
 func (f *flowNet) maxFlowEdmondsKarp() float64 {
@@ -59,59 +118,72 @@ func (f *flowNet) maxFlowEdmondsKarp() float64 {
 	}
 }
 
-// EvaluateAssignment returns the total weight of edges crossing an
-// arbitrary assignment — the communication time of any proposed
-// distribution, not necessarily a minimum cut. Nodes missing from the
-// assignment count as SourceSide. Splitting a co-located pair yields
-// +Inf.
-func (g *Graph) EvaluateAssignment(assign map[string]Side) float64 {
-	w, violations := g.EvaluateAssignmentDetail(assign)
-	if violations > 0 {
-		return math.Inf(1)
-	}
-	return w
-}
-
-// EvaluateAssignmentDetail prices an arbitrary assignment with true edge
-// weights and reports constraint violations separately: the finite
-// communication weight crossing the assignment, and the number of
-// co-location constraints the assignment splits. Unlike
-// EvaluateAssignment it never collapses the price to +Inf, so an
-// infeasible default distribution still gets an honest communication
-// time alongside an explicit violation count.
-func (g *Graph) EvaluateAssignmentDetail(assign map[string]Side) (weight float64, violations int) {
-	// Sorted edge order keeps the float sum reproducible run to run.
-	for _, e := range g.sortedEdgeKeys() {
-		ew := g.edges[e]
-		a := assign[g.names[e[0]]]
-		b := assign[g.names[e[1]]]
-		if a != b {
-			if math.IsInf(ew, 1) {
-				violations++
-				continue
+// minCutSides returns, after max flow, the set of nodes reachable from s
+// in the residual network (the source side of a minimum cut).
+func (f *flowNet) minCutSides() []bool {
+	seen := make([]bool, f.n)
+	queue := []int{f.s}
+	seen[f.s] = true
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		for i := range f.arcs[u] {
+			a := &f.arcs[u][i]
+			if a.cap > capEps && !seen[a.to] {
+				seen[a.to] = true
+				queue = append(queue, a.to)
 			}
-			weight += ew
 		}
 	}
-	for e := range g.coloc {
-		if assign[g.names[e[0]]] != assign[g.names[e[1]]] {
-			violations++
-		}
-	}
-	return weight, violations
+	return seen
 }
 
-// AllOn returns the trivial assignment with every node on one side — the
-// "default distribution" of a desktop application that runs entirely on
-// the client (pinned nodes keep their pins).
-func (g *Graph) AllOn(s Side) map[string]Side {
-	assign := make(map[string]Side, g.Len())
-	for i, name := range g.names {
-		if p, ok := g.pinned[i]; ok {
-			assign[name] = p
-		} else {
-			assign[name] = s
+// extractCutSides turns a source-side indicator over the graph's nodes
+// into a Cut: it applies Coign's free-floating-component rule, prices the
+// crossing edges under the original weights in store order, and rejects
+// any cut that splits a co-location constraint.
+func (g *Graph) extractCutSides(onSource []bool, flow, inf float64) (*Cut, error) {
+	// A connected component that touches neither terminal (no pinned node)
+	// crosses no cut edge wherever it lands. Coign leaves such
+	// free-floating components on the client, where the undistributed
+	// application would have run them.
+	uf := newUnionFind(g.Len())
+	for _, k := range g.ekey {
+		uf.union(k.nodes())
+	}
+	for _, k := range g.coloc {
+		uf.union(k.nodes())
+	}
+	componentPinned := make(map[int]bool)
+	for v, side := range g.pin {
+		if side != unpinned {
+			componentPinned[uf.find(v)] = true
 		}
 	}
-	return assign
+	side := make([]Side, g.Len())
+	cut := &Cut{Assignment: make(map[string]Side, g.Len()), FlowValue: flow}
+	for i, name := range g.names {
+		if !onSource[i] && componentPinned[uf.find(i)] {
+			side[i] = SinkSide
+		}
+		cut.Assignment[name] = side[i]
+	}
+	split := func(k pairKey) bool {
+		lo, hi := k.nodes()
+		return side[lo] != side[hi]
+	}
+	for i, k := range g.ekey {
+		if split(k) {
+			cut.Weight += g.ew[i]
+		}
+	}
+	for _, k := range g.coloc {
+		if split(k) {
+			return nil, fmt.Errorf("graph: minimum cut crosses a co-location constraint")
+		}
+	}
+	if cut.Weight > inf {
+		return nil, fmt.Errorf("graph: cut weight %g exceeds infinity proxy %g", cut.Weight, inf)
+	}
+	return cut, nil
 }

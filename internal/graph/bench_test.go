@@ -7,7 +7,7 @@ import (
 
 // Benchmarks for the cut engine over synthetic ICC workloads. The
 // bench-cut CLI harness sweeps larger sizes and emits BENCH_graphcut.json;
-// these testing.B benchmarks cover the same three implementations at sizes
+// these testing.B benchmarks cover the same two implementations at sizes
 // friendly to -bench on a laptop.
 
 func benchSizes(b *testing.B, maxNodes int, cut func(*Graph) (*Cut, error)) {
@@ -37,10 +37,6 @@ func benchSizes(b *testing.B, maxNodes int, cut func(*Graph) (*Cut, error)) {
 
 func BenchmarkMinCutHighestLabel(b *testing.B) {
 	benchSizes(b, 20000, (*Graph).MinCut)
-}
-
-func BenchmarkMinCutRelabelToFront(b *testing.B) {
-	benchSizes(b, 20000, (*Graph).MinCutRelabelToFront)
 }
 
 func BenchmarkMinCutEdmondsKarp(b *testing.B) {

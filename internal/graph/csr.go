@@ -1,17 +1,14 @@
 package graph
 
-import "math"
-
-// The CSR (compressed sparse row) flow network is the production data
-// structure for the cut engine. The legacy adjacency-list network
-// (mincut.go) allocates one slice per node and chases pointers across
-// them; at the multi-thousand-node ICC graphs the paper's applications
-// produce (§2, §5) that dominates the cut's wall time. The CSR network is
-// four flat arrays built once per cut — arc targets, reverse-arc indices,
-// residual capacities, and per-node offsets — so discharge loops scan
-// contiguous memory and the whole residual state fits a few cache-resident
-// allocations. Repeated cuts on one topology reuse the arrays through a
-// CutArena (arena.go) instead of rebuilding them.
+// The CSR (compressed sparse row) flow network is the data structure of
+// the cut engine. An adjacency-list network allocates one slice per node
+// and chases pointers across them; at the multi-thousand-node ICC graphs
+// the paper's applications produce (§2, §5) that dominates the cut's wall
+// time. The CSR network is four flat arrays — arc targets, reverse-arc
+// indices, residual capacities, and per-node offsets — so discharge loops
+// scan contiguous memory and the whole residual state fits a few
+// cache-resident allocations. A CutArena (arena.go) lays the arrays out
+// (CutArena.layout) and keeps them across repeated cuts on one topology.
 
 // csrNet is a residual flow network in compressed sparse row form.
 // Arcs of node u occupy the half-open range head[u]..head[u+1] in to, rev,
@@ -34,106 +31,7 @@ type csrArc struct {
 	capUV, capVU float64
 }
 
-// newCSRNet lays out the staged arc pairs in compressed sparse row form.
-// Self-loop pairs (u == v) are dropped at staging: a u->u arc can never
-// cross a cut, and laying one out would corrupt the reverse-arc pairing —
-// both halves read the same position slot before either increments it, so
-// both land on one index and the adjacent slot is left zeroed with a
-// dangling rev pointer.
-func newCSRNet(n, s, t int, pairs []csrArc) *csrNet {
-	m := 0
-	for _, p := range pairs {
-		if p.u != p.v {
-			m++
-		}
-	}
-	f := &csrNet{
-		n:    n,
-		s:    s,
-		t:    t,
-		head: make([]int32, n+1),
-		to:   make([]int32, 2*m),
-		rev:  make([]int32, 2*m),
-		cap:  make([]float64, 2*m),
-	}
-	deg := make([]int32, n)
-	for _, p := range pairs {
-		if p.u == p.v {
-			continue
-		}
-		deg[p.u]++
-		deg[p.v]++
-	}
-	for i := 0; i < n; i++ {
-		f.head[i+1] = f.head[i] + deg[i]
-	}
-	pos := make([]int32, n)
-	copy(pos, f.head[:n])
-	for _, p := range pairs {
-		if p.u == p.v {
-			continue
-		}
-		iu, iv := pos[p.u], pos[p.v]
-		pos[p.u]++
-		pos[p.v]++
-		f.to[iu], f.cap[iu], f.rev[iu] = p.v, p.capUV, iv
-		f.to[iv], f.cap[iv], f.rev[iv] = p.u, p.capVU, iu
-	}
-	return f
-}
-
-// stageBase stages the pin-independent arc pairs — communication edges
-// and co-location welds — in sorted order, plus the infinity proxy that
-// stands in for unsplittable capacities. The sorted order makes the
-// network layout, and with it the particular minimum cut the algorithm
-// lands on when several tie, identical run to run: map-order layout made
-// equal-cost cuts flip between runs, which broke byte-stable JSON
-// artifacts. Multiway cuts stage this list once and share it across all
-// k isolating cuts, appending only the per-terminal pin arcs.
-func (g *Graph) stageBase() ([]csrArc, float64) {
-	inf := g.infinityProxy()
-	pairs := make([]csrArc, 0, len(g.edges)+len(g.coloc)+len(g.pinned))
-	for _, e := range g.sortedEdgeKeys() {
-		c := g.edges[e]
-		if math.IsInf(c, 1) {
-			c = inf
-		}
-		pairs = append(pairs, csrArc{u: int32(e[0]), v: int32(e[1]), capUV: c, capVU: c})
-	}
-	for _, e := range g.sortedColocKeys() {
-		pairs = append(pairs, csrArc{u: int32(e[0]), v: int32(e[1]), capUV: inf, capVU: inf})
-	}
-	return pairs, inf
-}
-
-// stagePins appends the terminal arcs for the given pin assignment: one
-// infinite-capacity directed arc from the source terminal to every
-// client-pinned node, and from every server-pinned node to the sink.
-func stagePins(pairs []csrArc, s, t int, nodes []int, sides map[int]Side, inf float64) []csrArc {
-	for _, v := range nodes {
-		if sides[v] == SourceSide {
-			pairs = append(pairs, csrArc{u: int32(s), v: int32(v), capUV: inf})
-		} else {
-			pairs = append(pairs, csrArc{u: int32(v), v: int32(t), capUV: inf})
-		}
-	}
-	return pairs
-}
-
-// buildCSR constructs the CSR flow network for a two-way cut: graph nodes
-// plus a source terminal (client) and sink terminal (server). Pins become
-// infinite-capacity terminal arcs, co-location constraints become
-// infinite-capacity node-to-node arcs, and infinite edge weights are
-// replaced by the finite infinity proxy.
-func (g *Graph) buildCSR() (*csrNet, float64) {
-	n := g.Len()
-	s, t := n, n+1
-	pairs, inf := g.stageBase()
-	pairs = stagePins(pairs, s, t, g.sortedPinnedNodes(), g.pinned, inf)
-	return newCSRNet(n+2, s, t, pairs), inf
-}
-
-// sourceSide returns, for every node, whether it lands on the source side
+// sourceSideInto returns, for every node, whether it lands on the source side
 // of the minimum cut after a phase-1 (max-preflow) run: the nodes that
 // cannot reach t in the residual network. This is exact after phase 1
 // alone — every arc crossing out of the non-reaching set is saturated and
@@ -142,12 +40,8 @@ func (g *Graph) buildCSR() (*csrNet, float64) {
 // (excess-return) phase. The partition is also the same for every maximum
 // preflow on the network (the sink side of the t-minimal minimum cut), so
 // warm-started and cold runs agree on it even when several cuts tie.
-func (f *csrNet) sourceSide() []bool {
-	return f.sourceSideInto(make([]bool, f.n), make([]int32, 0, f.n))
-}
-
-// sourceSideInto is sourceSide over caller-owned scratch, so an arena can
-// extract repeated cuts without re-allocating the BFS state.
+// The BFS runs over caller-owned scratch, so an arena extracts repeated
+// cuts without re-allocating it.
 func (f *csrNet) sourceSideInto(reachesT []bool, queue []int32) []bool {
 	reachesT = reachesT[:f.n]
 	for i := range reachesT {

@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzCSRBuilder decodes arbitrary bytes into a sequence of graph
-// operations (add-edge, pin, co-locate), builds the CSR flow network, and
-// checks its structural invariants: the reverse-arc mapping is an
+// operations (add-edge, pin, co-locate), stages them through the
+// production CutArena.restage and layout, and checks the CSR network's
+// structural invariants: the reverse-arc mapping is an
 // involution, every arc's reverse lives in the target node's row, offsets
 // are monotone and cover every arc exactly once, and capacities are
 // non-negative. If the resulting instance validates, the production cut
@@ -18,7 +19,7 @@ func FuzzCSRBuilder(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 3, 3, 0, 0x40, 7, 0x80, 7, 7})
 	f.Add([]byte{9, 2, 255, 0x80, 9, 2, 0x41, 9, 0x40, 2})
 	// Self-loop seed: decoded as raw arc pairs below, the leading (3,3)
-	// triple stages a u==v pair straight into newCSRNet — the corruption
+	// triple stages a u==v pair straight into CutArena.layout — the corruption
 	// path Graph ops can never reach because AddEdge/CoLocate filter
 	// self-edges before staging.
 	f.Add([]byte{3, 3, 50, 1, 2, 30, 5, 5, 99, 2, 3, 10})
@@ -39,8 +40,8 @@ func FuzzCSRBuilder(f *testing.F) {
 				filtered = append(filtered, p)
 			}
 		}
-		rawNet := newCSRNet(10, 8, 9, raw)
-		cleanNet := newCSRNet(10, 8, 9, filtered)
+		rawNet := layoutPairs(10, 8, 9, raw)
+		cleanNet := layoutPairs(10, 8, 9, filtered)
 		if len(rawNet.to) != len(cleanNet.to) {
 			t.Fatalf("self-loop staging changed arc count: %d vs %d", len(rawNet.to), len(cleanNet.to))
 		}
@@ -53,7 +54,7 @@ func FuzzCSRBuilder(f *testing.F) {
 			}
 		}
 
-		// Phase 2: the bytes as graph operations, as before.
+		// Phase 2: the bytes as graph operations.
 		g := New()
 		nodeOf := func(b byte) string { return synthName(int(b % 16)) }
 		for i := 0; i+1 < len(data); {
@@ -73,33 +74,15 @@ func FuzzCSRBuilder(f *testing.F) {
 			}
 		}
 
-		net, inf := g.buildCSR()
+		g.settle()
+		arena := NewCutArena()
+		arena.restage(g, g.pin)
+		net, inf := &arena.net, arena.inf
 		if net.n != g.Len()+2 {
 			t.Fatalf("node count %d, want %d", net.n, g.Len()+2)
 		}
-		if len(net.head) != net.n+1 || int(net.head[0]) != 0 || int(net.head[net.n]) != len(net.to) {
-			t.Fatalf("head bounds broken: %d..%d over %d arcs", net.head[0], net.head[net.n], len(net.to))
-		}
-		if len(net.rev) != len(net.to) || len(net.cap) != len(net.to) {
-			t.Fatal("parallel arc arrays disagree on length")
-		}
-		owner := make([]int32, len(net.to))
-		for u := 0; u < net.n; u++ {
-			if net.head[u] > net.head[u+1] {
-				t.Fatalf("head not monotone at node %d", u)
-			}
-			for a := net.head[u]; a < net.head[u+1]; a++ {
-				owner[a] = int32(u)
-			}
-		}
+		checkCSRInvariants(t, net)
 		for a := range net.to {
-			r := net.rev[a]
-			if int(net.rev[r]) != a {
-				t.Fatalf("rev not an involution at arc %d", a)
-			}
-			if owner[r] != net.to[a] || net.to[r] != owner[a] {
-				t.Fatalf("arc %d: reverse arc lives in node %d, target is %d", a, owner[r], net.to[a])
-			}
 			if net.cap[a] < 0 || math.IsNaN(net.cap[a]) || net.cap[a] > inf {
 				t.Fatalf("arc %d: capacity %v out of range", a, net.cap[a])
 			}

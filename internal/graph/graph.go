@@ -1,19 +1,34 @@
 // Package graph implements the inter-component communication graph and the
-// graph-cutting algorithms Coign uses to choose distributions: an exact
-// two-way minimum cut via highest-label push-relabel over a flat CSR flow
-// network (the production path, csr.go and hipr.go), the lift-to-front
-// (relabel-to-front) algorithm of CLRS [paper ref 9] retained as the
-// old-vs-new benchmark baseline, a BFS augmenting-path implementation
-// (Edmonds–Karp) as the exact cross-check oracle, and the
-// isolation-heuristic multiway cut for the paper's future-work extension
-// to three or more machines. A seeded synthetic-workload generator
-// (synth.go) produces power-law ICC graphs up to 100k+ nodes for the cut
-// benchmark harness.
+// graph-cutting algorithms Coign uses to choose distributions. There is one
+// edge store and one path from a Graph to a Cut:
+//
+//   - graph.go owns the store: edges as parallel key/weight arrays in
+//     (lo, hi) node-index order, co-location welds as a sorted key slice,
+//     pins as a per-node side array. Order is established at most once per
+//     topology change (settle), never per cut, and every float sum over
+//     edges walks the store front to back, so the infinity proxy, the total
+//     weight and every cut weight are pure functions of the graph.
+//   - arena.go is the production cut: CutArena stages the store into a flat
+//     CSR flow network (csr.go), runs highest-label push-relabel over it
+//     (hipr.go), and extracts the cut. MinCut, MinCutCtx and every isolating
+//     cut of the multiway heuristic (multiway.go, the paper's future-work
+//     extension to three or more machines) are cuts through an arena.
+//   - baseline.go is the oracle: Edmonds–Karp on its own adjacency-list
+//     network with its own union-find extractor, sharing nothing with the
+//     production path but the Graph accessors.
+//
+// A seeded synthetic-workload generator (synth.go) produces power-law ICC
+// graphs up to 100k+ nodes for the cut benchmark harness.
+//
+// A Graph is not safe for concurrent mutation. Reads are safe from several
+// goroutines once any read (or cut) has completed after the last mutation:
+// the first read after an AddEdge or CoLocate puts the store in order.
 package graph
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -26,30 +41,50 @@ const (
 	SinkSide   Side = 1 // the server
 )
 
+// unpinned marks a node without a location constraint in a per-node pin
+// array; pinned nodes hold int8(Side).
+const unpinned int8 = -1
+
+// pairKey packs an unordered node pair as lo<<32 | hi, so integer order is
+// (lo, hi) index order.
+type pairKey uint64
+
+func makePair(i, j int) pairKey {
+	if i > j {
+		i, j = j, i
+	}
+	return pairKey(i)<<32 | pairKey(j)
+}
+
+func (k pairKey) nodes() (lo, hi int) { return int(k >> 32), int(uint32(k)) }
+
 // Graph is an undirected, weighted communication graph with two designated
 // terminals. Node weights are communication times (seconds): the cost paid
 // if the edge's endpoints are placed on different machines.
 type Graph struct {
-	names  []string
-	index  map[string]int
-	edges  map[[2]int]float64
-	pinned map[int]Side
-	// coloc holds pair-wise co-location constraints as a side table keyed
-	// like edges. Keeping constraints out of the edge store preserves the
+	names []string
+	index map[string]int
+
+	// The edge store: ekey[i] is the pair whose accumulated weight is ew[i].
+	// Settled, it is strictly increasing in ekey; AddEdge appends in call
+	// order behind that and sets dirty.
+	ekey []pairKey
+	ew   []float64
+	// coloc holds pair-wise co-location constraints, sorted and distinct
+	// when settled. Keeping constraints out of the edge store preserves the
 	// accumulated communication weight of a constrained pair: the engine
 	// reports true edge weights while the cut still treats the pair as
 	// unsplittable.
-	coloc map[[2]int]bool
+	coloc []pairKey
+	dirty bool
+
+	pin  []int8 // per node: unpinned, or the Side it is pinned to
+	pins int    // number of pinned nodes
 }
 
 // New returns an empty graph.
 func New() *Graph {
-	return &Graph{
-		index:  make(map[string]int),
-		edges:  make(map[[2]int]float64),
-		pinned: make(map[int]Side),
-		coloc:  make(map[[2]int]bool),
-	}
+	return &Graph{index: make(map[string]int)}
 }
 
 // Node interns a node by name and returns its index.
@@ -59,6 +94,7 @@ func (g *Graph) Node(name string) int {
 	}
 	i := len(g.names)
 	g.names = append(g.names, name)
+	g.pin = append(g.pin, unpinned)
 	g.index[name] = i
 	return i
 }
@@ -80,140 +116,180 @@ func (g *Graph) NodeNames() []string {
 	return append([]string(nil), g.names...)
 }
 
-// AddEdge accumulates weight w onto the undirected edge {a, b}. Self-edges
-// and non-positive weights are ignored: communication within one node
-// never crosses a machine boundary.
-func (g *Graph) AddEdge(a, b string, w float64) {
-	if a == b || w <= 0 {
+// settle puts the store in order after AddEdge or CoLocate calls: edges
+// sorted by key with the weights of a repeated pair summed in call order
+// (what += on a keyed store gave), welds sorted and distinct. Every reader
+// calls it first; on a settled graph it reads one flag and writes nothing.
+func (g *Graph) settle() {
+	if !g.dirty {
 		return
 	}
-	i, j := g.Node(a), g.Node(b)
-	if i > j {
-		i, j = j, i
+	// Two stable counting-sort passes over call positions, by hi and then
+	// by lo, leave them in (lo, hi) order with a repeated pair's appends
+	// still in call order — in O(E + N), where a comparison sort of 792k
+	// appends took seven times as long.
+	order := make([]int32, len(g.ekey))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	g.edges[[2]int{i, j}] += w
+	next := make([]int32, len(order))
+	start := make([]int32, len(g.names)+1)
+	for _, shift := range []uint{0, 32} {
+		node := func(i int32) uint32 { return uint32(g.ekey[i] >> shift) }
+		clear(start)
+		for _, i := range order {
+			start[node(i)+1]++
+		}
+		for v := 1; v < len(start); v++ {
+			start[v] += start[v-1]
+		}
+		for _, i := range order {
+			next[start[node(i)]] = i
+			start[node(i)]++
+		}
+		order, next = next, order
+	}
+	ekey := make([]pairKey, 0, len(order))
+	ew := make([]float64, 0, len(order))
+	for _, i := range order {
+		if n := len(ekey); n > 0 && ekey[n-1] == g.ekey[i] {
+			ew[n-1] += g.ew[i]
+			continue
+		}
+		ekey = append(ekey, g.ekey[i])
+		ew = append(ew, g.ew[i])
+	}
+	g.ekey, g.ew = ekey, ew
+	slices.Sort(g.coloc)
+	g.coloc = slices.Compact(g.coloc)
+	g.dirty = false
+}
+
+// AddEdge accumulates weight w onto the undirected edge {a, b}. Self-edges,
+// non-positive weights and NaN are ignored: communication within one node
+// never crosses a machine boundary. An infinite weight is the pair-wise
+// constraint by another name and becomes CoLocate(a, b).
+func (g *Graph) AddEdge(a, b string, w float64) {
+	if a == b || math.IsNaN(w) || w <= 0 {
+		return
+	}
+	if math.IsInf(w, 1) {
+		g.CoLocate(a, b)
+		return
+	}
+	g.ekey = append(g.ekey, makePair(g.Node(a), g.Node(b)))
+	g.ew = append(g.ew, w)
+	g.dirty = true
 }
 
 // SetEdgeWeight overwrites the weight of the undirected edge {a, b},
 // interning missing nodes. Unlike AddEdge it replaces rather than
 // accumulates — the entry point for re-pricing an existing topology
-// (adaptive repartitioning, warm-start sweeps). A non-positive weight
-// deletes the edge, which is a topology change: an arena cutting the
-// graph will restage. Self-edges are ignored.
+// (adaptive repartitioning, warm-start sweeps), where it leaves the
+// store's order alone. A non-positive weight deletes the edge, which is a
+// topology change: an arena cutting the graph will restage. Self-edges and
+// NaN are ignored; +Inf becomes CoLocate(a, b) and leaves the weight be.
 func (g *Graph) SetEdgeWeight(a, b string, w float64) {
-	if a == b {
+	if a == b || math.IsNaN(w) {
 		return
 	}
-	i, j := g.Node(a), g.Node(b)
-	if i > j {
-		i, j = j, i
-	}
-	if w <= 0 {
-		delete(g.edges, [2]int{i, j})
+	if math.IsInf(w, 1) {
+		g.CoLocate(a, b)
 		return
 	}
-	g.edges[[2]int{i, j}] = w
+	g.settle()
+	k := makePair(g.Node(a), g.Node(b))
+	i, found := slices.BinarySearch(g.ekey, k)
+	switch {
+	case found && w > 0:
+		g.ew[i] = w
+	case found:
+		g.ekey = slices.Delete(g.ekey, i, i+1)
+		g.ew = slices.Delete(g.ew, i, i+1)
+	case w > 0:
+		g.ekey = slices.Insert(g.ekey, i, k)
+		g.ew = slices.Insert(g.ew, i, w)
+	}
 }
 
-// EdgeNames returns the edges' endpoint names in sorted index order —
-// a stable iteration order for callers that perturb and restore weights
-// across repeated cuts.
+// EdgeNames returns the edges' endpoint names in store order, (lo, hi) by
+// node index — a stable iteration order for callers that perturb and
+// restore weights across repeated cuts.
 func (g *Graph) EdgeNames() [][2]string {
-	keys := g.sortedEdgeKeys()
-	out := make([][2]string, len(keys))
-	for i, e := range keys {
-		out[i] = [2]string{g.names[e[0]], g.names[e[1]]}
+	g.settle()
+	out := make([][2]string, len(g.ekey))
+	for i, k := range g.ekey {
+		lo, hi := k.nodes()
+		out[i] = [2]string{g.names[lo], g.names[hi]}
 	}
 	return out
 }
 
-// EdgeWeight returns the accumulated weight of edge {a, b}.
-func (g *Graph) EdgeWeight(a, b string) float64 {
+// pairOf returns the key of the named pair, if both nodes exist.
+func (g *Graph) pairOf(a, b string) (pairKey, bool) {
 	i, ok := g.index[a]
 	if !ok {
-		return 0
+		return 0, false
 	}
 	j, ok := g.index[b]
-	if !ok {
-		return 0
+	return makePair(i, j), ok
+}
+
+// EdgeWeight returns the accumulated weight of edge {a, b}.
+func (g *Graph) EdgeWeight(a, b string) float64 {
+	g.settle()
+	if k, ok := g.pairOf(a, b); ok {
+		if i, found := slices.BinarySearch(g.ekey, k); found {
+			return g.ew[i]
+		}
 	}
-	if i > j {
-		i, j = j, i
-	}
-	return g.edges[[2]int{i, j}]
+	return 0
 }
 
 // Edges returns the number of distinct edges.
-func (g *Graph) Edges() int { return len(g.edges) }
-
-// sortedEdgeKeys returns the edge keys in (lo, hi) index order, for
-// iteration whose float accumulation must reproduce across runs.
-func (g *Graph) sortedEdgeKeys() [][2]int {
-	keys := make([][2]int, 0, len(g.edges))
-	for e := range g.edges {
-		keys = append(keys, e)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	return keys
+func (g *Graph) Edges() int {
+	g.settle()
+	return len(g.ekey)
 }
 
-// sortedColocKeys returns the co-location keys in (lo, hi) index order.
-func (g *Graph) sortedColocKeys() [][2]int {
-	keys := make([][2]int, 0, len(g.coloc))
-	for e := range g.coloc {
-		keys = append(keys, e)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	return keys
-}
-
-// sortedPinnedNodes returns the pinned node indices in increasing order.
-func (g *Graph) sortedPinnedNodes() []int {
-	nodes := make([]int, 0, len(g.pinned))
-	for v := range g.pinned {
-		nodes = append(nodes, v)
-	}
-	sort.Ints(nodes)
-	return nodes
-}
-
-// TotalWeight returns the sum of all edge weights.
+// TotalWeight returns the sum of all edge weights, taken in store order.
 func (g *Graph) TotalWeight() float64 {
+	g.settle()
 	var t float64
-	for _, w := range g.edges {
+	for _, w := range g.ew {
 		t += w
 	}
 	return t
 }
 
+// infinityProxy returns the finite capacity standing in for an infinite
+// (weld or pin) arc: larger than the sum of all edge weights, so no
+// minimum cut can afford to cross it. Because the sum is taken in store
+// order it is the same float for the same graph, and an unchanged graph
+// re-prices no arc between two cuts.
+func (g *Graph) infinityProxy() float64 { return g.TotalWeight()*2 + 1 }
+
 // Pin constrains a node to a side. Location constraints — GUI components
 // to the client, storage components to the server, programmer-specified
 // absolute constraints — become infinite-capacity edges to the terminals.
 func (g *Graph) Pin(name string, s Side) {
-	g.pinned[g.Node(name)] = s
+	v := g.Node(name)
+	if g.pin[v] == unpinned {
+		g.pins++
+	}
+	g.pin[v] = int8(s)
 }
 
 // Pins returns the number of pinned nodes.
-func (g *Graph) Pins() int { return len(g.pinned) }
+func (g *Graph) Pins() int { return g.pins }
 
 // Pinned returns the side a node is pinned to, if any.
 func (g *Graph) Pinned(name string) (Side, bool) {
 	i, ok := g.index[name]
-	if !ok {
+	if !ok || g.pin[i] == unpinned {
 		return 0, false
 	}
-	s, ok := g.pinned[i]
-	return s, ok
+	return Side(g.pin[i]), true
 }
 
 // CoLocate constrains two nodes to the same machine (the paper's pair-wise
@@ -226,30 +302,44 @@ func (g *Graph) CoLocate(a, b string) {
 	if i == j {
 		return
 	}
-	if i > j {
-		i, j = j, i
-	}
-	g.coloc[[2]int{i, j}] = true
+	g.coloc = append(g.coloc, makePair(i, j))
+	g.dirty = true
 }
 
 // CoLocated reports whether a direct pair-wise constraint joins a and b.
 func (g *Graph) CoLocated(a, b string) bool {
-	i, ok := g.index[a]
+	g.settle()
+	k, ok := g.pairOf(a, b)
 	if !ok {
 		return false
 	}
-	j, ok := g.index[b]
-	if !ok {
-		return false
-	}
-	if i > j {
-		i, j = j, i
-	}
-	return g.coloc[[2]int{i, j}]
+	_, found := slices.BinarySearch(g.coloc, k)
+	return found
 }
 
 // CoLocations returns the number of pair-wise co-location constraints.
-func (g *Graph) CoLocations() int { return len(g.coloc) }
+func (g *Graph) CoLocations() int {
+	g.settle()
+	return len(g.coloc)
+}
+
+// clone returns a settled copy of the graph sharing nothing with it.
+func (g *Graph) clone() *Graph {
+	g.settle()
+	c := &Graph{
+		names: slices.Clone(g.names),
+		index: make(map[string]int, len(g.names)),
+		ekey:  slices.Clone(g.ekey),
+		ew:    slices.Clone(g.ew),
+		coloc: slices.Clone(g.coloc),
+		pin:   slices.Clone(g.pin),
+		pins:  g.pins,
+	}
+	for i, n := range c.names {
+		c.index[n] = i
+	}
+	return c
+}
 
 // WithoutCoLocations returns a copy of the graph with identical nodes,
 // edges, and pins but no co-location constraints. Because constraints
@@ -257,34 +347,9 @@ func (g *Graph) CoLocations() int { return len(g.coloc) }
 // minimum cut is a lower bound on the constrained one — the monotonicity
 // oracle the full-pipeline property harness checks every cut against.
 func (g *Graph) WithoutCoLocations() *Graph {
-	c := New()
-	c.names = append([]string(nil), g.names...)
-	for i, n := range c.names {
-		c.index[n] = i
-	}
-	for e, w := range g.edges {
-		c.edges[e] = w
-	}
-	for i, s := range g.pinned {
-		c.pinned[i] = s
-	}
+	c := g.clone()
+	c.coloc = nil
 	return c
-}
-
-// weldUnion returns a union-find over every unsplittable connection: the
-// co-location side table plus any infinite edge a caller managed to
-// install directly.
-func (g *Graph) weldUnion() *unionFind {
-	uf := newUnionFind(g.Len())
-	for e := range g.coloc {
-		uf.union(e[0], e[1])
-	}
-	for e, w := range g.edges {
-		if math.IsInf(w, 1) {
-			uf.union(e[0], e[1])
-		}
-	}
-	return uf
 }
 
 // Validate reports structural problems: contradictory pins connected by a
@@ -292,28 +357,120 @@ func (g *Graph) weldUnion() *unionFind {
 // check is transitive — A welded to B welded to C with A and C pinned
 // apart is rejected even though no single constraint spans the pins.
 func (g *Graph) Validate() error {
-	return g.validatePinned(g.pinned)
+	g.settle()
+	return g.validatePinned(g.pin)
 }
 
-// validatePinned is Validate under an explicit pin assignment over the
+// validatePinned is Validate under an explicit per-node pin array over the
 // graph's welds, for callers (the multiway heuristic) that cut the same
 // graph under substituted pins.
-func (g *Graph) validatePinned(pins map[int]Side) error {
-	uf := g.weldUnion()
+func (g *Graph) validatePinned(pin []int8) error {
+	uf := newUnionFind(g.Len())
+	for _, k := range g.coloc {
+		uf.union(k.nodes())
+	}
 	firstPinned := make(map[int]int) // weld-component root -> pinned node
-	for v, side := range pins {
+	for v, side := range pin {
+		if side == unpinned {
+			continue
+		}
 		root := uf.find(v)
 		w, ok := firstPinned[root]
 		if !ok {
 			firstPinned[root] = v
 			continue
 		}
-		if pins[w] != side {
+		if pin[w] != side {
 			return fmt.Errorf("graph: nodes %q and %q are (transitively) co-located but pinned to different machines",
 				g.names[w], g.names[v])
 		}
 	}
 	return nil
+}
+
+// unionFind is a standard disjoint-set forest with path compression.
+type unionFind struct {
+	parent []int
+}
+
+func newUnionFind(n int) *unionFind {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return &unionFind{parent: p}
+}
+
+func (u *unionFind) find(x int) int {
+	for u.parent[x] != x {
+		u.parent[x] = u.parent[u.parent[x]]
+		x = u.parent[x]
+	}
+	return x
+}
+
+func (u *unionFind) union(a, b int) {
+	ra, rb := u.find(a), u.find(b)
+	if ra != rb {
+		u.parent[ra] = rb
+	}
+}
+
+// EvaluateAssignment returns the total weight of edges crossing an
+// arbitrary assignment — the communication time of any proposed
+// distribution, not necessarily a minimum cut. Nodes missing from the
+// assignment count as SourceSide. Splitting a co-located pair yields
+// +Inf.
+func (g *Graph) EvaluateAssignment(assign map[string]Side) float64 {
+	w, violations := g.EvaluateAssignmentDetail(assign)
+	if violations > 0 {
+		return math.Inf(1)
+	}
+	return w
+}
+
+// EvaluateAssignmentDetail prices an arbitrary assignment with true edge
+// weights and reports constraint violations separately: the finite
+// communication weight crossing the assignment, and the number of
+// co-location constraints the assignment splits. Unlike
+// EvaluateAssignment it never collapses the price to +Inf, so an
+// infeasible default distribution still gets an honest communication
+// time alongside an explicit violation count.
+func (g *Graph) EvaluateAssignmentDetail(assign map[string]Side) (weight float64, violations int) {
+	g.settle()
+	return g.crossing(func(lo, hi int) bool { return assign[g.names[lo]] != assign[g.names[hi]] })
+}
+
+// crossing prices a partition of a settled graph's nodes: the weight,
+// summed in store order, of the edges whose endpoints apart separates, and
+// the number of co-location constraints it splits.
+func (g *Graph) crossing(apart func(lo, hi int) bool) (weight float64, welds int) {
+	for i, k := range g.ekey {
+		if apart(k.nodes()) {
+			weight += g.ew[i]
+		}
+	}
+	for _, k := range g.coloc {
+		if apart(k.nodes()) {
+			welds++
+		}
+	}
+	return weight, welds
+}
+
+// AllOn returns the trivial assignment with every node on one side — the
+// "default distribution" of a desktop application that runs entirely on
+// the client (pinned nodes keep their pins).
+func (g *Graph) AllOn(s Side) map[string]Side {
+	assign := make(map[string]Side, g.Len())
+	for i, name := range g.names {
+		if p := g.pin[i]; p != unpinned {
+			assign[name] = Side(p)
+		} else {
+			assign[name] = s
+		}
+	}
+	return assign
 }
 
 // Cut is the result of a two-way partition.

@@ -88,8 +88,8 @@ func simpleCut(t *testing.T, f func(*Graph) (*Cut, error)) *Cut {
 func TestMinCutSimple(t *testing.T) {
 	t.Parallel()
 	for name, algo := range map[string]func(*Graph) (*Cut, error){
-		"lift-to-front": (*Graph).MinCut,
-		"edmonds-karp":  (*Graph).MinCutEdmondsKarp,
+		"push-relabel": (*Graph).MinCut,
+		"edmonds-karp": (*Graph).MinCutEdmondsKarp,
 	} {
 		cut := simpleCut(t, algo)
 		if cut.Weight != 1 {
@@ -248,7 +248,7 @@ func TestMinCutOptimalOverBruteForce(t *testing.T) {
 			}
 		}
 		if math.Abs(cut.Weight-best) > 1e-9 {
-			t.Fatalf("trial %d: lift-to-front %v vs brute force %v", trial, cut.Weight, best)
+			t.Fatalf("trial %d: push-relabel %v vs brute force %v", trial, cut.Weight, best)
 		}
 		ek, err := g.MinCutEdmondsKarp()
 		if err != nil {

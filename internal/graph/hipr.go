@@ -7,7 +7,8 @@ import (
 
 // Highest-label push-relabel (the hi_pr family of Cherkassky and
 // Goldberg) over the CSR network. Three things distinguish it from the
-// legacy relabel-to-front path in mincut.go:
+// relabel-to-front (lift-to-front) order of CLRS that the paper cites
+// [ref 9]:
 //
 //   - selection: active nodes are kept in per-height bucket stacks and
 //     always discharged from the highest label, instead of scanning a
@@ -25,7 +26,7 @@ import (
 // a minimum cut: the nodes unable to reach t in the residual network form
 // the source side, every arc leaving that set is saturated, no flow
 // crosses back into it, and excess parked on dormant nodes never reaches
-// t, so the cut capacity equals excess[t] (see csrNet.sourceSide). The
+// t, so the cut capacity equals excess[t] (see csrNet.sourceSideInto). The
 // excess-return phase the full max-flow algorithm needs is skipped
 // entirely.
 //
@@ -41,11 +42,13 @@ import (
 // thousand pushes.
 const cancelCheckMask = 1<<10 - 1
 
+// capEps is the residual capacity below which an arc counts as saturated.
+const capEps = 1e-12
+
 // hiprState is the per-run scratch of the highest-label core: heights,
 // excesses, current-arc pointers, the active bucket stacks, the label
 // lists behind the gap heuristic, and the global-relabel BFS buffers.
-// An arena keeps one of these alive across cuts; the one-shot path
-// allocates a fresh one per cut.
+// An arena keeps one of these alive across cuts.
 type hiprState struct {
 	height []int32
 	excess []float64
@@ -373,10 +376,4 @@ func (f *csrNet) maxFlowHL(ctx context.Context, st *hiprState, warm bool) (float
 		}
 	}
 	return excess[f.t], nil
-}
-
-// maxFlowHighestLabel is the one-shot entry: a cold run with fresh
-// scratch, used by paths that build a throwaway network.
-func (f *csrNet) maxFlowHighestLabel(ctx context.Context) (float64, error) {
-	return f.maxFlowHL(ctx, &hiprState{}, false)
 }

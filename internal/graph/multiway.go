@@ -3,7 +3,6 @@ package graph
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/par"
@@ -42,53 +41,36 @@ func (g *Graph) MultiwayCutCtx(ctx context.Context, terminals []MultiwayTerminal
 		weight float64
 	}
 	// The k isolating cuts share one topology and differ only in which
-	// side each terminal's pins land on, so the pin-independent arc pairs
-	// — edges and welds, the bulk of the staging work — are staged once
-	// and shared read-only across the fan-out; each cut appends only its
-	// own terminal arcs (the full-length slice forces append to copy) and
-	// lays out a private CSR network. Pinned names the graph has never
-	// seen are skipped rather than interned: an isolated pinned node
-	// cannot affect any cut, and the final pin-override loop assigns it
-	// regardless.
-	n := g.Len()
-	s, t := n, n+1
-	base, inf := g.stageBase()
-	base = base[:len(base):len(base)]
+	// side each terminal's pins land on, so each is a cut of g through a
+	// throwaway arena under a substituted pin array. The store is put in
+	// order here, before the fan-out: the k goroutines only read g. Pinned
+	// names the graph has never seen are skipped rather than interned: an
+	// isolated pinned node cannot affect any cut, and the final
+	// pin-override loop assigns it regardless.
+	g.settle()
 	terms := make([]int, len(terminals))
 	for i := range terminals {
 		terms[i] = i
 	}
 	cuts, err := par.Map(ctx, terms, func(ctx context.Context, ti int) (isoCut, error) {
-		pins := make(map[int]Side)
-		for _, name := range terminals[ti].Pinned {
-			if v, ok := g.index[name]; ok {
-				pins[v] = SourceSide
-			}
+		pin := make([]int8, g.Len())
+		for i := range pin {
+			pin[i] = unpinned
 		}
-		for tj, other := range terminals {
-			if tj == ti {
-				continue
-			}
-			for _, name := range other.Pinned {
+		set := func(names []string, s Side) {
+			for _, name := range names {
 				if v, ok := g.index[name]; ok {
-					pins[v] = SinkSide
+					pin[v] = int8(s)
 				}
 			}
 		}
-		pinNodes := make([]int, 0, len(pins))
-		for v := range pins {
-			pinNodes = append(pinNodes, v)
+		set(terminals[ti].Pinned, SourceSide)
+		for tj, other := range terminals {
+			if tj != ti {
+				set(other.Pinned, SinkSide)
+			}
 		}
-		sort.Ints(pinNodes)
-		if err := g.validatePinned(pins); err != nil {
-			return isoCut{}, fmt.Errorf("graph: isolating cut for %s: %w", terminals[ti].Machine, err)
-		}
-		net := newCSRNet(n+2, s, t, stagePins(base, s, t, pinNodes, pins, inf))
-		flow, err := net.maxFlowHighestLabel(ctx)
-		if err != nil {
-			return isoCut{}, fmt.Errorf("graph: isolating cut for %s: %w", terminals[ti].Machine, err)
-		}
-		c, err := g.extractCutSidesPinned(net.sourceSide(), flow, inf, pins)
+		c, err := g.minCutArena(ctx, NewCutArena(), pin)
 		if err != nil {
 			return isoCut{}, fmt.Errorf("graph: isolating cut for %s: %w", terminals[ti].Machine, err)
 		}
@@ -132,20 +114,10 @@ func (g *Graph) MultiwayCutCtx(ctx context.Context, terminals []MultiwayTerminal
 		}
 	}
 
-	// Total weight of edges crossing machine boundaries.
-	var w float64
-	for e, ew := range g.edges {
-		if assign[g.names[e[0]]] != assign[g.names[e[1]]] {
-			if math.IsInf(ew, 1) {
-				return nil, 0, fmt.Errorf("graph: multiway assignment crosses a co-location constraint")
-			}
-			w += ew
-		}
-	}
-	for e := range g.coloc {
-		if assign[g.names[e[0]]] != assign[g.names[e[1]]] {
-			return nil, 0, fmt.Errorf("graph: multiway assignment crosses a co-location constraint")
-		}
+	// Total weight of edges crossing machine boundaries, in store order.
+	w, welds := g.crossing(func(lo, hi int) bool { return assign[g.names[lo]] != assign[g.names[hi]] })
+	if welds > 0 {
+		return nil, 0, fmt.Errorf("graph: multiway assignment crosses a co-location constraint")
 	}
 	return assign, w, nil
 }
