@@ -22,6 +22,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/dist"
 	"repro/internal/experiments"
+	"repro/internal/pipeline"
 	"repro/internal/scenario"
 )
 
@@ -105,8 +106,8 @@ func BenchmarkTable3StackDepth(b *testing.B) {
 	b.ReportMetric(rows[len(rows)-1].AvgCorrelation, "complete-depth-correlation")
 }
 
-func benchTables45(b *testing.B) []experiments.ScenarioRow {
-	var rows []experiments.ScenarioRow
+func benchTables45(b *testing.B) []*pipeline.Result {
+	var rows []*pipeline.Result
 	for i := 0; i < b.N; i++ {
 		var err error
 		rows, err = experiments.Tables4And5(context.Background())
@@ -127,7 +128,8 @@ func BenchmarkTable4CommunicationTime(b *testing.B) {
 	})
 	var worst float64 = 0
 	var best float64 = 0
-	for _, r := range rows {
+	for _, res := range rows {
+		r := res.Experiment
 		if r.Savings > best {
 			best = r.Savings
 		}
@@ -149,7 +151,7 @@ func BenchmarkTable5PredictionAccuracy(b *testing.B) {
 	})
 	var maxErr float64
 	for _, r := range rows {
-		e := r.PredictionErr
+		e := r.Experiment.PredictionErr
 		if e < 0 {
 			e = -e
 		}
@@ -160,18 +162,18 @@ func BenchmarkTable5PredictionAccuracy(b *testing.B) {
 	b.ReportMetric(maxErr*100, "max-error-%")
 }
 
-func benchFigure(b *testing.B, name string, run func() (*experiments.ScenarioRow, error)) {
-	var row *experiments.ScenarioRow
+func benchFigure(b *testing.B, name, scenario string) {
+	var row *pipeline.Experiment
 	for i := 0; i < b.N; i++ {
-		var err error
-		row, err = run()
+		res, err := experiments.RunScenario(context.Background(), scenario)
 		if err != nil {
 			b.Fatal(err)
 		}
+		row = res.Experiment
 	}
 	printOnce(name, func() {
 		fmt.Fprintf(os.Stderr, "\n%s (%s): %d of %d components on the server, savings %.0f%%\n",
-			name, row.Scenario, row.ServerInstances, row.TotalInstances, row.Savings*100)
+			name, scenario, row.ServerInstances, row.TotalInstances, row.Savings*100)
 	})
 	b.ReportMetric(float64(row.ServerInstances), "server-components")
 	b.ReportMetric(float64(row.TotalInstances), "total-components")
@@ -181,31 +183,31 @@ func benchFigure(b *testing.B, name string, run func() (*experiments.ScenarioRow
 // BenchmarkFigure4PhotoDraw regenerates Figure 4: the PhotoDraw
 // distribution (paper: 8 of 295 components on the server).
 func BenchmarkFigure4PhotoDraw(b *testing.B) {
-	benchFigure(b, "Figure 4", experiments.Figure4)
+	benchFigure(b, "Figure 4", "p_oldmsr")
 }
 
 // BenchmarkFigure5Octarine regenerates Figure 5: the Octarine text
 // distribution (paper: 2 of 458 components on the server).
 func BenchmarkFigure5Octarine(b *testing.B) {
-	benchFigure(b, "Figure 5", experiments.Figure5)
+	benchFigure(b, "Figure 5", "o_oldwp7")
 }
 
 // BenchmarkFigure6Benefits regenerates Figure 6: the Benefits distribution
 // (paper: Coign keeps 135 of 196 on the middle tier vs the programmer's 187).
 func BenchmarkFigure6Benefits(b *testing.B) {
-	benchFigure(b, "Figure 6", experiments.Figure6)
+	benchFigure(b, "Figure 6", "b_bigone")
 }
 
 // BenchmarkFigure7OctarineTable regenerates Figure 7: the Octarine table
 // distribution (paper: 1 of 476 components on the server).
 func BenchmarkFigure7OctarineTable(b *testing.B) {
-	benchFigure(b, "Figure 7", experiments.Figure7)
+	benchFigure(b, "Figure 7", "o_oldtb0")
 }
 
 // BenchmarkFigure8OctarineMixed regenerates Figure 8: the Octarine mixed
 // text+tables distribution (paper: 281 of 786 components on the server).
 func BenchmarkFigure8OctarineMixed(b *testing.B) {
-	benchFigure(b, "Figure 8", experiments.Figure8)
+	benchFigure(b, "Figure 8", "o_oldbth")
 }
 
 // BenchmarkProfilingOverhead measures the wall-clock cost of the profiling

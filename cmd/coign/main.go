@@ -40,10 +40,7 @@ var commands = []command{
 	{"drift", "watchdog: detect usage drift from the profiled scenarios", cmdDrift},
 	{"cache", "per-interface caching (semi-custom marshaling) effect", cmdCache},
 	{"bench-cut", "cut-engine benchmark sweep over synthetic ICC graphs", cmdBenchCut},
-	{"check", "static constraint analysis: remotability, pins, co-location", cmdCheck},
-	{"coverage", "diff static activation reachability against profiled scenarios", cmdCoverage},
-	{"purity", "static state-mutability analysis and the replication-aware cut", cmdPurity},
-	{"alias", "points-to analysis over opaque payloads: shared state, refined constraints", cmdAlias},
+	{"report", "static analyses checked against the profiled scenarios: check, coverage, purity, alias", cmdReport},
 	{"instrument", "rewrite an application binary for profiling", cmdInstrument},
 	{"profile", "run profiling scenarios and write .icc log files", cmdProfile},
 	{"analyze", "combine .icc log files and print the chosen distribution", cmdAnalyze},

@@ -40,8 +40,8 @@ func main() {
 		p.TotalCalls(), len(p.Classifications))
 
 	// 2b. The reachability coverage diff shows what the scenario missed
-	//     (run `go run ./cmd/coign coverage -app quickstart` for the full
-	//     report).
+	//     (run `go run ./cmd/coign report -app quickstart -only coverage`
+	//     for the full report).
 	cov := adps.Reach.Coverage(p)
 	fmt.Printf("activation coverage: %.0f%% (%d uncovered edges)\n",
 		cov.Percent(), len(cov.UncoveredEdges()))

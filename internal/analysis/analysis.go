@@ -82,6 +82,11 @@ type Options struct {
 	ReplicaArena *graph.CutArena
 }
 
+// KindReplicationRegression is the error-severity finding kind for a
+// replicated cut costlier than the plain one: replication only removes
+// edges, so it can only mean a broken replication set or cut.
+const KindReplicationRegression = "replication-regression"
+
 // Result is the analysis engine's output.
 type Result struct {
 	// Graph is the concrete (network-priced) ICC graph.
@@ -350,7 +355,7 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 			res.Replicated = replicated
 			if rcut.Weight > cut.Weight*(1+1e-9)+1e-12 {
 				res.Findings = append(res.Findings, staticanal.Finding{
-					Kind: "replication-regression", Severity: staticanal.SeverityError,
+					Kind: KindReplicationRegression, Severity: staticanal.SeverityError,
 					Detail: fmt.Sprintf("replicated cut weight %g exceeds plain cut weight %g", rcut.Weight, cut.Weight),
 				})
 			}

@@ -7,8 +7,8 @@
 // The class metadata deliberately declares one activation site the
 // default scenario never exercises: Crunch can create a View for a
 // print-preview path that no training scenario drives. The reachability
-// coverage report (coign coverage) flags the Crunch -> View site and ICC
-// edge as statically reachable but unprofiled.
+// coverage report (coign report -only coverage) flags the Crunch -> View
+// site and ICC edge as statically reachable but unprofiled.
 package quickstart
 
 import (

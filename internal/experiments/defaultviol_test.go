@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/pipeline"
 	"repro/internal/synthapp"
 )
 
@@ -14,32 +15,24 @@ import (
 // the rendered table, while a clean family reports zero.
 func TestDefaultViolationsSurfaced(t *testing.T) {
 	t.Parallel()
-	planted, err := synthapp.Generate(synthapp.Config{Family: synthapp.ThreeTier, Seed: 5})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
+	row := func(app string) *pipeline.Result {
+		res, err := pipeline.Run(context.Background(),
+			pipeline.Spec{App: app, Scenarios: []string{synthapp.ScenBigone}, Compare: true})
+		if err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
+		return res
 	}
-	row, err := ScenarioRowFor(context.Background(), planted.App, planted.App.Name, planted.Bigone)
-	if err != nil {
-		t.Fatalf("ScenarioRowFor: %v", err)
-	}
-	if row.DefaultViolations == 0 {
+	planted, clean := row("synth:three-tier:5"), row("synth:cache-heavy:5")
+	if planted.DefaultViolations == 0 {
 		t.Fatal("three-tier plants an infeasible default but the row reports zero DefaultViolations")
 	}
-
-	clean, err := synthapp.Generate(synthapp.Config{Family: synthapp.CacheHeavy, Seed: 5})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	cleanRow, err := ScenarioRowFor(context.Background(), clean.App, clean.App.Name, clean.Bigone)
-	if err != nil {
-		t.Fatalf("ScenarioRowFor: %v", err)
-	}
-	if cleanRow.DefaultViolations != 0 {
-		t.Fatalf("cache-heavy reported %d DefaultViolations, want 0", cleanRow.DefaultViolations)
+	if clean.DefaultViolations != 0 {
+		t.Fatalf("cache-heavy reported %d DefaultViolations, want 0", clean.DefaultViolations)
 	}
 
 	var sb strings.Builder
-	PrintTable4(&sb, []ScenarioRow{*row, *cleanRow})
+	PrintTable4(&sb, []*pipeline.Result{planted, clean})
 	out := sb.String()
 	if !strings.Contains(out, "DefViol") {
 		t.Fatalf("Table 4 header lacks DefViol column:\n%s", out)

@@ -8,12 +8,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/classify"
-	"repro/internal/com"
-	"repro/internal/core"
+	"repro/internal/par"
+	"repro/internal/pipeline"
 	"repro/internal/scenario"
 )
 
@@ -115,67 +113,11 @@ func Table3(app string) ([]Table3Row, error) {
 	return rows, nil
 }
 
-// ScenarioRow is one row of Tables 4 and 5 plus the figure-level placement
-// counts for the scenario.
-type ScenarioRow struct {
-	Scenario        string
-	App             string
-	DefaultComm     time.Duration
-	CoignComm       time.Duration
-	Savings         float64
-	PredictedExec   time.Duration
-	MeasuredExec    time.Duration
-	PredictionErr   float64
-	TotalInstances  int
-	ServerInstances int
-	Violations      int
-	// DefaultViolations counts co-location constraints the developer's
-	// default distribution splits (analysis.Result.DefaultViolations): a
-	// non-zero value flags that the as-shipped placement was never
-	// realizable and the reported default time is a lower bound.
-	DefaultViolations int
-}
-
 // RunScenario performs the full pipeline experiment for one scenario of
-// the Table 1 suite.
-func RunScenario(ctx context.Context, name string) (*ScenarioRow, error) {
-	info, err := scenario.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	app, err := scenario.NewApp(info.App)
-	if err != nil {
-		return nil, err
-	}
-	return ScenarioRowFor(ctx, app, info.App, name)
-}
-
-// ScenarioRowFor performs the full pipeline experiment for one scenario
-// of an arbitrary application — the Table 1 suite or a generated
-// synthetic app.
-func ScenarioRowFor(ctx context.Context, app *com.App, appName, scenarioName string) (*ScenarioRow, error) {
-	adps := core.New(app)
-	rep, err := adps.ScenarioExperiment(ctx, scenarioName)
-	if err != nil {
-		return nil, err
-	}
-	row := &ScenarioRow{
-		Scenario:        rep.Scenario,
-		App:             appName,
-		DefaultComm:     rep.DefaultComm,
-		CoignComm:       rep.CoignComm,
-		Savings:         rep.Savings,
-		PredictedExec:   rep.PredictedExec,
-		MeasuredExec:    rep.MeasuredExec,
-		PredictionErr:   rep.PredictionErr,
-		TotalInstances:  rep.TotalInstances,
-		ServerInstances: rep.ServerInstances,
-		Violations:      rep.Violations,
-	}
-	if rep.Analysis != nil {
-		row.DefaultViolations = rep.Analysis.DefaultViolations
-	}
-	return row, nil
+// the Table 1 suite: the pipeline's Compare mode. Its result is the row of
+// Tables 4 and 5 and of the distribution figures.
+func RunScenario(ctx context.Context, name string) (*pipeline.Result, error) {
+	return pipeline.Run(ctx, pipeline.Spec{Scenarios: []string{name}, Compare: true})
 }
 
 // Tables4And5 runs every scenario of Table 1 through the pipeline. One
@@ -183,13 +125,13 @@ func ScenarioRowFor(ctx context.Context, app *com.App, appName, scenarioName str
 // time prediction accuracy (Table 5). Scenarios run concurrently on a
 // bounded worker pool — each builds an independent pipeline — and the rows
 // come back in Table 1 order.
-func Tables4And5(ctx context.Context) ([]ScenarioRow, error) {
-	return parallelMap(ctx, scenario.Table1(), func(ctx context.Context, s scenario.Info) (ScenarioRow, error) {
+func Tables4And5(ctx context.Context) ([]*pipeline.Result, error) {
+	return par.Map(ctx, scenario.Table1(), func(ctx context.Context, s scenario.Info) (*pipeline.Result, error) {
 		row, err := RunScenario(ctx, s.Name)
 		if err != nil {
-			return ScenarioRow{}, fmt.Errorf("experiments: %s: %w", s.Name, err)
+			return nil, fmt.Errorf("experiments: %s: %w", s.Name, err)
 		}
-		return *row, nil
+		return row, nil
 	})
 }
 
@@ -219,44 +161,21 @@ var figureSpecs = []figureSpec{
 // Figures regenerates the five distribution figures, one figure per
 // worker on a bounded pool, in the paper's figure order.
 func Figures(ctx context.Context) ([]FigureRow, error) {
-	return parallelMap(ctx, figureSpecs, func(ctx context.Context, spec figureSpec) (FigureRow, error) {
-		info, err := scenario.Lookup(spec.scenario)
-		if err != nil {
-			return FigureRow{}, err
-		}
-		adps, err := openApp(info.App)
-		if err != nil {
-			return FigureRow{}, err
-		}
-		coign, err := adps.ScenarioExperiment(ctx, spec.scenario)
+	return par.Map(ctx, figureSpecs, func(ctx context.Context, spec figureSpec) (FigureRow, error) {
+		res, err := RunScenario(ctx, spec.scenario)
 		if err != nil {
 			return FigureRow{}, err
 		}
 		return FigureRow{
 			Figure:            spec.figure,
 			Scenario:          spec.scenario,
-			TotalInstances:    coign.TotalInstances,
-			ServerInstances:   coign.ServerInstances,
-			NonRemotableEdges: coign.Analysis.NonRemotableEdges,
+			TotalInstances:    res.Experiment.TotalInstances,
+			ServerInstances:   res.Experiment.ServerInstances,
+			NonRemotableEdges: res.NonRemotableEdges,
 			PaperNote:         spec.note,
 		}, nil
 	})
 }
-
-// Figure4 runs only the PhotoDraw distribution experiment.
-func Figure4() (*ScenarioRow, error) { return RunScenario(context.Background(), "p_oldmsr") }
-
-// Figure5 runs only the Octarine text-document distribution experiment.
-func Figure5() (*ScenarioRow, error) { return RunScenario(context.Background(), "o_oldwp7") }
-
-// Figure6 runs only the Benefits distribution experiment.
-func Figure6() (*ScenarioRow, error) { return RunScenario(context.Background(), "b_bigone") }
-
-// Figure7 runs only the Octarine table-document distribution experiment.
-func Figure7() (*ScenarioRow, error) { return RunScenario(context.Background(), "o_oldtb0") }
-
-// Figure8 runs only the Octarine mixed-document distribution experiment.
-func Figure8() (*ScenarioRow, error) { return RunScenario(context.Background(), "o_oldbth") }
 
 // PrintTable2 renders Table 2 in the paper's layout, with the purity
 // grade counts appended (stateless/read-mostly/stateful).
@@ -288,21 +207,23 @@ func PrintTable3(w io.Writer, rows []Table3Row) {
 // PrintTable4 renders Table 4 (communication time). The DefViol column
 // surfaces analysis.Result.DefaultViolations: scenarios whose as-shipped
 // distribution splits co-location constraints and was never realizable.
-func PrintTable4(w io.Writer, rows []ScenarioRow) {
+func PrintTable4(w io.Writer, rows []*pipeline.Result) {
 	fmt.Fprintf(w, "%-10s %12s %12s %9s %8s\n", "Scenario", "Default", "Coign", "Savings", "DefViol")
 	for _, r := range rows {
+		e := r.Experiment
 		fmt.Fprintf(w, "%-10s %11.3fs %11.3fs %8.0f%% %8d\n",
-			r.Scenario, r.DefaultComm.Seconds(), r.CoignComm.Seconds(), r.Savings*100,
+			r.Spec.Scenarios[0], e.DefaultComm.Seconds(), e.CoignComm.Seconds(), e.Savings*100,
 			r.DefaultViolations)
 	}
 }
 
 // PrintTable5 renders Table 5 (prediction accuracy).
-func PrintTable5(w io.Writer, rows []ScenarioRow) {
+func PrintTable5(w io.Writer, rows []*pipeline.Result) {
 	fmt.Fprintf(w, "%-10s %12s %12s %8s\n", "Scenario", "Predicted", "Measured", "Error")
 	for _, r := range rows {
+		e := r.Experiment
 		fmt.Fprintf(w, "%-10s %11.1fs %11.1fs %+7.1f%%\n",
-			r.Scenario, r.PredictedExec.Seconds(), r.MeasuredExec.Seconds(), r.PredictionErr*100)
+			r.Spec.Scenarios[0], e.PredictedExec.Seconds(), e.MeasuredExec.Seconds(), e.PredictionErr*100)
 	}
 }
 
@@ -313,14 +234,4 @@ func PrintFigures(w io.Writer, rows []FigureRow) {
 			r.Figure, r.Scenario, r.ServerInstances, r.TotalInstances,
 			r.NonRemotableEdges, r.PaperNote)
 	}
-}
-
-// Distribution returns the full analysis for one scenario, for figure
-// drill-down (which classifications landed where).
-func Distribution(ctx context.Context, name string) (*analysis.Result, error) {
-	adps, p, err := profileScenario(name)
-	if err != nil {
-		return nil, err
-	}
-	return adps.Analyze(ctx, p)
 }

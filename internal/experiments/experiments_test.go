@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/pipeline"
 )
 
 func TestTable2Shape(t *testing.T) {
@@ -77,15 +78,15 @@ func TestRunScenarioAndPrinters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row.App != "benefits" || row.DefaultComm <= 0 {
+	if row.Spec.App != "benefits" || row.Experiment.DefaultComm <= 0 {
 		t.Fatalf("row = %+v", row)
 	}
-	if row.Violations != 0 {
-		t.Errorf("violations = %d", row.Violations)
+	if row.Experiment.Violations != 0 {
+		t.Errorf("violations = %d", row.Experiment.Violations)
 	}
 	var sb strings.Builder
-	PrintTable4(&sb, []ScenarioRow{*row})
-	PrintTable5(&sb, []ScenarioRow{*row})
+	PrintTable4(&sb, []*pipeline.Result{row})
+	PrintTable5(&sb, []*pipeline.Result{row})
 	if !strings.Contains(sb.String(), "b_vueone") {
 		t.Error("printers dropped the scenario")
 	}
@@ -96,19 +97,17 @@ func TestRunScenarioAndPrinters(t *testing.T) {
 
 func TestFigureHelpers(t *testing.T) {
 	t.Parallel()
-	f7, err := Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f7.ServerInstances != 1 {
-		t.Errorf("Figure 7 server components = %d, want 1", f7.ServerInstances)
-	}
-	f5, err := Figure5()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f5.ServerInstances != 2 {
-		t.Errorf("Figure 5 server components = %d, want 2", f5.ServerInstances)
+	for _, tc := range []struct {
+		figure, scenario string
+		server           int
+	}{{"Figure 7", "o_oldtb0", 1}, {"Figure 5", "o_oldwp7", 2}} {
+		res, err := RunScenario(context.Background(), tc.scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Experiment.ServerInstances; got != tc.server {
+			t.Errorf("%s server components = %d, want %d", tc.figure, got, tc.server)
+		}
 	}
 }
 
@@ -256,15 +255,12 @@ func TestFiguresBundleAndPrinter(t *testing.T) {
 
 func TestDistributionDrillDown(t *testing.T) {
 	t.Parallel()
-	res, err := Distribution(context.Background(), "p_oldmsr")
+	res, err := RunScenario(context.Background(), "p_oldmsr")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ServerInstances == 0 {
+	if res.Analysis == nil || res.Analysis.ServerInstances == 0 {
 		t.Error("no server instances in PhotoDraw distribution")
-	}
-	if _, err := Distribution(context.Background(), "nope"); err == nil {
-		t.Error("unknown scenario analyzed")
 	}
 }
 

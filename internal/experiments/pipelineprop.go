@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/alias"
+	"repro/internal/analysis"
 	"repro/internal/binimg"
 	"repro/internal/classify"
 	"repro/internal/com"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/par"
 	"repro/internal/profile"
 	"repro/internal/purity"
 	"repro/internal/staticanal"
@@ -244,7 +246,7 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	// mutation through a method claimed read-only, and replication — a
 	// pure edge-removal transform — can never make the cut costlier.
 	rep.check("purity-graded", ares.Purity != nil, "analysis produced no purity grading")
-	misses, _ := tally(ares.Findings, purity.KindPurityMiss, "replication-regression")
+	misses, _ := tally(ares.Findings, purity.KindPurityMiss, analysis.KindReplicationRegression)
 	rep.check("purity-verifier-clean", misses == 0,
 		fmt.Sprintf("%d purity-miss/replication-regression finding(s): %v", misses, ares.Findings))
 	if ares.ReplicatedCut != nil {
@@ -567,7 +569,7 @@ func RunPipelineMatrix(ctx context.Context, seeds int, scale int) (*MatrixSummar
 			cfgs = append(cfgs, synthapp.Config{Family: fam, Seed: int64(s), Scale: scale})
 		}
 	}
-	reports, err := parallelMap(ctx, cfgs, RunPipelineProperty)
+	reports, err := par.Map(ctx, cfgs, RunPipelineProperty)
 	if err != nil {
 		return nil, err
 	}

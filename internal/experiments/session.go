@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"context"
-
-	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/profile"
 	"repro/internal/scenario"
@@ -39,21 +36,6 @@ func profileScenario(scenName string) (*core.ADPS, *profile.Profile, error) {
 	}
 	p, _, err := adps.ProfileScenario(scenName, false)
 	return adps, p, err
-}
-
-// profileAndAnalyze is the dynamic half every report row shares:
-// instrument the session's binary, profile the scenarios into one combined
-// profile, and cut under the session's constraints.
-func profileAndAnalyze(ctx context.Context, adps *core.ADPS, scenarios []string) (*profile.Profile, *analysis.Result, error) {
-	if err := adps.Instrument(); err != nil {
-		return nil, nil, err
-	}
-	p, err := adps.ProfileScenarios(scenarios, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := adps.Analyze(ctx, p)
-	return p, res, err
 }
 
 // tally counts the verifier findings of the given hard-error kinds, and

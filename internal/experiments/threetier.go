@@ -129,7 +129,7 @@ func ThreeTier(ctx context.Context) (*ThreeTierResult, error) {
 		PerMachine: run.AppPerMachine,
 		CutWeight:  weight,
 		Comm:       run.Clock.CommTime(),
-		TwoWayComm: twoWay.CoignComm,
+		TwoWayComm: twoWay.Experiment.CoignComm,
 		Violations: run.Violations,
 	}, nil
 }

@@ -54,7 +54,11 @@ func WhatIf(ctx context.Context, scenName string, samples int, seed int64) (*Wha
 	if err != nil {
 		return nil, err
 	}
-	res, err := Distribution(ctx, scenName)
+	adps, p, err := profileScenario(scenName)
+	if err != nil {
+		return nil, err
+	}
+	res, err := adps.Analyze(ctx, p)
 	if err != nil {
 		return nil, err
 	}

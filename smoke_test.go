@@ -12,10 +12,11 @@ import (
 
 func TestHeadlineFigure5(t *testing.T) {
 	t.Parallel()
-	row, err := experiments.Figure5()
+	res, err := experiments.RunScenario(context.Background(), "o_oldwp7")
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := res.Experiment
 	if row.ServerInstances != 2 {
 		t.Errorf("Octarine text: %d server components, want 2 (paper Figure 5)", row.ServerInstances)
 	}
@@ -26,10 +27,11 @@ func TestHeadlineFigure5(t *testing.T) {
 
 func TestHeadlineFigure4(t *testing.T) {
 	t.Parallel()
-	row, err := experiments.Figure4()
+	res, err := experiments.RunScenario(context.Background(), "p_oldmsr")
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := res.Experiment
 	if row.ServerInstances != 8 {
 		t.Errorf("PhotoDraw: %d server components, want 8 (paper Figure 4)", row.ServerInstances)
 	}
@@ -50,19 +52,20 @@ func TestHeadlineNeverWorseAndPredictionEnvelope(t *testing.T) {
 	if len(rows) != 23 {
 		t.Fatalf("rows = %d, want 23", len(rows))
 	}
-	for _, r := range rows {
+	for _, res := range rows {
+		r, name := res.Experiment, res.Spec.Scenarios[0]
 		if float64(r.CoignComm) > float64(r.DefaultComm)*1.02 {
-			t.Errorf("%s: Coign (%v) worse than default (%v)", r.Scenario, r.CoignComm, r.DefaultComm)
+			t.Errorf("%s: Coign (%v) worse than default (%v)", name, r.CoignComm, r.DefaultComm)
 		}
 		e := r.PredictionErr
 		if e < 0 {
 			e = -e
 		}
 		if e > 0.08 {
-			t.Errorf("%s: prediction error %.1f%% outside the paper's ±8%%", r.Scenario, e*100)
+			t.Errorf("%s: prediction error %.1f%% outside the paper's ±8%%", name, e*100)
 		}
 		if r.Violations != 0 {
-			t.Errorf("%s: %d non-remotable crossings", r.Scenario, r.Violations)
+			t.Errorf("%s: %d non-remotable crossings", name, r.Violations)
 		}
 	}
 }
