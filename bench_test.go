@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/classify"
 	"repro/internal/dist"
 	"repro/internal/experiments"
@@ -65,7 +66,7 @@ func BenchmarkTable1ScenarioSuite(b *testing.B) {
 // instance classifiers profiled on Octarine's scenario suite and evaluated
 // on the bigone synthesis.
 func BenchmarkTable2ClassifierAccuracy(b *testing.B) {
-	var rows []experiments.Table2Row
+	var rows []*analysis.ClassifierEval
 	for i := 0; i < b.N; i++ {
 		var err error
 		rows, err = experiments.Table2("octarine")
@@ -91,7 +92,7 @@ func BenchmarkTable2ClassifierAccuracy(b *testing.B) {
 // BenchmarkTable3StackDepth regenerates Table 3: IFCB accuracy as a
 // function of stack-walk depth.
 func BenchmarkTable3StackDepth(b *testing.B) {
-	var rows []experiments.Table3Row
+	var rows []*analysis.ClassifierEval
 	for i := 0; i < b.N; i++ {
 		var err error
 		rows, err = experiments.Table3("octarine")
@@ -165,7 +166,7 @@ func BenchmarkTable5PredictionAccuracy(b *testing.B) {
 func benchFigure(b *testing.B, name, scenario string) {
 	var row *pipeline.Experiment
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunScenario(context.Background(), scenario)
+		res, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{scenario}, Compare: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,16 +4,17 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 
 	"repro/internal/adapt"
 	"repro/internal/classify"
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/experiments"
+	"repro/internal/pipeline"
 	"repro/internal/scenario"
 )
 
-func cmdAdapt(ctx context.Context, args []string) error {
+func cmdAdapt(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("adapt", flag.ExitOnError)
 	scen := fs.String("scenario", "o_oldwp7", "scenario to re-partition")
 	if err := fs.Parse(args); err != nil {
@@ -23,9 +24,9 @@ func cmdAdapt(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-10s %10s %14s %14s %9s\n", "Network", "SrvInst", "Predicted", "Default", "Savings")
+	fmt.Fprintf(w, "%-10s %10s %14s %14s %9s\n", "Network", "SrvInst", "Predicted", "Default", "Savings")
 	for _, r := range rows {
-		fmt.Printf("%-10s %10d %13.3fs %13.3fs %8.0f%%\n",
+		fmt.Fprintf(w, "%-10s %10d %13.3fs %13.3fs %8.0f%%\n",
 			r.Network, r.ServerInstances, r.PredictedComm.Seconds(),
 			r.DefaultComm.Seconds(), r.Savings*100)
 	}
@@ -47,7 +48,7 @@ func cmdOverhead(_ context.Context, args []string) error {
 	return nil
 }
 
-func cmdDrift(ctx context.Context, args []string) error {
+func cmdDrift(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("drift", flag.ExitOnError)
 	optimized := fs.String("optimized-for", "o_oldwp0", "scenario the distribution was computed from")
 	observed := fs.String("observed", "o_oldbth", "scenario representing actual usage")
@@ -55,54 +56,38 @@ func cmdDrift(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	info, err := scenario.Lookup(*optimized)
+	res, err := pipeline.Run(ctx, pipeline.Spec{Scenarios: []string{*optimized}})
 	if err != nil {
 		return err
 	}
-	if obsInfo, err := scenario.Lookup(*observed); err != nil {
+	if obs, err := scenario.Lookup(*observed); err != nil {
 		return err
-	} else if obsInfo.App != info.App {
-		return fmt.Errorf("scenarios belong to different applications (%s vs %s)", info.App, obsInfo.App)
+	} else if obs.App != res.Spec.App {
+		return fmt.Errorf("scenarios belong to different applications (%s vs %s)", res.Spec.App, obs.App)
 	}
-	app, err := scenario.NewApp(info.App)
-	if err != nil {
-		return err
-	}
-	adps := core.New(app)
-	if err := adps.Instrument(); err != nil {
-		return err
-	}
-	baseline, _, err := adps.ProfileScenario(*optimized, false)
-	if err != nil {
-		return err
-	}
-	res, err := adps.Analyze(ctx, baseline)
-	if err != nil {
-		return err
-	}
-	w, err := adapt.NewWatchdog(baseline, *threshold, 50)
+	dog, err := adapt.NewWatchdog(res.Profile, *threshold, 50)
 	if err != nil {
 		return err
 	}
 	if _, err := dist.Run(dist.Config{
-		App: app, Scenario: *observed, Mode: dist.ModeCoign,
-		Classifier:   classify.New(adps.ClassifierKind, 0),
-		Distribution: res.Distribution,
-		ExtraLogger:  w.Logger(),
+		App: res.ADPS.App, Scenario: *observed, Mode: dist.ModeCoign,
+		Classifier:   classify.New(res.ADPS.ClassifierKind, 0),
+		Distribution: res.Analysis.Distribution,
+		ExtraLogger:  dog.Logger(),
 	}); err != nil {
 		return err
 	}
-	fmt.Printf("distribution optimized for %s, observed usage %s\n", *optimized, *observed)
-	fmt.Printf("  drift: %.3f (threshold %.2f) — re-profile: %v\n",
-		w.Drift(), *threshold, w.ShouldReprofile())
-	for _, d := range w.TopDivergences(5) {
-		fmt.Printf("  %-40s -> %-40s profiled %.1f%% observed %.1f%%\n",
+	fmt.Fprintf(w, "distribution optimized for %s, observed usage %s\n", *optimized, *observed)
+	fmt.Fprintf(w, "  drift: %.3f (threshold %.2f) — re-profile: %v\n",
+		dog.Drift(), *threshold, dog.ShouldReprofile())
+	for _, d := range dog.TopDivergences(5) {
+		fmt.Fprintf(w, "  %-40s -> %-40s profiled %.1f%% observed %.1f%%\n",
 			d.Src, d.Dst, d.ProfiledShare*100, d.ObservedShare*100)
 	}
 	return nil
 }
 
-func cmdCache(_ context.Context, args []string) error {
+func cmdCache(_ context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("cache", flag.ExitOnError)
 	scen := fs.String("scenario", "o_oldwp7", "scenario to measure")
 	if err := fs.Parse(args); err != nil {
@@ -112,9 +97,9 @@ func cmdCache(_ context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s with per-interface caching:\n", cmp.Scenario)
-	fmt.Printf("  plain:  %.3fs\n", cmp.Plain.Seconds())
-	fmt.Printf("  cached: %.3fs (%d hits, %.0f%% further savings)\n",
+	fmt.Fprintf(w, "%s with per-interface caching:\n", cmp.Scenario)
+	fmt.Fprintf(w, "  plain:  %.3fs\n", cmp.Plain.Seconds())
+	fmt.Fprintf(w, "  cached: %.3fs (%d hits, %.0f%% further savings)\n",
 		cmp.Cached.Seconds(), cmp.CacheHits, cmp.Savings*100)
 	return nil
 }

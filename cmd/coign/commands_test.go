@@ -1,0 +1,140 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/pipeline"
+)
+
+// TestCommandOutputGolden runs the commands that get their session from
+// internal/pipeline in-process and holds what they print, and the files
+// they write, to what the tree printed and wrote before they did (golden
+// text and digests captured at commit 567a3e1). DIR stands for the test's
+// temporary directory. analyze prints in cut's layout, so its golden text
+// is `coign cut -scenario o_newdoc,o_oldtb3 -v` at that commit; for the
+// anonymous log the instance, time and server lines are that commit's
+// `analyze -v` numbers.
+func TestCommandOutputGolden(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	// A log from elsewhere: profiled under another classifier, and naming
+	// no scenario. analyze takes it and reports what the log says.
+	adps, err := pipeline.Open(pipeline.Spec{App: "octarine", Classifier: "st"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := adps.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	anon, _, err := adps.ProfileScenario("o_oldwp0", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon.Scenarios = nil
+	if err := anon.WriteFile(filepath.Join(dir, "anon.icc")); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		run   func(context.Context, []string, io.Writer) error
+		args  []string
+		want  string
+		files map[string]string // file under DIR -> sha256
+	}{
+		{name: "adapt", run: cmdAdapt, args: []string{"-scenario", "o_oldwp7"}, want: `Network       SrvInst      Predicted        Default   Savings
+ISDN               11       118.576s      1446.162s       92%
+10BaseT             3         2.171s        19.926s       89%
+100BaseT            3         0.606s         2.516s       76%
+ATM                 3         0.475s         1.734s       73%
+SAN                 3         0.099s         0.595s       83%
+`},
+		{name: "drift", run: cmdDrift, want: `distribution optimized for o_oldwp0, observed usage o_oldbth
+  drift: 0.936 (threshold 0.30) — re-profile: true
+  DocReader@92a398ab76c44b13               -> FileStore@578dad07848bb1c                profiled 0.0% observed 19.9%
+  PagePlanner@a3b5c00935b643c3             -> TableNegotiator@7d33c6a9a9757c84         profiled 0.0% observed 18.8%
+  TableNegotiator@7d33c6a9a9757c84         -> DocReader@92a398ab76c44b13               profiled 0.0% observed 14.1%
+  PagePlanner@a3b5c00935b643c3             -> TextNegotiator@a62f9a50e648eb1d          profiled 0.0% observed 7.1%
+  TextNegotiator@a62f9a50e648eb1d          -> DocReader@92a398ab76c44b13               profiled 0.0% observed 5.3%
+`},
+		{name: "cache", run: cmdCache, want: `o_oldwp7 with per-interface caching:
+  plain:  1.664s
+  cached: 1.568s (45 hits, 6% further savings)
+`},
+		{name: "profile", run: cmdProfile, args: []string{"-scenarios", "o_newdoc,o_oldtb3", "-dir", "DIR"},
+			want: `wrote DIR/o_newdoc.icc: 1086 calls, 245 classifications
+wrote DIR/o_oldtb3.icc: 1809 calls, 237 classifications
+`,
+			files: map[string]string{
+				"o_newdoc.icc": "ea5e2531c100587788ac287b3a084cb1899b2e3d1c32577ab1a7b1fbe8a2d7ed",
+				"o_oldtb3.icc": "7aa2fb084248e5e55106fee136b684f472e49b02d95ff22d19b92d82f2d67981",
+			}},
+		{name: "analyze", run: cmdAnalyze, args: []string{"-logs", "DIR/o_newdoc.icc,DIR/o_oldtb3.icc", "-v"},
+			want: `o_newdoc+o_oldtb3 on 10BaseT (ifcb classifier)
+  classifications: 249 client, 3 server (231 constrained, 233 non-remotable edges)
+  instances:       881 client, 3 server
+  predicted comm:  1.101459793s (default 14.564148304s, savings 92%)
+  server: DocReader            x1
+  server: FileStore            x1
+  server: FileStore            x1
+`},
+		{name: "analyze anonymous st log", run: cmdAnalyze, args: []string{"-logs", "DIR/anon.icc", "-v"},
+			want: `octarine on 10BaseT (st classifier)
+  classifications: 89 client, 1 server (79 constrained, 77 non-remotable edges)
+  instances:       458 client, 1 server
+  predicted comm:  481.133962ms (default 481.133962ms, savings 0%)
+  server: FileStore            x1
+`},
+		{name: "instrument", run: cmdInstrument, args: []string{"-o", "DIR/oct.img"},
+			want:  "wrote instrumented binary DIR/oct.img (1127253 bytes of code, 6 imports, coign.rt in slot 0)\n",
+			files: map[string]string{"oct.img": "79c1f11daa3ba7225c00e80b051df20d9329fad7d26af50c10aaac53289c0798"}},
+		{name: "instrument synth", run: cmdInstrument,
+			args:  []string{"-app", "synth:three-tier:1", "-classifier", "pcb", "-depth", "3", "-o", "DIR/tt.img"},
+			want:  "wrote instrumented binary DIR/tt.img (1211454 bytes of code, 3 imports, coign.rt in slot 0)\n",
+			files: map[string]string{"tt.img": "40d7ed3128b0564fdf7438bfc4fc9e03d6b1cc8afb1ca9975669c4a9c94e9932"}},
+	} {
+		args := make([]string, len(tc.args))
+		for i, a := range tc.args {
+			args[i] = strings.ReplaceAll(a, "DIR", dir)
+		}
+		var out bytes.Buffer
+		if err := tc.run(context.Background(), args, &out); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if got := strings.ReplaceAll(out.String(), dir, "DIR"); got != tc.want {
+			t.Errorf("%s printed:\n%s\nwant:\n%s", tc.name, got, tc.want)
+		}
+		for file, want := range tc.files {
+			b, err := os.ReadFile(filepath.Join(dir, file))
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			} else if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+				t.Errorf("%s wrote %s with sha256 %s, want %s", tc.name, file, got, want)
+			}
+		}
+	}
+
+	for _, bad := range []struct {
+		run  func(context.Context, []string, io.Writer) error
+		args []string
+	}{
+		{cmdAnalyze, nil}, // no -logs
+		{cmdAnalyze, []string{"-logs", filepath.Join(dir, "o_newdoc.icc"), "-network", "carrier-pigeon"}},
+		{cmdProfile, []string{"-scenarios", "o_newdoc,p_newdoc", "-dir", dir}}, // two applications
+		{cmdDrift, []string{"-observed", "p_newdoc"}},                          // two applications
+		{cmdInstrument, []string{"-app", "solitaire", "-o", filepath.Join(dir, "x.img")}},
+		{cmdInstrument, []string{"-classifier", "nope", "-o", filepath.Join(dir, "x.img")}},
+	} {
+		if err := bad.run(context.Background(), bad.args, io.Discard); err == nil {
+			t.Errorf("%v: accepted", bad.args)
+		}
+	}
+}

@@ -4,17 +4,21 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"path/filepath"
+	"strconv"
 	"strings"
 
-	"repro/internal/classify"
-	"repro/internal/core"
-	"repro/internal/netsim"
+	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/scenario"
 )
 
-func cmdInstrument(_ context.Context, args []string) error {
+// The file trio — instrument, profile, analyze — is the paper's separate
+// tool invocations handing an image and .icc logs from one to the next;
+// it differs from cut only in where the profile comes from.
+
+func cmdInstrument(_ context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("instrument", flag.ExitOnError)
 	appName := fs.String("app", "octarine", "application")
 	out := fs.String("o", "", "output image path (default <app>.img)")
@@ -23,17 +27,10 @@ func cmdInstrument(_ context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	app, err := scenario.NewApp(*appName)
+	adps, err := pipeline.Open(pipeline.Spec{App: *appName, Classifier: *classifier, Depth: *depth})
 	if err != nil {
 		return err
 	}
-	kind, err := classify.KindByName(*classifier)
-	if err != nil {
-		return err
-	}
-	adps := core.New(app)
-	adps.ClassifierKind = kind
-	adps.ClassifierDepth = *depth
 	if err := adps.Instrument(); err != nil {
 		return err
 	}
@@ -44,7 +41,7 @@ func cmdInstrument(_ context.Context, args []string) error {
 	if err := adps.Image.WriteFile(path); err != nil {
 		return err
 	}
-	fmt.Printf("wrote instrumented binary %s (%d bytes of code, %d imports, %s in slot 0)\n",
+	fmt.Fprintf(w, "wrote instrumented binary %s (%d bytes of code, %d imports, %s in slot 0)\n",
 		path, adps.Image.CodeBytes(), len(adps.Image.Imports), adps.Image.Imports[0])
 	return nil
 }
@@ -52,7 +49,7 @@ func cmdInstrument(_ context.Context, args []string) error {
 // cmdProfile runs one or more profiling scenarios and writes each run's
 // inter-component communication log to a .icc file, the paper's
 // post-profiling artifact.
-func cmdProfile(_ context.Context, args []string) error {
+func cmdProfile(_ context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	scens := fs.String("scenarios", "o_oldwp0", "comma-separated scenarios (one application)")
 	dir := fs.String("dir", ".", "directory for .icc log files")
@@ -60,15 +57,10 @@ func cmdProfile(_ context.Context, args []string) error {
 		return err
 	}
 	names := strings.Split(*scens, ",")
-	first, err := scenario.Lookup(names[0])
+	adps, err := pipeline.Open(pipeline.Spec{Scenarios: names})
 	if err != nil {
 		return err
 	}
-	app, err := scenario.NewApp(first.App)
-	if err != nil {
-		return err
-	}
-	adps := core.New(app)
 	if err := adps.Instrument(); err != nil {
 		return err
 	}
@@ -77,8 +69,8 @@ func cmdProfile(_ context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		if info.App != first.App {
-			return fmt.Errorf("scenario %s belongs to %s, not %s", name, info.App, first.App)
+		if info.App != adps.App.Name {
+			return fmt.Errorf("scenario %s belongs to %s, not %s", name, info.App, adps.App.Name)
 		}
 		p, _, err := adps.ProfileScenario(name, false)
 		if err != nil {
@@ -88,16 +80,16 @@ func cmdProfile(_ context.Context, args []string) error {
 		if err := p.WriteFile(path); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s: %d calls, %d classifications\n",
+		fmt.Fprintf(w, "wrote %s: %d calls, %d classifications\n",
 			path, p.TotalCalls(), len(p.Classifications))
 	}
 	return nil
 }
 
-// cmdAnalyze combines profiling logs and prints the distribution the
-// analysis engine chooses. Unlike cut, it consumes pre-recorded .icc
-// files instead of profiling scenarios itself.
-func cmdAnalyze(ctx context.Context, args []string) error {
+// cmdAnalyze combines profiling logs and prints, in cut's layout, the
+// distribution the analysis engine chooses. Unlike cut, it consumes
+// pre-recorded .icc files instead of profiling scenarios itself.
+func cmdAnalyze(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
 	logs := fs.String("logs", "", "comma-separated .icc log files")
 	network := fs.String("network", "10BaseT", "network model")
@@ -123,28 +115,20 @@ func cmdAnalyze(ctx context.Context, args []string) error {
 			return err
 		}
 	}
-	app, err := scenario.NewApp(combined.App)
+	// The logs say what was profiled and how: "ifcb", or "ifcb-d4" when the
+	// stack walk was depth-limited.
+	kind, depth, _ := strings.Cut(combined.Classifier, "-d")
+	spec := pipeline.Spec{App: combined.App, Scenarios: combined.Scenarios, Network: *network, Classifier: kind}
+	spec.Depth, _ = strconv.Atoi(depth)
+	res, err := pipeline.Analyze(ctx, spec, combined)
 	if err != nil {
 		return err
 	}
-	model, err := netsim.ByName(*network)
-	if err != nil {
+	if err := res.WriteText(w); err != nil {
 		return err
 	}
-	adps := core.New(app)
-	adps.Network = model
-	res, err := adps.Analyze(ctx, combined)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s from logs of %v on %s\n", combined.App, combined.Scenarios, model.Name)
-	fmt.Printf("  instances:      %d client, %d server\n", res.ClientInstances, res.ServerInstances)
-	fmt.Printf("  predicted comm: %v (default %v, savings %.0f%%)\n",
-		res.PredictedComm, res.DefaultComm, res.Savings()*100)
 	if *verbose {
-		for _, cp := range res.ServerComponents(combined) {
-			fmt.Printf("  server: %-20s x%d\n", cp.Class, cp.Instances)
-		}
+		res.WriteServerPlacements(w)
 	}
 	return nil
 }

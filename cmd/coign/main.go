@@ -4,17 +4,23 @@
 // applications, regenerates every table and figure of the paper's
 // evaluation, and serves the whole pipeline as a persistent job service.
 //
-// Every subcommand lives in its own file and ultimately drives
-// internal/pipeline (or the experiments harness built on it), so the CLI
-// and the job service produce identical results for identical specs.
+// Subcommands are grouped by file (inspect.go holds the instrument /
+// profile / analyze file trio, adaptive.go the adapt / overhead / drift /
+// cache exhibits, tables.go the tables and figures) and every one that
+// needs a session gets it from internal/pipeline, directly or through the
+// experiments harness built on it, so the CLI and the job service produce
+// identical results for identical specs.
 package main
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
+
+	"repro/internal/experiments"
 )
 
 // command is one coign subcommand. The context is cancelled on SIGINT or
@@ -29,24 +35,30 @@ var commands = []command{
 	{"list", "print the profiling-scenario suite (Table 1)", cmdList},
 	{"cut", "profile scenarios and print the chosen distribution", cmdCut},
 	{"run", "full experiment for one scenario (Tables 4 and 5 rows)", cmdRun},
-	{"table2", "classifier accuracy (Table 2)", cmdTable2},
-	{"table3", "IFCB accuracy vs stack-walk depth (Table 3)", cmdTable3},
-	{"table4", "communication time for all 23 scenarios (Table 4)", cmdTable4},
-	{"table5", "execution-time prediction accuracy (Table 5)", cmdTable5},
+	{"table2", "classifier accuracy (Table 2)", classifierTable("table2", experiments.Table2, experiments.PrintTable2)},
+	{"table3", "IFCB accuracy vs stack-walk depth (Table 3)", classifierTable("table3", experiments.Table3, experiments.PrintTable3)},
+	{"table4", "communication time for all 23 scenarios (Table 4)", scenarioTable(experiments.PrintTable4)},
+	{"table5", "execution-time prediction accuracy (Table 5)", scenarioTable(experiments.PrintTable5)},
 	{"figures", "distribution figures 4-8", cmdFigures},
 	{"chaos", "run one scenario under injected network faults with retries", cmdChaos},
-	{"adapt", "re-partition one scenario across network generations", cmdAdapt},
+	{"adapt", "re-partition one scenario across network generations", stdout(cmdAdapt)},
 	{"overhead", "instrumentation overhead measurements", cmdOverhead},
-	{"drift", "watchdog: detect usage drift from the profiled scenarios", cmdDrift},
-	{"cache", "per-interface caching (semi-custom marshaling) effect", cmdCache},
+	{"drift", "watchdog: detect usage drift from the profiled scenarios", stdout(cmdDrift)},
+	{"cache", "per-interface caching (semi-custom marshaling) effect", stdout(cmdCache)},
 	{"bench-cut", "cut-engine benchmark sweep over synthetic ICC graphs", cmdBenchCut},
-	{"report", "static analyses checked against the profiled scenarios: check, coverage, purity, alias", cmdReport},
-	{"instrument", "rewrite an application binary for profiling", cmdInstrument},
-	{"profile", "run profiling scenarios and write .icc log files", cmdProfile},
-	{"analyze", "combine .icc log files and print the chosen distribution", cmdAnalyze},
+	{"report", "static analyses checked against the profiled scenarios: check, coverage, purity, alias", stdout(cmdReport)},
+	{"instrument", "rewrite an application binary for profiling", stdout(cmdInstrument)},
+	{"profile", "run profiling scenarios and write .icc log files", stdout(cmdProfile)},
+	{"analyze", "combine .icc log files and print the chosen distribution", stdout(cmdAnalyze)},
 	{"synth", "generate a synthetic application, or sweep the property harness", cmdSynth},
 	{"serve", "run the partitioning job service (HTTP API + worker pool)", cmdServe},
 	{"version", "print the build version", cmdVersion},
+}
+
+// stdout adapts a command that prints to a writer — so a test can run it
+// in-process and read what it printed — to the command table.
+func stdout(run func(context.Context, []string, io.Writer) error) func(context.Context, []string) error {
+	return func(ctx context.Context, args []string) error { return run(ctx, args, os.Stdout) }
 }
 
 func main() {

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 
 	"repro/internal/experiments"
@@ -17,9 +16,7 @@ import (
 // applications, each checked against one combined profile of its training
 // scenarios: constraint check, scenario coverage, purity grading with the
 // replication-aware cut, and alias refinement. One gate covers all four.
-func cmdReport(ctx context.Context, args []string) error { return report(ctx, args, os.Stdout) }
-
-func report(ctx context.Context, args []string, w io.Writer) error {
+func cmdReport(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("report", flag.ExitOnError)
 	appName := fs.String("app", "all", "application to analyze, or 'all' (the Table 1 suite and quickstart)")
 	scens := fs.String("scenarios", "", "comma-separated scenario override (default: the app's training suite)")

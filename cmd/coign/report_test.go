@@ -17,7 +17,7 @@ func TestReportCommandGate(t *testing.T) {
 	var out bytes.Buffer
 	run := func(args ...string) error {
 		out.Reset()
-		return report(context.Background(), args, &out)
+		return cmdReport(context.Background(), args, &out)
 	}
 	if err := run("-app", "quickstart", "-only", "coverage", "-fail-under", "70"); err != nil {
 		t.Errorf("quickstart coverage gate at 70%%: %v", err)

@@ -3,53 +3,45 @@ package main
 import (
 	"context"
 	"flag"
+	"io"
 	"os"
 
+	"repro/internal/analysis"
 	"repro/internal/experiments"
+	"repro/internal/pipeline"
 )
 
-func cmdTable2(_ context.Context, args []string) error {
-	fs := flag.NewFlagSet("table2", flag.ExitOnError)
-	app := fs.String("app", "octarine", "application")
-	if err := fs.Parse(args); err != nil {
-		return err
+// classifierTable is the command for Tables 2 and 3: both evaluate
+// classifiers on one application and print the same rows under different
+// headings.
+func classifierTable(name string, table func(string) ([]*analysis.ClassifierEval, error),
+	print func(io.Writer, []*analysis.ClassifierEval)) func(context.Context, []string) error {
+	return func(_ context.Context, args []string) error {
+		fs := flag.NewFlagSet(name, flag.ExitOnError)
+		app := fs.String("app", "octarine", "application")
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
+		rows, err := table(*app)
+		if err != nil {
+			return err
+		}
+		print(os.Stdout, rows)
+		return nil
 	}
-	rows, err := experiments.Table2(*app)
-	if err != nil {
-		return err
-	}
-	experiments.PrintTable2(os.Stdout, rows)
-	return nil
 }
 
-func cmdTable3(_ context.Context, args []string) error {
-	fs := flag.NewFlagSet("table3", flag.ExitOnError)
-	app := fs.String("app", "octarine", "application")
-	if err := fs.Parse(args); err != nil {
-		return err
+// scenarioTable is the command for Tables 4 and 5: one pass over every
+// scenario yields the rows of both.
+func scenarioTable(print func(io.Writer, []*pipeline.Result)) func(context.Context, []string) error {
+	return func(ctx context.Context, _ []string) error {
+		rows, err := experiments.Tables4And5(ctx)
+		if err != nil {
+			return err
+		}
+		print(os.Stdout, rows)
+		return nil
 	}
-	rows, err := experiments.Table3(*app)
-	if err != nil {
-		return err
-	}
-	experiments.PrintTable3(os.Stdout, rows)
-	return nil
-}
-
-func cmdTable4(ctx context.Context, args []string) error { return cmdTables(ctx, args, false) }
-func cmdTable5(ctx context.Context, args []string) error { return cmdTables(ctx, args, true) }
-
-func cmdTables(ctx context.Context, _ []string, five bool) error {
-	rows, err := experiments.Tables4And5(ctx)
-	if err != nil {
-		return err
-	}
-	if five {
-		experiments.PrintTable5(os.Stdout, rows)
-	} else {
-		experiments.PrintTable4(os.Stdout, rows)
-	}
-	return nil
 }
 
 func cmdFigures(ctx context.Context, _ []string) error {

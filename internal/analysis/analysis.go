@@ -393,11 +393,13 @@ func (r *Result) ServerComponents(p *profile.Profile) []ComponentPlacement {
 	return out
 }
 
-// ComponentPlacement names one classification's placement.
+// ComponentPlacement names one classification's placement: its class and
+// profiled instance count. The tags are the pipeline result's
+// serverPlacements encoding.
 type ComponentPlacement struct {
-	Classification string
-	Class          string
-	Instances      int64
+	Classification string `json:"classification"`
+	Class          string `json:"class"`
+	Instances      int64  `json:"instances"`
 }
 
 // Savings returns the fractional reduction in predicted communication time

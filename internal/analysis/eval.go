@@ -19,7 +19,10 @@ import (
 
 // ClassifierEval is one row of Table 2 (or Table 3).
 type ClassifierEval struct {
-	Classifier                    string
+	Classifier string
+	// Depth is the classifier's stack-walk depth (0 = complete), Table 3's
+	// row key. Filled by core.ClassifierAccuracy.
+	Depth                         int
 	ProfiledClassifications       int
 	NewClassifications            int
 	AvgInstancesPerClassification float64

@@ -51,8 +51,8 @@ type ADPS struct {
 	Static *staticanal.Report
 	// Reach is the static activation-reachability graph recovered from the
 	// original binary's relocation records, derived once at pipeline
-	// construction. Diffed against profiles it yields scenario-coverage
-	// reports (see CoverageReport).
+	// construction. Diffed against a profile it yields the scenario-coverage
+	// report (see reach.Graph.Coverage).
 	Reach *reach.Graph
 	// Purity is the static state-mutability report recovered from the
 	// original binary's state records, derived once at pipeline
@@ -72,6 +72,12 @@ type ADPS struct {
 	// Seed drives all stochastic components reproducibly.
 	Seed int64
 
+	// profiledScenario and profiledCompute are the latest profiling run and
+	// its compute time, the base of Execute's predicted execution time. The
+	// scenario is empty while the session's profile is no single run's:
+	// before any run, and after ProfileScenarios merged several.
+	profiledScenario string
+	profiledCompute  time.Duration
 	// err is the first static scan New failed (see Err).
 	err error
 }
@@ -116,7 +122,7 @@ func (a *ADPS) scan() error {
 // Err reports the static scan that failed when the session was opened,
 // wrapped with the application and the scan's name; nil when all
 // succeeded. A failed scan must never yield a cut with fewer constraints,
-// so Instrument, EnableAlias, CoverageReport and Analyze return this
+// so Instrument, EnableAlias and Analyze return this
 // error instead of working from partial results, and Static, Reach and
 // Purity are non-nil exactly when it is nil.
 func (a *ADPS) Err() error { return a.err }
@@ -128,9 +134,9 @@ func (a *ADPS) Err() error { return a.err }
 // recomputed so impurity propagates only across may-alias edges (see
 // purity.ScanAliased), and the refiner's zero-miss verifier joins the
 // analysis findings. Both scans read the session's image — rewriting
-// leaves its record sections alone. Call it before CoverageReport so
-// coverage pairs land in the refined set. Idempotent; on failure nothing
-// is installed.
+// leaves its record sections alone. Call it before installing coverage
+// constraints so coverage pairs land in the refined set. Idempotent; on
+// failure nothing is installed.
 func (a *ADPS) EnableAlias() error {
 	if a.err != nil {
 		return a.err
@@ -155,32 +161,6 @@ func (a *ADPS) EnableAlias() error {
 	a.AnalysisOptions.Constraints = a.AnalysisOptions.Constraints.Refined(ar)
 	a.AnalysisOptions.Purity = pr
 	return nil
-}
-
-// CoverageReport instruments the binary if needed, profiles the given
-// scenarios, and diffs the combined profile against the static
-// reachability graph. When install is true, every uncovered
-// class-to-class ICC edge is additionally installed into the analysis
-// constraint set as a conservative co-location pair, so subsequent
-// Analyze calls keep the endpoints of unpriced edges together.
-func (a *ADPS) CoverageReport(scenarios []string, install bool) (*reach.Coverage, *profile.Profile, error) {
-	if a.err != nil {
-		return nil, nil, a.err
-	}
-	if !a.Image.Instrumented() {
-		if err := a.Instrument(); err != nil {
-			return nil, nil, err
-		}
-	}
-	p, err := a.ProfileScenarios(scenarios, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	cov := a.Reach.Coverage(p)
-	if install {
-		cov.InstallConstraints(a.AnalysisOptions.Constraints)
-	}
-	return cov, p, nil
 }
 
 // classifier builds a fresh classifier per the pipeline configuration.
@@ -249,6 +229,7 @@ func (a *ADPS) ProfileScenario(scenario string, instanceDetail bool) (*profile.P
 	if err := a.Image.Config.AccumulateProfile(res.Profile); err != nil {
 		return nil, nil, err
 	}
+	a.profiledScenario, a.profiledCompute = scenario, res.Clock.ComputeTime()
 	return res.Profile, res, nil
 }
 
@@ -271,6 +252,9 @@ func (a *ADPS) ProfileScenarios(scenarios []string, instanceDetail bool) (*profi
 		if err := combined.Merge(p); err != nil {
 			return nil, err
 		}
+	}
+	if len(scenarios) > 1 {
+		a.profiledScenario = ""
 	}
 	return combined, nil
 }
@@ -357,30 +341,35 @@ func (a *ADPS) RunDefault(scenario string, jitter bool) (*dist.Result, error) {
 	})
 }
 
+// Experiment is the measured outcome of one end-to-end experiment: the
+// Tables 4 and 5 columns plus the figure-level placement counts. It is
+// also the experiment block of the pipeline's canonical result, so the
+// field order and tags are part of that encoding.
+type Experiment struct {
+	// Table 4: communication time.
+	DefaultComm time.Duration `json:"defaultCommNs"`
+	CoignComm   time.Duration `json:"coignCommNs"`
+	Savings     float64       `json:"savings"`
+	// Table 5: execution time.
+	PredictedExec time.Duration `json:"predictedExecNs"`
+	MeasuredExec  time.Duration `json:"measuredExecNs"`
+	PredictionErr float64       `json:"predictionErr"`
+	// Figure data: instances placed.
+	TotalInstances  int `json:"totalInstances"`
+	ServerInstances int `json:"serverInstances"`
+	// Violations counts non-remotable boundaries the Coign run crossed.
+	Violations int `json:"violations"`
+}
+
 // ScenarioReport is the outcome of one end-to-end experiment on one
-// scenario: the rows of Tables 4 and 5 plus the figure-level placement
-// data.
+// scenario: the measured rows plus the analysis they were predicted from.
 type ScenarioReport struct {
 	Scenario string
-
-	// Table 4: communication time.
-	DefaultComm time.Duration
-	CoignComm   time.Duration
-	Savings     float64
-
-	// Table 5: execution time.
-	PredictedExec time.Duration
-	MeasuredExec  time.Duration
-	PredictionErr float64
-
-	// Figure data: instances placed.
-	TotalInstances  int
-	ServerInstances int
+	Experiment
 	// Analysis-side numbers.
 	Analysis *analysis.Result
-	// Runtime counters.
-	Violations int
-	Unknown    int64
+	// Unknown counts instantiations the Coign run could not classify.
+	Unknown int64
 }
 
 // ScenarioExperiment performs the full pipeline on one scenario: profile
@@ -394,13 +383,28 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 			return nil, err
 		}
 	}
-	prof, profRun, err := a.ProfileScenario(scenario, false)
+	prof, _, err := a.ProfileScenario(scenario, false)
 	if err != nil {
 		return nil, err
 	}
 	ares, err := a.Analyze(ctx, prof)
 	if err != nil {
 		return nil, err
+	}
+	return a.Execute(scenario, ares)
+}
+
+// Execute is the run half of an experiment: it writes the analysis
+// engine's distribution into the binary, executes the scenario under the
+// default and the Coign-chosen distribution, and compares the measured
+// times against the prediction. The predicted execution time starts from
+// the profiled compute time, so ares must come from the session's latest
+// profiling run and that run must be of this scenario alone; Execute fails
+// otherwise. It leaves the image re-armed for profiling.
+func (a *ADPS) Execute(scenario string, ares *analysis.Result) (*ScenarioReport, error) {
+	if a.profiledScenario != scenario {
+		return nil, fmt.Errorf("core: cannot execute %s: the session's profile is not one profiling run of it (latest single run: %q)",
+			scenario, a.profiledScenario)
 	}
 	if err := a.WriteDistribution(ares); err != nil {
 		return nil, err
@@ -421,14 +425,16 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 	}
 
 	rep := &ScenarioReport{
-		Scenario:        scenario,
-		DefaultComm:     def.Clock.CommTime(),
-		CoignComm:       coign.Clock.CommTime(),
-		Analysis:        ares,
-		TotalInstances:  coign.AppInstances,
-		ServerInstances: coign.AppPerMachine[com.Server],
-		Violations:      coign.Violations,
-		Unknown:         coign.Unknown,
+		Scenario: scenario,
+		Experiment: Experiment{
+			DefaultComm:     def.Clock.CommTime(),
+			CoignComm:       coign.Clock.CommTime(),
+			TotalInstances:  coign.AppInstances,
+			ServerInstances: coign.AppPerMachine[com.Server],
+			Violations:      coign.Violations,
+		},
+		Analysis: ares,
+		Unknown:  coign.Unknown,
 	}
 	if rep.DefaultComm > 0 {
 		s := 1 - float64(rep.CoignComm)/float64(rep.DefaultComm)
@@ -440,7 +446,7 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 	// engine's communication prediction. Measured: the distributed run's
 	// virtual clock with jitter, classifier effects, and remote
 	// activations included.
-	rep.PredictedExec = profRun.Clock.ComputeTime() + ares.PredictedComm
+	rep.PredictedExec = a.profiledCompute + ares.PredictedComm
 	rep.MeasuredExec = measured.Clock.Elapsed()
 	if rep.MeasuredExec > 0 {
 		rep.PredictionErr = float64(rep.PredictedExec-rep.MeasuredExec) / float64(rep.MeasuredExec)
@@ -500,6 +506,7 @@ func (a *ADPS) ClassifierAccuracy(kind classify.Kind, depth int,
 	if err != nil {
 		return nil, err
 	}
+	ev.Depth = depth
 	// Purity grades per classification: the finer the classifier, the more
 	// of the profiled population can be proven replication-eligible.
 	grading := a.Purity.Grade(combined, 0)

@@ -147,6 +147,20 @@ func TestScenarioExperimentReport(t *testing.T) {
 	if adps.Image.Config.Mode != binimg.ModeProfiling {
 		t.Error("image not re-armed for profiling")
 	}
+	// Execute predicts from one profiling run of the scenario it executes:
+	// another scenario, a merged profile and a fresh session are refused.
+	if _, err := adps.Execute(octarine.ScenOldWp0, rep.Analysis); err == nil {
+		t.Error("executed a scenario other than the profiled one")
+	}
+	if _, err := adps.ProfileScenarios([]string{octarine.ScenOldWp0, octarine.ScenOldTb3}, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := adps.Execute(octarine.ScenOldTb3, rep.Analysis); err == nil {
+		t.Error("executed on a merged profile")
+	}
+	if _, err := New(octarine.New()).Execute(octarine.ScenOldTb3, rep.Analysis); err == nil {
+		t.Error("executed on a session that profiled nothing")
+	}
 }
 
 func TestClassifierAccuracyTable2Shape(t *testing.T) {

@@ -18,10 +18,15 @@ import (
 func TestCoverageGateQuickstart(t *testing.T) {
 	t.Parallel()
 	a := New(quickstart.New())
-	cov, prof, err := a.CoverageReport([]string{"default"}, true)
+	if err := a.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	prof, err := a.ProfileScenarios([]string{"default"}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cov := a.Reach.Coverage(prof)
+	cov.InstallConstraints(a.AnalysisOptions.Constraints)
 	if len(cov.Misses) != 0 {
 		t.Fatalf("static misses on quickstart: %v", cov.Misses)
 	}
@@ -72,11 +77,7 @@ func TestCoverageGateQuickstart(t *testing.T) {
 	// Property: conservative coverage constraints only remove cut options,
 	// so the constrained min-cut can never be cheaper than the
 	// unconstrained one.
-	b := New(quickstart.New())
-	if _, _, err := b.CoverageReport([]string{"default"}, false); err != nil {
-		t.Fatal(err)
-	}
-	base, err := b.Analyze(context.Background(), prof)
+	base, err := New(quickstart.New()).Analyze(context.Background(), prof)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/pipeline"
 )
 
 // Ablations for the design choices DESIGN.md calls out: the graph-cutting
@@ -31,13 +32,13 @@ type MinCutComparison struct {
 // CompareMinCut builds the concrete ICC graph of one scenario and times
 // both exact minimum-cut implementations.
 func CompareMinCut(scenName string) (*MinCutComparison, error) {
-	adps, p, err := profileScenario(scenName)
+	run, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{scenName}})
 	if err != nil {
 		return nil, err
 	}
 	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
 	build := func() *graph.Graph {
-		g, _ := analysis.BuildGraph(p, np, adps.App.Classes, analysis.Options{})
+		g, _ := analysis.BuildGraph(run.Profile, np, run.ADPS.App.Classes, analysis.Options{})
 		return g
 	}
 
@@ -78,16 +79,13 @@ type BucketingComparison struct {
 // CompareBucketing runs the analysis twice — bucket representatives versus
 // exact byte totals — and compares predictions and placements.
 func CompareBucketing(scenName string) (*BucketingComparison, error) {
-	adps, p, err := profileScenario(scenName)
+	run, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{scenName}})
 	if err != nil {
 		return nil, err
 	}
-	bucketed, err := adps.Analyze(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	adps.AnalysisOptions.ExactPricing = true
-	exact, err := adps.Analyze(context.Background(), p)
+	bucketed := run.Analysis
+	run.ADPS.AnalysisOptions.ExactPricing = true
+	exact, err := run.ADPS.Analyze(context.Background(), run.Profile)
 	if err != nil {
 		return nil, err
 	}
@@ -96,18 +94,23 @@ func CompareBucketing(scenName string) (*BucketingComparison, error) {
 		BucketedComm: bucketed.PredictedComm,
 		ExactComm:    exact.PredictedComm,
 	}
-	if exact.PredictedComm > 0 {
-		cmp.RelativeError = math.Abs(float64(bucketed.PredictedComm-exact.PredictedComm)) /
-			float64(exact.PredictedComm)
+	cmp.RelativeError, cmp.SamePlacement = against(bucketed, exact)
+	return cmp, nil
+}
+
+// against compares an analysis with its reference: the relative error of
+// the predicted communication time, and whether both place every
+// classification on the same machine.
+func against(got, ref *analysis.Result) (relErr float64, samePlacement bool) {
+	if ref.PredictedComm > 0 {
+		relErr = math.Abs(float64(got.PredictedComm-ref.PredictedComm)) / float64(ref.PredictedComm)
 	}
-	cmp.SamePlacement = true
-	for id, m := range bucketed.Distribution {
-		if exact.Distribution[id] != m {
-			cmp.SamePlacement = false
-			break
+	for id, m := range got.Distribution {
+		if ref.Distribution[id] != m {
+			return relErr, false
 		}
 	}
-	return cmp, nil
+	return relErr, true
 }
 
 // NetProfileComparison reports how a sampled network profile's prediction
@@ -123,11 +126,13 @@ type NetProfileComparison struct {
 // CompareNetworkProfile analyzes one scenario under a statistically
 // sampled network profile and under the exact model means.
 func CompareNetworkProfile(scenName string, samples int) (*NetProfileComparison, error) {
-	adps, p, err := profileScenario(scenName)
+	run, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{scenName}})
 	if err != nil {
 		return nil, err
 	}
+	adps, p := run.ADPS, run.Profile
 	adps.Samples = samples
+	adps.NetProfile = nil // re-sample the network with the requested count
 	sampled, err := adps.Analyze(context.Background(), p)
 	if err != nil {
 		return nil, err
@@ -142,17 +147,7 @@ func CompareNetworkProfile(scenName string, samples int) (*NetProfileComparison,
 		SampledComm: sampled.PredictedComm,
 		OracleComm:  oracle.PredictedComm,
 	}
-	if oracle.PredictedComm > 0 {
-		cmp.RelativeError = math.Abs(float64(sampled.PredictedComm-oracle.PredictedComm)) /
-			float64(oracle.PredictedComm)
-	}
-	cmp.SamePlacement = true
-	for id, m := range sampled.Distribution {
-		if oracle.Distribution[id] != m {
-			cmp.SamePlacement = false
-			break
-		}
-	}
+	cmp.RelativeError, cmp.SamePlacement = against(sampled, oracle)
 	return cmp, nil
 }
 
@@ -191,15 +186,12 @@ type CachingComparison struct {
 // CompareCaching runs one scenario's Coign distribution with and without
 // per-interface caching on its cacheable methods.
 func CompareCaching(scenName string) (*CachingComparison, error) {
-	adps, p, err := profileScenario(scenName)
+	run, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{scenName}})
 	if err != nil {
 		return nil, err
 	}
-	res, err := adps.Analyze(context.Background(), p)
-	if err != nil {
-		return nil, err
-	}
-	if err := adps.WriteDistribution(res); err != nil {
+	adps := run.ADPS
+	if err := adps.WriteDistribution(run.Analysis); err != nil {
 		return nil, err
 	}
 	plain, err := adps.RunDistributed(scenName, false)

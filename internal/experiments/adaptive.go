@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/adapt"
+	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/pipeline"
 )
 
 // Changing scenarios and distributions (paper §4.4): a programmer's manual
@@ -32,16 +33,18 @@ type AdaptiveRow struct {
 
 // Adaptive re-partitions one scenario for each named network model.
 func Adaptive(ctx context.Context, scenName string, networks []string) ([]AdaptiveRow, error) {
-	adps, p, err := profileScenario(scenName)
+	run, err := pipeline.Run(ctx, pipeline.Spec{Scenarios: []string{scenName}})
 	if err != nil {
 		return nil, err
 	}
+	adps, p := run.ADPS, run.Profile
 	// Every network model re-cuts the same ICC topology with different
 	// edge pricing — the canonical warm-start workload — so all models
 	// share one re-cut arena: the first cut is cold, the rest resume from
-	// the previous model's flow.
-	rec := adapt.NewRecutter()
-	adps.AnalysisOptions.Arena = rec.Arena()
+	// the previous model's flow. The arena is fresh, not the one the run
+	// above already cut on, so the first model's row reports a cold cut.
+	arena := graph.NewCutArena()
+	adps.AnalysisOptions.Arena = arena
 	var rows []AdaptiveRow
 	for _, name := range networks {
 		model, err := netsim.ByName(name)
@@ -50,7 +53,7 @@ func Adaptive(ctx context.Context, scenName string, networks []string) ([]Adapti
 		}
 		adps.Network = model
 		adps.NetProfile = nil // re-profile the new network
-		warmBefore := rec.Stats().Warm
+		warmBefore := arena.Stats().Warm
 		res, err := adps.Analyze(ctx, p)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: adaptive %s: %w", name, err)
@@ -62,7 +65,7 @@ func Adaptive(ctx context.Context, scenName string, networks []string) ([]Adapti
 			PredictedComm:   res.PredictedComm,
 			DefaultComm:     res.DefaultComm,
 			Savings:         res.Savings(),
-			WarmCut:         rec.Stats().Warm > warmBefore,
+			WarmCut:         arena.Stats().Warm > warmBefore,
 		})
 	}
 	return rows, nil

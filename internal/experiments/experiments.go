@@ -9,82 +9,34 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/analysis"
 	"repro/internal/classify"
 	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/scenario"
 )
 
-// Table2Row is one row of Table 2 (classifier accuracy), extended with
-// the purity analysis's per-classification grade counts: how many of the
-// profiled classifications each classifier proves replication-eligible.
-type Table2Row struct {
-	Classifier              string
-	ProfiledClassifications int
-	NewClassifications      int
-	AvgInstances            float64
-	AvgCorrelation          float64
-	Stateless               int
-	ReadMostly              int
-	Stateful                int
-	// AliasEligible counts classifications replication-eligible under the
-	// alias-refined purity closure (see analysis.ClassifierEval).
-	AliasEligible int
-}
-
 // Table2 evaluates all seven instance classifiers on an application:
 // profile every scenario except bigone, then correlate bigone instances
-// against the profiled classifications.
-func Table2(app string) ([]Table2Row, error) {
-	adps, err := openApp(app)
-	if err != nil {
-		return nil, err
-	}
-	training := scenario.TrainingForApp(app)
-	big, err := scenario.BigoneForApp(app)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Table2Row
-	for _, kind := range classify.Kinds() {
-		res, err := adps.ClassifierAccuracy(kind, 0, training, big)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: table 2 %s: %w", kind, err)
-		}
-		rows = append(rows, Table2Row{
-			Classifier:              kind.String(),
-			ProfiledClassifications: res.ProfiledClassifications,
-			NewClassifications:      res.NewClassifications,
-			AvgInstances:            res.AvgInstancesPerClassification,
-			AvgCorrelation:          res.AvgCorrelation,
-			Stateless:               res.Stateless,
-			ReadMostly:              res.ReadMostly,
-			Stateful:                res.Stateful,
-			AliasEligible:           res.AliasEligible,
-		})
-	}
-	return rows, nil
+// against the profiled classifications. Each row carries the purity
+// analysis's per-classification grade counts: how many of the profiled
+// classifications the classifier proves replication-eligible.
+func Table2(app string) ([]*analysis.ClassifierEval, error) {
+	return classifierTable(app, classify.Kinds(), []int{0})
 }
 
-// Table3Row is one row of Table 3 (IFCB accuracy vs stack depth), with
-// the same purity-grade columns as Table 2.
-type Table3Row struct {
-	Depth                   int // 0 = complete stack
-	ProfiledClassifications int
-	AvgInstances            float64
-	AvgCorrelation          float64
-	Stateless               int
-	ReadMostly              int
-	Stateful                int
-	AliasEligible           int
-}
-
-// Table3Depths are the stack-walk depths of paper Table 3.
+// Table3Depths are the stack-walk depths of paper Table 3 (0 = complete).
 var Table3Depths = []int{1, 2, 3, 4, 8, 16, 0}
 
 // Table3 evaluates the IFCB classifier at limited stack depths.
-func Table3(app string) ([]Table3Row, error) {
-	adps, err := openApp(app)
+func Table3(app string) ([]*analysis.ClassifierEval, error) {
+	return classifierTable(app, []classify.Kind{classify.IFCB}, Table3Depths)
+}
+
+// classifierTable evaluates every (kind, depth) pair on one session of
+// the application, kinds outermost.
+func classifierTable(app string, kinds []classify.Kind, depths []int) ([]*analysis.ClassifierEval, error) {
+	adps, err := pipeline.Open(pipeline.Spec{App: app})
 	if err != nil {
 		return nil, err
 	}
@@ -93,31 +45,17 @@ func Table3(app string) ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []Table3Row
-	for _, depth := range Table3Depths {
-		res, err := adps.ClassifierAccuracy(classify.IFCB, depth, training, big)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: table 3 depth %d: %w", depth, err)
+	var rows []*analysis.ClassifierEval
+	for _, kind := range kinds {
+		for _, depth := range depths {
+			ev, err := adps.ClassifierAccuracy(kind, depth, training, big)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: classifier %s depth %d: %w", kind, depth, err)
+			}
+			rows = append(rows, ev)
 		}
-		rows = append(rows, Table3Row{
-			Depth:                   depth,
-			ProfiledClassifications: res.ProfiledClassifications,
-			AvgInstances:            res.AvgInstancesPerClassification,
-			AvgCorrelation:          res.AvgCorrelation,
-			Stateless:               res.Stateless,
-			ReadMostly:              res.ReadMostly,
-			Stateful:                res.Stateful,
-			AliasEligible:           res.AliasEligible,
-		})
 	}
 	return rows, nil
-}
-
-// RunScenario performs the full pipeline experiment for one scenario of
-// the Table 1 suite: the pipeline's Compare mode. Its result is the row of
-// Tables 4 and 5 and of the distribution figures.
-func RunScenario(ctx context.Context, name string) (*pipeline.Result, error) {
-	return pipeline.Run(ctx, pipeline.Spec{Scenarios: []string{name}, Compare: true})
 }
 
 // Tables4And5 runs every scenario of Table 1 through the pipeline. One
@@ -127,7 +65,7 @@ func RunScenario(ctx context.Context, name string) (*pipeline.Result, error) {
 // come back in Table 1 order.
 func Tables4And5(ctx context.Context) ([]*pipeline.Result, error) {
 	return par.Map(ctx, scenario.Table1(), func(ctx context.Context, s scenario.Info) (*pipeline.Result, error) {
-		row, err := RunScenario(ctx, s.Name)
+		row, err := pipeline.Run(ctx, pipeline.Spec{Scenarios: []string{s.Name}, Compare: true})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", s.Name, err)
 		}
@@ -162,7 +100,7 @@ var figureSpecs = []figureSpec{
 // worker on a bounded pool, in the paper's figure order.
 func Figures(ctx context.Context) ([]FigureRow, error) {
 	return par.Map(ctx, figureSpecs, func(ctx context.Context, spec figureSpec) (FigureRow, error) {
-		res, err := RunScenario(ctx, spec.scenario)
+		res, err := pipeline.Run(ctx, pipeline.Spec{Scenarios: []string{spec.scenario}, Compare: true})
 		if err != nil {
 			return FigureRow{}, err
 		}
@@ -179,19 +117,19 @@ func Figures(ctx context.Context) ([]FigureRow, error) {
 
 // PrintTable2 renders Table 2 in the paper's layout, with the purity
 // grade counts appended (stateless/read-mostly/stateful).
-func PrintTable2(w io.Writer, rows []Table2Row) {
+func PrintTable2(w io.Writer, rows []*analysis.ClassifierEval) {
 	fmt.Fprintf(w, "%-24s %10s %8s %12s %12s %14s %8s\n",
 		"Instance Classifier", "Profiled", "New", "Inst/Class", "Avg Corr", "SL/RM/SF", "Alias+")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-24s %10d %8d %12.1f %12.3f %14s %8d\n",
 			r.Classifier, r.ProfiledClassifications, r.NewClassifications,
-			r.AvgInstances, r.AvgCorrelation,
+			r.AvgInstancesPerClassification, r.AvgCorrelation,
 			fmt.Sprintf("%d/%d/%d", r.Stateless, r.ReadMostly, r.Stateful), r.AliasEligible)
 	}
 }
 
 // PrintTable3 renders Table 3, with the purity grade counts appended.
-func PrintTable3(w io.Writer, rows []Table3Row) {
+func PrintTable3(w io.Writer, rows []*analysis.ClassifierEval) {
 	fmt.Fprintf(w, "%-12s %10s %12s %12s %14s %8s\n", "Stack Depth", "Profiled", "Inst/Class", "Avg Corr", "SL/RM/SF", "Alias+")
 	for _, r := range rows {
 		depth := fmt.Sprintf("%d", r.Depth)
@@ -199,7 +137,7 @@ func PrintTable3(w io.Writer, rows []Table3Row) {
 			depth = "complete"
 		}
 		fmt.Fprintf(w, "%-12s %10d %12.1f %12.3f %14s %8d\n",
-			depth, r.ProfiledClassifications, r.AvgInstances, r.AvgCorrelation,
+			depth, r.ProfiledClassifications, r.AvgInstancesPerClassification, r.AvgCorrelation,
 			fmt.Sprintf("%d/%d/%d", r.Stateless, r.ReadMostly, r.Stateful), r.AliasEligible)
 	}
 }

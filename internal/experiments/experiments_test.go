@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
 )
@@ -18,7 +19,7 @@ func TestTable2Shape(t *testing.T) {
 	if len(rows) != 7 {
 		t.Fatalf("rows = %d, want 7 classifiers", len(rows))
 	}
-	byName := map[string]Table2Row{}
+	byName := map[string]*analysis.ClassifierEval{}
 	for _, r := range rows {
 		byName[r.Classifier] = r
 	}
@@ -74,7 +75,7 @@ func TestTable3Shape(t *testing.T) {
 
 func TestRunScenarioAndPrinters(t *testing.T) {
 	t.Parallel()
-	row, err := RunScenario(context.Background(), "b_vueone")
+	row, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{"b_vueone"}, Compare: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestRunScenarioAndPrinters(t *testing.T) {
 	if !strings.Contains(sb.String(), "b_vueone") {
 		t.Error("printers dropped the scenario")
 	}
-	if _, err := RunScenario(context.Background(), "nope"); err == nil {
+	if _, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{"nope"}, Compare: true}); err == nil {
 		t.Error("unknown scenario ran")
 	}
 }
@@ -101,7 +102,7 @@ func TestFigureHelpers(t *testing.T) {
 		figure, scenario string
 		server           int
 	}{{"Figure 7", "o_oldtb0", 1}, {"Figure 5", "o_oldwp7", 2}} {
-		res, err := RunScenario(context.Background(), tc.scenario)
+		res, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{tc.scenario}, Compare: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +256,7 @@ func TestFiguresBundleAndPrinter(t *testing.T) {
 
 func TestDistributionDrillDown(t *testing.T) {
 	t.Parallel()
-	res, err := RunScenario(context.Background(), "p_oldmsr")
+	res, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{"p_oldmsr"}, Compare: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestTable2OtherApplications(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
-		byName := map[string]Table2Row{}
+		byName := map[string]*analysis.ClassifierEval{}
 		for _, r := range rows {
 			byName[r.Classifier] = r
 		}

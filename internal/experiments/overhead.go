@@ -26,8 +26,9 @@ type OverheadRow struct {
 	DistributionOverhead float64 // (distribution-bare)/bare
 }
 
-// MeasureOverhead runs one scenario repeatedly under the bare, profiling,
-// and distribution-informer configurations and reports median wall times.
+// MeasureOverhead runs one scenario reps times under each of the bare,
+// profiling, and distribution-informer configurations and reports the
+// best (minimum) wall time of each.
 func MeasureOverhead(scenName string, reps int) (*OverheadRow, error) {
 	info, err := scenario.Lookup(scenName)
 	if err != nil {
@@ -82,7 +83,7 @@ func MeasureOverhead(scenName string, reps int) (*OverheadRow, error) {
 	return row, nil
 }
 
-// PrintOverhead renders an overhead row.
+// String renders the row on one line, as `coign overhead` prints it.
 func (r *OverheadRow) String() string {
 	return fmt.Sprintf("%s: bare=%v profiling=%v (+%.0f%%) distribution=%v (+%.0f%%)",
 		r.Scenario, r.Bare, r.Profiling, r.ProfilingOverhead*100,

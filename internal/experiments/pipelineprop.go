@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -18,6 +19,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/par"
+	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/purity"
 	"repro/internal/staticanal"
@@ -100,11 +102,8 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 
 	// Generator invariants: the app is well formed and regenerating it is
 	// byte-identical (the reproducibility contract `coign synth` exposes).
-	if verr := synthapp.Validate(a.App); verr != nil {
-		rep.check("app-validates", false, verr.Error())
-	} else {
-		rep.check("app-validates", true, "")
-	}
+	verr := synthapp.Validate(a.App)
+	rep.check("app-validates", verr == nil, fmt.Sprint(verr))
 	if b, gerr := synthapp.Generate(cfg); gerr != nil {
 		return nil, gerr
 	} else {
@@ -118,14 +117,23 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 		rep.check("regeneration-byte-identical", bytes.Equal(ab.Bytes(), bb.Bytes()), "second Generate produced a different image")
 	}
 
-	// reach → staticanal → coverage, installing conservative co-location
-	// constraints for every uncovered edge.
-	adps := core.New(a.App)
-	adps.Seed = cfg.Seed + 1
-	cov, prof, err := adps.CoverageReport(a.Training, true)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: coverage of %s: %w", a.App.Name, err)
+	// The production path: reach → staticanal → profile → coverage
+	// (installing a conservative co-location constraint for every
+	// uncovered edge) → cut, with the replication-aware cut alongside so
+	// its monotonicity invariant is swept on every topology.
+	spec := pipeline.Spec{
+		App:       fmt.Sprintf("synth:%s:%d:%d", cfg.Family, cfg.Seed, a.Config.Scale),
+		Scenarios: a.Training,
+		Coverage:  true,
+		Replicate: true,
+		Seed:      cfg.Seed + 1,
 	}
+	run, err := pipeline.Run(ctx, spec)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: pipeline run of %s: %w", a.App.Name, err)
+	}
+	adps, prof, ares := run.ADPS, run.Profile, run.Analysis
+	cov := adps.Reach.Coverage(prof)
 	uncoveredEdge := make(map[[2]string]bool)
 	for _, e := range cov.Edges {
 		if !e.Covered {
@@ -140,23 +148,13 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 			fmt.Sprintf("planted edge %s -> %s not reported uncovered", pair[0], pair[1]))
 	}
 
-	// Cut the combined training profile, with the replication-aware cut
-	// alongside so its monotonicity invariant is swept on every topology.
-	adps.AnalysisOptions.Replicate = true
-	ares, err := adps.Analyze(ctx, prof)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: analyzing %s: %w", a.App.Name, err)
-	}
 	rep.GraphNodes = ares.Graph.Len()
 	rep.GraphEdges = ares.Graph.Edges()
 	rep.CutWeight = ares.Cut.Weight
 	rep.DefaultViolations = ares.DefaultViolations
 
-	if verr := ares.Graph.Validate(); verr != nil {
-		rep.check("graph-validates", false, verr.Error())
-	} else {
-		rep.check("graph-validates", true, "")
-	}
+	verr = ares.Graph.Validate()
+	rep.check("graph-validates", verr == nil, fmt.Sprint(verr))
 
 	// DefaultViolations must be reported exactly when the family plants an
 	// infeasible default distribution.
@@ -168,31 +166,9 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 			fmt.Sprintf("family plants no infeasible default but analysis reported %d violations", ares.DefaultViolations))
 	}
 
-	// Monotonicity: dropping the co-location welds can only cheapen the
-	// cut, so the constrained weight must be >= the relaxed weight.
-	relaxed, err := ares.Graph.WithoutCoLocations().MinCut()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: relaxed cut of %s: %w", a.App.Name, err)
-	}
-	rep.RelaxedWeight = relaxed.Weight
-	rep.check("constrained-not-cheaper-than-relaxed",
-		ares.Cut.Weight >= relaxed.Weight-propEps*(1+relaxed.Weight),
-		fmt.Sprintf("constrained cut %.9g < relaxed cut %.9g", ares.Cut.Weight, relaxed.Weight))
-
-	// On small instances the push-relabel cut must match the Edmonds-Karp
-	// oracle exactly.
-	if ares.Graph.Len() <= 80 {
-		ek, err := ares.Graph.MinCutEdmondsKarp()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: oracle cut of %s: %w", a.App.Name, err)
-		}
-		diff := ares.Cut.Weight - ek.Weight
-		if diff < 0 {
-			diff = -diff
-		}
-		rep.check("cut-matches-edmonds-karp",
-			diff <= propEps*(1+ek.Weight),
-			fmt.Sprintf("push-relabel %.9g vs Edmonds-Karp %.9g", ares.Cut.Weight, ek.Weight))
+	if rep.RelaxedWeight, err = rep.checkCutAgainstFloorAndOracle(ares,
+		"constrained-not-cheaper-than-relaxed", "cut-matches-edmonds-karp"); err != nil {
+		return nil, fmt.Errorf("experiments: oracle cuts of %s: %w", a.App.Name, err)
 	}
 
 	// Incremental re-cut determinism: the arena-backed engine must be an
@@ -293,20 +269,12 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	// on small graphs), the refined replication set must contain the
 	// plain one, and the planted aliasing/decoy pairs must come out the
 	// way the generator seeded them.
-	adpsA := core.New(a.App)
-	adpsA.Seed = cfg.Seed + 1
-	if err := adpsA.EnableAlias(); err != nil {
-		return nil, fmt.Errorf("experiments: alias analysis of %s: %w", a.App.Name, err)
-	}
-	_, profA, err := adpsA.CoverageReport(a.Training, true)
+	spec.Alias = true
+	runA, err := pipeline.Run(ctx, spec)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: refined coverage of %s: %w", a.App.Name, err)
+		return nil, fmt.Errorf("experiments: alias-refined pipeline run of %s: %w", a.App.Name, err)
 	}
-	adpsA.AnalysisOptions.Replicate = true
-	aresA, err := adpsA.Analyze(ctx, profA)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: refined analysis of %s: %w", a.App.Name, err)
-	}
+	adpsA, profA, aresA := runA.ADPS, runA.Profile, runA.Analysis
 	rep.RefinedCutWeight = aresA.Cut.Weight
 	refinedCS := adpsA.AnalysisOptions.Constraints
 	rep.AliasPairs = len(refinedCS.AliasPairs)
@@ -318,25 +286,9 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	rep.check("alias-refined-no-errors", errors == 0,
 		fmt.Sprintf("%d error finding(s) on the refined cut: %v", errors, aresA.Findings))
 
-	relaxedA, err := aresA.Graph.WithoutCoLocations().MinCut()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: relaxed refined cut of %s: %w", a.App.Name, err)
-	}
-	rep.check("alias-refined-not-cheaper-than-relaxed",
-		aresA.Cut.Weight >= relaxedA.Weight-propEps*(1+relaxedA.Weight),
-		fmt.Sprintf("refined cut %.9g < relaxed cut %.9g", aresA.Cut.Weight, relaxedA.Weight))
-	if aresA.Graph.Len() <= 80 {
-		ek, err := aresA.Graph.MinCutEdmondsKarp()
-		if err != nil {
-			return nil, fmt.Errorf("experiments: refined oracle cut of %s: %w", a.App.Name, err)
-		}
-		diff := aresA.Cut.Weight - ek.Weight
-		if diff < 0 {
-			diff = -diff
-		}
-		rep.check("alias-cut-matches-edmonds-karp",
-			diff <= propEps*(1+ek.Weight),
-			fmt.Sprintf("refined push-relabel %.9g vs Edmonds-Karp %.9g", aresA.Cut.Weight, ek.Weight))
+	if _, err := rep.checkCutAgainstFloorAndOracle(aresA,
+		"alias-refined-not-cheaper-than-relaxed", "alias-cut-matches-edmonds-karp"); err != nil {
+		return nil, fmt.Errorf("experiments: refined oracle cuts of %s: %w", a.App.Name, err)
 	}
 
 	// The alias-refined purity closure may only free components: the
@@ -380,29 +332,28 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	// Planted aliasing pairs must be proven shared-mutable; decoy pairs
 	// exchange immutable payloads and must end up neither shared-mutable
 	// nor welded by the refined constraints.
-	if ar := adpsA.Alias; ar != nil {
-		for _, pair := range a.AliasPlantPairs {
-			_, shared := ar.SharedMutable(pair[0], pair[1])
-			rep.check("alias-plant-shared-mutable", shared,
-				fmt.Sprintf("planted pair %s/%s not proven to share mutable state", pair[0], pair[1]))
+	ar := adpsA.Alias
+	for _, pair := range a.AliasPlantPairs {
+		_, shared := ar.SharedMutable(pair[0], pair[1])
+		rep.check("alias-plant-shared-mutable", shared,
+			fmt.Sprintf("planted pair %s/%s not proven to share mutable state", pair[0], pair[1]))
+	}
+	for _, pair := range a.AliasDecoyPairs {
+		if _, shared := ar.SharedMutable(pair[0], pair[1]); shared {
+			rep.check("alias-decoy-immutable", false,
+				fmt.Sprintf("decoy pair %s/%s wrongly proven shared-mutable", pair[0], pair[1]))
+			continue
 		}
-		for _, pair := range a.AliasDecoyPairs {
-			if _, shared := ar.SharedMutable(pair[0], pair[1]); shared {
-				rep.check("alias-decoy-immutable", false,
-					fmt.Sprintf("decoy pair %s/%s wrongly proven shared-mutable", pair[0], pair[1]))
-				continue
-			}
-			_, weldAB := refinedCS.MustCoLocate(pair[0], pair[1])
-			_, weldBA := refinedCS.MustCoLocate(pair[1], pair[0])
-			rep.check("alias-decoy-immutable", !weldAB && !weldBA,
-				fmt.Sprintf("decoy pair %s/%s still welded by the refined constraints", pair[0], pair[1]))
-		}
+		_, weldAB := refinedCS.MustCoLocate(pair[0], pair[1])
+		_, weldBA := refinedCS.MustCoLocate(pair[1], pair[0])
+		rep.check("alias-decoy-immutable", !weldAB && !weldBA,
+			fmt.Sprintf("decoy pair %s/%s still welded by the refined constraints", pair[0], pair[1]))
 	}
 
 	// The canonical shared-state report must be byte-stable: scanning the
 	// same application twice encodes identically.
 	var j1, j2 bytes.Buffer
-	if err := adpsA.Alias.WriteJSON(&j1); err != nil {
+	if err := ar.WriteJSON(&j1); err != nil {
 		return nil, err
 	}
 	ar2, err := alias.Scan(binimg.BuildImage(a.App), a.App, adpsA.Reach)
@@ -451,6 +402,31 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 			c1.Clock.Elapsed(), c2.Clock.Elapsed(), c1.Retries, c2.Retries, c1.FaultDrops, c2.FaultDrops))
 
 	return rep, nil
+}
+
+// checkCutAgainstFloorAndOracle records two verdicts on an analysis's cut
+// and returns the relaxed weight. Monotonicity: dropping the co-location
+// welds can only cheapen the cut, so the constrained weight must be >= the
+// relaxed weight. Exactness: on small instances the push-relabel cut must
+// match the Edmonds-Karp oracle.
+func (r *PipelineReport) checkCutAgainstFloorAndOracle(ares *analysis.Result, floorCheck, oracleCheck string) (float64, error) {
+	relaxed, err := ares.Graph.WithoutCoLocations().MinCut()
+	if err != nil {
+		return 0, err
+	}
+	r.check(floorCheck,
+		ares.Cut.Weight >= relaxed.Weight-propEps*(1+relaxed.Weight),
+		fmt.Sprintf("constrained cut %.9g < relaxed cut %.9g", ares.Cut.Weight, relaxed.Weight))
+	if ares.Graph.Len() <= 80 {
+		ek, err := ares.Graph.MinCutEdmondsKarp()
+		if err != nil {
+			return 0, err
+		}
+		r.check(oracleCheck,
+			math.Abs(ares.Cut.Weight-ek.Weight) <= propEps*(1+ek.Weight),
+			fmt.Sprintf("push-relabel %.9g vs Edmonds-Karp %.9g", ares.Cut.Weight, ek.Weight))
+	}
+	return relaxed.Weight, nil
 }
 
 // classGraded reports whether at least one classification of the class

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/pipeline"
+	"repro/internal/scenario"
 	"repro/internal/synthapp"
 )
 
@@ -30,6 +32,21 @@ func TestPipelinePropertyAllFamilies(t *testing.T) {
 				}
 				if rep.Failed == 0 && rep.UncoveredEdges == 0 {
 					t.Error("no uncovered edges reported despite planted latent activations")
+				}
+				// The harness rides the production path: the same spec through
+				// pipeline.Run cuts to the same weight, bit for bit.
+				if fam == synthapp.ThreeTier {
+					name := fmt.Sprintf("synth:%s:%d", fam, seed)
+					res, err := pipeline.Run(context.Background(), pipeline.Spec{
+						App: name, Scenarios: scenario.TrainingForApp(name),
+						Coverage: true, Replicate: true, Seed: seed + 1,
+					})
+					if err != nil {
+						t.Fatalf("pipeline.Run: %v", err)
+					}
+					if res.Analysis.Cut.Weight != rep.CutWeight {
+						t.Errorf("harness cut weight %v, pipeline.Run %v", rep.CutWeight, res.Analysis.Cut.Weight)
+					}
 				}
 			})
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/alias"
 	"repro/internal/analysis"
+	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/purity"
 	"repro/internal/reach"
@@ -139,35 +140,21 @@ func TrainingScenarios(appName string) []string {
 	return scenario.TrainingForApp(appName)
 }
 
-// Report opens one analysis session for the application, profiles the
-// scenarios once (nil selects TrainingScenarios) and reads all four
-// sections off that profile: the baseline analysis, with replication on,
-// feeds check and purity; the profile diffed against the static
-// reachability graph is coverage; the analysis repeated under the
-// alias-refined constraints is alias. theta <= 0 selects
-// purity.DefaultTheta.
+// Report runs the pipeline once for the application — one session, the
+// scenarios profiled once (nil selects TrainingScenarios) — and reads all
+// four sections off that run: its analysis, with replication on, feeds
+// check and purity; the profile diffed against the static reachability
+// graph is coverage; the analysis repeated under the alias-refined
+// constraints is alias. theta <= 0 selects purity.DefaultTheta.
 func Report(ctx context.Context, appName string, scenarios []string, theta float64) (*AppReport, error) {
-	adps, err := openApp(appName)
-	if err != nil {
-		return nil, err
-	}
 	if len(scenarios) == 0 {
 		scenarios = TrainingScenarios(appName)
 	}
-	if err := adps.Instrument(); err != nil {
-		return nil, err
-	}
-	p, err := adps.ProfileScenarios(scenarios, false)
+	run, err := pipeline.Run(ctx, pipeline.Spec{App: appName, Scenarios: scenarios, Replicate: true, Theta: theta})
 	if err != nil {
 		return nil, err
 	}
-
-	adps.AnalysisOptions.PurityTheta = theta
-	adps.AnalysisOptions.Replicate = true
-	base, err := adps.Analyze(ctx, p)
-	if err != nil {
-		return nil, err
-	}
+	adps, p, base := run.ADPS, run.Profile, run.Analysis
 	baseline := adps.AnalysisOptions.Constraints
 	if err := adps.EnableAlias(); err != nil {
 		return nil, err
@@ -210,6 +197,8 @@ func Report(ctx context.Context, appName string, scenarios []string, theta float
 		CutWeight:  base.Cut.Weight,
 		Replicated: base.Replicated,
 		Report:     pr,
+		// Run cut with Replicate on, so the replicated cut is there.
+		ReplicatedWeight: base.ReplicatedCut.Weight,
 	}
 	for _, ci := range pr.Classes {
 		if ci.HasDescriptor {
@@ -218,9 +207,6 @@ func Report(ctx context.Context, appName string, scenarios []string, theta float
 		if ci.LocallyPure {
 			pur.LocallyPure++
 		}
-	}
-	if base.ReplicatedCut != nil {
-		pur.ReplicatedWeight = base.ReplicatedCut.Weight
 	}
 	pur.Misclassified, pur.Warnings = tally(base.Findings, purity.KindPurityMiss, analysis.KindReplicationRegression)
 
@@ -404,4 +390,21 @@ func WeldedClassPairs(cs *staticanal.ConstraintSet, p *profile.Profile) [][2]str
 		return pairs[i][1] < pairs[j][1]
 	})
 	return pairs
+}
+
+// tally counts the verifier findings of the given hard-error kinds, and
+// the soft warnings every verifier emits for components the static model
+// cannot resolve.
+func tally(findings []staticanal.Finding, kinds ...string) (hard, warnings int) {
+	for _, f := range findings {
+		for _, k := range kinds {
+			if f.Kind == k {
+				hard++
+			}
+		}
+		if f.Kind == staticanal.KindUnknownClass && f.Severity == staticanal.SeverityWarning {
+			warnings++
+		}
+	}
+	return hard, warnings
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/scenario"
 )
@@ -39,22 +40,17 @@ type ThreeTierResult struct {
 // ThreeTier partitions and executes the Benefits bigone scenario across
 // three machines.
 func ThreeTier(ctx context.Context) (*ThreeTierResult, error) {
-	app, err := scenario.NewApp("benefits")
-	if err != nil {
-		return nil, err
-	}
 	big, err := scenario.BigoneForApp("benefits")
 	if err != nil {
 		return nil, err
 	}
-	prof, err := dist.Run(dist.Config{
-		App: app, Scenario: big, Seed: 1, Mode: dist.ModeProfiling,
-		Classifier: classify.New(classify.IFCB, 0),
-	})
+	// Two-way comparison: the exact cut between client and a merged
+	// middle+database side. Its profile also feeds the three-way cut.
+	twoWay, err := pipeline.Run(ctx, pipeline.Spec{Scenarios: []string{big}, Compare: true})
 	if err != nil {
 		return nil, err
 	}
-	p := prof.Profile
+	app, p := twoWay.ADPS.App, twoWay.Profile
 	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
 
 	// Terminals: the GUI-pinned front end belongs to the client, the
@@ -114,13 +110,6 @@ func ThreeTier(ctx context.Context) (*ThreeTierResult, error) {
 		Classifier:   classify.New(classify.IFCB, 0),
 		Distribution: distMap,
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Two-way comparison: the exact cut between client and a merged
-	// middle+database side.
-	twoWay, err := RunScenario(ctx, big)
 	if err != nil {
 		return nil, err
 	}

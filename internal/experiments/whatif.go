@@ -10,7 +10,7 @@ import (
 	"repro/internal/com"
 	"repro/internal/dist"
 	"repro/internal/netsim"
-	"repro/internal/scenario"
+	"repro/internal/pipeline"
 )
 
 // Replay-based what-if analysis. The event logger's traces drive detailed
@@ -38,27 +38,19 @@ type WhatIfResult struct {
 // (client-pinned, server-pinned, and co-located classifications keep their
 // Coign sides; only unconstrained classifications are shuffled).
 func WhatIf(ctx context.Context, scenName string, samples int, seed int64) (*WhatIfResult, error) {
-	info, err := scenario.Lookup(scenName)
+	adps, err := pipeline.Open(pipeline.Spec{Scenarios: []string{scenName}})
 	if err != nil {
 		return nil, err
 	}
-	app, err := scenario.NewApp(info.App)
-	if err != nil {
-		return nil, err
-	}
-	// One profiling run with an event trace.
+	// One profiling run with an event trace; its own profile is analyzed.
 	run, err := dist.Run(dist.Config{
-		App: app, Scenario: scenName, Seed: 1, Mode: dist.ModeProfiling,
+		App: adps.App, Scenario: scenName, Seed: 1, Mode: dist.ModeProfiling,
 		Classifier: classify.New(classify.IFCB, 0), EventTrace: true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	adps, p, err := profileScenario(scenName)
-	if err != nil {
-		return nil, err
-	}
-	res, err := adps.Analyze(ctx, p)
+	res, err := adps.Analyze(ctx, run.Profile)
 	if err != nil {
 		return nil, err
 	}

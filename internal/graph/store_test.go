@@ -150,9 +150,9 @@ func TestUnchangedRecutNeverFallsBack(t *testing.T) {
 }
 
 // TestArenaMatchesByContent: one arena cutting two distinct Graph values
-// of equal topology — what pipeline's Compare mode, experiments.Adaptive
-// and adapt.Recutter do, each handed a fresh graph from analysis.Analyze
-// per call — rewrites capacities for the second instead of restaging.
+// of equal topology — what experiments.Adaptive and experiments.Report
+// do, each handed a fresh graph from analysis.Analyze per call — rewrites
+// capacities for the second instead of restaging.
 func TestArenaMatchesByContent(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()

@@ -74,7 +74,17 @@ func (s Spec) Normalized() (Spec, error) {
 	if len(s.Scenarios) == 0 {
 		return s, fmt.Errorf("pipeline: spec needs at least one scenario")
 	}
+	return s.checked()
+}
+
+// checked is Normalized without the rule that a spec names a scenario,
+// which only a run that profiles needs: Open and Analyze take a spec that
+// names just the app.
+func (s Spec) checked() (Spec, error) {
 	if s.App == "" {
+		if len(s.Scenarios) == 0 {
+			return s, fmt.Errorf("pipeline: cannot infer app: spec names neither an app nor a scenario")
+		}
 		info, err := scenario.Lookup(s.Scenarios[0])
 		if err != nil {
 			return s, fmt.Errorf("pipeline: cannot infer app: %w", err)
@@ -113,26 +123,12 @@ type Sides struct {
 }
 
 // Placement is one server-side class with its profiled instance count.
-type Placement struct {
-	Classification string `json:"classification"`
-	Class          string `json:"class"`
-	Instances      int64  `json:"instances"`
-}
+type Placement = analysis.ComponentPlacement
 
 // Experiment is the end-to-end comparison of Compare mode: the measured
 // default and Coign communication times and the prediction accuracy (the
 // Tables 4 and 5 columns).
-type Experiment struct {
-	DefaultComm     time.Duration `json:"defaultCommNs"`
-	CoignComm       time.Duration `json:"coignCommNs"`
-	Savings         float64       `json:"savings"`
-	PredictedExec   time.Duration `json:"predictedExecNs"`
-	MeasuredExec    time.Duration `json:"measuredExecNs"`
-	PredictionErr   float64       `json:"predictionErr"`
-	TotalInstances  int           `json:"totalInstances"`
-	ServerInstances int           `json:"serverInstances"`
-	Violations      int           `json:"violations"`
-}
+type Experiment = core.Experiment
 
 // Result is one run's canonical outcome. Every exported JSON field is
 // deterministic for a given spec: slices are sorted or catalog-ordered and
@@ -167,7 +163,7 @@ type Result struct {
 	NonRemotableCleared int `json:"nonRemotableCleared,omitempty"`
 
 	// ServerPlacements lists every server-side classification, sorted by
-	// class then classification id.
+	// classification id.
 	ServerPlacements []Placement `json:"serverPlacements,omitempty"`
 
 	// Replicated lists replication-eligible nodes actually cloned by the
@@ -190,10 +186,14 @@ type Result struct {
 	ADPS     *core.ADPS       `json:"-"`
 }
 
-// Run executes one partitioning request end to end. The context reaches
-// the cut engine: cancelling it aborts the run mid-cut.
-func Run(ctx context.Context, spec Spec) (*Result, error) {
-	spec, err := spec.Normalized()
+// Open builds the configured analysis session a spec asks for: it
+// resolves the application (by name, "synth:..." included, or from the
+// first scenario), the network model and the classifier, opens the
+// session and fails on a failed static scan, and applies the spec's seed,
+// analysis options and alias refinement. It is the one place a session is
+// built from names; Run and every command that needs one call it.
+func Open(spec Spec) (*core.ADPS, error) {
+	spec, err := spec.checked()
 	if err != nil {
 		return nil, err
 	}
@@ -220,65 +220,69 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	adps.AnalysisOptions.ExactPricing = spec.ExactPricing
 	adps.AnalysisOptions.PurityTheta = spec.Theta
 	adps.AnalysisOptions.Replicate = spec.Replicate
-	// One arena per run: every cut the run performs shares the CSR arrays,
-	// and repeated analyses of one topology (compare mode re-analyzes
-	// after writing the distribution) warm-start from the previous flow.
-	// The replicated cut runs on a different topology — replicated nodes'
-	// edges vanish — so it gets its own arena rather than forcing the
-	// shared one to restage on every alternation.
+	// One arena per session: every cut the session performs shares the CSR
+	// arrays, and repeated analyses of one topology warm-start from the
+	// previous flow. The replicated cut runs on a different topology —
+	// replicated nodes' edges vanish — so it gets its own arena rather
+	// than forcing the shared one to restage on every alternation.
 	adps.AnalysisOptions.Arena = graph.NewCutArena()
 	if spec.Replicate {
 		adps.AnalysisOptions.ReplicaArena = graph.NewCutArena()
 	}
+	// Alias refinement replaces the constraint set, so it precedes the
+	// coverage installation that adds pairs to that set.
 	if spec.Alias {
 		if err := adps.EnableAlias(); err != nil {
 			return nil, err
 		}
 	}
+	return adps, nil
+}
 
-	res := &Result{Spec: spec, Version: version.String(), ADPS: adps}
-	if spec.Alias {
-		res.AliasPairs = len(adps.AnalysisOptions.Constraints.AliasPairs)
+// Run executes one partitioning request end to end: open the session,
+// instrument, profile, install coverage constraints, apply the pins, cut,
+// summarize, and in Compare mode execute the chosen distribution. The
+// context reaches the cut engine: cancelling it aborts the run mid-cut.
+func Run(ctx context.Context, spec Spec) (*Result, error) {
+	spec, err := spec.Normalized()
+	if err != nil {
+		return nil, err
+	}
+	return run(ctx, spec, nil)
+}
+
+// Analyze is Run for a caller that already holds the profile — logs read
+// back from .icc files — and so skips instrumenting and profiling. The
+// spec need name no scenario, only the app; Compare fails, since the
+// session profiled nothing to predict an execution from.
+func Analyze(ctx context.Context, spec Spec, prof *profile.Profile) (*Result, error) {
+	spec, err := spec.checked()
+	if err != nil {
+		return nil, err
+	}
+	return run(ctx, spec, prof)
+}
+
+// run is the one path behind Run and Analyze, on a checked spec; it
+// profiles the spec's scenarios unless the caller brought the profile.
+func run(ctx context.Context, spec Spec, prof *profile.Profile) (*Result, error) {
+	adps, err := Open(spec)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
-
-	if spec.Compare {
-		rep, err := adps.ScenarioExperiment(ctx, spec.Scenarios[0])
-		if err != nil {
-			return nil, err
-		}
-		res.CutDuration = time.Since(start)
-		res.fillAnalysis(rep.Analysis, nil)
-		res.Experiment = &Experiment{
-			DefaultComm:     rep.DefaultComm,
-			CoignComm:       rep.CoignComm,
-			Savings:         rep.Savings,
-			PredictedExec:   rep.PredictedExec,
-			MeasuredExec:    rep.MeasuredExec,
-			PredictionErr:   rep.PredictionErr,
-			TotalInstances:  rep.TotalInstances,
-			ServerInstances: rep.ServerInstances,
-			Violations:      rep.Violations,
-		}
-		return res, nil
-	}
-
-	var prof *profile.Profile
-	if spec.Coverage {
-		// CoverageReport instruments, profiles, and installs uncovered
-		// edges as conservative co-location welds in one pass.
-		_, prof, err = adps.CoverageReport(spec.Scenarios, true)
-		if err != nil {
-			return nil, err
-		}
-	} else {
+	if prof == nil {
 		if err := adps.Instrument(); err != nil {
 			return nil, err
 		}
-		prof, err = adps.ProfileScenarios(spec.Scenarios, false)
-		if err != nil {
+		if prof, err = adps.ProfileScenarios(spec.Scenarios, false); err != nil {
 			return nil, err
 		}
+	}
+	if spec.Coverage {
+		// Uncovered statically reachable edges become conservative
+		// co-location welds.
+		adps.Reach.Coverage(prof).InstallConstraints(adps.AnalysisOptions.Constraints)
 	}
 	if err := applyPins(adps, prof, spec.Pins); err != nil {
 		return nil, err
@@ -287,8 +291,19 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.CutDuration = time.Since(start)
+	res := &Result{Spec: spec, Version: version.String(), ADPS: adps}
+	if spec.Alias {
+		res.AliasPairs = len(adps.AnalysisOptions.Constraints.AliasPairs)
+	}
 	res.fillAnalysis(ares, prof)
+	if spec.Compare {
+		rep, err := adps.Execute(spec.Scenarios[0], ares)
+		if err != nil {
+			return nil, err
+		}
+		res.Experiment = &rep.Experiment
+	}
+	res.CutDuration = time.Since(start)
 	return res, nil
 }
 
@@ -306,14 +321,9 @@ func applyPins(adps *core.ADPS, prof *profile.Profile, pins map[string]string) e
 	}
 	sort.Strings(classes)
 	for _, class := range classes {
-		var m com.Machine
-		switch pins[class] {
-		case "client":
-			m = com.Client
-		case "server":
+		m := com.Client // Normalized admits only "client" and "server"
+		if pins[class] == "server" {
 			m = com.Server
-		default:
-			return fmt.Errorf("pipeline: pin %s=%q: machine must be client or server", class, pins[class])
 		}
 		matched := 0
 		for id, ci := range prof.Classifications {
@@ -330,8 +340,8 @@ func applyPins(adps *core.ADPS, prof *profile.Profile, pins map[string]string) e
 }
 
 // fillAnalysis copies the analysis engine's outcome into the canonical
-// result fields. prof may be nil (Compare mode reuses the experiment's
-// internal profile only for placements when available).
+// result fields. A Compare result lists no server placements: its
+// canonical bytes are the Tables 4 and 5 rows, which carry the counts only.
 func (r *Result) fillAnalysis(ares *analysis.Result, prof *profile.Profile) {
 	r.Analysis = ares
 	r.Profile = prof
@@ -352,16 +362,8 @@ func (r *Result) fillAnalysis(ares *analysis.Result, prof *profile.Profile) {
 	r.NonRemotableCleared = ares.NonRemotableCleared
 	r.Findings = len(ares.Findings)
 	r.Replicated = ares.Replicated
-	if ares.ReplicatedCut != nil {
-		r.ReplicatedComm = ares.ReplicatedComm
-	}
-	if prof != nil {
-		for _, cp := range ares.ServerComponents(prof) {
-			r.ServerPlacements = append(r.ServerPlacements, Placement{
-				Classification: cp.Classification,
-				Class:          cp.Class,
-				Instances:      cp.Instances,
-			})
-		}
+	r.ReplicatedComm = ares.ReplicatedComm
+	if !r.Spec.Compare {
+		r.ServerPlacements = ares.ServerComponents(prof)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/com"
 	"repro/internal/scenario"
 )
 
@@ -76,8 +77,7 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunCompare: compare mode fills the experiment block and matches the
-// historical experiments.RunScenario numbers by construction.
+// TestRunCompare: compare mode fills the experiment block.
 func TestRunCompare(t *testing.T) {
 	t.Parallel()
 	res, err := Run(context.Background(), Spec{Scenarios: []string{"b_vueone"}, Compare: true})
@@ -92,29 +92,111 @@ func TestRunCompare(t *testing.T) {
 	}
 }
 
+// TestRunPins: a pin is honoured — and a pin matching nothing is an error —
+// in cut mode and in Compare mode alike. Unpinned, o_oldwp0 puts only
+// FileStore on the server.
 func TestRunPins(t *testing.T) {
 	t.Parallel()
-	res, err := Run(context.Background(), Spec{
-		Scenarios: []string{"o_oldwp0"},
-		Pins:      map[string]string{"DocReader": "server"},
-	})
-	if err != nil {
-		t.Fatalf("Run with pin: %v", err)
-	}
-	found := false
-	for _, p := range res.ServerPlacements {
-		if p.Class == "DocReader" {
-			found = true
+	for _, compare := range []bool{false, true} {
+		res, err := Run(context.Background(), Spec{
+			Scenarios: []string{"o_oldwp0"},
+			Pins:      map[string]string{"DocReader": "server"},
+			Compare:   compare,
+		})
+		if err != nil {
+			t.Fatalf("compare=%v: Run with pin: %v", compare, err)
+		}
+		pinned := 0
+		for id, ci := range res.Profile.Classifications {
+			if ci.Class != "DocReader" {
+				continue
+			}
+			pinned++
+			if m := res.Analysis.Distribution[id]; m != com.Server {
+				t.Errorf("compare=%v: pinned classification %s placed on %v", compare, id, m)
+			}
+		}
+		if pinned == 0 {
+			t.Errorf("compare=%v: no DocReader classification profiled", compare)
+		}
+		if compare && res.Experiment.Violations != 0 {
+			t.Errorf("pinned distribution ran with %d violations", res.Experiment.Violations)
+		}
+		if _, err := Run(context.Background(), Spec{
+			Scenarios: []string{"o_oldwp0"},
+			Pins:      map[string]string{"NoSuchClass": "server"},
+			Compare:   compare,
+		}); err == nil || !strings.Contains(err.Error(), "matched no profiled classifications") {
+			t.Errorf("compare=%v: unmatched pin err = %v", compare, err)
 		}
 	}
-	if !found {
-		t.Fatal("pinned class DocReader not on the server side")
+}
+
+// TestOpen: the opener rejects a name it cannot resolve, and with Alias
+// returns a session whose refinement is already installed.
+func TestOpen(t *testing.T) {
+	t.Parallel()
+	for _, bad := range []Spec{
+		{App: "solitaire"},
+		{},
+		{App: "octarine", Network: "carrier-pigeon"},
+		{App: "octarine", Classifier: "nope"},
+		{App: "synth:three-tier:x"},
+	} {
+		if adps, err := Open(bad); err == nil || adps != nil {
+			t.Errorf("Open(%+v) = %v, %v; want an error and no session", bad, adps, err)
+		}
 	}
-	if _, err := Run(context.Background(), Spec{
-		Scenarios: []string{"o_oldwp0"},
-		Pins:      map[string]string{"NoSuchClass": "server"},
-	}); err == nil || !strings.Contains(err.Error(), "matched no profiled classifications") {
-		t.Fatalf("unmatched pin err = %v", err)
+	adps, err := Open(Spec{App: "synth:read-replica:1", Alias: true})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if adps.Alias == nil {
+		t.Fatal("Alias spec opened a session without the points-to result")
+	}
+	if adps.AnalysisOptions.Constraints == adps.Static.Constraints || adps.AnalysisOptions.Purity == adps.Purity {
+		t.Error("alias-refined constraint set and purity closure not installed")
+	}
+	if adps.Image.Instrumented() {
+		t.Error("Open instrumented the image; that is Run's step")
+	}
+}
+
+// TestAnalyze: a profile in hand gets Run's tail — the same cut, coverage
+// and pins honoured — from a spec that names only the app; there is no
+// profiling run to compare against, so Compare fails.
+func TestAnalyze(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	run, err := Run(ctx, Spec{Scenarios: []string{"o_oldwp0"}, Coverage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.CoverageCoLocations == 0 {
+		t.Fatal("o_oldwp0 leaves no uncovered edge to weld")
+	}
+	spec := Spec{App: "octarine", Coverage: true}
+	res, err := Analyze(ctx, spec, run.Profile)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	if res.PredictedComm != run.PredictedComm || res.Instances != run.Instances ||
+		res.CoverageCoLocations != run.CoverageCoLocations || len(res.ServerPlacements) != len(run.ServerPlacements) {
+		t.Errorf("Analyze = %v %+v %d welds, Run = %v %+v %d welds", res.PredictedComm, res.Instances,
+			res.CoverageCoLocations, run.PredictedComm, run.Instances, run.CoverageCoLocations)
+	}
+	var sb strings.Builder
+	if res.WriteText(&sb); !strings.HasPrefix(sb.String(), "octarine on 10BaseT (ifcb classifier)\n") {
+		t.Errorf("scenario-less header: %q", sb.String())
+	}
+	spec.Pins = map[string]string{"NoSuchClass": "server"}
+	if _, err := Analyze(ctx, spec, run.Profile); err == nil || !strings.Contains(err.Error(), "matched no profiled classifications") {
+		t.Errorf("unmatched pin err = %v", err)
+	}
+	for _, bad := range []Spec{{}, {App: "solitaire"}, {Scenarios: []string{"o_oldwp0"}, Compare: true}} {
+		if _, err := Analyze(ctx, bad, run.Profile); err == nil {
+			t.Errorf("Analyze(%+v) accepted", bad)
+		}
 	}
 }
 

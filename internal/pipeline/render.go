@@ -36,7 +36,11 @@ func MarshalResult(r *Result) ([]byte, error) {
 // historical layout.
 func (r *Result) WriteText(w io.Writer) error {
 	spec := r.Spec
-	fmt.Fprintf(w, "%s on %s (%s classifier)\n", strings.Join(spec.Scenarios, "+"), spec.Network, spec.Classifier)
+	what := strings.Join(spec.Scenarios, "+")
+	if what == "" {
+		what = spec.App // Analyze on logs that name no scenario
+	}
+	fmt.Fprintf(w, "%s on %s (%s classifier)\n", what, spec.Network, spec.Classifier)
 	fmt.Fprintf(w, "  classifications: %d client, %d server (%d constrained, %d non-remotable edges)\n",
 		r.Classifications.Client, r.Classifications.Server, r.Constrained, r.NonRemotableEdges)
 	fmt.Fprintf(w, "  instances:       %d client, %d server\n", r.Instances.Client, r.Instances.Server)

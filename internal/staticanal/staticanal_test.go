@@ -376,10 +376,15 @@ func TestVerifierOnSeedScenarios(t *testing.T) {
 func TestVerifierOctarineWithCoverageConstraints(t *testing.T) {
 	t.Parallel()
 	adps := core.New(octarine.New())
-	cov, prof, err := adps.CoverageReport(scenario.TrainingForApp("octarine"), true)
+	if err := adps.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	prof, err := adps.ProfileScenarios(scenario.TrainingForApp("octarine"), false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cov := adps.Reach.Coverage(prof)
+	cov.InstallConstraints(adps.AnalysisOptions.Constraints)
 	if len(cov.Misses) != 0 {
 		t.Fatalf("octarine static misses: %v", cov.Misses)
 	}

@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/pipeline"
 )
 
 func TestHeadlineFigure5(t *testing.T) {
 	t.Parallel()
-	res, err := experiments.RunScenario(context.Background(), "o_oldwp7")
+	res, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{"o_oldwp7"}, Compare: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestHeadlineFigure5(t *testing.T) {
 
 func TestHeadlineFigure4(t *testing.T) {
 	t.Parallel()
-	res, err := experiments.RunScenario(context.Background(), "p_oldmsr")
+	res, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{"p_oldmsr"}, Compare: true})
 	if err != nil {
 		t.Fatal(err)
 	}
