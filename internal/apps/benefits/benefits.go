@@ -246,7 +246,7 @@ func newDatabase() com.Object {
 			return nil, fmt.Errorf("Database: bad method %s", c.Method)
 		}
 		c.Compute(costDB)
-		return []idl.Value{idl.ByteBuf(make([]byte, dbRowBytes))}, nil
+		return []idl.Value{idl.Zeros(dbRowBytes)}, nil
 	})
 }
 
@@ -342,7 +342,7 @@ func newEmployeeManager() com.Object {
 			if err != nil {
 				return err
 			}
-			_, err = c.Invoke(itf, "Run", idl.ByteBuf(make([]byte, payload)))
+			_, err = c.Invoke(itf, "Run", idl.Zeros(payload))
 			return err
 		}
 		query := func(n int) error {
@@ -391,7 +391,7 @@ func newEmployeeManager() com.Object {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := c.Invoke(citf, "Fill", idl.ByteBuf(make([]byte, recordBytes))); err != nil {
+			if _, err := c.Invoke(citf, "Fill", idl.Zeros(recordBytes)); err != nil {
 				return nil, err
 			}
 			return []idl.Value{idl.IfacePtr(citf)}, nil
@@ -472,7 +472,7 @@ func newReportBuilder() com.Object {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := c.Invoke(aitf, "Run", idl.ByteBuf(make([]byte, 64))); err != nil {
+			if _, err := c.Invoke(aitf, "Run", idl.Zeros(64)); err != nil {
 				return nil, err
 			}
 		}
@@ -486,7 +486,7 @@ func newReportBuilder() com.Object {
 			}
 			c.Compute(costLogic)
 			if _, err := c.Invoke(graph, "PlotRow",
-				idl.ByteBuf(make([]byte, reportRowBytes))); err != nil {
+				idl.Zeros(reportRowBytes)); err != nil {
 				return nil, err
 			}
 		}
@@ -504,7 +504,7 @@ func newCache() com.Object {
 			return []idl.Value{idl.Int32(int32(filled))}, nil
 		case "GetField":
 			c.Compute(costUI / 4)
-			return []idl.Value{idl.ByteBuf(make([]byte, fieldBytes))}, nil
+			return []idl.Value{idl.Zeros(fieldBytes)}, nil
 		}
 		return nil, fmt.Errorf("cache: bad method %s", c.Method)
 	})
@@ -579,7 +579,7 @@ func (s *session) login() error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.env.Call(nil, sitf, "Run", idl.ByteBuf(make([]byte, 64))); err != nil {
+	if _, err := s.env.Call(nil, sitf, "Run", idl.Zeros(64)); err != nil {
 		return err
 	}
 	val, err := s.env.CreateInstance(nil, "CLSID_Validator")
@@ -617,7 +617,7 @@ func (s *session) browseEmployeeFields(who, fields int) error {
 	// traffic exceeds the terse answers the client receives.
 	for v := 0; v < validationsPer; v++ {
 		if _, err := s.env.Call(nil, s.validator, "Run",
-			idl.ByteBuf(make([]byte, 96))); err != nil {
+			idl.Zeros(96)); err != nil {
 			return err
 		}
 	}
@@ -650,11 +650,11 @@ func (s *session) viewEmployees(n int) error {
 
 func (s *session) addEmployee() error {
 	if _, err := s.env.Call(nil, s.validator, "Run",
-		idl.ByteBuf(make([]byte, 512))); err != nil {
+		idl.Zeros(512)); err != nil {
 		return err
 	}
 	if _, err := s.env.Call(nil, s.mgr, "Add",
-		idl.ByteBuf(make([]byte, recordBytes))); err != nil {
+		idl.Zeros(recordBytes)); err != nil {
 		return err
 	}
 	a, err := s.env.CreateInstance(nil, "CLSID_AuditLog")
@@ -665,7 +665,7 @@ func (s *session) addEmployee() error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.env.Call(nil, aitf, "Run", idl.ByteBuf(make([]byte, 128))); err != nil {
+	if _, err := s.env.Call(nil, aitf, "Run", idl.Zeros(128)); err != nil {
 		return err
 	}
 	return s.browseEmployee(999)
@@ -685,7 +685,7 @@ func (s *session) deleteEmployee() error {
 		if err != nil {
 			return err
 		}
-		if _, err := s.env.Call(nil, itf, "Run", idl.ByteBuf(make([]byte, 256))); err != nil {
+		if _, err := s.env.Call(nil, itf, "Run", idl.Zeros(256)); err != nil {
 			return err
 		}
 	}

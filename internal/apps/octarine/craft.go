@@ -306,7 +306,7 @@ func newPageFrame() com.Object {
 			}
 			out, err := c.Invoke(self, method,
 				idl.IfacePtr(props), idl.IfacePtr(canvas),
-				idl.ByteBuf(make([]byte, pageContentBytes/parasPerPage)))
+				idl.Zeros(pageContentBytes/parasPerPage))
 			if err != nil {
 				return nil, err
 			}

@@ -113,7 +113,7 @@ func registerStorage(b *builder) {
 						n = 0
 					}
 					c.Compute(time.Duration(n/4096+1) * 400 * time.Microsecond)
-					return []idl.Value{idl.ByteBuf(make([]byte, n))}, nil
+					return []idl.Value{idl.Zeros(n)}, nil
 				}
 				return nil, fmt.Errorf("FileStore: bad method %s", c.Method)
 			})

@@ -83,7 +83,7 @@ func newMusicModel() com.Object {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := c.Invoke(itf, "SetCells", idl.ByteBuf(make([]byte, 128))); err != nil {
+			if _, err := c.Invoke(itf, "SetCells", idl.Zeros(128)); err != nil {
 				return nil, err
 			}
 		}
@@ -133,7 +133,7 @@ func newStaff() com.Object {
 			if err != nil {
 				return err
 			}
-			if _, err := c.Invoke(itf, "SetCells", idl.ByteBuf(make([]byte, payload))); err != nil {
+			if _, err := c.Invoke(itf, "SetCells", idl.Zeros(payload)); err != nil {
 				return err
 			}
 			_, err = c.Invoke(itf, "Draw", idl.IfacePtr(canvas))

@@ -145,7 +145,7 @@ func newTableModel() com.Object {
 				if err != nil {
 					return nil, err
 				}
-				if _, err := c.Invoke(hitf, "SetCells", idl.ByteBuf(make([]byte, 256))); err != nil {
+				if _, err := c.Invoke(hitf, "SetCells", idl.Zeros(256)); err != nil {
 					return nil, err
 				}
 				if helper == "CLSID_ColumnSizer" {
@@ -167,7 +167,7 @@ func newTableModel() com.Object {
 				}
 				per := len(out[0].Bytes) / cellsPerPage
 				for i := 0; i < cellsPerPage; i++ {
-					data := idl.ByteBuf(make([]byte, per))
+					data := idl.Zeros(per)
 					var berr error
 					if i%6 == 0 {
 						_, berr = c.Invoke(self, "BuildHeaderCell",
@@ -209,7 +209,7 @@ func newTableModel() com.Object {
 				if err != nil {
 					return nil, err
 				}
-				if _, err := c.Invoke(citf, "SetCells", idl.ByteBuf(make([]byte, per))); err != nil {
+				if _, err := c.Invoke(citf, "SetCells", idl.Zeros(per)); err != nil {
 					return nil, err
 				}
 				if _, err := c.Invoke(citf, "Draw", idl.IfacePtr(canvas)); err != nil {
@@ -240,7 +240,7 @@ func newTableCell() com.Object {
 		case "DrawRuled":
 			canvas := c.Args[0].Iface.(*com.Interface)
 			ruler := c.Args[1].Iface.(*com.Interface)
-			if _, err := c.Invoke(ruler, "SetCells", idl.ByteBuf(make([]byte, 96))); err != nil {
+			if _, err := c.Invoke(ruler, "SetCells", idl.Zeros(96)); err != nil {
 				return nil, err
 			}
 			if _, err := c.Invoke(canvas, "Render", idl.OpaquePtr("hdc")); err != nil {
@@ -289,12 +289,12 @@ func newPagePlanner() com.Object {
 		for round := 0; round < negotiationRounds; round++ {
 			for _, n := range negotiators {
 				if _, err := c.Invoke(n, "Propose",
-					idl.ByteBuf(make([]byte, proposalBytes))); err != nil {
+					idl.Zeros(proposalBytes)); err != nil {
 					return nil, err
 				}
 			}
 		}
-		return []idl.Value{idl.ByteBuf(make([]byte, summaryBytes))}, nil
+		return []idl.Value{idl.Zeros(summaryBytes)}, nil
 	})
 }
 
@@ -316,7 +316,7 @@ func newNegotiator() com.Object {
 				return nil, err
 			}
 			c.Compute(costNegotiate)
-			return []idl.Value{idl.ByteBuf(make([]byte, proposalBytes))}, nil
+			return []idl.Value{idl.Zeros(proposalBytes)}, nil
 		}
 		return nil, fmt.Errorf("negotiator: bad method %s", c.Method)
 	})

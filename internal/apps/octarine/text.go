@@ -173,7 +173,7 @@ func newDocReader() com.Object {
 				}
 				if needsProps {
 					if _, err := c.Invoke(props, "PutRuns",
-						idl.ByteBuf(make([]byte, styleRunBytes))); err != nil {
+						idl.Zeros(styleRunBytes)); err != nil {
 						return nil, err
 					}
 				}
@@ -188,15 +188,15 @@ func newDocReader() com.Object {
 
 		case "PageContent":
 			c.Compute(costParsePage / 8)
-			return []idl.Value{idl.ByteBuf(make([]byte, pageContentBytes))}, nil
+			return []idl.Value{idl.Zeros(pageContentBytes)}, nil
 
 		case "PageCells":
 			c.Compute(costParsePage / 8)
-			return []idl.Value{idl.ByteBuf(make([]byte, cellContentBytes))}, nil
+			return []idl.Value{idl.Zeros(cellContentBytes)}, nil
 
 		case "PageSummary":
 			c.Compute(costParsePage / 64)
-			return []idl.Value{idl.ByteBuf(make([]byte, summaryBytes))}, nil
+			return []idl.Value{idl.Zeros(summaryBytes)}, nil
 
 		case "GetRun":
 			if store == nil {
@@ -209,7 +209,7 @@ func newDocReader() com.Object {
 			}
 			c.Compute(2 * time.Millisecond)
 			_ = out
-			return []idl.Value{idl.ByteBuf(make([]byte, n))}, nil
+			return []idl.Value{idl.Zeros(n)}, nil
 
 		case "GetProps":
 			if props == nil {

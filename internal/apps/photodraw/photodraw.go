@@ -296,7 +296,7 @@ func newImageStore() com.Object {
 		case "ReadBlock":
 			n := int(c.Args[1].AsInt())
 			c.Compute(time.Duration(n/4096+1) * 300 * time.Microsecond)
-			return []idl.Value{idl.ByteBuf(make([]byte, n))}, nil
+			return []idl.Value{idl.Zeros(n)}, nil
 		}
 		return nil, fmt.Errorf("ImageStore: bad method %s", c.Method)
 	})
@@ -448,7 +448,7 @@ func newReader() com.Object {
 				}
 				c.Compute(costDecodeTile)
 				if _, err := c.Invoke(sink, "PushTile",
-					idl.ByteBuf(make([]byte, tileBytes))); err != nil {
+					idl.Zeros(tileBytes)); err != nil {
 					return nil, err
 				}
 				if t%8 == 0 {
@@ -464,7 +464,7 @@ func newReader() com.Object {
 						return nil, err
 					}
 					if _, err := c.Invoke(ps, "Ingest",
-						idl.ByteBuf(make([]byte, propBlobBytes))); err != nil {
+						idl.Zeros(propBlobBytes)); err != nil {
 						return nil, err
 					}
 				}
@@ -491,7 +491,7 @@ func newPropSet() com.Object {
 			return []idl.Value{idl.Int32(int32(ingested / 1024))}, nil
 		case "Query":
 			c.Compute(costProps / 8)
-			return []idl.Value{idl.ByteBuf(make([]byte, queryBytes))}, nil
+			return []idl.Value{idl.Zeros(queryBytes)}, nil
 		}
 		return nil, fmt.Errorf("property set: bad method %s", c.Method)
 	})
@@ -572,7 +572,7 @@ func newTransform() com.Object {
 			return nil, fmt.Errorf("transform: bad method %s", c.Method)
 		}
 		c.Compute(costTransform)
-		return []idl.Value{idl.ByteBuf(make([]byte, len(c.Args[0].Bytes)))}, nil
+		return []idl.Value{idl.Zeros(len(c.Args[0].Bytes))}, nil
 	})
 }
 
@@ -703,7 +703,7 @@ func (s *session) openComposition(shape docShape) error {
 			return err
 		}
 		if _, err := s.env.Call(nil, titf, "Apply",
-			idl.ByteBuf(make([]byte, tileBytes))); err != nil {
+			idl.Zeros(tileBytes)); err != nil {
 			return err
 		}
 	}

@@ -51,7 +51,7 @@ func New() *com.App {
 		New: func() com.Object {
 			return com.ObjectFunc(func(c *com.Call) ([]idl.Value, error) {
 				c.Compute(time.Millisecond)
-				return []idl.Value{idl.ByteBuf(make([]byte, c.Args[0].AsInt()))}, nil
+				return []idl.Value{idl.Zeros(int(c.Args[0].AsInt()))}, nil
 			})
 		},
 	})

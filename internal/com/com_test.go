@@ -246,10 +246,10 @@ func TestHooksIntercept(t *testing.T) {
 			created = append(created, class.ID)
 			return next(Server), nil // relocate everything to the server
 		},
-		CallInterface: func(caller *Instance, target *Interface, method string,
-			args []idl.Value, next func() ([]idl.Value, error)) ([]idl.Value, error) {
-			calls = append(calls, target.IID()+"."+method)
-			return next()
+		CallInterface: func(caller *Instance, target *Interface, call *Call,
+			next func(*Call) ([]idl.Value, error)) ([]idl.Value, error) {
+			calls = append(calls, target.IID()+"."+call.Method)
+			return next(call)
 		},
 		WrapInterface: func(itf *Interface) *Interface {
 			itf.wrapped = true
@@ -365,5 +365,104 @@ func TestCallNilInterface(t *testing.T) {
 	env := NewEnv(testApp())
 	if _, err := env.Call(nil, nil, "Get"); err == nil {
 		t.Fatal("call through nil interface succeeded")
+	}
+}
+
+// mixApp is testApp plus IMix.Mix, whose parameters interleave In, Out and
+// InOut directions, and ISink.Put, a one-Int32 method that allocates
+// nothing.
+func mixApp() *App {
+	app := testApp()
+	app.Interfaces.Register(&idl.InterfaceDesc{
+		IID: "IMix", Name: "IMix", Remotable: true,
+		Methods: []idl.MethodDesc{{Name: "Mix", Params: []idl.ParamDesc{
+			{Name: "n", Dir: idl.In, Type: idl.TInt32},
+			{Name: "out", Dir: idl.Out, Type: idl.TInt32},
+			{Name: "s", Dir: idl.InOut, Type: idl.TString},
+			{Name: "p", Dir: idl.In, Type: idl.InterfaceType("ICounter")},
+		}}},
+	})
+	app.Interfaces.Register(&idl.InterfaceDesc{
+		IID: "ISink", Name: "ISink", Remotable: true,
+		Methods: []idl.MethodDesc{{Name: "Put", Params: []idl.ParamDesc{
+			{Name: "n", Dir: idl.In, Type: idl.TInt32},
+		}}},
+	})
+	app.Classes.Register(&Class{
+		ID: "CLSID_Mix", Name: "Mix", Interfaces: []string{"IMix", "ISink"},
+		New: func() Object {
+			return ObjectFunc(func(*Call) ([]idl.Value, error) { return nil, nil })
+		},
+	})
+	return app
+}
+
+// TestStrictErrorTable pins the strict-mode messages and their order:
+// arity before kinds, argument positions counted over In and InOut
+// parameters only. The expected strings were captured before the check
+// stopped allocating.
+func TestStrictErrorTable(t *testing.T) {
+	t.Parallel()
+	env := NewEnv(mixApp())
+	mix, _ := env.CreateInstance(nil, "CLSID_Mix")
+	counter, _ := env.CreateInstance(nil, "CLSID_Counter")
+	caller, _ := env.CreateInstance(nil, "CLSID_Caller")
+	itf := env.MustQuery(mix, "IMix")
+	citf := env.MustQuery(counter, "ICounter")
+	pitf := env.MustQuery(caller, "IPoke")
+	for _, tc := range []struct {
+		name string
+		args []idl.Value
+		want string
+	}{
+		{"too few", []idl.Value{idl.Int32(1)},
+			"com: IMix.Mix called with 1 args, want 3"},
+		{"too many", []idl.Value{idl.Int32(1), idl.String("s"), idl.IfacePtr(citf), idl.Int32(2)},
+			"com: IMix.Mix called with 4 args, want 3"},
+		{"kind at 0", []idl.Value{idl.String("x"), idl.String("s"), idl.IfacePtr(citf)},
+			"com: IMix.Mix arg 0 kind mismatch"},
+		{"untyped at 0", []idl.Value{{}, idl.String("s"), idl.IfacePtr(citf)},
+			"com: IMix.Mix arg 0 kind mismatch"},
+		// Int32 would match the Out param at Params[1]; it must be skipped.
+		{"kind at 1", []idl.Value{idl.Int32(1), idl.Int32(2), idl.IfacePtr(citf)},
+			"com: IMix.Mix arg 1 kind mismatch"},
+		{"shape at 2", []idl.Value{idl.Int32(1), idl.String("s"),
+			{Type: idl.InterfaceType("ICounter"), Iface: pitf}},
+			"com: IMix.Mix arg 2: idl: interface pointer has IID IPoke, want ICounter"},
+		{"out skipped", []idl.Value{idl.Int32(1), idl.String("s"), idl.IfacePtr(citf)}, ""},
+	} {
+		_, err := env.Call(nil, itf, "Mix", tc.args...)
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestTrappedCallAllocs guards the per-call cost of the trapped path: a
+// strict call of a one-Int32 method through a pass-through hook allocates
+// the variadic argument slice and the *Call, nothing else — no parameter
+// slice for the strict check, no closure for the hook. Not parallel, so
+// no other test's allocations are counted.
+func TestTrappedCallAllocs(t *testing.T) {
+	env := NewEnv(mixApp())
+	env.SetHooks(Hooks{CallInterface: func(_ *Instance, _ *Interface, call *Call,
+		next func(*Call) ([]idl.Value, error)) ([]idl.Value, error) {
+		return next(call)
+	}})
+	inst, _ := env.CreateInstance(nil, "CLSID_Mix")
+	itf := env.MustQuery(inst, "ISink")
+	var err error
+	allocs := testing.AllocsPerRun(100, func() {
+		_, err = env.Call(nil, itf, "Put", idl.Int32(7))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 2 {
+		t.Errorf("trapped strict call allocates %v objects, want <= 2", allocs)
 	}
 }

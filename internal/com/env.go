@@ -75,8 +75,8 @@ func (i *Interface) MarkWrapped() *Interface {
 	return i
 }
 
-// Call describes one in-flight interface invocation, passed to the target
-// object's dispatcher.
+// Call describes one in-flight interface invocation, passed to the
+// CallInterface hook and on to the target object's dispatcher.
 type Call struct {
 	Self   *Instance
 	IID    string
@@ -117,10 +117,11 @@ type Hooks struct {
 	// CreateInstance intercepts instantiation requests. It must call next
 	// to perform the actual activation (possibly after deciding placement).
 	CreateInstance func(creator *Instance, class *Class, next func(Machine) *Instance) (*Instance, error)
-	// CallInterface intercepts interface invocations. It must call next to
-	// execute the target method.
-	CallInterface func(caller *Instance, target *Interface, method string,
-		args []idl.Value, next func() ([]idl.Value, error)) ([]idl.Value, error)
+	// CallInterface intercepts interface invocations. call carries the
+	// method and arguments; the hook must call next(call) to execute the
+	// target method.
+	CallInterface func(caller *Instance, target *Interface, call *Call,
+		next func(*Call) ([]idl.Value, error)) ([]idl.Value, error)
 	// WrapInterface intercepts the creation of interface handles; the
 	// default returns the handle unchanged.
 	WrapInterface func(itf *Interface) *Interface
@@ -278,34 +279,54 @@ func (e *Env) Call(caller *Instance, target *Interface, method string, args ...i
 		if mdesc == nil {
 			return nil, fmt.Errorf("com: no metadata for %s.%s", target.iid, method)
 		}
-		ins := mdesc.InParams()
-		if len(args) != len(ins) {
-			return nil, fmt.Errorf("com: %s.%s called with %d args, want %d",
-				target.iid, method, len(args), len(ins))
-		}
-		for i := range args {
-			if args[i].Type == nil || args[i].Type.Kind != ins[i].Type.Kind {
-				return nil, fmt.Errorf("com: %s.%s arg %d kind mismatch", target.iid, method, i)
-			}
-			if err := args[i].Validate(); err != nil {
-				return nil, fmt.Errorf("com: %s.%s arg %d: %w", target.iid, method, i, err)
-			}
+		if err := checkArgs(target.iid, mdesc, args); err != nil {
+			return nil, err
 		}
 	}
-	invoke := func() ([]idl.Value, error) {
-		return target.inst.Object.Invoke(&Call{
-			Self:   target.inst,
-			IID:    target.iid,
-			Method: method,
-			Args:   args,
-			Env:    e,
-		})
-	}
+	call := &Call{Self: target.inst, IID: target.iid, Method: method, Args: args, Env: e}
 	if e.hooks.CallInterface != nil {
-		return e.hooks.CallInterface(caller, target, method, args, invoke)
+		return e.hooks.CallInterface(caller, target, call, dispatch)
 	}
-	return invoke()
+	return dispatch(call)
 }
+
+// dispatch executes call on its target object; it is the next a
+// CallInterface hook receives.
+func dispatch(call *Call) ([]idl.Value, error) { return call.Self.Object.Invoke(call) }
+
+// checkArgs validates args against the In and InOut parameters of mdesc:
+// arity first, then each argument's kind and shape in order. It walks
+// mdesc.Params in place so a strict call allocates nothing here.
+func checkArgs(iid string, mdesc *idl.MethodDesc, args []idl.Value) error {
+	ins := 0
+	for _, p := range mdesc.Params {
+		if isIn(p) {
+			ins++
+		}
+	}
+	if len(args) != ins {
+		return fmt.Errorf("com: %s.%s called with %d args, want %d",
+			iid, mdesc.Name, len(args), ins)
+	}
+	i := 0
+	for _, p := range mdesc.Params {
+		if !isIn(p) {
+			continue
+		}
+		if args[i].Type == nil || args[i].Type.Kind != p.Type.Kind {
+			return fmt.Errorf("com: %s.%s arg %d kind mismatch", iid, mdesc.Name, i)
+		}
+		if err := args[i].Validate(); err != nil {
+			return fmt.Errorf("com: %s.%s arg %d: %w", iid, mdesc.Name, i, err)
+		}
+		i++
+	}
+	return nil
+}
+
+// isIn reports whether p travels caller → callee, the filter
+// idl.MethodDesc.InParams applies.
+func isIn(p idl.ParamDesc) bool { return p.Dir == idl.In || p.Dir == idl.InOut }
 
 // Release destroys an instance. Further calls through its interfaces fail.
 func (e *Env) Release(inst *Instance) {

@@ -61,10 +61,10 @@ func ExampleEnv_SetHooks() {
 			fmt.Println("trapped instantiation of", class.Name)
 			return next(com.Server), nil // relocate to the server
 		},
-		CallInterface: func(caller *com.Instance, target *com.Interface, method string,
-			args []idl.Value, next func() ([]idl.Value, error)) ([]idl.Value, error) {
-			fmt.Println("trapped call", target.IID()+"."+method)
-			return next()
+		CallInterface: func(caller *com.Instance, target *com.Interface, call *com.Call,
+			next func(*com.Call) ([]idl.Value, error)) ([]idl.Value, error) {
+			fmt.Println("trapped call", target.IID()+"."+call.Method)
+			return next(call)
 		},
 	})
 	inst, _ := env.CreateInstance(nil, "CLSID_W")

@@ -56,6 +56,22 @@ func String(s string) Value { return Value{Type: TString, Str: s} }
 // ByteBuf constructs a byte-buffer value.
 func ByteBuf(b []byte) Value { return Value{Type: TBytes, Bytes: b} }
 
+// zeroPage backs Zeros. It is a package-level array, so it lives in static
+// data and costs no heap.
+var zeroPage [256 << 10]byte
+
+// Zeros constructs an n-byte buffer of zeros without allocating: a
+// simulated payload whose length is all the runtime measures. The slice
+// aliases a shared page, so holders must never write into it; its capacity
+// is n, so an append copies rather than writing into the page. Sizes past
+// the page fall back to a fresh allocation.
+func Zeros(n int) Value {
+	if n > len(zeroPage) {
+		return ByteBuf(make([]byte, n))
+	}
+	return ByteBuf(zeroPage[:n:n])
+}
+
 // StructVal constructs a struct value; fields must be given in descriptor
 // order.
 func StructVal(t *TypeDesc, fields ...Value) Value {

@@ -278,3 +278,32 @@ func TestPropertyDeepSizeAdditive(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestZeros(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{0, 1, 150 << 10, len(zeroPage)} {
+		v := Zeros(n)
+		if v.Type != TBytes || len(v.Bytes) != n || cap(v.Bytes) != n {
+			t.Errorf("Zeros(%d): type %v len %d cap %d", n, v.Type, len(v.Bytes), cap(v.Bytes))
+		}
+		if v.Bytes == nil {
+			t.Errorf("Zeros(%d) is nil", n)
+		}
+	}
+	// Past the page: a fresh, zeroed slice that does not alias it.
+	big := Zeros(len(zeroPage) + 1)
+	if len(big.Bytes) != len(zeroPage)+1 || &big.Bytes[0] == &zeroPage[0] {
+		t.Errorf("Zeros(len+1) aliases the page or has len %d", len(big.Bytes))
+	}
+	// cap == len, so appending copies instead of writing into the page.
+	grown := append(Zeros(16).Bytes, 0xff)
+	grown[0] = 0xff
+	if &grown[0] == &zeroPage[0] {
+		t.Error("append wrote into the zero page")
+	}
+	for i, b := range zeroPage {
+		if b != 0 {
+			t.Fatalf("zero page byte %d = %#x", i, b)
+		}
+	}
+}

@@ -1,0 +1,92 @@
+package scenario
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/classify"
+	"repro/internal/com"
+	"repro/internal/dist"
+	"repro/internal/idl"
+)
+
+// TestZeroPageNeverWritten runs every scenario of the four apps whose
+// payloads are idl.Zeros views of one shared page — profiling, the default
+// distribution, and a split Coign distribution with result caching on —
+// and checks that nothing wrote into the page.
+func TestZeroPageNeverWritten(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("full suite execution")
+	}
+	runs := map[string][]string{"quickstart": {"default"}}
+	for _, name := range Apps() {
+		runs[name] = ForApp(name)
+	}
+	for name, scenarios := range runs {
+		app, err := NewApp(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range scenarios {
+			clf := classify.New(classify.IFCB, 0)
+			prof, err := dist.Run(dist.Config{App: app, Scenario: sc, Mode: dist.ModeProfiling, Classifier: clf})
+			if err != nil {
+				t.Fatalf("%s profiling: %v", sc, err)
+			}
+			// Alternate classifications between the machines so calls
+			// cross and the cache answers some of them.
+			split := make(map[string]com.Machine)
+			for i, id := range prof.Profile.ClassificationIDs() {
+				split[id] = com.Machine(i % 2)
+			}
+			for _, cfg := range []dist.Config{
+				{App: app, Scenario: sc, Mode: dist.ModeDefault, Classifier: clf},
+				{App: app, Scenario: sc, Mode: dist.ModeCoign, Classifier: clf,
+					Distribution: split, EnableCaching: true},
+			} {
+				if _, err := dist.Run(cfg); err != nil {
+					t.Fatalf("%s mode %d: %v", sc, cfg.Mode, err)
+				}
+			}
+		}
+	}
+	for i, b := range idl.Zeros(256 << 10).Bytes {
+		if b != 0 {
+			t.Fatalf("zero page byte %d = %#x after the app runs", i, b)
+		}
+	}
+}
+
+// TestBigoneAllocBudget guards what one bigone run of each paper app
+// allocates in total, profiling and default mode alike: payloads are
+// sizes, not buffers, so a run stays well under 16 MB (it was ~115 MB for
+// octarine and photodraw while every payload was a fresh zeroed slice).
+// Not parallel: TotalAlloc is process-wide.
+func TestBigoneAllocBudget(t *testing.T) {
+	const budget = 16 << 20
+	for _, name := range Apps() {
+		app, err := NewApp(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		big, err := BigoneForApp(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []dist.Mode{dist.ModeProfiling, dist.ModeDefault} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := dist.Run(dist.Config{App: app, Scenario: big, Mode: mode,
+				Classifier: classify.New(classify.IFCB, 0)})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s mode %d: %v", big, mode, err)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+				t.Errorf("%s mode %d allocated %.1f MB, budget %d MB",
+					big, mode, float64(got)/(1<<20), budget>>20)
+			}
+		}
+	}
+}

@@ -438,20 +438,11 @@ func mainActivations(spec appSpec) []com.CLSID {
 
 // behaviorFor builds the constructor for a class: each instance lazily
 // creates one child per call edge, then on every Work invocation drives
-// its edges and computes. Buffers are allocated once per instance and
-// reused, so profiling cost stays proportional to call counts.
+// its edges and computes. Payloads are idl.Zeros sizes, not allocations,
+// so profiling cost stays proportional to call counts.
 func behaviorFor(cs *classSpec, byName map[string]*classSpec) func() com.Object {
 	return func() com.Object {
 		children := make(map[string]*com.Interface, len(cs.edges))
-		resBuf := make([]byte, cs.resBytes)
-		argBufs := make([][]byte, len(cs.edges))
-		fanBufs := make([][]byte, len(cs.edges))
-		for i, e := range cs.edges {
-			argBufs[i] = make([]byte, e.argBytes)
-			if e.fanCalls > 0 {
-				fanBufs[i] = make([]byte, e.fanBytes)
-			}
-		}
 		return com.ObjectFunc(func(c *com.Call) ([]idl.Value, error) {
 			level := int32(0)
 			if len(c.Args) > 0 {
@@ -462,7 +453,7 @@ func behaviorFor(cs *classSpec, byName map[string]*classSpec) func() com.Object 
 				// local compute.
 				c.Mutate()
 				c.Compute(cs.compute)
-				return []idl.Value{idl.ByteBuf(resBuf)}, nil
+				return []idl.Value{idl.Zeros(cs.resBytes)}, nil
 			}
 			if cs.factoryFor != "" {
 				// Dynamic factory: mint a fresh product and hand its
@@ -478,7 +469,7 @@ func behaviorFor(cs *classSpec, byName map[string]*classSpec) func() com.Object 
 				c.Compute(cs.compute)
 				return []idl.Value{idl.IfacePtr(itf)}, nil
 			}
-			for i, e := range cs.edges {
+			for _, e := range cs.edges {
 				child, ok := children[e.target]
 				if !ok {
 					inst, err := c.Create(clsidOf(e.target))
@@ -491,7 +482,7 @@ func behaviorFor(cs *classSpec, byName map[string]*classSpec) func() com.Object 
 					children[e.target] = child
 				}
 				tgt := byName[e.target]
-				args := callArgs(tgt, level-1, argBufs[i])
+				args := callArgs(tgt, level-1, e.argBytes)
 				for k := 0; k < e.calls; k++ {
 					out, err := c.Invoke(child, "Work", args...)
 					if err != nil {
@@ -503,7 +494,7 @@ func behaviorFor(cs *classSpec, byName map[string]*classSpec) func() com.Object 
 							return nil, fmt.Errorf("synthapp: factory %s returned no interface", e.target)
 						}
 						product := byName[tgt.factoryFor]
-						fanArgs := callArgs(product, level-2, fanBufs[i])
+						fanArgs := callArgs(product, level-2, e.fanBytes)
 						for j := 0; j < e.fanCalls; j++ {
 							if _, err := c.Invoke(worker, "Work", fanArgs...); err != nil {
 								return nil, err
@@ -518,17 +509,18 @@ func behaviorFor(cs *classSpec, byName map[string]*classSpec) func() com.Object 
 				// memory — the runtime marks the call non-remotable.
 				return []idl.Value{idl.OpaquePtr("blob:" + cs.name)}, nil
 			}
-			return []idl.Value{idl.ByteBuf(resBuf)}, nil
+			return []idl.Value{idl.Zeros(cs.resBytes)}, nil
 		})
 	}
 }
 
-// callArgs assembles the argument list for a Work call on a target class.
-func callArgs(tgt *classSpec, level int32, payload []byte) []idl.Value {
+// callArgs assembles the argument list for a Work call on a target class,
+// carrying a payload of the given size.
+func callArgs(tgt *classSpec, level int32, payload int) []idl.Value {
 	if level < 0 {
 		level = 0
 	}
-	args := []idl.Value{idl.Int32(level), idl.ByteBuf(payload)}
+	args := []idl.Value{idl.Int32(level), idl.Zeros(payload)}
 	if tgt.opaque {
 		args = append(args, idl.OpaquePtr("hdc:"+tgt.name))
 	}
@@ -542,7 +534,6 @@ func runSteps(env *com.Env, steps []step, byName map[string]*classSpec, seed int
 	rng := rand.New(rand.NewSource(seed))
 	for _, st := range steps {
 		cs := byName[st.class]
-		buf := make([]byte, st.payload+st.payload/8+1)
 		for i := 0; i < st.instances; i++ {
 			inst, err := env.CreateInstance(nil, clsidOf(st.class))
 			if err != nil {
@@ -557,13 +548,13 @@ func runSteps(env *com.Env, steps []step, byName map[string]*classSpec, seed int
 				if n > 8 {
 					n += rng.Intn(st.payload/4+1) - st.payload/8
 				}
-				args := callArgs(cs, 8, buf[:n])
+				args := callArgs(cs, 8, n)
 				if _, err := env.Call(nil, itf, "Work", args...); err != nil {
 					return err
 				}
 			}
 			for u := 0; u < st.updates; u++ {
-				args := []idl.Value{idl.Int32(8), idl.ByteBuf(buf[:st.payload])}
+				args := []idl.Value{idl.Int32(8), idl.Zeros(st.payload)}
 				if _, err := env.Call(nil, itf, "Update", args...); err != nil {
 					return err
 				}
