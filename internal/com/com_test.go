@@ -447,6 +447,8 @@ func TestStrictErrorTable(t *testing.T) {
 // the variadic argument slice and the *Call, nothing else — no parameter
 // slice for the strict check, no closure for the hook. Not parallel, so
 // no other test's allocations are counted.
+//
+//lint:allow paralleltest allocation counts are process-wide
 func TestTrappedCallAllocs(t *testing.T) {
 	env := NewEnv(mixApp())
 	env.SetHooks(Hooks{CallInterface: func(_ *Instance, _ *Interface, call *Call,

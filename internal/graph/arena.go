@@ -10,15 +10,15 @@ import (
 // re-cuts the *same topology* once per network model and per profile
 // window: the node set, edge set, welds, and pins are fixed while only
 // the edge pricing moves. A one-shot MinCut pays the full build every
-// time — stage the arcs, lay out the CSR arrays, allocate the solver
-// scratch, run push-relabel from zero flow. The arena keeps all of that
-// alive between cuts:
+// time — lay out the CSR arrays, allocate the solver scratch, run
+// push-relabel from zero flow. The arena keeps all of that alive between
+// cuts:
 //
-//   - the CSR arrays (head/to/rev/cap), the staged arc list, and the
-//     per-pair arc index, so an unchanged topology only rewrites cap
-//     instead of re-staging and re-allocating;
-//   - the highest-label solver scratch (buckets, label lists, BFS
-//     queues) and the source-side extraction buffers;
+//   - the CSR arrays (head/to/rev/cap) and the per-pair arc index, so an
+//     unchanged topology only rewrites cap instead of re-laying out and
+//     re-allocating;
+//   - the highest-label solver scratch (buckets, label lists, and the
+//     reverse-BFS queue and distances the cut is read from);
 //   - the previous solve's residual capacities and excess vector, which
 //     seed a warm start: when only weights moved, the old preflow is
 //     clamped onto the new capacities (saturating or relaxing exactly
@@ -45,34 +45,25 @@ import (
 type CutArena struct {
 	staged bool // CSR arrays reflect the staged topology below
 	solved bool // net.cap/st.excess hold a completed solve over capStart
-
-	n, s, t int
-	inf     float64
+	inf    float64
 
 	// Staged topology, copied from the graph's store at restage and
 	// compared with it, array against array, to decide whether a new cut
 	// may reuse the layout. The match is by content, not by graph identity:
 	// callers that rebuild an equal graph for every cut still rewrite
-	// instead of restaging.
+	// instead of restaging. These copies are also what the layout and
+	// every rewrite walk (eachPair); no other list of the pairs exists.
 	edgeKeys  []pairKey
 	colocKeys []pairKey
 	pin       []int8
 
-	pairs  []csrArc // staged arc pairs, in layout order: edges, welds, pins
-	arcIdx []int32  // arc index of each pair's u-half (-1 for dropped self-loops)
-
-	// freeFloat marks nodes in components touching no pinned node (Coign's
-	// free-floating rule), a topology-only fact computed once per staging
-	// instead of running a union-find over every edge on every cut.
-	freeFloat []bool
+	arcIdx []int32 // arc index of each pair's u-half, pairs in eachPair order
 
 	net      csrNet
 	capStart []float64 // capacities the last solve started from, per arc
 	deg      []int32   // layout scratch
 
 	st      hiprState
-	reach   []bool  // sourceSide scratch
-	bfsq    []int32 // sourceSide scratch
 	deficit []int32 // warm-start repair stack
 
 	stats CutArenaStats
@@ -88,8 +79,8 @@ type CutArenaStats struct {
 	// Cold cuts ran from zero flow on reused arrays (first cut, a solver
 	// reset, or a warm-start fallback).
 	Cold int
-	// Restaged counts cuts that had to rebuild the staged arc list
-	// because the topology changed.
+	// Restaged counts cuts that had to rebuild the CSR layout because
+	// the topology changed.
 	Restaged int
 	// Fallbacks counts warm starts abandoned because the deficit-repair
 	// cascade blew its work budget.
@@ -101,13 +92,6 @@ func NewCutArena() *CutArena { return &CutArena{} }
 
 // Stats reports the arena's cut counters.
 func (a *CutArena) Stats() CutArenaStats { return a.stats }
-
-// Reset drops the solved state and the staged topology, forcing the next
-// cut to restage (array capacity is kept).
-func (a *CutArena) Reset() {
-	a.staged = false
-	a.solved = false
-}
 
 // MinCut partitions the graph between client (source side) and server
 // (sink side) minimizing the weight of crossing edges, using
@@ -169,20 +153,17 @@ func (g *Graph) minCutArena(ctx context.Context, a *CutArena, pin []int8) (*Cut,
 	} else {
 		a.stats.Cold++
 	}
-	if cap(a.reach) < a.net.n {
-		a.reach = make([]bool, a.net.n)
-	}
-	onSource := a.net.sourceSideInto(a.reach[:a.net.n], a.bfsq)
-	return a.extractCut(g, onSource, flow)
+	a.net.distToSink(&a.st)
+	return a.extractCut(g, flow)
 }
 
-// extractCut turns the solver's source-side indicator into a Cut: it
-// applies Coign's free-floating-component rule, prices the crossing edges
-// under the graph's weights in store order, and rejects any cut that
-// splits a co-location constraint.
-func (a *CutArena) extractCut(g *Graph, onSource []bool, flow float64) (*Cut, error) {
+// extractCut turns the residual distances of a finished solve into a Cut:
+// the nodes that cannot reach t (dist -1) are the source side. It prices
+// the crossing edges under the graph's weights in store order and rejects
+// any cut that splits a co-location constraint.
+func (a *CutArena) extractCut(g *Graph, flow float64) (*Cut, error) {
 	cut := &Cut{Assignment: make(map[string]Side, g.Len()), FlowValue: flow}
-	src := func(v int) bool { return onSource[v] || a.freeFloat[v] }
+	src := func(v int) bool { return a.st.dist[v] == -1 }
 	for i, name := range g.names {
 		if src(i) {
 			cut.Assignment[name] = SourceSide
@@ -210,126 +191,95 @@ func (a *CutArena) matches(g *Graph, pin []int8) bool {
 		slices.Equal(a.edgeKeys, g.ekey) && slices.Equal(a.colocKeys, g.coloc)
 }
 
-// restage rebuilds the staged arc list and the CSR layout from the
-// graph's store, reusing every backing array with enough capacity. Store
-// order makes the network layout, and with it the particular minimum cut
-// the solver lands on when several tie, identical run to run. The solver
-// then runs cold: a changed topology invalidates the previous flow.
+// restage copies the graph's store into the arena and lays the CSR
+// network out from the copies, reusing every backing array with enough
+// capacity. Store order makes the network layout, and with it the
+// particular minimum cut the solver lands on when several tie, identical
+// run to run. The solver then runs cold: a changed topology invalidates
+// the previous flow.
+//
+// Coign's free-floating rule needs nothing here: a component touching no
+// pinned node has no arc into t, so the cut's reverse BFS from t never
+// reaches it and it lands on the source side (the client).
 func (a *CutArena) restage(g *Graph, pin []int8) {
 	n := g.Len()
-	a.n, a.s, a.t = n+2, n, n+1
+	a.net.n, a.net.s, a.net.t = n+2, n, n+1
 	a.edgeKeys = append(a.edgeKeys[:0], g.ekey...)
 	a.colocKeys = append(a.colocKeys[:0], g.coloc...)
 	a.pin = append(a.pin[:0], pin...)
-
 	a.inf = g.infinityProxy()
-	a.pairs = a.pairs[:0]
-	// The free-floating-component rule depends only on the topology being
-	// staged: cache it so per-cut extraction is a flat array scan.
-	uf := newUnionFind(n)
-	for i, k := range a.edgeKeys {
-		lo, hi := k.nodes()
-		uf.union(lo, hi)
-		a.pairs = append(a.pairs, csrArc{u: int32(lo), v: int32(hi), capUV: g.ew[i], capVU: g.ew[i]})
-	}
-	for _, k := range a.colocKeys {
-		lo, hi := k.nodes()
-		uf.union(lo, hi)
-		a.pairs = append(a.pairs, csrArc{u: int32(lo), v: int32(hi), capUV: a.inf, capVU: a.inf})
-	}
-	// Pins: one directed infinite arc from the source terminal to every
-	// client-pinned node, and from every server-pinned node to the sink.
-	pinnedComp := make([]bool, n)
-	for v, side := range pin {
-		switch Side(side) {
-		case SourceSide:
-			a.pairs = append(a.pairs, csrArc{u: int32(a.s), v: int32(v), capUV: a.inf})
-		case SinkSide:
-			a.pairs = append(a.pairs, csrArc{u: int32(v), v: int32(a.t), capUV: a.inf})
-		default:
-			continue
-		}
-		pinnedComp[uf.find(v)] = true
-	}
-	a.layout()
-
-	if cap(a.freeFloat) < n {
-		a.freeFloat = make([]bool, n)
-	}
-	a.freeFloat = a.freeFloat[:n]
-	for i := range a.freeFloat {
-		a.freeFloat[i] = !pinnedComp[uf.find(i)]
-	}
-
+	a.layout(g.ew)
 	a.staged = true
 	a.solved = false
 }
 
-// layout performs the counting-sort CSR layout of a.pairs into the
-// arena-owned arrays, recording each pair's u-half arc index so capacity
-// rewrites can find their slots without re-staging. Self-loop pairs
-// (u == v) are dropped: a u->u arc can never cross a cut, and laying one
-// out would corrupt the reverse-arc pairing — both halves read the same
-// position slot before either increments it, so both land on one index
-// and the adjacent slot is left zeroed with a dangling rev pointer.
-func (a *CutArena) layout() {
-	n := a.n
-	m := 0
-	for _, p := range a.pairs {
-		if p.u != p.v {
-			m++
-		}
+// eachPair visits the staged capacity pairs in layout order with their
+// position i: edges in store order (capacity ew[i] both ways), welds in
+// store order (the proxy both ways), then pins in node order (one
+// directed proxy arc from s to each client-pinned node, and from each
+// server-pinned node to t). No pair is a self-loop: the store holds only
+// lo < hi keys (AddEdge, SetEdgeWeight and CoLocate drop a == b at the
+// door) and a pin joins a node to a terminal. The layout's paired fill
+// relies on that; both halves of a u->u pair would land on one slot.
+func (a *CutArena) eachPair(ew []float64, visit func(i int, u, v int32, capUV, capVU float64)) {
+	for i, k := range a.edgeKeys {
+		lo, hi := k.nodes()
+		visit(i, int32(lo), int32(hi), ew[i], ew[i])
 	}
-	grow32 := func(s []int32, n int) []int32 {
-		if cap(s) < n {
-			return make([]int32, n)
-		}
-		return s[:n]
+	i := len(a.edgeKeys)
+	for _, k := range a.colocKeys {
+		lo, hi := k.nodes()
+		visit(i, int32(lo), int32(hi), a.inf, a.inf)
+		i++
 	}
-	growF := func(s []float64, n int) []float64 {
-		if cap(s) < n {
-			return make([]float64, n)
-		}
-		return s[:n]
-	}
-	a.net.n, a.net.s, a.net.t = a.n, a.s, a.t
-	a.net.head = grow32(a.net.head, n+1)
-	a.net.to = grow32(a.net.to, 2*m)
-	a.net.rev = grow32(a.net.rev, 2*m)
-	a.net.cap = growF(a.net.cap, 2*m)
-	a.capStart = growF(a.capStart, 2*m)
-	a.arcIdx = grow32(a.arcIdx, len(a.pairs))
-	a.deg = grow32(a.deg, n)
-
-	for i := range a.deg {
-		a.deg[i] = 0
-	}
-	for _, p := range a.pairs {
-		if p.u == p.v {
+	s, t := int32(a.net.s), int32(a.net.t)
+	for v, side := range a.pin {
+		switch Side(side) {
+		case SourceSide:
+			visit(i, s, int32(v), a.inf, 0)
+		case SinkSide:
+			visit(i, int32(v), t, a.inf, 0)
+		default:
 			continue
 		}
-		a.deg[p.u]++
-		a.deg[p.v]++
+		i++
 	}
+}
+
+// layout performs the counting-sort CSR layout of the staged pairs into
+// the arena-owned arrays in two passes (degree, fill), recording each
+// pair's u-half arc index so capacity rewrites can find their slots
+// without laying out again.
+func (a *CutArena) layout(ew []float64) {
+	n, m := a.net.n, 0
+	a.deg = grow(a.deg, n)
+	clear(a.deg)
+	a.eachPair(ew, func(_ int, u, v int32, _, _ float64) {
+		a.deg[u]++
+		a.deg[v]++
+		m++
+	})
+	a.net.head = grow(a.net.head, n+1)
+	a.net.to = grow(a.net.to, 2*m)
+	a.net.rev = grow(a.net.rev, 2*m)
+	a.net.cap = grow(a.net.cap, 2*m)
+	a.capStart = grow(a.capStart, 2*m)
+	a.arcIdx = grow(a.arcIdx, m)
 	a.net.head[0] = 0
 	for i := 0; i < n; i++ {
 		a.net.head[i+1] = a.net.head[i] + a.deg[i]
 	}
 	pos := a.deg // reuse as the write cursor
 	copy(pos, a.net.head[:n])
-	for i, p := range a.pairs {
-		if p.u == p.v {
-			a.arcIdx[i] = -1
-			continue
-		}
-		iu, iv := pos[p.u], pos[p.v]
-		pos[p.u]++
-		pos[p.v]++
-		a.net.to[iu], a.net.cap[iu], a.net.rev[iu] = p.v, p.capUV, iv
-		a.net.to[iv], a.net.cap[iv], a.net.rev[iv] = p.u, p.capVU, iu
-		a.capStart[iu], a.capStart[iv] = p.capUV, p.capVU
+	a.eachPair(ew, func(i int, u, v int32, capUV, capVU float64) {
+		iu, iv := pos[u], pos[v]
+		pos[u]++
+		pos[v]++
+		a.net.to[iu], a.net.cap[iu], a.net.rev[iu] = v, capUV, iv
+		a.net.to[iv], a.net.cap[iv], a.net.rev[iv] = u, capVU, iu
+		a.capStart[iu], a.capStart[iv] = capUV, capVU
 		a.arcIdx[i] = iu
-	}
+	})
 }
 
 // warmRepairBudgetFactor bounds the deficit-repair cascade: when tearing
@@ -348,37 +298,21 @@ func (a *CutArena) rewrite(g *Graph) bool {
 	a.inf = g.infinityProxy()
 	warm := a.solved
 	a.deficit = a.deficit[:0]
-
-	welds := len(a.edgeKeys) + len(a.colocKeys)
-	newCaps := func(i int) (float64, float64) {
-		switch {
-		case i < len(a.edgeKeys):
-			return g.ew[i], g.ew[i]
-		case i < welds:
-			return a.inf, a.inf
-		default:
-			return a.inf, 0 // terminal arcs are directed
-		}
-	}
-	for i := range a.pairs {
+	s, t := int32(a.net.s), int32(a.net.t)
+	a.eachPair(g.ew, func(i int, u, v int32, newUV, newVU float64) {
 		au := a.arcIdx[i]
-		if au < 0 {
-			continue
-		}
 		av := a.net.rev[au]
-		newUV, newVU := newCaps(i)
 		if newUV == a.capStart[au] && newVU == a.capStart[av] {
-			continue // untouched: keep residuals (and any flow) bit-for-bit
+			return // untouched: keep residuals (and any flow) bit-for-bit
 		}
 		if !warm {
 			a.capStart[au], a.net.cap[au] = newUV, newUV
 			a.capStart[av], a.net.cap[av] = newVU, newVU
-			continue
+			return
 		}
 		// Clamp the old flow into the new capacity band. f is the signed
 		// flow u->v of the previous solve; any part of it the new
 		// capacities cannot carry is returned to the endpoints' excesses.
-		u, v := a.pairs[i].u, a.pairs[i].v
 		f := a.capStart[au] - a.net.cap[au]
 		nf := f
 		if nf > newUV {
@@ -391,17 +325,17 @@ func (a *CutArena) rewrite(g *Graph) bool {
 			delta := f - nf
 			a.st.excess[u] += delta
 			a.st.excess[v] -= delta
-			if int(v) != a.s && int(v) != a.t && a.st.excess[v] < -capEps {
+			if v != s && v != t && a.st.excess[v] < -capEps {
 				a.deficit = append(a.deficit, v)
 			}
-			if int(u) != a.s && int(u) != a.t && a.st.excess[u] < -capEps {
+			if u != s && u != t && a.st.excess[u] < -capEps {
 				a.deficit = append(a.deficit, u)
 			}
 		}
 		a.net.cap[au] = newUV - nf
 		a.net.cap[av] = newVU + nf
 		a.capStart[au], a.capStart[av] = newUV, newVU
-	}
+	})
 	if !warm {
 		return false
 	}

@@ -5,17 +5,9 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
-
-// layoutPairs lays raw arc pairs out through the production layout,
-// bypassing Graph (whose AddEdge/CoLocate filter self-edges before they
-// can be staged).
-func layoutPairs(n, s, t int, pairs []csrArc) *csrNet {
-	a := &CutArena{n: n, s: s, t: t, pairs: pairs}
-	a.layout()
-	return &a.net
-}
 
 // checkCSRInvariants fails unless offsets are monotone and cover every arc
 // exactly once, the reverse-arc mapping is an involution, and every arc's
@@ -48,44 +40,25 @@ func checkCSRInvariants(t *testing.T, net *csrNet) {
 	}
 }
 
-// TestCSRNetSelfLoopPairs is the regression test for the reverse-arc
-// corruption the CSR layout used to suffer on self-loop pairs: both halves
-// of a u==u pair read the same position slot before either incremented
-// it, so both landed on one arc index and the adjacent slot was left
-// zeroed with a dangling rev pointer. CutArena.layout drops self-loops;
-// without that this test fails the involution check (and the flow value,
-// since the corrupted row breaks the discharge scan).
-func TestCSRNetSelfLoopPairs(t *testing.T) {
-	t.Parallel()
-	pairs := []csrArc{
-		{u: 0, v: 1, capUV: 2, capVU: 2},
-		{u: 1, v: 1, capUV: 5, capVU: 5}, // self-loop: must be dropped
-		{u: 0, v: 0, capUV: 7, capVU: 0}, // directed self-loop too
-	}
-	net := layoutPairs(2, 0, 1, pairs)
-	if len(net.to) != 2 {
-		t.Fatalf("self-loops staged: %d arcs, want 2", len(net.to))
-	}
-	checkCSRInvariants(t, net)
-
-	// Dropping self-loops at layout means the network is byte-identical
-	// to one laid out without them.
-	clean := layoutPairs(2, 0, 1, pairs[:1])
-	if len(clean.to) != len(net.to) {
-		t.Fatalf("filtered and clean networks differ in size: %d vs %d", len(net.to), len(clean.to))
-	}
-	for a := range net.to {
-		if net.to[a] != clean.to[a] || net.rev[a] != clean.rev[a] {
-			t.Fatalf("arc %d differs between filtered and clean layout", a)
-		}
-	}
-
-	flow, err := net.maxFlowHL(context.Background(), &hiprState{}, false)
+// TestColdCutBytesPerEdge holds a cold cut to one copy of the graph
+// between the edge store and the solver: a fresh arena's cut of a settled
+// 20k-node graph allocates at most 100 bytes per edge. Staging the arc
+// pairs in a list of their own before the CSR layout cost 230. Not
+// parallel: TotalAlloc counts every goroutine's allocations.
+//
+//lint:allow paralleltest TotalAlloc is process-wide
+func TestColdCutBytesPerEdge(t *testing.T) {
+	g := Synthesize(SynthConfig{Nodes: 20000, Seed: 1})
+	edges := g.Edges() // settles the store outside the measured cut
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := g.MinCutArena(context.Background(), NewCutArena())
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(flow-2) > 1e-12 {
-		t.Fatalf("flow %v, want 2 (self-loop capacity must not count)", flow)
+	if perEdge := float64(after.TotalAlloc-before.TotalAlloc) / float64(edges); perEdge > 100 {
+		t.Fatalf("cold cut allocated %.1f B/edge over %d edges, want <= 100", perEdge, edges)
 	}
 }
 
@@ -161,6 +134,15 @@ func TestPropertyArenaWarmMatchesCold(t *testing.T) {
 		}
 		if !assignmentsEqual(warm.Assignment, cold.Assignment) {
 			t.Fatalf("seed %d: warm and cold assignments differ", seed)
+		}
+		// Free-floating nodes reach no pin, so no warm or cold BFS from t
+		// reaches them: they stay on the client.
+		for _, cut := range []*Cut{again, warm} {
+			for _, free := range []string{"float1", "float2", "lonely"} {
+				if cut.Assignment[free] != SourceSide {
+					t.Fatalf("seed %d: free node %s on %v after a warm re-cut", seed, free, cut.Assignment[free])
+				}
+			}
 		}
 
 		st := a.Stats()

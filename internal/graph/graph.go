@@ -8,11 +8,13 @@
 //     topology change (settle), never per cut, and every float sum over
 //     edges walks the store front to back, so the infinity proxy, the total
 //     weight and every cut weight are pure functions of the graph.
-//   - arena.go is the production cut: CutArena stages the store into a flat
-//     CSR flow network (csr.go), runs highest-label push-relabel over it
-//     (hipr.go), and extracts the cut. MinCut, MinCutCtx and every isolating
-//     cut of the multiway heuristic (multiway.go, the paper's future-work
-//     extension to three or more machines) are cuts through an arena.
+//   - arena.go is the production cut: CutArena lays its copy of the store
+//     out as a flat CSR flow network (csr.go) with no arc list in between,
+//     runs highest-label push-relabel over it (hipr.go), and reads the cut
+//     off the solver's own reverse BFS from t. MinCut, MinCutCtx and every
+//     isolating cut of the multiway heuristic (multiway.go, the paper's
+//     future-work extension to three or more machines) are cuts through an
+//     arena.
 //   - baseline.go is the oracle: Edmonds–Karp on its own adjacency-list
 //     network with its own union-find extractor, sharing nothing with the
 //     production path but the Graph accessors.

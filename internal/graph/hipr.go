@@ -26,7 +26,7 @@ import (
 // a minimum cut: the nodes unable to reach t in the residual network form
 // the source side, every arc leaving that set is saturated, no flow
 // crosses back into it, and excess parked on dormant nodes never reaches
-// t, so the cut capacity equals excess[t] (see csrNet.sourceSideInto). The
+// t, so the cut capacity equals excess[t] (see csrNet.distToSink). The
 // excess-return phase the full max-flow algorithm needs is skipped
 // entirely.
 //
@@ -47,8 +47,9 @@ const capEps = 1e-12
 
 // hiprState is the per-run scratch of the highest-label core: heights,
 // excesses, current-arc pointers, the active bucket stacks, the label
-// lists behind the gap heuristic, and the global-relabel BFS buffers.
-// An arena keeps one of these alive across cuts.
+// lists behind the gap heuristic, and the reverse-BFS queue and distances
+// (distToSink), which an arena also reads the finished cut from. An arena
+// keeps one of these alive across cuts.
 type hiprState struct {
 	height []int32
 	excess []float64
@@ -73,32 +74,18 @@ type hiprState struct {
 // ensure sizes every scratch array for an n-node network, reusing backing
 // stores from previous runs whenever they are large enough.
 func (st *hiprState) ensure(n int) {
-	grow32 := func(s []int32, n int) []int32 {
-		if cap(s) < n {
-			return make([]int32, n)
-		}
-		return s[:n]
-	}
-	st.height = grow32(st.height, n)
-	st.cur = grow32(st.cur, n)
-	st.activeNext = grow32(st.activeNext, n)
-	st.activeHead = grow32(st.activeHead, n+1)
-	st.labelNext = grow32(st.labelNext, n)
-	st.labelPrev = grow32(st.labelPrev, n)
-	st.labelHead = grow32(st.labelHead, n+1)
-	st.count = grow32(st.count, n+1)
-	st.dist = grow32(st.dist, n)
-	if cap(st.excess) < n {
-		st.excess = make([]float64, n)
-	} else {
-		st.excess = st.excess[:n]
-	}
-	if cap(st.inActive) < n {
-		st.inActive = make([]bool, n)
-	} else {
-		st.inActive = st.inActive[:n]
-	}
-	st.queue = st.queue[:0]
+	st.height = grow(st.height, n)
+	st.excess = grow(st.excess, n)
+	st.cur = grow(st.cur, n)
+	st.activeNext = grow(st.activeNext, n)
+	st.activeHead = grow(st.activeHead, n+1)
+	st.inActive = grow(st.inActive, n)
+	st.labelNext = grow(st.labelNext, n)
+	st.labelPrev = grow(st.labelPrev, n)
+	st.labelHead = grow(st.labelHead, n+1)
+	st.count = grow(st.count, n+1)
+	st.dist = grow(st.dist, n)
+	st.queue = grow(st.queue, n)
 }
 
 // hiprRun is one invocation of the core over a network, binding the
@@ -177,29 +164,46 @@ func (r *hiprRun) gap(h int32) {
 	}
 }
 
+// distToSink fills st.dist with every node's residual distance to t, -1
+// where t is unreachable, by one reverse BFS over st.queue (each node
+// enters it at most once, so n slots hold it). Global relabeling turns the
+// distances into heights; after a finished solve they are the cut.
+//
+// After a phase-1 (max-preflow) run the nodes that cannot reach t are the
+// source side of a minimum cut, and phase 1 alone makes that exact: every
+// arc crossing out of the set is saturated and no flow crosses back, so
+// the cut's capacity equals the preflow value at t — which is why the
+// highest-label core never needs the second (excess-return) phase. The
+// partition is also the same for every maximum preflow on the network
+// (the sink side of the t-minimal minimum cut), so warm-started and cold
+// runs agree on it even when several cuts tie.
+func (f *csrNet) distToSink(st *hiprState) {
+	dist, queue := st.dist, st.queue
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[f.t] = 0
+	queue[0] = int32(f.t)
+	for head, tail := 0, 1; head < tail; head++ {
+		x := queue[head]
+		for a := f.head[x]; a < f.head[x+1]; a++ {
+			v := f.to[a]
+			// v reaches x iff residual(v -> x) > 0.
+			if dist[v] == -1 && f.cap[f.rev[a]] > capEps {
+				dist[v] = dist[x] + 1
+				queue[tail] = v
+				tail++
+			}
+		}
+	}
+}
+
 // globalRelabel restores exact residual distances to t and rebuilds
 // the label lists and active buckets from scratch. Stale active-bucket
 // entries are discarded by the pop guard in the main loop.
 func (r *hiprRun) globalRelabel() {
 	f, st, n := r.f, r.st, r.n
-	for i := range st.dist {
-		st.dist[i] = -1
-	}
-	st.queue = st.queue[:0]
-	st.queue = append(st.queue, int32(f.t))
-	st.dist[f.t] = 0
-	for len(st.queue) > 0 {
-		x := st.queue[0]
-		st.queue = st.queue[1:]
-		for a := f.head[x]; a < f.head[x+1]; a++ {
-			v := f.to[a]
-			// v reaches x iff residual(v -> x) > 0.
-			if st.dist[v] == -1 && f.cap[f.rev[a]] > capEps {
-				st.dist[v] = st.dist[x] + 1
-				st.queue = append(st.queue, v)
-			}
-		}
-	}
+	f.distToSink(st)
 	for h := 0; h <= n; h++ {
 		st.activeHead[h] = -1
 		st.labelHead[h] = -1
@@ -250,9 +254,6 @@ func (r *hiprRun) globalRelabel() {
 // context's error.
 func (f *csrNet) maxFlowHL(ctx context.Context, st *hiprState, warm bool) (float64, error) {
 	n := f.n
-	if n == 0 || f.s == f.t {
-		return 0, nil
-	}
 	done := ctx.Done()
 	m := len(f.to)
 	st.ensure(n)

@@ -63,6 +63,8 @@ func TestZeroPageNeverWritten(t *testing.T) {
 // sizes, not buffers, so a run stays well under 16 MB (it was ~115 MB for
 // octarine and photodraw while every payload was a fresh zeroed slice).
 // Not parallel: TotalAlloc is process-wide.
+//
+//lint:allow paralleltest TotalAlloc is process-wide
 func TestBigoneAllocBudget(t *testing.T) {
 	const budget = 16 << 20
 	for _, name := range Apps() {
