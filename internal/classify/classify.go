@@ -9,10 +9,9 @@
 package classify
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"strconv"
-	"strings"
 )
 
 // Frame is one entry of the component shadow stack maintained by the
@@ -34,11 +33,18 @@ type Classifier interface {
 	// Name returns the classifier's short name (with depth suffix if
 	// depth-limited), e.g. "ifcb" or "ifcb-d4".
 	Name() string
-	// Classify returns the descriptor for an instantiation of class with
-	// the given call stack (innermost frame first).
-	Classify(class string, stack []Frame) string
+	// AppendDescriptor appends the descriptor for an instantiation of
+	// class with the given call stack (innermost frame first) to dst and
+	// returns the extended buffer.
+	AppendDescriptor(dst []byte, class string, stack []Frame) []byte
 	// Reset clears per-execution state at the start of a run.
 	Reset()
+}
+
+// Classify returns c's descriptor for an instantiation of class with the
+// given call stack as a string.
+func Classify(c Classifier, class string, stack []Frame) string {
+	return string(c.AppendDescriptor(nil, class, stack))
 }
 
 // Kind selects one of the seven classifiers.
@@ -131,9 +137,11 @@ type incremental struct {
 
 func (c *incremental) Name() string { return "incremental" }
 func (c *incremental) Reset()       { c.n = 0 }
-func (c *incremental) Classify(class string, stack []Frame) string {
+func (c *incremental) AppendDescriptor(dst []byte, class string, stack []Frame) []byte {
 	c.n++
-	return "[" + strconv.Itoa(c.n) + "]"
+	dst = append(dst, '[')
+	dst = strconv.AppendInt(dst, int64(c.n), 10)
+	return append(dst, ']')
 }
 
 // stc is the static-type classifier.
@@ -141,8 +149,10 @@ type stc struct{}
 
 func (stc) Name() string { return "st" }
 func (stc) Reset()       {}
-func (stc) Classify(class string, stack []Frame) string {
-	return "[" + class + "]"
+func (stc) AppendDescriptor(dst []byte, class string, stack []Frame) []byte {
+	dst = append(dst, '[')
+	dst = append(dst, class...)
+	return append(dst, ']')
 }
 
 // ib is the instantiated-by classifier.
@@ -150,12 +160,16 @@ type ib struct{}
 
 func (ib) Name() string { return "ib" }
 func (ib) Reset()       {}
-func (ib) Classify(class string, stack []Frame) string {
+func (ib) AppendDescriptor(dst []byte, class string, stack []Frame) []byte {
 	parent := "<main>"
 	if len(stack) > 0 {
 		parent = stack[0].InstClassification
 	}
-	return "[" + class + ", " + parent + "]"
+	dst = append(dst, '[')
+	dst = append(dst, class...)
+	dst = append(dst, ", "...)
+	dst = append(dst, parent...)
+	return append(dst, ']')
 }
 
 // calledBy implements the PCB, STCB, IFCB, and EPCB call-chain classifiers.
@@ -173,59 +187,47 @@ func (c *calledBy) Name() string {
 
 func (c *calledBy) Reset() {}
 
-func (c *calledBy) Classify(class string, stack []Frame) string {
-	frames := stack
+func (c *calledBy) AppendDescriptor(dst []byte, class string, stack []Frame) []byte {
 	// STCB groups by the classes of the *instances* on the stack and EPCB
 	// by the function that entered each instance, so both collapse
 	// contiguous frames of one instance; PCB and IFCB keep every frame.
-	if c.kind == EPCB || c.kind == STCB {
-		frames = entryPoints(frames)
-	}
-	if c.depth > 0 && len(frames) > c.depth {
-		frames = frames[:c.depth]
-	}
-	var b strings.Builder
-	b.WriteByte('[')
-	b.WriteString(class)
-	for i := range frames {
-		b.WriteString(", ")
+	collapse := c.kind == EPCB || c.kind == STCB
+	dst = append(dst, '[')
+	dst = append(dst, class...)
+	for i, n := 0, 0; i < len(stack) && (c.depth <= 0 || n < c.depth); i, n = i+1, n+1 {
+		if collapse { // in place: skip to the run's entry frame
+			i = entryPoint(stack, i)
+		}
+		f := &stack[i]
+		dst = append(dst, ", "...)
 		switch c.kind {
 		case PCB:
-			b.WriteString(frames[i].Class)
-			b.WriteString("::")
-			b.WriteString(frames[i].Function)
+			dst = append(dst, f.Class...)
+			dst = append(dst, "::"...)
+			dst = append(dst, f.Function...)
 		case STCB:
-			b.WriteString(frames[i].Class)
+			dst = append(dst, f.Class...)
 		default: // IFCB, EPCB
-			b.WriteByte('[')
-			b.WriteString(frames[i].InstClassification)
-			b.WriteByte(',')
-			b.WriteString(frames[i].Function)
-			b.WriteByte(']')
+			dst = append(dst, '[')
+			dst = append(dst, f.InstClassification...)
+			dst = append(dst, ',')
+			dst = append(dst, f.Function...)
+			dst = append(dst, ']')
 		}
 	}
-	b.WriteByte(']')
-	return b.String()
+	return append(dst, ']')
 }
 
-// entryPoints collapses consecutive frames belonging to the same instance,
-// keeping the function by which the instance was entered (the outermost
-// frame of each contiguous run; with innermost-first ordering, the last of
-// the run).
-func entryPoints(stack []Frame) []Frame {
-	if len(stack) == 0 {
-		return stack
+// entryPoint returns the index of the frame by which the instance of
+// stack[i] was entered: the outermost frame of the contiguous run of its
+// frames that starts at i (with innermost-first ordering, the last of the
+// run).
+func entryPoint(stack []Frame, i int) int {
+	j := i
+	for j+1 < len(stack) && stack[j+1].Instance == stack[i].Instance {
+		j++
 	}
-	out := make([]Frame, 0, len(stack))
-	for i := 0; i < len(stack); {
-		j := i
-		for j+1 < len(stack) && stack[j+1].Instance == stack[i].Instance {
-			j++
-		}
-		out = append(out, stack[j]) // outermost frame of the run
-		i = j + 1
-	}
-	return out
+	return j
 }
 
 // DescriptorID derives the stable classification id for a descriptor: the
@@ -235,15 +237,25 @@ func entryPoints(stack []Frame) []Frame {
 // lightweight runtime correlate instantiations with profiled
 // classifications.
 func DescriptorID(class, descriptor string) string {
-	h := fnv.New64a()
-	h.Write([]byte(descriptor))
-	return class + "@" + strconv.FormatUint(h.Sum64(), 16)
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(descriptor); i++ {
+		h ^= uint64(descriptor[i])
+		h *= prime64
+	}
+	var hex [16]byte
+	return class + "@" + string(strconv.AppendUint(hex[:0], h, 16))
 }
 
 // Table assigns classification ids and retains descriptors for
 // inspection. One Table serves one classifier over one or more runs.
 type Table struct {
 	classifier  Classifier
+	key         []byte              // scratch: the (class, descriptor) key of the current Assign
+	ids         map[string]string   // key -> id
 	descriptors map[string]string   // id -> descriptor
 	counts      map[string]int64    // id -> instances assigned
 	paths       map[string][]string // id -> activation call path (creator classes)
@@ -253,6 +265,7 @@ type Table struct {
 func NewTable(c Classifier) *Table {
 	return &Table{
 		classifier:  c,
+		ids:         make(map[string]string),
 		descriptors: make(map[string]string),
 		counts:      make(map[string]int64),
 		paths:       make(map[string][]string),
@@ -263,19 +276,34 @@ func NewTable(c Classifier) *Table {
 func (t *Table) Classifier() Classifier { return t.classifier }
 
 // Assign classifies one instantiation and returns its classification id.
+// The descriptor is built into a buffer the table reuses and looked up
+// without being copied, so a context seen before costs no allocation; a
+// new one is hashed and checked for collisions once.
 func (t *Table) Assign(class string, stack []Frame) string {
-	desc := t.classifier.Classify(class, stack)
-	id := DescriptorID(class, desc)
-	if prev, ok := t.descriptors[id]; ok && prev != desc {
-		// A 64-bit digest collision between distinct descriptors of the
-		// same class: disambiguate deterministically by descriptor length.
-		id = id + "+" + strconv.Itoa(len(desc))
+	// The key is the length-prefixed class followed by the descriptor:
+	// ids embed the class, and the incremental descriptor does not.
+	key := binary.AppendUvarint(t.key[:0], uint64(len(class)))
+	key = append(key, class...)
+	prefix := len(key)
+	key = t.classifier.AppendDescriptor(key, class, stack)
+	t.key = key
+	id, ok := t.ids[string(key)]
+	if !ok {
+		k := string(key)
+		desc := k[prefix:]
+		id = DescriptorID(class, desc)
+		if prev, ok := t.descriptors[id]; ok && prev != desc {
+			// A 64-bit digest collision between distinct descriptors of the
+			// same class: disambiguate deterministically by descriptor length.
+			id = id + "+" + strconv.Itoa(len(desc))
+		}
+		t.ids[k] = id
+		t.descriptors[id] = desc
+		if _, ok := t.paths[id]; !ok {
+			t.paths[id] = ActivationPath(stack)
+		}
 	}
-	t.descriptors[id] = desc
 	t.counts[id]++
-	if _, ok := t.paths[id]; !ok {
-		t.paths[id] = ActivationPath(stack)
-	}
 	return id
 }
 
@@ -285,10 +313,14 @@ func (t *Table) Assign(class string, stack []Frame) string {
 // the reachability analysis join static activation sites to dynamic
 // observations even when the immediate creator is a generic factory.
 func ActivationPath(stack []Frame) []string {
-	frames := entryPoints(stack)
-	path := make([]string, len(frames))
-	for i, f := range frames {
-		path[i] = f.Class
+	n := 0
+	for i := 0; i < len(stack); i = entryPoint(stack, i) + 1 {
+		n++
+	}
+	path := make([]string, 0, n)
+	for i := 0; i < len(stack); i++ {
+		i = entryPoint(stack, i)
+		path = append(path, stack[i].Class)
 	}
 	return path
 }

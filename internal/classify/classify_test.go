@@ -40,7 +40,7 @@ func TestFigure3Descriptors(t *testing.T) {
 		{IB, "[D, c]"},
 	}
 	for _, c := range cases {
-		got := New(c.kind, 0).Classify("D", stack)
+		got := Classify(New(c.kind, 0), "D", stack)
 		if got != c.want {
 			t.Errorf("%s: got %s, want %s", c.kind, got, c.want)
 		}
@@ -50,14 +50,14 @@ func TestFigure3Descriptors(t *testing.T) {
 func TestIncrementalCountsAndResets(t *testing.T) {
 	t.Parallel()
 	c := New(Incremental, 0)
-	if got := c.Classify("D", nil); got != "[1]" {
+	if got := Classify(c, "D", nil); got != "[1]" {
 		t.Errorf("first = %s", got)
 	}
-	if got := c.Classify("E", nil); got != "[2]" {
+	if got := Classify(c, "E", nil); got != "[2]" {
 		t.Errorf("second = %s", got)
 	}
 	c.Reset()
-	if got := c.Classify("D", nil); got != "[1]" {
+	if got := Classify(c, "D", nil); got != "[1]" {
 		t.Errorf("after reset = %s", got)
 	}
 }
@@ -68,8 +68,8 @@ func TestIncrementalIgnoresContext(t *testing.T) {
 	// why it fails on input-driven applications.
 	a := New(Incremental, 0)
 	b := New(Incremental, 0)
-	x := a.Classify("D", figure3Stack())
-	y := b.Classify("Q", nil)
+	x := Classify(a, "D", figure3Stack())
+	y := Classify(b, "Q", nil)
 	if x != y {
 		t.Errorf("incremental differs by context: %s vs %s", x, y)
 	}
@@ -78,10 +78,10 @@ func TestIncrementalIgnoresContext(t *testing.T) {
 func TestSTIgnoresStack(t *testing.T) {
 	t.Parallel()
 	c := New(ST, 0)
-	if c.Classify("D", figure3Stack()) != c.Classify("D", nil) {
+	if Classify(c, "D", figure3Stack()) != Classify(c, "D", nil) {
 		t.Error("ST depends on stack")
 	}
-	if c.Classify("D", nil) == c.Classify("E", nil) {
+	if Classify(c, "D", nil) == Classify(c, "E", nil) {
 		t.Error("ST ignores class")
 	}
 }
@@ -89,15 +89,15 @@ func TestSTIgnoresStack(t *testing.T) {
 func TestIBUsesParentOnly(t *testing.T) {
 	t.Parallel()
 	c := New(IB, 0)
-	if got := c.Classify("D", nil); got != "[D, <main>]" {
+	if got := Classify(c, "D", nil); got != "[D, <main>]" {
 		t.Errorf("main-created = %s", got)
 	}
 	stack := figure3Stack()
-	if got := c.Classify("D", stack); got != "[D, c]" {
+	if got := Classify(c, "D", stack); got != "[D, c]" {
 		t.Errorf("component-created = %s", got)
 	}
 	// Deeper frames are irrelevant.
-	if c.Classify("D", stack) != c.Classify("D", stack[:1]) {
+	if Classify(c, "D", stack) != Classify(c, "D", stack[:1]) {
 		t.Error("IB looked past the parent")
 	}
 }
@@ -116,7 +116,7 @@ func TestDepthLimiting(t *testing.T) {
 		{0, "[D, [c,Z], [b2,Y], [b1,X], [a,W], [a,V]]"},
 	}
 	for _, c := range cases {
-		got := New(IFCB, c.depth).Classify("D", stack)
+		got := Classify(New(IFCB, c.depth), "D", stack)
 		if got != c.want {
 			t.Errorf("depth %d: got %s, want %s", c.depth, got, c.want)
 		}
@@ -133,13 +133,13 @@ func TestDepthCoarsensMonotonically(t *testing.T) {
 	s2[3].Function = "W2" // differs at depth 4
 	for d := 1; d <= 3; d++ {
 		a := New(IFCB, d)
-		if a.Classify("D", s1) != a.Classify("D", s2) {
+		if Classify(a, "D", s1) != Classify(a, "D", s2) {
 			t.Fatalf("depth %d should not distinguish", d)
 		}
 	}
 	for _, d := range []int{4, 5, 0} {
 		a := New(IFCB, d)
-		if a.Classify("D", s1) == a.Classify("D", s2) {
+		if Classify(a, "D", s1) == Classify(a, "D", s2) {
 			t.Fatalf("depth %d should distinguish", d)
 		}
 	}
@@ -156,12 +156,12 @@ func TestEntryPointCollapsing(t *testing.T) {
 		{Instance: 2, Class: "Y", InstClassification: "y", Function: "go"},
 		{Instance: 9, Class: "X", InstClassification: "x", Function: "reentry"},
 	}
-	got := New(EPCB, 0).Classify("D", stack)
+	got := Classify(New(EPCB, 0), "D", stack)
 	want := "[D, [x,entry], [y,go], [x,reentry]]"
 	if got != want {
 		t.Errorf("EPCB = %s, want %s", got, want)
 	}
-	if got := New(EPCB, 0).Classify("D", nil); got != "[D]" {
+	if got := Classify(New(EPCB, 0), "D", nil); got != "[D]" {
 		t.Errorf("empty stack EPCB = %s", got)
 	}
 }
@@ -307,7 +307,7 @@ func TestPropertyDeterminism(t *testing.T) {
 		for _, k := range []Kind{PCB, ST, STCB, IFCB, EPCB, IB} {
 			c1 := New(k, int(depth%4))
 			c2 := New(k, int(depth%4))
-			if c1.Classify("D", stack) != c2.Classify("D", stack) {
+			if Classify(c1, "D", stack) != Classify(c2, "D", stack) {
 				return false
 			}
 		}
@@ -338,11 +338,11 @@ func TestPropertyContextualOrdering(t *testing.T) {
 		ifcb := New(IFCB, 0)
 		stcb := New(STCB, 0)
 		st := New(ST, 0)
-		if ifcb.Classify("D", sa) == ifcb.Classify("D", sb) {
-			if stcb.Classify("D", sa) != stcb.Classify("D", sb) {
+		if Classify(ifcb, "D", sa) == Classify(ifcb, "D", sb) {
+			if Classify(stcb, "D", sa) != Classify(stcb, "D", sb) {
 				return false
 			}
-			if st.Classify("D", sa) != st.Classify("D", sb) {
+			if Classify(st, "D", sa) != Classify(st, "D", sb) {
 				return false
 			}
 		}

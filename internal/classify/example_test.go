@@ -23,9 +23,9 @@ func Example() {
 	st := classify.New(classify.ST, 0)
 	ifcb := classify.New(classify.IFCB, 0)
 
-	fmt.Println("ST:  ", st.Classify("Paragraph", bodyStack) == st.Classify("Paragraph", cellStack))
-	fmt.Println("IFCB:", ifcb.Classify("Paragraph", bodyStack) == ifcb.Classify("Paragraph", cellStack))
-	fmt.Println(ifcb.Classify("Paragraph", bodyStack))
+	fmt.Println("ST:  ", classify.Classify(st, "Paragraph", bodyStack) == classify.Classify(st, "Paragraph", cellStack))
+	fmt.Println("IFCB:", classify.Classify(ifcb, "Paragraph", bodyStack) == classify.Classify(ifcb, "Paragraph", cellStack))
+	fmt.Println(classify.Classify(ifcb, "Paragraph", bodyStack))
 	// Output:
 	// ST:   true
 	// IFCB: false
@@ -40,8 +40,8 @@ func ExampleNew_depthLimited() {
 	}
 	shallow := classify.New(classify.IFCB, 1)
 	deep := classify.New(classify.IFCB, 2)
-	fmt.Println(shallow.Classify("Button", stack))
-	fmt.Println(deep.Classify("Button", stack))
+	fmt.Println(classify.Classify(shallow, "Button", stack))
+	fmt.Println(classify.Classify(deep, "Button", stack))
 	// Output:
 	// [Button, [factory@1,CreateWidget]]
 	// [Button, [factory@1,CreateWidget], [dlg@3,Populate]]

@@ -399,8 +399,10 @@ func (l *faultListener) Accept() (net.Conn, error) {
 	}
 	fc := l.inj.WrapConn(c).(*faultConn)
 	if l.inj.acceptFails(fc.id) {
-		c.Close()
+		// Record before closing: the client sees EOF as soon as the
+		// connection closes, and may count the event right then.
 		l.inj.record(Event{Conn: fc.id, Kind: AcceptFail})
+		c.Close()
 	}
 	return fc, nil
 }

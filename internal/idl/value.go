@@ -83,14 +83,13 @@ func ArrayVal(t *TypeDesc, elems ...Value) Value {
 	return Value{Type: t, Elems: elems}
 }
 
+// anyInterface types every IfacePtr value. A pointer carries its own IID,
+// so the descriptor names none ("any") and one shared descriptor serves
+// every value; declared parameter types keep their IIDs.
+var anyInterface = InterfaceType("")
+
 // IfacePtr constructs an interface-pointer value.
-func IfacePtr(p InterfacePtr) Value {
-	iid := ""
-	if p != nil {
-		iid = p.IID()
-	}
-	return Value{Type: InterfaceType(iid), Iface: p}
-}
+func IfacePtr(p InterfacePtr) Value { return Value{Type: anyInterface, Iface: p} }
 
 // OpaquePtr constructs an opaque-pointer value carrying p. Such values are
 // non-remotable by construction.
@@ -226,23 +225,6 @@ func (v *Value) Walk(fn func(*Value) bool) bool {
 		}
 	}
 	return true
-}
-
-// InterfacePointers returns every interface pointer reachable from the
-// values, in marshal order. The distribution informer needs only this —
-// it scans just far enough to find interface pointers, which is why its
-// overhead is a small fraction of the profiling informer's.
-func InterfacePointers(vals []Value) []InterfacePtr {
-	var ptrs []InterfacePtr
-	for i := range vals {
-		vals[i].Walk(func(v *Value) bool {
-			if v.Type != nil && v.Type.Kind == KindInterface && v.Iface != nil {
-				ptrs = append(ptrs, v.Iface)
-			}
-			return true
-		})
-	}
-	return ptrs
 }
 
 // SizeOf returns the total deep-copy size of a parameter list.

@@ -116,6 +116,15 @@ func TestValidate(t *testing.T) {
 	if err := okIf.Validate(); err != nil {
 		t.Errorf("matching IID rejected: %v", err)
 	}
+	// IfacePtr values share one "any interface" descriptor: they carry
+	// their IID in the pointer, and validate whatever it is.
+	a, b := IfacePtr(fakePtr{"IA", 1}), IfacePtr(fakePtr{"IB", 2})
+	if a.Type != b.Type || a.Type.Kind != KindInterface || a.Type.IID != "" {
+		t.Errorf("IfacePtr types %+v, %+v: want one shared any-interface descriptor", a.Type, b.Type)
+	}
+	if err := a.Validate(); err != nil {
+		t.Errorf("IfacePtr value rejected: %v", err)
+	}
 }
 
 func TestWalkVisitsEverything(t *testing.T) {
@@ -135,23 +144,6 @@ func TestWalkVisitsEverything(t *testing.T) {
 	v.Walk(func(*Value) bool { count++; return count < 3 })
 	if count != 3 {
 		t.Errorf("early-stop walk visited %d nodes, want 3", count)
-	}
-}
-
-func TestInterfacePointers(t *testing.T) {
-	t.Parallel()
-	p1 := fakePtr{"IA", 1}
-	p2 := fakePtr{"IB", 2}
-	vals := []Value{
-		Int32(9),
-		StructVal(Struct("S", Field("i", InterfaceType("IA")), Field("n", TInt32)),
-			IfacePtr(p1), Int32(3)),
-		ArrayVal(Array(InterfaceType("IB")), IfacePtr(p2)),
-		IfacePtr(nil),
-	}
-	ptrs := InterfacePointers(vals)
-	if len(ptrs) != 2 || ptrs[0].IID() != "IA" || ptrs[1].IID() != "IB" {
-		t.Fatalf("InterfacePointers = %v", ptrs)
 	}
 }
 

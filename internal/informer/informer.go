@@ -26,10 +26,10 @@ type CallInfo struct {
 	// opaque pointer is present or the interface is declared local). The
 	// distribution informer does not check and reports true.
 	Remotable bool
-	// Pointers lists the interface pointers found among the parameters,
-	// used by the runtime executive to wrap interfaces as they cross
-	// component boundaries.
-	Pointers []idl.InterfacePtr
+	// Pointers counts the non-nil interface pointers found among the
+	// parameters: the references the runtime executive wraps as they
+	// cross component boundaries.
+	Pointers int
 }
 
 // Informer inspects call parameters.
@@ -67,7 +67,7 @@ func profileInspect(iface *idl.InterfaceDesc, vals []idl.Value) CallInfo {
 			switch {
 			case v.Type == nil:
 			case v.Type.Kind == idl.KindInterface && v.Iface != nil:
-				info.Pointers = append(info.Pointers, v.Iface)
+				info.Pointers++
 			case v.Type.Kind == idl.KindOpaque:
 				info.Remotable = false
 			}
@@ -77,6 +77,21 @@ func profileInspect(iface *idl.InterfaceDesc, vals []idl.Value) CallInfo {
 	}
 	info.Bytes = bytes
 	return info
+}
+
+// countPointers counts the non-nil interface pointers reachable from the
+// values: the distribution informer scans only this far.
+func countPointers(vals []idl.Value) int {
+	n := 0
+	for i := range vals {
+		vals[i].Walk(func(v *idl.Value) bool {
+			if v.Type != nil && v.Type.Kind == idl.KindInterface && v.Iface != nil {
+				n++
+			}
+			return true
+		})
+	}
+	return n
 }
 
 // Distribution is the lightweight post-profiling informer: it scans only
@@ -89,12 +104,12 @@ func (Distribution) Name() string { return "distribution" }
 
 // InspectIn implements Informer.
 func (Distribution) InspectIn(iface *idl.InterfaceDesc, method *idl.MethodDesc, args []idl.Value) CallInfo {
-	return CallInfo{Remotable: true, Pointers: idl.InterfacePointers(args)}
+	return CallInfo{Remotable: true, Pointers: countPointers(args)}
 }
 
 // InspectOut implements Informer.
 func (Distribution) InspectOut(iface *idl.InterfaceDesc, method *idl.MethodDesc, rets []idl.Value) CallInfo {
-	return CallInfo{Remotable: true, Pointers: idl.InterfacePointers(rets)}
+	return CallInfo{Remotable: true, Pointers: countPointers(rets)}
 }
 
 // MeasureMessage computes the wire size of a message (headers plus

@@ -32,6 +32,14 @@ func chainApp() *com.App {
 		}},
 	})
 	ifaces.Register(&idl.InterfaceDesc{
+		IID: "IHold", Remotable: true,
+		Methods: []idl.MethodDesc{{
+			Name:   "Hold",
+			Params: []idl.ParamDesc{{Name: "p", Dir: idl.In, Type: idl.InterfaceType("ILeaf")}},
+			Result: idl.TVoid,
+		}},
+	})
+	ifaces.Register(&idl.InterfaceDesc{
 		IID: "ISharedMem", Remotable: false,
 		Methods: []idl.MethodDesc{{
 			Name:   "Ptr",
@@ -58,7 +66,7 @@ func chainApp() *com.App {
 		},
 	})
 	classes.Register(&com.Class{
-		ID: "CLSID_Leaf", Name: "Leaf", Interfaces: []string{"ILeaf", "ISharedMem"},
+		ID: "CLSID_Leaf", Name: "Leaf", Interfaces: []string{"ILeaf", "IHold", "ISharedMem"},
 		New: func() com.Object {
 			return com.ObjectFunc(func(c *com.Call) ([]idl.Value, error) {
 				switch c.Method {
@@ -351,5 +359,69 @@ func TestSnapshotOrdering(t *testing.T) {
 	}
 	if len(snap) != 1 || snap[0].Class != "Probe" || snap[0].Function != "Work" {
 		t.Errorf("snapshot = %+v", snap)
+	}
+}
+
+// TestTrappedIfaceCallAllocs guards the distribution runtime's per-call
+// cost: a call passing one interface pointer, through the RTE with the
+// distribution informer and the null logger, allocates the caller's
+// variadic arguments and the *Call, nothing else — no descriptor for the
+// pointer's type, no list of the pointers found. Not parallel, so no
+// other test's allocations are counted.
+//
+//lint:allow paralleltest allocation counts are process-wide
+func TestTrappedIfaceCallAllocs(t *testing.T) {
+	env := com.NewEnv(chainApp())
+	r := attach(t, env, Options{Informer: informer.Distribution{}})
+	r.BeginRun("s")
+	leaf, err := env.CreateInstance(nil, "CLSID_Leaf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := env.MustQuery(leaf, "IHold")
+	arg := env.MustQuery(leaf, "ILeaf")
+	allocs := testing.AllocsPerRun(100, func() {
+		_, err = env.Call(nil, hold, "Hold", idl.IfacePtr(arg))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 2 {
+		t.Errorf("trapped call with an interface pointer allocates %v objects, want <= 2", allocs)
+	}
+}
+
+// TestInstantiationAllocs guards the classification path: with the null
+// logger and a table that has seen the context, an instantiation through
+// the RTE — three frames deep, so the IFCB descriptor walks a stack —
+// allocates no more than the same CreateInstance with no hooks. Not
+// parallel, so no other test's allocations are counted.
+//
+//lint:allow paralleltest allocation counts are process-wide
+func TestInstantiationAllocs(t *testing.T) {
+	measure := func(hooked bool) float64 {
+		env := com.NewEnv(chainApp())
+		if hooked {
+			r := attach(t, env, Options{Informer: informer.Distribution{}})
+			r.BeginRun("s")
+			r.stack = []classify.Frame{ // outermost first
+				{Instance: 1, Class: "Root", InstClassification: "Root@1", Function: "Run"},
+				{Instance: 2, Class: "Leaf", InstClassification: "Leaf@2", Function: "Work"},
+				{Instance: 2, Class: "Leaf", InstClassification: "Leaf@2", Function: "Ptr"},
+			}
+		}
+		create := func() {
+			if _, err := env.CreateInstance(nil, "CLSID_Leaf"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 10 { // warm: the table has seen the context
+			create()
+		}
+		return testing.AllocsPerRun(100, create)
+	}
+	bare, hooked := measure(false), measure(true)
+	if hooked > bare {
+		t.Errorf("instantiation through the RTE allocates %v objects, bare CreateInstance %v", hooked, bare)
 	}
 }

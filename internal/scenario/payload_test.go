@@ -59,14 +59,23 @@ func TestZeroPageNeverWritten(t *testing.T) {
 }
 
 // TestBigoneAllocBudget guards what one bigone run of each paper app
-// allocates in total, profiling and default mode alike: payloads are
-// sizes, not buffers, so a run stays well under 16 MB (it was ~115 MB for
-// octarine and photodraw while every payload was a fresh zeroed slice).
-// Not parallel: TotalAlloc is process-wide.
+// allocates in total, profiling and default mode alike. Bytes: payloads
+// are sizes, not buffers, so a run stays well under 16 MB (it was ~115 MB
+// for octarine and photodraw while every payload was a fresh zeroed
+// slice). Objects: a repeated instantiation context and a call's
+// interface pointers cost nothing, so each run stays within ~8 % of what
+// it measured when that landed (octarine's default run was 67.9 k objects
+// while every instantiation built its descriptor, id and path strings).
+// Not parallel: TotalAlloc and Mallocs are process-wide.
 //
 //lint:allow paralleltest TotalAlloc is process-wide
 func TestBigoneAllocBudget(t *testing.T) {
 	const budget = 16 << 20
+	objects := map[string]map[dist.Mode]uint64{ // measured 48.0k/42.6k, 15.4k/13.9k, 10.9k/10.2k
+		"octarine":  {dist.ModeProfiling: 52_000, dist.ModeDefault: 46_000},
+		"photodraw": {dist.ModeProfiling: 16_700, dist.ModeDefault: 15_000},
+		"benefits":  {dist.ModeProfiling: 11_800, dist.ModeDefault: 11_000},
+	}
 	for _, name := range Apps() {
 		app, err := NewApp(name)
 		if err != nil {
@@ -88,6 +97,13 @@ func TestBigoneAllocBudget(t *testing.T) {
 			if got := after.TotalAlloc - before.TotalAlloc; got > budget {
 				t.Errorf("%s mode %d allocated %.1f MB, budget %d MB",
 					big, mode, float64(got)/(1<<20), budget>>20)
+			}
+			want, ok := objects[name][mode]
+			if !ok {
+				t.Fatalf("no object budget for %s mode %d", name, mode)
+			}
+			if got := after.Mallocs - before.Mallocs; got > want {
+				t.Errorf("%s mode %d allocated %d objects, budget %d", big, mode, got, want)
 			}
 		}
 	}
