@@ -229,8 +229,9 @@ func BenchmarkProfilingOverhead(b *testing.B) {
 	b.ReportMetric(row.ProfilingOverhead*100, "profiling-overhead-%")
 }
 
-// BenchmarkDistributionInformerOverhead measures the lightweight
-// distribution informer's overhead (paper §3.2: under 3%).
+// BenchmarkDistributionInformerOverhead measures the overhead of the
+// lightweight distribution runtime, which sizes only the calls that cross
+// machines (paper §3.2's distribution informer: under 3%).
 func BenchmarkDistributionInformerOverhead(b *testing.B) {
 	var row *experiments.OverheadRow
 	for i := 0; i < b.N; i++ {

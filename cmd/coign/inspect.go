@@ -110,7 +110,6 @@ func cmdAnalyze(ctx context.Context, args []string, w io.Writer) error {
 			combined = p
 			continue
 		}
-		p.OffsetInstanceIDs(combined.MaxInstanceID())
 		if err := combined.Merge(p); err != nil {
 			return err
 		}

@@ -13,8 +13,7 @@
 //	internal/idl       interface metadata, deep-copy measurement, wire codec
 //	internal/com       the synthetic component object model
 //	internal/binimg    application binary images and the binary rewriter
-//	internal/rte       the Coign runtime executive (traps, wrapping, shadow stack)
-//	internal/informer  profiling and distribution interface informers
+//	internal/rte       the Coign runtime executive (traps, wrapping, shadow stack, call sizing)
 //	internal/logger    profiling, event, and null information loggers
 //	internal/classify  the seven instance classifiers
 //	internal/profile   ICC profiles, size buckets, communication vectors

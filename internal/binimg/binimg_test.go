@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/com"
 	"repro/internal/idl"
-	"repro/internal/profile"
 )
 
 func testApp() *com.App {
@@ -242,68 +241,5 @@ func TestImageFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFile(filepath.Join(dir, "nope.img")); err == nil {
 		t.Error("missing file read")
-	}
-}
-
-func TestProfileAccumulationInBinary(t *testing.T) {
-	t.Parallel()
-	im := BuildImage(testApp())
-	inst, _ := Instrument(im, "ifcb", 0, nil)
-
-	p1 := profile.New("demo", "ifcb")
-	p1.Scenarios = []string{"s1"}
-	p1.AddInstance(profile.InstanceRecord{ID: 1, Class: "A", Classification: "A@1"})
-	p1.Edge(profile.MainProgram, "A@1").Record(100, 200, false)
-	p1.InstEdge(0, 1).Record(100, 200, false)
-
-	if err := inst.Config.AccumulateProfile(p1); err != nil {
-		t.Fatal(err)
-	}
-	// Accumulate a second run.
-	p2 := profile.New("demo", "ifcb")
-	p2.Scenarios = []string{"s2"}
-	p2.Edge(profile.MainProgram, "A@1").Record(50, 50, false)
-	if err := inst.Config.AccumulateProfile(p2); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := inst.Config.GetProfile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalCalls() != 2 {
-		t.Errorf("accumulated calls = %d", got.TotalCalls())
-	}
-	if len(got.Scenarios) != 2 {
-		t.Errorf("scenarios = %v", got.Scenarios)
-	}
-	// The in-binary summary drops instance detail.
-	if len(got.InstEdges) != 0 || len(got.Instances) != 0 {
-		t.Error("in-binary profile kept instance detail")
-	}
-	// Survives image serialization.
-	var buf bytes.Buffer
-	if err := inst.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := Decode(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := decoded.Config.GetProfile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.TotalCalls() != 2 {
-		t.Error("embedded profile lost through serialization")
-	}
-}
-
-func TestGetProfileEmpty(t *testing.T) {
-	t.Parallel()
-	c := &ConfigRecord{}
-	p, err := c.GetProfile()
-	if err != nil || p != nil {
-		t.Fatalf("GetProfile on empty = %v, %v", p, err)
 	}
 }

@@ -12,15 +12,12 @@
 package binimg
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
-
-	"repro/internal/profile"
 )
 
 // Magic identifies the synthetic image format ("CoIm").
@@ -36,11 +33,11 @@ type Mode string
 const (
 	// ModeNone: the image has no configuration record.
 	ModeNone Mode = ""
-	// ModeProfiling loads the profiling informer and profiling logger.
+	// ModeProfiling loads the runtime with the profiling logger: every
+	// call is sized and summarized.
 	ModeProfiling Mode = "profiling"
-	// ModeDistribution loads the lightweight distribution informer, the
-	// null logger, and the component factory that realizes the chosen
-	// distribution.
+	// ModeDistribution loads the lightweight runtime: the null logger and
+	// the component factory that realizes the chosen distribution.
 	ModeDistribution Mode = "distribution"
 )
 
@@ -67,15 +64,6 @@ type ConfigRecord struct {
 	Distribution map[string]int `json:"distribution,omitempty"`
 	// Network names the network profile the distribution was computed for.
 	Network string `json:"network,omitempty"`
-	// Profile optionally accumulates classification-level communication
-	// summaries directly in the binary, the storage-saving alternative to
-	// separate log files (paper §2).
-	Profile *profileBlob `json:"profile,omitempty"`
-}
-
-// profileBlob wraps a profile's serialized form for embedding.
-type profileBlob struct {
-	Data []byte `json:"data"`
 }
 
 // Image is a synthetic application binary.
@@ -99,48 +87,6 @@ func (im *Image) CodeBytes() int {
 		n += len(s.Data)
 	}
 	return n
-}
-
-// SetProfile embeds a profile summary in the configuration record,
-// replacing any previous one. Instance-level detail is dropped: the
-// in-binary form accumulates communication from similar interface calls
-// into single entries.
-func (c *ConfigRecord) SetProfile(p *profile.Profile) error {
-	compact := profile.New(p.App, p.Classifier)
-	if err := compact.Merge(p); err != nil {
-		return err
-	}
-	compact.DropInstanceDetail()
-	var buf bytes.Buffer
-	if err := compact.Encode(&buf); err != nil {
-		return err
-	}
-	c.Profile = &profileBlob{Data: buf.Bytes()}
-	return nil
-}
-
-// GetProfile extracts the embedded profile summary, or nil if none.
-func (c *ConfigRecord) GetProfile() (*profile.Profile, error) {
-	if c.Profile == nil {
-		return nil, nil
-	}
-	return profile.Decode(bytes.NewReader(c.Profile.Data))
-}
-
-// AccumulateProfile merges a run's profile into the embedded summary,
-// creating it if absent.
-func (c *ConfigRecord) AccumulateProfile(p *profile.Profile) error {
-	existing, err := c.GetProfile()
-	if err != nil {
-		return err
-	}
-	if existing == nil {
-		return c.SetProfile(p)
-	}
-	if err := existing.Merge(p); err != nil {
-		return err
-	}
-	return c.SetProfile(existing)
 }
 
 // --- serialization ---

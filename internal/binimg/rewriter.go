@@ -79,17 +79,12 @@ func Instrument(im *Image, classifier string, depth int, ifaceMetadata map[strin
 	if !out.Instrumented() {
 		out.Imports = append([]string{CoignRuntimeDLL}, out.Imports...)
 	}
-	cfg := &ConfigRecord{
+	out.Config = &ConfigRecord{
 		Mode:              ModeProfiling,
 		Classifier:        classifier,
 		ClassifierDepth:   depth,
 		InterfaceMetadata: ifaceMetadata,
 	}
-	if out.Config != nil {
-		// Preserve any accumulated in-binary profile.
-		cfg.Profile = out.Config.Profile
-	}
-	out.Config = cfg
 	return out, nil
 }
 

@@ -205,8 +205,7 @@ func (a *ADPS) ProfileNetwork() error {
 }
 
 // ProfileScenario runs the instrumented binary through one profiling
-// scenario and returns its ICC profile. The profile is also accumulated
-// into the binary's configuration record.
+// scenario and returns its ICC profile.
 func (a *ADPS) ProfileScenario(scenario string, instanceDetail bool) (*profile.Profile, *dist.Result, error) {
 	if a.Image == nil || !a.Image.Instrumented() {
 		return nil, nil, fmt.Errorf("core: application binary is not instrumented")
@@ -225,9 +224,6 @@ func (a *ADPS) ProfileScenario(scenario string, instanceDetail bool) (*profile.P
 	}
 	if res.Profile == nil {
 		return nil, nil, fmt.Errorf("core: profiling run produced no profile")
-	}
-	if err := a.Image.Config.AccumulateProfile(res.Profile); err != nil {
-		return nil, nil, err
 	}
 	a.profiledScenario, a.profiledCompute = scenario, res.Clock.ComputeTime()
 	return res.Profile, res, nil
@@ -485,9 +481,6 @@ func (a *ADPS) ClassifierAccuracy(kind classify.Kind, depth int,
 			combined = res.Profile
 			continue
 		}
-		// Instance ids restart every execution; shift this run's past the
-		// combined profile's so per-instance vectors stay distinct.
-		res.Profile.OffsetInstanceIDs(combined.MaxInstanceID())
 		if err := combined.Merge(res.Profile); err != nil {
 			return nil, err
 		}

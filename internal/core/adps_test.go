@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/apps/octarine"
 	"repro/internal/binimg"
 	"repro/internal/classify"
+	"repro/internal/dist"
 	"repro/internal/netsim"
 	"repro/internal/scenario"
 )
@@ -36,20 +38,13 @@ func TestPipelineStages(t *testing.T) {
 		t.Error("no interface metadata in configuration record")
 	}
 
-	// Profile: the run accumulates into the binary too.
+	// Profile.
 	p, run, err := adps.ProfileScenario(octarine.ScenOldWp0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.TotalCalls() == 0 || run.Profile != p {
 		t.Fatal("profiling returned inconsistent results")
-	}
-	embedded, err := adps.Image.Config.GetProfile()
-	if err != nil || embedded == nil {
-		t.Fatalf("no in-binary profile: %v", err)
-	}
-	if embedded.TotalCalls() != p.TotalCalls() {
-		t.Errorf("embedded calls = %d, want %d", embedded.TotalCalls(), p.TotalCalls())
 	}
 
 	// Analyze and write the distribution into the binary.
@@ -316,5 +311,48 @@ func TestImageRoundTripThroughDisk(t *testing.T) {
 	}
 	if dres.AppPerMachine[1] == 0 { // com.Server
 		t.Error("distribution loaded from disk placed nothing on the server")
+	}
+}
+
+// TestProfileScenarioCostsOnlyItsRun guards what profiling through the
+// session costs on top of the run itself: ProfileScenario on o_bigone
+// allocates at most 2 % more objects than the bare dist.Run profiling run
+// of the same scenario (48.0 k). Copying the profile into the binary's
+// configuration record (decode, merge, re-encode as JSON on every run)
+// cost 6.9 k objects on the first run and 16.8 k on each later one. Each
+// side is read as its cheapest of three runs. Not parallel: Mallocs is
+// process-wide.
+//
+//lint:allow paralleltest Mallocs is process-wide
+func TestProfileScenarioCostsOnlyItsRun(t *testing.T) {
+	adps := New(octarine.New())
+	if err := adps.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	objects := func(run func() error) uint64 {
+		least := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := run()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	bare := objects(func() error {
+		_, err := dist.Run(dist.Config{App: adps.App, Scenario: octarine.ScenBigone, Seed: adps.Seed,
+			Mode: dist.ModeProfiling, Classifier: adps.classifier(), Network: adps.Network})
+		return err
+	})
+	session := objects(func() error {
+		_, _, err := adps.ProfileScenario(octarine.ScenBigone, false)
+		return err
+	})
+	if limit := bare + bare/50; session > limit {
+		t.Errorf("ProfileScenario allocated %d objects, the bare profiling run %d (limit %d)", session, bare, limit)
 	}
 }

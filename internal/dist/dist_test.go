@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps/octarine"
 	"repro/internal/classify"
 	"repro/internal/com"
 	"repro/internal/idl"
@@ -388,9 +389,8 @@ func TestEventTraceAndReplay(t *testing.T) {
 	if rr2.CommTime == 0 || rr2.Crossings == 0 {
 		t.Errorf("storage-remote replay: %+v", rr2)
 	}
-	// Replay agrees with a live default-mode run (both use mean times and
-	// identical message sizes... live run uses distribution informer sizes
-	// measured by the transport, replay uses profiling informer sizes).
+	// Replay agrees with a live default-mode run: both use mean times, and
+	// every mode sizes a call the same way (see TestOneMeasurementInEveryMode).
 	def, err := Run(Config{
 		App: pipelineApp(), Scenario: "big", Mode: ModeDefault,
 		Classifier: classify.New(classify.IFCB, 0),
@@ -401,6 +401,65 @@ func TestEventTraceAndReplay(t *testing.T) {
 	ratio := float64(rr2.CommTime) / float64(def.Clock.CommTime())
 	if ratio < 0.95 || ratio > 1.05 {
 		t.Errorf("replay %v vs live %v (ratio %.3f)", rr2.CommTime, def.Clock.CommTime(), ratio)
+	}
+}
+
+// TestOneMeasurementInEveryMode checks that a distributed run's trace
+// carries the sizes and remotability profiling measures: call for call, a
+// ModeDefault trace records the InBytes, OutBytes and NonRemotable of the
+// ModeProfiling trace of the same scenario, and the run's Violations are
+// exactly its crossing calls flagged NonRemotable.
+func TestOneMeasurementInEveryMode(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		app      *com.App
+		scenario string
+	}{
+		{pipelineApp(), "big"},
+		{octarine.New(), octarine.ScenOldWp7},
+	} {
+		calls := func(mode Mode) ([]logger.CallRecord, *Result) {
+			res, err := Run(Config{App: c.app, Scenario: c.scenario, Mode: mode,
+				Classifier: classify.New(classify.IFCB, 0), EventTrace: true})
+			if err != nil {
+				t.Fatalf("%s mode %d: %v", c.scenario, mode, err)
+			}
+			var out []logger.CallRecord
+			for _, ev := range res.Events.Events {
+				if ev.Kind == logger.EvCall {
+					out = append(out, ev.Call)
+				}
+			}
+			return out, res
+		}
+		prof, _ := calls(ModeProfiling)
+		def, res := calls(ModeDefault)
+		if len(def) != len(prof) || len(def) == 0 {
+			t.Fatalf("%s: %d default calls, %d profiled", c.scenario, len(def), len(prof))
+		}
+		crossing, flagged := 0, 0
+		for i, d := range def {
+			p := prof[i]
+			if d.IID != p.IID || d.Method != p.Method {
+				t.Fatalf("%s call %d: default %s.%s, profiled %s.%s", c.scenario, i, d.IID, d.Method, p.IID, p.Method)
+			}
+			if d.InBytes != p.InBytes || d.OutBytes != p.OutBytes || d.NonRemotable != p.NonRemotable {
+				t.Fatalf("%s call %d %s.%s: default in=%d out=%d non-remotable=%v, profiled in=%d out=%d non-remotable=%v",
+					c.scenario, i, d.IID, d.Method, d.InBytes, d.OutBytes, d.NonRemotable, p.InBytes, p.OutBytes, p.NonRemotable)
+			}
+			if d.Crossing {
+				crossing++
+				if d.NonRemotable {
+					flagged++
+				}
+			}
+		}
+		if crossing == 0 {
+			t.Errorf("%s: no call crossed machines in the default distribution", c.scenario)
+		}
+		if res.Violations != flagged {
+			t.Errorf("%s: violations = %d, crossing calls flagged non-remotable = %d", c.scenario, res.Violations, flagged)
+		}
 	}
 }
 

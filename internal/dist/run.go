@@ -9,7 +9,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/com"
 	"repro/internal/factory"
-	"repro/internal/informer"
 	"repro/internal/logger"
 	"repro/internal/netsim"
 	"repro/internal/profile"
@@ -31,13 +30,13 @@ const (
 	// communication. This is Table 4's "default" column.
 	ModeDefault
 	// ModeProfiling runs the instrumented binary through a profiling
-	// scenario: the profiling informer measures every call and the
-	// profiling logger summarizes ICC. The application itself runs
-	// non-distributed, as during Coign's scenario-based profiling.
+	// scenario: every call is sized and the profiling logger summarizes
+	// ICC. The application itself runs non-distributed, as during Coign's
+	// scenario-based profiling.
 	ModeProfiling
 	// ModeCoign runs the application in a Coign-chosen distribution: the
-	// distribution informer, the null logger, and the component factory
-	// enforcing the classification→machine map.
+	// null logger and the component factory enforcing the
+	// classification→machine map.
 	ModeCoign
 )
 
@@ -116,7 +115,11 @@ var homePlacer = rte.PlacerFunc(func(_ string, cl *com.Class, _ com.Machine) com
 	return cl.Home
 })
 
-// Run drives one scenario execution under the configured mode.
+// Run drives one scenario execution under the configured mode. Every mode
+// but ModeBare sizes a call the same way (see package rte) and only where
+// the size is read: in ModeProfiling every call, for the profile; in
+// ModeDefault and ModeCoign the calls that cross machines, for the clock,
+// and every call once an extra logger or the event trace records it.
 func Run(cfg Config) (*Result, error) {
 	if cfg.App == nil || cfg.App.Main == nil {
 		return nil, fmt.Errorf("dist: config has no runnable application")
@@ -166,7 +169,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	table := classify.NewTable(cfg.Classifier)
 
-	var inf informer.Informer
 	var log logger.Logger
 	var plog *logger.Profiling
 	var placer rte.Placer
@@ -174,12 +176,10 @@ func Run(cfg Config) (*Result, error) {
 
 	switch cfg.Mode {
 	case ModeDefault:
-		inf = informer.Distribution{}
 		log = logger.Null{}
 		placer = homePlacer
 		comm = clock
 	case ModeProfiling:
-		inf = informer.Profiling{}
 		plog = logger.NewProfiling(cfg.Classifier.Name(), cfg.InstanceDetail)
 		log = plog
 		// Profiling runs on the non-distributed application.
@@ -189,9 +189,8 @@ func Run(cfg Config) (*Result, error) {
 		if len(cfg.Distribution) == 0 {
 			return nil, fmt.Errorf("dist: ModeCoign requires a distribution map")
 		}
-		inf = informer.Distribution{}
 		log = logger.Null{}
-		fac, err := factory.New(cfg.Distribution, factory.FollowCreator)
+		fac, err := factory.New(cfg.Distribution)
 		if err != nil {
 			return nil, err
 		}
@@ -232,12 +231,11 @@ func Run(cfg Config) (*Result, error) {
 		cache = caching.New(0)
 	}
 	r, err := rte.Attach(env, rte.Options{
-		Informer: inf,
-		Logger:   log,
-		Table:    table,
-		Placer:   placer,
-		Comm:     comm,
-		Cache:    cache,
+		Logger: log,
+		Table:  table,
+		Placer: placer,
+		Comm:   comm,
+		Cache:  cache,
 	})
 	if err != nil {
 		return nil, err

@@ -118,7 +118,7 @@ func TestMeasureOverheadOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Profiling costs more than the lightweight distribution informer.
+	// Profiling costs more than the lightweight distribution runtime.
 	if row.Profiling <= row.Distribution {
 		t.Errorf("profiling %v not slower than distribution %v", row.Profiling, row.Distribution)
 	}

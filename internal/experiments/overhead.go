@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"repro/internal/classify"
@@ -12,7 +13,9 @@ import (
 // Instrumentation overhead (paper §3.2): scenario-based profiling adds up
 // to 85% to execution time (typically closer to 45%), nearly all of it in
 // the profiling interface informer's parameter walks; the distribution
-// informer that stays in the application afterwards costs under 3%. We
+// informer that stays in the application afterwards costs under 3%. Here
+// the profiling configuration sizes and logs every call, and the
+// distribution configuration sizes only the calls that cross machines. We
 // measure real (host) wall time of the same scenario under the three
 // configurations.
 
@@ -27,8 +30,11 @@ type OverheadRow struct {
 }
 
 // MeasureOverhead runs one scenario reps times under each of the bare,
-// profiling, and distribution-informer configurations and reports the
-// best (minimum) wall time of each.
+// profiling, and distribution-runtime configurations and reports the
+// best (minimum) wall time of each. The configurations take turns within
+// each repetition, and every run starts from a fresh collection, so no
+// configuration pays for the garbage of the one before it or runs only
+// while the host is busy.
 func MeasureOverhead(scenName string, reps int) (*OverheadRow, error) {
 	info, err := scenario.Lookup(scenName)
 	if err != nil {
@@ -38,38 +44,37 @@ func MeasureOverhead(scenName string, reps int) (*OverheadRow, error) {
 		reps = 1
 	}
 	run := func(mode dist.Mode) (time.Duration, error) {
-		best := time.Duration(1<<62 - 1)
-		for i := 0; i < reps; i++ {
-			app, err := scenario.NewApp(info.App)
-			if err != nil {
-				return 0, err
-			}
-			cfg := dist.Config{App: app, Scenario: scenName, Mode: mode}
-			if mode != dist.ModeBare {
-				cfg.Classifier = classify.New(classify.IFCB, 0)
-			}
-			res, err := dist.Run(cfg)
-			if err != nil {
-				return 0, err
-			}
-			if res.WallTime < best {
-				best = res.WallTime
-			}
+		app, err := scenario.NewApp(info.App)
+		if err != nil {
+			return 0, err
 		}
-		return best, nil
+		cfg := dist.Config{App: app, Scenario: scenName, Mode: mode}
+		if mode != dist.ModeBare {
+			cfg.Classifier = classify.New(classify.IFCB, 0)
+		}
+		runtime.GC()
+		res, err := dist.Run(cfg)
+		if err != nil {
+			return 0, err
+		}
+		return res.WallTime, nil
 	}
-	bare, err := run(dist.ModeBare)
-	if err != nil {
-		return nil, err
+	// ModeDefault is the lightweight distribution runtime.
+	modes := [3]dist.Mode{dist.ModeBare, dist.ModeProfiling, dist.ModeDefault}
+	var best [3]time.Duration
+	for i := range best {
+		best[i] = time.Duration(1<<62 - 1)
 	}
-	prof, err := run(dist.ModeProfiling)
-	if err != nil {
-		return nil, err
+	for i := 0; i < reps; i++ {
+		for m, mode := range modes {
+			d, err := run(mode)
+			if err != nil {
+				return nil, err
+			}
+			best[m] = min(best[m], d)
+		}
 	}
-	distr, err := run(dist.ModeDefault) // lightweight distribution informer
-	if err != nil {
-		return nil, err
-	}
+	bare, prof, distr := best[0], best[1], best[2]
 	row := &OverheadRow{
 		Scenario:     scenName,
 		Bare:         bare,

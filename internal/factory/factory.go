@@ -11,90 +11,41 @@ package factory
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/com"
 )
 
-// Fallback selects placement for an instantiation whose classification was
-// never seen during profiling (a "new classification" in the sense of
-// paper Table 2).
-type Fallback int
-
-// Fallback policies.
-const (
-	// FollowCreator places unknown instances with their creator — the
-	// conservative default: an unknown component at worst stays local.
-	FollowCreator Fallback = iota
-	// ToClient places unknown instances on the client.
-	ToClient
-)
-
-// Peer is the factory replica on one machine. The first factory of
-// Coign's symbiotic pair handles communication with remote peers; the
-// second interacts with the instance classifier and interface informer.
-// Peer records the fulfillment side of that split.
-type Peer struct {
-	Machine   com.Machine
-	Fulfilled int64 // instantiation requests fulfilled on this machine
-	Forwarded int64 // requests this peer forwarded to another machine
-}
-
 // Factory realizes a distribution map produced by the analysis engine.
 type Factory struct {
-	dist     map[string]com.Machine
-	fallback Fallback
-	peers    map[com.Machine]*Peer
+	dist map[string]com.Machine
 
 	relocations int64
 	unknown     int64
 }
 
 // New returns a factory enforcing the given classification→machine map.
-func New(dist map[string]com.Machine, fallback Fallback) (*Factory, error) {
+func New(dist map[string]com.Machine) (*Factory, error) {
 	if len(dist) == 0 {
 		return nil, fmt.Errorf("factory: empty distribution map")
 	}
-	f := &Factory{
-		dist:     dist,
-		fallback: fallback,
-		peers:    make(map[com.Machine]*Peer),
-	}
-	for _, m := range dist {
-		f.peer(m)
-	}
-	f.peer(com.Client)
-	return f, nil
-}
-
-func (f *Factory) peer(m com.Machine) *Peer {
-	p := f.peers[m]
-	if p == nil {
-		p = &Peer{Machine: m}
-		f.peers[m] = p
-	}
-	return p
+	return &Factory{dist: dist}, nil
 }
 
 // Place implements the rte.Placer contract: it decides where an
 // instantiation request is fulfilled. Requests whose classification maps
-// to a remote machine are forwarded to the peer factory there.
+// to a remote machine are forwarded to the peer factory there. An
+// instantiation whose classification was never seen during profiling (a
+// "new classification" in the sense of paper Table 2) follows its
+// creator: an unknown component at worst stays local.
 func (f *Factory) Place(classification string, class *com.Class, creator com.Machine) com.Machine {
 	target, known := f.dist[classification]
 	if !known {
 		f.unknown++
-		switch f.fallback {
-		case ToClient:
-			target = com.Client
-		default:
-			target = creator
-		}
+		target = creator
 	}
 	if target != creator {
 		f.relocations++
-		f.peer(creator).Forwarded++
 	}
-	f.peer(target).Fulfilled++
 	return target
 }
 
@@ -103,30 +54,6 @@ func (f *Factory) Place(classification string, class *com.Class, creator com.Mac
 func (f *Factory) Relocations() int64 { return f.relocations }
 
 // Unknown returns how many instantiations had no profiled classification
-// and fell back to the default policy — the run-time analog of Table 2's
-// "new classifications".
+// and followed their creator — the run-time analog of Table 2's "new
+// classifications".
 func (f *Factory) Unknown() int64 { return f.unknown }
-
-// Peers returns the per-machine factory replicas, sorted by machine.
-func (f *Factory) Peers() []*Peer {
-	out := make([]*Peer, 0, len(f.peers))
-	for _, p := range f.peers {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Machine < out[j].Machine })
-	return out
-}
-
-// Machines returns the distinct machines named by the distribution map.
-func (f *Factory) Machines() []com.Machine {
-	seen := map[com.Machine]bool{}
-	for _, m := range f.dist {
-		seen[m] = true
-	}
-	out := make([]com.Machine, 0, len(seen))
-	for m := range seen {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

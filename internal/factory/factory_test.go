@@ -12,7 +12,7 @@ func testClass() *com.Class {
 
 func TestNewRejectsEmpty(t *testing.T) {
 	t.Parallel()
-	if _, err := New(nil, FollowCreator); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Fatal("empty distribution accepted")
 	}
 }
@@ -22,7 +22,7 @@ func TestPlaceKnownClassifications(t *testing.T) {
 	f, err := New(map[string]com.Machine{
 		"a": com.Client,
 		"b": com.Server,
-	}, FollowCreator)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestPlaceKnownClassifications(t *testing.T) {
 
 func TestPlaceUnknownFollowsCreator(t *testing.T) {
 	t.Parallel()
-	f, _ := New(map[string]com.Machine{"a": com.Server}, FollowCreator)
+	f, _ := New(map[string]com.Machine{"a": com.Server})
 	if got := f.Place("mystery", testClass(), com.Server); got != com.Server {
 		t.Errorf("unknown placed on %v", got)
 	}
@@ -51,54 +51,5 @@ func TestPlaceUnknownFollowsCreator(t *testing.T) {
 	}
 	if f.Relocations() != 0 {
 		t.Errorf("relocations = %d", f.Relocations())
-	}
-}
-
-func TestPlaceUnknownToClient(t *testing.T) {
-	t.Parallel()
-	f, _ := New(map[string]com.Machine{"a": com.Server}, ToClient)
-	if got := f.Place("mystery", testClass(), com.Server); got != com.Client {
-		t.Errorf("unknown placed on %v", got)
-	}
-	if f.Relocations() != 1 {
-		t.Errorf("relocation not counted")
-	}
-}
-
-func TestPeerAccounting(t *testing.T) {
-	t.Parallel()
-	f, _ := New(map[string]com.Machine{
-		"a": com.Client,
-		"b": com.Server,
-	}, FollowCreator)
-	f.Place("a", testClass(), com.Client) // local fulfillment
-	f.Place("b", testClass(), com.Client) // forwarded client -> server
-	f.Place("b", testClass(), com.Client)
-	peers := f.Peers()
-	if len(peers) != 2 {
-		t.Fatalf("peers = %d", len(peers))
-	}
-	client, server := peers[0], peers[1]
-	if client.Machine != com.Client || server.Machine != com.Server {
-		t.Fatalf("peer order: %v %v", client.Machine, server.Machine)
-	}
-	if client.Fulfilled != 1 || client.Forwarded != 2 {
-		t.Errorf("client peer = %+v", client)
-	}
-	if server.Fulfilled != 2 || server.Forwarded != 0 {
-		t.Errorf("server peer = %+v", server)
-	}
-}
-
-func TestMachines(t *testing.T) {
-	t.Parallel()
-	f, _ := New(map[string]com.Machine{
-		"a": com.Server,
-		"b": com.Server,
-		"c": com.Middle,
-	}, FollowCreator)
-	ms := f.Machines()
-	if len(ms) != 2 || ms[0] != com.Server || ms[1] != com.Middle {
-		t.Errorf("machines = %v", ms)
 	}
 }

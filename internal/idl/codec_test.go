@@ -248,7 +248,7 @@ func TestPropertyCodecRoundTrip(t *testing.T) {
 func TestPropertyEncodedLenMatchesDeepSizeForPointerFreeValues(t *testing.T) {
 	t.Parallel()
 	// For values with no interface pointers, the encoded length equals the
-	// deep-copy size: the informer's measurement is exactly what the wire
+	// deep-copy size: the runtime's measurement is exactly what the wire
 	// would carry.
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))

@@ -250,8 +250,8 @@ func (d *InterfaceDesc) buildIndex() {
 }
 
 // Registry maps IIDs to interface descriptors. It is the synthetic
-// equivalent of the static interface metadata managed by the interface
-// informer.
+// equivalent of the static interface metadata the runtime sizes calls
+// against.
 type Registry struct {
 	byIID map[string]*InterfaceDesc
 }

@@ -208,8 +208,8 @@ func (v Value) DeepSize() int {
 }
 
 // Walk visits v and every nested value in marshal order, invoking fn for
-// each. It is the primitive the profiling informer uses to traverse call
-// parameters. Walking stops early if fn returns false.
+// each; RemotableValues checks call parameters with it. Walking stops
+// early if fn returns false.
 func (v *Value) Walk(fn func(*Value) bool) bool {
 	if !fn(v) {
 		return false

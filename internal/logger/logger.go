@@ -72,12 +72,13 @@ func (Null) EndRun() {}
 // Profiling summarizes inter-component communication into in-memory
 // structures (per classification pair, with exponential size buckets) and
 // produces a profile.Profile at the end of the run. Memory use is bounded
-// by the number of distinct edges, not by execution length.
+// by the number of distinct edges, not by execution length. It keeps one
+// profile: each BeginRun starts a fresh one.
 type Profiling struct {
 	classifier     string
 	instanceDetail bool
-	current        *profile.Profile
-	runs           []*profile.Profile
+	p              *profile.Profile
+	open           bool // between BeginRun and EndRun
 }
 
 // NewProfiling returns a profiling logger for the given classifier name.
@@ -89,16 +90,17 @@ func NewProfiling(classifier string, instanceDetail bool) *Profiling {
 
 // BeginRun implements Logger.
 func (l *Profiling) BeginRun(app, scenario string) {
-	l.current = profile.New(app, l.classifier)
-	l.current.Scenarios = []string{scenario}
+	l.p = profile.New(app, l.classifier)
+	l.p.Scenarios = []string{scenario}
+	l.open = true
 }
 
 // Instantiation implements Logger.
 func (l *Profiling) Instantiation(rec InstRecord) {
-	if l.current == nil {
+	if !l.open {
 		return
 	}
-	l.current.AddInstance(profile.InstanceRecord{
+	l.p.AddInstance(profile.InstanceRecord{
 		ID:                    rec.ID,
 		Class:                 rec.Class,
 		Classification:        rec.Classification,
@@ -110,14 +112,14 @@ func (l *Profiling) Instantiation(rec InstRecord) {
 
 // Call implements Logger.
 func (l *Profiling) Call(rec CallRecord) {
-	if l.current == nil {
+	if !l.open {
 		return
 	}
-	l.current.Edge(rec.SrcClassification, rec.DstClassification).
+	l.p.Edge(rec.SrcClassification, rec.DstClassification).
 		Record(rec.InBytes, rec.OutBytes, rec.NonRemotable)
-	l.current.Method(rec.DstClassification, rec.Method).Calls++
+	l.p.Method(rec.DstClassification, rec.Method).Calls++
 	if l.instanceDetail {
-		l.current.InstEdge(rec.SrcInst, rec.DstInst).
+		l.p.InstEdge(rec.SrcInst, rec.DstInst).
 			Record(rec.InBytes, rec.OutBytes, rec.NonRemotable)
 	}
 }
@@ -126,10 +128,10 @@ func (l *Profiling) Call(rec CallRecord) {
 // the per-method statistics the purity verifier diffs against static
 // read-only claims.
 func (l *Profiling) Mutation(rec MutationRecord) {
-	if l.current == nil {
+	if !l.open {
 		return
 	}
-	l.current.Method(rec.Classification, rec.Method).Writes++
+	l.p.Method(rec.Classification, rec.Method).Writes++
 }
 
 // Release implements Logger. The profiling logger does not need
@@ -137,37 +139,15 @@ func (l *Profiling) Mutation(rec MutationRecord) {
 func (l *Profiling) Release(uint64) {}
 
 // EndRun implements Logger.
-func (l *Profiling) EndRun() {
-	if l.current != nil {
-		l.runs = append(l.runs, l.current)
-		l.current = nil
-	}
-}
+func (l *Profiling) EndRun() { l.open = false }
 
-// Runs returns the profiles collected so far, one per completed run.
-func (l *Profiling) Runs() []*profile.Profile { return l.runs }
-
-// LastRun returns the most recently completed profile, or nil.
+// LastRun returns the profile of the most recently completed run, or nil
+// before any run has completed and while a run is open.
 func (l *Profiling) LastRun() *profile.Profile {
-	if len(l.runs) == 0 {
+	if l.open {
 		return nil
 	}
-	return l.runs[len(l.runs)-1]
-}
-
-// Combined merges all completed runs into a single profile, the form the
-// analysis engine consumes.
-func (l *Profiling) Combined() (*profile.Profile, error) {
-	if len(l.runs) == 0 {
-		return nil, fmt.Errorf("logger: no completed profiling runs")
-	}
-	combined := profile.New(l.runs[0].App, l.classifier)
-	for _, r := range l.runs {
-		if err := combined.Merge(r); err != nil {
-			return nil, err
-		}
-	}
-	return combined, nil
+	return l.p
 }
 
 // FaultRecord describes one injected or simulated network fault and the

@@ -68,31 +68,28 @@ func TestProfilingLoggerWithoutInstanceDetail(t *testing.T) {
 	}
 }
 
-func TestProfilingLoggerMultipleRunsAndCombined(t *testing.T) {
+func TestProfilingLoggerKeepsOneRun(t *testing.T) {
 	t.Parallel()
 	l := NewProfiling("ifcb", false)
 	for _, s := range []string{"s1", "s2", "s3"} {
 		l.BeginRun("app", s)
+		if l.LastRun() != nil {
+			t.Fatal("an open run reported as completed")
+		}
 		l.Instantiation(sampleInst(1))
 		l.Call(sampleCall())
 		l.EndRun()
 	}
-	if len(l.Runs()) != 3 {
-		t.Fatalf("runs = %d", len(l.Runs()))
-	}
-	c, err := l.Combined()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.TotalCalls() != 3 || len(c.Scenarios) != 3 {
-		t.Fatalf("combined: calls=%d scenarios=%v", c.TotalCalls(), c.Scenarios)
+	p := l.LastRun()
+	if p.TotalCalls() != 1 || len(p.Scenarios) != 1 || p.Scenarios[0] != "s3" {
+		t.Fatalf("last run: calls=%d scenarios=%v", p.TotalCalls(), p.Scenarios)
 	}
 }
 
-func TestProfilingLoggerCombinedEmpty(t *testing.T) {
+func TestProfilingLoggerStartsEmpty(t *testing.T) {
 	t.Parallel()
-	if _, err := NewProfiling("ifcb", false).Combined(); err == nil {
-		t.Fatal("empty combine succeeded")
+	if NewProfiling("ifcb", false).LastRun() != nil {
+		t.Fatal("profile before any run")
 	}
 }
 
@@ -102,8 +99,14 @@ func TestProfilingLoggerIgnoresEventsOutsideRun(t *testing.T) {
 	l.Instantiation(sampleInst(1)) // before BeginRun: dropped
 	l.Call(sampleCall())
 	l.EndRun() // no active run: no-op
-	if len(l.Runs()) != 0 {
+	if l.LastRun() != nil {
 		t.Fatal("phantom run recorded")
+	}
+	l.BeginRun("app", "s")
+	l.EndRun()
+	l.Call(sampleCall()) // after EndRun: dropped
+	if got := l.LastRun().TotalCalls(); got != 0 {
+		t.Fatalf("calls after EndRun recorded: %d", got)
 	}
 }
 
@@ -154,7 +157,7 @@ func TestMultiFansOut(t *testing.T) {
 	m.Call(sampleCall())
 	m.Release(1)
 	m.EndRun()
-	if len(p.Runs()) != 1 || p.LastRun().TotalCalls() != 1 {
+	if p.LastRun() == nil || p.LastRun().TotalCalls() != 1 {
 		t.Error("profiling logger missed events via Multi")
 	}
 	if len(e.Events) != 5 {

@@ -228,9 +228,10 @@ func (p *Profile) AddInstance(rec InstanceRecord) {
 }
 
 // Merge folds other into p: edges and classification counts accumulate,
-// scenario lists concatenate. Instance-level detail is merged as-is;
-// callers evaluating classifiers normally merge only classification-level
-// data and keep instance detail per run.
+// scenario lists concatenate. Instance ids restart every execution, so
+// other's concrete ids are shifted past p's largest (the main program, id
+// 0, stays fixed): per-instance detail from separate runs stays distinct
+// and communication vectors stay per-instance. other is not modified.
 func (p *Profile) Merge(other *Profile) error {
 	if p.Classifier != other.Classifier {
 		return fmt.Errorf("profile: cannot merge %s profile into %s profile",
@@ -238,6 +239,13 @@ func (p *Profile) Merge(other *Profile) error {
 	}
 	if p.App != other.App {
 		return fmt.Errorf("profile: cannot merge %s profile into %s profile", other.App, p.App)
+	}
+	delta := p.maxInstanceID()
+	shift := func(id uint64) uint64 {
+		if id == 0 {
+			return 0
+		}
+		return id + delta
 	}
 	p.Scenarios = append(p.Scenarios, other.Scenarios...)
 	for k, e := range other.Edges {
@@ -260,9 +268,12 @@ func (p *Profile) Merge(other *Profile) error {
 	for k, m := range other.Methods {
 		p.Method(k.Classification, k.Method).Merge(m)
 	}
-	p.Instances = append(p.Instances, other.Instances...)
+	for _, r := range other.Instances {
+		r.ID = shift(r.ID)
+		p.Instances = append(p.Instances, r)
+	}
 	for k, e := range other.InstEdges {
-		p.InstEdge(k.Src, k.Dst).Merge(e)
+		p.InstEdge(shift(k.Src), shift(k.Dst)).Merge(e)
 	}
 	return nil
 }
@@ -296,56 +307,14 @@ func (p *Profile) ClassificationIDs() []string {
 	return ids
 }
 
-// MaxInstanceID returns the largest concrete instance id recorded.
-func (p *Profile) MaxInstanceID() uint64 {
+// maxInstanceID returns the largest concrete instance id recorded.
+func (p *Profile) maxInstanceID() uint64 {
 	var m uint64
 	for _, r := range p.Instances {
-		if r.ID > m {
-			m = r.ID
-		}
+		m = max(m, r.ID)
 	}
 	for k := range p.InstEdges {
-		if k.Src > m {
-			m = k.Src
-		}
-		if k.Dst > m {
-			m = k.Dst
-		}
+		m = max(m, k.Src, k.Dst)
 	}
 	return m
-}
-
-// OffsetInstanceIDs shifts every concrete instance id by delta (the main
-// program, id 0, stays fixed). Profiles from separate executions reuse
-// instance ids; offsetting before a merge keeps instance-level detail
-// distinct so communication vectors stay per-instance.
-func (p *Profile) OffsetInstanceIDs(delta uint64) {
-	if delta == 0 {
-		return
-	}
-	for i := range p.Instances {
-		if p.Instances[i].ID != 0 {
-			p.Instances[i].ID += delta
-		}
-	}
-	shifted := make(map[InstPairKey]*EdgeSummary, len(p.InstEdges))
-	for k, e := range p.InstEdges {
-		nk := k
-		if nk.Src != 0 {
-			nk.Src += delta
-		}
-		if nk.Dst != 0 {
-			nk.Dst += delta
-		}
-		shifted[nk] = e
-	}
-	p.InstEdges = shifted
-}
-
-// DropInstanceDetail discards per-instance records and edges, keeping only
-// the classification-level summary — the compact form folded into the
-// application binary's configuration record.
-func (p *Profile) DropInstanceDetail() {
-	p.Instances = nil
-	p.InstEdges = make(map[InstPairKey]*EdgeSummary)
 }

@@ -191,18 +191,6 @@ func TestProfileMerge(t *testing.T) {
 	}
 }
 
-func TestDropInstanceDetail(t *testing.T) {
-	t.Parallel()
-	p := buildTestProfile()
-	p.DropInstanceDetail()
-	if len(p.Instances) != 0 || len(p.InstEdges) != 0 {
-		t.Fatal("instance detail kept")
-	}
-	if p.TotalInstances() != 3 {
-		t.Fatal("classification-level data lost")
-	}
-}
-
 func TestCorrelation(t *testing.T) {
 	t.Parallel()
 	a := Vector{"x": 1, "y": 1}
@@ -416,30 +404,40 @@ func TestPropertyMergeCommutesOnTotals(t *testing.T) {
 	}
 }
 
+// TestOffsetInstanceIDs checks that Merge offsets the incoming run's
+// instance ids past the receiver's, leaving its argument as it was.
 func TestOffsetInstanceIDs(t *testing.T) {
 	t.Parallel()
-	p := buildTestProfile()
-	maxBefore := p.MaxInstanceID()
-	if maxBefore != 3 {
-		t.Fatalf("max id = %d", maxBefore)
+	a, b := buildTestProfile(), buildTestProfile()
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
 	}
-	p.OffsetInstanceIDs(100)
-	if p.MaxInstanceID() != 103 {
-		t.Fatalf("max id after offset = %d", p.MaxInstanceID())
+	// b's ids 1..3 land past a's largest, 3.
+	if a.maxInstanceID() != 6 || len(a.Instances) != 6 || a.Instances[3].ID != 4 {
+		t.Fatalf("max id after merge = %d, instances %+v", a.maxInstanceID(), a.Instances)
 	}
 	// Main program (id 0) stays fixed.
-	if _, ok := p.InstEdges[InstPairKey{Src: 0, Dst: 101}]; !ok {
-		t.Fatalf("main edge not preserved: %v", p.InstEdges)
+	if _, ok := a.InstEdges[InstPairKey{Src: 0, Dst: 4}]; !ok {
+		t.Fatalf("main edge not shifted past the receiver's ids: %v", a.InstEdges)
 	}
-	// Zero offset is a no-op.
-	p.OffsetInstanceIDs(0)
-	if p.MaxInstanceID() != 103 {
-		t.Fatal("zero offset changed ids")
+	// The argument is not modified.
+	if b.maxInstanceID() != 3 || b.Instances[0].ID != 1 {
+		t.Fatal("merge shifted its argument's ids")
 	}
-	// Vectors survive offsetting (same shape under new ids).
+	if _, ok := b.InstEdges[InstPairKey{Src: 0, Dst: 1}]; !ok {
+		t.Fatal("merge rewrote its argument's instance edges")
+	}
+	// Into an empty profile nothing shifts.
+	c := New("app", "ifcb")
+	if err := c.Merge(b); err != nil {
+		t.Fatal(err)
+	}
+	if c.maxInstanceID() != 3 {
+		t.Fatalf("merge into an empty profile shifted ids to %d", c.maxInstanceID())
+	}
+	// Vectors stay per-instance: one for each of the six instances.
 	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
-	vecs := p.InstanceVectors(np)
-	if len(vecs) != 3 {
-		t.Fatalf("vectors after offset = %d", len(vecs))
+	if vecs := a.InstanceVectors(np); len(vecs) != 6 {
+		t.Fatalf("vectors after merge = %d", len(vecs))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/com"
 	"repro/internal/idl"
-	"repro/internal/informer"
 	"repro/internal/logger"
 	"repro/internal/profile"
 )
@@ -84,9 +83,6 @@ func chainApp() *com.App {
 
 func attach(t *testing.T, env *com.Env, opts Options) *RTE {
 	t.Helper()
-	if opts.Informer == nil {
-		opts.Informer = informer.Profiling{}
-	}
 	if opts.Table == nil {
 		opts.Table = classify.NewTable(classify.New(classify.IFCB, 0))
 	}
@@ -97,13 +93,10 @@ func attach(t *testing.T, env *com.Env, opts Options) *RTE {
 	return r
 }
 
-func TestAttachRequiresInformerAndTable(t *testing.T) {
+func TestAttachRequiresTable(t *testing.T) {
 	t.Parallel()
 	env := com.NewEnv(chainApp())
-	if _, err := Attach(env, Options{Table: classify.NewTable(classify.New(classify.ST, 0))}); err == nil {
-		t.Error("attach without informer succeeded")
-	}
-	if _, err := Attach(env, Options{Informer: informer.Profiling{}}); err == nil {
+	if _, err := Attach(env, Options{}); err == nil {
 		t.Error("attach without table succeeded")
 	}
 }
@@ -157,7 +150,7 @@ func TestProfilingRunCollectsEverything(t *testing.T) {
 		t.Error("Root->Leaf edge missing")
 	}
 	// Leaf received 100 bytes of payload plus header.
-	if e.ExactInBytes != int64(informer.DCOMHeaderBytes+4+100) {
+	if e.ExactInBytes != int64(DCOMHeaderBytes+4+100) {
 		t.Errorf("leaf in bytes = %d", e.ExactInBytes)
 	}
 	// Instance records carry creator classifications.
@@ -229,7 +222,7 @@ func TestPlacerAndRemoteCommunication(t *testing.T) {
 		}
 		return creator
 	})
-	r := attach(t, env, Options{Placer: placer, Comm: comm, Informer: informer.Distribution{}})
+	r := attach(t, env, Options{Placer: placer, Comm: comm})
 	r.BeginRun("s")
 	root, _ := env.CreateInstance(nil, "CLSID_Root")
 	itf := env.MustQuery(root, "IRoot")
@@ -242,9 +235,9 @@ func TestPlacerAndRemoteCommunication(t *testing.T) {
 	if comm.calls != 2 {
 		t.Fatalf("remote events = %d", comm.calls)
 	}
-	// The crossing call's request bytes were measured by the transport
-	// even though the distribution informer measures nothing.
-	if comm.req <= informer.DCOMHeaderBytes {
+	// The crossing call is charged its measured size: Work's 100-byte
+	// buffer (plus its 4-byte length) and Int32 result, each with headers.
+	if comm.req != 2*DCOMHeaderBytes+len("CLSID_Leaf")+4+100 {
 		t.Errorf("request bytes = %d", comm.req)
 	}
 	if r.Violations() != 0 {
@@ -262,7 +255,7 @@ func TestNonRemotableCrossingCountsViolation(t *testing.T) {
 		}
 		return creator
 	})
-	r := attach(t, env, Options{Placer: placer, Comm: comm, Informer: informer.Distribution{}})
+	r := attach(t, env, Options{Placer: placer, Comm: comm})
 	r.BeginRun("s")
 	leaf, _ := env.CreateInstance(nil, "CLSID_Leaf")
 	shm := env.MustQuery(leaf, "ISharedMem")
@@ -322,8 +315,8 @@ func TestBeginRunResetsState(t *testing.T) {
 	if a.Classification != b.Classification {
 		t.Error("incremental classifier not reset between runs")
 	}
-	if len(plog.Runs()) != 2 {
-		t.Errorf("runs = %d", len(plog.Runs()))
+	if got := plog.LastRun().Scenarios; len(got) != 1 || got[0] != "s2" {
+		t.Errorf("last run's scenarios = %v", got)
 	}
 }
 
@@ -363,16 +356,15 @@ func TestSnapshotOrdering(t *testing.T) {
 }
 
 // TestTrappedIfaceCallAllocs guards the distribution runtime's per-call
-// cost: a call passing one interface pointer, through the RTE with the
-// distribution informer and the null logger, allocates the caller's
-// variadic arguments and the *Call, nothing else — no descriptor for the
-// pointer's type, no list of the pointers found. Not parallel, so no
-// other test's allocations are counted.
+// cost: a local call passing one interface pointer, through the RTE with
+// the null logger, allocates the caller's variadic arguments and the
+// *Call, nothing else — no descriptor for the pointer's type, no walk of
+// its arguments. Not parallel, so no other test's allocations are counted.
 //
 //lint:allow paralleltest allocation counts are process-wide
 func TestTrappedIfaceCallAllocs(t *testing.T) {
 	env := com.NewEnv(chainApp())
-	r := attach(t, env, Options{Informer: informer.Distribution{}})
+	r := attach(t, env, Options{})
 	r.BeginRun("s")
 	leaf, err := env.CreateInstance(nil, "CLSID_Leaf")
 	if err != nil {
@@ -402,7 +394,7 @@ func TestInstantiationAllocs(t *testing.T) {
 	measure := func(hooked bool) float64 {
 		env := com.NewEnv(chainApp())
 		if hooked {
-			r := attach(t, env, Options{Informer: informer.Distribution{}})
+			r := attach(t, env, Options{})
 			r.BeginRun("s")
 			r.stack = []classify.Frame{ // outermost first
 				{Instance: 1, Class: "Root", InstClassification: "Root@1", Function: "Run"},
@@ -423,5 +415,68 @@ func TestInstantiationAllocs(t *testing.T) {
 	bare, hooked := measure(false), measure(true)
 	if hooked > bare {
 		t.Errorf("instantiation through the RTE allocates %v objects, bare CreateInstance %v", hooked, bare)
+	}
+}
+
+type fakePtr struct{ id uint64 }
+
+func (p fakePtr) IID() string        { return "IFake" }
+func (p fakePtr) InstanceID() uint64 { return p.id }
+
+func TestMeasureMessage(t *testing.T) {
+	t.Parallel()
+	remotable := &idl.InterfaceDesc{IID: "IReader", Remotable: true}
+	in, out, nonRemotable := measure(remotable, nil, nil)
+	if in != DCOMHeaderBytes || out != DCOMHeaderBytes || nonRemotable {
+		t.Errorf("empty call = %d/%d non-remotable %v", in, out, nonRemotable)
+	}
+	vals := []idl.Value{idl.String("abcd"), idl.Int64(1)}
+	if in, out, _ = measure(remotable, vals, vals); in != DCOMHeaderBytes+8+8 || out != in {
+		t.Errorf("message = %d/%d, want %d", in, out, DCOMHeaderBytes+8+8)
+	}
+}
+
+func TestMeasureDeepCopySize(t *testing.T) {
+	t.Parallel()
+	remotable := &idl.InterfaceDesc{IID: "IReader", Remotable: true}
+	args := []idl.Value{idl.String("abcd"), idl.Int64(1), idl.IfacePtr(fakePtr{3}), idl.IfacePtr(nil)}
+	rets := []idl.Value{idl.Zeros(1000), idl.Int32(0)}
+	in, out, nonRemotable := measure(remotable, args, rets)
+	// A string is its length prefix and bytes; a nil pointer is a marker.
+	if want := DCOMHeaderBytes + (4 + 4) + 8 + args[2].DeepSize() + 4; in != want {
+		t.Errorf("in bytes = %d, want %d", in, want)
+	}
+	if out != DCOMHeaderBytes+4+1000+4 {
+		t.Errorf("out bytes = %d", out)
+	}
+	if nonRemotable {
+		t.Error("plain values reported non-remotable")
+	}
+}
+
+func TestMeasureDetectsNonRemotable(t *testing.T) {
+	t.Parallel()
+	remotable := &idl.InterfaceDesc{IID: "IReader", Remotable: true}
+	local := &idl.InterfaceDesc{IID: "ISpriteCache", Remotable: false}
+	plain := []idl.Value{idl.Int32(1)}
+	opaque := []idl.Value{idl.OpaquePtr("shm")}
+	// An empty array whose element type is opaque still cannot marshal.
+	emptyOpaque := []idl.Value{idl.ArrayVal(idl.Array(idl.TOpaque))}
+	for _, c := range []struct {
+		name       string
+		iface      *idl.InterfaceDesc
+		args, rets []idl.Value
+		want       bool
+	}{
+		{"plain", remotable, plain, plain, false},
+		{"no metadata", nil, plain, plain, false},
+		{"local interface", local, plain, plain, true},
+		{"opaque argument", remotable, opaque, plain, true},
+		{"opaque result", remotable, plain, opaque, true},
+		{"empty opaque array", remotable, emptyOpaque, nil, true},
+	} {
+		if _, _, got := measure(c.iface, c.args, c.rets); got != c.want {
+			t.Errorf("%s: non-remotable = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
