@@ -215,52 +215,34 @@ func TestChaosSimFailsFastWhenRetriesDisabled(t *testing.T) {
 
 func TestReplayWithFaultsChargesRetransmissions(t *testing.T) {
 	t.Parallel()
-	res, err := Run(Config{
-		App: pipelineApp(), Scenario: "big", Mode: ModeProfiling,
-		Classifier: classify.New(classify.IFCB, 0),
-		EventTrace: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dist := map[string]com.Machine{}
-	for _, ev := range res.Events.Events {
-		if ev.Kind == logger.EvInstantiation && ev.Inst.Classification != "" {
-			dist[ev.Inst.Classification] = com.Client
+	trace := pipelineTrace(t, "big", 11)
+	// Everything on the client but Storage, which is infrastructure and
+	// stays on the server: every block read crosses.
+	dm := map[string]com.Machine{}
+	for _, ev := range trace {
+		if ev.Kind == logger.EvInstantiation {
+			dm[ev.Inst.Classification] = com.Client
 		}
 	}
-	// Pin storage server-side so calls cross.
-	for _, ev := range res.Events.Events {
-		if ev.Kind == logger.EvInstantiation && ev.Inst.Class == "Storage" {
-			dist[ev.Inst.Classification] = com.Server
-		}
-	}
-	clean, err := Replay(res.Events.Events, dist, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := &FaultPolicy{Rates: fault.Rates{Drop: 0.1, Corrupt: 0.1}}
-	faulted, err := ReplayWithFaults(res.Events.Events, dist, nil, pol, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if faulted.Drops+faulted.Corruptions == 0 {
+	cfg := Config{App: pipelineApp(), Scenario: "big", Seed: 11, Mode: ModeCoign,
+		Classifier: classify.New(classify.IFCB, 0), Distribution: dm}
+	clean := replayEqualsRun(t, cfg, trace)
+	cfg.Faults = &FaultPolicy{Rates: fault.Rates{Drop: 0.1, Corrupt: 0.1}, MaxAttempts: 8}
+	faulted := replayEqualsRun(t, cfg, trace)
+	if faulted.FaultDrops+faulted.FaultCorruptions == 0 {
 		t.Fatal("10% rates injected nothing into the replay; pick another seed")
 	}
-	if faulted.CommTime <= clean.CommTime {
-		t.Fatalf("faulted replay %v not above clean %v", faulted.CommTime, clean.CommTime)
+	if faulted.Clock.CommTime() <= clean.Clock.CommTime() || faulted.Clock.Messages() <= clean.Clock.Messages() {
+		t.Fatalf("faulted %s not above clean %s", priced(faulted), priced(clean))
 	}
-	if faulted.Messages <= clean.Messages {
-		t.Fatalf("retransmissions missing: %d msgs vs clean %d", faulted.Messages, clean.Messages)
+	if faulted.Clock.Bytes() != clean.Clock.Bytes() {
+		t.Fatalf("payload bytes should be charged once: %d vs %d", faulted.Clock.Bytes(), clean.Clock.Bytes())
 	}
-	if faulted.Bytes != clean.Bytes {
-		t.Fatalf("payload bytes should be charged once: %d vs %d", faulted.Bytes, clean.Bytes)
-	}
-	again, err := ReplayWithFaults(res.Events.Events, dist, nil, pol, 11)
+	again, err := Replay(cfg, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(faulted, again) {
-		t.Fatalf("same seed, different replay: %+v vs %+v", faulted, again)
+	if priced(again) != priced(faulted) {
+		t.Fatalf("same seed, different replay: %s vs %s", priced(again), priced(faulted))
 	}
 }

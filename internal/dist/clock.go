@@ -79,38 +79,6 @@ func (c *Clock) RemoteCall(from, to com.Machine, reqBytes, respBytes int) {
 	c.bytes += int64(reqBytes + respBytes)
 }
 
-// Retries returns how many simulated retransmissions faults forced.
-func (c *Clock) Retries() int64 {
-	if c.faults == nil {
-		return 0
-	}
-	return c.faults.retries
-}
-
-// FaultDrops returns how many simulated messages were dropped.
-func (c *Clock) FaultDrops() int64 {
-	if c.faults == nil {
-		return 0
-	}
-	return c.faults.drops
-}
-
-// FaultCorruptions returns how many simulated messages arrived corrupt.
-func (c *Clock) FaultCorruptions() int64 {
-	if c.faults == nil {
-		return 0
-	}
-	return c.faults.corrupts
-}
-
-// FaultGiveUps returns how many messages exhausted their attempt budget.
-func (c *Clock) FaultGiveUps() int64 {
-	if c.faults == nil {
-		return 0
-	}
-	return c.faults.giveups
-}
-
 // CommTime returns accumulated communication time.
 func (c *Clock) CommTime() time.Duration { return c.comm }
 

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -351,56 +352,79 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestEventTraceAndReplay(t *testing.T) {
-	t.Parallel()
+// pipelineTrace is the event trace of a profiling run of the pipeline
+// app's scenario at seed.
+func pipelineTrace(t testing.TB, scenario string, seed int64) []logger.Event {
+	t.Helper()
 	res, err := Run(Config{
-		App: pipelineApp(), Scenario: "big", Mode: ModeProfiling,
-		Classifier: classify.New(classify.IFCB, 0),
-		EventTrace: true,
+		App: pipelineApp(), Scenario: scenario, Seed: seed, Mode: ModeProfiling,
+		Classifier: classify.New(classify.IFCB, 0), EventTrace: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Events == nil || len(res.Events.Events) == 0 {
-		t.Fatal("no event trace")
-	}
-	// Replay under all-on-client: zero communication.
-	all := map[string]com.Machine{}
-	for id := range res.Profile.Classifications {
-		all[id] = com.Client
-	}
-	rr, err := Replay(res.Events.Events, all, netsim.TenBaseT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.CommTime != 0 || rr.Crossings != 0 {
-		t.Errorf("all-client replay: %+v", rr)
-	}
-	// Replay with storage remote: communication appears.
-	for id, ci := range res.Profile.Classifications {
-		if ci.Class == "Storage" {
-			all[id] = com.Server
+	return res.Events.Events
+}
+
+// readerOnServer maps every classification in trace to the client except
+// the Reader's and the Storage's, which go to the server.
+func readerOnServer(trace []logger.Event) map[string]com.Machine {
+	m := map[string]com.Machine{}
+	for _, ev := range trace {
+		if ev.Kind == logger.EvInstantiation {
+			m[ev.Inst.Classification] = com.Client
+			if ev.Inst.Class == "Reader" || ev.Inst.Class == "Storage" {
+				m[ev.Inst.Classification] = com.Server
+			}
 		}
 	}
-	rr2, err := Replay(res.Events.Events, all, netsim.TenBaseT)
+	return m
+}
+
+// priced renders the fields of a result a trace determines, so a replay
+// and the run it replays compare with ==.
+func priced(r *Result) string {
+	return fmt.Sprintf("comm=%v msgs=%d bytes=%d violations=%d instances=%d/%d per-machine=%v/%v "+
+		"relocations=%d unknown=%d calls=%d faults=%d/%d/%d/%d",
+		r.Clock.CommTime(), r.Clock.Messages(), r.Clock.Bytes(), r.Violations,
+		r.Instances, r.AppInstances, r.PerMachine, r.AppPerMachine, r.Relocations, r.Unknown,
+		r.TrappedCalls, r.Retries, r.FaultDrops, r.FaultCorruptions, r.FaultGiveUps)
+}
+
+// replayEqualsRun fails t unless Replay(cfg, trace) and Run(cfg) agree on
+// every priced field, and returns the run.
+func replayEqualsRun(t *testing.T, cfg Config, trace []logger.Event) *Result {
+	t.Helper()
+	run, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr2.CommTime == 0 || rr2.Crossings == 0 {
-		t.Errorf("storage-remote replay: %+v", rr2)
-	}
-	// Replay agrees with a live default-mode run: both use mean times, and
-	// every mode sizes a call the same way (see TestOneMeasurementInEveryMode).
-	def, err := Run(Config{
-		App: pipelineApp(), Scenario: "big", Mode: ModeDefault,
-		Classifier: classify.New(classify.IFCB, 0),
-	})
+	rep, err := Replay(cfg, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(rr2.CommTime) / float64(def.Clock.CommTime())
-	if ratio < 0.95 || ratio > 1.05 {
-		t.Errorf("replay %v vs live %v (ratio %.3f)", rr2.CommTime, def.Clock.CommTime(), ratio)
+	if got, want := priced(rep), priced(run); got != want {
+		t.Errorf("mode %d: replay %s\nrun    %s", cfg.Mode, got, want)
+	}
+	return run
+}
+
+func TestEventTraceAndReplay(t *testing.T) {
+	t.Parallel()
+	trace := pipelineTrace(t, "big", 0)
+	if len(trace) == 0 {
+		t.Fatal("no event trace")
+	}
+	for _, cfg := range []Config{
+		{Mode: ModeDefault},
+		{Mode: ModeDefault, Jitter: true},
+		{Mode: ModeCoign, Distribution: readerOnServer(trace)},
+		{Mode: ModeCoign, Distribution: readerOnServer(trace), Jitter: true},
+	} {
+		cfg.App, cfg.Scenario, cfg.Classifier = pipelineApp(), "big", classify.New(classify.IFCB, 0)
+		if run := replayEqualsRun(t, cfg, trace); run.Clock.CommTime() == 0 {
+			t.Errorf("mode %d: nothing crossed machines", cfg.Mode)
+		}
 	}
 }
 
@@ -512,22 +536,57 @@ func TestTransportRemoteCall(t *testing.T) {
 
 func TestReplayUnknownInstance(t *testing.T) {
 	t.Parallel()
-	res, err := Run(Config{
-		App: pipelineApp(), Scenario: "small", Mode: ModeProfiling,
-		Classifier: classify.New(classify.IFCB, 0),
-		EventTrace: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	trace := pipelineTrace(t, "small", 0)
+	mutated := func(f func(ev *logger.Event) bool) []logger.Event {
+		var out []logger.Event
+		for _, ev := range trace {
+			if f(&ev) {
+				out = append(out, ev)
+			}
+		}
+		return out
 	}
-	// Corrupt the trace: drop instantiation events.
-	trimmed := res.Events.Events[:0:0]
-	for _, ev := range res.Events.Events {
-		if ev.Kind != logger.EvInstantiation {
-			trimmed = append(trimmed, ev)
+	coign := Config{App: pipelineApp(), Scenario: "small", Mode: ModeCoign,
+		Classifier: classify.New(classify.IFCB, 0), Distribution: readerOnServer(trace)}
+	for _, c := range []struct {
+		name  string
+		cfg   func(*Config)
+		trace []logger.Event
+	}{
+		{"missing instantiation", nil, mutated(func(ev *logger.Event) bool { return ev.Kind != logger.EvInstantiation })},
+		{"unknown creator", nil, mutated(func(ev *logger.Event) bool {
+			ev.Inst.CreatorInst += 99
+			return true
+		})},
+		{"unknown class", nil, mutated(func(ev *logger.Event) bool {
+			if ev.Kind == logger.EvInstantiation {
+				ev.Inst.Class += "?"
+			}
+			return true
+		})},
+		{"bare mode", func(c *Config) { c.Mode = ModeBare }, trace},
+		{"profiling mode", func(c *Config) { c.Mode = ModeProfiling }, trace},
+		{"caching", func(c *Config) { c.EnableCaching = true }, trace},
+		{"nil app", func(c *Config) { c.App = nil }, trace},
+	} {
+		cfg := coign
+		if c.cfg != nil {
+			c.cfg(&cfg)
+		}
+		if _, err := Replay(cfg, c.trace); err == nil {
+			t.Errorf("%s: replayed", c.name)
 		}
 	}
-	if _, err := Replay(trimmed, map[string]com.Machine{}, nil); err == nil {
-		t.Error("trace with missing instantiations replayed")
+
+	// A classification the map lacks follows its creator, as in Run.
+	partial := map[string]com.Machine{}
+	for _, ev := range trace {
+		if ev.Kind == logger.EvInstantiation && ev.Inst.Class == "Reader" {
+			partial[ev.Inst.Classification] = com.Server
+		}
+	}
+	coign.Distribution = partial
+	if run := replayEqualsRun(t, coign, trace); run.Unknown != 1 {
+		t.Errorf("unknown = %d, want 1 (the View)", run.Unknown)
 	}
 }

@@ -2,103 +2,83 @@ package dist
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
 
 	"repro/internal/com"
 	"repro/internal/logger"
-	"repro/internal/netsim"
+	"repro/internal/rte"
 )
 
-// Replay re-simulates an execution from an event-logger trace under a
-// hypothetical distribution and network, without re-running the
-// application (paper §3.3: "a colleague has used logs from the event
-// logger to drive detailed application simulations"). It returns the
-// communication time the traced execution would have spent if instances
-// had been placed per the assignment.
-type ReplayResult struct {
-	CommTime   time.Duration
-	Messages   int64
-	Bytes      int64
-	Crossings  int64
-	Violations int64 // non-remotable calls that would have crossed machines
-	// Retries, Drops, Corruptions, and GiveUps summarize simulated faults
-	// when the replay ran under a FaultPolicy.
-	Retries     int64
-	Drops       int64
-	Corruptions int64
-	GiveUps     int64
-}
-
-// Replay walks the trace, placing each instantiated instance per
-// classification (falling back to the creator's machine), and charges
-// every call whose endpoints land on different machines.
-func Replay(events []logger.Event, dist map[string]com.Machine, net *netsim.Model) (*ReplayResult, error) {
-	return ReplayWithFaults(events, dist, net, nil, 0)
-}
-
-// ReplayWithFaults replays a trace over a degraded link: each crossing
-// message is subjected to the fault policy's drop/corruption rates (seeded
-// by seed, so the what-if is reproducible) and retransmission costs are
-// charged — answering "what would this execution have cost on a lossy
-// network" without re-running the application.
-func ReplayWithFaults(events []logger.Event, dist map[string]com.Machine, net *netsim.Model, fp *FaultPolicy, seed int64) (*ReplayResult, error) {
-	if net == nil {
-		net = netsim.TenBaseT
+// Replay is Run without the application: it walks an event-logger trace
+// (paper §3.3: logs from the event logger "drive detailed application
+// simulations") and places and prices it exactly as Run would under cfg,
+// with the same clock, placer and Result. Each instance is placed when its
+// instantiation is reached, with its creator's machine as Run's factory
+// sees it; a remote instantiation and every call whose endpoints land on
+// different machines go to Clock.RemoteCall. A trace recorded at cfg.Seed
+// of cfg.App, scenario cfg.Scenario, replays to Run(cfg)'s CommTime,
+// counts, placements and fault counters exactly. The trace carries the
+// classifications, so cfg.Classifier is not consulted, and nothing is
+// logged: EventTrace and ExtraLogger are not used either.
+//
+// A trace carries communication only, so the replayed clock accrues no
+// compute time, and it cannot price what its records do not determine:
+// ModeBare and ModeProfiling (nothing crosses), and EnableCaching (a cache
+// hit depends on argument values the trace does not carry) are errors.
+func Replay(cfg Config, events []logger.Event) (*Result, error) {
+	switch {
+	case cfg.App == nil:
+		return nil, fmt.Errorf("dist: replay config has no application")
+	case cfg.Mode == ModeBare || cfg.Mode == ModeProfiling:
+		return nil, fmt.Errorf("dist: a trace prices ModeDefault and ModeCoign only, not mode %d", cfg.Mode)
+	case cfg.EnableCaching:
+		return nil, fmt.Errorf("dist: a trace cannot price caching: hits depend on argument values it does not carry")
 	}
-	var sim *faultSim
-	if fp != nil {
-		sim = newFaultSim(*fp, rand.New(rand.NewSource(seed^0x0fa17)), nil)
+	clock, placer, fac, err := machinery(cfg, nil)
+	if err != nil {
+		return nil, err
 	}
-	place := make(map[uint64]com.Machine) // instance id -> machine; 0 = main on client
-	place[0] = com.Client
-	res := &ReplayResult{}
+	res := newResult(clock)
+	machineOf := map[uint64]com.Machine{0: com.Client} // 0 is the main program
 	for _, ev := range events {
 		switch ev.Kind {
 		case logger.EvInstantiation:
-			m, ok := dist[ev.Inst.Classification]
-			if !ok {
-				// Unknown classification: follow the creator. Creator
-				// machine is resolved through the creating instance if the
-				// trace recorded it, else client.
-				m = com.Client
+			in := ev.Inst
+			class := cfg.App.Classes.LookupName(in.Class)
+			if class == nil {
+				return nil, fmt.Errorf("dist: trace instantiates unknown class %q", in.Class)
 			}
-			place[ev.Inst.ID] = m
+			creator, ok := machineOf[in.CreatorInst]
+			if !ok {
+				return nil, fmt.Errorf("dist: instance %d has unknown creator %d", in.ID, in.CreatorInst)
+			}
+			if _, dup := machineOf[in.ID]; dup {
+				return nil, fmt.Errorf("dist: trace instantiates instance %d twice", in.ID)
+			}
+			m := placer.Place(in.Classification, class, creator)
+			machineOf[in.ID] = m
+			res.place(class, m)
+			if m != creator {
+				req, resp := rte.ActivationBytes(class)
+				clock.RemoteCall(creator, m, req, resp)
+			}
 		case logger.EvCall:
-			src, ok := place[ev.Call.SrcInst]
+			c := ev.Call
+			src, ok := machineOf[c.SrcInst]
 			if !ok {
-				return nil, fmt.Errorf("dist: trace calls unknown instance %d", ev.Call.SrcInst)
+				return nil, fmt.Errorf("dist: trace calls from unknown instance %d", c.SrcInst)
 			}
-			dst, ok := place[ev.Call.DstInst]
+			dst, ok := machineOf[c.DstInst]
 			if !ok {
-				return nil, fmt.Errorf("dist: trace calls unknown instance %d", ev.Call.DstInst)
+				return nil, fmt.Errorf("dist: trace calls unknown instance %d", c.DstInst)
 			}
-			if src == dst {
-				continue
-			}
-			res.Crossings++
-			if ev.Call.NonRemotable {
-				res.Violations++
-			}
-			if sim == nil {
-				res.CommTime += net.MessageTime(ev.Call.InBytes) + net.MessageTime(ev.Call.OutBytes)
-				res.Messages += 2
-			} else {
-				for _, sz := range [2]int{ev.Call.InBytes, ev.Call.OutBytes} {
-					sz := sz
-					t, xmits := sim.deliver(func() time.Duration { return net.MessageTime(sz) }, sz)
-					res.CommTime += t
-					res.Messages += xmits
+			res.TrappedCalls++
+			if src != dst {
+				if c.NonRemotable {
+					res.Violations++
 				}
+				clock.RemoteCall(src, dst, c.InBytes, c.OutBytes)
 			}
-			res.Bytes += int64(ev.Call.InBytes + ev.Call.OutBytes)
 		}
 	}
-	if sim != nil {
-		res.Retries = sim.retries
-		res.Drops = sim.drops
-		res.Corruptions = sim.corrupts
-		res.GiveUps = sim.giveups
-	}
-	return res, nil
+	return settle(cfg, res, fac)
 }

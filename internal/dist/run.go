@@ -115,6 +115,89 @@ var homePlacer = rte.PlacerFunc(func(_ string, cl *com.Class, _ com.Machine) com
 	return cl.Home
 })
 
+// machinery builds what an execution under cfg is placed and priced by, for
+// Run and Replay alike: the clock (message jitter and, in ModeDefault and
+// ModeCoign, cfg.Faults reporting to sink, each seeded from cfg.Seed) and
+// the placer (classes at Home in ModeDefault; in ModeCoign the factory
+// realizing the map, returned for its counters, with infrastructure
+// classes at Home whatever the map says; the creator's machine otherwise).
+func machinery(cfg Config, sink logger.FaultSink) (*Clock, rte.Placer, *factory.Factory, error) {
+	net := cfg.Network
+	if net == nil {
+		net = netsim.TenBaseT
+	}
+	var rng *rand.Rand
+	if cfg.Jitter {
+		rng = rand.New(rand.NewSource(cfg.Seed + 0x5eed))
+	}
+	//lint:allow ctxthread the clock of a simulation is built here, once, and threaded everywhere else.
+	clock := NewClock(net, rng)
+	var placer rte.Placer
+	var fac *factory.Factory
+	switch cfg.Mode {
+	case ModeBare, ModeProfiling:
+		return clock, rte.FollowCreator, nil, nil
+	case ModeDefault:
+		placer = homePlacer
+	case ModeCoign:
+		if len(cfg.Distribution) == 0 {
+			return nil, nil, nil, fmt.Errorf("dist: ModeCoign requires a distribution map")
+		}
+		var err error
+		if fac, err = factory.New(cfg.Distribution); err != nil {
+			return nil, nil, nil, err
+		}
+		placer = rte.PlacerFunc(func(classification string, cl *com.Class, creator com.Machine) com.Machine {
+			if cl.Infrastructure {
+				return cl.Home
+			}
+			return fac.Place(classification, cl, creator)
+		})
+	default:
+		return nil, nil, nil, fmt.Errorf("dist: unknown mode %d", cfg.Mode)
+	}
+	if cfg.Faults != nil {
+		clock.SetFaults(*cfg.Faults, rand.New(rand.NewSource(cfg.Seed^0x0fa17)), sink)
+	}
+	return clock, placer, fac, nil
+}
+
+// newResult returns an empty result over clock.
+func newResult(clock *Clock) *Result {
+	return &Result{
+		Clock:         clock,
+		PerMachine:    make(map[com.Machine]int),
+		AppPerMachine: make(map[com.Machine]int),
+	}
+}
+
+// place counts one instance of class on machine m.
+func (res *Result) place(class *com.Class, m com.Machine) {
+	res.Instances++
+	res.PerMachine[m]++
+	if !class.Infrastructure {
+		res.AppInstances++
+		res.AppPerMachine[m]++
+	}
+}
+
+// settle copies the clock's and the factory's counters into res and fails
+// the execution if a message exhausted its attempt budget.
+func settle(cfg Config, res *Result, fac *factory.Factory) (*Result, error) {
+	if f := res.Clock.faults; f != nil {
+		res.Retries, res.FaultDrops, res.FaultCorruptions, res.FaultGiveUps = f.retries, f.drops, f.corrupts, f.giveups
+	}
+	if fac != nil {
+		res.Relocations = fac.Relocations()
+		res.Unknown = fac.Unknown()
+	}
+	if res.FaultGiveUps > 0 {
+		return nil, fmt.Errorf("dist: scenario %s: %d message(s) undeliverable after %d attempt(s): %w",
+			cfg.Scenario, res.FaultGiveUps, cfg.Faults.withDefaults().MaxAttempts, ErrTimeout)
+	}
+	return res, nil
+}
+
 // Run drives one scenario execution under the configured mode. Every mode
 // but ModeBare sizes a call the same way (see package rte) and only where
 // the size is read: in ModeProfiling every call, for the profile; in
@@ -124,151 +207,77 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.App == nil || cfg.App.Main == nil {
 		return nil, fmt.Errorf("dist: config has no runnable application")
 	}
-	net := cfg.Network
-	if net == nil {
-		net = netsim.TenBaseT
-	}
-	var rng *rand.Rand
-	if cfg.Jitter {
-		rng = rand.New(rand.NewSource(cfg.Seed + 0x5eed))
-	}
-	//lint:allow ctxthread Run is the root of a simulation; the clock it builds here is the one threaded everywhere else.
-	clock := NewClock(net, rng)
-	env := com.NewEnv(cfg.App)
-	env.SetClock(clock)
-
-	res := &Result{
-		Clock:         clock,
-		PerMachine:    make(map[com.Machine]int),
-		AppPerMachine: make(map[com.Machine]int),
-	}
-	tally := func() {
-		res.Instances = env.TotalInstances()
-		for _, in := range env.Instances() {
-			res.PerMachine[in.Machine]++
-			if !in.Class.Infrastructure {
-				res.AppInstances++
-				res.AppPerMachine[in.Machine]++
-			}
-		}
-	}
-
-	if cfg.Mode == ModeBare {
-		//lint:allow wallclock measuring real wall time of the undistributed run
-		start := time.Now()
-		if err := cfg.App.Main(env, cfg.Scenario, cfg.Seed); err != nil {
-			return nil, fmt.Errorf("dist: scenario %s: %w", cfg.Scenario, err)
-		}
-		res.WallTime = time.Since(start)
-		tally()
-		return res, nil
-	}
-
-	if cfg.Classifier == nil {
+	if cfg.Mode != ModeBare && cfg.Classifier == nil {
 		return nil, fmt.Errorf("dist: mode %d requires a classifier", cfg.Mode)
 	}
-	table := classify.NewTable(cfg.Classifier)
-
-	var log logger.Logger
+	var log logger.Logger = logger.Null{}
 	var plog *logger.Profiling
-	var placer rte.Placer
-	var comm rte.CommSink
-
-	switch cfg.Mode {
-	case ModeDefault:
-		log = logger.Null{}
-		placer = homePlacer
-		comm = clock
-	case ModeProfiling:
+	if cfg.Mode == ModeProfiling {
 		plog = logger.NewProfiling(cfg.Classifier.Name(), cfg.InstanceDetail)
 		log = plog
-		// Profiling runs on the non-distributed application.
-		placer = rte.FollowCreator
-		comm = nil
-	case ModeCoign:
-		if len(cfg.Distribution) == 0 {
-			return nil, fmt.Errorf("dist: ModeCoign requires a distribution map")
-		}
-		log = logger.Null{}
-		fac, err := factory.New(cfg.Distribution)
-		if err != nil {
-			return nil, err
-		}
-		// Infrastructure classes never move, whatever the map says.
-		placer = rte.PlacerFunc(func(classification string, cl *com.Class, creator com.Machine) com.Machine {
-			if cl.Infrastructure {
-				return cl.Home
-			}
-			return fac.Place(classification, cl, creator)
-		})
-		comm = clock
-		defer func() {
-			res.Relocations = fac.Relocations()
-			res.Unknown = fac.Unknown()
-		}()
-	default:
-		return nil, fmt.Errorf("dist: unknown mode %d", cfg.Mode)
-	}
-
-	if cfg.ExtraLogger != nil && (cfg.Mode == ModeDefault || cfg.Mode == ModeCoign) {
+	} else if cfg.ExtraLogger != nil {
 		log = cfg.ExtraLogger
 	}
-
 	var ev *logger.EventLogger
 	if cfg.EventTrace {
 		ev = logger.NewEventLogger(nil)
 		log = logger.Multi{log, ev}
 	}
-
-	if cfg.Faults != nil && (cfg.Mode == ModeDefault || cfg.Mode == ModeCoign) {
-		frng := rand.New(rand.NewSource(cfg.Seed ^ 0x0fa17))
-		sink, _ := log.(logger.FaultSink)
-		clock.SetFaults(*cfg.Faults, frng, sink)
-	}
-
-	var cache *caching.Cache
-	if cfg.EnableCaching && (cfg.Mode == ModeDefault || cfg.Mode == ModeCoign) {
-		cache = caching.New(0)
-	}
-	r, err := rte.Attach(env, rte.Options{
-		Logger: log,
-		Table:  table,
-		Placer: placer,
-		Comm:   comm,
-		Cache:  cache,
-	})
+	sink, _ := log.(logger.FaultSink)
+	clock, placer, fac, err := machinery(cfg, sink)
 	if err != nil {
 		return nil, err
 	}
-	r.LoadBinary("coign.rt")
-	r.LoadBinary(cfg.App.Name + ".exe")
+	env := com.NewEnv(cfg.App)
+	env.SetClock(clock)
+	res := newResult(clock)
 
-	r.BeginRun(cfg.Scenario)
+	// ModeBare runs the original binary: no runtime is attached.
+	var r *rte.RTE
+	var cache *caching.Cache
+	if cfg.Mode != ModeBare {
+		// Profiling runs on the non-distributed application: nothing crosses.
+		var comm rte.CommSink
+		if cfg.Mode != ModeProfiling {
+			comm = clock
+			if cfg.EnableCaching {
+				cache = caching.New(0)
+			}
+		}
+		if r, err = rte.Attach(env, rte.Options{
+			Logger: log,
+			Table:  classify.NewTable(cfg.Classifier),
+			Placer: placer,
+			Comm:   comm,
+			Cache:  cache,
+		}); err != nil {
+			return nil, err
+		}
+		r.LoadBinary("coign.rt")
+		r.LoadBinary(cfg.App.Name + ".exe")
+		r.BeginRun(cfg.Scenario)
+	}
 	//lint:allow wallclock measuring real wall time of the scenario run
 	start := time.Now()
 	if err := cfg.App.Main(env, cfg.Scenario, cfg.Seed); err != nil {
 		return nil, fmt.Errorf("dist: scenario %s: %w", cfg.Scenario, err)
 	}
 	res.WallTime = time.Since(start)
+	for _, in := range env.Instances() {
+		res.place(in.Class, in.Machine)
+	}
+	if r == nil {
+		return res, nil
+	}
 	r.EndRun()
-
-	tally()
 	if cache != nil {
 		res.CacheHits = cache.Hits()
 	}
 	res.Violations = r.Violations()
 	res.TrappedCalls = r.Calls()
 	res.Events = ev
-	res.Retries = clock.Retries()
-	res.FaultDrops = clock.FaultDrops()
-	res.FaultCorruptions = clock.FaultCorruptions()
-	res.FaultGiveUps = clock.FaultGiveUps()
 	if plog != nil {
 		res.Profile = plog.LastRun()
 	}
-	if res.FaultGiveUps > 0 {
-		return nil, fmt.Errorf("dist: scenario %s: %d message(s) undeliverable after %d attempt(s): %w",
-			cfg.Scenario, res.FaultGiveUps, cfg.Faults.withDefaults().MaxAttempts, ErrTimeout)
-	}
-	return res, nil
+	return settle(cfg, res, fac)
 }

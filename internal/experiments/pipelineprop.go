@@ -18,6 +18,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/logger"
 	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
@@ -366,40 +367,44 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	rep.check("alias-json-byte-stable", bytes.Equal(j1.Bytes(), j2.Bytes()),
 		"re-scanning produced different canonical bytes")
 
-	// Write the distribution into the binary and replay it: two identical
-	// fault-free runs, then two identical chaos runs (same fault seed), so
-	// the virtual-time replay is provably deterministic end to end.
+	// Write the distribution into the binary, trace one profiling run of
+	// the bigone at the session's seed, and hold the replay of that trace
+	// field by field to the distributed run and to a chaos run (seeded
+	// faults and retries): the replayer prices exactly what the runtime
+	// charges.
 	if err := adps.WriteDistribution(ares); err != nil {
 		return nil, fmt.Errorf("experiments: writing distribution of %s: %w", a.App.Name, err)
 	}
+	dcfg, err := coignConfig(adps, a.Bigone)
+	if err != nil {
+		return nil, err
+	}
+	profCfg := dcfg
+	profCfg.Mode, profCfg.EventTrace = dist.ModeProfiling, true
+	traced, err := dist.Run(profCfg)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: traced run of %s: %w", a.App.Name, err)
+	}
+	trace := traced.Events.Events
 	r1, err := adps.RunDistributed(a.Bigone, false)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: distributed replay of %s: %w", a.App.Name, err)
+		return nil, fmt.Errorf("experiments: distributed run of %s: %w", a.App.Name, err)
 	}
-	r2, err := adps.RunDistributed(a.Bigone, false)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: distributed replay of %s: %w", a.App.Name, err)
-	}
-	rep.check("replay-deterministic",
-		r1.Clock.Elapsed() == r2.Clock.Elapsed() && r1.Clock.CommTime() == r2.Clock.CommTime(),
-		fmt.Sprintf("elapsed %v/%v, comm %v/%v", r1.Clock.Elapsed(), r2.Clock.Elapsed(),
-			r1.Clock.CommTime(), r2.Clock.CommTime()))
+	rep.checkReplay("replay-matches-run", dcfg, trace, r1)
 	rep.check("replay-no-violations", r1.Violations == 0,
 		fmt.Sprintf("chosen distribution crossed %d non-remotable boundaries", r1.Violations))
 
-	c1, err := chaosRun(adps, a.Bigone, cfg.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos replay of %s: %w", a.App.Name, err)
+	dcfg.Faults = &dist.FaultPolicy{
+		Rates:       fault.Rates{Drop: 0.01, Corrupt: 0.005},
+		MaxAttempts: 6,
+		Timeout:     50 * time.Millisecond,
+		Backoff:     5 * time.Millisecond,
 	}
-	c2, err := chaosRun(adps, a.Bigone, cfg.Seed)
+	chaos, err := dist.Run(dcfg)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: chaos replay of %s: %w", a.App.Name, err)
+		return nil, fmt.Errorf("experiments: chaos run of %s: %w", a.App.Name, err)
 	}
-	rep.check("chaos-replay-converges",
-		c1.Clock.Elapsed() == c2.Clock.Elapsed() && c1.Retries == c2.Retries &&
-			c1.FaultDrops == c2.FaultDrops && c1.FaultCorruptions == c2.FaultCorruptions,
-		fmt.Sprintf("elapsed %v/%v, retries %d/%d, drops %d/%d",
-			c1.Clock.Elapsed(), c2.Clock.Elapsed(), c1.Retries, c2.Retries, c1.FaultDrops, c2.FaultDrops))
+	rep.checkReplay("chaos-replay-matches-run", dcfg, trace, chaos)
 
 	return rep, nil
 }
@@ -492,33 +497,48 @@ func classesCoLocated(distribution map[string]com.Machine, prof *profile.Profile
 	return true, ""
 }
 
-// chaosRun replays the written distribution under a seeded lossy network.
-// The fault schedule is fully determined by the run seed, so two calls
-// with the same seed must agree byte for byte.
-func chaosRun(adps *core.ADPS, scenario string, seed int64) (*dist.Result, error) {
+// coignConfig is the configuration RunDistributed executes the binary's
+// written distribution under: the session's seed, network and the
+// classifier recorded in the image.
+func coignConfig(adps *core.ADPS, scenario string) (dist.Config, error) {
 	dm := adps.Image.Config.DistributionMap()
 	if dm == nil {
-		return nil, fmt.Errorf("experiments: binary carries no distribution map")
+		return dist.Config{}, fmt.Errorf("experiments: binary carries no distribution map")
 	}
 	kind, err := classify.KindByName(adps.Image.Config.Classifier)
 	if err != nil {
-		return nil, err
+		return dist.Config{}, err
 	}
-	return dist.Run(dist.Config{
+	return dist.Config{
 		App:          adps.App,
 		Scenario:     scenario,
-		Seed:         seed + 17,
+		Seed:         adps.Seed,
 		Mode:         dist.ModeCoign,
 		Classifier:   classify.New(kind, adps.Image.Config.ClassifierDepth),
 		Distribution: dm,
 		Network:      adps.Network,
-		Faults: &dist.FaultPolicy{
-			Rates:       fault.Rates{Drop: 0.01, Corrupt: 0.005},
-			MaxAttempts: 6,
-			Timeout:     50 * time.Millisecond,
-			Backoff:     5 * time.Millisecond,
-		},
-	})
+	}, nil
+}
+
+// checkReplay records whether replaying trace under cfg reproduces run,
+// the execution of cfg, in every field a trace determines.
+func (r *PipelineReport) checkReplay(name string, cfg dist.Config, trace []logger.Event, run *dist.Result) {
+	got, err := dist.Replay(cfg, trace)
+	replayed := fmt.Sprint(err)
+	if err == nil {
+		replayed = pricedFields(got)
+	}
+	r.check(name, replayed == pricedFields(run), fmt.Sprintf("run %s, replay %s", pricedFields(run), replayed))
+}
+
+// pricedFields renders the fields of a result a trace determines, so a
+// replay and the run it replays compare as one string.
+func pricedFields(r *dist.Result) string {
+	return fmt.Sprintf("{comm %v, %d msgs, %d B, %d violations, %d/%d instances %v/%v, "+
+		"%d relocated, %d unknown, %d calls, faults %d/%d/%d/%d}",
+		r.Clock.CommTime(), r.Clock.Messages(), r.Clock.Bytes(), r.Violations,
+		r.Instances, r.AppInstances, r.PerMachine, r.AppPerMachine, r.Relocations, r.Unknown,
+		r.TrappedCalls, r.Retries, r.FaultDrops, r.FaultCorruptions, r.FaultGiveUps)
 }
 
 // MatrixSummary aggregates a family × seed sweep of the property

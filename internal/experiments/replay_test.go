@@ -1,0 +1,113 @@
+package experiments
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/classify"
+	"repro/internal/dist"
+	"repro/internal/fault"
+	"repro/internal/pipeline"
+	"repro/internal/scenario"
+	"repro/internal/synthapp"
+)
+
+// replayOracle traces one profiling run of cfg's scenario at cfg's seed and
+// checks that the trace replays to Run(cfg) under every config in cfgs:
+// the same error, or equal priced fields with no tolerance.
+func replayOracle(t *testing.T, name string, cfgs []dist.Config) {
+	t.Helper()
+	prof := cfgs[0]
+	prof.Mode, prof.EventTrace, prof.Faults = dist.ModeProfiling, true, nil
+	traced, err := dist.Run(prof)
+	if err != nil {
+		t.Fatalf("%s: traced run: %v", name, err)
+	}
+	for _, cfg := range cfgs {
+		run, runErr := dist.Run(cfg)
+		rep, repErr := dist.Replay(cfg, traced.Events.Events)
+		want, got := fmt.Sprint(runErr), fmt.Sprint(repErr)
+		if runErr == nil && repErr == nil {
+			want, got = pricedFields(run), pricedFields(rep)
+		}
+		if runErr == nil && run.Clock.Messages() == 0 {
+			t.Errorf("%s mode %d: nothing crossed machines", name, cfg.Mode)
+		}
+		if got != want {
+			t.Errorf("%s mode %d jitter %v faults %v:\nreplay %s\nrun    %s",
+				name, cfg.Mode, cfg.Jitter, cfg.Faults != nil, got, want)
+		}
+	}
+}
+
+// TestReplayMatchesRun is the exact oracle between the replayer and the
+// runtime: the three paper apps' bigone and the five figure scenarios, and
+// every synthapp family at three seeds, under the default and the
+// analysis's distribution, each with jitter off and on and with faults.
+func TestReplayMatchesRun(t *testing.T) {
+	t.Parallel()
+	var specs []pipeline.Spec
+	seen := map[string]bool{}
+	for _, app := range []string{"octarine", "photodraw", "benefits"} {
+		big, err := scenario.BigoneForApp(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[big] = true
+		specs = append(specs, pipeline.Spec{Scenarios: []string{big}})
+	}
+	for _, f := range figureSpecs {
+		if !seen[f.scenario] {
+			specs = append(specs, pipeline.Spec{Scenarios: []string{f.scenario}})
+		}
+	}
+	for _, fam := range synthapp.Families() {
+		for seed := int64(1); seed <= 3; seed++ {
+			specs = append(specs, pipeline.Spec{
+				App:       fmt.Sprintf("synth:%s:%d", fam, seed),
+				Scenarios: []string{synthapp.ScenBigone},
+				Seed:      seed + 4,
+			})
+		}
+	}
+	faults := &dist.FaultPolicy{Rates: fault.Rates{Drop: 0.02, Corrupt: 0.01}, MaxAttempts: 8}
+	for _, spec := range specs {
+		spec := spec
+		name := spec.Scenarios[0]
+		if spec.App != "" {
+			name = spec.App
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			res, err := pipeline.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			adps := res.ADPS
+			base := dist.Config{
+				App: adps.App, Scenario: spec.Scenarios[0], Seed: adps.Seed,
+				Classifier: classify.New(adps.ClassifierKind, adps.ClassifierDepth),
+				Network:    adps.Network,
+			}
+			var cfgs []dist.Config
+			for _, mode := range []dist.Mode{dist.ModeDefault, dist.ModeCoign} {
+				cfg := base
+				cfg.Mode, cfg.Distribution = mode, res.Analysis.Distribution
+				jittered, faulted := cfg, cfg
+				jittered.Jitter = true
+				faulted.Jitter, faulted.Faults = true, faults
+				cfgs = append(cfgs, cfg, jittered, faulted)
+			}
+			replayOracle(t, name, cfgs)
+		})
+	}
+	t.Run("three-tier", func(t *testing.T) {
+		t.Parallel()
+		cfg, _, err := threeTierConfig(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayOracle(t, "three-tier", []dist.Config{cfg})
+	})
+}

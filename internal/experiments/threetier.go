@@ -40,15 +40,31 @@ type ThreeTierResult struct {
 // ThreeTier partitions and executes the Benefits bigone scenario across
 // three machines.
 func ThreeTier(ctx context.Context) (*ThreeTierResult, error) {
-	big, err := scenario.BigoneForApp("benefits")
+	cfg, out, err := threeTierConfig(ctx)
 	if err != nil {
 		return nil, err
+	}
+	run, err := dist.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	out.PerMachine, out.Comm, out.Violations = run.AppPerMachine, run.Clock.CommTime(), run.Violations
+	return out, nil
+}
+
+// threeTierConfig cuts the Benefits bigone three ways and returns the
+// execution of that cut, with the result's cut weight and two-way
+// communication filled in.
+func threeTierConfig(ctx context.Context) (dist.Config, *ThreeTierResult, error) {
+	big, err := scenario.BigoneForApp("benefits")
+	if err != nil {
+		return dist.Config{}, nil, err
 	}
 	// Two-way comparison: the exact cut between client and a merged
 	// middle+database side. Its profile also feeds the three-way cut.
 	twoWay, err := pipeline.Run(ctx, pipeline.Spec{Scenarios: []string{big}, Compare: true})
 	if err != nil {
-		return nil, err
+		return dist.Config{}, nil, err
 	}
 	app, p := twoWay.ADPS.App, twoWay.Profile
 	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
@@ -85,7 +101,7 @@ func ThreeTier(ctx context.Context) (*ThreeTierResult, error) {
 		{Machine: "dbserver", Pinned: dbPins},
 	})
 	if err != nil {
-		return nil, err
+		return dist.Config{}, nil, err
 	}
 
 	machineOf := map[string]com.Machine{
@@ -100,25 +116,14 @@ func ThreeTier(ctx context.Context) (*ThreeTierResult, error) {
 		}
 		mm, ok := machineOf[m]
 		if !ok {
-			return nil, fmt.Errorf("experiments: multiway produced unknown machine %q", m)
+			return dist.Config{}, nil, fmt.Errorf("experiments: multiway produced unknown machine %q", m)
 		}
 		distMap[id] = mm
 	}
 
-	run, err := dist.Run(dist.Config{
+	return dist.Config{
 		App: app, Scenario: big, Seed: 1, Mode: dist.ModeCoign,
 		Classifier:   classify.New(classify.IFCB, 0),
 		Distribution: distMap,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	return &ThreeTierResult{
-		PerMachine: run.AppPerMachine,
-		CutWeight:  weight,
-		Comm:       run.Clock.CommTime(),
-		TwoWayComm: twoWay.Experiment.CoignComm,
-		Violations: run.Violations,
-	}, nil
+	}, &ThreeTierResult{CutWeight: weight, TwoWayComm: twoWay.Experiment.CoignComm}, nil
 }

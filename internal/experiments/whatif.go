@@ -9,7 +9,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/com"
 	"repro/internal/dist"
-	"repro/internal/netsim"
 	"repro/internal/pipeline"
 )
 
@@ -42,11 +41,14 @@ func WhatIf(ctx context.Context, scenName string, samples int, seed int64) (*Wha
 	if err != nil {
 		return nil, err
 	}
-	// One profiling run with an event trace; its own profile is analyzed.
-	run, err := dist.Run(dist.Config{
-		App: adps.App, Scenario: scenName, Seed: 1, Mode: dist.ModeProfiling,
-		Classifier: classify.New(classify.IFCB, 0), EventTrace: true,
-	})
+	// One profiling run with an event trace, at the session's seed,
+	// classifier and network; its own profile is analyzed.
+	cfg := dist.Config{
+		App: adps.App, Scenario: scenName, Seed: adps.Seed, Mode: dist.ModeProfiling,
+		Classifier: classify.New(adps.ClassifierKind, adps.ClassifierDepth),
+		Network:    adps.Network, EventTrace: true,
+	}
+	run, err := dist.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -55,12 +57,14 @@ func WhatIf(ctx context.Context, scenName string, samples int, seed int64) (*Wha
 		return nil, err
 	}
 
+	cfg.Mode = dist.ModeCoign
 	replayComm := func(dm map[string]com.Machine) (time.Duration, error) {
-		rr, err := dist.Replay(run.Events.Events, dm, netsim.TenBaseT)
+		cfg.Distribution = dm
+		rr, err := dist.Replay(cfg, run.Events.Events)
 		if err != nil {
 			return 0, err
 		}
-		return rr.CommTime, nil
+		return rr.Clock.CommTime(), nil
 	}
 
 	coign, err := replayComm(res.Distribution)

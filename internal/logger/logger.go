@@ -20,7 +20,10 @@ type InstRecord struct {
 	Class                 string
 	Classification        string
 	CreatorClassification string
-	Order                 int
+	// CreatorInst is the instance on whose behalf the component was
+	// created; 0 is the main program. A replayed instance follows it.
+	CreatorInst uint64
+	Order       int
 	// Path is the activation call path: the classes of the component
 	// instances on the stack at the instantiation, innermost first.
 	Path []string
