@@ -56,10 +56,6 @@ func cmdChaos(_ context.Context, args []string) error {
 	if *fromModel {
 		pol.Rates = fault.FromModel(model)
 	}
-	var ev *logger.EventLogger
-	if *trace {
-		ev = logger.NewEventLogger(os.Stdout)
-	}
 	cfg := dist.Config{
 		App:        app,
 		Scenario:   *scen,
@@ -69,8 +65,8 @@ func cmdChaos(_ context.Context, args []string) error {
 		Network:    model,
 		Faults:     pol,
 	}
-	if ev != nil {
-		cfg.ExtraLogger = ev
+	if *trace {
+		cfg.ExtraLogger = logger.NewTrace(os.Stdout)
 	}
 	res, err := dist.Run(cfg)
 	if err != nil {

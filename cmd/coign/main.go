@@ -37,8 +37,8 @@ var commands = []command{
 	{"run", "full experiment for one scenario (Tables 4 and 5 rows)", cmdRun},
 	{"table2", "classifier accuracy (Table 2)", classifierTable("table2", experiments.Table2, experiments.PrintTable2)},
 	{"table3", "IFCB accuracy vs stack-walk depth (Table 3)", classifierTable("table3", experiments.Table3, experiments.PrintTable3)},
-	{"table4", "communication time for all 23 scenarios (Table 4)", scenarioTable(experiments.PrintTable4)},
-	{"table5", "execution-time prediction accuracy (Table 5)", scenarioTable(experiments.PrintTable5)},
+	{"table4", "communication time for all 23 scenarios (Table 4)", stdout(scenarioTable(experiments.PrintTable4))},
+	{"table5", "execution-time prediction accuracy (Table 5)", stdout(scenarioTable(experiments.PrintTable5))},
 	{"figures", "distribution figures 4-8", cmdFigures},
 	{"chaos", "run one scenario under injected network faults with retries", cmdChaos},
 	{"adapt", "re-partition one scenario across network generations", stdout(cmdAdapt)},

@@ -33,13 +33,13 @@ func classifierTable(name string, table func(string) ([]*analysis.ClassifierEval
 
 // scenarioTable is the command for Tables 4 and 5: one pass over every
 // scenario yields the rows of both.
-func scenarioTable(print func(io.Writer, []*pipeline.Result)) func(context.Context, []string) error {
-	return func(ctx context.Context, _ []string) error {
+func scenarioTable(print func(io.Writer, []*pipeline.Result)) func(context.Context, []string, io.Writer) error {
+	return func(ctx context.Context, _ []string, w io.Writer) error {
 		rows, err := experiments.Tables4And5(ctx)
 		if err != nil {
 			return err
 		}
-		print(os.Stdout, rows)
+		print(w, rows)
 		return nil
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/com"
 	"repro/internal/dist"
+	"repro/internal/logger"
 	"repro/internal/netsim"
 	"repro/internal/profile"
 	"repro/internal/purity"
@@ -73,11 +74,14 @@ type ADPS struct {
 	Seed int64
 
 	// profiledScenario and profiledCompute are the latest profiling run and
-	// its compute time, the base of Execute's predicted execution time. The
-	// scenario is empty while the session's profile is no single run's:
-	// before any run, and after ProfileScenarios merged several.
+	// its compute time, the base of Execute's predicted execution time, and
+	// profiledTrace is that run's event trace, which Execute prices, when it
+	// was a TraceScenario run. The scenario is empty while the session's
+	// profile is no single run's: before any run, and after
+	// ProfileScenarios merged several.
 	profiledScenario string
 	profiledCompute  time.Duration
+	profiledTrace    *logger.Trace
 	// err is the first static scan New failed (see Err).
 	err error
 }
@@ -207,6 +211,19 @@ func (a *ADPS) ProfileNetwork() error {
 // ProfileScenario runs the instrumented binary through one profiling
 // scenario and returns its ICC profile.
 func (a *ADPS) ProfileScenario(scenario string, instanceDetail bool) (*profile.Profile, *dist.Result, error) {
+	return a.profile(scenario, instanceDetail, false)
+}
+
+// TraceScenario is ProfileScenario that also records the run's event trace
+// (the result's Trace) and keeps it in the session, so Execute can price
+// the default and Coign distributions from this one execution.
+func (a *ADPS) TraceScenario(scenario string) (*profile.Profile, *dist.Result, error) {
+	return a.profile(scenario, false, true)
+}
+
+// profile is the one profiling run behind ProfileScenario and
+// TraceScenario.
+func (a *ADPS) profile(scenario string, instanceDetail, trace bool) (*profile.Profile, *dist.Result, error) {
 	if a.Image == nil || !a.Image.Instrumented() {
 		return nil, nil, fmt.Errorf("core: application binary is not instrumented")
 	}
@@ -218,6 +235,7 @@ func (a *ADPS) ProfileScenario(scenario string, instanceDetail bool) (*profile.P
 		Classifier:     a.classifier(),
 		InstanceDetail: instanceDetail,
 		Network:        a.Network,
+		EventTrace:     trace,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -225,7 +243,7 @@ func (a *ADPS) ProfileScenario(scenario string, instanceDetail bool) (*profile.P
 	if res.Profile == nil {
 		return nil, nil, fmt.Errorf("core: profiling run produced no profile")
 	}
-	a.profiledScenario, a.profiledCompute = scenario, res.Clock.ComputeTime()
+	a.profiledScenario, a.profiledCompute, a.profiledTrace = scenario, res.Clock.ComputeTime(), res.Trace
 	return res.Profile, res, nil
 }
 
@@ -302,15 +320,28 @@ func (a *ADPS) loadDistribution() (map[string]com.Machine, error) {
 // RunDistributed executes the application in the distribution recorded in
 // its binary.
 func (a *ADPS) RunDistributed(scenario string, jitter bool) (*dist.Result, error) {
-	dm, err := a.loadDistribution()
+	cfg, err := a.DistributedConfig(scenario)
 	if err != nil {
 		return nil, err
+	}
+	cfg.Jitter = jitter
+	return dist.Run(cfg)
+}
+
+// DistributedConfig is the configuration the lightweight runtime executes
+// the binary under, without jitter: the distribution and classifier read
+// back from its configuration record, the session's seed, network and
+// caching.
+func (a *ADPS) DistributedConfig(scenario string) (dist.Config, error) {
+	dm, err := a.loadDistribution()
+	if err != nil {
+		return dist.Config{}, err
 	}
 	kind, err := classify.KindByName(a.Image.Config.Classifier)
 	if err != nil {
-		return nil, err
+		return dist.Config{}, err
 	}
-	return dist.Run(dist.Config{
+	return dist.Config{
 		App:           a.App,
 		Scenario:      scenario,
 		Seed:          a.Seed,
@@ -318,9 +349,8 @@ func (a *ADPS) RunDistributed(scenario string, jitter bool) (*dist.Result, error
 		Classifier:    classify.New(kind, a.Image.Config.ClassifierDepth),
 		Distribution:  dm,
 		Network:       a.Network,
-		Jitter:        jitter,
 		EnableCaching: a.EnableCaching,
-	})
+	}, nil
 }
 
 // RunDefault executes the application in the developer's default
@@ -379,7 +409,7 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 			return nil, err
 		}
 	}
-	prof, _, err := a.ProfileScenario(scenario, false)
+	prof, _, err := a.TraceScenario(scenario)
 	if err != nil {
 		return nil, err
 	}
@@ -391,31 +421,47 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 }
 
 // Execute is the run half of an experiment: it writes the analysis
-// engine's distribution into the binary, executes the scenario under the
-// default and the Coign-chosen distribution, and compares the measured
-// times against the prediction. The predicted execution time starts from
-// the profiled compute time, so ares must come from the session's latest
-// profiling run and that run must be of this scenario alone; Execute fails
-// otherwise. It leaves the image re-armed for profiling.
+// engine's distribution into the binary, prices the scenario under the
+// default and the Coign-chosen distribution, and compares a measured
+// execution against the prediction. The session's latest profiling run
+// must be a TraceScenario run of this scenario alone, and ares must come
+// from it; Execute fails otherwise. The prediction starts from that run's
+// compute time. Table 4's columns replay its trace (dist.Replay charges
+// what the runtime charges) under the default distribution and under the
+// map read back from the rewritten binary; with EnableCaching the Coign
+// column is a real run, since a cache hit depends on argument values a
+// trace does not carry. Table 5's measured time is a real run with network
+// jitter, so its error is a gap between model and execution. Execute
+// leaves the image re-armed for profiling.
 func (a *ADPS) Execute(scenario string, ares *analysis.Result) (*ScenarioReport, error) {
-	if a.profiledScenario != scenario {
-		return nil, fmt.Errorf("core: cannot execute %s: the session's profile is not one profiling run of it (latest single run: %q)",
-			scenario, a.profiledScenario)
+	trace := a.profiledTrace
+	if a.profiledScenario != scenario || trace == nil {
+		return nil, fmt.Errorf("core: cannot execute %s: the session's latest profiling run is not a traced run of it (latest single run: %q, traced: %v)",
+			scenario, a.profiledScenario, trace != nil)
 	}
 	if err := a.WriteDistribution(ares); err != nil {
 		return nil, err
 	}
-	def, err := a.RunDefault(scenario, false)
+	cfg, err := a.DistributedConfig(scenario)
 	if err != nil {
 		return nil, err
 	}
-	// Table 4 compares mean communication times; Table 5's "measured"
-	// execution is a separate stochastic run with network jitter.
-	coign, err := a.RunDistributed(scenario, false)
+	def, err := dist.Replay(dist.Config{App: a.App, Scenario: scenario, Seed: a.Seed,
+		Mode: dist.ModeDefault, Network: a.Network}, trace)
 	if err != nil {
 		return nil, err
 	}
-	measured, err := a.RunDistributed(scenario, true)
+	var coign *dist.Result
+	if cfg.EnableCaching {
+		coign, err = dist.Run(cfg)
+	} else {
+		coign, err = dist.Replay(cfg, trace)
+	}
+	if err != nil {
+		return nil, err
+	}
+	cfg.Jitter = true
+	measured, err := dist.Run(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/apps/octarine"
 	"repro/internal/binimg"
 	"repro/internal/classify"
+	"repro/internal/com"
 	"repro/internal/dist"
 	"repro/internal/netsim"
 	"repro/internal/scenario"
@@ -141,20 +143,6 @@ func TestScenarioExperimentReport(t *testing.T) {
 	// The experiment re-arms the image for the next scenario.
 	if adps.Image.Config.Mode != binimg.ModeProfiling {
 		t.Error("image not re-armed for profiling")
-	}
-	// Execute predicts from one profiling run of the scenario it executes:
-	// another scenario, a merged profile and a fresh session are refused.
-	if _, err := adps.Execute(octarine.ScenOldWp0, rep.Analysis); err == nil {
-		t.Error("executed a scenario other than the profiled one")
-	}
-	if _, err := adps.ProfileScenarios([]string{octarine.ScenOldWp0, octarine.ScenOldTb3}, false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := adps.Execute(octarine.ScenOldTb3, rep.Analysis); err == nil {
-		t.Error("executed on a merged profile")
-	}
-	if _, err := New(octarine.New()).Execute(octarine.ScenOldTb3, rep.Analysis); err == nil {
-		t.Error("executed on a session that profiled nothing")
 	}
 }
 
@@ -354,5 +342,201 @@ func TestProfileScenarioCostsOnlyItsRun(t *testing.T) {
 	})
 	if limit := bare + bare/50; session > limit {
 		t.Errorf("ProfileScenario allocated %d objects, the bare profiling run %d (limit %d)", session, bare, limit)
+	}
+}
+
+// threeRunExperiment is the experiment on scenario computed the way Execute
+// did before it priced a trace: one profiling run, then three real
+// executions of the rewritten binary — default, Coign, Coign with jitter.
+func threeRunExperiment(t *testing.T, a *ADPS, scenario string) (Experiment, int64) {
+	t.Helper()
+	if err := a.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := a.ProfileScenario(scenario, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ares, err := a.Analyze(context.Background(), prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WriteDistribution(ares); err != nil {
+		t.Fatal(err)
+	}
+	def, err := a.RunDefault(scenario, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coign, err := a.RunDistributed(scenario, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured, err := a.RunDistributed(scenario, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := Experiment{
+		DefaultComm:     def.Clock.CommTime(),
+		CoignComm:       coign.Clock.CommTime(),
+		TotalInstances:  coign.AppInstances,
+		ServerInstances: coign.AppPerMachine[com.Server],
+		Violations:      coign.Violations,
+		PredictedExec:   a.profiledCompute + ares.PredictedComm,
+		MeasuredExec:    measured.Clock.Elapsed(),
+	}
+	if s := 1 - float64(e.CoignComm)/float64(e.DefaultComm); e.DefaultComm > 0 && s > 0 {
+		e.Savings = s
+	}
+	if e.MeasuredExec > 0 {
+		e.PredictionErr = float64(e.PredictedExec-e.MeasuredExec) / float64(e.MeasuredExec)
+	}
+	return e, coign.Unknown
+}
+
+// TestExecuteMatchesRuns: Execute's experiment, priced from one traced
+// profiling run, equals field for field the one three real executions
+// give, on every Table 4 scenario and on a session with caching, whose
+// Coign column stays a real run.
+func TestExecuteMatchesRuns(t *testing.T) {
+	t.Parallel()
+	type tc struct {
+		scenario, app string
+		caching       bool
+	}
+	var cases []tc
+	for _, s := range scenario.Table1() {
+		cases = append(cases, tc{s.Name, s.App, false})
+	}
+	cases = append(cases, tc{octarine.ScenOldWp7, "octarine", true})
+	for _, c := range cases {
+		c := c
+		t.Run(fmt.Sprintf("%s/caching=%v", c.scenario, c.caching), func(t *testing.T) {
+			t.Parallel()
+			session := func() *ADPS {
+				app, err := scenario.NewApp(c.app)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := New(app)
+				a.EnableCaching = c.caching
+				return a
+			}
+			rep, err := session().ScenarioExperiment(context.Background(), c.scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, unknown := threeRunExperiment(t, session(), c.scenario)
+			if rep.Experiment != want || rep.Unknown != unknown {
+				t.Errorf("Execute %+v unknown %d\nruns    %+v unknown %d", rep.Experiment, rep.Unknown, want, unknown)
+			}
+		})
+	}
+}
+
+// TestExecuteNeedsTracedRunOfTheScenario: Execute prices the latest
+// profiling run's trace, so anything but a traced run of the scenario it
+// executes is refused.
+func TestExecuteNeedsTracedRunOfTheScenario(t *testing.T) {
+	t.Parallel()
+	scen := octarine.ScenOldTb3
+	traced := New(octarine.New())
+	rep, err := traced.ScenarioExperiment(context.Background(), scen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		profile func(a *ADPS) error
+	}{
+		{"untraced run", func(a *ADPS) error {
+			_, _, err := a.ProfileScenario(scen, false)
+			return err
+		}},
+		{"traced run of another scenario", func(a *ADPS) error {
+			_, _, err := a.TraceScenario(octarine.ScenOldWp0)
+			return err
+		}},
+		{"merged profile", func(a *ADPS) error {
+			if _, _, err := a.TraceScenario(scen); err != nil {
+				return err
+			}
+			_, err := a.ProfileScenarios([]string{octarine.ScenOldWp0, scen}, false)
+			return err
+		}},
+		{"fresh session", nil},
+	} {
+		a := New(octarine.New())
+		if c.profile != nil {
+			if err := a.Instrument(); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.profile(a); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		if _, err := a.Execute(scen, rep.Analysis); err == nil {
+			t.Errorf("%s: executed", c.name)
+		}
+	}
+}
+
+// allocated returns the least objects and bytes of three calls of run.
+// Mallocs and TotalAlloc are process-wide: callers are not parallel.
+func allocated(t *testing.T, run func() error) (objects, bytes uint64) {
+	t.Helper()
+	objects, bytes = ^uint64(0), ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects = min(objects, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objects, bytes
+}
+
+// TestTraceCostsLittle guards what recording the trace adds to the o_bigone
+// profiling run: at most 100 objects and 1.5 MB. A trace of one 280-byte
+// event per entry, grown by append, added 18.9 MB.
+//
+//lint:allow paralleltest Mallocs is process-wide
+func TestTraceCostsLittle(t *testing.T) {
+	adps := New(octarine.New())
+	if err := adps.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	plainObj, plainB := allocated(t, func() error {
+		_, _, err := adps.ProfileScenario(octarine.ScenBigone, false)
+		return err
+	})
+	tracedObj, tracedB := allocated(t, func() error {
+		_, _, err := adps.TraceScenario(octarine.ScenBigone)
+		return err
+	})
+	t.Logf("traced run: +%d objects, +%d bytes", tracedObj-plainObj, tracedB-plainB)
+	if tracedObj > plainObj+100 || tracedB > plainB+1_500_000 {
+		t.Errorf("traced run allocated %d objects / %d B, untraced %d / %d: over +100 objects / +1.5 MB",
+			tracedObj, tracedB, plainObj, plainB)
+	}
+}
+
+// TestScenarioExperimentAllocs guards the experiment on o_bigone at 110 k
+// objects. Executing the scenario three times after profiling it, instead
+// of replaying the profiling run's trace twice, cost about 183 k.
+//
+//lint:allow paralleltest Mallocs is process-wide
+func TestScenarioExperimentAllocs(t *testing.T) {
+	objects, _ := allocated(t, func() error {
+		_, err := New(octarine.New()).ScenarioExperiment(context.Background(), octarine.ScenBigone)
+		return err
+	})
+	t.Logf("ScenarioExperiment: %d objects", objects)
+	if objects > 110_000 {
+		t.Errorf("ScenarioExperiment on o_bigone allocated %d objects, limit 110000", objects)
 	}
 }

@@ -145,7 +145,7 @@ func simChaosRun(t *testing.T, seed int64, pol *FaultPolicy) (*Result, []logger.
 		t.Fatalf("chaos run: %v", err)
 	}
 	var trail []logger.FaultRecord
-	for _, ev := range res.Events.Events {
+	for _, ev := range events(res.Trace) {
 		if ev.Kind == logger.EvFault {
 			trail = append(trail, ev.Fault)
 		}
@@ -219,7 +219,7 @@ func TestReplayWithFaultsChargesRetransmissions(t *testing.T) {
 	// Everything on the client but Storage, which is infrastructure and
 	// stays on the server: every block read crosses.
 	dm := map[string]com.Machine{}
-	for _, ev := range trace {
+	for _, ev := range events(trace) {
 		if ev.Kind == logger.EvInstantiation {
 			dm[ev.Inst.Classification] = com.Client
 		}

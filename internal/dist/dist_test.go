@@ -354,7 +354,7 @@ func TestRunErrors(t *testing.T) {
 
 // pipelineTrace is the event trace of a profiling run of the pipeline
 // app's scenario at seed.
-func pipelineTrace(t testing.TB, scenario string, seed int64) []logger.Event {
+func pipelineTrace(t testing.TB, scenario string, seed int64) *logger.Trace {
 	t.Helper()
 	res, err := Run(Config{
 		App: pipelineApp(), Scenario: scenario, Seed: seed, Mode: ModeProfiling,
@@ -363,14 +363,46 @@ func pipelineTrace(t testing.TB, scenario string, seed int64) []logger.Event {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Events.Events
+	return res.Trace
+}
+
+// events reads a trace back.
+func events(trace *logger.Trace) []logger.Event {
+	out := make([]logger.Event, trace.Len())
+	for i := range out {
+		out[i] = trace.At(i)
+	}
+	return out
+}
+
+// record appends evs to a new trace through the Logger methods; an event
+// of no known kind is dropped.
+func record(evs []logger.Event) *logger.Trace {
+	trace := logger.NewTrace(nil)
+	for _, ev := range evs {
+		switch ev.Kind {
+		case logger.EvBegin:
+			trace.BeginRun(ev.App, ev.Scen)
+		case logger.EvInstantiation:
+			trace.Instantiation(ev.Inst)
+		case logger.EvCall:
+			trace.Call(ev.Call)
+		case logger.EvRelease:
+			trace.Release(ev.Inst.ID)
+		case logger.EvEnd:
+			trace.EndRun()
+		case logger.EvFault:
+			trace.Fault(ev.Fault)
+		}
+	}
+	return trace
 }
 
 // readerOnServer maps every classification in trace to the client except
 // the Reader's and the Storage's, which go to the server.
-func readerOnServer(trace []logger.Event) map[string]com.Machine {
+func readerOnServer(trace *logger.Trace) map[string]com.Machine {
 	m := map[string]com.Machine{}
-	for _, ev := range trace {
+	for _, ev := range events(trace) {
 		if ev.Kind == logger.EvInstantiation {
 			m[ev.Inst.Classification] = com.Client
 			if ev.Inst.Class == "Reader" || ev.Inst.Class == "Storage" {
@@ -393,7 +425,7 @@ func priced(r *Result) string {
 
 // replayEqualsRun fails t unless Replay(cfg, trace) and Run(cfg) agree on
 // every priced field, and returns the run.
-func replayEqualsRun(t *testing.T, cfg Config, trace []logger.Event) *Result {
+func replayEqualsRun(t *testing.T, cfg Config, trace *logger.Trace) *Result {
 	t.Helper()
 	run, err := Run(cfg)
 	if err != nil {
@@ -412,7 +444,7 @@ func replayEqualsRun(t *testing.T, cfg Config, trace []logger.Event) *Result {
 func TestEventTraceAndReplay(t *testing.T) {
 	t.Parallel()
 	trace := pipelineTrace(t, "big", 0)
-	if len(trace) == 0 {
+	if trace.Len() == 0 {
 		t.Fatal("no event trace")
 	}
 	for _, cfg := range []Config{
@@ -428,11 +460,20 @@ func TestEventTraceAndReplay(t *testing.T) {
 	}
 }
 
+// callLog is a logger that keeps every call it is given in full.
+type callLog struct {
+	logger.Null
+	calls []logger.CallRecord
+}
+
+func (l *callLog) Call(rec logger.CallRecord) { l.calls = append(l.calls, rec) }
+
 // TestOneMeasurementInEveryMode checks that a distributed run's trace
 // carries the sizes and remotability profiling measures: call for call, a
-// ModeDefault trace records the InBytes, OutBytes and NonRemotable of the
-// ModeProfiling trace of the same scenario, and the run's Violations are
-// exactly its crossing calls flagged NonRemotable.
+// ModeDefault trace records the instances, InBytes, OutBytes and
+// NonRemotable of the ModeProfiling trace of the same scenario and of the
+// calls the run logs, and the run's Violations are exactly its crossing
+// calls flagged NonRemotable.
 func TestOneMeasurementInEveryMode(t *testing.T) {
 	t.Parallel()
 	for _, c := range []struct {
@@ -442,38 +483,37 @@ func TestOneMeasurementInEveryMode(t *testing.T) {
 		{pipelineApp(), "big"},
 		{octarine.New(), octarine.ScenOldWp7},
 	} {
-		calls := func(mode Mode) ([]logger.CallRecord, *Result) {
+		calls := func(mode Mode, extra logger.Logger) ([]logger.CallRecord, *Result) {
 			res, err := Run(Config{App: c.app, Scenario: c.scenario, Mode: mode,
-				Classifier: classify.New(classify.IFCB, 0), EventTrace: true})
+				Classifier: classify.New(classify.IFCB, 0), EventTrace: true, ExtraLogger: extra})
 			if err != nil {
 				t.Fatalf("%s mode %d: %v", c.scenario, mode, err)
 			}
 			var out []logger.CallRecord
-			for _, ev := range res.Events.Events {
+			for _, ev := range events(res.Trace) {
 				if ev.Kind == logger.EvCall {
 					out = append(out, ev.Call)
 				}
 			}
 			return out, res
 		}
-		prof, _ := calls(ModeProfiling)
-		def, res := calls(ModeDefault)
-		if len(def) != len(prof) || len(def) == 0 {
-			t.Fatalf("%s: %d default calls, %d profiled", c.scenario, len(def), len(prof))
+		prof, _ := calls(ModeProfiling, nil)
+		logged := &callLog{}
+		def, res := calls(ModeDefault, logged)
+		if len(def) != len(prof) || len(logged.calls) != len(def) || len(def) == 0 {
+			t.Fatalf("%s: %d default calls traced, %d logged, %d profiled", c.scenario, len(def), len(logged.calls), len(prof))
 		}
 		crossing, flagged := 0, 0
 		for i, d := range def {
-			p := prof[i]
-			if d.IID != p.IID || d.Method != p.Method {
-				t.Fatalf("%s call %d: default %s.%s, profiled %s.%s", c.scenario, i, d.IID, d.Method, p.IID, p.Method)
+			l := logged.calls[i]
+			kept := logger.CallRecord{SrcInst: l.SrcInst, DstInst: l.DstInst, InBytes: l.InBytes, OutBytes: l.OutBytes,
+				NonRemotable: l.NonRemotable}
+			if d != prof[i] || d != kept {
+				t.Fatalf("%s call %d %s.%s: default trace %+v, logged %+v, profiled %+v", c.scenario, i, l.IID, l.Method, d, kept, prof[i])
 			}
-			if d.InBytes != p.InBytes || d.OutBytes != p.OutBytes || d.NonRemotable != p.NonRemotable {
-				t.Fatalf("%s call %d %s.%s: default in=%d out=%d non-remotable=%v, profiled in=%d out=%d non-remotable=%v",
-					c.scenario, i, d.IID, d.Method, d.InBytes, d.OutBytes, d.NonRemotable, p.InBytes, p.OutBytes, p.NonRemotable)
-			}
-			if d.Crossing {
+			if l.Crossing {
 				crossing++
-				if d.NonRemotable {
+				if l.NonRemotable {
 					flagged++
 				}
 			}
@@ -537,21 +577,21 @@ func TestTransportRemoteCall(t *testing.T) {
 func TestReplayUnknownInstance(t *testing.T) {
 	t.Parallel()
 	trace := pipelineTrace(t, "small", 0)
-	mutated := func(f func(ev *logger.Event) bool) []logger.Event {
+	mutated := func(f func(ev *logger.Event) bool) *logger.Trace {
 		var out []logger.Event
-		for _, ev := range trace {
+		for _, ev := range events(trace) {
 			if f(&ev) {
 				out = append(out, ev)
 			}
 		}
-		return out
+		return record(out)
 	}
 	coign := Config{App: pipelineApp(), Scenario: "small", Mode: ModeCoign,
 		Classifier: classify.New(classify.IFCB, 0), Distribution: readerOnServer(trace)}
 	for _, c := range []struct {
 		name  string
 		cfg   func(*Config)
-		trace []logger.Event
+		trace *logger.Trace
 	}{
 		{"missing instantiation", nil, mutated(func(ev *logger.Event) bool { return ev.Kind != logger.EvInstantiation })},
 		{"unknown creator", nil, mutated(func(ev *logger.Event) bool {
@@ -580,7 +620,7 @@ func TestReplayUnknownInstance(t *testing.T) {
 
 	// A classification the map lacks follows its creator, as in Run.
 	partial := map[string]com.Machine{}
-	for _, ev := range trace {
+	for _, ev := range events(trace) {
 		if ev.Kind == logger.EvInstantiation && ev.Inst.Class == "Reader" {
 			partial[ev.Inst.Classification] = com.Server
 		}

@@ -51,9 +51,9 @@ func FuzzDispatch(f *testing.F) {
 }
 
 // FuzzReplay hardens the replayer against damaged traces. Each three bytes
-// of the input mutate a real trace once: drop, duplicate or swap events,
-// rewrite an instance id or a class, resize a call, or change an event's
-// kind. Replay must return an error or a result, never panic; on the
+// of the input mutate a real trace, read back, once: drop, duplicate or
+// swap events, rewrite an instance id or a class, resize a call, or change
+// an event's kind; the mutated events are recorded into a new trace. Replay must return an error or a result, never panic; on the
 // unmutated trace it must equal Run. Run with `go test -fuzz FuzzReplay
 // ./internal/dist` to explore beyond the seed corpus.
 func FuzzReplay(f *testing.F) {
@@ -73,7 +73,7 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte{7, 1, 0})
 
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		evs, unmutated := append([]logger.Event(nil), trace...), len(ops) < 3
+		evs, unmutated := events(trace), len(ops) < 3
 		for ; len(ops) >= 3 && len(evs) > 0; ops = ops[3:] {
 			i, v := int(ops[1])%len(evs), ops[2]
 			ev := &evs[i]
@@ -97,7 +97,7 @@ func FuzzReplay(f *testing.F) {
 				ev.Inst.Class = string(rune('A' + v%26))
 			}
 		}
-		rep, err := Replay(cfg, evs)
+		rep, err := Replay(cfg, record(evs))
 		if err == nil && rep == nil {
 			t.Fatal("replay returned neither a result nor an error")
 		}

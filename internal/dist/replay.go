@@ -24,8 +24,10 @@ import (
 // compute time, and it cannot price what its records do not determine:
 // ModeBare and ModeProfiling (nothing crosses), and EnableCaching (a cache
 // hit depends on argument values the trace does not carry) are errors.
-func Replay(cfg Config, events []logger.Event) (*Result, error) {
+func Replay(cfg Config, trace *logger.Trace) (*Result, error) {
 	switch {
+	case trace.Err() != nil:
+		return nil, fmt.Errorf("dist: cannot replay an incomplete trace: %w", trace.Err())
 	case cfg.App == nil:
 		return nil, fmt.Errorf("dist: replay config has no application")
 	case cfg.Mode == ModeBare || cfg.Mode == ModeProfiling:
@@ -39,8 +41,8 @@ func Replay(cfg Config, events []logger.Event) (*Result, error) {
 	}
 	res := newResult(clock)
 	machineOf := map[uint64]com.Machine{0: com.Client} // 0 is the main program
-	for _, ev := range events {
-		switch ev.Kind {
+	for i := 0; i < trace.Len(); i++ {
+		switch ev := trace.At(i); ev.Kind {
 		case logger.EvInstantiation:
 			in := ev.Inst
 			class := cfg.App.Classes.LookupName(in.Class)

@@ -66,7 +66,7 @@ type Config struct {
 	EnableCaching bool
 	// Jitter samples stochastic message times instead of means.
 	Jitter bool
-	// EventTrace additionally records a full event trace.
+	// EventTrace additionally records the run's event trace (Result.Trace).
 	EventTrace bool
 	// Faults, when set, simulates a lossy network in ModeDefault and
 	// ModeCoign: cross-machine messages are dropped/corrupted per the
@@ -80,7 +80,7 @@ type Config struct {
 type Result struct {
 	Clock      *Clock
 	Profile    *profile.Profile
-	Events     *logger.EventLogger
+	Trace      *logger.Trace // with Config.EventTrace
 	Instances  int
 	PerMachine map[com.Machine]int
 	// AppInstances and AppPerMachine exclude infrastructure components
@@ -218,10 +218,10 @@ func Run(cfg Config) (*Result, error) {
 	} else if cfg.ExtraLogger != nil {
 		log = cfg.ExtraLogger
 	}
-	var ev *logger.EventLogger
+	var trace *logger.Trace
 	if cfg.EventTrace {
-		ev = logger.NewEventLogger(nil)
-		log = logger.Multi{log, ev}
+		trace = logger.NewTrace(nil)
+		log = logger.Multi{log, trace}
 	}
 	sink, _ := log.(logger.FaultSink)
 	clock, placer, fac, err := machinery(cfg, sink)
@@ -275,7 +275,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Violations = r.Violations()
 	res.TrappedCalls = r.Calls()
-	res.Events = ev
+	if trace != nil {
+		if err := trace.Err(); err != nil {
+			return nil, fmt.Errorf("dist: scenario %s: event trace: %w", cfg.Scenario, err)
+		}
+		res.Trace = trace
+	}
 	if plog != nil {
 		res.Profile = plog.LastRun()
 	}

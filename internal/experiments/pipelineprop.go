@@ -12,9 +12,7 @@ import (
 	"repro/internal/alias"
 	"repro/internal/analysis"
 	"repro/internal/binimg"
-	"repro/internal/classify"
 	"repro/internal/com"
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/graph"
@@ -367,30 +365,26 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	rep.check("alias-json-byte-stable", bytes.Equal(j1.Bytes(), j2.Bytes()),
 		"re-scanning produced different canonical bytes")
 
-	// Write the distribution into the binary, trace one profiling run of
-	// the bigone at the session's seed, and hold the replay of that trace
-	// field by field to the distributed run and to a chaos run (seeded
-	// faults and retries): the replayer prices exactly what the runtime
-	// charges.
-	if err := adps.WriteDistribution(ares); err != nil {
-		return nil, fmt.Errorf("experiments: writing distribution of %s: %w", a.App.Name, err)
-	}
-	dcfg, err := coignConfig(adps, a.Bigone)
-	if err != nil {
-		return nil, err
-	}
-	profCfg := dcfg
-	profCfg.Mode, profCfg.EventTrace = dist.ModeProfiling, true
-	traced, err := dist.Run(profCfg)
+	// Trace one profiling run of the bigone through the session, write the
+	// distribution into the binary, and hold the replay of that trace field
+	// by field to the distributed run and to a chaos run (seeded faults and
+	// retries): the replayer prices exactly what the runtime charges.
+	_, traced, err := adps.TraceScenario(a.Bigone)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: traced run of %s: %w", a.App.Name, err)
 	}
-	trace := traced.Events.Events
-	r1, err := adps.RunDistributed(a.Bigone, false)
+	if err := adps.WriteDistribution(ares); err != nil {
+		return nil, fmt.Errorf("experiments: writing distribution of %s: %w", a.App.Name, err)
+	}
+	dcfg, err := adps.DistributedConfig(a.Bigone)
+	if err != nil {
+		return nil, err
+	}
+	r1, err := dist.Run(dcfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: distributed run of %s: %w", a.App.Name, err)
 	}
-	rep.checkReplay("replay-matches-run", dcfg, trace, r1)
+	rep.checkReplay("replay-matches-run", dcfg, traced.Trace, r1)
 	rep.check("replay-no-violations", r1.Violations == 0,
 		fmt.Sprintf("chosen distribution crossed %d non-remotable boundaries", r1.Violations))
 
@@ -404,7 +398,7 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	if err != nil {
 		return nil, fmt.Errorf("experiments: chaos run of %s: %w", a.App.Name, err)
 	}
-	rep.checkReplay("chaos-replay-matches-run", dcfg, trace, chaos)
+	rep.checkReplay("chaos-replay-matches-run", dcfg, traced.Trace, chaos)
 
 	return rep, nil
 }
@@ -497,32 +491,9 @@ func classesCoLocated(distribution map[string]com.Machine, prof *profile.Profile
 	return true, ""
 }
 
-// coignConfig is the configuration RunDistributed executes the binary's
-// written distribution under: the session's seed, network and the
-// classifier recorded in the image.
-func coignConfig(adps *core.ADPS, scenario string) (dist.Config, error) {
-	dm := adps.Image.Config.DistributionMap()
-	if dm == nil {
-		return dist.Config{}, fmt.Errorf("experiments: binary carries no distribution map")
-	}
-	kind, err := classify.KindByName(adps.Image.Config.Classifier)
-	if err != nil {
-		return dist.Config{}, err
-	}
-	return dist.Config{
-		App:          adps.App,
-		Scenario:     scenario,
-		Seed:         adps.Seed,
-		Mode:         dist.ModeCoign,
-		Classifier:   classify.New(kind, adps.Image.Config.ClassifierDepth),
-		Distribution: dm,
-		Network:      adps.Network,
-	}, nil
-}
-
 // checkReplay records whether replaying trace under cfg reproduces run,
 // the execution of cfg, in every field a trace determines.
-func (r *PipelineReport) checkReplay(name string, cfg dist.Config, trace []logger.Event, run *dist.Result) {
+func (r *PipelineReport) checkReplay(name string, cfg dist.Config, trace *logger.Trace, run *dist.Result) {
 	got, err := dist.Replay(cfg, trace)
 	replayed := fmt.Sprint(err)
 	if err == nil {

@@ -26,7 +26,7 @@ func replayOracle(t *testing.T, name string, cfgs []dist.Config) {
 	}
 	for _, cfg := range cfgs {
 		run, runErr := dist.Run(cfg)
-		rep, repErr := dist.Replay(cfg, traced.Events.Events)
+		rep, repErr := dist.Replay(cfg, traced.Trace)
 		want, got := fmt.Sprint(runErr), fmt.Sprint(repErr)
 		if runErr == nil && repErr == nil {
 			want, got = pricedFields(run), pricedFields(rep)

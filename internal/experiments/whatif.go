@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/classify"
 	"repro/internal/com"
 	"repro/internal/dist"
 	"repro/internal/pipeline"
@@ -41,26 +40,24 @@ func WhatIf(ctx context.Context, scenName string, samples int, seed int64) (*Wha
 	if err != nil {
 		return nil, err
 	}
-	// One profiling run with an event trace, at the session's seed,
-	// classifier and network; its own profile is analyzed.
-	cfg := dist.Config{
-		App: adps.App, Scenario: scenName, Seed: adps.Seed, Mode: dist.ModeProfiling,
-		Classifier: classify.New(adps.ClassifierKind, adps.ClassifierDepth),
-		Network:    adps.Network, EventTrace: true,
+	// One traced profiling run through the session; its own profile is
+	// analyzed and its trace replayed.
+	if err := adps.Instrument(); err != nil {
+		return nil, err
 	}
-	run, err := dist.Run(cfg)
+	prof, run, err := adps.TraceScenario(scenName)
 	if err != nil {
 		return nil, err
 	}
-	res, err := adps.Analyze(ctx, run.Profile)
+	res, err := adps.Analyze(ctx, prof)
 	if err != nil {
 		return nil, err
 	}
 
-	cfg.Mode = dist.ModeCoign
+	cfg := dist.Config{App: adps.App, Scenario: scenName, Seed: adps.Seed, Mode: dist.ModeCoign, Network: adps.Network}
 	replayComm := func(dm map[string]com.Machine) (time.Duration, error) {
 		cfg.Distribution = dm
-		rr, err := dist.Replay(cfg, run.Events.Events)
+		rr, err := dist.Replay(cfg, run.Trace)
 		if err != nil {
 			return 0, err
 		}
@@ -80,7 +77,6 @@ func WhatIf(ctx context.Context, scenName string, samples int, seed int64) (*Wha
 			constrained[id] = true
 		}
 	}
-	prof := run.Profile
 	for k, e := range prof.Edges {
 		if e.NonRemotable {
 			constrained[k.Src] = true

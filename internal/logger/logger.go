@@ -7,8 +7,6 @@
 package logger
 
 import (
-	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/profile"
@@ -186,91 +184,6 @@ type MutationRecord struct {
 // are discovered with a type assertion.
 type MutationSink interface {
 	Mutation(rec MutationRecord)
-}
-
-// EventKind enumerates trace event types.
-type EventKind int
-
-// Trace event kinds.
-const (
-	EvBegin EventKind = iota
-	EvInstantiation
-	EvCall
-	EvRelease
-	EvEnd
-	// EvFault records an injected network fault (chaos runs).
-	EvFault
-)
-
-// Event is one entry of an event-logger trace.
-type Event struct {
-	Kind  EventKind
-	Inst  InstRecord
-	Call  CallRecord
-	Fault FaultRecord
-	App   string
-	Scen  string
-}
-
-// EventLogger creates detailed traces of all component-related events; a
-// colleague used such logs to drive application simulations (paper §3.3).
-// The trace can be replayed by the dist package's replayer.
-type EventLogger struct {
-	Events []Event
-	w      io.Writer // optional live text sink
-}
-
-// NewEventLogger returns an event logger; w may be nil.
-func NewEventLogger(w io.Writer) *EventLogger { return &EventLogger{w: w} }
-
-// BeginRun implements Logger.
-func (l *EventLogger) BeginRun(app, scenario string) {
-	l.Events = append(l.Events, Event{Kind: EvBegin, App: app, Scen: scenario})
-	if l.w != nil {
-		fmt.Fprintf(l.w, "begin %s %s\n", app, scenario)
-	}
-}
-
-// Instantiation implements Logger.
-func (l *EventLogger) Instantiation(rec InstRecord) {
-	l.Events = append(l.Events, Event{Kind: EvInstantiation, Inst: rec})
-	if l.w != nil {
-		fmt.Fprintf(l.w, "create #%d %s as %s\n", rec.ID, rec.Class, rec.Classification)
-	}
-}
-
-// Call implements Logger.
-func (l *EventLogger) Call(rec CallRecord) {
-	l.Events = append(l.Events, Event{Kind: EvCall, Call: rec})
-	if l.w != nil {
-		fmt.Fprintf(l.w, "call #%d->#%d %s.%s in=%d out=%d\n",
-			rec.SrcInst, rec.DstInst, rec.IID, rec.Method, rec.InBytes, rec.OutBytes)
-	}
-}
-
-// Release implements Logger.
-func (l *EventLogger) Release(instID uint64) {
-	l.Events = append(l.Events, Event{Kind: EvRelease, Inst: InstRecord{ID: instID}})
-	if l.w != nil {
-		fmt.Fprintf(l.w, "release #%d\n", instID)
-	}
-}
-
-// EndRun implements Logger.
-func (l *EventLogger) EndRun() {
-	l.Events = append(l.Events, Event{Kind: EvEnd})
-	if l.w != nil {
-		fmt.Fprintln(l.w, "end")
-	}
-}
-
-// Fault implements FaultSink: injected faults become trace entries.
-func (l *EventLogger) Fault(rec FaultRecord) {
-	l.Events = append(l.Events, Event{Kind: EvFault, Fault: rec})
-	if l.w != nil {
-		fmt.Fprintf(l.w, "fault %s attempt=%d bytes=%d penalty=%v\n",
-			rec.Kind, rec.Attempt, rec.Bytes, rec.Penalty)
-	}
 }
 
 // Multi fans events out to several loggers.

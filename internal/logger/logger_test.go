@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func sampleInst(id uint64) InstRecord {
@@ -113,19 +114,19 @@ func TestProfilingLoggerIgnoresEventsOutsideRun(t *testing.T) {
 func TestEventLoggerTracesEverything(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
-	l := NewEventLogger(&buf)
+	l := NewTrace(&buf)
 	l.BeginRun("app", "s")
 	l.Instantiation(sampleInst(1))
 	l.Call(sampleCall())
 	l.Release(1)
 	l.EndRun()
-	if len(l.Events) != 5 {
-		t.Fatalf("events = %d", len(l.Events))
+	if l.Len() != 5 {
+		t.Fatalf("events = %d", l.Len())
 	}
 	kinds := []EventKind{EvBegin, EvInstantiation, EvCall, EvRelease, EvEnd}
 	for i, k := range kinds {
-		if l.Events[i].Kind != k {
-			t.Errorf("event %d kind = %v, want %v", i, l.Events[i].Kind, k)
+		if l.At(i).Kind != k {
+			t.Errorf("event %d kind = %v, want %v", i, l.At(i).Kind, k)
 		}
 	}
 	out := buf.String()
@@ -138,19 +139,48 @@ func TestEventLoggerTracesEverything(t *testing.T) {
 
 func TestEventLoggerNilWriter(t *testing.T) {
 	t.Parallel()
-	l := NewEventLogger(nil)
+	l := NewTrace(nil)
 	l.BeginRun("a", "s")
 	l.Call(sampleCall())
 	l.EndRun()
-	if len(l.Events) != 3 {
-		t.Fatalf("events = %d", len(l.Events))
+	if l.Len() != 3 {
+		t.Fatalf("events = %d", l.Len())
+	}
+}
+
+// TestTraceRefusesOversizedCall: a size a record cannot hold is the
+// trace's error, never a wrapped or truncated size. A record is 32 bytes.
+func TestTraceRefusesOversizedCall(t *testing.T) {
+	t.Parallel()
+	if n := unsafe.Sizeof(record{}); n != 32 {
+		t.Errorf("a trace record is %d bytes, want 32", n)
+	}
+	for _, size := range []struct{ in, out int }{{1 << 32, 0}, {0, 1 << 40}, {-1, 0}} {
+		l := NewTrace(nil)
+		l.Call(sampleCall())
+		c := sampleCall()
+		c.InBytes, c.OutBytes = size.in, size.out
+		l.Call(c)
+		l.Call(sampleCall())
+		if l.Err() == nil {
+			t.Errorf("in=%d out=%d: no error", size.in, size.out)
+		}
+		if l.Len() != 2 {
+			t.Errorf("in=%d out=%d: %d events recorded, want the 2 that fit", size.in, size.out, l.Len())
+		}
+	}
+	l := NewTrace(nil)
+	c := sampleCall()
+	c.InBytes, c.OutBytes = 1<<32-1, 1<<32-1
+	if l.Call(c); l.Err() != nil || l.At(0).Call.InBytes != 1<<32-1 {
+		t.Errorf("largest size: err %v, read back %+v", l.Err(), l.At(0).Call)
 	}
 }
 
 func TestMultiFansOut(t *testing.T) {
 	t.Parallel()
 	p := NewProfiling("ifcb", false)
-	e := NewEventLogger(nil)
+	e := NewTrace(nil)
 	m := Multi{p, e}
 	m.BeginRun("app", "s")
 	m.Instantiation(sampleInst(1))
@@ -160,7 +190,7 @@ func TestMultiFansOut(t *testing.T) {
 	if p.LastRun() == nil || p.LastRun().TotalCalls() != 1 {
 		t.Error("profiling logger missed events via Multi")
 	}
-	if len(e.Events) != 5 {
-		t.Error("event logger missed events via Multi")
+	if e.Len() != 5 {
+		t.Error("trace missed events via Multi")
 	}
 }

@@ -175,8 +175,8 @@ type Result struct {
 	Experiment *Experiment `json:"experiment,omitempty"`
 
 	// CutDuration is how long the analysis engine ran (profiling through
-	// cut). Excluded from the canonical encoding — it is telemetry, not
-	// part of the result.
+	// cut; Compare mode's executions come after it). Excluded from the
+	// canonical encoding — it is telemetry, not part of the result.
 	CutDuration time.Duration `json:"-"`
 
 	// Internal handles for callers that drill further (DOT rendering,
@@ -275,7 +275,13 @@ func run(ctx context.Context, spec Spec, prof *profile.Profile) (*Result, error)
 		if err := adps.Instrument(); err != nil {
 			return nil, err
 		}
-		if prof, err = adps.ProfileScenarios(spec.Scenarios, false); err != nil {
+		if spec.Compare {
+			// Execute prices the comparison from this run's trace.
+			prof, _, err = adps.TraceScenario(spec.Scenarios[0])
+		} else {
+			prof, err = adps.ProfileScenarios(spec.Scenarios, false)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -296,6 +302,7 @@ func run(ctx context.Context, spec Spec, prof *profile.Profile) (*Result, error)
 		res.AliasPairs = len(adps.AnalysisOptions.Constraints.AliasPairs)
 	}
 	res.fillAnalysis(ares, prof)
+	res.CutDuration = time.Since(start)
 	if spec.Compare {
 		rep, err := adps.Execute(spec.Scenarios[0], ares)
 		if err != nil {
@@ -303,7 +310,6 @@ func run(ctx context.Context, spec Spec, prof *profile.Profile) (*Result, error)
 		}
 		res.Experiment = &rep.Experiment
 	}
-	res.CutDuration = time.Since(start)
 	return res, nil
 }
 
