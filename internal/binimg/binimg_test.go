@@ -3,6 +3,7 @@ package binimg
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/com"
@@ -50,18 +51,38 @@ func TestBuildImage(t *testing.T) {
 func TestBuildImageFillPattern(t *testing.T) {
 	t.Parallel()
 	// Byte i of a code section is len(class name)+i, whatever the size:
-	// shorter than one 256-byte period, exactly one, and not a power of two.
-	for _, size := range []int{1, 255, 256, 257, 1024, 100000} {
-		app := testApp()
-		app.Classes.Lookup("CLSID_A").CodeBytes = size
-		data := BuildImage(app).Sections[0].Data
-		if len(data) != size {
-			t.Fatalf("size %d: section holds %d bytes", size, len(data))
-		}
-		for i, b := range data {
-			if b != byte(len("A")+i) {
-				t.Fatalf("size %d: byte %d = %d, want %d", size, i, b, byte(len("A")+i))
+	// shorter than one 256-byte period, exactly one, not a power of two,
+	// up to the page's edge, and one past it (a fresh fill). Names of 256
+	// bytes or more wrap the seed.
+	for _, seed := range []int{1, 255, 256, 300} {
+		off := seed % 256
+		edge := len(codePage) - off
+		for _, size := range []int{1, 255, 256, 257, 1024, 100000, edge, edge + 1} {
+			app := testApp()
+			a := app.Classes.Lookup("CLSID_A")
+			a.Name = strings.Repeat("A", seed)
+			a.CodeBytes = size
+			data := BuildImage(app).Sections[0].Data
+			if len(data) != size || cap(data) != size {
+				t.Fatalf("seed %d size %d: section holds len %d cap %d", seed, size, len(data), cap(data))
 			}
+			if view := &data[0] == &codePage[off]; view != (size <= edge) {
+				t.Errorf("seed %d size %d: view of the page = %v", seed, size, view)
+			}
+			for i, b := range data {
+				if b != byte(seed+i) {
+					t.Fatalf("seed %d size %d: byte %d = %d, want %d", seed, size, i, b, byte(seed+i))
+				}
+			}
+			grown := append(data, ^byte(seed+size))
+			if &grown[0] == &data[0] {
+				t.Fatalf("seed %d size %d: append grew the section in place", seed, size)
+			}
+		}
+	}
+	for i, b := range codePage {
+		if b != byte(i) {
+			t.Fatalf("code page byte %d = %d after appends", i, b)
 		}
 	}
 }

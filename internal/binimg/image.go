@@ -41,7 +41,8 @@ const (
 	ModeDistribution Mode = "distribution"
 )
 
-// Section is a named chunk of the binary.
+// Section is a named chunk of the binary. A code section's Data may view
+// a page shared by every image, so no holder writes into Data.
 type Section struct {
 	Name string
 	Data []byte

@@ -8,7 +8,9 @@ import (
 
 // BuildImage synthesizes the original (un-instrumented) binary image for
 // an application: one code section per component class sized by the
-// class's CodeBytes, plus the application's own import table.
+// class's CodeBytes, plus the application's own import table. A code
+// section is a view of codePage, so building an image allocates no code
+// bytes; its holders must never write into a section's Data.
 func BuildImage(app *com.App) *Image {
 	im := &Image{AppName: app.Name}
 	im.Imports = append(im.Imports, app.Imports...)
@@ -22,9 +24,7 @@ func BuildImage(app *com.App) *Image {
 		}
 		// Section contents are a deterministic fill; only sizes matter to
 		// the pipeline, but real bytes make checksums meaningful.
-		data := make([]byte, size)
-		fill(data, len(c.Name))
-		im.Sections = append(im.Sections, Section{Name: CodePrefix + string(c.ID), Data: data})
+		im.Sections = append(im.Sections, Section{Name: CodePrefix + string(c.ID), Data: code(size, len(c.Name))})
 		// Activation sites become relocation records the reachability
 		// analysis scans back out of the image.
 		if len(c.Activations) > 0 || c.DynamicActivation {
@@ -51,11 +51,31 @@ func BuildImage(app *com.App) *Image {
 	return im
 }
 
-// fill writes a section's deterministic contents: byte i is seed+i, a
-// pattern with period 256. Only the first period is written by a loop; the
-// rest is copied. A byte-at-a-time loop over a whole 830 KB image ran at
-// 0.5 or 1.1 ms depending on where unrelated changes to this package moved
-// it in the binary, which is a quarter of a small pipeline run.
+// codePage holds the code fill once: byte i is byte(i). It spans the
+// largest section any built-in app declares (synthapp's 320 KiB) at every
+// seed offset. A package-level array lives in static data, so the page
+// costs no heap.
+var codePage [320<<10 + 256]byte
+
+func init() { fill(codePage[:], 0) }
+
+// code returns an n-byte code section filled from seed: a view of
+// codePage whose capacity is n, so an append copies rather than writing
+// into the page. A size past the page falls back to a fresh fill.
+func code(n, seed int) []byte {
+	off := seed % 256
+	if off+n > len(codePage) {
+		data := make([]byte, n)
+		fill(data, seed)
+		return data
+	}
+	return codePage[off : off+n : off+n]
+}
+
+// fill writes deterministic contents: byte i is seed+i, a pattern with
+// period 256. Only the first period is written by a loop; the rest is
+// copied. It runs once for codePage and again only for a section past the
+// page.
 func fill(data []byte, seed int) {
 	n := min(len(data), 256)
 	for i := 0; i < n; i++ {

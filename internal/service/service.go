@@ -216,6 +216,11 @@ func (s *Server) RunWorkers(ctx context.Context) {
 // themselves run under jobCtx so the drain window, not the lease stop,
 // decides when execution is interrupted.
 func (s *Server) workerLoop(leaseCtx, jobCtx context.Context) {
+	// One fallback timer per worker, not a time.After per idle wait: under
+	// this module's Go version an unfired timer stays reachable until it
+	// fires, so a timer per wait holds heap in proportion to the job rate.
+	poll := time.NewTimer(250 * time.Millisecond)
+	defer poll.Stop()
 	for {
 		job, err := s.queue.TryLease()
 		if err != nil {
@@ -227,9 +232,10 @@ func (s *Server) workerLoop(leaseCtx, jobCtx context.Context) {
 				return
 			case <-s.queue.Wake():
 				continue
-			case <-time.After(250 * time.Millisecond):
+			case <-poll.C:
 				// Fallback poll: a wake pulse can be consumed by a sibling
 				// worker that then leases only one of several new jobs.
+				poll.Reset(250 * time.Millisecond)
 				continue
 			}
 		}

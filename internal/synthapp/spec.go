@@ -39,8 +39,9 @@ type classSpec struct {
 	shared    []string // additional (registry-level shared) IIDs implemented
 	codeBytes int
 	compute   time.Duration
-	resBytes  int  // size of the byte payload Work returns
-	opaque    bool // Work takes an opaque handle → interface non-remotable
+	resBytes  int    // size of the byte payload Work returns
+	opaque    bool   // Work takes an opaque handle → interface non-remotable
+	handle    string // the opaque handle callers pass, set by materialize
 	// opaqueResult makes Work return an opaque handle instead of bytes.
 	// Unlike opaque, the interface stays declared remotable — the clean
 	// methods still marshal — so it classifies conditionally remotable
@@ -215,6 +216,7 @@ func materialize(cfg Config, spec appSpec) (*App, error) {
 		}
 		if cs.opaque {
 			params = append(params, idl.ParamDesc{Name: "handle", Dir: idl.In, Type: idl.TOpaque})
+			cs.handle = "hdc:" + cs.name
 		}
 		result := idl.TBytes
 		if cs.factoryFor != "" {
@@ -520,11 +522,10 @@ func callArgs(tgt *classSpec, level int32, payload int) []idl.Value {
 	if level < 0 {
 		level = 0
 	}
-	args := []idl.Value{idl.Int32(level), idl.Zeros(payload)}
 	if tgt.opaque {
-		args = append(args, idl.OpaquePtr("hdc:"+tgt.name))
+		return []idl.Value{idl.Int32(level), idl.Zeros(payload), idl.OpaquePtr(tgt.handle)}
 	}
-	return args
+	return []idl.Value{idl.Int32(level), idl.Zeros(payload)}
 }
 
 // runSteps is the scenario interpreter the generated Main delegates to.
