@@ -20,17 +20,6 @@ import (
 	"repro/internal/staticanal"
 )
 
-// InferConstraint performs the per-class static analysis: it inspects the
-// APIs a component binary imports and returns a machine constraint if one
-// applies. GUI usage dominates storage usage: a component that paints must
-// stay on the client no matter what it reads. The rules themselves live in
-// the static analyzer; this wrapper keeps the engine's historical entry
-// point.
-func InferConstraint(class *com.Class) (com.Machine, bool) {
-	m, _, ok := staticanal.InferPin(class)
-	return m, ok
-}
-
 // Options tunes the analysis.
 type Options struct {
 	// ExactPricing prices edges from exact byte totals instead of bucket
@@ -45,9 +34,6 @@ type Options struct {
 	// ExtraPins force named classifications to machines, modeling the
 	// paper's programmer-supplied absolute constraints.
 	ExtraPins map[string]com.Machine
-	// ExtraCoLocate forces pairs of classifications together, modeling
-	// programmer-supplied pair-wise constraints.
-	ExtraCoLocate [][2]string
 	// Purity, when set, is the static purity analyzer's report: profiled
 	// components are graded Stateless/ReadMostly/Stateful (surfaced in
 	// Result.Purity) and the purity verifier cross-checks profile-observed
@@ -197,7 +183,7 @@ func BuildGraph(p *profile.Profile, np *netsim.Profile, classes *com.ClassRegist
 		st.AliasCoLocations = applied.AliasCoLocations
 	} else {
 		for id, ci := range p.Classifications {
-			if m, ok := InferConstraint(classes.LookupName(ci.Class)); ok {
+			if m, _, ok := staticanal.InferPin(classes.LookupName(ci.Class)); ok {
 				st.Constrained++
 				if m == com.Client {
 					g.Pin(id, graph.SourceSide)
@@ -235,9 +221,6 @@ func BuildGraph(p *profile.Profile, np *netsim.Profile, classes *com.ClassRegist
 			st.NonRemotable++
 			g.CoLocate(k.Src, k.Dst)
 		}
-	}
-	for _, pair := range opts.ExtraCoLocate {
-		g.CoLocate(pair[0], pair[1])
 	}
 	return g, st
 }

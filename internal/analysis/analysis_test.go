@@ -60,35 +60,6 @@ func benchProfile() *profile.Profile {
 	return p
 }
 
-func TestInferConstraint(t *testing.T) {
-	t.Parallel()
-	app := benchApp()
-	if m, ok := InferConstraint(app.Classes.LookupName("GUI")); !ok || m != com.Client {
-		t.Errorf("GUI constraint = %v,%v", m, ok)
-	}
-	if m, ok := InferConstraint(app.Classes.LookupName("Storage")); !ok || m != com.Server {
-		t.Errorf("Storage constraint = %v,%v", m, ok)
-	}
-	if _, ok := InferConstraint(app.Classes.LookupName("Reader")); ok {
-		t.Error("unconstrained class got a constraint")
-	}
-	if _, ok := InferConstraint(nil); ok {
-		t.Error("nil class got a constraint")
-	}
-	// GUI wins over storage when both appear.
-	both := &com.Class{ID: "B", Name: "Both",
-		APIs: []string{com.APIFileRead, com.APIGdiPaint}, New: nopObject}
-	if m, _ := InferConstraint(both); m != com.Client {
-		t.Errorf("mixed-API class constrained to %v", m)
-	}
-	// Infrastructure is pinned home regardless of APIs.
-	infra := &com.Class{ID: "I", Name: "Infra", Home: com.Middle,
-		Infrastructure: true, APIs: []string{com.APIGdiPaint}, New: nopObject}
-	if m, ok := InferConstraint(infra); !ok || m != com.Middle {
-		t.Errorf("infrastructure constraint = %v,%v", m, ok)
-	}
-}
-
 func TestAnalyzeMovesReaderToServer(t *testing.T) {
 	t.Parallel()
 	res, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), Options{})
@@ -225,15 +196,6 @@ func TestAnalyzeExtraConstraints(t *testing.T) {
 	}
 	if res.Distribution["reader@1"] != com.Client {
 		t.Error("absolute constraint ignored")
-	}
-	res2, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), Options{
-		ExtraCoLocate: [][2]string{{"reader@1", "gui@1"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Distribution["reader@1"] != com.Client {
-		t.Error("pair-wise constraint ignored")
 	}
 }
 

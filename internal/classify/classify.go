@@ -250,15 +250,13 @@ func DescriptorID(class, descriptor string) string {
 	return class + "@" + string(strconv.AppendUint(hex[:0], h, 16))
 }
 
-// Table assigns classification ids and retains descriptors for
-// inspection. One Table serves one classifier over one or more runs.
+// Table assigns classification ids. One Table serves one classifier over
+// one or more runs.
 type Table struct {
 	classifier  Classifier
-	key         []byte              // scratch: the (class, descriptor) key of the current Assign
-	ids         map[string]string   // key -> id
-	descriptors map[string]string   // id -> descriptor
-	counts      map[string]int64    // id -> instances assigned
-	paths       map[string][]string // id -> activation call path (creator classes)
+	key         []byte            // scratch: the (class, descriptor) key of the current Assign
+	ids         map[string]string // key -> id
+	descriptors map[string]string // id -> descriptor, for the digest-collision check
 }
 
 // NewTable returns a table over the given classifier.
@@ -267,13 +265,8 @@ func NewTable(c Classifier) *Table {
 		classifier:  c,
 		ids:         make(map[string]string),
 		descriptors: make(map[string]string),
-		counts:      make(map[string]int64),
-		paths:       make(map[string][]string),
 	}
 }
-
-// Classifier returns the underlying classifier.
-func (t *Table) Classifier() Classifier { return t.classifier }
 
 // Assign classifies one instantiation and returns its classification id.
 // The descriptor is built into a buffer the table reuses and looked up
@@ -299,11 +292,7 @@ func (t *Table) Assign(class string, stack []Frame) string {
 		}
 		t.ids[k] = id
 		t.descriptors[id] = desc
-		if _, ok := t.paths[id]; !ok {
-			t.paths[id] = ActivationPath(stack)
-		}
 	}
-	t.counts[id]++
 	return id
 }
 
@@ -324,23 +313,6 @@ func ActivationPath(stack []Frame) []string {
 	}
 	return path
 }
-
-// Path returns the activation call path recorded at the classification's
-// first assignment (creator classes, innermost first; empty for
-// activations performed directly by the main program). Under the
-// called-by classifiers the id determines the path; under weaker
-// classifiers that merge distinct call sites, the first observed path
-// stands for the classification.
-func (t *Table) Path(id string) []string { return t.paths[id] }
-
-// Descriptor returns the descriptor recorded for a classification id.
-func (t *Table) Descriptor(id string) string { return t.descriptors[id] }
-
-// Classifications returns the number of distinct classifications assigned.
-func (t *Table) Classifications() int { return len(t.descriptors) }
-
-// Count returns how many instances were assigned to id.
-func (t *Table) Count(id string) int64 { return t.counts[id] }
 
 // Reset clears per-execution classifier state but keeps the id table, so a
 // later run can be correlated against earlier ones.

@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -213,10 +214,10 @@ func TestDescriptorIDStability(t *testing.T) {
 func TestActivationPathDistinguishesDeepFrames(t *testing.T) {
 	t.Parallel()
 	// Two activation sites share the same innermost frame (the factory)
-	// but differ one frame deeper (the requesting component). The recorded
-	// paths — and the classifications that key on them — must stay
-	// distinct, or the reachability join would attribute both activations
-	// to the same effective creator.
+	// but differ one frame deeper (the requesting component). Their paths
+	// — and the classifications that key on them — must stay distinct, or
+	// the reachability join would attribute both activations to the same
+	// effective creator.
 	viaAlpha := []Frame{
 		{Instance: 9, Class: "Factory", InstClassification: "f", Function: "Make"},
 		{Instance: 2, Class: "Alpha", InstClassification: "a", Function: "Build"},
@@ -225,31 +226,30 @@ func TestActivationPathDistinguishesDeepFrames(t *testing.T) {
 		{Instance: 9, Class: "Factory", InstClassification: "f", Function: "Make"},
 		{Instance: 3, Class: "Beta", InstClassification: "b", Function: "Build"},
 	}
-
-	pa, pb := ActivationPath(viaAlpha), ActivationPath(viaBeta)
-	if len(pa) != 2 || pa[0] != "Factory" || pa[1] != "Alpha" {
-		t.Fatalf("path via Alpha = %v", pa)
+	// Contiguous frames of one instance are one entry of the path.
+	reentered := []Frame{
+		{Instance: 9, Class: "Factory", InstClassification: "f", Function: "Make"},
+		{Instance: 9, Class: "Factory", InstClassification: "f", Function: "Dispatch"},
+		{Instance: 2, Class: "Alpha", InstClassification: "a", Function: "Build"},
 	}
-	if len(pb) != 2 || pb[0] != "Factory" || pb[1] != "Beta" {
-		t.Fatalf("path via Beta = %v", pb)
+	for _, c := range []struct {
+		name  string
+		stack []Frame
+		want  []string
+	}{
+		{"via Alpha", viaAlpha, []string{"Factory", "Alpha"}},
+		{"via Beta", viaBeta, []string{"Factory", "Beta"}},
+		{"reentered factory", reentered, []string{"Factory", "Alpha"}},
+		{"main program", nil, []string{}},
+	} {
+		if got := ActivationPath(c.stack); !slices.Equal(got, c.want) {
+			t.Errorf("%s: path = %q, want %q", c.name, got, c.want)
+		}
 	}
 
 	tab := NewTable(New(IFCB, 0))
-	ida := tab.Assign("Widget", viaAlpha)
-	idb := tab.Assign("Widget", viaBeta)
-	if ida == idb {
+	if tab.Assign("Widget", viaAlpha) == tab.Assign("Widget", viaBeta) {
 		t.Fatal("deep-frame difference collapsed into one classification")
-	}
-	if got := tab.Path(ida); len(got) != 2 || got[1] != "Alpha" {
-		t.Errorf("recorded path for Alpha site = %v", got)
-	}
-	if got := tab.Path(idb); len(got) != 2 || got[1] != "Beta" {
-		t.Errorf("recorded path for Beta site = %v", got)
-	}
-	// A main-program activation records an empty path.
-	idm := tab.Assign("Widget", nil)
-	if got := tab.Path(idm); len(got) != 0 {
-		t.Errorf("main-program path = %v, want empty", got)
 	}
 }
 
@@ -265,17 +265,11 @@ func TestTableAssignAndCounts(t *testing.T) {
 	if id3 == id1 {
 		t.Error("different context classified identically")
 	}
-	if tab.Classifications() != 2 {
-		t.Errorf("classifications = %d", tab.Classifications())
+	if len(tab.descriptors) != 2 {
+		t.Errorf("classifications = %d", len(tab.descriptors))
 	}
-	if tab.Count(id1) != 2 || tab.Count(id3) != 1 {
-		t.Errorf("counts = %d, %d", tab.Count(id1), tab.Count(id3))
-	}
-	if tab.Descriptor(id1) != "[D, [c,Z], [b2,Y], [b1,X], [a,W], [a,V]]" {
-		t.Errorf("descriptor = %s", tab.Descriptor(id1))
-	}
-	if tab.Classifier().Name() != "ifcb" {
-		t.Error("classifier accessor broken")
+	if got := tab.descriptors[id1]; got != "[D, [c,Z], [b2,Y], [b1,X], [a,W], [a,V]]" {
+		t.Errorf("descriptor = %s", got)
 	}
 }
 
@@ -288,8 +282,8 @@ func TestTableResetPreservesIDs(t *testing.T) {
 	if id1 != id2 {
 		t.Error("incremental ids differ across runs after reset")
 	}
-	if tab.Classifications() != 1 {
-		t.Errorf("classifications = %d", tab.Classifications())
+	if len(tab.descriptors) != 1 {
+		t.Errorf("classifications = %d", len(tab.descriptors))
 	}
 }
 

@@ -150,8 +150,8 @@ func checkAgainstReference(t *testing.T, depth int, classes []string, stacks [][
 				if got := tab.Assign(class, stack); got != want {
 					t.Fatalf("%s depth %d: Assign(%q) = %q, want %q (descriptor %q)", kind, depth, class, got, want, desc)
 				}
-				if tab.Descriptor(want) != desc {
-					t.Fatalf("%s: recorded descriptor %q, want %q", kind, tab.Descriptor(want), desc)
+				if got := tab.descriptors[want]; got != desc {
+					t.Fatalf("%s: recorded descriptor %q, want %q", kind, got, desc)
 				}
 			}
 		}
@@ -205,5 +205,31 @@ func TestAssignRepeatAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { DescriptorID("D", "[D, [c,Z]]") }); n != 1 {
 		t.Errorf("DescriptorID allocates %v objects, want 1 (the id)", n)
+	}
+}
+
+// TestAssignNewContextAllocs holds the classification of a context the
+// table has not seen to two allocations: the key and the id. Not parallel,
+// so no other test's allocations are counted.
+//
+//lint:allow paralleltest allocation counts are process-wide
+func TestAssignNewContextAllocs(t *testing.T) {
+	const runs = 100
+	tab := NewTable(New(IFCB, 0))
+	stack := figure3Stack()
+	classes := make([]string, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range classes {
+		classes[i] = "D" + strconv.Itoa(i)
+	}
+	i := 0
+	n := testing.AllocsPerRun(runs, func() {
+		tab.Assign(classes[i], stack)
+		i++
+	})
+	if n != 2 {
+		t.Errorf("Assign of a new IFCB context allocates %v objects, want 2 (key and id)", n)
+	}
+	if len(tab.ids) != runs+1 {
+		t.Fatalf("%d contexts classified, want %d", len(tab.ids), runs+1)
 	}
 }

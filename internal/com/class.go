@@ -142,16 +142,6 @@ func (c *Class) Implements(iid string) bool {
 	return false
 }
 
-// UsesAPI reports whether the class's binary imports the named API.
-func (c *Class) UsesAPI(api string) bool {
-	for _, a := range c.APIs {
-		if a == api {
-			return true
-		}
-	}
-	return false
-}
-
 // ClassRegistry maps CLSIDs to classes, the analog of the COM class table
 // consulted by CoCreateInstance.
 type ClassRegistry struct {

@@ -40,19 +40,14 @@ type Instance struct {
 	Machine        Machine
 	Classification string // assigned by the instance classifier, "" before
 	Released       bool
-	env            *Env
 }
-
-// Env returns the environment that owns the instance.
-func (in *Instance) Env() *Env { return in.env }
 
 // Interface is a first-class handle to one interface of one instance. All
 // inter-component communication flows through Interface handles, which is
 // what lets the runtime interpose transparently.
 type Interface struct {
-	iid     string
-	inst    *Instance
-	wrapped bool // true once the RTE has wrapped the handle
+	iid  string
+	inst *Instance
 }
 
 // IID implements idl.InterfacePtr.
@@ -64,16 +59,6 @@ func (i *Interface) InstanceID() uint64 { return i.inst.ID }
 // Instance returns the owning instance. The runtime executive uses this to
 // track interface ownership.
 func (i *Interface) Instance() *Instance { return i.inst }
-
-// Wrapped reports whether the handle has passed through runtime wrapping.
-func (i *Interface) Wrapped() bool { return i.wrapped }
-
-// MarkWrapped flags the handle as runtime-wrapped and returns it; used by
-// the runtime executive's interface-wrapping hook.
-func (i *Interface) MarkWrapped() *Interface {
-	i.wrapped = true
-	return i
-}
 
 // Call describes one in-flight interface invocation, passed to the
 // CallInterface hook and on to the target object's dispatcher.
@@ -122,9 +107,6 @@ type Hooks struct {
 	// target method.
 	CallInterface func(caller *Instance, target *Interface, call *Call,
 		next func(*Call) ([]idl.Value, error)) ([]idl.Value, error)
-	// WrapInterface intercepts the creation of interface handles; the
-	// default returns the handle unchanged.
-	WrapInterface func(itf *Interface) *Interface
 	// ReleaseInstance observes instance destruction.
 	ReleaseInstance func(inst *Instance)
 	// StateWrite observes a state mutation performed by the named method
@@ -147,8 +129,6 @@ type Env struct {
 	clock     ComputeClock
 	nextID    uint64
 	instances map[uint64]*Instance
-	liveCount int
-	strict    bool // validate call parameters against IDL metadata
 }
 
 // NewEnv returns an environment for app with no instrumentation installed.
@@ -156,7 +136,6 @@ func NewEnv(app *App) *Env {
 	return &Env{
 		app:       app,
 		instances: make(map[uint64]*Instance),
-		strict:    true,
 	}
 }
 
@@ -167,21 +146,8 @@ func (e *Env) App() *App { return e.app }
 // removes instrumentation.
 func (e *Env) SetHooks(h Hooks) { e.hooks = h }
 
-// Hooks returns the currently installed hooks.
-func (e *Env) Hooks() Hooks { return e.hooks }
-
 // SetClock installs a compute clock. A nil clock discards compute time.
 func (e *Env) SetClock(c ComputeClock) { e.clock = c }
-
-// SetStrict controls IDL validation of call parameters. Strict mode is the
-// default; benchmarks may disable it.
-func (e *Env) SetStrict(on bool) { e.strict = on }
-
-// LiveInstances returns the number of live (unreleased) instances.
-func (e *Env) LiveInstances() int { return e.liveCount }
-
-// TotalInstances returns the number of instances ever created.
-func (e *Env) TotalInstances() int { return int(e.nextID) }
 
 // Instance returns the instance with the given id, or nil.
 func (e *Env) Instance(id uint64) *Instance { return e.instances[id] }
@@ -213,10 +179,8 @@ func (e *Env) CreateInstance(creator *Instance, clsid CLSID) (*Instance, error) 
 			Class:   class,
 			Object:  class.New(),
 			Machine: m,
-			env:     e,
 		}
 		e.instances[in.ID] = in
-		e.liveCount++
 		return in
 	}
 	if e.hooks.CreateInstance != nil {
@@ -232,8 +196,9 @@ func (e *Env) CreateInstance(creator *Instance, clsid CLSID) (*Instance, error) 
 	return activate(m), nil
 }
 
-// Query returns an interface handle on inst for iid, routed through the
-// WrapInterface hook. It fails if the class does not implement iid.
+// Query returns an interface handle on inst for iid. It fails if the class
+// does not implement iid. The handle needs no wrapping: every call through
+// it goes through Call, where the CallInterface hook intercepts it.
 func (e *Env) Query(inst *Instance, iid string) (*Interface, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("com: QueryInterface on nil instance")
@@ -244,11 +209,7 @@ func (e *Env) Query(inst *Instance, iid string) (*Interface, error) {
 	if !inst.Class.Implements(iid) {
 		return nil, fmt.Errorf("com: class %s does not implement %s", inst.Class.Name, iid)
 	}
-	itf := &Interface{iid: iid, inst: inst}
-	if e.hooks.WrapInterface != nil {
-		return e.hooks.WrapInterface(itf), nil
-	}
-	return itf, nil
+	return &Interface{iid: iid, inst: inst}, nil
 }
 
 // MustQuery is Query for statically known-good requests; it panics on
@@ -275,13 +236,11 @@ func (e *Env) Call(caller *Instance, target *Interface, method string, args ...i
 	if idesc := e.app.Interfaces.Lookup(target.iid); idesc != nil {
 		mdesc = idesc.Method(method)
 	}
-	if e.strict {
-		if mdesc == nil {
-			return nil, fmt.Errorf("com: no metadata for %s.%s", target.iid, method)
-		}
-		if err := checkArgs(target.iid, mdesc, args); err != nil {
-			return nil, err
-		}
+	if mdesc == nil {
+		return nil, fmt.Errorf("com: no metadata for %s.%s", target.iid, method)
+	}
+	if err := checkArgs(target.iid, mdesc, args); err != nil {
+		return nil, err
 	}
 	call := &Call{Self: target.inst, IID: target.iid, Method: method, Args: args, Env: e}
 	if e.hooks.CallInterface != nil {
@@ -334,7 +293,6 @@ func (e *Env) Release(inst *Instance) {
 		return
 	}
 	inst.Released = true
-	e.liveCount--
 	if e.hooks.ReleaseInstance != nil {
 		e.hooks.ReleaseInstance(inst)
 	}

@@ -67,9 +67,6 @@ type ADPS struct {
 	// Samples is the number of observations per message size in network
 	// profiling.
 	Samples int
-	// EnableCaching turns on per-interface result caching (semi-custom
-	// marshaling) in distributed runs.
-	EnableCaching bool
 	// Seed drives all stochastic components reproducibly.
 	Seed int64
 
@@ -330,8 +327,7 @@ func (a *ADPS) RunDistributed(scenario string, jitter bool) (*dist.Result, error
 
 // DistributedConfig is the configuration the lightweight runtime executes
 // the binary under, without jitter: the distribution and classifier read
-// back from its configuration record, the session's seed, network and
-// caching.
+// back from its configuration record, the session's seed and network.
 func (a *ADPS) DistributedConfig(scenario string) (dist.Config, error) {
 	dm, err := a.loadDistribution()
 	if err != nil {
@@ -342,14 +338,13 @@ func (a *ADPS) DistributedConfig(scenario string) (dist.Config, error) {
 		return dist.Config{}, err
 	}
 	return dist.Config{
-		App:           a.App,
-		Scenario:      scenario,
-		Seed:          a.Seed,
-		Mode:          dist.ModeCoign,
-		Classifier:    classify.New(kind, a.Image.Config.ClassifierDepth),
-		Distribution:  dm,
-		Network:       a.Network,
-		EnableCaching: a.EnableCaching,
+		App:          a.App,
+		Scenario:     scenario,
+		Seed:         a.Seed,
+		Mode:         dist.ModeCoign,
+		Classifier:   classify.New(kind, a.Image.Config.ClassifierDepth),
+		Distribution: dm,
+		Network:      a.Network,
 	}, nil
 }
 
@@ -428,11 +423,9 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 // from it; Execute fails otherwise. The prediction starts from that run's
 // compute time. Table 4's columns replay its trace (dist.Replay charges
 // what the runtime charges) under the default distribution and under the
-// map read back from the rewritten binary; with EnableCaching the Coign
-// column is a real run, since a cache hit depends on argument values a
-// trace does not carry. Table 5's measured time is a real run with network
-// jitter, so its error is a gap between model and execution. Execute
-// leaves the image re-armed for profiling.
+// map read back from the rewritten binary. Table 5's measured time is a
+// real run with network jitter, so its error is a gap between model and
+// execution. Execute leaves the image re-armed for profiling.
 func (a *ADPS) Execute(scenario string, ares *analysis.Result) (*ScenarioReport, error) {
 	trace := a.profiledTrace
 	if a.profiledScenario != scenario || trace == nil {
@@ -451,12 +444,7 @@ func (a *ADPS) Execute(scenario string, ares *analysis.Result) (*ScenarioReport,
 	if err != nil {
 		return nil, err
 	}
-	var coign *dist.Result
-	if cfg.EnableCaching {
-		coign, err = dist.Run(cfg)
-	} else {
-		coign, err = dist.Replay(cfg, trace)
-	}
+	coign, err := dist.Replay(cfg, trace)
 	if err != nil {
 		return nil, err
 	}

@@ -1,14 +1,13 @@
 // Package dist executes applications under the synthetic two-machine (or
-// three-machine) environment: a virtual clock accrues compute time on each
-// machine and communication time for every message that crosses machines,
-// a run harness drives an application scenario under any instrumentation
-// mode, an event-trace replayer re-simulates executions from event logs,
-// and a loopback-TCP transport demonstrates real proxy/stub marshaling.
+// three-machine) environment: a virtual clock accrues compute time and the
+// communication time of every message that crosses machines, a run
+// harness drives an application scenario under any instrumentation mode,
+// an event-trace replayer re-simulates executions from event logs, and a
+// loopback-TCP transport demonstrates real proxy/stub marshaling.
 package dist
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/com"
@@ -25,7 +24,7 @@ type Clock struct {
 	net     *netsim.Model
 	rng     *rand.Rand
 	faults  *faultSim
-	compute map[com.Machine]time.Duration
+	compute time.Duration
 	comm    time.Duration
 	msgs    int64
 	bytes   int64
@@ -35,16 +34,13 @@ type Clock struct {
 // non-nil, message times are sampled with the model's jitter ("measured"
 // executions); when nil, mean times are used (deterministic predictions).
 func NewClock(net *netsim.Model, rng *rand.Rand) *Clock {
-	return &Clock{
-		net:     net,
-		rng:     rng,
-		compute: make(map[com.Machine]time.Duration),
-	}
+	return &Clock{net: net, rng: rng}
 }
 
-// Compute implements com.ComputeClock.
-func (c *Clock) Compute(m com.Machine, d time.Duration) {
-	c.compute[m] += d
+// Compute implements com.ComputeClock. Compute on every machine adds to
+// one total, the only compute figure anything reads.
+func (c *Clock) Compute(_ com.Machine, d time.Duration) {
+	c.compute += d
 }
 
 // SetFaults enables message-level fault simulation: every subsequent
@@ -83,26 +79,7 @@ func (c *Clock) RemoteCall(from, to com.Machine, reqBytes, respBytes int) {
 func (c *Clock) CommTime() time.Duration { return c.comm }
 
 // ComputeTime returns total compute time across all machines.
-func (c *Clock) ComputeTime() time.Duration {
-	var t time.Duration
-	for _, d := range c.compute {
-		t += d
-	}
-	return t
-}
-
-// ComputeOn returns compute time accrued on one machine.
-func (c *Clock) ComputeOn(m com.Machine) time.Duration { return c.compute[m] }
-
-// Machines returns the machines that accrued compute time, sorted.
-func (c *Clock) Machines() []com.Machine {
-	out := make([]com.Machine, 0, len(c.compute))
-	for m := range c.compute {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (c *Clock) ComputeTime() time.Duration { return c.compute }
 
 // Elapsed returns total virtual execution time.
 func (c *Clock) Elapsed() time.Duration { return c.ComputeTime() + c.comm }

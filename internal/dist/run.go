@@ -253,8 +253,6 @@ func Run(cfg Config) (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
-		r.LoadBinary("coign.rt")
-		r.LoadBinary(cfg.App.Name + ".exe")
 		r.BeginRun(cfg.Scenario)
 	}
 	//lint:allow wallclock measuring real wall time of the scenario run

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
@@ -194,12 +195,16 @@ func CompareCaching(scenName string) (*CachingComparison, error) {
 	if err := adps.WriteDistribution(run.Analysis); err != nil {
 		return nil, err
 	}
-	plain, err := adps.RunDistributed(scenName, false)
+	cfg, err := adps.DistributedConfig(scenName)
 	if err != nil {
 		return nil, err
 	}
-	adps.EnableCaching = true
-	cached, err := adps.RunDistributed(scenName, false)
+	plain, err := dist.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg.EnableCaching = true
+	cached, err := dist.Run(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -26,12 +26,9 @@ type CutBenchConfig struct {
 	Sizes []int
 	// Seed drives the workload generator; equal seeds give equal graphs.
 	Seed int64
-	// AvgDegree, PinFraction, CoLocateFraction, FreeFraction forward to
-	// graph.SynthConfig (zero means that config's default).
-	AvgDegree        int
-	PinFraction      float64
-	CoLocateFraction float64
-	FreeFraction     float64
+	// AvgDegree forwards to graph.SynthConfig (zero means that config's
+	// default).
+	AvgDegree int
 	// OracleMax caps the sizes the Edmonds–Karp oracle runs at: EK is
 	// O(V·E²) and already needs minutes at 30k nodes. 0 means 30000.
 	OracleMax int
@@ -188,12 +185,9 @@ func RunCutBench(cfg CutBenchConfig, progress io.Writer) (*CutBenchReport, error
 	for _, n := range cfg.Sizes {
 		mk := func() *graph.Graph {
 			return graph.Synthesize(graph.SynthConfig{
-				Nodes:            n,
-				AvgDegree:        cfg.AvgDegree,
-				PinFraction:      cfg.PinFraction,
-				CoLocateFraction: cfg.CoLocateFraction,
-				FreeFraction:     cfg.FreeFraction,
-				Seed:             cfg.Seed,
+				Nodes:     n,
+				AvgDegree: cfg.AvgDegree,
+				Seed:      cfg.Seed,
 			})
 		}
 		g := mk()

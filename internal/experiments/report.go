@@ -145,7 +145,8 @@ func TrainingScenarios(appName string) []string {
 // four sections off that run: its analysis, with replication on, feeds
 // check and purity; the profile diffed against the static reachability
 // graph is coverage; the analysis repeated under the alias-refined
-// constraints is alias. theta <= 0 selects purity.DefaultTheta.
+// constraints is alias. theta 0 selects purity.DefaultTheta; the spec
+// rejects a theta outside [0, 1).
 func Report(ctx context.Context, appName string, scenarios []string, theta float64) (*AppReport, error) {
 	if len(scenarios) == 0 {
 		scenarios = TrainingScenarios(appName)

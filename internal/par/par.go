@@ -1,7 +1,6 @@
-// Package par provides the bounded worker pool shared by CPU-bound
-// fan-out across the repository: the experiment pipelines, the multiway
-// cut's per-terminal isolating cuts, and the analysis service's job
-// workers.
+// Package par provides the bounded fan-out shared by CPU-bound work
+// across the repository: the experiment pipelines, the static-analysis
+// report, and the multiway cut's per-terminal isolating cuts.
 package par
 
 import (
@@ -10,60 +9,28 @@ import (
 	"sync"
 )
 
-// Pool bounds the number of goroutines a fan-out may run at once. The
-// zero value is unusable; construct pools with NewPool or use Shared.
+// Map applies fn to every item on at most GOMAXPROCS goroutines and
+// returns the results in input order. Callers are CPU-bound (profile
+// replay, graph cuts), so more workers would only thrash. Every call
+// spawns its own workers, so nested fan-outs (an experiment sweep whose
+// items each run a multiway cut) cannot deadlock against each other —
+// they merely oversubscribe briefly, which the scheduler absorbs.
 //
-// A Pool carries only a width, not a shared semaphore: every Map call
-// spawns its own workers up to that width. Nested fan-outs (an
-// experiment sweep whose items each run a multiway cut) therefore cannot
-// deadlock against each other — they merely oversubscribe briefly, which
-// the scheduler absorbs.
-type Pool struct {
-	workers int
-}
-
-// NewPool returns a pool of the given width; widths below one are
-// clamped to one.
-func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Pool{workers: workers}
-}
-
-// shared is the process-wide default pool. Callers are CPU-bound
-// (profile replay, graph cuts), so more workers than GOMAXPROCS would
-// only thrash.
-var shared = NewPool(runtime.GOMAXPROCS(0))
-
-// Shared returns the process-wide default pool, sized to GOMAXPROCS.
-func Shared() *Pool { return shared }
-
-// Size returns the pool's worker width.
-func (p *Pool) Size() int { return p.workers }
-
-// Map applies fn to every item on the shared pool and returns the
-// results in input order. See MapOn.
-func Map[T, R any](ctx context.Context, items []T, fn func(context.Context, T) (R, error)) ([]R, error) {
-	return MapOn(ctx, shared, items, fn)
-}
-
-// MapOn applies fn to every item on pool p and returns the results in
-// input order. When several items fail, the error of the earliest item
-// wins, so the reported failure is deterministic regardless of
-// scheduling. A cancelled context stops the dispatch of further items,
-// the in-flight fn calls observe it through their ctx argument, and the
-// context's error is returned unless an earlier item error exists.
+// When several items fail, the error of the earliest item wins, so the
+// reported failure is deterministic regardless of scheduling. A cancelled
+// context stops the dispatch of further items, the in-flight fn calls
+// observe it through their ctx argument, and the context's error is
+// returned unless an earlier item error exists.
 //
 // fn must not touch mutable state shared between items; every call site
 // either builds its own pipeline per item or operates on a private clone.
-func MapOn[T, R any](ctx context.Context, p *Pool, items []T, fn func(context.Context, T) (R, error)) ([]R, error) {
+func Map[T, R any](ctx context.Context, items []T, fn func(context.Context, T) (R, error)) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]R, len(items))
 	errs := make([]error, len(items))
-	workers := p.workers
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(items) {
 		workers = len(items)
 	}

@@ -41,7 +41,7 @@ func TestMapEmptyAndNilContext(t *testing.T) {
 func TestMapEarliestErrorWins(t *testing.T) {
 	t.Parallel()
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	_, err := MapOn(context.Background(), NewPool(4), items, func(_ context.Context, v int) (int, error) {
+	_, err := Map(context.Background(), items, func(_ context.Context, v int) (int, error) {
 		if v >= 3 {
 			return 0, fmt.Errorf("item %d failed", v)
 		}
@@ -83,7 +83,7 @@ func TestMapCancelMidRun(t *testing.T) {
 	items := make([]int, 32)
 	done := make(chan error, 1)
 	go func() {
-		_, err := MapOn(ctx, NewPool(2), items, func(ctx context.Context, v int) (int, error) {
+		_, err := Map(ctx, items, func(ctx context.Context, v int) (int, error) {
 			select {
 			case started <- struct{}{}:
 			default:
@@ -97,18 +97,5 @@ func TestMapCancelMidRun(t *testing.T) {
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestNewPoolClampsWidth(t *testing.T) {
-	t.Parallel()
-	if got := NewPool(0).Size(); got != 1 {
-		t.Fatalf("NewPool(0).Size() = %d, want 1", got)
-	}
-	if got := NewPool(-5).Size(); got != 1 {
-		t.Fatalf("NewPool(-5).Size() = %d, want 1", got)
-	}
-	if got := Shared().Size(); got < 1 {
-		t.Fatalf("Shared().Size() = %d, want >= 1", got)
 	}
 }

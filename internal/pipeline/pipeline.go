@@ -38,7 +38,8 @@ type Spec struct {
 	Network string `json:"network,omitempty"`
 	// Classifier is the instance classifier name; default ifcb.
 	Classifier string `json:"classifier,omitempty"`
-	// Depth is the classifier stack-walk depth (0 = complete).
+	// Depth is the classifier stack-walk depth (0 = complete); it must not
+	// be negative.
 	Depth int `json:"depth,omitempty"`
 	// Pins are programmer-supplied absolute constraints: class name to
 	// "client" or "server". Every profiled classification of the class is
@@ -53,7 +54,8 @@ type Spec struct {
 	// and refines the static constraint set and purity closure with it
 	// before cutting (see core.EnableAlias).
 	Alias bool `json:"alias,omitempty"`
-	// Theta is the read-mostly purity threshold (0 selects the default).
+	// Theta is the read-mostly purity threshold, in [0, 1); 0 selects the
+	// default.
 	Theta float64 `json:"theta,omitempty"`
 	// ExactPricing prices edges from exact byte totals instead of bucket
 	// representatives.
@@ -99,6 +101,16 @@ func (s Spec) checked() (Spec, error) {
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
+	}
+	// A negative depth walks the whole stack like 0 but encodes
+	// differently, so one cut would have two canonical specs.
+	if s.Depth < 0 {
+		return s, fmt.Errorf("pipeline: depth %d: must be 0 (complete) or positive", s.Depth)
+	}
+	// A write fraction lies in [0, 1]: at θ ≥ 1 every called component
+	// grades read-mostly, and NaN cannot be encoded into the result.
+	if !(s.Theta >= 0 && s.Theta < 1) {
+		return s, fmt.Errorf("pipeline: theta %v: must be in [0, 1) (0 = default)", s.Theta)
 	}
 	for class, m := range s.Pins {
 		if m != "client" && m != "server" {

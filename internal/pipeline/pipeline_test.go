@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -33,6 +34,12 @@ func TestNormalizedRejects(t *testing.T) {
 		{"bad pin machine", Spec{Scenarios: []string{"o_oldwp0"}, Pins: map[string]string{"X": "middle"}}},
 		{"compare with two scenarios", Spec{Scenarios: []string{"o_oldwp0", "o_oldwp3"}, Compare: true}},
 		{"compare with coverage", Spec{Scenarios: []string{"o_oldwp0"}, Compare: true, Coverage: true}},
+		{"negative depth", Spec{Scenarios: []string{"o_oldwp0"}, Depth: -7}},
+		{"NaN theta", Spec{Scenarios: []string{"o_oldwp0"}, Theta: math.NaN()}},
+		{"negative theta", Spec{Scenarios: []string{"o_oldwp0"}, Theta: -0.1}},
+		{"theta of one", Spec{Scenarios: []string{"o_oldwp0"}, Theta: 1}},
+		{"theta above one", Spec{Scenarios: []string{"o_oldwp0"}, Theta: 1.5}},
+		{"infinite theta", Spec{Scenarios: []string{"o_oldwp0"}, Theta: math.Inf(1)}},
 	}
 	for _, c := range cases {
 		if _, err := c.spec.Normalized(); err == nil {

@@ -163,11 +163,11 @@ func TestProfilingRunCollectsEverything(t *testing.T) {
 	if leafRec == nil || leafRec.CreatorClassification != rootClassification {
 		t.Fatalf("leaf record = %+v", leafRec)
 	}
-	if r.Calls() != 2 || r.WrappedInterfaces() != 2 {
-		t.Errorf("calls=%d wrapped=%d", r.Calls(), r.WrappedInterfaces())
+	if r.Calls() != 2 {
+		t.Errorf("calls = %d", r.Calls())
 	}
-	if r.StackDepth() != 0 {
-		t.Errorf("stack depth after run = %d", r.StackDepth())
+	if len(r.stack) != 0 {
+		t.Errorf("stack depth after run = %d", len(r.stack))
 	}
 }
 
@@ -268,36 +268,6 @@ func TestNonRemotableCrossingCountsViolation(t *testing.T) {
 	}
 }
 
-func TestDetachRestoresEnvironment(t *testing.T) {
-	t.Parallel()
-	env := com.NewEnv(chainApp())
-	plog := logger.NewProfiling("ifcb", false)
-	r := attach(t, env, Options{Logger: plog})
-	r.BeginRun("s")
-	r.EndRun()
-	r.Detach()
-	// After detach, instantiations are not trapped.
-	leaf, err := env.CreateInstance(nil, "CLSID_Leaf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if leaf.Classification != "" {
-		t.Error("instantiation trapped after detach")
-	}
-}
-
-func TestLoadBinaryTracking(t *testing.T) {
-	t.Parallel()
-	env := com.NewEnv(chainApp())
-	r := attach(t, env, Options{})
-	r.LoadBinary("coign.rt")
-	r.LoadBinary("chain.exe")
-	bins := r.Binaries()
-	if len(bins) != 2 || bins[0] != "coign.rt" {
-		t.Errorf("binaries = %v", bins)
-	}
-}
-
 func TestBeginRunResetsState(t *testing.T) {
 	t.Parallel()
 	env := com.NewEnv(chainApp())
@@ -322,7 +292,8 @@ func TestBeginRunResetsState(t *testing.T) {
 
 func TestSnapshotOrdering(t *testing.T) {
 	t.Parallel()
-	// During a nested call the snapshot lists innermost frames first.
+	// During a nested call the classifier's view of the shadow stack lists
+	// innermost frames first.
 	env := com.NewEnv(chainApp())
 	var r *RTE
 	var depthInsideLeaf int
@@ -332,8 +303,8 @@ func TestSnapshotOrdering(t *testing.T) {
 		ID: "CLSID_Probe", Name: "Probe", Interfaces: []string{"ILeaf"},
 		New: func() com.Object {
 			return com.ObjectFunc(func(c *com.Call) ([]idl.Value, error) {
-				depthInsideLeaf = r.StackDepth()
-				snap = r.Snapshot()
+				depthInsideLeaf = len(r.stack)
+				snap = r.appendInnermostFirst(nil)
 				return []idl.Value{idl.Int32(0)}, nil
 			})
 		},

@@ -142,6 +142,8 @@ func TestSubmitValidation(t *testing.T) {
 		`{"scenarios":["nope"]}`,           // unknown scenario
 		`{"scenarios":["o_oldwp0"],"x":1}`, // unknown field
 		`{"scenarios":["o_oldwp0"],"pins":{"A":"middle"}}`, // bad pin
+		`{"scenarios":["o_oldwp0"],"depth":-1}`,            // negative depth
+		`{"scenarios":["o_oldwp0"],"theta":1.5}`,           // theta at or above 1
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

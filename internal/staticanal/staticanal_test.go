@@ -245,6 +245,35 @@ func TestDerivePins(t *testing.T) {
 	}
 }
 
+func TestInferPin(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name    string
+		class   *com.Class
+		machine com.Machine
+		pinned  bool
+	}{
+		{"GUI", &com.Class{Name: "GUI", APIs: []string{com.APIGdiPaint}}, com.Client, true},
+		{"storage", &com.Class{Name: "Storage", APIs: []string{com.APIFileRead}}, com.Server, true},
+		{"no location API", &com.Class{Name: "Reader", APIs: []string{com.APIMemoryAlloc}}, 0, false},
+		{"nil class", nil, 0, false},
+		// GUI wins over storage when both appear.
+		{"GUI and storage", &com.Class{Name: "Both",
+			APIs: []string{com.APIFileRead, com.APIGdiPaint}}, com.Client, true},
+		// Infrastructure is pinned home regardless of APIs.
+		{"infrastructure", &com.Class{Name: "Infra", Home: com.Middle, Infrastructure: true,
+			APIs: []string{com.APIGdiPaint}}, com.Middle, true},
+	} {
+		m, reason, ok := staticanal.InferPin(tc.class)
+		if ok != tc.pinned || m != tc.machine {
+			t.Errorf("%s: InferPin = %v,%v, want %v,%v", tc.name, m, ok, tc.machine, tc.pinned)
+		}
+		if ok == (reason == "") {
+			t.Errorf("%s: pinned %v with reason %q", tc.name, ok, reason)
+		}
+	}
+}
+
 func TestConstraintSetsNonEmptyForAllApps(t *testing.T) {
 	t.Parallel()
 	for _, name := range scenario.Apps() {
