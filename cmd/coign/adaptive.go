@@ -10,6 +10,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/dist"
 	"repro/internal/experiments"
+	"repro/internal/logger"
 	"repro/internal/pipeline"
 	"repro/internal/scenario"
 )
@@ -69,12 +70,16 @@ func cmdDrift(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if _, err := dist.Run(dist.Config{
+	run, err := dist.Run(dist.Config{
 		App: res.ADPS.App, Scenario: *observed, Mode: dist.ModeCoign,
 		Classifier:   classify.New(res.ADPS.ClassifierKind, 0),
 		Distribution: res.Analysis.Distribution,
-		ExtraLogger:  dog.Logger(),
-	}); err != nil {
+		Trace:        new(logger.Trace), // folds the profile, stores no event
+	})
+	if err != nil {
+		return err
+	}
+	if err := dog.Observe(run.Profile); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "distribution optimized for %s, observed usage %s\n", *optimized, *observed)

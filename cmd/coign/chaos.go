@@ -66,7 +66,7 @@ func cmdChaos(_ context.Context, args []string) error {
 		Faults:     pol,
 	}
 	if *trace {
-		cfg.ExtraLogger = logger.NewTrace(os.Stdout)
+		cfg.Trace = logger.NewTrace(os.Stdout)
 	}
 	res, err := dist.Run(cfg)
 	if err != nil {

@@ -190,3 +190,94 @@ wrote DIR/o_oldtb3.icc: 1809 calls, 237 classifications
 		}
 	}
 }
+
+// TestProfileLogsPinned holds the .icc log of each paper application's
+// bigone scenario, written by `coign profile`, and of quickstart's default
+// run to the bytes the tree wrote before the profile became a fold over
+// the runtime's event records (digests captured at commit c8d0f24).
+func TestProfileLogsPinned(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	want := map[string]string{
+		"o_bigone.icc":   "aacdaa9f2c6616260f114f245de1c5bb378e2fd0f0ea757f58594c9982e07f06",
+		"p_bigone.icc":   "4c13f8d55a6affc1884cc33e2db2ad8a56bc4e176c0e49f7fac622969ddaedc2",
+		"b_bigone.icc":   "d2888789f7467da39387b62ee4c3f428434bb9434a92c752bebca96d4ff96bb4",
+		"quickstart.icc": "3a533c3706f602168985d46196a2f7fc0451cae44879bb6c1f043cd696679933",
+	}
+	for _, scen := range []string{"o_bigone", "p_bigone", "b_bigone"} {
+		if err := cmdProfile(context.Background(), []string{"-scenarios", scen, "-dir", dir}, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	adps, err := pipeline.Open(pipeline.Spec{App: "quickstart"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := adps.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := adps.ProfileScenario("default", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WriteFile(filepath.Join(dir, "quickstart.icc")); err != nil {
+		t.Fatal(err)
+	}
+	for file, sum := range want {
+		b, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != sum {
+			t.Errorf("%s has sha256 %s, want %s", file, got, sum)
+		}
+	}
+}
+
+// TestAnalyzeClassifierDepth: analyze reads the stack-walk depth from the
+// log's classifier name, "ifcb" or "ifcb-d<n>", and refuses a log whose
+// depth suffix is not a number rather than analysing it as the complete
+// walk.
+func TestAnalyzeClassifierDepth(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	adps, err := pipeline.Open(pipeline.Spec{App: "octarine", Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := adps.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := adps.ProfileScenario("o_newtbl", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Classifier != "ifcb-d4" {
+		t.Fatalf("profiled under %q, want ifcb-d4", p.Classifier)
+	}
+	for _, c := range []struct {
+		classifier, header string // header "" means refused
+	}{
+		{"ifcb-d4", "o_newtbl on 10BaseT (ifcb classifier)\n"},
+		{"ifcb", "o_newtbl on 10BaseT (ifcb classifier)\n"},
+		{"ifcb-dX", ""},
+		{"ifcb-d", ""},
+		{"ifcb-d4x", ""},
+	} {
+		p.Classifier = c.classifier
+		path := filepath.Join(dir, c.classifier+".icc")
+		if err := p.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		err := cmdAnalyze(context.Background(), []string{"-logs", path}, &out)
+		switch {
+		case c.header == "" && err == nil:
+			t.Errorf("%s: analysed:\n%s", c.classifier, out.String())
+		case c.header != "" && err != nil:
+			t.Errorf("%s: %v", c.classifier, err)
+		case c.header != "" && !strings.HasPrefix(out.String(), c.header):
+			t.Errorf("%s: printed\n%s\nwant it to start %q", c.classifier, out.String(), c.header)
+		}
+	}
+}

@@ -116,9 +116,15 @@ func cmdAnalyze(ctx context.Context, args []string, w io.Writer) error {
 	}
 	// The logs say what was profiled and how: "ifcb", or "ifcb-d4" when the
 	// stack walk was depth-limited.
-	kind, depth, _ := strings.Cut(combined.Classifier, "-d")
+	kind, depth, limited := strings.Cut(combined.Classifier, "-d")
 	spec := pipeline.Spec{App: combined.App, Scenarios: combined.Scenarios, Network: *network, Classifier: kind}
-	spec.Depth, _ = strconv.Atoi(depth)
+	if limited {
+		d, err := strconv.Atoi(depth)
+		if err != nil {
+			return fmt.Errorf("analyze: classifier %q: stack depth %q is not a number", combined.Classifier, depth)
+		}
+		spec.Depth = d
+	}
 	res, err := pipeline.Analyze(ctx, spec, combined)
 	if err != nil {
 		return err

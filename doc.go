@@ -14,7 +14,7 @@
 //	internal/com       the synthetic component object model
 //	internal/binimg    application binary images and the binary rewriter
 //	internal/rte       the Coign runtime executive (traps, wrapping, shadow stack, call sizing)
-//	internal/logger    profiling, event, and null information loggers
+//	internal/logger    the information logger: one trace, the profile a fold over it
 //	internal/classify  the seven instance classifiers
 //	internal/profile   ICC profiles, size buckets, communication vectors
 //	internal/netsim    network models and the network profiler

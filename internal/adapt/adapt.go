@@ -7,6 +7,11 @@
 // in application usage; when usage differs significantly from the profiled
 // scenarios, Coign silently re-enables profiling to re-optimize the
 // distribution.
+//
+// The run-time counts are the edge call counts of the profile the
+// information logger folds from a distributed run it records (dist.Config's
+// Trace): the same per-classification-pair Calls a profiling run's edges
+// carry, so both sides of the comparison come from one fold.
 package adapt
 
 import (
@@ -14,64 +19,25 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/logger"
 	"repro/internal/profile"
 )
 
-// Counter is the message-counting logger loaded alongside the null logger
-// during distributed execution. It records only per-classification-pair
-// call counts — no sizes, no instance detail — keeping its overhead a
-// small increment over the null logger.
-type Counter struct {
-	counts map[profile.PairKey]int64
-	calls  int64
-}
-
-// NewCounter returns an empty message counter.
-func NewCounter() *Counter {
-	return &Counter{counts: make(map[profile.PairKey]int64)}
-}
-
-// BeginRun implements logger.Logger.
-func (c *Counter) BeginRun(app, scenario string) {}
-
-// Instantiation implements logger.Logger.
-func (c *Counter) Instantiation(rec logger.InstRecord) {}
-
-// Call implements logger.Logger: count one message per direction.
-func (c *Counter) Call(rec logger.CallRecord) {
-	c.counts[profile.PairKey{Src: rec.SrcClassification, Dst: rec.DstClassification}]++
-	c.calls++
-}
-
-// Release implements logger.Logger.
-func (c *Counter) Release(uint64) {}
-
-// EndRun implements logger.Logger.
-func (c *Counter) EndRun() {}
-
-// Calls returns the total calls counted.
-func (c *Counter) Calls() int64 { return c.calls }
-
-// Counts returns the per-edge call counts.
-func (c *Counter) Counts() map[profile.PairKey]int64 { return c.counts }
-
 // Drift quantifies how far observed run-time message counts diverge from a
-// profile's, as 1 minus the cosine similarity between the two count
-// vectors over classification pairs (0 = identical usage mix, 1 = nothing
-// in common). Comparing *mixes* rather than magnitudes keeps the metric
-// independent of how long the application has been running.
-func Drift(profiled *profile.Profile, observed map[profile.PairKey]int64) float64 {
+// profile's, as 1 minus the cosine similarity between the two profiles'
+// edge call counts over classification pairs (0 = identical usage mix, 1 =
+// nothing in common). Comparing *mixes* rather than magnitudes keeps the
+// metric independent of how long the application has been running.
+func Drift(profiled, observed *profile.Profile) float64 {
 	var dot, na, nb float64
 	for k, e := range profiled.Edges {
 		v := float64(e.Calls)
 		na += v * v
-		if o, ok := observed[k]; ok {
-			dot += v * float64(o)
+		if o, ok := observed.Edges[k]; ok {
+			dot += v * float64(o.Calls)
 		}
 	}
-	for _, o := range observed {
-		nb += float64(o) * float64(o)
+	for _, o := range observed.Edges {
+		nb += float64(o.Calls) * float64(o.Calls)
 	}
 	if na == 0 && nb == 0 {
 		return 0
@@ -89,7 +55,7 @@ type Watchdog struct {
 	Profile   *profile.Profile
 	Threshold float64 // drift above this recommends re-profiling
 	MinCalls  int64   // ignore drift until this many calls observed
-	counter   *Counter
+	observed  *profile.Profile
 }
 
 // NewWatchdog returns a watchdog over the profile the current distribution
@@ -106,23 +72,26 @@ func NewWatchdog(p *profile.Profile, threshold float64, minCalls int64) (*Watchd
 		Profile:   p,
 		Threshold: threshold,
 		MinCalls:  minCalls,
-		counter:   NewCounter(),
+		observed:  profile.New(p.App, p.Classifier),
 	}, nil
 }
 
-// Logger returns the message-counting logger to install in the lightweight
-// runtime.
-func (w *Watchdog) Logger() *Counter { return w.counter }
+// Observe adds the profile folded from one distributed run to the observed
+// usage. The run must be of the profiled application under the profiled
+// classifier: only then do its classification pairs name the profile's.
+func (w *Watchdog) Observe(run *profile.Profile) error {
+	return w.observed.Merge(run)
+}
 
 // Drift returns the current divergence from the profiled usage.
 func (w *Watchdog) Drift() float64 {
-	return Drift(w.Profile, w.counter.Counts())
+	return Drift(w.Profile, w.observed)
 }
 
 // ShouldReprofile reports whether observed usage has drifted beyond the
 // threshold (with enough evidence).
 func (w *Watchdog) ShouldReprofile() bool {
-	if w.counter.Calls() < w.MinCalls {
+	if w.observed.TotalCalls() < w.MinCalls {
 		return false
 	}
 	return w.Drift() > w.Threshold
@@ -144,14 +113,14 @@ func (w *Watchdog) TopDivergences(n int) []Divergence {
 	for _, e := range w.Profile.Edges {
 		profTotal += float64(e.Calls)
 	}
-	for _, o := range w.counter.Counts() {
-		obsTotal += float64(o)
+	for _, o := range w.observed.Edges {
+		obsTotal += float64(o.Calls)
 	}
 	keys := make(map[profile.PairKey]bool)
 	for k := range w.Profile.Edges {
 		keys[k] = true
 	}
-	for k := range w.counter.Counts() {
+	for k := range w.observed.Edges {
 		keys[k] = true
 	}
 	var out []Divergence
@@ -160,8 +129,8 @@ func (w *Watchdog) TopDivergences(n int) []Divergence {
 		if e, ok := w.Profile.Edges[k]; ok && profTotal > 0 {
 			ps = float64(e.Calls) / profTotal
 		}
-		if o, ok := w.counter.Counts()[k]; ok && obsTotal > 0 {
-			os = float64(o) / obsTotal
+		if o, ok := w.observed.Edges[k]; ok && obsTotal > 0 {
+			os = float64(o.Calls) / obsTotal
 		}
 		out = append(out, Divergence{Src: k.Src, Dst: k.Dst, ProfiledShare: ps, ObservedShare: os})
 	}

@@ -13,49 +13,61 @@ import (
 	"repro/internal/classify"
 )
 
-func TestCounterCounts(t *testing.T) {
-	t.Parallel()
-	c := NewCounter()
-	c.BeginRun("a", "s")
-	c.Instantiation(logger.InstRecord{ID: 1})
-	c.Call(logger.CallRecord{SrcClassification: "x", DstClassification: "y"})
-	c.Call(logger.CallRecord{SrcClassification: "x", DstClassification: "y"})
-	c.Call(logger.CallRecord{SrcClassification: "y", DstClassification: "z"})
-	c.Release(1)
-	c.EndRun()
-	if c.Calls() != 3 {
-		t.Fatalf("calls = %d", c.Calls())
+// usage returns a profile of app "a" under ifcb whose edges carry the
+// given call counts.
+func usage(calls map[profile.PairKey]int) *profile.Profile {
+	p := profile.New("a", "ifcb")
+	for k, n := range calls {
+		for range n {
+			p.Edge(k.Src, k.Dst).Record(10, 10, false)
+		}
 	}
-	if c.Counts()[profile.PairKey{Src: "x", Dst: "y"}] != 2 {
-		t.Fatalf("counts = %v", c.Counts())
+	return p
+}
+
+func TestWatchdogObserve(t *testing.T) {
+	t.Parallel()
+	w, err := NewWatchdog(usage(map[profile.PairKey]int{{Src: "x", Dst: "y"}: 1}), 0.3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		if err := w.Observe(usage(map[profile.PairKey]int{{Src: "x", Dst: "y"}: 2, {Src: "y", Dst: "z"}: 1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := w.observed.TotalCalls(); got != 6 {
+		t.Fatalf("observed calls = %d, want 6", got)
+	}
+	if got := w.observed.Edges[profile.PairKey{Src: "x", Dst: "y"}].Calls; got != 4 {
+		t.Fatalf("observed x->y calls = %d, want 4", got)
+	}
+	other := profile.New("a", "pcb")
+	if err := w.Observe(other); err == nil {
+		t.Error("a run under another classifier was observed")
 	}
 }
 
 func TestDriftMetric(t *testing.T) {
 	t.Parallel()
-	p := profile.New("a", "ifcb")
-	p.Edge("x", "y").Record(10, 10, false)
-	p.Edge("x", "y").Record(10, 10, false)
-	p.Edge("y", "z").Record(10, 10, false)
+	p := usage(map[profile.PairKey]int{{Src: "x", Dst: "y"}: 2, {Src: "y", Dst: "z"}: 1})
 
 	// Identical mix: zero drift.
-	same := map[profile.PairKey]int64{
-		{Src: "x", Dst: "y"}: 20,
-		{Src: "y", Dst: "z"}: 10,
-	}
+	same := usage(map[profile.PairKey]int{{Src: "x", Dst: "y"}: 20, {Src: "y", Dst: "z"}: 10})
 	if d := Drift(p, same); d > 1e-9 {
 		t.Errorf("identical mix drift = %v", d)
 	}
 	// Disjoint edges: full drift.
-	other := map[profile.PairKey]int64{{Src: "q", Dst: "r"}: 5}
+	other := usage(map[profile.PairKey]int{{Src: "q", Dst: "r"}: 5})
 	if d := Drift(p, other); d < 0.999 {
 		t.Errorf("disjoint drift = %v", d)
 	}
 	// Empty observation vs profiled: full drift; both empty: none.
-	if d := Drift(p, nil); d < 0.999 {
+	empty := profile.New("a", "ifcb")
+	if d := Drift(p, empty); d < 0.999 {
 		t.Errorf("empty observation drift = %v", d)
 	}
-	if d := Drift(profile.New("a", "ifcb"), nil); d != 0 {
+	if d := Drift(empty, empty); d != 0 {
 		t.Errorf("both-empty drift = %v", d)
 	}
 }
@@ -81,7 +93,9 @@ func TestWatchdogMinCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Logger().Call(logger.CallRecord{SrcClassification: "q", DstClassification: "r"})
+	if err := w.Observe(usage(map[profile.PairKey]int{{Src: "q", Dst: "r"}: 1})); err != nil {
+		t.Fatal(err)
+	}
 	if w.ShouldReprofile() {
 		t.Error("verdict before MinCalls observations")
 	}
@@ -115,13 +129,16 @@ func TestWatchdogDetectsUsageShift(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = dist.Run(dist.Config{
+		run, err := dist.Run(dist.Config{
 			App: app, Scenario: scenario, Mode: dist.ModeCoign,
 			Classifier:   classify.New(classify.IFCB, 0),
 			Distribution: res.Distribution,
-			ExtraLogger:  w.Logger(),
+			Trace:        new(logger.Trace), // folds the profile, stores no event
 		})
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Observe(run.Profile); err != nil {
 			t.Fatal(err)
 		}
 		return w

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/adapt"
-	"repro/internal/logger"
 	"repro/internal/profile"
 )
 
@@ -20,11 +19,15 @@ func ExampleWatchdog() {
 	if err != nil {
 		panic(err)
 	}
-	// The lightweight runtime feeds the watchdog's counting logger.
-	l := w.Logger()
-	// Usage shifts to a report-heavy mix the profile never saw.
+	// The lightweight runtime folds a distributed run into a profile of
+	// its own. Here usage shifts to a report-heavy mix the profile never
+	// saw.
+	observed := profile.New("app", "ifcb")
 	for i := 0; i < 10; i++ {
-		l.Call(logger.CallRecord{SrcClassification: "report", DstClassification: "db"})
+		observed.Edge("report", "db").Record(64, 64, false)
+	}
+	if err := w.Observe(observed); err != nil {
+		panic(err)
 	}
 	fmt.Printf("drift=%.2f reprofile=%v\n", w.Drift(), w.ShouldReprofile())
 	// Output:

@@ -317,3 +317,6 @@ func ActivationPath(stack []Frame) []string {
 // Reset clears per-execution classifier state but keeps the id table, so a
 // later run can be correlated against earlier ones.
 func (t *Table) Reset() { t.classifier.Reset() }
+
+// Name returns the name of the table's classifier.
+func (t *Table) Name() string { return t.classifier.Name() }

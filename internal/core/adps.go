@@ -206,9 +206,11 @@ func (a *ADPS) ProfileNetwork() error {
 }
 
 // ProfileScenario runs the instrumented binary through one profiling
-// scenario and returns its ICC profile.
+// scenario and returns its ICC profile. With instanceDetail the run stores
+// its event trace and the profile is that trace folded again with
+// per-instance edges.
 func (a *ADPS) ProfileScenario(scenario string, instanceDetail bool) (*profile.Profile, *dist.Result, error) {
-	return a.profile(scenario, instanceDetail, false)
+	return a.profile(scenario, instanceDetail, instanceDetail)
 }
 
 // TraceScenario is ProfileScenario that also records the run's event trace
@@ -224,24 +226,21 @@ func (a *ADPS) profile(scenario string, instanceDetail, trace bool) (*profile.Pr
 	if a.Image == nil || !a.Image.Instrumented() {
 		return nil, nil, fmt.Errorf("core: application binary is not instrumented")
 	}
-	res, err := dist.Run(dist.Config{
-		App:            a.App,
-		Scenario:       scenario,
-		Seed:           a.Seed,
-		Mode:           dist.ModeProfiling,
-		Classifier:     a.classifier(),
-		InstanceDetail: instanceDetail,
-		Network:        a.Network,
-		EventTrace:     trace,
-	})
+	cfg := dist.Config{App: a.App, Scenario: scenario, Seed: a.Seed, Mode: dist.ModeProfiling,
+		Classifier: a.classifier(), Network: a.Network}
+	if trace {
+		cfg.Trace = logger.NewTrace(nil)
+	}
+	res, err := dist.Run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if res.Profile == nil {
-		return nil, nil, fmt.Errorf("core: profiling run produced no profile")
+	prof := res.Profile
+	if instanceDetail {
+		prof = cfg.Trace.Fold(true)
 	}
-	a.profiledScenario, a.profiledCompute, a.profiledTrace = scenario, res.Clock.ComputeTime(), res.Trace
-	return res.Profile, res, nil
+	a.profiledScenario, a.profiledCompute, a.profiledTrace = scenario, res.Clock.ComputeTime(), cfg.Trace
+	return prof, res, nil
 }
 
 // ProfileScenarios profiles several scenarios and merges their logs, the
@@ -502,34 +501,39 @@ func (a *ADPS) ClassifierAccuracy(kind classify.Kind, depth int,
 		return nil, err
 	}
 	np := netsim.ExactProfile(a.Network, netsim.DefaultSampleSizes)
+	// Per-instance edges come from folding each run's stored trace again.
+	detailed := func(scenario string, seed int64) (*profile.Profile, error) {
+		trace := logger.NewTrace(nil)
+		if _, err := dist.Run(dist.Config{
+			App: a.App, Scenario: scenario, Seed: seed, Mode: dist.ModeProfiling,
+			Classifier: classify.New(kind, depth), Network: a.Network, Trace: trace,
+		}); err != nil {
+			return nil, err
+		}
+		return trace.Fold(true), nil
+	}
 	var combined *profile.Profile
 	for _, s := range scenarios {
-		res, err := dist.Run(dist.Config{
-			App: a.App, Scenario: s, Seed: a.Seed, Mode: dist.ModeProfiling,
-			Classifier: classify.New(kind, depth), InstanceDetail: true, Network: a.Network,
-		})
+		p, err := detailed(s, a.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: profiling %s: %w", s, err)
 		}
 		if combined == nil {
-			combined = res.Profile
+			combined = p
 			continue
 		}
-		if err := combined.Merge(res.Profile); err != nil {
+		if err := combined.Merge(p); err != nil {
 			return nil, err
 		}
 	}
 	if combined == nil {
 		return nil, fmt.Errorf("core: no profiling scenarios")
 	}
-	evalRes, err := dist.Run(dist.Config{
-		App: a.App, Scenario: evalScenario, Seed: a.Seed + 1, Mode: dist.ModeProfiling,
-		Classifier: classify.New(kind, depth), InstanceDetail: true, Network: a.Network,
-	})
+	eval, err := detailed(evalScenario, a.Seed+1)
 	if err != nil {
 		return nil, fmt.Errorf("core: evaluating %s: %w", evalScenario, err)
 	}
-	ev, err := analysis.EvaluateClassifier(combined, evalRes.Profile, np)
+	ev, err := analysis.EvaluateClassifier(combined, eval, np)
 	if err != nil {
 		return nil, err
 	}

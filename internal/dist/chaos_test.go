@@ -135,17 +135,18 @@ func TestChaosTransportFailsFastWithoutRetries(t *testing.T) {
 // fault policy and returns the result plus the fault trail from the trace.
 func simChaosRun(t *testing.T, seed int64, pol *FaultPolicy) (*Result, []logger.FaultRecord) {
 	t.Helper()
+	trace := logger.NewTrace(nil)
 	res, err := Run(Config{
 		App: pipelineApp(), Scenario: "big", Seed: seed, Mode: ModeDefault,
 		Classifier: classify.New(classify.IFCB, 0),
-		EventTrace: true,
+		Trace:      trace,
 		Faults:     pol,
 	})
 	if err != nil {
 		t.Fatalf("chaos run: %v", err)
 	}
 	var trail []logger.FaultRecord
-	for _, ev := range events(res.Trace) {
+	for _, ev := range events(trace) {
 		if ev.Kind == logger.EvFault {
 			trail = append(trail, ev.Fault)
 		}

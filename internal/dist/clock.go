@@ -48,7 +48,7 @@ func (c *Clock) Compute(_ com.Machine, d time.Duration) {
 // retransmissions charged to communication time. rng must be seeded by
 // the caller so fault schedules reproduce; sink (optional) receives one
 // record per injected fault.
-func (c *Clock) SetFaults(pol FaultPolicy, rng *rand.Rand, sink logger.FaultSink) {
+func (c *Clock) SetFaults(pol FaultPolicy, rng *rand.Rand, sink *logger.Trace) {
 	c.faults = newFaultSim(pol, rng, sink)
 }
 

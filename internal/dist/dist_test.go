@@ -226,9 +226,10 @@ func TestRunDefaultModeChargesStorageTraffic(t *testing.T) {
 
 func TestRunProfilingMode(t *testing.T) {
 	t.Parallel()
+	trace := logger.NewTrace(nil)
 	res, err := Run(Config{
 		App: pipelineApp(), Scenario: "small", Mode: ModeProfiling,
-		Classifier: classify.New(classify.IFCB, 0), InstanceDetail: true,
+		Classifier: classify.New(classify.IFCB, 0), Trace: trace,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -247,8 +248,11 @@ func TestRunProfilingMode(t *testing.T) {
 	if res.Clock.CommTime() != 0 {
 		t.Error("profiling run accrued communication")
 	}
-	if len(res.Profile.InstEdges) == 0 {
-		t.Error("instance detail missing")
+	if len(res.Profile.InstEdges) != 0 {
+		t.Error("the run's own profile keeps per-instance edges")
+	}
+	if len(trace.Fold(true).InstEdges) == 0 {
+		t.Error("instance detail missing from the refolded trace")
 	}
 }
 
@@ -352,14 +356,14 @@ func TestRunErrors(t *testing.T) {
 // app's scenario at seed.
 func pipelineTrace(t testing.TB, scenario string, seed int64) *logger.Trace {
 	t.Helper()
-	res, err := Run(Config{
+	trace := logger.NewTrace(nil)
+	if _, err := Run(Config{
 		App: pipelineApp(), Scenario: scenario, Seed: seed, Mode: ModeProfiling,
-		Classifier: classify.New(classify.IFCB, 0), EventTrace: true,
-	})
-	if err != nil {
+		Classifier: classify.New(classify.IFCB, 0), Trace: trace,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return res.Trace
+	return trace
 }
 
 // events reads a trace back.
@@ -371,14 +375,14 @@ func events(trace *logger.Trace) []logger.Event {
 	return out
 }
 
-// record appends evs to a new trace through the Logger methods; an event
-// of no known kind is dropped.
+// record appends evs to a new trace through its recording methods; an
+// event of no known kind is dropped.
 func record(evs []logger.Event) *logger.Trace {
 	trace := logger.NewTrace(nil)
 	for _, ev := range evs {
 		switch ev.Kind {
 		case logger.EvBegin:
-			trace.BeginRun(ev.App, ev.Scen)
+			trace.BeginRun(ev.App, ev.Scen, "ifcb")
 		case logger.EvInstantiation:
 			trace.Instantiation(ev.Inst)
 		case logger.EvCall:
@@ -389,6 +393,8 @@ func record(evs []logger.Event) *logger.Trace {
 			trace.EndRun()
 		case logger.EvFault:
 			trace.Fault(ev.Fault)
+		case logger.EvMutation:
+			trace.Mutation(ev.Call.DstInst, ev.Call.Method)
 		}
 	}
 	return trace
@@ -456,20 +462,13 @@ func TestEventTraceAndReplay(t *testing.T) {
 	}
 }
 
-// callLog is a logger that keeps every call it is given in full.
-type callLog struct {
-	logger.Null
-	calls []logger.CallRecord
-}
-
-func (l *callLog) Call(rec logger.CallRecord) { l.calls = append(l.calls, rec) }
-
 // TestOneMeasurementInEveryMode checks that a distributed run's trace
 // carries the sizes and remotability profiling measures: call for call, a
-// ModeDefault trace records the instances, InBytes, OutBytes and
-// NonRemotable of the ModeProfiling trace of the same scenario and of the
-// calls the run logs, and the run's Violations are exactly its crossing
-// calls flagged NonRemotable.
+// ModeDefault trace records the instances, method, InBytes, OutBytes and
+// NonRemotable of the ModeProfiling trace of the same scenario, and the
+// run's Violations are exactly its crossing calls flagged NonRemotable,
+// with each instance on its class's Home machine as the default
+// distribution places it.
 func TestOneMeasurementInEveryMode(t *testing.T) {
 	t.Parallel()
 	for _, c := range []struct {
@@ -479,37 +478,38 @@ func TestOneMeasurementInEveryMode(t *testing.T) {
 		{pipelineApp(), "big"},
 		{octarine.New(), octarine.ScenOldWp7},
 	} {
-		calls := func(mode Mode, extra logger.Logger) ([]logger.CallRecord, *Result) {
+		calls := func(mode Mode) ([]logger.CallRecord, map[uint64]com.Machine, *Result) {
+			trace := logger.NewTrace(nil)
 			res, err := Run(Config{App: c.app, Scenario: c.scenario, Mode: mode,
-				Classifier: classify.New(classify.IFCB, 0), EventTrace: true, ExtraLogger: extra})
+				Classifier: classify.New(classify.IFCB, 0), Trace: trace})
 			if err != nil {
 				t.Fatalf("%s mode %d: %v", c.scenario, mode, err)
 			}
 			var out []logger.CallRecord
-			for _, ev := range events(res.Trace) {
-				if ev.Kind == logger.EvCall {
+			home := map[uint64]com.Machine{0: com.Client}
+			for _, ev := range events(trace) {
+				switch ev.Kind {
+				case logger.EvCall:
 					out = append(out, ev.Call)
+				case logger.EvInstantiation:
+					home[ev.Inst.ID] = c.app.Classes.LookupName(ev.Inst.Class).Home
 				}
 			}
-			return out, res
+			return out, home, res
 		}
-		prof, _ := calls(ModeProfiling, nil)
-		logged := &callLog{}
-		def, res := calls(ModeDefault, logged)
-		if len(def) != len(prof) || len(logged.calls) != len(def) || len(def) == 0 {
-			t.Fatalf("%s: %d default calls traced, %d logged, %d profiled", c.scenario, len(def), len(logged.calls), len(prof))
+		prof, _, _ := calls(ModeProfiling)
+		def, home, res := calls(ModeDefault)
+		if len(def) != len(prof) || len(def) == 0 {
+			t.Fatalf("%s: %d default calls traced, %d profiled", c.scenario, len(def), len(prof))
 		}
 		crossing, flagged := 0, 0
 		for i, d := range def {
-			l := logged.calls[i]
-			kept := logger.CallRecord{SrcInst: l.SrcInst, DstInst: l.DstInst, InBytes: l.InBytes, OutBytes: l.OutBytes,
-				NonRemotable: l.NonRemotable}
-			if d != prof[i] || d != kept {
-				t.Fatalf("%s call %d %s.%s: default trace %+v, logged %+v, profiled %+v", c.scenario, i, l.IID, l.Method, d, kept, prof[i])
+			if d != prof[i] {
+				t.Fatalf("%s call %d: default trace %+v, profiled %+v", c.scenario, i, d, prof[i])
 			}
-			if l.Crossing {
+			if home[d.SrcInst] != home[d.DstInst] {
 				crossing++
-				if l.NonRemotable {
+				if d.NonRemotable {
 					flagged++
 				}
 			}

@@ -51,7 +51,7 @@ func (p FaultPolicy) withDefaults() FaultPolicy {
 type faultSim struct {
 	pol  FaultPolicy
 	rng  *rand.Rand
-	sink logger.FaultSink
+	sink *logger.Trace
 
 	retries  int64
 	drops    int64
@@ -59,7 +59,7 @@ type faultSim struct {
 	giveups  int64
 }
 
-func newFaultSim(pol FaultPolicy, rng *rand.Rand, sink logger.FaultSink) *faultSim {
+func newFaultSim(pol FaultPolicy, rng *rand.Rand, sink *logger.Trace) *faultSim {
 	return &faultSim{pol: pol.withDefaults(), rng: rng, sink: sink}
 }
 

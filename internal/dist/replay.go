@@ -18,7 +18,7 @@ import (
 // of cfg.App, scenario cfg.Scenario, replays to Run(cfg)'s CommTime,
 // counts, placements and fault counters exactly. The trace carries the
 // classifications, so cfg.Classifier is not consulted, and nothing is
-// logged: EventTrace and ExtraLogger are not used either.
+// logged: cfg.Trace is not used either.
 //
 // A trace carries communication only, so the replayed clock accrues no
 // compute time, and it cannot price what its records do not determine:

@@ -49,25 +49,21 @@ type Config struct {
 
 	// Classifier is required for every mode except ModeBare.
 	Classifier classify.Classifier
-	// InstanceDetail keeps per-instance edges in profiling runs (needed
-	// for classifier-accuracy evaluation).
-	InstanceDetail bool
 	// Distribution is the classification→machine map for ModeCoign.
 	Distribution map[string]com.Machine
 	// Network is the simulated network; nil means 10BaseT.
 	Network *netsim.Model
-	// ExtraLogger, when set, receives events in ModeDefault and ModeCoign
-	// alongside the null logger — the hook for the adapt package's
-	// message-counting watchdog (paper §6).
-	ExtraLogger logger.Logger
 	// EnableCaching turns on per-interface result caching for methods
 	// marked Cacheable (the semi-custom-marshaling analog); effective in
 	// ModeDefault and ModeCoign.
 	EnableCaching bool
 	// Jitter samples stochastic message times instead of means.
 	Jitter bool
-	// EventTrace additionally records the run's event trace (Result.Trace).
-	EventTrace bool
+	// Trace, when set, records the run into it: every event, and the
+	// profile folded from them (Result.Profile), in any mode but ModeBare.
+	// Without it a ModeProfiling run folds its profile and stores no event,
+	// and the other modes record nothing: the null logger.
+	Trace *logger.Trace
 	// Faults, when set, simulates a lossy network in ModeDefault and
 	// ModeCoign: cross-machine messages are dropped/corrupted per the
 	// policy (seeded from Seed, so chaos runs reproduce exactly) and
@@ -79,8 +75,8 @@ type Config struct {
 // Result reports one run's outcome.
 type Result struct {
 	Clock      *Clock
-	Profile    *profile.Profile
-	Trace      *logger.Trace // with Config.EventTrace
+	Profile    *profile.Profile // folded from the run's events: ModeProfiling, or with Config.Trace
+	Trace      *logger.Trace    // Config.Trace
 	Instances  int
 	PerMachine map[com.Machine]int
 	// AppInstances and AppPerMachine exclude infrastructure components
@@ -121,7 +117,7 @@ var homePlacer = rte.PlacerFunc(func(_ string, cl *com.Class, _ com.Machine) com
 // the placer (classes at Home in ModeDefault; in ModeCoign the factory
 // realizing the map, returned for its counters, with infrastructure
 // classes at Home whatever the map says; the creator's machine otherwise).
-func machinery(cfg Config, sink logger.FaultSink) (*Clock, rte.Placer, *factory.Factory, error) {
+func machinery(cfg Config, sink *logger.Trace) (*Clock, rte.Placer, *factory.Factory, error) {
 	net := cfg.Network
 	if net == nil {
 		net = netsim.TenBaseT
@@ -202,7 +198,7 @@ func settle(cfg Config, res *Result, fac *factory.Factory) (*Result, error) {
 // but ModeBare sizes a call the same way (see package rte) and only where
 // the size is read: in ModeProfiling every call, for the profile; in
 // ModeDefault and ModeCoign the calls that cross machines, for the clock,
-// and every call once an extra logger or the event trace records it.
+// and every call once Config.Trace records it.
 func Run(cfg Config) (*Result, error) {
 	if cfg.App == nil || cfg.App.Main == nil {
 		return nil, fmt.Errorf("dist: config has no runnable application")
@@ -210,21 +206,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Mode != ModeBare && cfg.Classifier == nil {
 		return nil, fmt.Errorf("dist: mode %d requires a classifier", cfg.Mode)
 	}
-	var log logger.Logger = logger.Null{}
-	var plog *logger.Profiling
-	if cfg.Mode == ModeProfiling {
-		plog = logger.NewProfiling(cfg.Classifier.Name(), cfg.InstanceDetail)
-		log = plog
-	} else if cfg.ExtraLogger != nil {
-		log = cfg.ExtraLogger
+	log := cfg.Trace
+	if log == nil && cfg.Mode == ModeProfiling {
+		log = new(logger.Trace) // folds the profile, stores no event
 	}
-	var trace *logger.Trace
-	if cfg.EventTrace {
-		trace = logger.NewTrace(nil)
-		log = logger.Multi{log, trace}
-	}
-	sink, _ := log.(logger.FaultSink)
-	clock, placer, fac, err := machinery(cfg, sink)
+	clock, placer, fac, err := machinery(cfg, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -273,14 +259,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Violations = r.Violations()
 	res.TrappedCalls = r.Calls()
-	if trace != nil {
-		if err := trace.Err(); err != nil {
+	if log != nil {
+		if err := log.Err(); err != nil {
 			return nil, fmt.Errorf("dist: scenario %s: event trace: %w", cfg.Scenario, err)
 		}
-		res.Trace = trace
-	}
-	if plog != nil {
-		res.Profile = plog.LastRun()
+		res.Profile, res.Trace = log.Profile(), cfg.Trace
 	}
 	return settle(cfg, res, fac)
 }

@@ -1,58 +1,91 @@
 package logger
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/profile"
 )
 
-// FuzzEventTrace appends events through the Logger and FaultSink methods
-// and reads every one back equal, a call as the trace keeps it. The input
-// is an event count (modulo 4·traceChunk) and a pattern of event kinds
-// cycled over it; the seeds put the count and each side table's length at
-// 0, 1, traceChunk−1, traceChunk and traceChunk+1. Run with `go test -fuzz
+// encode returns p's log-file encoding, "" for no profile.
+func encode(t *testing.T, p *profile.Profile) string {
+	t.Helper()
+	if p == nil {
+		return ""
+	}
+	var b bytes.Buffer
+	if err := p.Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// FuzzEventTrace appends events through a trace's recording methods and
+// reads every one back equal, a call as the trace keeps it. Folding the
+// stored events again from scratch gives the profile the trace folded as
+// they were appended, and so does a zero Trace given the same events,
+// byte for byte as Encode writes them. The input is an event count
+// (modulo 4·traceChunk) and a pattern of event kinds cycled over it; the
+// seeds put the count and each side table's length at 0, 1,
+// traceChunk−1, traceChunk and traceChunk+1. Run with `go test -fuzz
 // FuzzEventTrace ./internal/logger` to explore beyond the seed corpus.
 func FuzzEventTrace(f *testing.F) {
 	for _, n := range []uint16{0, 1, traceChunk - 1, traceChunk, traceChunk + 1} {
 		f.Add(n, []byte{0, 1, 2, 2, 3, 5, 4})
+		f.Add(n, []byte{0, 1, 1, 2, 6, 2, 1, 6, 2, 3})
 		f.Add(n, []byte{byte(EvInstantiation)})
 		f.Add(n, []byte{byte(EvCall)})
 		f.Add(n, []byte{byte(EvFault)})
+		f.Add(n, []byte{byte(EvMutation)})
 	}
 	f.Fuzz(func(t *testing.T, n uint16, kinds []byte) {
 		count := int(n) % (4 * traceChunk)
 		if len(kinds) == 0 {
 			kinds = []byte{byte(EvCall)}
 		}
-		tr := NewTrace(nil)
+		tr, zero := NewTrace(nil), new(Trace)
 		want := make([]Event, 0, count)
 		for i := 0; i < count; i++ {
-			k := EventKind(kinds[i%len(kinds)] % 6)
-			id, v := uint64(i)*7+1, uint64(i)*2654435761
+			k := EventKind(kinds[i%len(kinds)] % 7)
+			// Instance ids run densely from 1 for the first half of the
+			// events, then sparsely; calls and writes hit instantiated
+			// instances, the main program and unknown ones.
+			id, v := uint64(i)+1, uint64(i)*2654435761
+			if i > count/2 {
+				id = uint64(i)*7 + 1
+			}
+			peer := []uint64{0, id - 1, v >> 7, id / 2}[i%4]
+			method := []string{"Do", "Undo", "", "Redo"}[i%4]
 			ev := Event{Kind: k}
-			switch k {
-			case EvBegin:
-				ev.App, ev.Scen = "app", string(rune('a'+i%26))
-				tr.BeginRun(ev.App, ev.Scen)
-			case EvInstantiation:
-				ev.Inst = InstRecord{ID: id, Class: "C", Classification: string(rune('A' + i%26)),
-					CreatorClassification: "<main>", CreatorInst: id / 2, Order: i, Path: []string{"C", "D"}}
-				tr.Instantiation(ev.Inst)
-			case EvCall:
-				ev.Call = CallRecord{SrcInst: id, DstInst: v >> 7, InBytes: int(uint32(v)), OutBytes: int(uint32(v >> 32)),
-					NonRemotable: i%3 == 0}
-				full := ev.Call
-				full.SrcClassification, full.DstClassification = "A", "B"
-				full.IID, full.Method, full.Crossing = "IThing", "Do", true
-				tr.Call(full)
-			case EvRelease:
-				ev.Inst.ID = id
-				tr.Release(id)
-			case EvEnd:
-				tr.EndRun()
-			case EvFault:
-				ev.Fault = FaultRecord{Kind: "drop", Attempt: i%8 + 1, Bytes: i, Penalty: time.Duration(v)}
-				tr.Fault(ev.Fault)
+			for _, t := range []*Trace{tr, zero} {
+				switch k {
+				case EvBegin:
+					ev.App, ev.Scen = "app", string(rune('a'+i%26))
+					t.BeginRun(ev.App, ev.Scen, "ifcb")
+				case EvInstantiation:
+					ev.Inst = InstRecord{ID: id, Class: "C", Classification: string(rune('A' + i%26)),
+						CreatorClassification: "<main>", CreatorInst: id / 2, Order: i, Path: []string{"C", "D"}}
+					t.Instantiation(ev.Inst)
+				case EvCall:
+					ev.Call = CallRecord{SrcInst: id, DstInst: peer, Method: method, InBytes: int(uint32(v)),
+						OutBytes: int(uint32(v >> 32)), NonRemotable: i%3 == 0}
+					full := ev.Call
+					full.IID = "IThing"
+					t.Call(full)
+				case EvRelease:
+					ev.Inst.ID = id
+					t.Release(id)
+				case EvEnd:
+					t.EndRun()
+				case EvFault:
+					ev.Fault = FaultRecord{Kind: "drop", Attempt: i%8 + 1, Bytes: i, Penalty: time.Duration(v)}
+					t.Fault(ev.Fault)
+				case EvMutation:
+					ev.Call = CallRecord{DstInst: peer, Method: method}
+					t.Mutation(peer, method)
+				}
 			}
 			want = append(want, ev)
 		}
@@ -66,6 +99,13 @@ func FuzzEventTrace(f *testing.F) {
 			if got := tr.At(i); !reflect.DeepEqual(got, w) {
 				t.Fatalf("event %d of %d: read back %+v, appended %+v", i, count, got, w)
 			}
+		}
+		online := encode(t, tr.Profile())
+		if refolded := encode(t, tr.Fold(false)); refolded != online {
+			t.Fatalf("refolded profile\n%s\nonline profile\n%s", refolded, online)
+		}
+		if unstored := encode(t, zero.Profile()); unstored != online {
+			t.Fatalf("the zero Trace folded\n%s\nthe storing trace\n%s", unstored, online)
 		}
 	})
 }

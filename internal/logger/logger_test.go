@@ -2,9 +2,12 @@ package logger
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"unsafe"
+
+	"repro/internal/profile"
 )
 
 func sampleInst(id uint64) InstRecord {
@@ -13,34 +16,35 @@ func sampleInst(id uint64) InstRecord {
 }
 
 func sampleCall() CallRecord {
-	return CallRecord{SrcInst: 0, DstInst: 1, SrcClassification: "<main>",
-		DstClassification: "Reader@1", IID: "IReader", Method: "Read",
+	return CallRecord{SrcInst: 0, DstInst: 1, IID: "IReader", Method: "Read",
 		InBytes: 100, OutBytes: 4000}
 }
 
-func TestNullLoggerDoesNothing(t *testing.T) {
-	t.Parallel()
-	var n Null
-	n.BeginRun("a", "s")
-	n.Instantiation(sampleInst(1))
-	n.Call(sampleCall())
-	n.Release(1)
-	n.EndRun()
-}
-
+// TestProfilingLoggerSummarizes: the zero Trace is the profiling logger.
+// It folds a run into a profile and stores no event; a Trace that stores
+// them folds the same profile and, refolded with instance edges, adds
+// per-instance edges to it.
 func TestProfilingLoggerSummarizes(t *testing.T) {
 	t.Parallel()
-	l := NewProfiling("ifcb", true)
-	l.BeginRun("app", "o_newdoc")
-	l.Instantiation(sampleInst(1))
-	l.Instantiation(sampleInst(2))
-	l.Call(sampleCall())
-	l.Call(sampleCall())
-	l.EndRun()
-
-	p := l.LastRun()
+	var l Trace
+	stored := NewTrace(nil)
+	for _, tr := range []*Trace{&l, stored} {
+		tr.BeginRun("app", "o_newdoc", "ifcb")
+		tr.Instantiation(sampleInst(1))
+		tr.Instantiation(sampleInst(2))
+		tr.Call(sampleCall())
+		tr.Call(sampleCall())
+		tr.EndRun()
+	}
+	if l.Len() != 0 {
+		t.Fatalf("the zero Trace stored %d events", l.Len())
+	}
+	p := l.Profile()
 	if p == nil {
 		t.Fatal("no run recorded")
+	}
+	if p.App != "app" || p.Classifier != "ifcb" {
+		t.Fatalf("profile of %s under %s", p.App, p.Classifier)
 	}
 	if p.TotalInstances() != 2 || p.TotalCalls() != 2 {
 		t.Fatalf("instances=%d calls=%d", p.TotalInstances(), p.TotalCalls())
@@ -49,39 +53,45 @@ func TestProfilingLoggerSummarizes(t *testing.T) {
 	if e.Calls != 2 || e.ExactInBytes != 200 || e.ExactOutBytes != 8000 {
 		t.Fatalf("edge = %+v", e)
 	}
-	if len(p.InstEdges) != 1 {
-		t.Fatalf("instance detail = %d edges", len(p.InstEdges))
+	if m := p.Method("Reader@1", "Read"); m.Calls != 2 {
+		t.Fatalf("method = %+v", m)
 	}
 	if len(p.Scenarios) != 1 || p.Scenarios[0] != "o_newdoc" {
 		t.Fatalf("scenarios = %v", p.Scenarios)
+	}
+	if got, want := encode(t, stored.Profile()), encode(t, p); got != want {
+		t.Errorf("a storing trace folded\n%s\nthe zero Trace\n%s", got, want)
+	}
+	if got := l.Fold(true); got != nil {
+		t.Errorf("a trace that stores nothing refolded to %+v", got)
+	}
+	if d := stored.Fold(true); len(d.InstEdges) != 1 || d.InstEdge(0, 1).Calls != 2 {
+		t.Fatalf("instance detail = %d edges", len(d.InstEdges))
 	}
 }
 
 func TestProfilingLoggerWithoutInstanceDetail(t *testing.T) {
 	t.Parallel()
-	l := NewProfiling("ifcb", false)
-	l.BeginRun("app", "s")
+	l := NewTrace(nil)
+	l.BeginRun("app", "s", "ifcb")
 	l.Instantiation(sampleInst(1))
 	l.Call(sampleCall())
 	l.EndRun()
-	if len(l.LastRun().InstEdges) != 0 {
-		t.Fatal("instance detail recorded when disabled")
+	if len(l.Profile().InstEdges) != 0 || len(l.Fold(false).InstEdges) != 0 {
+		t.Fatal("instance detail recorded without being asked for")
 	}
 }
 
 func TestProfilingLoggerKeepsOneRun(t *testing.T) {
 	t.Parallel()
-	l := NewProfiling("ifcb", false)
+	var l Trace
 	for _, s := range []string{"s1", "s2", "s3"} {
-		l.BeginRun("app", s)
-		if l.LastRun() != nil {
-			t.Fatal("an open run reported as completed")
-		}
+		l.BeginRun("app", s, "ifcb")
 		l.Instantiation(sampleInst(1))
 		l.Call(sampleCall())
 		l.EndRun()
 	}
-	p := l.LastRun()
+	p := l.Profile()
 	if p.TotalCalls() != 1 || len(p.Scenarios) != 1 || p.Scenarios[0] != "s3" {
 		t.Fatalf("last run: calls=%d scenarios=%v", p.TotalCalls(), p.Scenarios)
 	}
@@ -89,25 +99,83 @@ func TestProfilingLoggerKeepsOneRun(t *testing.T) {
 
 func TestProfilingLoggerStartsEmpty(t *testing.T) {
 	t.Parallel()
-	if NewProfiling("ifcb", false).LastRun() != nil {
+	if new(Trace).Profile() != nil || NewTrace(nil).Profile() != nil {
 		t.Fatal("profile before any run")
 	}
 }
 
 func TestProfilingLoggerIgnoresEventsOutsideRun(t *testing.T) {
 	t.Parallel()
-	l := NewProfiling("ifcb", true)
+	var l Trace
 	l.Instantiation(sampleInst(1)) // before BeginRun: dropped
 	l.Call(sampleCall())
+	l.Mutation(1, "Read")
 	l.EndRun() // no active run: no-op
-	if l.LastRun() != nil {
+	if l.Profile() != nil {
 		t.Fatal("phantom run recorded")
 	}
-	l.BeginRun("app", "s")
+	l.BeginRun("app", "s", "ifcb")
 	l.EndRun()
 	l.Call(sampleCall()) // after EndRun: dropped
-	if got := l.LastRun().TotalCalls(); got != 0 {
-		t.Fatalf("calls after EndRun recorded: %d", got)
+	l.Mutation(1, "Read")
+	if got := l.Profile(); got.TotalCalls() != 0 || len(got.Methods) != 0 {
+		t.Fatalf("events after EndRun recorded: %d calls, %d methods", got.TotalCalls(), len(got.Methods))
+	}
+}
+
+// TestTraceFoldsMutations: a state write counts on the writing method of
+// the written instance's classification, in the run's profile and in a
+// refold of the stored trace alike.
+func TestTraceFoldsMutations(t *testing.T) {
+	t.Parallel()
+	l := NewTrace(nil)
+	l.BeginRun("app", "s", "ifcb")
+	l.Instantiation(sampleInst(1))
+	l.Call(sampleCall())
+	l.Mutation(1, "Write")
+	l.Mutation(1, "Write")
+	l.EndRun()
+	for _, p := range []*profile.Profile{l.Profile(), l.Fold(false)} {
+		if m := p.Methods[profile.MethodKey{Classification: "Reader@1", Method: "Write"}]; m == nil || m.Writes != 2 || m.Calls != 0 {
+			t.Errorf("Write stats = %+v", m)
+		}
+		if m := p.Methods[profile.MethodKey{Classification: "Reader@1", Method: "Read"}]; m == nil || m.Calls != 1 || m.Writes != 0 {
+			t.Errorf("Read stats = %+v", m)
+		}
+	}
+	if ev := l.At(3); ev.Kind != EvMutation || ev.Call.DstInst != 1 || ev.Call.Method != "Write" {
+		t.Errorf("mutation read back as %+v", ev)
+	}
+}
+
+// TestTraceClassifiesSparseInstances: an endpoint's classification is its
+// instantiation's whether the run numbers its instances densely, as the
+// runtime does, or not; an instance the run never instantiated has none.
+func TestTraceClassifiesSparseInstances(t *testing.T) {
+	t.Parallel()
+	for _, ids := range [][]uint64{{5, 6, 7}, {5, 9, 2}, {5, 6, 6, 9}} {
+		l := NewTrace(nil)
+		l.BeginRun("app", "s", "ifcb")
+		for _, id := range ids {
+			l.Instantiation(InstRecord{ID: id, Class: "C", Classification: fmt.Sprintf("C@%d", id)})
+		}
+		for _, id := range ids {
+			l.Call(CallRecord{SrcInst: id, DstInst: ids[0], Method: "M"})
+		}
+		l.Call(CallRecord{SrcInst: 100, DstInst: ids[0], Method: "M"})
+		l.EndRun()
+		p := l.Profile()
+		for _, id := range ids {
+			if p.Edge(fmt.Sprintf("C@%d", id), "C@5").Calls == 0 {
+				t.Errorf("ids %v: no edge from C@%d", ids, id)
+			}
+		}
+		if p.Edge("", "C@5").Calls != 1 {
+			t.Errorf("ids %v: the call from an unknown instance is not on the unclassified edge", ids)
+		}
+		if got, want := encode(t, l.Fold(false)), encode(t, p); got != want {
+			t.Errorf("ids %v: refolded\n%s\nonline\n%s", ids, got, want)
+		}
 	}
 }
 
@@ -115,7 +183,7 @@ func TestEventLoggerTracesEverything(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
 	l := NewTrace(&buf)
-	l.BeginRun("app", "s")
+	l.BeginRun("app", "s", "ifcb")
 	l.Instantiation(sampleInst(1))
 	l.Call(sampleCall())
 	l.Release(1)
@@ -140,7 +208,7 @@ func TestEventLoggerTracesEverything(t *testing.T) {
 func TestEventLoggerNilWriter(t *testing.T) {
 	t.Parallel()
 	l := NewTrace(nil)
-	l.BeginRun("a", "s")
+	l.BeginRun("a", "s", "ifcb")
 	l.Call(sampleCall())
 	l.EndRun()
 	if l.Len() != 3 {
@@ -177,20 +245,20 @@ func TestTraceRefusesOversizedCall(t *testing.T) {
 	}
 }
 
-func TestMultiFansOut(t *testing.T) {
+// TestTraceStoresAndFolds: one trace both stores every event and folds the
+// profile, the two roles one recorder plays.
+func TestTraceStoresAndFolds(t *testing.T) {
 	t.Parallel()
-	p := NewProfiling("ifcb", false)
 	e := NewTrace(nil)
-	m := Multi{p, e}
-	m.BeginRun("app", "s")
-	m.Instantiation(sampleInst(1))
-	m.Call(sampleCall())
-	m.Release(1)
-	m.EndRun()
-	if p.LastRun() == nil || p.LastRun().TotalCalls() != 1 {
-		t.Error("profiling logger missed events via Multi")
+	e.BeginRun("app", "s", "ifcb")
+	e.Instantiation(sampleInst(1))
+	e.Call(sampleCall())
+	e.Release(1)
+	e.EndRun()
+	if e.Profile() == nil || e.Profile().TotalCalls() != 1 {
+		t.Error("the trace folded no call")
 	}
 	if e.Len() != 5 {
-		t.Error("trace missed events via Multi")
+		t.Errorf("the trace stored %d events, want 5", e.Len())
 	}
 }

@@ -1,10 +1,68 @@
+// Package logger implements Coign's information logger (paper §3.3).
+// Under direction of the runtime executive, Coign components pass
+// application events — component instantiations and destructions,
+// interface calls, state writes — to the information logger, which the
+// paper lets summarize them (profiling logger), trace them in full (event
+// logger), or discard them (null logger, used during distributed
+// execution).
+//
+// Here the three roles are one recorder, Trace, and its absence. Every
+// event becomes one 32-byte record, and the ICC profile is a fold over
+// those records: a Trace folds each record into its run's profile as it
+// is appended. A Trace made by NewTrace also stores the records, so the
+// dist package's replayer can price the execution again and Fold can
+// fold it again with per-instance edges; the zero Trace stores none, so
+// the memory of a profiling run stays bounded by the number of distinct
+// edges rather than by the run's length. No Trace at all — the runtime's
+// nil logger — discards every event.
 package logger
 
 import (
 	"fmt"
 	"io"
 	"math"
+	"time"
+
+	"repro/internal/profile"
 )
+
+// InstRecord describes one component instantiation event.
+type InstRecord struct {
+	ID                    uint64
+	Class                 string
+	Classification        string
+	CreatorClassification string
+	// CreatorInst is the instance on whose behalf the component was
+	// created; 0 is the main program. A replayed instance follows it.
+	CreatorInst uint64
+	Order       int
+	// Path is the activation call path: the classes of the component
+	// instances on the stack at the instantiation, innermost first.
+	Path []string
+}
+
+// CallRecord describes one inter-component interface call. A call from
+// the main program has SrcInst 0. The endpoints' classifications are
+// their instantiations'.
+type CallRecord struct {
+	SrcInst, DstInst  uint64
+	IID, Method       string
+	InBytes, OutBytes int
+	NonRemotable      bool
+}
+
+// FaultRecord describes one injected or simulated network fault and the
+// runtime's reaction to it, so chaos runs leave an auditable trail.
+type FaultRecord struct {
+	// Kind is "drop", "corrupt", or "giveup" (attempt budget exhausted).
+	Kind string
+	// Attempt is the 1-based delivery attempt the fault hit.
+	Attempt int
+	// Bytes is the affected message's payload size.
+	Bytes int
+	// Penalty is the time the fault cost (timeout wait, wasted transfer).
+	Penalty time.Duration
+}
 
 // EventKind enumerates trace event types.
 type EventKind uint8
@@ -18,13 +76,17 @@ const (
 	EvEnd
 	// EvFault records an injected network fault (chaos runs).
 	EvFault
+	// EvMutation records a method writing its instance's state.
+	EvMutation
 )
 
 // Event is one trace entry as read back (see Trace.At). Kind says which
 // fields are set: App and Scen for EvBegin, Inst for EvInstantiation (its
 // ID alone for EvRelease), Call for EvCall, Fault for EvFault. A call is
-// read back as the trace keeps it: SrcInst, DstInst, InBytes, OutBytes and
-// NonRemotable.
+// read back as the trace keeps it: SrcInst, DstInst, Method, InBytes,
+// OutBytes and NonRemotable. An EvMutation is read back as Call.DstInst,
+// the instance whose state was written, and Call.Method, the method that
+// wrote it.
 type Event struct {
 	Kind  EventKind
 	Inst  InstRecord
@@ -59,41 +121,48 @@ func (c *chunked[T]) add(v T) uint64 {
 func (c *chunked[T]) at(i uint64) *T { return &c.chunks[i/traceChunk][i%traceChunk] }
 
 // record is one trace event as stored: 32 bytes whatever its kind. For an
-// EvCall, a and b are the calling and the called instance; for an
-// EvRelease, a is the instance; for EvBegin, EvInstantiation and EvFault,
-// a indexes the event's side table.
+// EvCall, a and b are the calling and the called instance and method
+// indexes the method table; an EvMutation has its instance in a and its
+// method in method; for an EvRelease, a is the instance; for EvBegin,
+// EvInstantiation and EvFault, a indexes the event's side table.
 type record struct {
 	a, b         uint64
 	in, out      uint32
+	method       uint32
 	kind         EventKind
 	nonRemotable bool
 }
 
-// Trace is the event logger: it records every component-related event of
-// an execution in order, and the dist package's replayer prices the
-// execution again from it under any distribution without running the
-// application (paper §3.3: the event logger's traces "drive detailed
-// application simulations"). It keeps what a replay reads: a call is its
-// two instances, its sizes and its remotability, in one 32-byte record
-// like every event; instantiations, faults and run names go in side
-// tables. Storage grows a chunk at a time and never copies what it holds.
-// With a writer, every event is also printed in full as it happens.
+// Trace is the information logger. It folds every event into the profile
+// of its run as the event happens (Profile). A Trace made by NewTrace also
+// stores every event in order, each in one 32-byte record, with
+// instantiations, faults, method names and run names in side tables that
+// grow a chunk at a time and never copy what they hold; the dist package's
+// replayer prices the execution again from it under any distribution
+// (paper §3.3: the event logger's traces "drive detailed application
+// simulations"). The zero Trace stores nothing: its profile is all it
+// keeps. With a writer, every event but a state write is also printed in
+// full as it happens.
 type Trace struct {
-	events chunked[record]
-	insts  chunked[InstRecord]
-	faults chunked[FaultRecord]
-	runs   [][2]string // app and scenario of each EvBegin
-	err    error
-	w      io.Writer // optional live text sink
+	store   bool
+	events  chunked[record]
+	insts   chunked[InstRecord]
+	faults  chunked[FaultRecord]
+	runs    [][3]string       // app, scenario and classifier of each EvBegin
+	methods []string          // the method table, in first-call order
+	index   map[string]uint32 // method name -> its index in methods
+	sum     summary
+	err     error
+	w       io.Writer // optional live text sink
 }
 
-// NewTrace returns an empty trace; w may be nil.
-func NewTrace(w io.Writer) *Trace { return &Trace{w: w} }
+// NewTrace returns an empty trace that stores every event; w may be nil.
+func NewTrace(w io.Writer) *Trace { return &Trace{store: true, w: w} }
 
-// Len returns the number of events recorded.
+// Len returns the number of events stored.
 func (t *Trace) Len() int { return t.events.n }
 
-// At returns event i, 0 ≤ i < Len, as read back (see Event).
+// At returns stored event i, 0 ≤ i < Len, as read back (see Event).
 func (t *Trace) At(i int) Event {
 	r := t.events.at(uint64(i))
 	ev := Event{Kind: r.kind}
@@ -103,12 +172,14 @@ func (t *Trace) At(i int) Event {
 	case EvInstantiation:
 		ev.Inst = *t.insts.at(r.a)
 	case EvCall:
-		ev.Call = CallRecord{SrcInst: r.a, DstInst: r.b, InBytes: int(r.in), OutBytes: int(r.out),
-			NonRemotable: r.nonRemotable}
+		ev.Call = CallRecord{SrcInst: r.a, DstInst: r.b, Method: t.methods[r.method],
+			InBytes: int(r.in), OutBytes: int(r.out), NonRemotable: r.nonRemotable}
 	case EvRelease:
 		ev.Inst.ID = r.a
 	case EvFault:
 		ev.Fault = *t.faults.at(r.a)
+	case EvMutation:
+		ev.Call = CallRecord{DstInst: r.a, Method: t.methods[r.method]}
 	}
 	return ev
 }
@@ -118,25 +189,83 @@ func (t *Trace) At(i int) Event {
 // replayer refuses it.
 func (t *Trace) Err() error { return t.err }
 
-// BeginRun implements Logger.
-func (t *Trace) BeginRun(app, scenario string) {
-	t.runs = append(t.runs, [2]string{app, scenario})
-	t.events.add(record{kind: EvBegin, a: uint64(len(t.runs) - 1)})
+// Profile returns the profile of the latest run the trace was given, as
+// folded so far, or nil before any run.
+func (t *Trace) Profile() *profile.Profile { return t.sum.p }
+
+// Fold folds the stored events again from the first, into a fresh profile
+// of the last run; with instanceEdges the profile also keeps per-instance
+// edges, which classifier evaluation (Tables 2 and 3) requires. Without,
+// it is Profile's profile byte for byte. A trace that stores nothing folds
+// to nil.
+func (t *Trace) Fold(instanceEdges bool) *profile.Profile {
+	s := summary{instEdges: instanceEdges}
+	for i := 0; i < t.events.n; i++ {
+		r := t.events.at(uint64(i))
+		var inst *InstRecord
+		var method string
+		switch r.kind {
+		case EvInstantiation:
+			inst = t.insts.at(r.a)
+		case EvCall, EvMutation:
+			method = t.methods[r.method]
+		}
+		s.fold(r, t.runs, inst, method)
+	}
+	return s.p
+}
+
+// add stores r if the trace stores and folds it: inst is the
+// instantiation of an EvInstantiation, method the method of an EvCall or
+// EvMutation.
+func (t *Trace) add(r record, inst *InstRecord, method string) {
+	if t.store {
+		if r.kind == EvCall || r.kind == EvMutation {
+			r.method = t.intern(method)
+		}
+		t.events.add(r)
+	}
+	t.sum.fold(&r, t.runs, inst, method)
+}
+
+// intern returns the method table's index of name, adding it if new.
+func (t *Trace) intern(name string) uint32 {
+	if i, ok := t.index[name]; ok {
+		return i
+	}
+	if t.index == nil {
+		t.index = make(map[string]uint32)
+	}
+	i := uint32(len(t.methods))
+	t.methods = append(t.methods, name)
+	t.index[name] = i
+	return i
+}
+
+// BeginRun starts a named scenario run of app whose instances the named
+// classifier classifies.
+func (t *Trace) BeginRun(app, scenario, classifier string) {
+	t.runs = append(t.runs, [3]string{app, scenario, classifier})
+	t.add(record{kind: EvBegin, a: uint64(len(t.runs) - 1)}, nil, "")
 	if t.w != nil {
 		fmt.Fprintf(t.w, "begin %s %s\n", app, scenario)
 	}
 }
 
-// Instantiation implements Logger.
+// Instantiation records a component creation.
 func (t *Trace) Instantiation(rec InstRecord) {
-	t.events.add(record{kind: EvInstantiation, a: t.insts.add(rec)})
+	r := record{kind: EvInstantiation}
+	if t.store {
+		r.a = t.insts.add(rec)
+	}
+	t.add(r, &rec, "")
 	if t.w != nil {
 		fmt.Fprintf(t.w, "create #%d %s as %s\n", rec.ID, rec.Class, rec.Classification)
 	}
 }
 
-// Call implements Logger. A size outside a record's 32 bits is not
-// recorded but kept as the trace's error.
+// Call records one interface invocation. A size outside a record's 32
+// bits is not recorded but kept as the trace's error.
 func (t *Trace) Call(rec CallRecord) {
 	if t.w != nil {
 		fmt.Fprintf(t.w, "call #%d->#%d %s.%s in=%d out=%d\n",
@@ -149,34 +278,121 @@ func (t *Trace) Call(rec CallRecord) {
 		}
 		return
 	}
-	t.events.add(record{kind: EvCall, a: rec.SrcInst, b: rec.DstInst,
-		in: uint32(rec.InBytes), out: uint32(rec.OutBytes), nonRemotable: rec.NonRemotable})
+	t.add(record{kind: EvCall, a: rec.SrcInst, b: rec.DstInst,
+		in: uint32(rec.InBytes), out: uint32(rec.OutBytes), nonRemotable: rec.NonRemotable}, nil, rec.Method)
 }
 
 // fits32 reports whether a byte size fits a record's 32 bits.
 func fits32(n int) bool { return n >= 0 && uint64(n) <= math.MaxUint32 }
 
-// Release implements Logger.
+// Mutation records that the named method of instance inst wrote its
+// state; the profile counts it on the method's statistics, which the
+// purity verifier diffs against static read-only claims.
+func (t *Trace) Mutation(inst uint64, method string) {
+	t.add(record{kind: EvMutation, a: inst}, nil, method)
+}
+
+// Release records a component destruction.
 func (t *Trace) Release(instID uint64) {
-	t.events.add(record{kind: EvRelease, a: instID})
+	t.add(record{kind: EvRelease, a: instID}, nil, "")
 	if t.w != nil {
 		fmt.Fprintf(t.w, "release #%d\n", instID)
 	}
 }
 
-// EndRun implements Logger.
+// EndRun finishes the current run.
 func (t *Trace) EndRun() {
-	t.events.add(record{kind: EvEnd})
+	t.add(record{kind: EvEnd}, nil, "")
 	if t.w != nil {
 		fmt.Fprintln(t.w, "end")
 	}
 }
 
-// Fault implements FaultSink: injected faults become trace entries.
+// Fault records an injected network fault.
 func (t *Trace) Fault(rec FaultRecord) {
-	t.events.add(record{kind: EvFault, a: t.faults.add(rec)})
+	r := record{kind: EvFault}
+	if t.store {
+		r.a = t.faults.add(rec)
+	}
+	t.add(r, nil, "")
 	if t.w != nil {
 		fmt.Fprintf(t.w, "fault %s attempt=%d bytes=%d penalty=%v\n",
 			rec.Kind, rec.Attempt, rec.Bytes, rec.Penalty)
 	}
+}
+
+// summary is the profile a trace's records fold into: inter-component
+// communication per classification pair, with exponential size buckets,
+// per-method call and write counts, and the instances. Each EvBegin starts
+// a fresh profile; events outside a run are not counted.
+type summary struct {
+	p         *profile.Profile
+	open      bool   // between EvBegin and EvEnd
+	instEdges bool   // also keep per-instance edges
+	first     uint64 // id of the run's first instance
+}
+
+// fold accumulates one record: runs is the trace's run table, inst the
+// instantiation of an EvInstantiation, method the method of an EvCall or
+// EvMutation.
+func (s *summary) fold(r *record, runs [][3]string, inst *InstRecord, method string) {
+	switch r.kind {
+	case EvBegin:
+		run := runs[r.a]
+		s.p = profile.New(run[0], run[2])
+		s.p.Scenarios = []string{run[1]}
+		s.open = true
+		return
+	case EvEnd:
+		s.open = false
+		return
+	}
+	if !s.open {
+		return
+	}
+	switch r.kind {
+	case EvInstantiation:
+		if len(s.p.Instances) == 0 {
+			s.first = inst.ID
+		}
+		s.p.AddInstance(profile.InstanceRecord{
+			ID:                    inst.ID,
+			Class:                 inst.Class,
+			Classification:        inst.Classification,
+			CreatorClassification: inst.CreatorClassification,
+			Order:                 inst.Order,
+			Path:                  inst.Path,
+		})
+	case EvCall:
+		in, out := int(r.in), int(r.out)
+		dst := s.classification(r.b)
+		s.p.Edge(s.classification(r.a), dst).Record(in, out, r.nonRemotable)
+		s.p.Method(dst, method).Calls++
+		if s.instEdges {
+			s.p.InstEdge(r.a, r.b).Record(in, out, r.nonRemotable)
+		}
+	case EvMutation:
+		s.p.Method(s.classification(r.a), method).Writes++
+	}
+}
+
+// classification returns the classification of instance id in the current
+// run: its instantiation's, the main program's for 0, and "" for an
+// instance the run did not instantiate. The runtime numbers a run's
+// instances densely in instantiation order, so instance id is
+// p.Instances[id-first]; the instances of any other trace are searched.
+func (s *summary) classification(id uint64) string {
+	if id == 0 {
+		return profile.MainProgram
+	}
+	ins := s.p.Instances
+	if i := id - s.first; i < uint64(len(ins)) && ins[i].ID == id {
+		return ins[i].Classification
+	}
+	for i := range ins {
+		if ins[i].ID == id {
+			return ins[i].Classification
+		}
+	}
+	return ""
 }

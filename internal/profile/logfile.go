@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 )
@@ -13,9 +14,8 @@ import (
 // scenarios may be combined during analysis (paper §2). The format is
 // line-oriented JSON of a stable, sorted mirror structure.
 
-type edgeForm struct {
-	Src          string        `json:"src"`
-	Dst          string        `json:"dst"`
+// summaryForm is an EdgeSummary as the log holds it.
+type summaryForm struct {
 	Calls        int64         `json:"calls"`
 	In           map[int]int64 `json:"in,omitempty"`
 	Out          map[int]int64 `json:"out,omitempty"`
@@ -24,15 +24,16 @@ type edgeForm struct {
 	NonRemotable bool          `json:"nonRemotable,omitempty"`
 }
 
+type edgeForm struct {
+	Src string `json:"src"`
+	Dst string `json:"dst"`
+	summaryForm
+}
+
 type instEdgeForm struct {
-	Src          uint64        `json:"src"`
-	Dst          uint64        `json:"dst"`
-	Calls        int64         `json:"calls"`
-	In           map[int]int64 `json:"in,omitempty"`
-	Out          map[int]int64 `json:"out,omitempty"`
-	ExactIn      int64         `json:"exactIn"`
-	ExactOut     int64         `json:"exactOut"`
-	NonRemotable bool          `json:"nonRemotable,omitempty"`
+	Src uint64 `json:"src"`
+	Dst uint64 `json:"dst"`
+	summaryForm
 }
 
 type methodForm struct {
@@ -53,6 +54,46 @@ type fileForm struct {
 	InstEdges       []instEdgeForm       `json:"instEdges,omitempty"`
 }
 
+// form returns e as the log holds it.
+func (e *EdgeSummary) form() summaryForm {
+	return summaryForm{Calls: e.Calls, In: e.In, Out: e.Out,
+		ExactIn: e.ExactInBytes, ExactOut: e.ExactOutBytes, NonRemotable: e.NonRemotable}
+}
+
+// summary returns the EdgeSummary f holds, refusing one that Record and
+// Merge could not have produced: a bucket index outside [0, NumBuckets), a
+// negative count or byte total, or a call count other than the request
+// and the reply histograms' totals.
+func (f *summaryForm) summary() (*EdgeSummary, error) {
+	e := &EdgeSummary{Calls: f.Calls, In: BucketCounts(f.In), Out: BucketCounts(f.Out),
+		ExactInBytes: f.ExactIn, ExactOutBytes: f.ExactOut, NonRemotable: f.NonRemotable}
+	if e.In == nil {
+		e.In = make(BucketCounts)
+	}
+	if e.Out == nil {
+		e.Out = make(BucketCounts)
+	}
+	if f.Calls < 0 || f.ExactIn < 0 || f.ExactOut < 0 {
+		return nil, fmt.Errorf("negative count or byte total (calls %d, bytes %d in, %d out)", f.Calls, f.ExactIn, f.ExactOut)
+	}
+	for _, b := range []BucketCounts{e.In, e.Out} {
+		var total int64
+		for idx, n := range b {
+			if idx < 0 || idx >= NumBuckets {
+				return nil, fmt.Errorf("bucket %d outside [0, %d)", idx, NumBuckets)
+			}
+			if n < 0 || n > math.MaxInt64-total {
+				return nil, fmt.Errorf("bucket %d holds %d messages", idx, n)
+			}
+			total += n
+		}
+		if total != f.Calls {
+			return nil, fmt.Errorf("%d calls, but a histogram holds %d messages", f.Calls, total)
+		}
+	}
+	return e, nil
+}
+
 // Encode writes the profile as JSON.
 func (p *Profile) Encode(w io.Writer) error {
 	f := fileForm{
@@ -61,12 +102,7 @@ func (p *Profile) Encode(w io.Writer) error {
 		Scenarios:  p.Scenarios,
 	}
 	for k, e := range p.Edges {
-		f.Edges = append(f.Edges, edgeForm{
-			Src: k.Src, Dst: k.Dst, Calls: e.Calls,
-			In: e.In, Out: e.Out,
-			ExactIn: e.ExactInBytes, ExactOut: e.ExactOutBytes,
-			NonRemotable: e.NonRemotable,
-		})
+		f.Edges = append(f.Edges, edgeForm{Src: k.Src, Dst: k.Dst, summaryForm: e.form()})
 	}
 	sort.Slice(f.Edges, func(i, j int) bool {
 		if f.Edges[i].Src != f.Edges[j].Src {
@@ -94,12 +130,7 @@ func (p *Profile) Encode(w io.Writer) error {
 	})
 	f.Instances = p.Instances
 	for k, e := range p.InstEdges {
-		f.InstEdges = append(f.InstEdges, instEdgeForm{
-			Src: k.Src, Dst: k.Dst, Calls: e.Calls,
-			In: e.In, Out: e.Out,
-			ExactIn: e.ExactInBytes, ExactOut: e.ExactOutBytes,
-			NonRemotable: e.NonRemotable,
-		})
+		f.InstEdges = append(f.InstEdges, instEdgeForm{Src: k.Src, Dst: k.Dst, summaryForm: e.form()})
 	}
 	sort.Slice(f.InstEdges, func(i, j int) bool {
 		if f.InstEdges[i].Src != f.InstEdges[j].Src {
@@ -111,7 +142,11 @@ func (p *Profile) Encode(w io.Writer) error {
 	return enc.Encode(&f)
 }
 
-// Decode reads a profile previously written by Encode.
+// Decode reads a profile previously written by Encode. A log is read from
+// disk, so Decode holds it to what Encode writes: every edge summary as
+// EdgeSummary.Record and Merge keep one (see summaryForm.summary), no
+// negative method or instance count, and no edge, method, classification
+// or instance edge listed twice.
 func Decode(r io.Reader) (*Profile, error) {
 	var f fileForm
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -120,38 +155,47 @@ func Decode(r io.Reader) (*Profile, error) {
 	p := New(f.App, f.Classifier)
 	p.Scenarios = f.Scenarios
 	for _, ef := range f.Edges {
-		e := p.Edge(ef.Src, ef.Dst)
-		e.Calls = ef.Calls
-		if ef.In != nil {
-			e.In = BucketCounts(ef.In)
+		k := PairKey{ef.Src, ef.Dst}
+		if p.Edges[k] != nil {
+			return nil, fmt.Errorf("profile: decode: edge %s -> %s listed twice", ef.Src, ef.Dst)
 		}
-		if ef.Out != nil {
-			e.Out = BucketCounts(ef.Out)
+		e, err := ef.summary()
+		if err != nil {
+			return nil, fmt.Errorf("profile: decode: edge %s -> %s: %w", ef.Src, ef.Dst, err)
 		}
-		e.ExactInBytes, e.ExactOutBytes = ef.ExactIn, ef.ExactOut
-		e.NonRemotable = ef.NonRemotable
+		p.Edges[k] = e
 	}
 	for _, ci := range f.Classifications {
+		if p.Classifications[ci.ID] != nil {
+			return nil, fmt.Errorf("profile: decode: classification %s listed twice", ci.ID)
+		}
+		if ci.Instances < 0 {
+			return nil, fmt.Errorf("profile: decode: classification %s: %d instances", ci.ID, ci.Instances)
+		}
 		c := ci
 		p.Classifications[ci.ID] = &c
 	}
 	for _, mf := range f.Methods {
-		m := p.Method(mf.Classification, mf.Method)
-		m.Calls = mf.Calls
-		m.Writes = mf.Writes
+		k := MethodKey{mf.Classification, mf.Method}
+		if p.Methods[k] != nil {
+			return nil, fmt.Errorf("profile: decode: method %s of %s listed twice", mf.Method, mf.Classification)
+		}
+		if mf.Calls < 0 || mf.Writes < 0 {
+			return nil, fmt.Errorf("profile: decode: method %s of %s: %d calls, %d writes", mf.Method, mf.Classification, mf.Calls, mf.Writes)
+		}
+		p.Methods[k] = &MethodStats{Calls: mf.Calls, Writes: mf.Writes}
 	}
 	p.Instances = f.Instances
 	for _, ef := range f.InstEdges {
-		e := p.InstEdge(ef.Src, ef.Dst)
-		e.Calls = ef.Calls
-		if ef.In != nil {
-			e.In = BucketCounts(ef.In)
+		k := InstPairKey{ef.Src, ef.Dst}
+		if p.InstEdges[k] != nil {
+			return nil, fmt.Errorf("profile: decode: instance edge #%d -> #%d listed twice", ef.Src, ef.Dst)
 		}
-		if ef.Out != nil {
-			e.Out = BucketCounts(ef.Out)
+		e, err := ef.summary()
+		if err != nil {
+			return nil, fmt.Errorf("profile: decode: instance edge #%d -> #%d: %w", ef.Src, ef.Dst, err)
 		}
-		e.ExactInBytes, e.ExactOutBytes = ef.ExactIn, ef.ExactOut
-		e.NonRemotable = ef.NonRemotable
+		p.InstEdges[k] = e
 	}
 	return p, nil
 }

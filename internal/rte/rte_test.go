@@ -104,8 +104,8 @@ func TestAttachRequiresTable(t *testing.T) {
 func TestProfilingRunCollectsEverything(t *testing.T) {
 	t.Parallel()
 	env := com.NewEnv(chainApp())
-	plog := logger.NewProfiling("ifcb", true)
-	r := attach(t, env, Options{Logger: plog})
+	trace := logger.NewTrace(nil)
+	r := attach(t, env, Options{Logger: trace})
 
 	r.BeginRun("scenario1")
 	root, err := env.CreateInstance(nil, "CLSID_Root")
@@ -118,9 +118,12 @@ func TestProfilingRunCollectsEverything(t *testing.T) {
 	}
 	r.EndRun()
 
-	p := plog.LastRun()
+	p := trace.Profile()
 	if p == nil {
 		t.Fatal("no profile")
+	}
+	if p.Classifier != "ifcb" || p.App != "chain" {
+		t.Errorf("profile of %s under %s, want chain under ifcb", p.App, p.Classifier)
 	}
 	if p.TotalInstances() != 2 {
 		t.Fatalf("instances = %d", p.TotalInstances())
@@ -272,8 +275,8 @@ func TestBeginRunResetsState(t *testing.T) {
 	t.Parallel()
 	env := com.NewEnv(chainApp())
 	tab := classify.NewTable(classify.New(classify.Incremental, 0))
-	plog := logger.NewProfiling("incremental", false)
-	r := attach(t, env, Options{Table: tab, Logger: plog})
+	trace := new(logger.Trace)
+	r := attach(t, env, Options{Table: tab, Logger: trace})
 	r.BeginRun("s1")
 	a, _ := env.CreateInstance(nil, "CLSID_Leaf")
 	r.EndRun()
@@ -285,7 +288,7 @@ func TestBeginRunResetsState(t *testing.T) {
 	if a.Classification != b.Classification {
 		t.Error("incremental classifier not reset between runs")
 	}
-	if got := plog.LastRun().Scenarios; len(got) != 1 || got[0] != "s2" {
+	if got := trace.Profile().Scenarios; len(got) != 1 || got[0] != "s2" {
 		t.Errorf("last run's scenarios = %v", got)
 	}
 }
