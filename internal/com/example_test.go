@@ -57,9 +57,9 @@ func ExampleEnv_SetHooks() {
 	env := com.NewEnv(&com.App{Name: "d", Classes: classes, Interfaces: ifaces})
 	env.SetHooks(com.Hooks{
 		CreateInstance: func(creator *com.Instance, class *com.Class,
-			next func(com.Machine) *com.Instance) (*com.Instance, error) {
+			next func(*com.Class, com.Machine) *com.Instance) (*com.Instance, error) {
 			fmt.Println("trapped instantiation of", class.Name)
-			return next(com.Server), nil // relocate to the server
+			return next(class, com.Server), nil // relocate to the server
 		},
 		CallInterface: func(caller *com.Instance, target *com.Interface, call *com.Call,
 			next func(*com.Call) ([]idl.Value, error)) ([]idl.Value, error) {

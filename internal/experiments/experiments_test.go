@@ -134,6 +134,36 @@ func TestMeasureOverheadOrdering(t *testing.T) {
 	}
 }
 
+// TestMeasureOverheadCounts orders the three configurations by counted
+// work rather than wall time: per trapped call and per instantiation, the
+// profiling run allocates more heap objects than the distribution run,
+// which allocates at least what the bare run does. Not parallel: the
+// allocation count is process-wide.
+//
+//lint:allow paralleltest allocation counts are process-wide
+func TestMeasureOverheadCounts(t *testing.T) {
+	row, err := MeasureOverhead("o_oldwp0", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Calls == 0 || row.Instances == 0 {
+		t.Fatalf("counted %d calls and %d instances", row.Calls, row.Instances)
+	}
+	for _, per := range []struct {
+		name string
+		of   func(uint64) float64
+	}{{"call", row.PerCall}, {"instantiation", row.PerInstance}} {
+		bare, prof, distr := per.of(row.BareObjects), per.of(row.ProfilingObjects), per.of(row.DistributionObjects)
+		if !(prof > distr && distr >= bare) {
+			t.Errorf("objects per %s: profiling %.2f, distribution %.2f, bare %.2f; want profiling > distribution >= bare",
+				per.name, prof, distr, bare)
+		}
+	}
+	if !strings.Contains(row.String(), "objects per call") {
+		t.Errorf("overhead row does not print its counts:\n%s", row)
+	}
+}
+
 func TestAdaptiveRepartitioning(t *testing.T) {
 	t.Parallel()
 	rows, err := Adaptive(context.Background(), "o_oldwp7", []string{"ISDN", "10BaseT", "ATM"})
