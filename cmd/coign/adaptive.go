@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/adapt"
-	"repro/internal/classify"
 	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/logger"
@@ -70,12 +69,16 @@ func cmdDrift(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	run, err := dist.Run(dist.Config{
-		App: res.ADPS.App, Scenario: *observed, Mode: dist.ModeCoign,
-		Classifier:   classify.New(res.ADPS.ClassifierKind, 0),
-		Distribution: res.Analysis.Distribution,
-		Trace:        new(logger.Trace), // folds the profile, stores no event
-	})
+	// The observed usage runs the binary the rewriter wrote.
+	if err := res.ADPS.WriteDistribution(res.Analysis); err != nil {
+		return err
+	}
+	cfg, err := res.ADPS.RunConfig(dist.ModeCoign, *observed)
+	if err != nil {
+		return err
+	}
+	cfg.Trace = new(logger.Trace) // folds the profile, stores no event
+	run, err := dist.Run(cfg)
 	if err != nil {
 		return err
 	}

@@ -5,22 +5,20 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
-	"repro/internal/classify"
 	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/logger"
-	"repro/internal/netsim"
-	"repro/internal/scenario"
+	"repro/internal/pipeline"
 )
 
 // cmdChaos runs one scenario in its default distribution over a lossy
 // network: cross-machine messages are dropped/corrupted per the configured
 // (or model-derived) rates and retransmitted with backoff. The same seed
 // always produces the same fault schedule.
-func cmdChaos(_ context.Context, args []string) error {
+func cmdChaos(_ context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	scen := fs.String("scenario", "o_oldwp7", "scenario to run")
 	network := fs.String("network", "10BaseT", "network model")
@@ -35,15 +33,10 @@ func cmdChaos(_ context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	info, err := scenario.Lookup(*scen)
-	if err != nil {
-		return err
+	if *attempts < 1 {
+		return fmt.Errorf("chaos: -attempts %d: a message needs at least one delivery attempt", *attempts)
 	}
-	app, err := scenario.NewApp(info.App)
-	if err != nil {
-		return err
-	}
-	model, err := netsim.ByName(*network)
+	adps, err := pipeline.Open(pipeline.Spec{Scenarios: []string{*scen}, Network: *network})
 	if err != nil {
 		return err
 	}
@@ -54,36 +47,30 @@ func cmdChaos(_ context.Context, args []string) error {
 		Backoff:     *backoff,
 	}
 	if *fromModel {
-		pol.Rates = fault.FromModel(model)
+		pol.Rates = fault.FromModel(adps.Network)
 	}
-	cfg := dist.Config{
-		App:        app,
-		Scenario:   *scen,
-		Seed:       *seed,
-		Mode:       dist.ModeDefault,
-		Classifier: classify.New(classify.IFCB, 0),
-		Network:    model,
-		Faults:     pol,
-	}
-	if *trace {
-		cfg.Trace = logger.NewTrace(os.Stdout)
-	}
-	res, err := dist.Run(cfg)
+	cfg, err := adps.RunConfig(dist.ModeDefault, *scen)
 	if err != nil {
-		if errors.Is(err, dist.ErrTimeout) {
-			fmt.Printf("%s on %s (drop %.1f%%, corrupt %.1f%%, %d attempt(s), seed %d)\n",
-				*scen, model.Name, pol.Rates.Drop*100, pol.Rates.Corrupt*100, *attempts, *seed)
-			fmt.Printf("  outcome: FAILED — %v\n", err)
-			return nil
-		}
 		return err
 	}
-	fmt.Printf("%s on %s (drop %.1f%%, corrupt %.1f%%, %d attempt(s), seed %d)\n",
-		*scen, model.Name, pol.Rates.Drop*100, pol.Rates.Corrupt*100, *attempts, *seed)
-	fmt.Printf("  outcome:   completed (%d components, %d messages, %d bytes)\n",
+	cfg.Seed, cfg.Faults = *seed, pol
+	if *trace {
+		cfg.Trace = logger.NewTrace(w)
+	}
+	res, err := dist.Run(cfg)
+	if err != nil && !errors.Is(err, dist.ErrTimeout) {
+		return err
+	}
+	fmt.Fprintf(w, "%s on %s (drop %.1f%%, corrupt %.1f%%, %d attempt(s), seed %d)\n",
+		*scen, cfg.Network.Name, pol.Rates.Drop*100, pol.Rates.Corrupt*100, pol.MaxAttempts, cfg.Seed)
+	if err != nil {
+		fmt.Fprintf(w, "  outcome: FAILED — %v\n", err)
+		return nil
+	}
+	fmt.Fprintf(w, "  outcome:   completed (%d components, %d messages, %d bytes)\n",
 		res.Instances, res.Clock.Messages(), res.Clock.Bytes())
-	fmt.Printf("  comm time: %v (compute %v)\n", res.Clock.CommTime(), res.Clock.ComputeTime())
-	fmt.Printf("  faults:    %d drops, %d corruptions, %d retries, %d giveups\n",
+	fmt.Fprintf(w, "  comm time: %v (compute %v)\n", res.Clock.CommTime(), res.Clock.ComputeTime())
+	fmt.Fprintf(w, "  faults:    %d drops, %d corruptions, %d retries, %d giveups\n",
 		res.FaultDrops, res.FaultCorruptions, res.Retries, res.FaultGiveUps)
 	return nil
 }

@@ -40,7 +40,7 @@ var commands = []command{
 	{"table4", "communication time for all 23 scenarios (Table 4)", stdout(scenarioTable(experiments.PrintTable4))},
 	{"table5", "execution-time prediction accuracy (Table 5)", stdout(scenarioTable(experiments.PrintTable5))},
 	{"figures", "distribution figures 4-8", cmdFigures},
-	{"chaos", "run one scenario under injected network faults with retries", cmdChaos},
+	{"chaos", "run one scenario under injected network faults with retries", stdout(cmdChaos)},
 	{"adapt", "re-partition one scenario across network generations", stdout(cmdAdapt)},
 	{"overhead", "instrumentation overhead measurements", cmdOverhead},
 	{"drift", "watchdog: detect usage drift from the profiled scenarios", stdout(cmdDrift)},

@@ -70,15 +70,6 @@ type ADPS struct {
 	// Seed drives all stochastic components reproducibly.
 	Seed int64
 
-	// profiledScenario and profiledCompute are the latest profiling run and
-	// its compute time, the base of Execute's predicted execution time, and
-	// profiledTrace is that run's event trace, which Execute prices, when it
-	// was a TraceScenario run. The scenario is empty while the session's
-	// profile is no single run's: before any run, and after
-	// ProfileScenarios merged several.
-	profiledScenario string
-	profiledCompute  time.Duration
-	profiledTrace    *logger.Trace
 	// err is the first static scan New failed (see Err).
 	err error
 }
@@ -164,11 +155,6 @@ func (a *ADPS) EnableAlias() error {
 	return nil
 }
 
-// classifier builds a fresh classifier per the pipeline configuration.
-func (a *ADPS) classifier() classify.Classifier {
-	return classify.New(a.ClassifierKind, a.ClassifierDepth)
-}
-
 // interfaceMetadata extracts format strings for the configuration record.
 func (a *ADPS) interfaceMetadata() map[string]string {
 	out := make(map[string]string)
@@ -214,8 +200,8 @@ func (a *ADPS) ProfileScenario(scenario string, instanceDetail bool) (*profile.P
 }
 
 // TraceScenario is ProfileScenario that also records the run's event trace
-// (the result's Trace) and keeps it in the session, so Execute can price
-// the default and Coign distributions from this one execution.
+// (the result's Trace), so Execute can price the default and Coign
+// distributions from this one execution.
 func (a *ADPS) TraceScenario(scenario string) (*profile.Profile, *dist.Result, error) {
 	return a.profile(scenario, false, true)
 }
@@ -226,8 +212,10 @@ func (a *ADPS) profile(scenario string, instanceDetail, trace bool) (*profile.Pr
 	if a.Image == nil || !a.Image.Instrumented() {
 		return nil, nil, fmt.Errorf("core: application binary is not instrumented")
 	}
-	cfg := dist.Config{App: a.App, Scenario: scenario, Seed: a.Seed, Mode: dist.ModeProfiling,
-		Classifier: a.classifier(), Network: a.Network}
+	cfg, err := a.RunConfig(dist.ModeProfiling, scenario)
+	if err != nil {
+		return nil, nil, err
+	}
 	if trace {
 		cfg.Trace = logger.NewTrace(nil)
 	}
@@ -239,7 +227,6 @@ func (a *ADPS) profile(scenario string, instanceDetail, trace bool) (*profile.Pr
 	if instanceDetail {
 		prof = cfg.Trace.Fold(true)
 	}
-	a.profiledScenario, a.profiledCompute, a.profiledTrace = scenario, res.Clock.ComputeTime(), cfg.Trace
 	return prof, res, nil
 }
 
@@ -262,9 +249,6 @@ func (a *ADPS) ProfileScenarios(scenarios []string, instanceDetail bool) (*profi
 		if err := combined.Merge(p); err != nil {
 			return nil, err
 		}
-	}
-	if len(scenarios) > 1 {
-		a.profiledScenario = ""
 	}
 	return combined, nil
 }
@@ -297,68 +281,65 @@ func (a *ADPS) WriteDistribution(res *analysis.Result) error {
 	return nil
 }
 
-// loadDistribution reads the distribution back out of the binary, exactly
-// as the lightweight runtime does at application load.
-func (a *ADPS) loadDistribution() (map[string]com.Machine, error) {
-	if a.Image == nil || a.Image.Config == nil {
-		return nil, fmt.Errorf("core: binary has no configuration record")
+// RunConfig is the configuration the session executes scenario under in
+// mode, the one place a run is configured: the session's application, seed
+// and network, and
+//   - ModeBare: no classifier, the original binary;
+//   - ModeProfiling and ModeDefault: the session's classifier;
+//   - ModeCoign: the classifier and distribution map read back from the
+//     binary's configuration record, exactly as the lightweight runtime
+//     does at application load, so it fails before WriteDistribution.
+//
+// Callers change only the run's own fields (Jitter, Trace, Faults,
+// EnableCaching), or place with their own map (Mode, Distribution).
+func (a *ADPS) RunConfig(mode dist.Mode, scenario string) (dist.Config, error) {
+	cfg := dist.Config{App: a.App, Scenario: scenario, Seed: a.Seed, Mode: mode, Network: a.Network}
+	switch mode {
+	case dist.ModeBare:
+	case dist.ModeProfiling, dist.ModeDefault:
+		cfg.Classifier = classify.New(a.ClassifierKind, a.ClassifierDepth)
+	case dist.ModeCoign:
+		if a.Image == nil || a.Image.Config == nil {
+			return dist.Config{}, fmt.Errorf("core: binary has no configuration record")
+		}
+		rec := a.Image.Config
+		if rec.Mode != binimg.ModeDistribution {
+			return dist.Config{}, fmt.Errorf("core: binary is in %q mode, not distribution", rec.Mode)
+		}
+		if cfg.Distribution = rec.DistributionMap(); cfg.Distribution == nil {
+			return dist.Config{}, fmt.Errorf("core: binary carries no distribution map")
+		}
+		kind, err := classify.KindByName(rec.Classifier)
+		if err != nil {
+			return dist.Config{}, err
+		}
+		cfg.Classifier = classify.New(kind, rec.ClassifierDepth)
+	default:
+		return dist.Config{}, fmt.Errorf("core: unknown run mode %d", mode)
 	}
-	if a.Image.Config.Mode != binimg.ModeDistribution {
-		return nil, fmt.Errorf("core: binary is in %q mode, not distribution", a.Image.Config.Mode)
-	}
-	m := a.Image.Config.DistributionMap()
-	if m == nil {
-		return nil, fmt.Errorf("core: binary carries no distribution map")
-	}
-	return m, nil
-}
-
-// RunDistributed executes the application in the distribution recorded in
-// its binary.
-func (a *ADPS) RunDistributed(scenario string, jitter bool) (*dist.Result, error) {
-	cfg, err := a.DistributedConfig(scenario)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Jitter = jitter
-	return dist.Run(cfg)
-}
-
-// DistributedConfig is the configuration the lightweight runtime executes
-// the binary under, without jitter: the distribution and classifier read
-// back from its configuration record, the session's seed and network.
-func (a *ADPS) DistributedConfig(scenario string) (dist.Config, error) {
-	dm, err := a.loadDistribution()
-	if err != nil {
-		return dist.Config{}, err
-	}
-	kind, err := classify.KindByName(a.Image.Config.Classifier)
-	if err != nil {
-		return dist.Config{}, err
-	}
-	return dist.Config{
-		App:          a.App,
-		Scenario:     scenario,
-		Seed:         a.Seed,
-		Mode:         dist.ModeCoign,
-		Classifier:   classify.New(kind, a.Image.Config.ClassifierDepth),
-		Distribution: dm,
-		Network:      a.Network,
-	}, nil
+	return cfg, nil
 }
 
 // RunDefault executes the application in the developer's default
 // distribution.
 func (a *ADPS) RunDefault(scenario string, jitter bool) (*dist.Result, error) {
-	return dist.Run(dist.Config{
-		App:        a.App,
-		Scenario:   scenario,
-		Seed:       a.Seed,
-		Mode:       dist.ModeDefault,
-		Classifier: a.classifier(),
-		Network:    a.Network,
-		Jitter:     jitter,
-	})
+	return a.run(dist.ModeDefault, scenario, jitter)
+}
+
+// RunDistributed executes the application in the distribution recorded in
+// its binary.
+func (a *ADPS) RunDistributed(scenario string, jitter bool) (*dist.Result, error) {
+	return a.run(dist.ModeCoign, scenario, jitter)
+}
+
+// run executes scenario under the session's configuration for mode.
+func (a *ADPS) run(mode dist.Mode, scenario string, jitter bool) (*dist.Result, error) {
+	cfg, err := a.RunConfig(mode, scenario)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Jitter = jitter
+	return dist.Run(cfg)
 }
 
 // Experiment is the measured outcome of one end-to-end experiment: the
@@ -403,7 +384,7 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 			return nil, err
 		}
 	}
-	prof, _, err := a.TraceScenario(scenario)
+	prof, traced, err := a.TraceScenario(scenario)
 	if err != nil {
 		return nil, err
 	}
@@ -411,39 +392,41 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 	if err != nil {
 		return nil, err
 	}
-	return a.Execute(scenario, ares)
+	return a.Execute(ares, traced)
 }
 
-// Execute is the run half of an experiment: it writes the analysis
+// Execute is the run half of an experiment on the scenario of traced, a
+// TraceScenario run that ares was analyzed from: it writes the analysis
 // engine's distribution into the binary, prices the scenario under the
 // default and the Coign-chosen distribution, and compares a measured
-// execution against the prediction. The session's latest profiling run
-// must be a TraceScenario run of this scenario alone, and ares must come
-// from it; Execute fails otherwise. The prediction starts from that run's
-// compute time. Table 4's columns replay its trace (dist.Replay charges
-// what the runtime charges) under the default distribution and under the
-// map read back from the rewritten binary. Table 5's measured time is a
-// real run with network jitter, so its error is a gap between model and
-// execution. Execute leaves the image re-armed for profiling.
-func (a *ADPS) Execute(scenario string, ares *analysis.Result) (*ScenarioReport, error) {
-	trace := a.profiledTrace
-	if a.profiledScenario != scenario || trace == nil {
-		return nil, fmt.Errorf("core: cannot execute %s: the session's latest profiling run is not a traced run of it (latest single run: %q, traced: %v)",
-			scenario, a.profiledScenario, trace != nil)
+// execution against the prediction. The prediction starts from the traced
+// run's compute time. Table 4's columns replay its trace (dist.Replay
+// charges what the runtime charges) under the default distribution and
+// under the map read back from the rewritten binary. Table 5's measured
+// time is a real run with network jitter, so its error is a gap between
+// model and execution. A run without a trace is refused. Execute leaves the
+// image re-armed for profiling.
+func (a *ADPS) Execute(ares *analysis.Result, traced *dist.Result) (*ScenarioReport, error) {
+	if traced == nil || traced.Trace == nil || traced.Profile == nil || len(traced.Profile.Scenarios) != 1 {
+		return nil, fmt.Errorf("core: Execute prices the trace of one TraceScenario run")
 	}
+	scenario := traced.Profile.Scenarios[0]
 	if err := a.WriteDistribution(ares); err != nil {
 		return nil, err
 	}
-	cfg, err := a.DistributedConfig(scenario)
+	defCfg, err := a.RunConfig(dist.ModeDefault, scenario)
 	if err != nil {
 		return nil, err
 	}
-	def, err := dist.Replay(dist.Config{App: a.App, Scenario: scenario, Seed: a.Seed,
-		Mode: dist.ModeDefault, Network: a.Network}, trace)
+	def, err := dist.Replay(defCfg, traced.Trace)
 	if err != nil {
 		return nil, err
 	}
-	coign, err := dist.Replay(cfg, trace)
+	cfg, err := a.RunConfig(dist.ModeCoign, scenario)
+	if err != nil {
+		return nil, err
+	}
+	coign, err := dist.Replay(cfg, traced.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +458,7 @@ func (a *ADPS) Execute(scenario string, ares *analysis.Result) (*ScenarioReport,
 	// engine's communication prediction. Measured: the distributed run's
 	// virtual clock with jitter, classifier effects, and remote
 	// activations included.
-	rep.PredictedExec = a.profiledCompute + ares.PredictedComm
+	rep.PredictedExec = traced.Clock.ComputeTime() + ares.PredictedComm
 	rep.MeasuredExec = measured.Clock.Elapsed()
 	if rep.MeasuredExec > 0 {
 		rep.PredictionErr = float64(rep.PredictedExec-rep.MeasuredExec) / float64(rep.MeasuredExec)
@@ -503,14 +486,15 @@ func (a *ADPS) ClassifierAccuracy(kind classify.Kind, depth int,
 	np := netsim.ExactProfile(a.Network, netsim.DefaultSampleSizes)
 	// Per-instance edges come from folding each run's stored trace again.
 	detailed := func(scenario string, seed int64) (*profile.Profile, error) {
-		trace := logger.NewTrace(nil)
-		if _, err := dist.Run(dist.Config{
-			App: a.App, Scenario: scenario, Seed: seed, Mode: dist.ModeProfiling,
-			Classifier: classify.New(kind, depth), Network: a.Network, Trace: trace,
-		}); err != nil {
+		cfg, err := a.RunConfig(dist.ModeProfiling, scenario)
+		if err != nil {
 			return nil, err
 		}
-		return trace.Fold(true), nil
+		cfg.Seed, cfg.Classifier, cfg.Trace = seed, classify.New(kind, depth), logger.NewTrace(nil)
+		if _, err := dist.Run(cfg); err != nil {
+			return nil, err
+		}
+		return cfg.Trace.Fold(true), nil
 	}
 	var combined *profile.Profile
 	for _, s := range scenarios {

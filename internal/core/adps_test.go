@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -331,8 +332,11 @@ func TestProfileScenarioCostsOnlyItsRun(t *testing.T) {
 		return least
 	}
 	bare := objects(func() error {
-		_, err := dist.Run(dist.Config{App: adps.App, Scenario: octarine.ScenBigone, Seed: adps.Seed,
-			Mode: dist.ModeProfiling, Classifier: adps.classifier(), Network: adps.Network})
+		cfg, err := adps.RunConfig(dist.ModeProfiling, octarine.ScenBigone)
+		if err != nil {
+			return err
+		}
+		_, err = dist.Run(cfg)
 		return err
 	})
 	session := objects(func() error {
@@ -352,7 +356,7 @@ func threeRunExperiment(t *testing.T, a *ADPS, scenario string) (Experiment, int
 	if err := a.Instrument(); err != nil {
 		t.Fatal(err)
 	}
-	prof, _, err := a.ProfileScenario(scenario, false)
+	prof, profiled, err := a.ProfileScenario(scenario, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +385,7 @@ func threeRunExperiment(t *testing.T, a *ADPS, scenario string) (Experiment, int
 		TotalInstances:  coign.AppInstances,
 		ServerInstances: coign.AppPerMachine[com.Server],
 		Violations:      coign.Violations,
-		PredictedExec:   a.profiledCompute + ares.PredictedComm,
+		PredictedExec:   profiled.Clock.ComputeTime() + ares.PredictedComm,
 		MeasuredExec:    measured.Clock.Elapsed(),
 	}
 	if s := 1 - float64(e.CoignComm)/float64(e.DefaultComm); e.DefaultComm > 0 && s > 0 {
@@ -422,50 +426,109 @@ func TestExecuteMatchesRuns(t *testing.T) {
 	}
 }
 
-// TestExecuteNeedsTracedRunOfTheScenario: Execute prices the latest
-// profiling run's trace, so anything but a traced run of the scenario it
-// executes is refused.
+// TestExecuteNeedsTracedRunOfTheScenario: Execute prices the run it is
+// handed, so it refuses no run and a run without a trace, and prices a
+// TraceScenario run to the experiment three real executions give.
 func TestExecuteNeedsTracedRunOfTheScenario(t *testing.T) {
 	t.Parallel()
 	scen := octarine.ScenOldTb3
-	traced := New(octarine.New())
-	rep, err := traced.ScenarioExperiment(context.Background(), scen)
+	a := New(octarine.New())
+	if err := a.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	prof, untraced, err := a.ProfileScenario(scen, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ares, err := a.Analyze(context.Background(), prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]*dist.Result{"no run": nil, "untraced run": untraced} {
+		if _, err := a.Execute(ares, run); err == nil {
+			t.Errorf("%s: executed", name)
+		}
+	}
+	prof, traced, err := a.TraceScenario(scen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ares, err = a.Analyze(context.Background(), prof); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := a.Execute(ares, traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, unknown := threeRunExperiment(t, New(octarine.New()), scen)
+	if rep.Scenario != scen || rep.Experiment != want || rep.Unknown != unknown {
+		t.Errorf("Execute %s %+v unknown %d\nruns       %+v unknown %d", rep.Scenario, rep.Experiment, rep.Unknown, want, unknown)
+	}
+}
+
+// TestRunConfig: the session configures every run — its application, seed
+// and network in every mode, its classifier for profiling and the default
+// distribution, none for the bare binary, and for ModeCoign the classifier
+// and map the rewriter wrote into the binary, which exist only once
+// WriteDistribution has run.
+func TestRunConfig(t *testing.T) {
+	t.Parallel()
+	a := New(octarine.New())
+	a.Seed, a.Network, a.ClassifierKind, a.ClassifierDepth = 5, netsim.ISDN, classify.STCB, 3
+	if err := a.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	scen := octarine.ScenOldWp0
+	if _, err := a.RunConfig(dist.ModeCoign, scen); err == nil {
+		t.Error("ModeCoign configured before WriteDistribution")
+	}
+	prof, _, err := a.ProfileScenario(scen, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ares, err := a.Analyze(context.Background(), prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WriteDistribution(ares); err != nil {
+		t.Fatal(err)
+	}
+	// The record's classifier is the one the binary was instrumented with;
+	// the session's own changes after that do not reach a Coign run.
+	recorded := classify.New(classify.STCB, 3).Name()
+	a.ClassifierKind, a.ClassifierDepth = classify.PCB, 2
+	session := classify.New(classify.PCB, 2).Name()
 	for _, c := range []struct {
-		name    string
-		profile func(a *ADPS) error
+		mode       dist.Mode
+		classifier string // "" for none
+		mapped     bool
 	}{
-		{"untraced run", func(a *ADPS) error {
-			_, _, err := a.ProfileScenario(scen, false)
-			return err
-		}},
-		{"traced run of another scenario", func(a *ADPS) error {
-			_, _, err := a.TraceScenario(octarine.ScenOldWp0)
-			return err
-		}},
-		{"merged profile", func(a *ADPS) error {
-			if _, _, err := a.TraceScenario(scen); err != nil {
-				return err
-			}
-			_, err := a.ProfileScenarios([]string{octarine.ScenOldWp0, scen}, false)
-			return err
-		}},
-		{"fresh session", nil},
+		{dist.ModeBare, "", false},
+		{dist.ModeProfiling, session, false},
+		{dist.ModeDefault, session, false},
+		{dist.ModeCoign, recorded, true},
 	} {
-		a := New(octarine.New())
-		if c.profile != nil {
-			if err := a.Instrument(); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.profile(a); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
+		cfg, err := a.RunConfig(c.mode, scen)
+		if err != nil {
+			t.Fatalf("mode %d: %v", c.mode, err)
 		}
-		if _, err := a.Execute(scen, rep.Analysis); err == nil {
-			t.Errorf("%s: executed", c.name)
+		var got string
+		if cfg.Classifier != nil {
+			got = cfg.Classifier.Name()
 		}
+		if cfg.App != a.App || cfg.Scenario != scen || cfg.Mode != c.mode || cfg.Seed != 5 || cfg.Network != netsim.ISDN || got != c.classifier {
+			t.Errorf("mode %d: app %v scenario %q mode %d seed %d network %v classifier %q; want classifier %q",
+				c.mode, cfg.App == a.App, cfg.Scenario, cfg.Mode, cfg.Seed, cfg.Network.Name, got, c.classifier)
+		}
+		if c.mapped != (cfg.Distribution != nil) || c.mapped && !reflect.DeepEqual(cfg.Distribution, ares.Distribution) {
+			t.Errorf("mode %d: map %v, want the analysis's: %v", c.mode, cfg.Distribution, c.mapped)
+		}
+		if cfg.Jitter || cfg.Trace != nil || cfg.Faults != nil || cfg.EnableCaching {
+			t.Errorf("mode %d: the session set a run's own field: %+v", c.mode, cfg)
+		}
+	}
+	if _, err := a.RunConfig(dist.Mode(99), scen); err == nil {
+		t.Error("unknown mode configured")
 	}
 }
 

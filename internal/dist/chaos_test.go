@@ -2,7 +2,9 @@ package dist
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -245,5 +247,49 @@ func TestReplayWithFaultsChargesRetransmissions(t *testing.T) {
 	}
 	if priced(again) != priced(faulted) {
 		t.Fatalf("same seed, different replay: %s vs %s", priced(again), priced(faulted))
+	}
+}
+
+// TestFaultPolicyRatesAreProbabilities: Run and Replay refuse a fault
+// policy whose drop or corrupt rate is NaN or outside [0, 1], or whose
+// rates sum above 1, in every mode; rates on the boundary run, and fail
+// only as an undeliverable message does.
+func TestFaultPolicyRatesAreProbabilities(t *testing.T) {
+	t.Parallel()
+	trace := pipelineTrace(t, "big", 7)
+	for _, c := range []struct {
+		name          string
+		drop, corrupt float64
+		refused       bool // the policy is no policy
+		timeout       bool // every message faults, so one gives up
+	}{
+		{"no faults", 0, 0, false, false},
+		{"small rates", 0.05, 0.05, false, false},
+		{"drop every message", 1, 0, false, true},
+		{"rates summing to one", 0.4, 0.6, false, true},
+		{"drop above one", 1.5, 0, true, false},
+		{"corrupt above one", 0, 1.2, true, false},
+		{"negative drop", -0.5, 0, true, false},
+		{"negative rates", -0.5, -0.2, true, false},
+		{"sum above one", 0.6, 0.5, true, false},
+		{"NaN drop", math.NaN(), 0, true, false},
+		{"NaN corrupt", 0, math.NaN(), true, false},
+	} {
+		cfg := Config{App: pipelineApp(), Scenario: "big", Seed: 7, Mode: ModeDefault,
+			Classifier: classify.New(classify.IFCB, 0),
+			Faults:     &FaultPolicy{Rates: fault.Rates{Drop: c.drop, Corrupt: c.corrupt}}}
+		_, runErr := Run(cfg)
+		_, replayErr := Replay(cfg, trace)
+		for what, err := range map[string]error{"Run": runErr, "Replay": replayErr} {
+			refused := err != nil && strings.Contains(err.Error(), "fault rates")
+			if refused != c.refused || !c.refused && errors.Is(err, ErrTimeout) != c.timeout {
+				t.Errorf("%s: %s err = %v, want refused %v, timeout %v", c.name, what, err, c.refused, c.timeout)
+			}
+		}
+		// A profiling run sends nothing across, yet refuses the policy too.
+		cfg.Mode = ModeProfiling
+		if _, err := Run(cfg); (err != nil) != c.refused {
+			t.Errorf("%s: profiling Run err = %v, want refused %v", c.name, err, c.refused)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -29,6 +30,17 @@ type FaultPolicy struct {
 	// Backoff is the virtual delay before the first retransmission; it
 	// doubles per attempt.
 	Backoff time.Duration
+}
+
+// validate rejects rates that are not probabilities: Drop and Corrupt each
+// in [0, 1], and at most 1 together, since one roll decides a message's
+// fate. A NaN rate fails every comparison, so it is refused too.
+func (p FaultPolicy) validate() error {
+	d, c := p.Rates.Drop, p.Rates.Corrupt
+	if !(d >= 0 && d <= 1 && c >= 0 && c <= 1 && d+c <= 1) {
+		return fmt.Errorf("dist: fault rates drop %v, corrupt %v: each must be in [0, 1] and their sum at most 1", d, c)
+	}
+	return nil
 }
 
 // withDefaults fills unset knobs with the simulation defaults.

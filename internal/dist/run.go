@@ -117,7 +117,13 @@ var homePlacer = rte.PlacerFunc(func(_ string, cl *com.Class, _ com.Machine) com
 // the placer (classes at Home in ModeDefault; in ModeCoign the factory
 // realizing the map, returned for its counters, with infrastructure
 // classes at Home whatever the map says; the creator's machine otherwise).
+// A fault policy whose rates are not probabilities is refused in any mode.
 func machinery(cfg Config, sink *logger.Trace) (*Clock, rte.Placer, *factory.Factory, error) {
+	if cfg.Faults != nil {
+		if err := cfg.Faults.validate(); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	net := cfg.Network
 	if net == nil {
 		net = netsim.TenBaseT

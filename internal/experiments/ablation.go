@@ -195,7 +195,7 @@ func CompareCaching(scenName string) (*CachingComparison, error) {
 	if err := adps.WriteDistribution(run.Analysis); err != nil {
 		return nil, err
 	}
-	cfg, err := adps.DistributedConfig(scenName)
+	cfg, err := adps.RunConfig(dist.ModeCoign, scenName)
 	if err != nil {
 		return nil, err
 	}

@@ -397,3 +397,15 @@ func TestWhatIfCoignNearOptimalOnTrace(t *testing.T) {
 		t.Error("unknown scenario analyzed")
 	}
 }
+
+// TestWhatIfNeedsASample: with no random alternative there is no best or
+// worst one to report, so fewer than one sample is an error, not a
+// BestRandom of 2⁶²−1 ns.
+func TestWhatIfNeedsASample(t *testing.T) {
+	t.Parallel()
+	for _, samples := range []int{0, -1} {
+		if res, err := WhatIf(context.Background(), "o_oldwp7", samples, 3); err == nil {
+			t.Errorf("WhatIf with %d samples: %+v, want an error", samples, res)
+		}
+	}
+}

@@ -5,9 +5,8 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/classify"
 	"repro/internal/dist"
-	"repro/internal/scenario"
+	"repro/internal/pipeline"
 )
 
 // Instrumentation overhead (paper §3.2): scenario-based profiling adds up
@@ -61,14 +60,14 @@ func heapObjects() uint64 {
 	return ms.Mallocs
 }
 
-// MeasureOverhead runs one scenario reps times under each of the bare,
-// profiling, and distribution-runtime configurations and reports the
+// MeasureOverhead runs one scenario reps times under each of one session's
+// bare, profiling, and distribution-runtime configurations and reports the
 // best (minimum) wall time and the fewest heap objects of each. The
 // configurations take turns within each repetition, and every run starts
 // from a fresh collection, so no configuration pays for the garbage of the
 // one before it or runs only while the host is busy.
 func MeasureOverhead(scenName string, reps int) (*OverheadRow, error) {
-	info, err := scenario.Lookup(scenName)
+	adps, err := pipeline.Open(pipeline.Spec{Scenarios: []string{scenName}})
 	if err != nil {
 		return nil, err
 	}
@@ -76,13 +75,9 @@ func MeasureOverhead(scenName string, reps int) (*OverheadRow, error) {
 		reps = 1
 	}
 	run := func(mode dist.Mode) (*dist.Result, uint64, error) {
-		app, err := scenario.NewApp(info.App)
+		cfg, err := adps.RunConfig(mode, scenName)
 		if err != nil {
 			return nil, 0, err
-		}
-		cfg := dist.Config{App: app, Scenario: scenName, Mode: mode}
-		if mode != dist.ModeBare {
-			cfg.Classifier = classify.New(classify.IFCB, 0)
 		}
 		runtime.GC()
 		before := heapObjects()

@@ -376,7 +376,7 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	if err := adps.WriteDistribution(ares); err != nil {
 		return nil, fmt.Errorf("experiments: writing distribution of %s: %w", a.App.Name, err)
 	}
-	dcfg, err := adps.DistributedConfig(a.Bigone)
+	dcfg, err := adps.RunConfig(dist.ModeCoign, a.Bigone)
 	if err != nil {
 		return nil, err
 	}

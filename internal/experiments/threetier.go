@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/classify"
 	"repro/internal/com"
 	"repro/internal/dist"
 	"repro/internal/graph"
@@ -55,16 +54,16 @@ func ThreeTier(ctx context.Context) (*ThreeTierResult, error) {
 // threeTierConfig cuts the Benefits bigone three ways and returns the
 // execution of that cut, with the result's cut weight and two-way
 // communication filled in.
-func threeTierConfig(ctx context.Context) (dist.Config, *ThreeTierResult, error) {
+func threeTierConfig(ctx context.Context) (cfg dist.Config, _ *ThreeTierResult, err error) {
 	big, err := scenario.BigoneForApp("benefits")
 	if err != nil {
-		return dist.Config{}, nil, err
+		return cfg, nil, err
 	}
 	// Two-way comparison: the exact cut between client and a merged
 	// middle+database side. Its profile also feeds the three-way cut.
 	twoWay, err := pipeline.Run(ctx, pipeline.Spec{Scenarios: []string{big}, Compare: true})
 	if err != nil {
-		return dist.Config{}, nil, err
+		return cfg, nil, err
 	}
 	app, p := twoWay.ADPS.App, twoWay.Profile
 	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
@@ -101,7 +100,7 @@ func threeTierConfig(ctx context.Context) (dist.Config, *ThreeTierResult, error)
 		{Machine: "dbserver", Pinned: dbPins},
 	})
 	if err != nil {
-		return dist.Config{}, nil, err
+		return cfg, nil, err
 	}
 
 	machineOf := map[string]com.Machine{
@@ -116,14 +115,14 @@ func threeTierConfig(ctx context.Context) (dist.Config, *ThreeTierResult, error)
 		}
 		mm, ok := machineOf[m]
 		if !ok {
-			return dist.Config{}, nil, fmt.Errorf("experiments: multiway produced unknown machine %q", m)
+			return cfg, nil, fmt.Errorf("experiments: multiway produced unknown machine %q", m)
 		}
 		distMap[id] = mm
 	}
 
-	return dist.Config{
-		App: app, Scenario: big, Seed: 1, Mode: dist.ModeCoign,
-		Classifier:   classify.New(classify.IFCB, 0),
-		Distribution: distMap,
-	}, &ThreeTierResult{CutWeight: weight, TwoWayComm: twoWay.Experiment.CoignComm}, nil
+	if cfg, err = twoWay.ADPS.RunConfig(dist.ModeDefault, big); err != nil {
+		return cfg, nil, err
+	}
+	cfg.Mode, cfg.Distribution = dist.ModeCoign, distMap
+	return cfg, &ThreeTierResult{CutWeight: weight, TwoWayComm: twoWay.Experiment.CoignComm}, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"time"
@@ -34,8 +35,12 @@ type WhatIfResult struct {
 // WhatIf replays one scenario's trace under the Coign distribution and
 // `samples` random distributions that respect the hard constraints
 // (client-pinned, server-pinned, and co-located classifications keep their
-// Coign sides; only unconstrained classifications are shuffled).
+// Coign sides; only unconstrained classifications are shuffled). It needs
+// at least one sample.
 func WhatIf(ctx context.Context, scenName string, samples int, seed int64) (*WhatIfResult, error) {
+	if samples < 1 {
+		return nil, fmt.Errorf("experiments: what-if needs at least one sample, not %d", samples)
+	}
 	adps, err := pipeline.Open(pipeline.Spec{Scenarios: []string{scenName}})
 	if err != nil {
 		return nil, err
@@ -54,7 +59,12 @@ func WhatIf(ctx context.Context, scenName string, samples int, seed int64) (*Wha
 		return nil, err
 	}
 
-	cfg := dist.Config{App: adps.App, Scenario: scenName, Seed: adps.Seed, Mode: dist.ModeCoign, Network: adps.Network}
+	// The session's configuration, placed by each candidate map in turn.
+	cfg, err := adps.RunConfig(dist.ModeDefault, scenName)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Mode = dist.ModeCoign
 	replayComm := func(dm map[string]com.Machine) (time.Duration, error) {
 		cfg.Distribution = dm
 		rr, err := dist.Replay(cfg, run.Trace)

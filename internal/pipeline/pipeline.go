@@ -16,6 +16,7 @@ import (
 	"repro/internal/classify"
 	"repro/internal/com"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/profile"
@@ -283,13 +284,14 @@ func run(ctx context.Context, spec Spec, prof *profile.Profile) (*Result, error)
 		return nil, err
 	}
 	start := time.Now()
+	var traced *dist.Result
 	if prof == nil {
 		if err := adps.Instrument(); err != nil {
 			return nil, err
 		}
 		if spec.Compare {
 			// Execute prices the comparison from this run's trace.
-			prof, _, err = adps.TraceScenario(spec.Scenarios[0])
+			prof, traced, err = adps.TraceScenario(spec.Scenarios[0])
 		} else {
 			prof, err = adps.ProfileScenarios(spec.Scenarios, false)
 		}
@@ -316,7 +318,7 @@ func run(ctx context.Context, spec Spec, prof *profile.Profile) (*Result, error)
 	res.fillAnalysis(ares, prof)
 	res.CutDuration = time.Since(start)
 	if spec.Compare {
-		rep, err := adps.Execute(spec.Scenarios[0], ares)
+		rep, err := adps.Execute(ares, traced)
 		if err != nil {
 			return nil, err
 		}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/com"
 	"repro/internal/scenario"
+	"repro/internal/synthapp"
 )
 
 func TestNormalizedDefaults(t *testing.T) {
@@ -81,6 +82,28 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if bytes.Contains(ab, []byte("cutDuration")) {
 		t.Fatal("telemetry leaked into the canonical encoding")
+	}
+}
+
+// TestRepeatedScenariosWeightProfile: the merged profile counts one
+// profiling run per Spec.Scenarios entry, so a scenario named twice weighs
+// twice — the paper's expected-usage mix, with no mixer of its own.
+func TestRepeatedScenariosWeightProfile(t *testing.T) {
+	t.Parallel()
+	const app = "synth:pipeline:3"
+	once, err := Run(context.Background(), Spec{App: app, Scenarios: []string{synthapp.ScenBase}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := Run(context.Background(), Spec{App: app, Scenarios: []string{synthapp.ScenBase, synthapp.ScenBase}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := twice.Profile.TotalCalls(), 2*once.Profile.TotalCalls(); got != want {
+		t.Errorf("twice: %d calls, want %d (2x once)", got, want)
+	}
+	if got, want := len(twice.Profile.Scenarios), 2*len(once.Profile.Scenarios); got != want {
+		t.Errorf("twice: %d scenario runs, want %d", got, want)
 	}
 }
 

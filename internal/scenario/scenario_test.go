@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/dist"
+	"repro/internal/synthapp"
 )
 
 func TestTable1HasTwentyThreeScenarios(t *testing.T) {
@@ -103,6 +104,30 @@ func TestEveryScenarioExecutes(t *testing.T) {
 		}
 		if res.Profile.TotalCalls() == 0 {
 			t.Errorf("%s: no inter-component communication profiled", s.Name)
+		}
+	}
+}
+
+// TestNewAppSynth checks the synth:<family>:<seed> application scheme.
+func TestNewAppSynth(t *testing.T) {
+	t.Parallel()
+	app, err := NewApp("synth:skewed:42")
+	if err != nil {
+		t.Fatalf("NewApp(synth:skewed:42): %v", err)
+	}
+	direct, err := synthapp.Generate(synthapp.Config{Family: synthapp.Skewed, Seed: 42})
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	if app.Name != direct.App.Name {
+		t.Errorf("NewApp name %q != direct generation %q", app.Name, direct.App.Name)
+	}
+	if _, err := NewApp("synth:skewed:42:2"); err != nil {
+		t.Errorf("NewApp with scale suffix: %v", err)
+	}
+	for _, bad := range []string{"synth:", "synth:skewed", "synth:nope:1", "synth:skewed:x", "synth:skewed:1:y", "synth:skewed:1:9"} {
+		if _, err := NewApp(bad); err == nil {
+			t.Errorf("NewApp(%q) succeeded, want error", bad)
 		}
 	}
 }
