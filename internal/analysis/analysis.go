@@ -260,7 +260,8 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 		AliasCoLocations:    st.AliasCoLocations,
 		NonRemotableCleared: st.NonRemotableCleared,
 	}
-	for id, side := range cut.Assignment {
+	for i, side := range cut.Assignment {
+		id := g.Name(i)
 		if id == profile.MainProgram {
 			continue
 		}

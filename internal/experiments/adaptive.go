@@ -25,9 +25,10 @@ type AdaptiveRow struct {
 	PredictedComm   time.Duration
 	DefaultComm     time.Duration
 	Savings         float64
-	// WarmCut reports whether this network's cut warm-started from the
-	// previous model's flow (the ICC topology is network-independent, so
-	// every cut after the first should).
+	// WarmCut reports whether this network's cut started from the
+	// previous model's solve (the ICC topology is network-independent, so
+	// every cut after the first should): a warm start from its flow, or,
+	// when the model priced every edge as the previous one did, its cut.
 	WarmCut bool
 }
 
@@ -53,11 +54,12 @@ func Adaptive(ctx context.Context, scenName string, networks []string) ([]Adapti
 		}
 		adps.Network = model
 		adps.NetProfile = nil // re-profile the new network
-		warmBefore := arena.Stats().Warm
+		before := arena.Stats()
 		res, err := adps.Analyze(ctx, p)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: adaptive %s: %w", name, err)
 		}
+		after := arena.Stats()
 		rows = append(rows, AdaptiveRow{
 			Network:         name,
 			ServerClasses:   res.ServerClassifications,
@@ -65,7 +67,7 @@ func Adaptive(ctx context.Context, scenName string, networks []string) ([]Adapti
 			PredictedComm:   res.PredictedComm,
 			DefaultComm:     res.DefaultComm,
 			Savings:         res.Savings(),
-			WarmCut:         arena.Stats().Warm > warmBefore,
+			WarmCut:         after.Warm+after.Reused > before.Warm+before.Reused,
 		})
 	}
 	return rows, nil

@@ -173,8 +173,9 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	// Incremental re-cut determinism: the arena-backed engine must be an
 	// optimization, never a semantic. After any number of perturb-then-
 	// restore rounds on one arena, a re-cut of the restored graph has to
-	// reproduce the one-shot assignment byte for byte (encoding/json
-	// sorts map keys, so equal assignments marshal identically).
+	// reproduce the one-shot assignment byte for byte (both are side
+	// vectors over the one graph's nodes, so equal assignments marshal
+	// identically).
 	oneShot, err := json.Marshal(ares.Cut.Assignment)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: marshaling cut of %s: %w", a.App.Name, err)

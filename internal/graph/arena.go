@@ -24,7 +24,10 @@ import (
 //     clamped onto the new capacities (saturating or relaxing exactly
 //     the arcs whose capacity changed, with a budget-capped cascade
 //     repairing any node the clamp drove into deficit) and push-relabel
-//     resumes from there instead of from zero flow.
+//     resumes from there instead of from zero flow;
+//   - that solve's residual distances and flow value: when neither the
+//     topology nor any capacity changed since, the cut is read off them
+//     again and no solver runs.
 //
 // Soundness of the warm start: the clamp produces a feasible preflow on
 // the new capacities (all residuals non-negative, conservation kept by
@@ -43,8 +46,9 @@ import (
 // An arena is NOT safe for concurrent use; give each goroutine its own.
 // The zero value is ready to use.
 type CutArena struct {
-	staged bool // CSR arrays reflect the staged topology below
-	solved bool // net.cap/st.excess hold a completed solve over capStart
+	staged bool    // CSR arrays reflect the staged topology below
+	solved bool    // net.cap/st.excess/st.dist hold a completed solve over capStart
+	flow   float64 // that solve's flow value
 	inf    float64
 
 	// Staged topology, copied from the graph's store at restage and
@@ -79,6 +83,10 @@ type CutArenaStats struct {
 	// Cold cuts ran from zero flow on reused arrays (first cut, a solver
 	// reset, or a warm-start fallback).
 	Cold int
+	// Reused cuts ran no solver: the topology matched and no capacity
+	// changed since the last finished solve, so the cut was read off that
+	// solve's residual distances.
+	Reused int
 	// Restaged counts cuts that had to rebuild the CSR layout because
 	// the topology changed.
 	Restaged int
@@ -127,18 +135,29 @@ func (g *Graph) MinCutArena(ctx context.Context, a *CutArena) (*Cut, error) {
 // minCutArena runs one arena-backed cut of a settled graph under an
 // explicit per-node pin array (the multiway heuristic substitutes
 // per-terminal pins). It is the only path from a Graph to a production
-// Cut.
+// Cut. Pins are validated against the welds once per staging: a matched
+// arena holds the very pin array and weld keys that passed at its last
+// restage, and the pin array's length fixes the node count. A matched
+// network that no capacity rewrite changed is not solved again; its cut
+// is read off the last solve's residual distances.
 func (g *Graph) minCutArena(ctx context.Context, a *CutArena, pin []int8) (*Cut, error) {
-	if err := g.validatePinned(pin); err != nil {
-		return nil, err
-	}
-	a.stats.Cuts++
-	warm := false
+	warm, changed := false, true
 	if a.matches(g, pin) {
-		warm = a.rewrite(g)
+		warm, changed = a.rewrite(g)
 	} else {
+		if err := g.validatePinned(pin); err != nil {
+			return nil, err
+		}
 		a.restage(g, pin)
 		a.stats.Restaged++
+	}
+	a.stats.Cuts++
+	if warm && !changed {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		a.stats.Reused++
+		return a.extractCut(g, a.flow)
 	}
 	flow, err := a.net.maxFlowHL(ctx, &a.st, warm)
 	if err != nil {
@@ -147,7 +166,7 @@ func (g *Graph) minCutArena(ctx context.Context, a *CutArena, pin []int8) (*Cut,
 		a.solved = false
 		return nil, err
 	}
-	a.solved = true
+	a.solved, a.flow = true, flow
 	if warm {
 		a.stats.Warm++
 	} else {
@@ -158,28 +177,29 @@ func (g *Graph) minCutArena(ctx context.Context, a *CutArena, pin []int8) (*Cut,
 }
 
 // extractCut turns the residual distances of a finished solve into a Cut:
-// the nodes that cannot reach t (dist -1) are the source side. It prices
-// the crossing edges under the graph's weights in store order and rejects
-// any cut that splits a co-location constraint.
+// the nodes that cannot reach t (dist -1) are the source side. It rejects
+// a cut that breaks a staged pin, prices the crossing edges under the
+// graph's weights in store order and rejects any cut that splits a
+// co-location constraint. The Cut and its side vector are all it
+// allocates.
 func (a *CutArena) extractCut(g *Graph, flow float64) (*Cut, error) {
-	cut := &Cut{Assignment: make(map[string]Side, g.Len()), FlowValue: flow}
-	src := func(v int) bool { return a.st.dist[v] == -1 }
-	for i, name := range g.names {
-		if src(i) {
-			cut.Assignment[name] = SourceSide
-		} else {
-			cut.Assignment[name] = SinkSide
+	sides := make([]Side, g.Len())
+	for v := range sides {
+		if a.st.dist[v] != -1 {
+			sides[v] = SinkSide
 		}
 	}
-	w, welds := g.crossing(func(lo, hi int) bool { return src(lo) != src(hi) })
+	if err := g.checkPins(a.pin, sides); err != nil {
+		return nil, err
+	}
+	w, welds := g.crossing(func(lo, hi int) bool { return sides[lo] != sides[hi] })
 	if welds > 0 {
 		return nil, fmt.Errorf("graph: minimum cut crosses a co-location constraint")
 	}
-	cut.Weight = w
 	if w > a.inf {
 		return nil, fmt.Errorf("graph: cut weight %g exceeds infinity proxy %g", w, a.inf)
 	}
-	return cut, nil
+	return &Cut{Assignment: sides, Weight: w, FlowValue: flow, names: g.names}, nil
 }
 
 // matches reports whether the staged topology is exactly the graph's
@@ -289,14 +309,16 @@ const warmRepairBudgetFactor = 4
 
 // rewrite maps the graph's current capacities onto the staged layout
 // (topology already verified by matches) and reports whether the solver
-// may warm-start. With a previous solve present it clamps the old flow
-// onto the new capacities arc by arc — untouched capacities keep their
-// residuals bit-for-bit — and repairs any deficits the clamp created;
-// without one (or after a repair blowout) it resets residuals to the new
-// capacities for a cold run.
-func (a *CutArena) rewrite(g *Graph) bool {
+// may warm-start and whether any pair's capacity changed. With a previous
+// solve present it clamps the old flow onto the new capacities arc by
+// arc — untouched capacities keep their residuals bit-for-bit — and
+// repairs any deficits the clamp created. Without one it rewrites every
+// pair and resets every residual to its capacity, so nothing an aborted
+// run left behind survives into the cold run that follows; after a
+// repair blowout it resets the residuals the same way.
+func (a *CutArena) rewrite(g *Graph) (warm, changed bool) {
 	a.inf = g.infinityProxy()
-	warm := a.solved
+	warm = a.solved
 	a.deficit = a.deficit[:0]
 	s, t := int32(a.net.s), int32(a.net.t)
 	a.eachPair(g.ew, func(i int, u, v int32, newUV, newVU float64) {
@@ -305,9 +327,9 @@ func (a *CutArena) rewrite(g *Graph) bool {
 		if newUV == a.capStart[au] && newVU == a.capStart[av] {
 			return // untouched: keep residuals (and any flow) bit-for-bit
 		}
+		changed = true
 		if !warm {
-			a.capStart[au], a.net.cap[au] = newUV, newUV
-			a.capStart[av], a.net.cap[av] = newVU, newVU
+			a.capStart[au], a.capStart[av] = newUV, newVU
 			return
 		}
 		// Clamp the old flow into the new capacity band. f is the signed
@@ -337,7 +359,8 @@ func (a *CutArena) rewrite(g *Graph) bool {
 		a.capStart[au], a.capStart[av] = newUV, newVU
 	})
 	if !warm {
-		return false
+		copy(a.net.cap, a.capStart)
+		return false, changed
 	}
 	if !a.repairDeficits() {
 		// Blown budget: tear-up too large, resume is not worth it. The
@@ -345,9 +368,9 @@ func (a *CutArena) rewrite(g *Graph) bool {
 		// residuals to them and run cold.
 		a.stats.Fallbacks++
 		copy(a.net.cap, a.capStart)
-		return false
+		return false, changed
 	}
-	return true
+	return true, changed
 }
 
 // repairDeficits restores the preflow invariant after capacity clamps: a

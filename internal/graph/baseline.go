@@ -139,9 +139,10 @@ func (f *flowNet) minCutSides() []bool {
 }
 
 // extractCutSides turns a source-side indicator over the graph's nodes
-// into a Cut: it applies Coign's free-floating-component rule, prices the
-// crossing edges under the original weights in store order, and rejects
-// any cut that splits a co-location constraint.
+// into a Cut: it applies Coign's free-floating-component rule, rejects a
+// cut that breaks a pin, prices the crossing edges under the original
+// weights in store order, and rejects any cut that splits a co-location
+// constraint.
 func (g *Graph) extractCutSides(onSource []bool, flow, inf float64) (*Cut, error) {
 	// A connected component that touches neither terminal (no pinned node)
 	// crosses no cut edge wherever it lands. Coign leaves such
@@ -161,13 +162,15 @@ func (g *Graph) extractCutSides(onSource []bool, flow, inf float64) (*Cut, error
 		}
 	}
 	side := make([]Side, g.Len())
-	cut := &Cut{Assignment: make(map[string]Side, g.Len()), FlowValue: flow}
-	for i, name := range g.names {
+	for i := range side {
 		if !onSource[i] && componentPinned[uf.find(i)] {
 			side[i] = SinkSide
 		}
-		cut.Assignment[name] = side[i]
 	}
+	if err := g.checkPins(g.pin, side); err != nil {
+		return nil, err
+	}
+	cut := &Cut{Assignment: side, FlowValue: flow, names: g.names}
 	split := func(k pairKey) bool {
 		lo, hi := k.nodes()
 		return side[lo] != side[hi]

@@ -21,7 +21,7 @@ func ExampleGraph_MinCut() {
 		panic(err)
 	}
 	fmt.Printf("reader on side %d, cut weight %.1f\n",
-		cut.Assignment["reader"], cut.Weight)
+		cut.Assignment[g.Node("reader")], cut.Weight)
 	// Output:
 	// reader on side 1, cut weight 0.2
 }
@@ -38,7 +38,7 @@ func ExampleGraph_CoLocate() {
 
 	cut, _ := g.MinCut()
 	fmt.Printf("sprite side=%d reader side=%d\n",
-		cut.Assignment["sprite"], cut.Assignment["reader"])
+		cut.Assignment[g.Node("sprite")], cut.Assignment[g.Node("reader")])
 	// Output:
 	// sprite side=0 reader side=1
 }

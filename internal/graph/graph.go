@@ -34,8 +34,9 @@ import (
 	"sort"
 )
 
-// Side identifies which terminal a node lands with after a two-way cut.
-type Side int
+// Side identifies which terminal a node lands with after a two-way cut. It
+// is one byte, so a cut's side vector is one byte per node.
+type Side int8
 
 // Cut sides.
 const (
@@ -477,14 +478,17 @@ func (g *Graph) AllOn(s Side) map[string]Side {
 
 // Cut is the result of a two-way partition.
 type Cut struct {
-	// Assignment maps every node name to its side.
-	Assignment map[string]Side
+	// Assignment is every node's side, indexed like the graph's nodes:
+	// Assignment[i] is the side of the node g.Name(i).
+	Assignment []Side
 	// Weight is the total weight of edges crossing the cut (the
 	// communication time of the chosen distribution).
 	Weight float64
 	// FlowValue is the max-flow value computed; equal to Weight up to
 	// floating-point error, kept separately as a cross-check.
 	FlowValue float64
+
+	names []string // the cut graph's node names, shared with it, not copied
 }
 
 // Count returns how many nodes landed on the given side.
@@ -501,11 +505,24 @@ func (c *Cut) Count(s Side) int {
 // NodesOn returns the sorted names on a side.
 func (c *Cut) NodesOn(s Side) []string {
 	var out []string
-	for name, side := range c.Assignment {
+	for i, side := range c.Assignment {
 		if side == s {
-			out = append(out, name)
+			out = append(out, c.names[i])
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// checkPins returns an error naming the first node of a finished cut that
+// landed on the other side from its pin. Pins are proxy-capacity terminal
+// arcs, so an exact cut never crosses one; a cut that does comes from a
+// corrupted network and must fail rather than be returned.
+func (g *Graph) checkPins(pin []int8, sides []Side) error {
+	for v, p := range pin {
+		if p != unpinned && Side(p) != sides[v] {
+			return fmt.Errorf("graph: cut puts %q, pinned to side %d, on side %d", g.names[v], p, sides[v])
+		}
+	}
+	return nil
 }

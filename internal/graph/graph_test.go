@@ -100,8 +100,8 @@ func TestMinCutSimple(t *testing.T) {
 		}
 		want := map[string]Side{"client": SourceSide, "a": SourceSide, "b": SinkSide, "server": SinkSide}
 		for n, s := range want {
-			if cut.Assignment[n] != s {
-				t.Errorf("%s: %s on %v, want %v", name, n, cut.Assignment[n], s)
+			if sideOf(cut, n) != s {
+				t.Errorf("%s: %s on %v, want %v", name, n, sideOf(cut, n), s)
 			}
 		}
 		if cut.Count(SourceSide) != 2 || cut.Count(SinkSide) != 2 {
@@ -134,15 +134,15 @@ func TestMinCutRespectsCoLocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cut.Assignment["b"] != SinkSide || cut.Weight != 1 {
-		t.Errorf("uncolocated: b=%v weight=%v", cut.Assignment["b"], cut.Weight)
+	if sideOf(cut, "b") != SinkSide || cut.Weight != 1 {
+		t.Errorf("uncolocated: b=%v weight=%v", sideOf(cut, "b"), cut.Weight)
 	}
 	cut, err = build(true).MinCut()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cut.Assignment["b"] != SourceSide || cut.Weight != 2 {
-		t.Errorf("colocated: b=%v weight=%v", cut.Assignment["b"], cut.Weight)
+	if sideOf(cut, "b") != SourceSide || cut.Weight != 2 {
+		t.Errorf("colocated: b=%v weight=%v", sideOf(cut, "b"), cut.Weight)
 	}
 }
 
@@ -158,10 +158,10 @@ func TestMinCutFreeComponentGoesToClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cut.Assignment["float1"] != SourceSide || cut.Assignment["float2"] != SourceSide {
+	if sideOf(cut, "float1") != SourceSide || sideOf(cut, "float2") != SourceSide {
 		t.Error("floating component not on client")
 	}
-	if cut.Assignment["lonely"] != SourceSide {
+	if sideOf(cut, "lonely") != SourceSide {
 		t.Error("isolated node not on client")
 	}
 	if cut.Weight != 3 {
@@ -291,7 +291,7 @@ func TestPropertyTwoAlgorithmsAgree(t *testing.T) {
 			return false
 		}
 		// The cut's weight equals the evaluation of its own assignment.
-		return math.Abs(g.EvaluateAssignment(a.Assignment)-a.Weight) < 1e-9
+		return math.Abs(g.EvaluateAssignment(byName(a))-a.Weight) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

@@ -91,24 +91,24 @@ func TestPropertyHighestLabelMatchesOracles(t *testing.T) {
 		}
 		// Constraints respected: pins and welds, via the cut's own pricing.
 		for i := 0; i < g.Len(); i++ {
-			if s, ok := g.Pinned(g.Name(i)); ok && hl.Assignment[g.Name(i)] != s {
+			if s, ok := g.Pinned(g.Name(i)); ok && hl.Assignment[i] != s {
 				t.Fatalf("seed %d: pin on %s violated", seed, g.Name(i))
 			}
 		}
 		for _, k := range g.coloc {
 			lo, hi := k.nodes()
 			a, b := g.Name(lo), g.Name(hi)
-			if hl.Assignment[a] != hl.Assignment[b] {
+			if sideOf(hl, a) != sideOf(hl, b) {
 				t.Fatalf("seed %d: co-location %s,%s split", seed, a, b)
 			}
 		}
 		// Free-floating components land on the client.
 		for _, free := range []string{"float1", "float2", "lonely"} {
-			if hl.Assignment[free] != SourceSide {
-				t.Fatalf("seed %d: free node %s on %v", seed, free, hl.Assignment[free])
+			if sideOf(hl, free) != SourceSide {
+				t.Fatalf("seed %d: free node %s on %v", seed, free, sideOf(hl, free))
 			}
 		}
-		if w := g.EvaluateAssignment(hl.Assignment); math.Abs(w-hl.Weight) > tol {
+		if w := g.EvaluateAssignment(byName(hl)); math.Abs(w-hl.Weight) > tol {
 			t.Fatalf("seed %d: assignment re-evaluates to %v, cut says %v", seed, w, hl.Weight)
 		}
 	}

@@ -101,9 +101,9 @@ func (g *Graph) MultiwayCutCtx(ctx context.Context, terminals []MultiwayTerminal
 	// Earlier (cheaper) cuts win conflicts.
 	for i := len(kept) - 1; i >= 0; i-- {
 		c := kept[i]
-		for name, side := range c.cut.Assignment {
+		for v, side := range c.cut.Assignment {
 			if side == SourceSide {
-				assign[name] = terminals[c.term].Machine
+				assign[g.names[v]] = terminals[c.term].Machine
 			}
 		}
 	}

@@ -80,7 +80,7 @@ func TestPropertyCutPartitionsEveryNode(t *testing.T) {
 		if len(cut.Assignment) != g.Len() {
 			return false
 		}
-		return cut.Assignment["s"] == SourceSide && cut.Assignment["t"] == SinkSide
+		return sideOf(cut, "s") == SourceSide && sideOf(cut, "t") == SinkSide
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -100,7 +100,7 @@ func TestPropertyCoLocationAlwaysHonored(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return cut.Assignment[a] == cut.Assignment[b]
+		return sideOf(cut, a) == sideOf(cut, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

@@ -84,8 +84,8 @@ func TestValidateTransitiveCoLocationChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []string{"b", "c", "d"} {
-		if cut.Assignment[n] != SourceSide {
-			t.Errorf("chained node %s not welded to pinned a: %v", n, cut.Assignment[n])
+		if sideOf(cut, n) != SourceSide {
+			t.Errorf("chained node %s not welded to pinned a: %v", n, sideOf(cut, n))
 		}
 	}
 	if cut.Weight != 2 {
