@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Frame is one entry of the component shadow stack maintained by the
@@ -250,11 +251,16 @@ func DescriptorID(class, descriptor string) string {
 	return class + "@" + string(strconv.AppendUint(hex[:0], h, 16))
 }
 
+// minKeyChunk is the size of a Table's first key chunk; each later chunk
+// doubles the last.
+const minKeyChunk = 256
+
 // Table assigns classification ids. One Table serves one classifier over
 // one or more runs.
 type Table struct {
 	classifier  Classifier
 	key         []byte            // scratch: the (class, descriptor) key of the current Assign
+	keys        strings.Builder   // the current key chunk; stored keys are substrings of chunks
 	ids         map[string]string // key -> id
 	descriptors map[string]string // id -> descriptor, for the digest-collision check
 }
@@ -270,8 +276,12 @@ func NewTable(c Classifier) *Table {
 
 // Assign classifies one instantiation and returns its classification id.
 // The descriptor is built into a buffer the table reuses and looked up
-// without being copied, so a context seen before costs no allocation; a
-// new one is hashed and checked for collisions once.
+// without being copied, so a context seen before costs no allocation. A
+// new one is hashed and checked for collisions once, and costs one
+// allocation, its id: the key (and the descriptor, a substring of it) is
+// appended to the table's current key chunk, which only ever grows at its
+// end. An id lives as long as the profiles and placements that name it, so
+// it is a string of its own and pins no key.
 func (t *Table) Assign(class string, stack []Frame) string {
 	// The key is the length-prefixed class followed by the descriptor:
 	// ids embed the class, and the incremental descriptor does not.
@@ -282,7 +292,7 @@ func (t *Table) Assign(class string, stack []Frame) string {
 	t.key = key
 	id, ok := t.ids[string(key)]
 	if !ok {
-		k := string(key)
+		k := t.storeKey(key)
 		desc := k[prefix:]
 		id = DescriptorID(class, desc)
 		if prev, ok := t.descriptors[id]; ok && prev != desc {
@@ -296,22 +306,44 @@ func (t *Table) Assign(class string, stack []Frame) string {
 	return id
 }
 
+// storeKey copies key into the current key chunk and returns it as a
+// substring of the chunk. A chunk never grows past the capacity it was
+// made with: a full one is left to the keys already in it and a new one,
+// twice as large, is begun, so no stored key is copied twice.
+func (t *Table) storeKey(key []byte) string {
+	if t.keys.Cap()-t.keys.Len() < len(key) {
+		size := max(2*t.keys.Cap(), minKeyChunk, len(key))
+		t.keys = strings.Builder{}
+		t.keys.Grow(size)
+	}
+	start := t.keys.Len()
+	t.keys.Write(key)
+	return t.keys.String()[start:]
+}
+
 // ActivationPath reduces a call stack (innermost frame first) to the chain
 // of creator classes, one entry per component instance on the stack. This
 // is the full activation call path — not just the top frame — that lets
 // the reachability analysis join static activation sites to dynamic
-// observations even when the immediate creator is a generic factory.
+// observations even when the immediate creator is a generic factory. The
+// path is one exact allocation, and non-nil even when empty.
 func ActivationPath(stack []Frame) []string {
 	n := 0
 	for i := 0; i < len(stack); i = entryPoint(stack, i) + 1 {
 		n++
 	}
-	path := make([]string, 0, n)
+	return AppendActivationPath(make([]string, 0, n), stack)
+}
+
+// AppendActivationPath appends stack's activation path (see
+// ActivationPath) to dst and returns the extended slice, so a caller can
+// build it into a buffer it reuses.
+func AppendActivationPath(dst []string, stack []Frame) []string {
 	for i := 0; i < len(stack); i++ {
 		i = entryPoint(stack, i)
-		path = append(path, stack[i].Class)
+		dst = append(dst, stack[i].Class)
 	}
-	return path
+	return dst
 }
 
 // Reset clears per-execution classifier state but keeps the id table, so a

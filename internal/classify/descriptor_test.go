@@ -208,9 +208,42 @@ func TestAssignRepeatAllocs(t *testing.T) {
 	}
 }
 
+// TestAssignKeysSurviveChunks classifies enough distinct contexts, one of
+// them longer than any chunk made so far, to fill many key chunks, then
+// checks that every stored key and descriptor still reads as the
+// reference: a key is never overwritten when a later one is stored.
+func TestAssignKeysSurviveChunks(t *testing.T) {
+	t.Parallel()
+	tab := NewTable(New(IFCB, 0))
+	stack := figure3Stack()
+	classes := make([]string, 2000)
+	for i := range classes {
+		classes[i] = "K" + strconv.Itoa(i)
+	}
+	classes[700] = strings.Repeat("L", 5*minKeyChunk<<4)
+	ids := make([]string, len(classes))
+	for i, class := range classes {
+		ids[i] = tab.Assign(class, stack)
+	}
+	for i, class := range classes {
+		n := 0
+		desc := refDescriptor(IFCB, 0, &n, class, stack)
+		if got := tab.Assign(class, stack); got != ids[i] || got != refDescriptorID(class, desc) {
+			t.Fatalf("context %d: Assign = %q, first %q, reference %q", i, got, ids[i], refDescriptorID(class, desc))
+		}
+		if got := tab.descriptors[ids[i]]; got != desc {
+			t.Fatalf("context %d: stored descriptor %q, want %q", i, got, desc)
+		}
+	}
+	if len(tab.ids) != len(classes) {
+		t.Fatalf("%d contexts stored, want %d", len(tab.ids), len(classes))
+	}
+}
+
 // TestAssignNewContextAllocs holds the classification of a context the
-// table has not seen to two allocations: the key and the id. Not parallel,
-// so no other test's allocations are counted.
+// table has not seen to one allocation, the id: the key goes into the
+// table's key chunk. Not parallel, so no other test's allocations are
+// counted.
 //
 //lint:allow paralleltest allocation counts are process-wide
 func TestAssignNewContextAllocs(t *testing.T) {
@@ -226,8 +259,8 @@ func TestAssignNewContextAllocs(t *testing.T) {
 		tab.Assign(classes[i], stack)
 		i++
 	})
-	if n != 2 {
-		t.Errorf("Assign of a new IFCB context allocates %v objects, want 2 (key and id)", n)
+	if n != 1 {
+		t.Errorf("Assign of a new IFCB context allocates %v objects, want 1 (the id)", n)
 	}
 	if len(tab.ids) != runs+1 {
 		t.Fatalf("%d contexts classified, want %d", len(tab.ids), runs+1)

@@ -315,15 +315,82 @@ func TestComputeClock(t *testing.T) {
 func TestInstancesIteration(t *testing.T) {
 	t.Parallel()
 	env := NewEnv(testApp())
+	if env.Instance(0) != nil || env.Instance(1) != nil || len(env.Instances()) != 0 {
+		t.Fatal("an empty Env has instances")
+	}
 	a, _ := env.CreateInstance(nil, "CLSID_Counter")
 	b, _ := env.CreateInstance(nil, "CLSID_Caller")
 	env.Release(a)
 	all := env.Instances()
 	if len(all) != 2 || all[0] != a || all[1] != b {
-		t.Fatalf("Instances = %v", all)
+		t.Fatalf("Instances = %v, want creation order", all)
 	}
-	if env.Instance(a.ID) != a || env.Instance(999) != nil {
+	if env.Instance(a.ID) != a || env.Instance(b.ID) != b {
 		t.Fatal("Instance lookup broken")
+	}
+	if env.Instance(0) != nil || env.Instance(3) != nil || env.Instance(999) != nil {
+		t.Errorf("Instance(0), Instance(3), Instance(999) = %p, %p, %p, want nil",
+			env.Instance(0), env.Instance(3), env.Instance(999))
+	}
+}
+
+// TestInstanceChunkBoundaries walks ids across many chunk boundaries of
+// the instance table: every id finds its own instance, and an instance
+// does not move when later chunks are made.
+func TestInstanceChunkBoundaries(t *testing.T) {
+	t.Parallel()
+	env := NewEnv(testApp())
+	var third *Instance
+	for id := uint64(1); id <= 1000; id++ {
+		in, err := env.CreateInstance(nil, "CLSID_Counter")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.ID != id {
+			t.Fatalf("instance %d has id %d", id, in.ID)
+		}
+		if id == 3 {
+			third = in
+		}
+	}
+	for id := uint64(1); id <= 1000; id++ {
+		if in := env.Instance(id); in == nil || in.ID != id {
+			t.Fatalf("Instance(%d) = %+v", id, in)
+		}
+	}
+	if env.Instance(3) != third || third.ID != 3 || third.Class.Name != "Counter" {
+		t.Errorf("instance 3 moved: Instance(3) = %p, kept %p (id %d)", env.Instance(3), third, third.ID)
+	}
+	if itf := env.MustQuery(third, "ICounter"); itf.Instance() != third {
+		t.Errorf("instance 3's handle points at %p, want %p", itf.Instance(), third)
+	}
+}
+
+// TestConstructorInstantiates checks that a constructor creating an
+// instance of its own leaves its creator's slot alone: the outer instance
+// takes the first id and keeps it.
+func TestConstructorInstantiates(t *testing.T) {
+	t.Parallel()
+	app := testApp()
+	var env *Env
+	var inner *Instance
+	app.Classes.Register(&Class{
+		ID: "CLSID_Outer", Name: "Outer", Interfaces: []string{"IPoke"},
+		New: func() Object {
+			inner, _ = env.CreateInstance(nil, "CLSID_Counter")
+			return ObjectFunc(func(*Call) ([]idl.Value, error) { return nil, nil })
+		},
+	})
+	env = NewEnv(app)
+	outer, err := env.CreateInstance(nil, "CLSID_Outer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outer.ID != 1 || outer.Class.Name != "Outer" || inner.ID != 2 || inner.Class.Name != "Counter" {
+		t.Fatalf("outer %d %s, inner %d %s", outer.ID, outer.Class.Name, inner.ID, inner.Class.Name)
+	}
+	if env.Instance(1) != outer || env.Instance(2) != inner || env.MustQuery(outer, "IPoke").Instance() != outer {
+		t.Errorf("Instance(1) = %p, Instance(2) = %p, want %p and %p", env.Instance(1), env.Instance(2), outer, inner)
 	}
 }
 
@@ -371,9 +438,17 @@ func mixApp() *App {
 	})
 	app.Interfaces.Register(&idl.InterfaceDesc{
 		IID: "ISink", Name: "ISink", Remotable: true,
-		Methods: []idl.MethodDesc{{Name: "Put", Params: []idl.ParamDesc{
-			{Name: "n", Dir: idl.In, Type: idl.TInt32},
-		}}},
+		Methods: []idl.MethodDesc{
+			{Name: "Put", Params: []idl.ParamDesc{{Name: "n", Dir: idl.In, Type: idl.TInt32}}},
+			{Name: "Flush"},
+			{Name: "Put5", Params: []idl.ParamDesc{
+				{Name: "a", Dir: idl.In, Type: idl.TInt32},
+				{Name: "b", Dir: idl.In, Type: idl.TInt32},
+				{Name: "c", Dir: idl.In, Type: idl.TInt32},
+				{Name: "d", Dir: idl.In, Type: idl.TInt32},
+				{Name: "e", Dir: idl.In, Type: idl.TString},
+			}},
+		},
 	})
 	app.Classes.Register(&Class{
 		ID: "CLSID_Mix", Name: "Mix", Interfaces: []string{"IMix", "ISink"},
@@ -458,8 +533,10 @@ func TestTrappedCallAllocs(t *testing.T) {
 }
 
 // TestReturnedCallIsZero checks that a Call goes back for reuse empty, so
-// recycled Calls pin no application value. The hook keeps the *Call past
-// its call, which a behaviour must not do, only to look at it.
+// recycled Calls pin no application value, whether its arguments were
+// inline (none, one) or spilled past the inline array (five). The hook
+// keeps the *Call past its call, which a behaviour must not do, only to
+// look at it.
 func TestReturnedCallIsZero(t *testing.T) {
 	t.Parallel()
 	env := NewEnv(mixApp())
@@ -470,11 +547,23 @@ func TestReturnedCallIsZero(t *testing.T) {
 		return next(call)
 	}})
 	inst, _ := env.CreateInstance(nil, "CLSID_Mix")
-	if _, err := env.Call(nil, env.MustQuery(inst, "ISink"), "Put", idl.Int32(7)); err != nil {
-		t.Fatal(err)
-	}
-	if kept == nil || !reflect.ValueOf(*kept).IsZero() {
-		t.Errorf("Call after its call returned = %+v, want zero", kept)
+	sink := env.MustQuery(inst, "ISink")
+	for _, c := range []struct {
+		method string
+		args   []idl.Value
+	}{
+		{"Put", []idl.Value{idl.Int32(7)}},
+		{"Flush", nil},
+		{"Put5", []idl.Value{idl.Int32(1), idl.Int32(2), idl.Int32(3), idl.Int32(4), idl.String("five")}},
+		{"Put", []idl.Value{idl.Int32(8)}},
+	} {
+		kept = nil
+		if _, err := env.Call(nil, sink, c.method, c.args...); err != nil {
+			t.Fatal(err)
+		}
+		if kept == nil || !reflect.ValueOf(*kept).IsZero() {
+			t.Errorf("%s: Call after its call returned = %+v, want zero", c.method, kept)
+		}
 	}
 }
 
@@ -514,10 +603,11 @@ func TestQueryAllocs(t *testing.T) {
 }
 
 // TestActivationAllocs guards the activation path: through a hooked
-// CreateInstance, an instantiation allocates the Instance and what the
-// class's constructor allocates, nothing else — the hook's next is bound
-// once per Env, not built per request. Not parallel, so no other test's
-// allocations are counted.
+// CreateInstance, an instantiation allocates what the class's constructor
+// allocates, nothing else — the Instance lives in the Env's chunk table,
+// whose chunks double, and the hook's next is bound once per Env, not
+// built per request. Not parallel, so no other test's allocations are
+// counted.
 //
 //lint:allow paralleltest allocation counts are process-wide
 func TestActivationAllocs(t *testing.T) {
@@ -536,7 +626,7 @@ func TestActivationAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs > 1+ctor {
-		t.Errorf("hooked CreateInstance allocates %v objects, want <= 1 + %v (the Instance and the constructor's)", allocs, ctor)
+	if allocs > ctor {
+		t.Errorf("hooked CreateInstance allocates %v objects, want <= %v (the constructor's)", allocs, ctor)
 	}
 }

@@ -2,6 +2,7 @@ package com
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -33,7 +34,8 @@ func (m Machine) String() string {
 	}
 }
 
-// Instance is one live component instance.
+// Instance is one live component instance. It lives in its Env's chunk
+// table and never moves, so a pointer to it stays valid for the Env's life.
 type Instance struct {
 	ID             uint64
 	Class          *Class
@@ -144,11 +146,16 @@ type ComputeClock interface {
 // It owns live instances, dispatches interface calls, and exposes the
 // interception hooks the Coign runtime attaches to.
 type Env struct {
-	app       *App
-	hooks     Hooks
-	clock     ComputeClock
-	nextID    uint64
-	instances map[uint64]*Instance
+	app    *App
+	hooks  Hooks
+	clock  ComputeClock
+	nextID uint64
+	// chunks holds every instance, indexed by its dense id: chunk k holds
+	// 4<<k instances, ids 4(2^k-1)+1 through 4(2^(k+1)-1). A chunk is made
+	// at its full size and never grown, so an Instance never moves once
+	// written and handles, shadow-stack frames and stubs may point at it.
+	// Instantiation happens on the run's goroutine; stubs only read.
+	chunks [][]Instance
 	// activation is e.activate, bound once so handing it to the
 	// CreateInstance hook allocates nothing per instantiation.
 	activation func(*Class, Machine) *Instance
@@ -162,10 +169,7 @@ type Env struct {
 
 // NewEnv returns an environment for app with no instrumentation installed.
 func NewEnv(app *App) *Env {
-	e := &Env{
-		app:       app,
-		instances: make(map[uint64]*Instance),
-	}
+	e := &Env{app: app}
 	e.activation = e.activate
 	return e
 }
@@ -181,15 +185,27 @@ func (e *Env) SetHooks(h Hooks) { e.hooks = h }
 func (e *Env) SetClock(c ComputeClock) { e.clock = c }
 
 // Instance returns the instance with the given id, or nil.
-func (e *Env) Instance(id uint64) *Instance { return e.instances[id] }
+func (e *Env) Instance(id uint64) *Instance {
+	if id == 0 || id > e.nextID {
+		return nil
+	}
+	k, off := chunkOf(id)
+	return &e.chunks[k][off]
+}
+
+// chunkOf locates id's slot in the chunk table: chunk k starts at index
+// 4(2^k-1), so k is one less than the bit length of (id-1)/4+1.
+func chunkOf(id uint64) (k int, off uint64) {
+	i := id - 1
+	k = bits.Len64(i/4+1) - 1
+	return k, i - 4*(1<<k-1)
+}
 
 // Instances returns all instances ever created, in creation order.
 func (e *Env) Instances() []*Instance {
-	out := make([]*Instance, 0, len(e.instances))
+	out := make([]*Instance, 0, e.nextID)
 	for id := uint64(1); id <= e.nextID; id++ {
-		if in, ok := e.instances[id]; ok {
-			out = append(out, in)
-		}
+		out = append(out, e.Instance(id))
 	}
 	return out
 }
@@ -217,19 +233,23 @@ func (e *Env) CreateInstance(creator *Instance, clsid CLSID) (*Instance, error) 
 }
 
 // activate creates an instance of class on machine m; it is the next a
-// CreateInstance hook receives.
+// CreateInstance hook receives. The instance is written into its id's
+// slot of the chunk table, so activation allocates only what the
+// constructor does and, every 4<<k instances, the next chunk; a
+// constructor that instantiates in turn fills later slots, not this one.
 func (e *Env) activate(class *Class, m Machine) *Instance {
 	e.nextID++
-	in := &Instance{
-		ID:      e.nextID,
-		Class:   class,
-		Object:  class.New(),
-		Machine: m,
+	id := e.nextID
+	k, off := chunkOf(id)
+	if k == len(e.chunks) {
+		e.chunks = append(e.chunks, make([]Instance, 4<<k))
 	}
+	obj := class.New()
+	in := &e.chunks[k][off]
+	*in = Instance{ID: id, Class: class, Object: obj, Machine: m}
 	if len(class.Interfaces) > 0 {
 		in.primary = Interface{iid: class.Interfaces[0], inst: in}
 	}
-	e.instances[in.ID] = in
 	return in
 }
 
@@ -298,7 +318,14 @@ func (e *Env) Call(caller *Instance, target *Interface, method string, args ...i
 	} else {
 		rets, err = dispatch(call)
 	}
-	*call = Call{} // a recycled Call pins no application value
+	// A recycled Call pins no application value. Only what this call set
+	// is cleared: zeroing the whole Call, four inline Values included,
+	// costs a write barrier per pointer word while the GC is marking.
+	if len(args) <= len(call.args) {
+		clear(call.args[:len(args)])
+	}
+	call.Self, call.IID, call.Method, call.Args, call.Env = nil, "", "", nil, nil
+	call.Iface, call.Desc = nil, nil
 	e.putCall(call)
 	return rets, err
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -584,33 +585,48 @@ func TestReplayUnknownInstance(t *testing.T) {
 	}
 	coign := Config{App: pipelineApp(), Scenario: "small", Mode: ModeCoign,
 		Classifier: classify.New(classify.IFCB, 0), Distribution: readerOnServer(trace)}
+	nth := func(n int, f func(in *logger.InstRecord)) *logger.Trace {
+		seen := 0
+		return mutated(func(ev *logger.Event) bool {
+			if ev.Kind == logger.EvInstantiation {
+				if seen++; seen == n {
+					f(&ev.Inst)
+				}
+			}
+			return true
+		})
+	}
 	for _, c := range []struct {
 		name  string
 		cfg   func(*Config)
 		trace *logger.Trace
+		want  string
 	}{
-		{"missing instantiation", nil, mutated(func(ev *logger.Event) bool { return ev.Kind != logger.EvInstantiation })},
+		{"missing instantiation", nil, mutated(func(ev *logger.Event) bool { return ev.Kind != logger.EvInstantiation }), "unknown instance"},
 		{"unknown creator", nil, mutated(func(ev *logger.Event) bool {
 			ev.Inst.CreatorInst += 99
 			return true
-		})},
+		}), "unknown creator"},
 		{"unknown class", nil, mutated(func(ev *logger.Event) bool {
 			if ev.Kind == logger.EvInstantiation {
 				ev.Inst.Class += "?"
 			}
 			return true
-		})},
-		{"bare mode", func(c *Config) { c.Mode = ModeBare }, trace},
-		{"profiling mode", func(c *Config) { c.Mode = ModeProfiling }, trace},
-		{"caching", func(c *Config) { c.EnableCaching = true }, trace},
-		{"nil app", func(c *Config) { c.App = nil }, trace},
+		}), "unknown class"},
+		{"instantiated twice", nil, nth(2, func(in *logger.InstRecord) { in.ID = 1 }), "instance 1 twice"},
+		{"main program instantiated", nil, nth(1, func(in *logger.InstRecord) { in.ID = 0 }), "instance 0 twice"},
+		{"id out of order", nil, nth(2, func(in *logger.InstRecord) { in.ID = 3 }), "instance 3 out of order"},
+		{"bare mode", func(c *Config) { c.Mode = ModeBare }, trace, "ModeDefault and ModeCoign only"},
+		{"profiling mode", func(c *Config) { c.Mode = ModeProfiling }, trace, "ModeDefault and ModeCoign only"},
+		{"caching", func(c *Config) { c.EnableCaching = true }, trace, "cannot price caching"},
+		{"nil app", func(c *Config) { c.App = nil }, trace, "no application"},
 	} {
 		cfg := coign
 		if c.cfg != nil {
 			c.cfg(&cfg)
 		}
-		if _, err := Replay(cfg, c.trace); err == nil {
-			t.Errorf("%s: replayed", c.name)
+		if _, err := Replay(cfg, c.trace); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: replay error %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 

@@ -40,7 +40,10 @@ func Replay(cfg Config, trace *logger.Trace) (*Result, error) {
 		return nil, err
 	}
 	res := newResult(clock)
-	machineOf := map[uint64]com.Machine{0: com.Client} // 0 is the main program
+	// machineOf is indexed by the dense instance id: the runtime numbers a
+	// run's instances 1, 2, 3, ... in instantiation order, and 0 is the
+	// main program.
+	machineOf := []com.Machine{com.Client}
 	for i := 0; i < trace.Len(); i++ {
 		switch ev := trace.At(i); ev.Kind {
 		case logger.EvInstantiation:
@@ -49,15 +52,18 @@ func Replay(cfg Config, trace *logger.Trace) (*Result, error) {
 			if class == nil {
 				return nil, fmt.Errorf("dist: trace instantiates unknown class %q", in.Class)
 			}
-			creator, ok := machineOf[in.CreatorInst]
-			if !ok {
+			if in.CreatorInst >= uint64(len(machineOf)) {
 				return nil, fmt.Errorf("dist: instance %d has unknown creator %d", in.ID, in.CreatorInst)
 			}
-			if _, dup := machineOf[in.ID]; dup {
+			creator := machineOf[in.CreatorInst]
+			switch next := uint64(len(machineOf)); {
+			case in.ID < next:
 				return nil, fmt.Errorf("dist: trace instantiates instance %d twice", in.ID)
+			case in.ID != next:
+				return nil, fmt.Errorf("dist: trace instantiates instance %d out of order, want id %d", in.ID, next)
 			}
 			m := placer.Place(in.Classification, class, creator)
-			machineOf[in.ID] = m
+			machineOf = append(machineOf, m)
 			res.place(class, m)
 			if m != creator {
 				req, resp := rte.ActivationBytes(class)
@@ -65,14 +71,13 @@ func Replay(cfg Config, trace *logger.Trace) (*Result, error) {
 			}
 		case logger.EvCall:
 			c := ev.Call
-			src, ok := machineOf[c.SrcInst]
-			if !ok {
+			if c.SrcInst >= uint64(len(machineOf)) {
 				return nil, fmt.Errorf("dist: trace calls from unknown instance %d", c.SrcInst)
 			}
-			dst, ok := machineOf[c.DstInst]
-			if !ok {
+			if c.DstInst >= uint64(len(machineOf)) {
 				return nil, fmt.Errorf("dist: trace calls unknown instance %d", c.DstInst)
 			}
+			src, dst := machineOf[c.SrcInst], machineOf[c.DstInst]
 			res.TrappedCalls++
 			if src != dst {
 				if c.NonRemotable {

@@ -38,6 +38,7 @@ type InstRecord struct {
 	Order       int
 	// Path is the activation call path: the classes of the component
 	// instances on the stack at the instantiation, innermost first.
+	// Consecutive records may share one path, so it is never written into.
 	Path []string
 }
 

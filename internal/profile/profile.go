@@ -111,7 +111,8 @@ type InstanceRecord struct {
 	// Path is the activation call path: the classes of the component
 	// instances on the stack at the instantiation, innermost first (empty
 	// when the main program activated directly). The reachability coverage
-	// analysis joins it against static activation sites.
+	// analysis joins it against static activation sites. Records and
+	// classifications share paths, so a path is never written into.
 	Path []string
 }
 
@@ -122,7 +123,8 @@ type ClassificationInfo struct {
 	Class     string
 	Instances int64
 	// Path is the activation call path observed at the classification's
-	// first instantiation (see InstanceRecord.Path).
+	// first instantiation (see InstanceRecord.Path), shared with that
+	// record.
 	Path []string
 }
 
@@ -222,7 +224,7 @@ func (p *Profile) AddInstance(rec InstanceRecord) {
 		p.Classifications[rec.Classification] = ci
 	}
 	if ci.Path == nil && len(rec.Path) > 0 {
-		ci.Path = append([]string(nil), rec.Path...)
+		ci.Path = rec.Path // shared: a recorded path is immutable
 	}
 	ci.Instances++
 }

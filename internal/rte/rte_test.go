@@ -359,38 +359,112 @@ func TestTrappedIfaceCallAllocs(t *testing.T) {
 	}
 }
 
+// warmInstantiationAllocs counts what one instantiation allocates once the
+// table has seen its context: through an RTE attached with opts, three
+// frames deep so the IFCB descriptor walks a stack, or with no hooks when
+// opts is nil.
+func warmInstantiationAllocs(t *testing.T, opts *Options) float64 {
+	t.Helper()
+	env := com.NewEnv(chainApp())
+	if opts != nil {
+		r := attach(t, env, *opts)
+		r.BeginRun("s")
+		r.stack = []classify.Frame{ // outermost first
+			{Instance: 1, Class: "Root", InstClassification: "Root@1", Function: "Run"},
+			{Instance: 2, Class: "Leaf", InstClassification: "Leaf@2", Function: "Work"},
+			{Instance: 2, Class: "Leaf", InstClassification: "Leaf@2", Function: "Ptr"},
+		}
+	}
+	create := func() {
+		if _, err := env.CreateInstance(nil, "CLSID_Leaf"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 10 { // warm: the table has seen the context
+		create()
+	}
+	return testing.AllocsPerRun(100, create)
+}
+
 // TestInstantiationAllocs guards the classification path: with the null
 // logger and a table that has seen the context, an instantiation through
-// the RTE — three frames deep, so the IFCB descriptor walks a stack —
-// allocates no more than the same CreateInstance with no hooks. Not
-// parallel, so no other test's allocations are counted.
+// the RTE allocates no more than the same CreateInstance with no hooks.
+// Not parallel, so no other test's allocations are counted.
 //
 //lint:allow paralleltest allocation counts are process-wide
 func TestInstantiationAllocs(t *testing.T) {
-	measure := func(hooked bool) float64 {
-		env := com.NewEnv(chainApp())
-		if hooked {
-			r := attach(t, env, Options{})
-			r.BeginRun("s")
-			r.stack = []classify.Frame{ // outermost first
-				{Instance: 1, Class: "Root", InstClassification: "Root@1", Function: "Run"},
-				{Instance: 2, Class: "Leaf", InstClassification: "Leaf@2", Function: "Work"},
-				{Instance: 2, Class: "Leaf", InstClassification: "Leaf@2", Function: "Ptr"},
-			}
-		}
-		create := func() {
-			if _, err := env.CreateInstance(nil, "CLSID_Leaf"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for range 10 { // warm: the table has seen the context
-			create()
-		}
-		return testing.AllocsPerRun(100, create)
-	}
-	bare, hooked := measure(false), measure(true)
+	bare, hooked := warmInstantiationAllocs(t, nil), warmInstantiationAllocs(t, &Options{})
 	if hooked > bare {
 		t.Errorf("instantiation through the RTE allocates %v objects, bare CreateInstance %v", hooked, bare)
+	}
+}
+
+// TestLoggedInstantiationAllocs guards the profiling runtime's
+// instantiation: with a zero *logger.Trace attached, which folds the
+// profile without storing events, and a context the table has seen, a
+// logged instantiation allocates no more than the same CreateInstance with
+// no hooks. The activation path is the one handed out before, so nothing
+// is copied. Not parallel, so no other test's allocations are counted.
+//
+//lint:allow paralleltest allocation counts are process-wide
+func TestLoggedInstantiationAllocs(t *testing.T) {
+	bare := warmInstantiationAllocs(t, nil)
+	logged := warmInstantiationAllocs(t, &Options{Logger: &logger.Trace{}})
+	if logged > bare {
+		t.Errorf("logged instantiation through the RTE allocates %v objects, bare CreateInstance %v", logged, bare)
+	}
+}
+
+// TestActivationPathShared checks the paths a logged run hands out: a
+// main-program instantiation's path is empty but non-nil, consecutive
+// instantiations in one context share one path, and so does their
+// classification in the profile, and a path is capacity-clipped, so
+// appending to one leaves another unchanged.
+func TestActivationPathShared(t *testing.T) {
+	t.Parallel()
+	env := com.NewEnv(chainApp())
+	trace := logger.NewTrace(nil)
+	r := attach(t, env, Options{Logger: trace})
+	r.BeginRun("s")
+	for range 2 {
+		if _, err := env.CreateInstance(nil, "CLSID_Leaf"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.stack = []classify.Frame{{Instance: 1, Class: "Leaf", InstClassification: "Leaf@1", Function: "Work"}}
+	for range 2 {
+		if _, err := env.CreateInstance(nil, "CLSID_Leaf"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.EndRun()
+	var paths [][]string
+	for i := 0; i < trace.Len(); i++ {
+		if ev := trace.At(i); ev.Kind == logger.EvInstantiation {
+			paths = append(paths, ev.Inst.Path)
+		}
+	}
+	if len(paths) != 4 {
+		t.Fatalf("%d instantiations recorded, want 4", len(paths))
+	}
+	if paths[0] == nil || len(paths[0]) != 0 {
+		t.Errorf("main-program path = %#v, want empty and non-nil", paths[0])
+	}
+	if len(paths[2]) != 1 || paths[2][0] != "Leaf" || &paths[2][0] != &paths[3][0] {
+		t.Errorf("paths in one context = %q and %q, want one shared [Leaf]", paths[2], paths[3])
+	}
+	grown := append(paths[2], "Extra")
+	grown[0] = "Changed"
+	if paths[3][0] != "Leaf" || len(paths[3]) != 1 {
+		t.Errorf("appending to one instance's path changed another's: %q", paths[3])
+	}
+	p := trace.Profile()
+	if p.Instances[3].Path[0] != "Leaf" {
+		t.Errorf("profile path = %q after an append to a recorded path", p.Instances[3].Path)
+	}
+	// A classification shares its first instance's path instead of a copy.
+	if ci := p.Classifications[p.Instances[2].Classification]; &ci.Path[0] != &p.Instances[2].Path[0] {
+		t.Errorf("classification path %q is a copy of its instance's", ci.Path)
 	}
 }
 
