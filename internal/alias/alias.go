@@ -38,11 +38,15 @@
 package alias
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/binimg"
+	"repro/internal/classset"
 	"repro/internal/com"
 	"repro/internal/idl"
 	"repro/internal/profile"
@@ -123,23 +127,75 @@ type Result struct {
 	// one location, sorted by class name.
 	Classes []*ClassAliases `json:"classes,omitempty"`
 	// Pairs is the shared-state report: every class pair whose points-to
-	// sets intersect, sorted, mutable pairs flagged.
+	// sets intersect, sorted, mutable pairs flagged. Their chains are
+	// built on first read (see FillChains).
 	Pairs []SharedPair `json:"sharedState,omitempty"`
 	// UnknownClasses lists CLSIDs of state records whose class is absent
 	// from the registry — stale state metadata.
 	UnknownClasses []string `json:"unknownClasses,omitempty"`
 
-	locIndex        map[string]*Location
-	holdings        map[string]map[string]*Holding // class -> location key -> holding
-	edgeIndex       map[[2]string]bool             // reach edges, including main-program sources
-	opaqueCapable   map[string]bool                // class -> implements an unmarshalable-call interface
-	mutablePairs    map[[2]string]string           // ordered pair -> deciding mutable location key
-	pairIndex       map[[2]string]*SharedPair
-	dynamicCreators map[string]bool // reach's edge-transparent factories
+	// The points-to sets in reach's class numbering: rows has, per class,
+	// the ids of the locations it may hold — opq:<c> is c, state:<c> is
+	// n+c, so ascending id is ascending key. edges has the reach graph's
+	// (src, dst) pairs, main-program sources included; sets holds the
+	// opaque-capable classes, the edge-transparent factories and the
+	// classes holding anything; present is the derived locations.
+	num     *classset.Numbering
+	rows    classset.Matrix
+	edges   classset.Matrix
+	sets    classset.Matrix
+	present classset.Set
+	chains  sync.Once
 }
 
-func stateKey(class string) string  { return "state:" + class }
-func opaqueKey(class string) string { return "opq:" + class }
+func (r *Result) capable() classset.Set { return r.sets.Row(0) }
+func (r *Result) dynamic() classset.Set { return r.sets.Row(1) }
+func (r *Result) holders() classset.Set { return r.sets.Row(2) }
+
+// methodFlow is one method that passes opaque payloads: in carries them
+// caller → callee, out callee → caller. texts are its derivation texts,
+// formatted when first needed.
+type methodFlow struct {
+	iid, method string
+	in, out     bool
+	texts       [4]string
+}
+
+// The derivations a flow can make, indexes into methodFlow.texts.
+const (
+	mints = iota
+	receives
+	exports
+	returns
+)
+
+var flowVerbs = [4]string{
+	mints:    "mints opaque payloads passed through ",
+	receives: "received via opaque in-parameter of ",
+	exports:  "exports opaque payloads through ",
+	returns:  "returned via opaque result of ",
+}
+
+func (f *methodFlow) text(k int) string {
+	if f.texts[k] == "" {
+		f.texts[k] = flowVerbs[k] + f.iid + "." + f.method
+	}
+	return f.texts[k]
+}
+
+// flowSpan is one interface's flows, and whether the interface can carry
+// unmarshalable calls.
+type flowSpan struct {
+	lo, hi  int
+	capable bool
+}
+
+// fact is one derived points-to fact, in ids; from is -1 for seeds and
+// mints.
+type fact struct {
+	class, loc, from int32
+	via              string
+}
 
 // Scan runs the points-to analysis: it takes the image's state records,
 // derives the opaque flow directions of every interface method, and
@@ -166,20 +222,25 @@ func Scan(img *binimg.Image, app *com.App, rg *reach.Graph) (*Result, error) {
 	}
 	sort.Strings(unknown)
 
+	num, edgeIDs := rg.Dense(app.Classes)
+	n := num.Len()
 	r := &Result{
 		App:            img.AppName,
 		UnknownClasses: unknown,
-		locIndex:       make(map[string]*Location),
-		holdings:       make(map[string]map[string]*Holding),
-		edgeIndex:      make(map[[2]string]bool),
-		opaqueCapable:  make(map[string]bool),
-		mutablePairs:   make(map[[2]string]string),
-		pairIndex:      make(map[[2]string]*SharedPair),
-
-		dynamicCreators: make(map[string]bool),
+		num:            num,
+		rows:           classset.NewMatrix(n, 2*n),
+		edges:          classset.NewMatrix(n, n),
+		sets:           classset.NewMatrix(3, n),
 	}
 	for _, name := range rg.DynamicCreators {
-		r.dynamicCreators[name] = true
+		if id := num.ID(name); id >= 0 {
+			r.dynamic().Add(id)
+		}
+	}
+	for _, e := range edgeIDs {
+		if e[0] >= 0 && e[1] >= 0 {
+			r.edges.Row(int(e[0])).Add(int(e[1]))
+		}
 	}
 
 	// Pass 2: per-interface opaque flow directions. A method contributes
@@ -188,17 +249,12 @@ func Scan(img *binimg.Image, app *com.App, rg *reach.Graph) (*Result, error) {
 	// parameter does (callee → caller). An interface can carry
 	// unmarshalable calls when it has such a method or is declared
 	// non-remotable outright.
-	type methodFlow struct {
-		iid, method string
-		in, out     bool
-	}
-	flowsOf := make(map[string][]methodFlow)
-	capable := make(map[string]bool)
-	for _, iid := range app.Interfaces.IIDs() {
+	var flows []methodFlow
+	iids := app.Interfaces.IIDs()
+	spans := make(map[string]flowSpan, len(iids))
+	for _, iid := range iids {
 		d := app.Interfaces.Lookup(iid)
-		if !d.Remotable {
-			capable[iid] = true
-		}
+		sp := flowSpan{lo: len(flows), capable: !d.Remotable}
 		for mi := range d.Methods {
 			m := &d.Methods[mi]
 			f := methodFlow{iid: iid, method: m.Name, out: hasOpaque(m.Result)}
@@ -215,76 +271,92 @@ func Scan(img *binimg.Image, app *com.App, rg *reach.Graph) (*Result, error) {
 				}
 			}
 			if f.in || f.out {
-				capable[iid] = true
-				flowsOf[iid] = append(flowsOf[iid], f)
+				sp.capable = true
+				flows = append(flows, f)
 			}
 		}
+		sp.hi = len(flows)
+		spans[iid] = sp
 	}
-
-	classByName := make(map[string]*com.Class)
-	descByName := make(map[string]*com.StateDesc)
-	var names []string
-	for _, c := range app.Classes.Classes() {
-		classByName[c.Name] = c
-		descByName[c.Name] = states[c.ID]
-		names = append(names, c.Name)
-		for _, iid := range c.Interfaces {
-			if capable[iid] {
-				r.opaqueCapable[c.Name] = true
-			}
-		}
-	}
-	sort.Strings(names)
 
 	// Seeds: a class with a non-empty declared state block holds pointers
 	// into it.
-	for _, name := range names {
-		if desc := descByName[name]; desc != nil && desc.Bytes > 0 {
-			r.add(name, stateKey(name), descByName,
-				fmt.Sprintf("declared state block (%d bytes)", desc.Bytes), "")
+	var facts []fact
+	for id := range n {
+		c := num.Class(id)
+		if c == nil {
+			continue
 		}
+		for _, iid := range c.Interfaces {
+			if spans[iid].capable {
+				r.capable().Add(id)
+			}
+		}
+		if desc := states[c.ID]; desc != nil && desc.Bytes > 0 {
+			r.rows.Row(id).Add(n + id)
+			facts = append(facts, fact{int32(id), int32(n + id), -1,
+				fmt.Sprintf("declared state block (%d bytes)", desc.Bytes)})
+		}
+	}
+
+	// mint records that class mints its own opaque payloads.
+	mint := func(class int, f *methodFlow, k int) bool {
+		if !r.rows.Row(class).Add(class) {
+			return false
+		}
+		facts = append(facts, fact{int32(class), int32(class), -1, f.text(k)})
+		return true
+	}
+	// copyAll propagates every location src holds into dst's set. It
+	// reads src's row while writing dst's, in ascending id — sorted key
+	// order — so first derivations are the sorted closure's; the text is
+	// formatted for the first new holding only.
+	copyAll := func(src, dst int, f *methodFlow, k int) bool {
+		from, to := r.rows.Row(src), r.rows.Row(dst)
+		via := ""
+		for l := from.Next(0); l >= 0; l = from.Next(l + 1) {
+			if to.Add(l) {
+				if via == "" {
+					via = f.text(k) + " from " + num.Name(src)
+				}
+				facts = append(facts, fact{int32(dst), int32(l), int32(src), via})
+			}
+		}
+		return via != ""
 	}
 
 	// Pass 3: fixed point over the reach graph's call edges. Main-program
 	// sources are skipped — the main program is not a component, never
 	// moves, and its welds are left to the dynamic evidence. The edge
-	// index still records them for transfer prediction.
-	for _, e := range rg.Edges {
-		r.edgeIndex[[2]string{e.Src, e.Dst}] = true
-	}
+	// matrix still records them for transfer prediction.
 	for changed := true; changed; {
 		changed = false
-		for _, e := range rg.Edges {
-			if e.Src == profile.MainProgram {
+		for _, e := range edgeIDs {
+			src, dst := int(e[0]), int(e[1])
+			if src < 0 || dst < 0 || num.Class(src) == nil || num.Class(dst) == nil {
 				continue
 			}
-			dst := classByName[e.Dst]
-			if dst == nil || classByName[e.Src] == nil {
-				continue
-			}
-			for _, iid := range dst.Interfaces {
-				for _, f := range flowsOf[iid] {
+			for _, iid := range num.Class(dst).Interfaces {
+				sp := spans[iid]
+				for i := sp.lo; i < sp.hi; i++ {
+					f := &flows[i]
 					if f.in {
 						// Caller → callee: the caller mints a fresh payload
 						// and may pass anything it already holds.
-						if r.add(e.Src, opaqueKey(e.Src), descByName,
-							fmt.Sprintf("mints opaque payloads passed through %s.%s", f.iid, f.method), "") {
+						if mint(src, f, mints) {
 							changed = true
 						}
-						if r.copyAll(e.Src, e.Dst, descByName,
-							fmt.Sprintf("received via opaque in-parameter of %s.%s", f.iid, f.method)) {
+						if copyAll(src, dst, f, receives) {
 							changed = true
 						}
 					}
 					if f.out {
 						// Callee → caller: the callee mints a fresh payload
 						// and may return anything it already holds.
-						if r.add(e.Dst, opaqueKey(e.Dst), descByName,
-							fmt.Sprintf("exports opaque payloads through %s.%s", f.iid, f.method), "") {
+						if mint(dst, f, exports) {
 							changed = true
 						}
-						if r.copyAll(e.Dst, e.Src, descByName,
-							fmt.Sprintf("returned via opaque result of %s.%s", f.iid, f.method)) {
+						if copyAll(dst, src, f, returns) {
 							changed = true
 						}
 					}
@@ -293,172 +365,189 @@ func Scan(img *binimg.Image, app *com.App, rg *reach.Graph) (*Result, error) {
 		}
 	}
 
-	r.buildReport()
+	r.buildReport(facts, states)
 	return r, nil
 }
 
-// loc materializes the Location record for a key, deriving the
-// mutability verdict from the owner's state descriptor.
-func (r *Result) loc(key string, descByName map[string]*com.StateDesc) *Location {
-	if l := r.locIndex[key]; l != nil {
-		return l
-	}
-	l := &Location{Key: key}
-	switch {
-	case strings.HasPrefix(key, "state:"):
-		l.Kind = LocState
-		l.Class = strings.TrimPrefix(key, "state:")
-		desc := descByName[l.Class]
-		if desc != nil && len(desc.Writes) > 0 {
-			l.Mutable = true
-			l.Reason = fmt.Sprintf("state writers declared: %s", strings.Join(desc.Writes, ", "))
+// location derives the Location record of id l from its owner's state
+// descriptor.
+func (r *Result) location(l int, states map[com.CLSID]*com.StateDesc) Location {
+	n := r.num.Len()
+	if l >= n {
+		c := r.num.Class(l - n)
+		loc := Location{Key: "state:" + c.Name, Class: c.Name, Kind: LocState}
+		if desc := states[c.ID]; desc != nil && len(desc.Writes) > 0 {
+			loc.Mutable = true
+			loc.Reason = fmt.Sprintf("state writers declared: %s", strings.Join(desc.Writes, ", "))
 		} else {
-			l.Reason = "no declared method ever writes the state"
+			loc.Reason = "no declared method ever writes the state"
 		}
+		return loc
+	}
+	c := r.num.Class(l)
+	loc := Location{Key: "opq:" + c.Name, Class: c.Name, Kind: LocOpaque}
+	switch desc := states[c.ID]; {
+	case desc == nil:
+		loc.Mutable = true
+		loc.Reason = "owner ships no state descriptor; its allocations are conservatively mutable"
+	case len(desc.Writes) > 0:
+		loc.Mutable = true
+		loc.Reason = fmt.Sprintf("owner declares state writers (%s)", strings.Join(desc.Writes, ", "))
 	default:
-		l.Kind = LocOpaque
-		l.Class = strings.TrimPrefix(key, "opq:")
-		desc := descByName[l.Class]
-		switch {
-		case desc == nil:
-			l.Mutable = true
-			l.Reason = "owner ships no state descriptor; its allocations are conservatively mutable"
-		case len(desc.Writes) > 0:
-			l.Mutable = true
-			l.Reason = fmt.Sprintf("owner declares state writers (%s)", strings.Join(desc.Writes, ", "))
-		default:
-			l.Reason = "owner's writer-free state descriptor proves payloads immutable after publication"
-		}
+		loc.Reason = "owner's writer-free state descriptor proves payloads immutable after publication"
 	}
-	r.locIndex[key] = l
-	return l
+	return loc
 }
 
-// add records that class may hold a pointer into the location, keeping
-// the first derivation. Reports whether the points-to set grew.
-func (r *Result) add(class, key string, descByName map[string]*com.StateDesc, via, from string) bool {
-	m := r.holdings[class]
-	if m == nil {
-		m = make(map[string]*Holding)
-		r.holdings[class] = m
-	}
-	if _, ok := m[key]; ok {
-		return false
-	}
-	r.loc(key, descByName)
-	m[key] = &Holding{Location: key, Via: via, From: from}
-	return true
-}
-
-// copyAll propagates every location held by src into dst's set, tagging
-// new holdings with the flow's provenance. Iteration is sorted so first
-// derivations are deterministic.
-func (r *Result) copyAll(src, dst string, descByName map[string]*com.StateDesc, via string) bool {
-	keys := make([]string, 0, len(r.holdings[src]))
-	for k := range r.holdings[src] {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	changed := false
-	for _, k := range keys {
-		if r.add(dst, k, descByName, via+" from "+src, src) {
-			changed = true
+// buildReport freezes the fixed point into the sorted exported slices.
+// Ascending id is sorted order, so every list is read off the sets in
+// order; a pair's shared locations are the AND of two rows.
+func (r *Result) buildReport(facts []fact, states map[com.CLSID]*com.StateDesc) {
+	n := r.num.Len()
+	r.present = make(classset.Set, classset.Words(2*n))
+	holders := r.holders()
+	for c := range n {
+		row := r.rows.Row(c)
+		if row.Empty() {
+			continue
+		}
+		holders.Add(c)
+		for w, x := range row {
+			r.present[w] |= x
 		}
 	}
-	return changed
-}
-
-// buildReport freezes the fixed point into the sorted exported slices
-// and the pair indexes the refiner queries.
-func (r *Result) buildReport() {
-	keys := make([]string, 0, len(r.locIndex))
-	for k := range r.locIndex {
-		keys = append(keys, k)
+	if k := r.present.Len(); k > 0 {
+		r.Locations = make([]Location, 0, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		r.Locations = append(r.Locations, *r.locIndex[k])
+	for l := r.present.Next(0); l >= 0; l = r.present.Next(l + 1) {
+		r.Locations = append(r.Locations, r.location(l, states))
 	}
 
-	holders := make([]string, 0, len(r.holdings))
-	for c := range r.holdings {
-		holders = append(holders, c)
+	nh := holders.Len()
+	if nh == 0 {
+		return
 	}
-	sort.Strings(holders)
-	for _, c := range holders {
-		ca := &ClassAliases{Class: c}
-		hks := make([]string, 0, len(r.holdings[c]))
-		for k := range r.holdings[c] {
-			hks = append(hks, k)
+	slices.SortFunc(facts, func(a, b fact) int {
+		return cmp.Or(cmp.Compare(a.class, b.class), cmp.Compare(a.loc, b.loc))
+	})
+	held := make([]Holding, len(facts))
+	for i, f := range facts {
+		held[i] = Holding{Location: r.key(int(f.loc)), Via: f.via}
+		if f.from >= 0 {
+			held[i].From = r.num.Name(int(f.from))
 		}
-		sort.Strings(hks)
-		for _, k := range hks {
-			ca.Holdings = append(ca.Holdings, *r.holdings[c][k])
-		}
-		r.Classes = append(r.Classes, ca)
+	}
+	classes := make([]ClassAliases, nh)
+	r.Classes = make([]*ClassAliases, nh)
+	lo := 0
+	for i, c := 0, holders.Next(0); c >= 0; i, c = i+1, holders.Next(c+1) {
+		hi := lo + r.rows.Row(c).Len()
+		classes[i] = ClassAliases{Class: r.num.Name(c), Holdings: held[lo:hi:hi]}
+		r.Classes[i] = &classes[i]
+		lo = hi
 	}
 
-	for i := 0; i < len(holders); i++ {
-		for j := i + 1; j < len(holders); j++ {
-			a, b := holders[i], holders[j]
-			var shared []string
-			for k := range r.holdings[a] {
-				if _, ok := r.holdings[b][k]; ok {
-					shared = append(shared, k)
-				}
+	// Pairs, counted first so the report is allocated once.
+	pairs, shared := 0, 0
+	for a := holders.Next(0); a >= 0; a = holders.Next(a + 1) {
+		for b := holders.Next(a + 1); b >= 0; b = holders.Next(b + 1) {
+			if k := r.rows.Row(a).Common(r.rows.Row(b)); k > 0 {
+				pairs++
+				shared += k
 			}
-			if len(shared) == 0 {
+		}
+	}
+	if pairs == 0 {
+		return
+	}
+	r.Pairs = make([]SharedPair, 0, pairs)
+	keys := make([]string, 0, shared)
+	for a := holders.Next(0); a >= 0; a = holders.Next(a + 1) {
+		ra := r.rows.Row(a)
+		for b := holders.Next(a + 1); b >= 0; b = holders.Next(b + 1) {
+			rb := r.rows.Row(b)
+			first := ra.NextIn(rb, 0)
+			if first < 0 {
 				continue
 			}
-			sort.Strings(shared)
-			pair := SharedPair{A: a, B: b, Locations: shared, Location: shared[0]}
-			for _, k := range shared {
-				if r.locIndex[k].Mutable {
+			lo := len(keys)
+			pair := SharedPair{A: r.num.Name(a), B: r.num.Name(b)}
+			for l := first; l >= 0; l = ra.NextIn(rb, l+1) {
+				loc := &r.Locations[r.present.Rank(l)]
+				keys = append(keys, loc.Key)
+				if !pair.Mutable && loc.Mutable {
 					pair.Mutable = true
-					pair.Location = k
-					break
+					pair.Location = loc.Key
 				}
 			}
-			pair.ChainA = r.chain(a, pair.Location)
-			pair.ChainB = r.chain(b, pair.Location)
-			r.Pairs = append(r.Pairs, pair)
-			key := [2]string{a, b}
-			r.pairIndex[key] = &r.Pairs[len(r.Pairs)-1]
-			if pair.Mutable {
-				r.mutablePairs[key] = pair.Location
+			if !pair.Mutable {
+				pair.Location = keys[lo]
 			}
+			pair.Locations = keys[lo:len(keys):len(keys)]
+			r.Pairs = append(r.Pairs, pair)
 		}
 	}
-	// Re-point pairIndex after all appends (append may have reallocated).
-	for i := range r.Pairs {
-		r.pairIndex[[2]string{r.Pairs[i].A, r.Pairs[i].B}] = &r.Pairs[i]
+}
+
+// key returns the key of derived location l.
+func (r *Result) key(l int) string { return r.Locations[r.present.Rank(l)].Key }
+
+// locID returns the id of a derived location's key.
+func (r *Result) locID(key string) int {
+	if class, ok := strings.CutPrefix(key, "opq:"); ok {
+		return r.num.ID(class)
 	}
+	return r.num.Len() + r.num.ID(strings.TrimPrefix(key, "state:"))
+}
+
+// FillChains builds every shared pair's provenance chains, ChainA and
+// ChainB, on its first call; WriteText and WriteJSON call it, and so must
+// any other reader of the chains. Safe for concurrent use.
+func (r *Result) FillChains() {
+	r.chains.Do(func() {
+		for i := range r.Pairs {
+			p := &r.Pairs[i]
+			l := r.locID(p.Location)
+			p.ChainA = r.chain(r.num.ID(p.A), l)
+			p.ChainB = r.chain(r.num.ID(p.B), l)
+		}
+	})
 }
 
 // chain walks the first-derivation records back to the seed or mint: how
-// the class came to hold a pointer into the location.
-func (r *Result) chain(class, key string) []string {
+// the class came to hold a pointer into location l. A holding is derived
+// from one made before it, so the walk ends; the step bound only guards
+// it.
+func (r *Result) chain(class, l int) []string {
 	var out []string
-	seen := make(map[string]bool)
-	for c := class; c != "" && !seen[c]; {
-		seen[c] = true
-		h := r.holdings[c][key]
-		if h == nil {
+	for c, steps := class, 0; c >= 0 && steps < r.num.Len(); steps++ {
+		row := r.rows.Row(c)
+		if !row.Has(l) {
 			break
 		}
-		out = append(out, fmt.Sprintf("%s: %s", c, h.Via))
-		c = h.From
+		h := &r.Classes[r.holders().Rank(c)].Holdings[row.Rank(l)]
+		out = append(out, r.num.Name(c)+": "+h.Via)
+		if h.From == "" {
+			break
+		}
+		c = r.num.ID(h.From)
 	}
 	return out
 }
 
 // Shared returns the shared-state entry for a class pair, or nil.
 func (r *Result) Shared(a, b string) *SharedPair {
-	key := [2]string{a, b}
 	if a > b {
-		key = [2]string{b, a}
+		a, b = b, a
 	}
-	return r.pairIndex[key]
+	i := sort.Search(len(r.Pairs), func(i int) bool {
+		p := &r.Pairs[i]
+		return p.A > a || p.A == a && p.B >= b
+	})
+	if i < len(r.Pairs) && r.Pairs[i].A == a && r.Pairs[i].B == b {
+		return &r.Pairs[i]
+	}
+	return nil
 }
 
 // PredictsTransfer reports whether the analysis predicts that a call
@@ -468,39 +557,44 @@ func (r *Result) Shared(a, b string) *SharedPair {
 // over-approximates on purpose — it is the soundness side of the
 // refinement, held to zero misses by Verify.
 func (r *Result) PredictsTransfer(src, dst string) bool {
-	return r.opaqueCapable[dst] && r.edgeIndex[[2]string{src, dst}]
+	s, d := r.num.ID(src), r.num.ID(dst)
+	return s >= 0 && r.capable().Has(d) && r.edges.Row(s).Has(d)
 }
 
 // SharedMutable reports whether the two classes may hold pointers into
 // one mutable location — the precise co-location criterion — with the
 // human-readable reason.
 func (r *Result) SharedMutable(a, b string) (string, bool) {
-	key := [2]string{a, b}
-	if a > b {
-		key = [2]string{b, a}
-	}
-	loc, ok := r.mutablePairs[key]
-	if !ok {
+	p := r.Shared(a, b)
+	if p == nil || !p.Mutable {
 		return "", false
 	}
+	loc := &r.Locations[r.present.Rank(r.locID(p.Location))]
 	return fmt.Sprintf("%s and %s may both hold pointers into mutable location %s (%s)",
-		key[0], key[1], loc, r.locIndex[loc].Reason), true
+		p.A, p.B, p.Location, loc.Reason), true
 }
 
 // MutablePairs returns every truly-aliasing class pair, sorted — the
 // pairs that must co-locate whether or not the profile saw them talk.
 func (r *Result) MutablePairs() [][2]string {
-	out := make([][2]string, 0, len(r.mutablePairs))
-	for k := range r.mutablePairs {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
+	out := make([][2]string, 0, r.mutableCount())
+	for i := range r.Pairs {
+		if p := &r.Pairs[i]; p.Mutable {
+			out = append(out, [2]string{p.A, p.B})
 		}
-		return out[i][1] < out[j][1]
-	})
+	}
 	return out
+}
+
+// mutableCount returns the number of mutable pairs.
+func (r *Result) mutableCount() int {
+	n := 0
+	for i := range r.Pairs {
+		if r.Pairs[i].Mutable {
+			n++
+		}
+	}
+	return n
 }
 
 // Verify cross-checks the points-to prediction against profile evidence
@@ -553,7 +647,7 @@ func (r *Result) Verify(p *profile.Profile) []staticanal.Finding {
 		// edges are statically unpredicted by design and never misses.
 		// They stay conservatively welded (PredictsTransfer is false, so
 		// ObservedNonRemotableWeld keeps the pin).
-		if r.dynamicCreators[src] {
+		if r.dynamic().Has(r.num.ID(src)) {
 			continue
 		}
 		// Instance-to-instance calls within one class never weld a class
@@ -576,29 +670,7 @@ func (r *Result) Verify(p *profile.Profile) []staticanal.Finding {
 }
 
 // hasOpaque walks a type descriptor to any nesting depth looking for an
-// opaque payload. seen guards against recursive descriptors so corrupted
-// metadata cannot hang the analyzer.
+// opaque payload.
 func hasOpaque(t *idl.TypeDesc) bool {
-	return hasOpaqueSeen(t, make(map[*idl.TypeDesc]bool))
-}
-
-func hasOpaqueSeen(t *idl.TypeDesc, seen map[*idl.TypeDesc]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	defer delete(seen, t)
-	switch t.Kind {
-	case idl.KindOpaque:
-		return true
-	case idl.KindStruct:
-		for _, f := range t.Fields {
-			if hasOpaqueSeen(f.Type, seen) {
-				return true
-			}
-		}
-	case idl.KindArray:
-		return hasOpaqueSeen(t.Elem, seen)
-	}
-	return false
+	return !idl.Walk(t, func(t *idl.TypeDesc) bool { return t.Kind != idl.KindOpaque })
 }

@@ -104,9 +104,11 @@ func mustScan(t *testing.T, app *com.App, rg *reach.Graph) *Result {
 func TestScanPointsToClosure(t *testing.T) {
 	t.Parallel()
 	r := mustScan(t, testApp(), testGraph())
+	r.FillChains()
 
 	// Doc's payloads flow to Editor (opaque result) and onward to Viewer
-	// (opaque in-parameter), so all three pairs share mutable state.
+	// (opaque in-parameter), so all three pairs share mutable state, and
+	// each carries its provenance chains once they are read.
 	for _, want := range [][2]string{{"Doc", "Editor"}, {"Doc", "Viewer"}, {"Editor", "Viewer"}} {
 		p := r.Shared(want[0], want[1])
 		if p == nil || !p.Mutable {

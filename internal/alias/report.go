@@ -9,6 +9,7 @@ import (
 // WriteJSON writes the result as indented canonical JSON. Every slice is
 // sorted at construction, so output is byte-stable across runs.
 func (r *Result) WriteJSON(w io.Writer) error {
+	r.FillChains()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
@@ -16,11 +17,12 @@ func (r *Result) WriteJSON(w io.Writer) error {
 
 // WriteText writes the human-readable shared-state report.
 func (r *Result) WriteText(w io.Writer) error {
+	r.FillChains()
 	if _, err := fmt.Fprintf(w, "alias analysis: %s\n", r.App); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "  abstract locations: %d   classes holding pointers: %d   shared pairs: %d (%d mutable)\n",
-		len(r.Locations), len(r.Classes), len(r.Pairs), len(r.mutablePairs))
+		len(r.Locations), len(r.Classes), len(r.Pairs), r.mutableCount())
 	for _, u := range r.UnknownClasses {
 		fmt.Fprintf(w, "  warning: state record for unregistered class %s\n", u)
 	}

@@ -123,12 +123,12 @@ func (a *ADPS) Err() error { return a.err }
 // installs its refinement into the pipeline: the constraint set is
 // replaced by its alias-refined copy (opaque cliques give way to
 // truly-aliasing pairs, see staticanal.Refined), the purity closure is
-// recomputed so impurity propagates only across may-alias edges (see
-// purity.ScanAliased), and the refiner's zero-miss verifier joins the
-// analysis findings. Both scans read the session's image — rewriting
-// leaves its record sections alone. Call it before installing coverage
-// constraints so coverage pairs land in the refined set. Idempotent; on
-// failure nothing is installed.
+// derived again from the session's classification so impurity propagates
+// only across may-alias edges (see purity.Report.Refined), and the
+// refiner's zero-miss verifier joins the analysis findings. The scan reads
+// the session's image — rewriting leaves its record sections alone. Call
+// it before installing coverage constraints so coverage pairs land in the
+// refined set. Idempotent; on failure nothing is installed.
 func (a *ADPS) EnableAlias() error {
 	if a.err != nil {
 		return a.err
@@ -140,18 +140,13 @@ func (a *ADPS) EnableAlias() error {
 	if err != nil {
 		return fmt.Errorf("core: %s: alias scan: %w", a.App.Name, err)
 	}
-	may := func(x, y string) bool {
-		_, ok := ar.SharedMutable(x, y)
-		return ok
-	}
-	pr, err := purity.ScanAliased(a.Image, a.App, a.Reach, may)
-	if err != nil {
-		return fmt.Errorf("core: %s: alias-refined purity scan: %w", a.App.Name, err)
-	}
 	a.Alias = ar
 	a.AnalysisOptions.Alias = ar
 	a.AnalysisOptions.Constraints = a.AnalysisOptions.Constraints.Refined(ar)
-	a.AnalysisOptions.Purity = pr
+	a.AnalysisOptions.Purity = a.Purity.Refined(func(x, y string) bool {
+		p := ar.Shared(x, y)
+		return p != nil && p.Mutable
+	})
 	return nil
 }
 

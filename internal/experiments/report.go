@@ -212,6 +212,7 @@ func Report(ctx context.Context, appName string, scenarios []string, theta float
 	pur.Misclassified, pur.Warnings = tally(base.Findings, purity.KindPurityMiss, analysis.KindReplicationRegression)
 
 	ar := adps.Alias
+	ar.FillChains() // the section's report carries every pair's chains
 	al := &AliasSection{
 		Classes:        len(ar.Classes),
 		Locations:      len(ar.Locations),

@@ -11,6 +11,7 @@ package idl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -145,6 +146,37 @@ func (t *TypeDesc) Remotable() bool {
 	default:
 		return true
 	}
+}
+
+// Walk calls visit on t and on every type nested in it — struct fields
+// and array elements — depth first in declaration order, and stops as
+// soon as visit returns false; it reports whether it ran to the end. A
+// descriptor already on the path from t is not entered again, so a
+// recursive descriptor ends its branch instead of the stack.
+func Walk(t *TypeDesc, visit func(*TypeDesc) bool) bool {
+	var path [8]*TypeDesc
+	return walk(t, visit, path[:0])
+}
+
+func walk(t *TypeDesc, visit func(*TypeDesc) bool, path []*TypeDesc) bool {
+	if t == nil || slices.Contains(path, t) {
+		return true
+	}
+	if !visit(t) {
+		return false
+	}
+	path = append(path, t)
+	switch t.Kind {
+	case KindStruct:
+		for _, f := range t.Fields {
+			if !walk(f.Type, visit, path) {
+				return false
+			}
+		}
+	case KindArray:
+		return walk(t.Elem, visit, path)
+	}
+	return true
 }
 
 // ParamDir is the direction of a method parameter.

@@ -23,7 +23,9 @@ package purity
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/binimg"
 	"repro/internal/com"
@@ -67,17 +69,18 @@ type ClassInfo struct {
 	Impure bool `json:"impure"`
 	// ImpureVia records the first derivation of transitive impurity.
 	ImpureVia string `json:"impureVia,omitempty"`
-
-	methodIndex map[string]*MethodInfo
 }
 
 // MethodPurity returns the local purity of the named method; Unknown for
 // methods the analysis never saw.
 func (ci *ClassInfo) MethodPurity(name string) MethodPurity {
-	if m := ci.methodIndex[name]; m != nil {
-		return m.Purity
+	i, ok := slices.BinarySearchFunc(ci.Methods, name, func(m MethodInfo, name string) int {
+		return strings.Compare(m.Method, name)
+	})
+	if !ok {
+		return Unknown
 	}
-	return Unknown
+	return ci.Methods[i].Purity
 }
 
 // unknownMethods counts methods whose mutability is unknown.
@@ -100,32 +103,29 @@ type Report struct {
 	// from the registry — stale state metadata.
 	UnknownClasses []string `json:"unknownClasses,omitempty"`
 
-	index map[string]*ClassInfo
+	// rg is the graph the closure runs over and edges its Edges in
+	// indexes of Classes, -1 for the main program or an unregistered
+	// class.
+	rg    *reach.Graph
+	edges [][2]int32
 }
 
 // Class returns the per-class analysis for the named class, or nil.
-func (r *Report) Class(name string) *ClassInfo { return r.index[name] }
+func (r *Report) Class(name string) *ClassInfo {
+	i, ok := slices.BinarySearchFunc(r.Classes, name, func(ci *ClassInfo, name string) int {
+		return strings.Compare(ci.Class, name)
+	})
+	if !ok {
+		return nil
+	}
+	return r.Classes[i]
+}
 
 // Scan runs the purity analysis: it joins the image's state records with
 // the class and interface registries to classify every method, and closes
 // transitive impurity over the reachability graph's static ICC edges.
 // Malformed images produce errors, never panics.
 func Scan(img *binimg.Image, app *com.App, rg *reach.Graph) (*Report, error) {
-	return ScanAliased(img, app, rg, nil)
-}
-
-// ScanAliased is Scan with an alias-refined impurity closure: when may is
-// non-nil, transitive impurity propagates across an ICC edge only when
-// may(src, dst) reports the two classes may hold pointers into shared
-// mutable state. The justification is replication with call routing:
-// replicas serve read traffic and route downstream calls to the single
-// authoritative callee instance, so a replica calling an impure component
-// does not duplicate the mutation — the replication hazard is raw
-// pointers into memory the callee mutates, which is exactly the may-alias
-// relation. may == nil propagates across every edge (Scan's behavior).
-// Because the refinement only removes propagation edges, the resulting
-// replication set is always a superset of the unrefined one.
-func ScanAliased(img *binimg.Image, app *com.App, rg *reach.Graph, may func(a, b string) bool) (*Report, error) {
 	if img == nil || rg == nil {
 		return nil, fmt.Errorf("purity: nil image or reachability graph")
 	}
@@ -149,24 +149,29 @@ func ScanAliased(img *binimg.Image, app *com.App, rg *reach.Graph, may func(a, b
 	r := &Report{
 		App:            img.AppName,
 		UnknownClasses: unknown,
-		index:          make(map[string]*ClassInfo),
+		rg:             rg,
 	}
 
-	// Pass 2: local method classification. A method name is classified
-	// once per class even when several interfaces declare it; the IDL
-	// cacheable fallback then requires every declaration to be cacheable.
-	for _, c := range app.Classes.Classes() {
-		desc := states[c.ID]
-		ci := &ClassInfo{
-			Class:         c.Name,
-			HasDescriptor: desc != nil,
-			methodIndex:   make(map[string]*MethodInfo),
+	// Pass 2: local method classification, class by class in name order.
+	// A method name is classified once per class even when several
+	// interfaces declare it; the IDL cacheable fallback then requires
+	// every declaration to be cacheable.
+	num, ids := rg.Dense(app.Classes)
+	infos := make([]ClassInfo, 0, num.Len()-1)
+	cacheable := make(map[string]bool)
+	var names []string
+	for id := range num.Len() {
+		c := num.Class(id)
+		if c == nil {
+			continue
 		}
+		desc := states[c.ID]
+		ci := ClassInfo{Class: c.Name, HasDescriptor: desc != nil}
 		if desc != nil {
 			ci.StateBytes = desc.Bytes
 		}
-		cacheable := make(map[string]bool)
-		var names []string
+		clear(cacheable)
+		names = names[:0]
 		for _, iid := range c.Interfaces {
 			d := app.Interfaces.Lookup(iid)
 			if d == nil {
@@ -182,8 +187,11 @@ func ScanAliased(img *binimg.Image, app *com.App, rg *reach.Graph, may func(a, b
 				}
 			}
 		}
-		sort.Strings(names)
+		slices.Sort(names)
 		ci.LocallyPure = true
+		if len(names) > 0 {
+			ci.Methods = make([]MethodInfo, 0, len(names))
+		}
 		for _, name := range names {
 			mi := MethodInfo{Method: name}
 			switch {
@@ -211,16 +219,62 @@ func ScanAliased(img *binimg.Image, app *com.App, rg *reach.Graph, may func(a, b
 			}
 			ci.Methods = append(ci.Methods, mi)
 		}
-		for i := range ci.Methods {
-			ci.methodIndex[ci.Methods[i].Method] = &ci.Methods[i]
-		}
-		r.Classes = append(r.Classes, ci)
-		r.index[c.Name] = ci
+		infos = append(infos, ci)
 	}
-	sort.Slice(r.Classes, func(i, j int) bool { return r.Classes[i].Class < r.Classes[j].Class })
+	r.Classes = pointers(infos)
 
-	r.propagate(rg, may)
+	// Classes holds every id but the main program's, in order.
+	index := func(id int32) int32 {
+		switch main := int32(num.Main()); {
+		case id < 0 || id == main:
+			return -1
+		case id > main:
+			return id - 1
+		}
+		return id
+	}
+	r.edges = make([][2]int32, len(ids))
+	for i, e := range ids {
+		r.edges[i] = [2]int32{index(e[0]), index(e[1])}
+	}
+	r.propagate(nil)
 	return r, nil
+}
+
+// Refined returns the report with an alias-refined impurity closure:
+// transitive impurity propagates across an ICC edge only when may(src,
+// dst) reports the two classes may hold pointers into shared mutable
+// state. The justification is replication with call routing: replicas
+// serve read traffic and route downstream calls to the single
+// authoritative callee instance, so a replica calling an impure component
+// does not duplicate the mutation — the replication hazard is raw
+// pointers into memory the callee mutates, which is exactly the may-alias
+// relation. The local classification is r's, shared; only the closure is
+// derived again, and r is unchanged. may == nil propagates across every
+// edge, reproducing r. Because the refinement only removes propagation
+// edges, the resulting replication set is always a superset of r's.
+func (r *Report) Refined(may func(a, b string) bool) *Report {
+	infos := make([]ClassInfo, len(r.Classes))
+	for i, ci := range r.Classes {
+		infos[i] = *ci
+		infos[i].ReachesImpure, infos[i].Impure, infos[i].ImpureVia = false, false, ""
+	}
+	out := &Report{App: r.App, Classes: pointers(infos), UnknownClasses: r.UnknownClasses, rg: r.rg, edges: r.edges}
+	out.propagate(may)
+	return out
+}
+
+// pointers returns a pointer to each element of infos; nil for none, as
+// Classes encodes an application without classes.
+func pointers(infos []ClassInfo) []*ClassInfo {
+	if len(infos) == 0 {
+		return nil
+	}
+	out := make([]*ClassInfo, len(infos))
+	for i := range infos {
+		out[i] = &infos[i]
+	}
+	return out
 }
 
 // propagate closes transitive impurity over the static ICC graph: a
@@ -229,33 +283,29 @@ func ScanAliased(img *binimg.Image, app *com.App, rg *reach.Graph, may func(a, b
 // propagation dual of reach's interface flows. Edges sourced at the main
 // program are skipped (the main program is not a component and is never
 // replicated). A non-nil may filter confines propagation to may-alias
-// edges (see ScanAliased). Iteration is deterministic: the edge list is
+// edges (see Refined). Iteration is deterministic: the edge list is
 // sorted and the worklist runs to a fixed point.
-func (r *Report) propagate(rg *reach.Graph, may func(a, b string) bool) {
-	impure := make(map[string]bool)
-	for _, ci := range r.Classes {
-		if !ci.LocallyPure {
-			impure[ci.Class] = true
-		}
+func (r *Report) propagate(may func(a, b string) bool) {
+	impure := make([]bool, len(r.Classes))
+	for i, ci := range r.Classes {
+		impure[i] = !ci.LocallyPure
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, e := range rg.Edges {
-			ci := r.index[e.Src]
-			if ci == nil || ci.ReachesImpure {
+		for k, e := range r.edges {
+			src, dst := e[0], e[1]
+			if src < 0 || dst < 0 || r.Classes[src].ReachesImpure || !impure[dst] {
 				continue
 			}
-			dst := r.index[e.Dst]
-			if dst == nil || !impure[e.Dst] {
+			edge := &r.rg.Edges[k]
+			if may != nil && !may(edge.Src, edge.Dst) {
 				continue
 			}
-			if may != nil && !may(e.Src, e.Dst) {
-				continue
-			}
+			ci := r.Classes[src]
 			ci.ReachesImpure = true
-			ci.ImpureVia = fmt.Sprintf("can call impure class %s via %s", e.Dst, e.IID)
-			if !impure[e.Src] {
-				impure[e.Src] = true
+			ci.ImpureVia = "can call impure class " + edge.Dst + " via " + edge.IID
+			if !impure[src] {
+				impure[src] = true
 				changed = true
 			}
 		}

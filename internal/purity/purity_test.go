@@ -290,7 +290,7 @@ func FuzzPurityScan(f *testing.F) {
 	})
 }
 
-func TestScanAliasedShrinksImpurityClosure(t *testing.T) {
+func TestRefinedShrinksImpurityClosure(t *testing.T) {
 	t.Parallel()
 	// Pure reaches impure Store, so the plain closure drags Pure (and
 	// Cache, which calls Pure) into statefulness. An alias oracle proving
@@ -305,10 +305,7 @@ func TestScanAliasedShrinksImpurityClosure(t *testing.T) {
 	plain := mustScan(t, app, rg)
 
 	may := func(a, b string) bool { return !(a == "Pure" && b == "Store") }
-	refined, err := ScanAliased(binimg.BuildImage(app), app, rg, may)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refined := plain.Refined(may)
 	if ci := refined.Class("Pure"); ci.ReachesImpure || ci.Impure {
 		t.Fatalf("Pure = %+v, want freed by the alias oracle", ci)
 	}
@@ -337,11 +334,8 @@ func TestScanAliasedShrinksImpurityClosure(t *testing.T) {
 	}
 
 	// A nil oracle must reproduce the plain closure exactly.
-	same, err := ScanAliased(binimg.BuildImage(app), app, rg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	same := plain.Refined(nil)
 	if got, want := same.Class("Pure").ReachesImpure, plain.Class("Pure").ReachesImpure; got != want {
-		t.Fatalf("nil-oracle ScanAliased diverges from Scan: %v vs %v", got, want)
+		t.Fatalf("nil-oracle Refined diverges from Scan: %v vs %v", got, want)
 	}
 }

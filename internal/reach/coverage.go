@@ -81,9 +81,9 @@ func (g *Graph) Coverage(p *profile.Profile) *Coverage {
 				continue
 			}
 			observedSites[key] = true
-			if !g.siteIndex[key] {
+			if !g.HasSite(creator, ci.Class) {
 				detail := "observed activation not statically predicted"
-				if !g.reachable[ci.Class] {
+				if !g.IsReachable(ci.Class) {
 					detail = "activated class is statically unreachable"
 				}
 				cov.Misses = append(cov.Misses, Miss{
@@ -104,10 +104,10 @@ func (g *Graph) Coverage(p *profile.Profile) *Coverage {
 			// A dynamic factory's communication partners are data, not
 			// code: the static graph deliberately predicts no out-edges for
 			// it, so its observed calls are not metadata staleness.
-			if g.dynamic[src] {
+			if g.IsDynamicCreator(src) {
 				continue
 			}
-			if !g.edgeIndex[key] {
+			if !g.HasEdge(src, dst) {
 				cov.Misses = append(cov.Misses, Miss{
 					Kind: "edge", Src: src, Dst: dst,
 					Detail: "observed communication not statically predicted",

@@ -357,3 +357,51 @@ func TestCoveragePercentVacuouslyFull(t *testing.T) {
 		t.Errorf("empty coverage percent = %v, want 100", got)
 	}
 }
+
+// TestFirstWinsProvenanceSnapshot pins which derivation names an edge
+// when two reach it in different passes. A holds B; B returns its C, and
+// C returns its D; E hands B a D by callback later in the first pass. A
+// takes C from B in pass 1 but visits C only from pass 2, where B's
+// return — earlier in A's sorted holds — derives A's D first. A closure
+// that visited C in the pass A acquired it would name IC.GetD.
+func TestFirstWinsProvenanceSnapshot(t *testing.T) {
+	t.Parallel()
+	ifaces := idl.NewRegistry()
+	ifaces.Register(&idl.InterfaceDesc{IID: "IB", Remotable: true, Methods: []idl.MethodDesc{
+		{Name: "GetC", Result: idl.InterfaceType("IC")},
+		{Name: "GetD", Result: idl.InterfaceType("ID")},
+		{Name: "Take", Params: []idl.ParamDesc{{Name: "d", Dir: idl.In, Type: idl.InterfaceType("ID")}}, Result: idl.TVoid},
+	}})
+	ifaces.Register(&idl.InterfaceDesc{IID: "IC", Remotable: true, Methods: []idl.MethodDesc{
+		{Name: "GetD", Result: idl.InterfaceType("ID")},
+	}})
+	ifaces.Register(&idl.InterfaceDesc{IID: "ID", Remotable: true, Methods: []idl.MethodDesc{
+		{Name: "Poke", Result: idl.TInt32},
+	}})
+	classes := com.NewClassRegistry()
+	reg := func(name, iid string, targets ...com.CLSID) {
+		classes.Register(&com.Class{
+			ID: com.CLSID("CLSID_" + name), Name: name, Interfaces: []string{iid},
+			Activations: targets,
+			New:         func() com.Object { return com.ObjectFunc(nil) },
+		})
+	}
+	reg("A", "IA", "CLSID_B")
+	reg("B", "IB", "CLSID_C")
+	reg("C", "IC", "CLSID_D")
+	reg("D", "ID")
+	reg("E", "IE", "CLSID_B", "CLSID_D")
+	g := scan(t, &com.App{
+		Name: "firstwins", Classes: classes, Interfaces: ifaces,
+		MainActivations: []com.CLSID{"CLSID_A", "CLSID_E"},
+	})
+	for _, e := range g.Edges {
+		if e.Src == "A" && e.Dst == "D" {
+			if e.IID != "ID" || e.Provenance != "returned by IB.GetD" {
+				t.Fatalf("A -> D = %+v, want IID ID returned by IB.GetD", e)
+			}
+			return
+		}
+	}
+	t.Fatalf("no edge A -> D in %+v", g.Edges)
+}

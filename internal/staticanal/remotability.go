@@ -70,31 +70,24 @@ type typeScan struct {
 	refs    []string // declared IIDs of referenced interfaces
 }
 
-// scanType walks a type descriptor to any nesting depth. seen guards
-// against recursive descriptors so corrupted metadata cannot hang the
-// analyzer.
-func scanType(t *idl.TypeDesc, sc *typeScan, seen map[*idl.TypeDesc]bool) {
-	if t == nil || seen[t] {
-		return
-	}
-	seen[t] = true
-	switch t.Kind {
-	case idl.KindOpaque:
-		sc.opaque = true
-	case idl.KindInterface:
-		if t.IID == "" {
-			sc.untyped = true
-		} else {
-			sc.refs = append(sc.refs, t.IID)
+// scanType walks a type descriptor to any nesting depth; idl.Walk's
+// path guard keeps a recursive descriptor from hanging the analyzer.
+func scanType(t *idl.TypeDesc) typeScan {
+	var sc typeScan
+	idl.Walk(t, func(t *idl.TypeDesc) bool {
+		switch t.Kind {
+		case idl.KindOpaque:
+			sc.opaque = true
+		case idl.KindInterface:
+			if t.IID == "" {
+				sc.untyped = true
+			} else {
+				sc.refs = append(sc.refs, t.IID)
+			}
 		}
-	case idl.KindStruct:
-		for _, f := range t.Fields {
-			scanType(f.Type, sc, seen)
-		}
-	case idl.KindArray:
-		scanType(t.Elem, sc, seen)
-	}
-	delete(seen, t)
+		return true
+	})
+	return sc
 }
 
 // ClassifyInterfaces runs the signature-classification pass over every
@@ -125,8 +118,7 @@ func ClassifyInterfaces(reg *idl.Registry) map[string]*InterfaceReport {
 			m := &d.Methods[mi]
 			methodOpaque := false
 			scanSite := func(t *idl.TypeDesc, site string) {
-				var sc typeScan
-				scanType(t, &sc, make(map[*idl.TypeDesc]bool))
+				sc := scanType(t)
 				if sc.opaque {
 					// A single opaque method does not forbid remoting the
 					// interface: calls through its clean methods still
