@@ -15,18 +15,18 @@ import (
 )
 
 // cmdChaos runs one scenario in its default distribution over a lossy
-// network: cross-machine messages are dropped/corrupted per the configured
-// (or model-derived) rates and retransmitted with backoff. The same seed
-// always produces the same fault schedule.
+// network: the frames of cross-machine calls are dropped/corrupted per the
+// configured (or model-derived) rates and calls are retried with backoff.
+// The same seed always produces the same fault schedule.
 func cmdChaos(_ context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	scen := fs.String("scenario", "o_oldwp7", "scenario to run")
 	network := fs.String("network", "10BaseT", "network model")
-	drop := fs.Float64("drop", 0.05, "per-message drop probability")
-	corrupt := fs.Float64("corrupt", 0.05, "per-message corruption probability")
-	timeout := fs.Duration("timeout", 250*time.Millisecond, "virtual wait charged per dropped message")
-	attempts := fs.Int("attempts", 4, "delivery attempts per message (1 disables retries)")
-	backoff := fs.Duration("backoff", 10*time.Millisecond, "initial retransmission backoff (doubles per attempt)")
+	drop := fs.Float64("drop", 0.05, "per-frame drop probability")
+	corrupt := fs.Float64("corrupt", 0.05, "per-frame corruption probability")
+	timeout := fs.Duration("timeout", 250*time.Millisecond, "virtual wait charged per dropped frame")
+	attempts := fs.Int("attempts", 4, "delivery attempts per call (1 disables retries)")
+	backoff := fs.Duration("backoff", 10*time.Millisecond, "initial retry backoff (doubles per retry)")
 	seed := fs.Int64("seed", 1, "fault-schedule seed (same seed, same faults)")
 	fromModel := fs.Bool("from-model", false, "derive drop/corrupt rates from the network model's loss figure")
 	trace := fs.Bool("trace", false, "print every injected fault")
@@ -41,13 +41,13 @@ func cmdChaos(_ context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	pol := &dist.FaultPolicy{
-		Rates:       fault.Rates{Drop: *drop, Corrupt: *corrupt},
-		Timeout:     *timeout,
-		MaxAttempts: *attempts,
-		Backoff:     *backoff,
+		Rates:      fault.Rates{Drop: *drop, Corrupt: *corrupt},
+		CallPolicy: dist.CallPolicy{Timeout: *timeout, MaxAttempts: *attempts, Backoff: *backoff},
 	}
 	if *fromModel {
-		pol.Rates = fault.FromModel(adps.Network)
+		// The virtual clock prices drops and corruptions only.
+		r := fault.FromModel(adps.Network)
+		pol.Rates = fault.Rates{Drop: r.Drop, Corrupt: r.Corrupt}
 	}
 	cfg, err := adps.RunConfig(dist.ModeDefault, *scen)
 	if err != nil {

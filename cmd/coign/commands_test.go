@@ -23,7 +23,9 @@ import (
 // is `coign cut -scenario o_newdoc,o_oldtb3 -v` at that commit; for the
 // anonymous log the instance, time and server lines are that commit's
 // `analyze -v` numbers. table4 and table5 are what they printed at commit
-// 4403396, when each column came from a real execution, not a replay.
+// 4403396, when each column came from a real execution, not a replay. The
+// chaos text is what it printed once the virtual clock retried whole round
+// trips, as the real transport does.
 func TestCommandOutputGolden(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -151,6 +153,16 @@ wrote DIR/o_oldtb3.icc: 1809 calls, 237 classifications
 			args:  []string{"-app", "synth:three-tier:1", "-classifier", "pcb", "-depth", "3", "-o", "DIR/tt.img"},
 			want:  "wrote instrumented binary DIR/tt.img (1211454 bytes of code, 3 imports, coign.rt in slot 0)\n",
 			files: map[string]string{"tt.img": "40d7ed3128b0564fdf7438bfc4fc9e03d6b1cc8afb1ca9975669c4a9c94e9932"}},
+		{name: "chaos", run: cmdChaos, args: []string{"-drop", "0.05", "-seed", "7"},
+			want: `o_oldwp7 on 10BaseT (drop 5.0%, corrupt 5.0%, 4 attempt(s), seed 7)
+  outcome: FAILED — dist: scenario o_oldwp7: 1 call(s) undeliverable after 4 attempt(s): dist: call timed out
+`},
+		{name: "chaos from model", run: cmdChaos, args: []string{"-from-model", "-network", "ISDN", "-seed", "7"},
+			want: `o_oldwp7 on ISDN (drop 0.5%, corrupt 0.1%, 4 attempt(s), seed 7)
+  outcome:   completed (504 components, 838 messages, 19224535 bytes)
+  comm time: 21m35.239066249s (compute 27.03355s)
+  faults:    2 drops, 0 corruptions, 2 retries, 0 giveups
+`},
 	} {
 		args := make([]string, len(tc.args))
 		for i, a := range tc.args {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/idl"
 	"repro/internal/logger"
+	"repro/internal/netsim"
 )
 
 // chaosPipelineRun drives the pipeline's storage component through the real
@@ -209,7 +210,7 @@ func TestChaosSimFailsFastWhenRetriesDisabled(t *testing.T) {
 	_, err := Run(Config{
 		App: pipelineApp(), Scenario: "big", Seed: 7, Mode: ModeDefault,
 		Classifier: classify.New(classify.IFCB, 0),
-		Faults:     &FaultPolicy{Rates: fault.Rates{Drop: 0.5}, MaxAttempts: 1},
+		Faults:     &FaultPolicy{Rates: fault.Rates{Drop: 0.5}, CallPolicy: CallPolicy{MaxAttempts: 1}},
 	})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -230,7 +231,7 @@ func TestReplayWithFaultsChargesRetransmissions(t *testing.T) {
 	cfg := Config{App: pipelineApp(), Scenario: "big", Seed: 11, Mode: ModeCoign,
 		Classifier: classify.New(classify.IFCB, 0), Distribution: dm}
 	clean := replayEqualsRun(t, cfg, trace)
-	cfg.Faults = &FaultPolicy{Rates: fault.Rates{Drop: 0.1, Corrupt: 0.1}, MaxAttempts: 8}
+	cfg.Faults = &FaultPolicy{Rates: fault.Rates{Drop: 0.1, Corrupt: 0.1}, CallPolicy: CallPolicy{MaxAttempts: 8}}
 	faulted := replayEqualsRun(t, cfg, trace)
 	if faulted.FaultDrops+faulted.FaultCorruptions == 0 {
 		t.Fatal("10% rates injected nothing into the replay; pick another seed")
@@ -252,44 +253,50 @@ func TestReplayWithFaultsChargesRetransmissions(t *testing.T) {
 
 // TestFaultPolicyRatesAreProbabilities: Run and Replay refuse a fault
 // policy whose drop or corrupt rate is NaN or outside [0, 1], or whose
-// rates sum above 1, in every mode; rates on the boundary run, and fail
-// only as an undeliverable message does.
+// rates sum above 1, or that sets a rate the virtual clock does not price
+// (Truncate, Delay, DelayJitter), in every mode; rates on the boundary
+// run, and fail only as an undeliverable call does.
 func TestFaultPolicyRatesAreProbabilities(t *testing.T) {
 	t.Parallel()
 	trace := pipelineTrace(t, "big", 7)
 	for _, c := range []struct {
-		name          string
-		drop, corrupt float64
-		refused       bool // the policy is no policy
-		timeout       bool // every message faults, so one gives up
+		name    string
+		rates   fault.Rates
+		refusal string // the refusal's words, or "" when the policy runs
+		timeout bool   // every message faults, so one gives up
 	}{
-		{"no faults", 0, 0, false, false},
-		{"small rates", 0.05, 0.05, false, false},
-		{"drop every message", 1, 0, false, true},
-		{"rates summing to one", 0.4, 0.6, false, true},
-		{"drop above one", 1.5, 0, true, false},
-		{"corrupt above one", 0, 1.2, true, false},
-		{"negative drop", -0.5, 0, true, false},
-		{"negative rates", -0.5, -0.2, true, false},
-		{"sum above one", 0.6, 0.5, true, false},
-		{"NaN drop", math.NaN(), 0, true, false},
-		{"NaN corrupt", 0, math.NaN(), true, false},
+		{"no faults", fault.Rates{}, "", false},
+		{"small rates", fault.Rates{Drop: 0.05, Corrupt: 0.05}, "", false},
+		{"drop every message", fault.Rates{Drop: 1}, "", true},
+		{"rates summing to one", fault.Rates{Drop: 0.4, Corrupt: 0.6}, "", true},
+		{"drop above one", fault.Rates{Drop: 1.5}, "fault rates", false},
+		{"corrupt above one", fault.Rates{Corrupt: 1.2}, "fault rates", false},
+		{"negative drop", fault.Rates{Drop: -0.5}, "fault rates", false},
+		{"negative rates", fault.Rates{Drop: -0.5, Corrupt: -0.2}, "fault rates", false},
+		{"sum above one", fault.Rates{Drop: 0.6, Corrupt: 0.5}, "fault rates", false},
+		{"NaN drop", fault.Rates{Drop: math.NaN()}, "fault rates", false},
+		{"NaN corrupt", fault.Rates{Corrupt: math.NaN()}, "fault rates", false},
+		{"truncate", fault.Rates{Drop: 0.05, Truncate: 0.01}, "Truncate 0.01,", false},
+		{"delay", fault.Rates{Delay: time.Millisecond}, "Delay 1ms,", false},
+		{"delay jitter", fault.Rates{DelayJitter: time.Millisecond}, "DelayJitter 1ms:", false},
+		{"a model's rates", fault.FromModel(netsim.ISDN), "Truncate 0.000625,", false},
 	} {
+		refuses := c.refusal != ""
 		cfg := Config{App: pipelineApp(), Scenario: "big", Seed: 7, Mode: ModeDefault,
 			Classifier: classify.New(classify.IFCB, 0),
-			Faults:     &FaultPolicy{Rates: fault.Rates{Drop: c.drop, Corrupt: c.corrupt}}}
+			Faults:     &FaultPolicy{Rates: c.rates}}
 		_, runErr := Run(cfg)
 		_, replayErr := Replay(cfg, trace)
 		for what, err := range map[string]error{"Run": runErr, "Replay": replayErr} {
-			refused := err != nil && strings.Contains(err.Error(), "fault rates")
-			if refused != c.refused || !c.refused && errors.Is(err, ErrTimeout) != c.timeout {
-				t.Errorf("%s: %s err = %v, want refused %v, timeout %v", c.name, what, err, c.refused, c.timeout)
+			refused := err != nil && refuses && strings.Contains(err.Error(), c.refusal)
+			if refused != refuses || !refuses && errors.Is(err, ErrTimeout) != c.timeout {
+				t.Errorf("%s: %s err = %v, want refusal %q, timeout %v", c.name, what, err, c.refusal, c.timeout)
 			}
 		}
 		// A profiling run sends nothing across, yet refuses the policy too.
 		cfg.Mode = ModeProfiling
-		if _, err := Run(cfg); (err != nil) != c.refused {
-			t.Errorf("%s: profiling Run err = %v, want refused %v", c.name, err, c.refused)
+		if _, err := Run(cfg); (err != nil) != refuses {
+			t.Errorf("%s: profiling Run err = %v, want refusal %q", c.name, err, c.refusal)
 		}
 	}
 }

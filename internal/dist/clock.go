@@ -23,7 +23,7 @@ import (
 type Clock struct {
 	net     *netsim.Model
 	rng     *rand.Rand
-	faults  *faultSim
+	faults  *faults
 	compute time.Duration
 	comm    time.Duration
 	msgs    int64
@@ -44,35 +44,89 @@ func (c *Clock) Compute(_ com.Machine, d time.Duration) {
 }
 
 // SetFaults enables message-level fault simulation: every subsequent
-// cross-machine message may be dropped or corrupted per the policy, with
-// retransmissions charged to communication time. rng must be seeded by
-// the caller so fault schedules reproduce; sink (optional) receives one
-// record per injected fault.
+// cross-machine call is delivered under the policy, each of its frames
+// dropped or corrupted per the rates, with faulted attempts and backoffs
+// charged to communication time. rng must be seeded by the caller so fault
+// schedules reproduce; sink (optional) receives one record per injected
+// fault.
 func (c *Clock) SetFaults(pol FaultPolicy, rng *rand.Rand, sink *logger.Trace) {
-	c.faults = newFaultSim(pol, rng, sink)
+	pol.CallPolicy = pol.withDefaults()
+	c.faults = &faults{pol: pol, rng: rng, sink: sink}
 }
 
 // RemoteCall implements rte.CommSink: a synchronous cross-machine call
 // sends a request message and receives a reply message. Under a fault
-// policy each direction may take several attempts; retransmissions count
-// as extra messages, but payload bytes are charged once.
+// policy a call may take several attempts; retransmissions count as extra
+// messages, but payload bytes are charged once.
 func (c *Clock) RemoteCall(from, to com.Machine, reqBytes, respBytes int) {
+	c.bytes += int64(reqBytes + respBytes)
 	if c.faults == nil {
-		c.comm += c.net.SampleMessageTime(reqBytes, c.rng)
-		c.comm += c.net.SampleMessageTime(respBytes, c.rng)
+		c.comm += c.net.SampleMessageTime(reqBytes, c.rng) + c.net.SampleMessageTime(respBytes, c.rng)
 		c.msgs += 2
-		c.bytes += int64(reqBytes + respBytes)
 		return
 	}
-	for _, sz := range [2]int{reqBytes, respBytes} {
-		sz := sz
-		t, xmits := c.faults.deliver(func() time.Duration {
-			return c.net.SampleMessageTime(sz, c.rng)
-		}, sz)
-		c.comm += t
-		c.msgs += xmits
+	c.deliver(reqBytes, respBytes)
+}
+
+// faults is a clock's fault simulation: the policy with its defaults
+// filled in, the seeded roll stream every fault is drawn from, and what
+// the rolls came to. Its randomness is all in rng, so a chaos run's fault
+// schedule, and therefore its virtual times, reproduce exactly.
+type faults struct {
+	pol     FaultPolicy
+	rng     *rand.Rand
+	sink    *logger.Trace
+	faulted [corrupted + 1]int64 // frames, by outcome
+	retries int64
+	giveups int64
+}
+
+// faultKinds names a faulted frame's outcome in the trace.
+var faultKinds = [...]string{dropped: "drop", corrupted: "corrupt"}
+
+func (f *faults) emit(kind string, attempt, bytes int, penalty time.Duration) {
+	if f.sink != nil {
+		f.sink.Fault(logger.FaultRecord{Kind: kind, Attempt: attempt, Bytes: bytes, Penalty: penalty})
 	}
-	c.bytes += int64(reqBytes + respBytes)
+}
+
+// deliver drives one call through the delivery state machine on the
+// virtual clock, at the real transport's granularity: each attempt sends
+// the request and, if it arrives intact, the reply, one roll per frame. A
+// dropped frame costs the deadline on top of what the attempt already
+// spent, a corrupt one its wasted transfer, and every retry resends the
+// request after the policy's backoff. A call whose attempts run out counts
+// as a giveup; the caller decides whether that fails the run.
+func (c *Clock) deliver(reqBytes, respBytes int) (int, error) {
+	f := c.faults
+	var lost int // bytes of the last faulted frame
+	attempts, err := f.pol.run(f.rng, func(n int) outcome {
+		start := c.comm
+		for _, size := range [2]int{reqBytes, respBytes} {
+			c.msgs++
+			o := fate(f.rng.Float64(), f.pol.Rates)
+			if o == dropped {
+				c.comm += f.pol.Timeout
+			} else {
+				c.comm += c.net.SampleMessageTime(size, c.rng)
+			}
+			if o != delivered {
+				f.faulted[o]++
+				f.emit(faultKinds[o], n, size, c.comm-start)
+				lost = size
+				return o
+			}
+		}
+		return delivered
+	}, func(d time.Duration) {
+		f.retries++
+		c.comm += d
+	})
+	if err != nil {
+		f.giveups++
+		f.emit("giveup", attempts, lost, 0)
+	}
+	return attempts, err
 }
 
 // CommTime returns accumulated communication time.

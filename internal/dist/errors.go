@@ -3,13 +3,13 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"net"
 )
 
 // Typed transport errors. Callers classify failures with errors.Is; every
-// error returned by Conn.Call / Conn.Ping wraps one of these (or a raw I/O
-// error for severed connections) inside a TransportError carrying the
-// address, method, and attempt count.
+// error returned by Conn.Call / Conn.Ping wraps one of these (or
+// net.ErrClosed once the Conn is closed), joined with the last attempt's
+// I/O error, inside a TransportError carrying the address, method, and
+// attempt count.
 var (
 	// ErrTimeout marks a call that exceeded its per-attempt deadline — a
 	// stalled peer, a blackholed link, or a dead server.
@@ -18,8 +18,9 @@ var (
 	// application-level error. Remote errors are never retried: the call
 	// reached the handler.
 	ErrRemote = errors.New("dist: remote error")
-	// ErrCorrupt marks a frame that failed integrity checks: a checksum
-	// mismatch, an oversized length prefix, or an empty response.
+	// ErrCorrupt marks a frame that failed integrity checks (a checksum
+	// mismatch, an oversized length prefix, or an empty response) or a
+	// link severed mid-call.
 	ErrCorrupt = errors.New("dist: corrupt frame")
 )
 
@@ -32,7 +33,7 @@ type TransportError struct {
 	// Attempts is how many times the call was attempted before giving up.
 	Attempts int
 	// Err is the final underlying error; it wraps ErrTimeout, ErrRemote,
-	// or ErrCorrupt when the failure is classifiable.
+	// ErrCorrupt or net.ErrClosed.
 	Err error
 }
 
@@ -47,13 +48,3 @@ func (e *TransportError) Error() string {
 
 // Unwrap exposes the underlying error to errors.Is / errors.As.
 func (e *TransportError) Unwrap() error { return e.Err }
-
-// classifyNetErr wraps deadline expiries with ErrTimeout so callers can
-// test errors.Is(err, ErrTimeout) without knowing net internals.
-func classifyNetErr(err error) error {
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return errors.Join(ErrTimeout, err)
-	}
-	return err
-}

@@ -1,20 +1,26 @@
 package dist
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"time"
+
+	"repro/internal/fault"
 )
 
-// CallPolicy governs deadlines and retries for transport calls. The
-// server's at-most-once dedup (request sequence numbers) makes retries
-// safe: a retried call whose first attempt actually executed is answered
-// from the server's response cache, never re-executed.
+// CallPolicy governs deadlines and retries for a call, on either clock:
+// the real transport's Conn sleeps its backoffs, the virtual clock charges
+// them. The server's at-most-once dedup (request sequence numbers) makes
+// retries safe: a retried call whose first attempt actually executed is
+// answered from the server's response cache, never re-executed.
+//
+// A zero Timeout, MaxAttempts or Backoff means DefaultCallPolicy's value;
+// a zero BackoffMax or JitterFrac is off.
 type CallPolicy struct {
 	// Timeout is the per-attempt deadline covering one full round trip
-	// (connect if needed, write request, read response). Zero means no
-	// deadline — a stalled peer blocks forever, so runs that inject faults
-	// must set one.
+	// (connect if needed, write request, read response). On the virtual
+	// clock it is what a dropped frame costs.
 	Timeout time.Duration
 	// MaxAttempts is the total number of attempts; 1 disables retries.
 	MaxAttempts int
@@ -23,13 +29,14 @@ type CallPolicy struct {
 	// BackoffMax caps the exponential backoff.
 	BackoffMax time.Duration
 	// JitterFrac randomizes each backoff by ±JitterFrac of its value,
-	// de-synchronizing retry storms. Drawn from the connection's seeded
-	// generator, so a seeded dial retries reproducibly.
+	// de-synchronizing retry storms. Drawn from the caller's seeded
+	// generator, so a seeded dial or a chaos run retries reproducibly.
 	JitterFrac float64
 }
 
 // DefaultCallPolicy returns the transport's default resilience policy:
-// bounded per-call deadlines with a few jittered-backoff retries.
+// bounded per-call deadlines with a few jittered-backoff retries. Its
+// Timeout, MaxAttempts and Backoff are what a zero field stands for.
 func DefaultCallPolicy() CallPolicy {
 	return CallPolicy{
 		Timeout:     2 * time.Second,
@@ -40,18 +47,27 @@ func DefaultCallPolicy() CallPolicy {
 	}
 }
 
+// withDefaults gives a zero Timeout, MaxAttempts or Backoff its one
+// meaning, the default, for both drivers of the delivery machine.
+func (p CallPolicy) withDefaults() CallPolicy {
+	d := DefaultCallPolicy()
+	if p.Timeout <= 0 {
+		p.Timeout = d.Timeout
+	}
+	if p.MaxAttempts < 1 {
+		p.MaxAttempts = d.MaxAttempts
+	}
+	if p.Backoff <= 0 {
+		p.Backoff = d.Backoff
+	}
+	return p
+}
+
 // delay returns the backoff before retry number `retry` (1-based).
 func (p CallPolicy) delay(retry int, rng *rand.Rand) time.Duration {
 	d := p.Backoff
-	if d <= 0 {
-		return 0
-	}
-	for i := 1; i < retry; i++ {
+	for i := 1; i < retry && (p.BackoffMax <= 0 || d < p.BackoffMax); i++ {
 		d *= 2
-		if p.BackoffMax > 0 && d >= p.BackoffMax {
-			d = p.BackoffMax
-			break
-		}
 	}
 	if p.BackoffMax > 0 && d > p.BackoffMax {
 		d = p.BackoffMax
@@ -63,17 +79,88 @@ func (p CallPolicy) delay(retry int, rng *rand.Rand) time.Duration {
 	return d
 }
 
+// outcome is what one attempt of a call came to.
+type outcome uint8
+
+const (
+	delivered outcome = iota // the reply arrived intact
+	dropped                  // the deadline expired: the request or the reply was lost
+	corrupted                // a frame failed its checksum, or the link was severed
+	refused                  // the server ran the call and answered with an error
+	closed                   // the caller closed the connection
+)
+
+// err is the typed error a call that ends on o gives up with.
+func (o outcome) err() error {
+	return [...]error{nil, ErrTimeout, ErrCorrupt, ErrRemote, net.ErrClosed}[o]
+}
+
+// fate maps one roll in [0, 1) to a frame's fate on a wire with the given
+// drop and corrupt rates.
+func fate(roll float64, r fault.Rates) outcome {
+	switch {
+	case roll < r.Drop:
+		return dropped
+	case roll < r.Drop+r.Corrupt:
+		return corrupted
+	}
+	return delivered
+}
+
+// run is the delivery state machine of one call, and the one retry loop:
+// try performs attempt number `attempt` and reports its outcome. A
+// delivered attempt succeeds; a refused or closed one gives up at once; a
+// dropped or corrupted one is retried after wait(delay(attempt)) until
+// MaxAttempts are spent, then gives up with its typed error. It returns
+// the attempts made. p must have its defaults filled in.
+func (p CallPolicy) run(rng *rand.Rand, try func(attempt int) outcome, wait func(time.Duration)) (int, error) {
+	for attempt := 1; ; attempt++ {
+		o := try(attempt)
+		if (o != dropped && o != corrupted) || attempt >= p.MaxAttempts {
+			return attempt, o.err()
+		}
+		wait(p.delay(attempt, rng))
+	}
+}
+
+// FaultPolicy configures fault simulation on the virtual clock (Run,
+// Replay): the wire's per-frame drop and corrupt rates, and the CallPolicy
+// every cross-machine call is delivered under. The clock feeds the same
+// state machine as the real transport's Conn, at the same round-trip
+// granularity and with the same zero-field defaults;
+// TestDeliveryMatchesTransport holds the two to each other call by call.
+type FaultPolicy struct {
+	// Rates supplies the Drop and Corrupt probabilities, rolled per frame.
+	// Use fault.FromModel's Drop and Corrupt to derive them from a network
+	// model's loss figure. The clock prices nothing else, so a non-zero
+	// Truncate, Delay or DelayJitter is refused.
+	Rates fault.Rates
+	CallPolicy
+}
+
+// validate rejects rates that are not probabilities: Drop and Corrupt each
+// in [0, 1], and at most 1 together, since one roll decides a frame's
+// fate. A NaN rate fails every comparison, so it is refused too. So is any
+// rate the virtual clock would silently ignore.
+func (p FaultPolicy) validate() error {
+	r := p.Rates
+	d, c := r.Drop, r.Corrupt
+	switch {
+	case !(d >= 0 && d <= 1 && c >= 0 && c <= 1 && d+c <= 1):
+		return fmt.Errorf("dist: fault rates drop %v, corrupt %v: each must be in [0, 1] and their sum at most 1", d, c)
+	case r.Truncate != 0 || r.Delay != 0 || r.DelayJitter != 0:
+		return fmt.Errorf("dist: fault rates Truncate %v, Delay %v, DelayJitter %v: the virtual clock prices only Drop and Corrupt",
+			r.Truncate, r.Delay, r.DelayJitter)
+	}
+	return nil
+}
+
 // CallOption adjusts the policy of a single call.
 type CallOption func(*CallPolicy)
 
 // WithTimeout sets the per-attempt deadline for this call.
 func WithTimeout(d time.Duration) CallOption {
 	return func(p *CallPolicy) { p.Timeout = d }
-}
-
-// WithMaxAttempts sets the total attempt budget for this call.
-func WithMaxAttempts(n int) CallOption {
-	return func(p *CallPolicy) { p.MaxAttempts = n }
 }
 
 // WithoutRetries disables retries for this call: one attempt, fail fast.

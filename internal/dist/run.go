@@ -65,9 +65,9 @@ type Config struct {
 	// and the other modes record nothing: the null logger.
 	Trace *logger.Trace
 	// Faults, when set, simulates a lossy network in ModeDefault and
-	// ModeCoign: cross-machine messages are dropped/corrupted per the
-	// policy (seeded from Seed, so chaos runs reproduce exactly) and
-	// retransmitted with backoff. If any message exhausts its attempt
+	// ModeCoign: the frames of cross-machine calls are dropped/corrupted
+	// per the policy (seeded from Seed, so chaos runs reproduce exactly)
+	// and calls are retried with backoff. If any call exhausts its attempt
 	// budget the run fails with an error wrapping ErrTimeout.
 	Faults *FaultPolicy
 }
@@ -184,18 +184,19 @@ func (res *Result) place(class *com.Class, m com.Machine) {
 }
 
 // settle copies the clock's and the factory's counters into res and fails
-// the execution if a message exhausted its attempt budget.
+// the execution if a call exhausted its attempt budget.
 func settle(cfg Config, res *Result, fac *factory.Factory) (*Result, error) {
-	if f := res.Clock.faults; f != nil {
-		res.Retries, res.FaultDrops, res.FaultCorruptions, res.FaultGiveUps = f.retries, f.drops, f.corrupts, f.giveups
+	f := res.Clock.faults
+	if f != nil {
+		res.Retries, res.FaultDrops, res.FaultCorruptions, res.FaultGiveUps = f.retries, f.faulted[dropped], f.faulted[corrupted], f.giveups
 	}
 	if fac != nil {
 		res.Relocations = fac.Relocations()
 		res.Unknown = fac.Unknown()
 	}
 	if res.FaultGiveUps > 0 {
-		return nil, fmt.Errorf("dist: scenario %s: %d message(s) undeliverable after %d attempt(s): %w",
-			cfg.Scenario, res.FaultGiveUps, cfg.Faults.withDefaults().MaxAttempts, ErrTimeout)
+		return nil, fmt.Errorf("dist: scenario %s: %d call(s) undeliverable after %d attempt(s): %w",
+			cfg.Scenario, res.FaultGiveUps, f.pol.MaxAttempts, ErrTimeout)
 	}
 	return res, nil
 }

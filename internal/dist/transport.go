@@ -268,9 +268,10 @@ type Conn struct {
 
 	// mu serializes round trips: the protocol has one call in flight per
 	// connection, like a synchronous DCOM channel.
-	mu  sync.Mutex
-	seq uint64
-	rng *rand.Rand
+	mu    sync.Mutex
+	seq   uint64
+	rng   *rand.Rand
+	sleep func(time.Duration) // waits out a backoff; tests replace it
 
 	// connMu guards the underlying conn so Close can sever an in-flight
 	// call from another goroutine without racing reconnection.
@@ -301,6 +302,7 @@ func Dial(addr string, opts ...DialOption) (*Conn, error) {
 		policy:   DefaultCallPolicy(),
 		clientID: id,
 		rng:      rand.New(rand.NewSource(int64(id))),
+		sleep:    time.Sleep,
 		dialFn: func(a string) (net.Conn, error) {
 			return net.DialTimeout("tcp", a, 2*time.Second)
 		},
@@ -366,72 +368,68 @@ func (c *Conn) discard(nc net.Conn) {
 	nc.Close()
 }
 
-// attempt performs one framed round trip under a deadline.
-func (c *Conn) attempt(req []byte, timeout time.Duration) ([]byte, error) {
+// attempt performs one framed round trip under a deadline and says what
+// it came to: the reply body, or why there is none. An expired deadline is
+// a drop; a failed checksum, an empty response or any other I/O failure (a
+// severed link, a failed redial) a corruption; the error status the
+// server's refusal.
+func (c *Conn) attempt(req []byte, timeout time.Duration) ([]byte, outcome, error) {
+	var resp []byte
 	nc, err := c.acquire()
-	if err != nil {
-		return nil, err
-	}
-	if timeout > 0 {
+	if err == nil {
 		//lint:allow wallclock socket deadlines are real time, not virtual time
 		nc.SetDeadline(time.Now().Add(timeout))
-	} else {
-		nc.SetDeadline(time.Time{})
+		if err = writeFrame(nc, req); err == nil {
+			resp, err = readFrame(nc)
+		}
+		if err != nil {
+			c.discard(nc)
+		}
 	}
-	if err := writeFrame(nc, req); err != nil {
-		c.discard(nc)
-		return nil, classifyNetErr(err)
+	var ne net.Error
+	switch {
+	case errors.Is(err, net.ErrClosed):
+		return nil, closed, err
+	case errors.As(err, &ne) && ne.Timeout():
+		return nil, dropped, err
+	case err != nil:
+		return nil, corrupted, err
+	case len(resp) == 0:
+		return nil, corrupted, errors.New("empty response")
+	case resp[0] == statusErr:
+		return nil, refused, errors.New(string(resp[1:]))
 	}
-	resp, err := readFrame(nc)
-	if err != nil {
-		c.discard(nc)
-		return nil, classifyNetErr(err)
-	}
-	return resp, nil
+	return resp[1:], delivered, nil
 }
 
-// roundTrip sends one request and returns the response body, retrying per
-// policy. Remote (application) errors are final; timeouts, corruption,
-// and severed connections are retried until the attempt budget runs out.
+// roundTrip sends one request and returns the response body: the real
+// driver of the delivery state machine (CallPolicy.run), feeding it socket
+// outcomes and sleeping its backoffs.
 func (c *Conn) roundTrip(op byte, method string, body []byte, opts []CallOption) ([]byte, error) {
 	pol := c.policy
 	for _, o := range opts {
 		o(&pol)
 	}
-	if pol.MaxAttempts < 1 {
-		pol.MaxAttempts = 1
-	}
+	pol = pol.withDefaults()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	seq := c.seq
+	req := reqFrame(op, c.clientID, c.seq, body)
 	c.seq++
-	req := reqFrame(op, c.clientID, seq, body)
+	var resp []byte
 	var last error
-	attempts := 0
-	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			c.retries.Add(1)
-			time.Sleep(pol.delay(attempt-1, c.rng))
-		}
-		attempts = attempt
-		resp, err := c.attempt(req, pol.Timeout)
-		if err == nil {
-			if len(resp) < 1 {
-				last = errors.Join(ErrCorrupt, errors.New("empty response"))
-				continue
-			}
-			if resp[0] == statusErr {
-				return nil, &TransportError{
-					Addr: c.addr, Method: method, Attempts: attempt,
-					Err: errors.Join(ErrRemote, errors.New(string(resp[1:]))),
-				}
-			}
-			return resp[1:], nil
-		}
-		last = err
-		if errors.Is(err, net.ErrClosed) {
-			break // locally closed; retrying cannot help
-		}
+	attempts, err := pol.run(c.rng, func(int) outcome {
+		var o outcome
+		resp, o, last = c.attempt(req, pol.Timeout)
+		return o
+	}, func(d time.Duration) {
+		c.retries.Add(1)
+		c.sleep(d)
+	})
+	if err == nil {
+		return resp, nil
+	}
+	if !errors.Is(last, err) {
+		last = errors.Join(err, last)
 	}
 	return nil, &TransportError{Addr: c.addr, Method: method, Attempts: attempts, Err: last}
 }

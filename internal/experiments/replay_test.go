@@ -137,7 +137,7 @@ func TestRefoldMatchesProfile(t *testing.T) {
 func TestReplayMatchesRun(t *testing.T) {
 	t.Parallel()
 	specs := oracleSpecs(t)
-	faults := &dist.FaultPolicy{Rates: fault.Rates{Drop: 0.02, Corrupt: 0.01}, MaxAttempts: 8}
+	faults := &dist.FaultPolicy{Rates: fault.Rates{Drop: 0.02, Corrupt: 0.01}, CallPolicy: dist.CallPolicy{MaxAttempts: 8}}
 	for _, spec := range specs {
 		spec := spec
 		name := specName(spec)

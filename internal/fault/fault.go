@@ -119,8 +119,6 @@ type Config struct {
 	// wrapped listener is severed immediately (the client sees an instant
 	// EOF; the listener keeps accepting).
 	AcceptFail float64
-	// OnEvent, when set, observes every injected fault.
-	OnEvent func(Event)
 }
 
 // Event records one injected fault.
@@ -214,11 +212,7 @@ func (in *Injector) record(ev Event) {
 	ev.Seq = len(in.events)
 	in.events = append(in.events, ev)
 	in.counts[ev.Kind]++
-	cb := in.cfg.OnEvent
 	in.mu.Unlock()
-	if cb != nil {
-		cb(ev)
-	}
 }
 
 // acceptFails decides, purely from the seed and connection ordinal,
