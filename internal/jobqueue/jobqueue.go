@@ -2,15 +2,24 @@
 // transition is one JSON line appended to a journal and fsynced before the
 // caller proceeds, so a job the queue has acknowledged survives a kill -9
 // at any instant. Opening the journal replays it back into memory,
-// repairing a torn trailing line (a record the crash interrupted mid-write
-// was never acknowledged, so dropping it loses nothing) and requeuing jobs
-// that were running when the process died.
+// cutting off a torn trailing line (a record the crash interrupted
+// mid-write was never acknowledged, so dropping it loses nothing) and
+// requeuing jobs that were running when the process died.
+//
+// Leasing is from a cursor: the queue keeps its jobs in enqueue order and
+// the index below which none is pending, so a lease costs the same with
+// ten thousand finished jobs behind it as with none. The oldest pending
+// job by enqueue position always wins, a requeued one included.
+//
+// A queue whose journal append fails stops: every later mutation returns
+// that error, so only the journal's last record can be in doubt, which is
+// the case Open already handles.
 package jobqueue
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,10 +52,14 @@ type Job struct {
 	// returned; a stale worker whose job was requeued cannot overwrite the
 	// retry's outcome.
 	Attempt int `json:"attempt"`
-	// Result holds the worker's output once done.
+	// Result holds the worker's output once done, compacted: the queue
+	// keeps the bytes its journal holds, so a result reads the same before
+	// and after a restart.
 	Result json.RawMessage `json:"result,omitempty"`
 	// Error holds the failure message once failed.
 	Error string `json:"error,omitempty"`
+	// pos is the job's index in its queue's enqueue order.
+	pos int
 }
 
 // record is one journal line.
@@ -68,15 +81,32 @@ type Counts struct {
 	Dead    int `json:"dead"`
 }
 
+// journalFile is the file a queue appends its records to: an *os.File,
+// or in tests one whose writes can be made to fail.
+type journalFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
+var errClosed = errors.New("jobqueue: queue is closed")
+
 // Queue is the journal-backed queue. All methods are safe for concurrent
 // use.
 type Queue struct {
-	mu     sync.Mutex
-	f      *os.File
-	jobs   map[string]*Job
-	order  []string // enqueue order; pending jobs lease FIFO
-	seq    int      // highest numeric id issued
-	closed bool
+	mu    sync.Mutex
+	f     journalFile
+	jobs  map[string]*Job
+	order []*Job // enqueue order; the oldest pending job leases first
+	// next is where a lease starts looking: no job in order[:next] is
+	// pending. A lease moves it past the jobs it skips; a job going back
+	// to pending lowers it to that job's position.
+	next int
+	seq  int // highest numeric id issued
+	// err is why the queue refuses mutations: the first failed append or,
+	// after Close, errClosed.
+	err error
 	// maxAttempts dead-letters a job instead of requeuing it once the next
 	// lease would exceed this count; 0 means retry forever.
 	maxAttempts int
@@ -111,31 +141,47 @@ func Open(path string, opts ...Option) (*Queue, error) {
 			return nil, fmt.Errorf("jobqueue: %w", err)
 		}
 	}
-	q := &Queue{jobs: make(map[string]*Job), wake: make(chan struct{}, 1)}
-	for _, o := range opts {
-		o(q)
-	}
 	raw, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("jobqueue: reading journal: %w", err)
-	}
-	if err := q.replay(raw); err != nil {
-		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jobqueue: opening journal: %w", err)
 	}
-	q.f = f
+	q, err := load(raw, f, opts...)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return q, nil
+}
+
+// load is Open on a journal read into raw and opened for appending as f.
+func load(raw []byte, f journalFile, opts ...Option) (*Queue, error) {
+	q := &Queue{jobs: make(map[string]*Job), f: f, wake: make(chan struct{}, 1)}
+	for _, o := range opts {
+		o(q)
+	}
+	// A last line without its newline is a torn tail: the append the crash
+	// interrupted was never acknowledged. Cut it off, so that the next
+	// append starts a line of its own.
+	whole := bytes.LastIndexByte(raw, '\n') + 1
+	if err := q.replay(raw[:whole]); err != nil {
+		return nil, err
+	}
+	if whole < len(raw) {
+		if err := f.Truncate(int64(whole)); err != nil {
+			return nil, fmt.Errorf("jobqueue: cutting off a torn tail: %w", err)
+		}
+	}
 	// Crash recovery: a job leased but never finished was running when the
 	// process died. Requeue it durably so the journal states the truth.
-	for _, id := range q.order {
-		j := q.jobs[id]
+	for _, j := range q.order {
 		if j.State != StateRunning {
 			continue
 		}
 		if err := q.requeueOrDeadLetter(j); err != nil {
-			f.Close()
 			return nil, err
 		}
 	}
@@ -160,40 +206,35 @@ func (q *Queue) requeueOrDeadLetter(j *Job) error {
 	if err := q.append(record{Op: "requeue", ID: j.ID, Attempt: j.Attempt + 1}); err != nil {
 		return err
 	}
-	j.State = StatePending
-	j.Attempt++
+	q.toPending(j, j.Attempt+1)
 	q.notify()
 	return nil
 }
 
-// replay folds journal lines into memory. A torn trailing line — no final
-// newline, or malformed JSON on the last line — is discarded: its append
-// never completed, so its caller never got an acknowledgment. A malformed
-// line in the middle of the journal is corruption and fails the open.
+// toPending moves j back to pending at attempt and lowers the lease
+// cursor to it.
+func (q *Queue) toPending(j *Job, attempt int) {
+	j.State = StatePending
+	j.Attempt = attempt
+	q.next = min(q.next, j.pos)
+}
+
+// replay folds complete journal lines into memory. Every line in raw
+// ends in a newline, so a malformed one is corruption and fails the open.
 func (q *Queue) replay(raw []byte) error {
-	sc := bufio.NewScanner(bytes.NewReader(raw))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	var lines [][]byte
-	for sc.Scan() {
-		lines = append(lines, append([]byte(nil), sc.Bytes()...))
-	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("jobqueue: scanning journal: %w", err)
-	}
-	tornTail := len(raw) > 0 && raw[len(raw)-1] != '\n'
-	for i, line := range lines {
+	for n := 1; len(raw) > 0; n++ {
+		end := bytes.IndexByte(raw, '\n')
+		line := raw[:end]
+		raw = raw[end+1:]
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
 		var rec record
 		if err := json.Unmarshal(line, &rec); err != nil {
-			if i == len(lines)-1 && tornTail {
-				break // interrupted final append; never acknowledged
-			}
-			return fmt.Errorf("jobqueue: corrupt journal line %d: %w", i+1, err)
+			return fmt.Errorf("jobqueue: corrupt journal line %d: %w", n, err)
 		}
 		if err := q.apply(rec); err != nil {
-			return fmt.Errorf("jobqueue: journal line %d: %w", i+1, err)
+			return fmt.Errorf("jobqueue: journal line %d: %w", n, err)
 		}
 	}
 	return nil
@@ -206,8 +247,7 @@ func (q *Queue) apply(rec record) error {
 		if _, dup := q.jobs[rec.ID]; dup {
 			return fmt.Errorf("duplicate enqueue of %s", rec.ID)
 		}
-		q.jobs[rec.ID] = &Job{ID: rec.ID, Payload: rec.Payload, State: StatePending}
-		q.order = append(q.order, rec.ID)
+		q.add(&Job{ID: rec.ID, Payload: rec.Payload, State: StatePending})
 		var n int
 		if _, err := fmt.Sscanf(rec.ID, "j%d", &n); err == nil && n > q.seq {
 			q.seq = n
@@ -224,8 +264,7 @@ func (q *Queue) apply(rec record) error {
 		if j == nil {
 			return fmt.Errorf("requeue of unknown job %s", rec.ID)
 		}
-		j.State = StatePending
-		j.Attempt = rec.Attempt
+		q.toPending(j, rec.Attempt)
 	case "done":
 		j := q.jobs[rec.ID]
 		if j == nil {
@@ -253,9 +292,18 @@ func (q *Queue) apply(rec record) error {
 	return nil
 }
 
+// add puts a new job at the end of the enqueue order.
+func (q *Queue) add(j *Job) {
+	j.pos = len(q.order)
+	q.jobs[j.ID] = j
+	q.order = append(q.order, j)
+}
+
 // append writes one record and fsyncs before returning. Acknowledgment
 // strictly follows durability: if this returns nil, the record survives
-// any crash.
+// any crash. A failed write or sync may have left the record in the file
+// all the same, so it stops the queue: nothing appended after it could be
+// told apart from it.
 func (q *Queue) append(rec record) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -263,10 +311,12 @@ func (q *Queue) append(rec record) error {
 	}
 	b = append(b, '\n')
 	if _, err := q.f.Write(b); err != nil {
-		return fmt.Errorf("jobqueue: appending journal: %w", err)
+		q.err = fmt.Errorf("jobqueue: appending journal: %w", err)
+		return q.err
 	}
 	if err := q.f.Sync(); err != nil {
-		return fmt.Errorf("jobqueue: syncing journal: %w", err)
+		q.err = fmt.Errorf("jobqueue: syncing journal: %w", err)
+		return q.err
 	}
 	return nil
 }
@@ -284,8 +334,8 @@ func (q *Queue) notify() {
 func (q *Queue) Enqueue(payload []byte) (*Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return nil, fmt.Errorf("jobqueue: queue is closed")
+	if q.err != nil {
+		return nil, q.err
 	}
 	q.seq++
 	j := &Job{ID: fmt.Sprintf("j%08d", q.seq), Payload: append([]byte(nil), payload...), State: StatePending}
@@ -293,8 +343,7 @@ func (q *Queue) Enqueue(payload []byte) (*Job, error) {
 		q.seq--
 		return nil, err
 	}
-	q.jobs[j.ID] = j
-	q.order = append(q.order, j.ID)
+	q.add(j)
 	q.notify()
 	return j.snapshot(), nil
 }
@@ -304,11 +353,11 @@ func (q *Queue) Enqueue(payload []byte) (*Job, error) {
 func (q *Queue) TryLease() (*Job, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
-		return nil, fmt.Errorf("jobqueue: queue is closed")
+	if q.err != nil {
+		return nil, q.err
 	}
-	for _, id := range q.order {
-		j := q.jobs[id]
+	for ; q.next < len(q.order); q.next++ {
+		j := q.order[q.next]
 		if j.State != StatePending {
 			continue
 		}
@@ -317,6 +366,7 @@ func (q *Queue) TryLease() (*Job, error) {
 		}
 		j.State = StateRunning
 		j.Attempt++
+		q.next++
 		return j.snapshot(), nil
 	}
 	return nil, nil
@@ -326,13 +376,19 @@ func (q *Queue) TryLease() (*Job, error) {
 // select on it alongside their context instead of polling.
 func (q *Queue) Wake() <-chan struct{} { return q.wake }
 
-// Finish durably records a successful result. The attempt token must
-// match the lease: a worker whose job was requeued out from under it (its
-// process was presumed dead) gets an error instead of clobbering the
-// retry.
+// Finish durably records a successful result, which must be JSON; the
+// queue keeps it compacted. The attempt token must match the lease: a
+// worker whose job was requeued out from under it (its process was
+// presumed dead) gets an error instead of clobbering the retry.
 func (q *Queue) Finish(id string, attempt int, result []byte) error {
-	return q.settle(id, attempt, record{Op: "done", ID: id, Result: result}, StateDone, func(j *Job) {
-		j.Result = append([]byte(nil), result...)
+	// Compact as the journal's encoder does, so that memory holds the
+	// bytes a replay will.
+	compact, err := json.Marshal(json.RawMessage(result))
+	if err != nil {
+		return fmt.Errorf("jobqueue: encoding result: %w", err)
+	}
+	return q.settle(id, attempt, record{Op: "done", ID: id, Result: compact}, StateDone, func(j *Job) {
+		j.Result = compact
 	})
 }
 
@@ -346,6 +402,9 @@ func (q *Queue) Fail(id string, attempt int, msg string) error {
 func (q *Queue) settle(id string, attempt int, rec record, to State, fill func(*Job)) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.err != nil {
+		return q.err
+	}
 	j := q.jobs[id]
 	if j == nil {
 		return fmt.Errorf("jobqueue: unknown job %s", id)
@@ -372,6 +431,9 @@ func (q *Queue) settle(id string, attempt int, rec record, to State, fill func(*
 func (q *Queue) Requeue(id string, attempt int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.err != nil {
+		return q.err
+	}
 	j := q.jobs[id]
 	if j == nil {
 		return fmt.Errorf("jobqueue: unknown job %s", id)
@@ -415,15 +477,27 @@ func (q *Queue) Stats() Counts {
 	return c
 }
 
+// Err reports why the queue refuses mutations: the journal append that
+// failed, or that the queue is closed. It is nil while the queue serves.
+func (q *Queue) Err() error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.err
+}
+
 // Close flushes and closes the journal. Further mutations fail.
 func (q *Queue) Close() error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed {
+	if q.f == nil {
 		return nil
 	}
-	q.closed = true
-	return q.f.Close()
+	if q.err == nil {
+		q.err = errClosed
+	}
+	err := q.f.Close()
+	q.f = nil
+	return err
 }
 
 func (j *Job) snapshot() *Job {

@@ -1,10 +1,13 @@
 package jobqueue
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func openT(t *testing.T, path string, opts ...Option) *Queue {
@@ -325,5 +328,146 @@ func TestNoBudgetRetriesForever(t *testing.T) {
 	got, _ := q.Get(j.ID)
 	if got.State != StatePending || got.Attempt != 20 {
 		t.Fatalf("after 10 requeues without a budget: %+v", got)
+	}
+}
+
+// TestAppendFailureStopsQueue: an append whose Write or Sync fails may
+// have left its record in the file all the same, so the queue stops. Had
+// it gone on, the next Enqueue would reuse the failed one's id, and a
+// journal holding both records would never open again.
+func TestAppendFailureStopsQueue(t *testing.T) {
+	t.Parallel()
+	for _, fault := range []byte{'w', 's'} {
+		q, m, err := openMem(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked, err := q.Enqueue([]byte(`{"n":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.failNext(fault)
+		if _, err := q.Enqueue([]byte(`{"n":2}`)); !errors.Is(err, errInjected) {
+			t.Fatalf("fault %c: Enqueue = %v, want the injected failure", fault, err)
+		}
+		m.fault = 0
+		if _, err := q.Enqueue([]byte(`{"n":3}`)); !errors.Is(err, errInjected) {
+			t.Fatalf("fault %c: Enqueue after a failed append = %v, want the failure again", fault, err)
+		}
+		if _, err := q.TryLease(); !errors.Is(err, errInjected) {
+			t.Fatalf("fault %c: TryLease after a failed append = %v", fault, err)
+		}
+		if err := q.Err(); !errors.Is(err, errInjected) {
+			t.Fatalf("fault %c: Err = %v", fault, err)
+		}
+		q2, _, err := openMem(m.buf)
+		if err != nil {
+			t.Fatalf("fault %c: reopening after a failed append: %v", fault, err)
+		}
+		if got, ok := q2.Get(acked.ID); !ok || got.State != StatePending {
+			t.Fatalf("fault %c: acknowledged job after reopen = %+v, %v", fault, got, ok)
+		}
+	}
+}
+
+// TestResultSameAfterReopen: the queue keeps a result in the compact form
+// its journal holds, so Get reads the same bytes before and after a
+// restart.
+func TestResultSameAfterReopen(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	q := openT(t, path)
+	j, _ := q.Enqueue([]byte(`{}`))
+	l, _ := q.TryLease()
+	if err := q.Finish(l.ID, l.Attempt, []byte("{\n  \"v\": [\n    1,\n    2\n  ]\n}\n")); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := q.Get(j.ID)
+	if string(before.Result) != `{"v":[1,2]}` {
+		t.Fatalf("result before reopen = %q, want it compacted", before.Result)
+	}
+	q.Close()
+	after, _ := openT(t, path).Get(j.ID)
+	if string(after.Result) != string(before.Result) {
+		t.Fatalf("result after reopen = %q, before %q", after.Result, before.Result)
+	}
+}
+
+// TestTornTailCutOff: Open cuts a torn tail off the file, so the next
+// append starts a line of its own rather than finishing the torn one into
+// a corrupt line that fails every later open.
+func TestTornTailCutOff(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	q := openT(t, path)
+	for i := 0; i < 2; i++ {
+		if _, err := q.Enqueue([]byte(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:len(raw)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q2 := openT(t, path)
+	if _, err := q2.Enqueue([]byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	q2.Close()
+	if c := openT(t, path).Stats(); c.Pending != 2 {
+		t.Fatalf("Stats after a torn tail and one more enqueue = %+v, want 2 pending", c)
+	}
+}
+
+// TestJobSizeClass: Job stays within the allocator's 112-byte size class.
+func TestJobSizeClass(t *testing.T) {
+	t.Parallel()
+	if s := unsafe.Sizeof(Job{}); s > 112 {
+		t.Fatalf("Job is %d bytes, past the 112-byte size class", s)
+	}
+}
+
+// BenchmarkTryLease leases the one pending job behind a history of
+// finished ones and requeues it, on a journal in memory. A lease costs the
+// same whatever the history.
+func BenchmarkTryLease(b *testing.B) {
+	for _, finished := range []int{100, 10000} {
+		b.Run(fmt.Sprintf("finished=%d", finished), func(b *testing.B) {
+			q, m, err := openMem(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i <= finished; i++ {
+				if _, err := q.Enqueue([]byte(`{}`)); err != nil {
+					b.Fatal(err)
+				}
+				if i == finished {
+					break
+				}
+				l, err := q.TryLease()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := q.Finish(l.ID, l.Attempt, []byte(`{}`)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l, err := q.TryLease()
+				if err != nil || l == nil {
+					b.Fatalf("TryLease = %v, %v", l, err)
+				}
+				if err := q.Requeue(l.ID, l.Attempt); err != nil {
+					b.Fatal(err)
+				}
+				m.buf = m.buf[:0]
+			}
+		})
 	}
 }

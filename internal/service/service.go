@@ -2,11 +2,15 @@
 // service: an HTTP API accepts partitioning requests (pipeline.Spec
 // bodies), a crash-safe jobqueue persists them, and a worker pool drives
 // each through pipeline.Run. A job's result is the pipeline's canonical
-// JSON, stored verbatim in the journal and served verbatim — the service
-// returns byte-for-byte what `coign run -json` prints for the same spec.
+// JSON: the queue keeps it compacted, as its journal does, and the result
+// endpoint indents it back, so the service returns byte-for-byte what
+// `coign run -json` prints for the same spec, before a restart and after.
+// A queue whose journal append failed stops, and so does the service: its
+// workers exit and its submit and health endpoints answer 503.
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -137,7 +141,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleResult serves a finished job's canonical result bytes verbatim.
+// indentBufs holds the buffers handleResult indents results into, so that
+// a served result costs no buffer of its own once the pool is warm.
+var indentBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// handleResult serves a finished job's canonical result bytes: the queue's
+// compact form indented as pipeline.MarshalResult indents it, with its
+// trailing newline.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.queue.Get(r.PathValue("id"))
 	if !ok {
@@ -146,8 +156,16 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	switch job.State {
 	case jobqueue.StateDone:
+		buf := indentBufs.Get().(*bytes.Buffer)
+		defer indentBufs.Put(buf)
+		buf.Reset()
+		if err := json.Indent(buf, job.Result, "", "  "); err != nil {
+			writeError(w, http.StatusInternalServerError, "job %s: stored result: %v", job.ID, err)
+			return
+		}
+		buf.WriteByte('\n')
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(job.Result) //nolint:errcheck // streaming to client
+		w.Write(buf.Bytes()) //nolint:errcheck // streaming to client
 	case jobqueue.StateFailed:
 		writeError(w, http.StatusConflict, "job %s failed: %s", job.ID, job.Error)
 	case jobqueue.StateDead:
@@ -157,14 +175,21 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleHealth answers 200 while the queue accepts jobs and 503, with the
+// reason, once its journal failed or it was closed.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	c := s.queue.Stats()
-	writeJSON(w, http.StatusOK, map[string]any{
+	v := map[string]any{
 		"status":  "ok",
 		"version": version.String(),
 		"go":      version.Go(),
-		"queue":   c,
-	})
+		"queue":   s.queue.Stats(),
+	}
+	status := http.StatusOK
+	if err := s.queue.Err(); err != nil {
+		status = http.StatusServiceUnavailable
+		v["status"], v["error"] = "unavailable", err.Error()
+	}
+	writeJSON(w, status, v)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -224,7 +249,7 @@ func (s *Server) workerLoop(leaseCtx, jobCtx context.Context) {
 	for {
 		job, err := s.queue.TryLease()
 		if err != nil {
-			return // queue closed
+			return // queue closed, or stopped by a failed append
 		}
 		if job == nil {
 			select {

@@ -384,3 +384,87 @@ func TestMetricsWriteDeterministic(t *testing.T) {
 		t.Fatalf("counters not sorted:\n%s", x.String())
 	}
 }
+
+// TestResultSameAfterRestart: a service restarted on its journal serves a
+// finished job's result byte for byte as pipeline.MarshalResult encodes
+// it, though the journal keeps the result compacted.
+func TestResultSameAfterRestart(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	q, err := jobqueue.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := pipeline.Spec{App: "synth:three-tier:1", Scenarios: scenario.TrainingForApp("synth:three-tier:1")}
+	payload, _ := json.Marshal(spec)
+	if _, err := q.Enqueue(payload); err != nil {
+		t.Fatal(err)
+	}
+	job, err := q.TryLease()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pipeline.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pipeline.MarshalResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Finish(job.ID, job.Attempt, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	q, err = jobqueue.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	ts := httptest.NewServer(New(q).Handler())
+	defer ts.Close()
+	status, got := getBody(t, ts.URL+"/v1/jobs/"+job.ID+"/result")
+	if status != http.StatusOK {
+		t.Fatalf("GET result after restart = %d: %s", status, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("result after restart diverges:\n--- served ---\n%s\n--- MarshalResult ---\n%s", got, want)
+	}
+}
+
+// TestStoppedQueueUnavailable: once the queue refuses mutations, submits
+// and the health check answer 503, the latter with the reason.
+func TestStoppedQueueUnavailable(t *testing.T) {
+	t.Parallel()
+	q, err := jobqueue.Open(filepath.Join(t.TempDir(), "jobs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(q).Handler())
+	defer ts.Close()
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"scenarios":["o_oldwp0"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST /v1/jobs on a stopped queue = %d, want 503", resp.StatusCode)
+	}
+	status, b := getBody(t, ts.URL+"/healthz")
+	var v struct {
+		Status string `json:"status"`
+		Error  string `json:"error"`
+	}
+	if err := json.Unmarshal(b, &v); err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusServiceUnavailable || v.Status != "unavailable" || !strings.Contains(v.Error, "closed") {
+		t.Fatalf("GET /healthz on a stopped queue = %d: %s", status, b)
+	}
+}
