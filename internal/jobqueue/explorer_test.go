@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
@@ -29,6 +30,17 @@ func (m *memJournal) Write(p []byte) (int, error) {
 	}
 	m.buf = append(m.buf, p...)
 	return len(p), nil
+}
+
+func (m *memJournal) ReadAt(p []byte, off int64) (int, error) {
+	if off >= int64(len(m.buf)) {
+		return 0, io.EOF
+	}
+	n := copy(p, m.buf[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 func (m *memJournal) Sync() error {
@@ -211,8 +223,8 @@ func (x *explorer) step(path []exStep, s exStep) string {
 	case 'f':
 		// Acknowledged: done with its bytes, and its record is on file.
 		compact := compactJSON(exResult(s.id, prev[s.id].Attempt))
-		if j := q.jobs[s.id]; j.State != StateDone || !bytes.Equal(j.Result, compact) {
-			x.t.Fatalf("%s: finished job reads %s %s", at, j.State, j.Result)
+		if res, state, err := q.Result(s.id, nil); err != nil || state != StateDone || !bytes.Equal(res, compact) {
+			x.t.Fatalf("%s: finished job reads %s %s %v", at, state, res, err)
 		}
 		if !bytes.HasSuffix(m.buf, fmt.Appendf(nil, `"result":%s}`+"\n", compact)) {
 			x.t.Fatalf("%s: Finish acknowledged before its record was on file: %s", at, m.buf)
@@ -275,6 +287,7 @@ func (x *explorer) checkStopped(at string, q *Queue, m *memJournal) {
 	if !bytes.Equal(m.buf, held) {
 		x.t.Fatalf("%s: a stopped queue appended %q", at, m.buf[len(held):])
 	}
+	x.checkResults(at+" after the queue stopped", q)
 }
 
 // crash reopens the journal raw and checks recovery: nothing is left
@@ -320,7 +333,25 @@ func (x *explorer) open(at string, raw []byte) *Queue {
 	if err != nil {
 		x.t.Fatalf("%s: open: %v\njournal:\n%s", at, err, raw)
 	}
+	x.checkResults(at+" reopened", q)
 	return q
+}
+
+// checkResults: every done job's result reads through the journal as the
+// bytes Finish was handed, compacted, appended to what the caller passed;
+// a job in any other state reads none.
+func (x *explorer) checkResults(at string, q *Queue) {
+	x.t.Helper()
+	for _, j := range q.order {
+		res, state, err := q.Result(j.ID, []byte("dst:"))
+		want := "dst:"
+		if j.State == StateDone {
+			want += string(compactJSON(exResult(j.ID, j.Attempt)))
+		}
+		if err != nil || state != j.State || string(res) != want {
+			x.t.Fatalf("%s: %s (%s) reads %s %q %v, want %q", at, j.ID, j.State, state, res, err, want)
+		}
+	}
 }
 
 // sameQueue: two queues hold the same jobs and the same journal.
@@ -335,8 +366,9 @@ func (x *explorer) sameQueue(at string, got, want *Queue) {
 }
 
 // checkState checks what holds in every state: the queue serves, no job
-// below the lease cursor is pending, memory is the fold of the journal,
-// and no settle with a stale attempt token gets through.
+// below the lease cursor is pending, the kept counts are the jobs' states,
+// every done job reads its result, memory is the fold of the journal, and
+// no settle with a stale attempt token gets through.
 func (x *explorer) checkState(at string, q *Queue) {
 	x.t.Helper()
 	if err := q.Err(); err != nil {
@@ -347,8 +379,16 @@ func (x *explorer) checkState(at string, q *Queue) {
 			x.t.Fatalf("%s: %s is pending below the cursor %d", at, j.ID, q.next)
 		}
 	}
+	var walk Counts
+	for _, j := range q.order {
+		*walk.of(j.State)++
+	}
+	if c := q.Stats(); c != walk {
+		x.t.Fatalf("%s: Stats %+v, the jobs' states count %+v", at, c, walk)
+	}
+	x.checkResults(at, q)
 	m := q.f.(*memJournal)
-	folded := &Queue{jobs: make(map[string]*Job)}
+	folded := &Queue{jobs: make(map[string]*Job), f: m}
 	if err := folded.replay(m.buf); err != nil {
 		x.t.Fatalf("%s: %v", at, err)
 	}
@@ -373,7 +413,7 @@ func (x *explorer) checkState(at string, q *Queue) {
 
 // checkTransition: done, failed and dead are terminal, with their bytes,
 // across every step including a crash; and no attempt token goes back.
-func (x *explorer) checkTransition(at string, prev map[string]Job, q *Queue) {
+func (x *explorer) checkTransition(at string, prev map[string]exJob, q *Queue) {
 	x.t.Helper()
 	for id, p := range prev {
 		j := q.jobs[id]
@@ -385,8 +425,8 @@ func (x *explorer) checkTransition(at string, prev map[string]Job, q *Queue) {
 		}
 		switch p.State {
 		case StateDone, StateFailed, StateDead:
-			if j.State != p.State || j.Attempt != p.Attempt || !bytes.Equal(j.Result, p.Result) || j.Error != p.Error {
-				x.t.Fatalf("%s: %s was %s %s %q, is %s %s %q", at, id, p.State, p.Result, p.Error, j.State, j.Result, j.Error)
+			if res := resultOf(q, id); j.State != p.State || j.Attempt != p.Attempt || !bytes.Equal(res, p.result) || j.Error != p.Error {
+				x.t.Fatalf("%s: %s was %s %s %q, is %s %s %q", at, id, p.State, p.result, p.Error, j.State, res, j.Error)
 			}
 		}
 	}
@@ -415,19 +455,36 @@ func maxAttempt(raw []byte, id string) int {
 	return issued
 }
 
-func jobsOf(q *Queue) map[string]Job {
-	jobs := make(map[string]Job, len(q.jobs))
+// exJob is a job as a step found it, with its result read through the
+// journal.
+type exJob struct {
+	Job
+	result []byte
+}
+
+func jobsOf(q *Queue) map[string]exJob {
+	jobs := make(map[string]exJob, len(q.jobs))
 	for id, j := range q.jobs {
-		jobs[id] = *j.snapshot()
+		jobs[id] = exJob{*j.snapshot(), resultOf(q, id)}
 	}
 	return jobs
+}
+
+// resultOf is job id's result as Result reads it, or the read's error.
+func resultOf(q *Queue, id string) []byte {
+	res, _, err := q.Result(id, nil)
+	if err != nil {
+		return []byte(err.Error())
+	}
+	return res
 }
 
 func dump(q *Queue) string {
 	var b strings.Builder
 	for _, j := range q.order {
-		fmt.Fprintf(&b, "%s %s %d %s %s %q\n", j.ID, j.State, j.Attempt, j.Payload, j.Result, j.Error)
+		fmt.Fprintf(&b, "%s %s %d %s %d+%d %s %q\n", j.ID, j.State, j.Attempt, j.Payload, j.resOff, j.resLen, resultOf(q, j.ID), j.Error)
 	}
+	fmt.Fprintf(&b, "%+v\n", q.Stats())
 	return b.String()
 }
 

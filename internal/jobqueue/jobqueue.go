@@ -11,9 +11,15 @@
 // ten thousand finished jobs behind it as with none. The oldest pending
 // job by enqueue position always wins, a requeued one included.
 //
+// A finished job's result lives in the journal only: memory keeps the
+// offset and length of the compact result inside the job's done line, and
+// Result reads those bytes back with ReadAt, so the queue's heap does not
+// grow with what its jobs returned. A settled job keeps no payload either,
+// and Stats reads counts the transitions keep, not a walk over the jobs.
+//
 // A queue whose journal append fails stops: every later mutation returns
 // that error, so only the journal's last record can be in doubt, which is
-// the case Open already handles.
+// the case Open already handles. Results already acknowledged still read.
 package jobqueue
 
 import (
@@ -23,6 +29,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -44,7 +53,8 @@ const (
 // Job is one queued unit of work.
 type Job struct {
 	ID string `json:"id"`
-	// Payload is the caller's request, opaque to the queue.
+	// Payload is the caller's request, opaque to the queue. A settled job
+	// (done, failed or dead) no longer has one.
 	Payload json.RawMessage `json:"payload"`
 	State   State           `json:"state"`
 	// Attempt counts leases: 1 on the first lease, bumped by every
@@ -52,24 +62,55 @@ type Job struct {
 	// returned; a stale worker whose job was requeued cannot overwrite the
 	// retry's outcome.
 	Attempt int `json:"attempt"`
-	// Result holds the worker's output once done, compacted: the queue
-	// keeps the bytes its journal holds, so a result reads the same before
-	// and after a restart.
-	Result json.RawMessage `json:"result,omitempty"`
 	// Error holds the failure message once failed.
 	Error string `json:"error,omitempty"`
 	// pos is the job's index in its queue's enqueue order.
 	pos int
+	// resOff and resLen locate a done job's compact result in the journal;
+	// Queue.Result reads it from there.
+	resOff int64
+	resLen int
 }
 
 // record is one journal line.
 type record struct {
-	Op      string          `json:"op"` // enqueue | lease | requeue | done | fail | dead
-	ID      string          `json:"id"`
-	Attempt int             `json:"attempt,omitempty"`
-	Payload json.RawMessage `json:"payload,omitempty"`
-	Result  json.RawMessage `json:"result,omitempty"`
-	Error   string          `json:"error,omitempty"`
+	Op      string `json:"op"` // enqueue | lease | requeue | done | fail | dead
+	ID      string `json:"id"`
+	Attempt int    `json:"attempt,omitempty"`
+	Payload view   `json:"payload,omitempty"`
+	Result  view   `json:"result,omitempty"`
+	Error   string `json:"error,omitempty"`
+}
+
+// view is raw JSON, encoded as json.RawMessage is (the encoder checks and
+// compacts it) but decoded as a view into the decoder's input rather than a
+// copy: replay measures a result and copies only the payloads of jobs that
+// are still live when the journal ends.
+type view []byte
+
+func (v view) MarshalJSON() ([]byte, error) { return json.RawMessage(v).MarshalJSON() }
+
+func (v *view) UnmarshalJSON(b []byte) error {
+	*v = b
+	return nil
+}
+
+// resultKey introduces a done record's result. The encoder writes a done
+// record as {"op":"done","id":…,"attempt":…,"result":…}: the result is the
+// last field, and the first resultKey in the line is its key, since what
+// comes before it is two strings and a number, and a string cannot hold an
+// unescaped quote.
+var resultKey = []byte(`"result":`)
+
+// resultSpan locates the result in a done record's line: where it starts
+// and how long it is, or a negative length if the line has no result key.
+func resultSpan(line []byte) (start, n int) {
+	i := bytes.Index(line, resultKey)
+	if i < 0 {
+		return 0, -1
+	}
+	start = i + len(resultKey)
+	return start, bytes.LastIndexByte(line, '}') - start
 }
 
 // Counts summarizes the queue's population by state.
@@ -81,10 +122,29 @@ type Counts struct {
 	Dead    int `json:"dead"`
 }
 
-// journalFile is the file a queue appends its records to: an *os.File,
-// or in tests one whose writes can be made to fail.
+// of is the count of jobs in state s.
+func (c *Counts) of(s State) *int {
+	switch s {
+	case StatePending:
+		return &c.Pending
+	case StateRunning:
+		return &c.Running
+	case StateDone:
+		return &c.Done
+	case StateFailed:
+		return &c.Failed
+	case StateDead:
+		return &c.Dead
+	}
+	panic("jobqueue: unknown state " + string(s))
+}
+
+// journalFile is the file a queue appends its records to and reads done
+// jobs' results back from: an *os.File, or in tests one whose writes can
+// be made to fail.
 type journalFile interface {
 	Write(p []byte) (int, error)
+	ReadAt(p []byte, off int64) (int, error)
 	Sync() error
 	Truncate(size int64) error
 	Close() error
@@ -95,8 +155,10 @@ var errClosed = errors.New("jobqueue: queue is closed")
 // Queue is the journal-backed queue. All methods are safe for concurrent
 // use.
 type Queue struct {
-	mu    sync.Mutex
-	f     journalFile
+	mu sync.Mutex
+	f  journalFile
+	// size is the journal's length: where the next appended line starts.
+	size  int64
 	jobs  map[string]*Job
 	order []*Job // enqueue order; the oldest pending job leases first
 	// next is where a lease starts looking: no job in order[:next] is
@@ -104,6 +166,8 @@ type Queue struct {
 	// to pending lowers it to that job's position.
 	next int
 	seq  int // highest numeric id issued
+	// counts is the population by state, kept as each job moves.
+	counts Counts
 	// err is why the queue refuses mutations: the first failed append or,
 	// after Close, errClosed.
 	err error
@@ -145,7 +209,7 @@ func Open(path string, opts ...Option) (*Queue, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("jobqueue: reading journal: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jobqueue: opening journal: %w", err)
 	}
@@ -175,6 +239,7 @@ func load(raw []byte, f journalFile, opts ...Option) (*Queue, error) {
 			return nil, fmt.Errorf("jobqueue: cutting off a torn tail: %w", err)
 		}
 	}
+	q.size = int64(whole)
 	// Crash recovery: a job leased but never finished was running when the
 	// process died. Requeue it durably so the journal states the truth.
 	for _, j := range q.order {
@@ -196,14 +261,14 @@ func load(raw []byte, f journalFile, opts ...Option) (*Queue, error) {
 func (q *Queue) requeueOrDeadLetter(j *Job) error {
 	if leases := (j.Attempt + 1) / 2; q.maxAttempts > 0 && leases >= q.maxAttempts {
 		msg := fmt.Sprintf("dead-lettered after %d attempt(s): retry budget %d exhausted", leases, q.maxAttempts)
-		if err := q.append(record{Op: "dead", ID: j.ID, Attempt: j.Attempt, Error: msg}); err != nil {
+		if _, _, err := q.append(record{Op: "dead", ID: j.ID, Attempt: j.Attempt, Error: msg}); err != nil {
 			return err
 		}
-		j.State = StateDead
+		q.settled(j, StateDead)
 		j.Error = msg
 		return nil
 	}
-	if err := q.append(record{Op: "requeue", ID: j.ID, Attempt: j.Attempt + 1}); err != nil {
+	if _, _, err := q.append(record{Op: "requeue", ID: j.ID, Attempt: j.Attempt + 1}); err != nil {
 		return err
 	}
 	q.toPending(j, j.Attempt+1)
@@ -214,18 +279,34 @@ func (q *Queue) requeueOrDeadLetter(j *Job) error {
 // toPending moves j back to pending at attempt and lowers the lease
 // cursor to it.
 func (q *Queue) toPending(j *Job, attempt int) {
-	j.State = StatePending
+	q.move(j, StatePending)
 	j.Attempt = attempt
 	q.next = min(q.next, j.pos)
 }
 
+// move puts j in state to and keeps the counts.
+func (q *Queue) move(j *Job, to State) {
+	*q.counts.of(j.State)--
+	*q.counts.of(to)++
+	j.State = to
+}
+
+// settled moves j to a terminal state, where it needs its payload no more.
+func (q *Queue) settled(j *Job, to State) {
+	q.move(j, to)
+	j.Payload = nil
+}
+
 // replay folds complete journal lines into memory. Every line in raw
 // ends in a newline, so a malformed one is corruption and fails the open.
+// raw is the journal from its first byte, so a line's place in raw is its
+// offset in the file.
 func (q *Queue) replay(raw []byte) error {
-	for n := 1; len(raw) > 0; n++ {
-		end := bytes.IndexByte(raw, '\n')
-		line := raw[:end]
-		raw = raw[end+1:]
+	for n, at := 1, 0; at < len(raw); n++ {
+		end := at + bytes.IndexByte(raw[at:], '\n')
+		line := raw[at:end]
+		off := int64(at)
+		at = end + 1
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
@@ -233,31 +314,40 @@ func (q *Queue) replay(raw []byte) error {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("jobqueue: corrupt journal line %d: %w", n, err)
 		}
-		if err := q.apply(rec); err != nil {
+		if err := q.apply(rec, off, line); err != nil {
 			return fmt.Errorf("jobqueue: journal line %d: %w", n, err)
+		}
+	}
+	// A live job's payload is still a view into raw: copy it, so that the
+	// queue does not keep the whole journal alive.
+	for _, j := range q.order {
+		if j.State == StatePending || j.State == StateRunning {
+			j.Payload = bytes.Clone(j.Payload)
 		}
 	}
 	return nil
 }
 
-// apply folds one record into the in-memory state.
-func (q *Queue) apply(rec record) error {
+// apply folds one record, read from the journal line at offset off, into
+// the in-memory state.
+func (q *Queue) apply(rec record, off int64, line []byte) error {
 	switch rec.Op {
 	case "enqueue":
 		if _, dup := q.jobs[rec.ID]; dup {
 			return fmt.Errorf("duplicate enqueue of %s", rec.ID)
 		}
-		q.add(&Job{ID: rec.ID, Payload: rec.Payload, State: StatePending})
-		var n int
-		if _, err := fmt.Sscanf(rec.ID, "j%d", &n); err == nil && n > q.seq {
-			q.seq = n
+		q.add(&Job{ID: rec.ID, Payload: json.RawMessage(rec.Payload), State: StatePending})
+		if digits, ok := strings.CutPrefix(rec.ID, "j"); ok {
+			if n, err := strconv.Atoi(digits); err == nil && n > q.seq {
+				q.seq = n
+			}
 		}
 	case "lease":
 		j := q.jobs[rec.ID]
 		if j == nil {
 			return fmt.Errorf("lease of unknown job %s", rec.ID)
 		}
-		j.State = StateRunning
+		q.move(j, StateRunning)
 		j.Attempt = rec.Attempt
 	case "requeue":
 		j := q.jobs[rec.ID]
@@ -270,21 +360,27 @@ func (q *Queue) apply(rec record) error {
 		if j == nil {
 			return fmt.Errorf("done for unknown job %s", rec.ID)
 		}
-		j.State = StateDone
-		j.Result = rec.Result
+		// rec.Result is a view of the result in line: measured here, read
+		// from the file when served.
+		start, n := resultSpan(line)
+		if n != len(rec.Result) || !bytes.Equal(line[start:start+n], rec.Result) {
+			return fmt.Errorf("done for %s: result is not the record's last field", rec.ID)
+		}
+		q.settled(j, StateDone)
+		j.resOff, j.resLen = off+int64(start), n
 	case "fail":
 		j := q.jobs[rec.ID]
 		if j == nil {
 			return fmt.Errorf("fail for unknown job %s", rec.ID)
 		}
-		j.State = StateFailed
+		q.settled(j, StateFailed)
 		j.Error = rec.Error
 	case "dead":
 		j := q.jobs[rec.ID]
 		if j == nil {
 			return fmt.Errorf("dead-letter for unknown job %s", rec.ID)
 		}
-		j.State = StateDead
+		q.settled(j, StateDead)
 		j.Error = rec.Error
 	default:
 		return fmt.Errorf("unknown op %q", rec.Op)
@@ -297,28 +393,31 @@ func (q *Queue) add(j *Job) {
 	j.pos = len(q.order)
 	q.jobs[j.ID] = j
 	q.order = append(q.order, j)
+	q.counts.Pending++
 }
 
-// append writes one record and fsyncs before returning. Acknowledgment
-// strictly follows durability: if this returns nil, the record survives
-// any crash. A failed write or sync may have left the record in the file
-// all the same, so it stops the queue: nothing appended after it could be
-// told apart from it.
-func (q *Queue) append(rec record) error {
+// append writes one record and fsyncs before returning the offset its
+// line starts at and the line. Acknowledgment strictly follows
+// durability: if this returns nil, the record survives any crash. A failed
+// write or sync may have left the record in the file all the same, so it
+// stops the queue: nothing appended after it could be told apart from it.
+func (q *Queue) append(rec record) (off int64, line []byte, err error) {
 	b, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("jobqueue: encoding record: %w", err)
+		return 0, nil, fmt.Errorf("jobqueue: encoding record: %w", err)
 	}
 	b = append(b, '\n')
 	if _, err := q.f.Write(b); err != nil {
 		q.err = fmt.Errorf("jobqueue: appending journal: %w", err)
-		return q.err
+		return 0, nil, q.err
 	}
 	if err := q.f.Sync(); err != nil {
 		q.err = fmt.Errorf("jobqueue: syncing journal: %w", err)
-		return q.err
+		return 0, nil, q.err
 	}
-	return nil
+	off = q.size
+	q.size += int64(len(b))
+	return off, b, nil
 }
 
 // notify pulses the wake channel without blocking.
@@ -339,7 +438,7 @@ func (q *Queue) Enqueue(payload []byte) (*Job, error) {
 	}
 	q.seq++
 	j := &Job{ID: fmt.Sprintf("j%08d", q.seq), Payload: append([]byte(nil), payload...), State: StatePending}
-	if err := q.append(record{Op: "enqueue", ID: j.ID, Payload: j.Payload}); err != nil {
+	if _, _, err := q.append(record{Op: "enqueue", ID: j.ID, Payload: view(j.Payload)}); err != nil {
 		q.seq--
 		return nil, err
 	}
@@ -361,10 +460,10 @@ func (q *Queue) TryLease() (*Job, error) {
 		if j.State != StatePending {
 			continue
 		}
-		if err := q.append(record{Op: "lease", ID: j.ID, Attempt: j.Attempt + 1}); err != nil {
+		if _, _, err := q.append(record{Op: "lease", ID: j.ID, Attempt: j.Attempt + 1}); err != nil {
 			return nil, err
 		}
-		j.State = StateRunning
+		q.move(j, StateRunning)
 		j.Attempt++
 		q.next++
 		return j.snapshot(), nil
@@ -377,29 +476,31 @@ func (q *Queue) TryLease() (*Job, error) {
 func (q *Queue) Wake() <-chan struct{} { return q.wake }
 
 // Finish durably records a successful result, which must be JSON; the
-// queue keeps it compacted. The attempt token must match the lease: a
-// worker whose job was requeued out from under it (its process was
-// presumed dead) gets an error instead of clobbering the retry.
+// journal holds it compacted, and Result reads it back from there. The
+// attempt token must match the lease: a worker whose job was requeued out
+// from under it (its process was presumed dead) gets an error instead of
+// clobbering the retry.
 func (q *Queue) Finish(id string, attempt int, result []byte) error {
-	// Compact as the journal's encoder does, so that memory holds the
-	// bytes a replay will.
-	compact, err := json.Marshal(json.RawMessage(result))
-	if err != nil {
-		return fmt.Errorf("jobqueue: encoding result: %w", err)
+	if len(result) == 0 {
+		// The encoder would leave an empty result out of the record.
+		return fmt.Errorf("jobqueue: job %s: empty result", id)
 	}
-	return q.settle(id, attempt, record{Op: "done", ID: id, Result: compact}, StateDone, func(j *Job) {
-		j.Result = compact
+	return q.settle(id, attempt, record{Op: "done", ID: id, Result: view(result)}, StateDone, func(j *Job, off int64, line []byte) {
+		start, n := resultSpan(line)
+		j.resOff, j.resLen = off+int64(start), n
 	})
 }
 
 // Fail durably records a failure. Same attempt-token rule as Finish.
 func (q *Queue) Fail(id string, attempt int, msg string) error {
-	return q.settle(id, attempt, record{Op: "fail", ID: id, Error: msg}, StateFailed, func(j *Job) {
+	return q.settle(id, attempt, record{Op: "fail", ID: id, Error: msg}, StateFailed, func(j *Job, _ int64, _ []byte) {
 		j.Error = msg
 	})
 }
 
-func (q *Queue) settle(id string, attempt int, rec record, to State, fill func(*Job)) error {
+// settle appends rec for a running job and moves it to state to; fill
+// records the outcome from the line written at offset off.
+func (q *Queue) settle(id string, attempt int, rec record, to State, fill func(j *Job, off int64, line []byte)) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.err != nil {
@@ -416,11 +517,12 @@ func (q *Queue) settle(id string, attempt int, rec record, to State, fill func(*
 		return fmt.Errorf("jobqueue: job %s lease is stale (attempt %d, current %d)", id, attempt, j.Attempt)
 	}
 	rec.Attempt = attempt
-	if err := q.append(rec); err != nil {
+	off, line, err := q.append(rec)
+	if err != nil {
 		return err
 	}
-	j.State = to
-	fill(j)
+	q.settled(j, to)
+	fill(j, off, line)
 	return nil
 }
 
@@ -455,26 +557,37 @@ func (q *Queue) Get(id string) (*Job, bool) {
 	return j.snapshot(), true
 }
 
+// Result returns job id's state and, once the job is done, appends its
+// result to dst, compact as the journal holds it. A job in any other state
+// leaves dst as it is, and an unknown id has the empty state. It reads
+// the journal, so it serves acknowledged results after a failed append
+// stopped the queue, but not after Close.
+func (q *Queue) Result(id string, dst []byte) ([]byte, State, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	j, ok := q.jobs[id]
+	if !ok {
+		return dst, "", nil
+	}
+	if j.State != StateDone {
+		return dst, j.State, nil
+	}
+	if q.f == nil {
+		return dst, j.State, errClosed
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, j.resLen)[:n+j.resLen]
+	if _, err := q.f.ReadAt(dst[n:], j.resOff); err != nil {
+		return dst[:n], j.State, fmt.Errorf("jobqueue: reading the result of %s: %w", id, err)
+	}
+	return dst, j.State, nil
+}
+
 // Stats counts jobs by state.
 func (q *Queue) Stats() Counts {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var c Counts
-	for _, j := range q.jobs {
-		switch j.State {
-		case StatePending:
-			c.Pending++
-		case StateRunning:
-			c.Running++
-		case StateDone:
-			c.Done++
-		case StateFailed:
-			c.Failed++
-		case StateDead:
-			c.Dead++
-		}
-	}
-	return c
+	return q.counts
 }
 
 // Err reports why the queue refuses mutations: the journal append that
@@ -503,6 +616,5 @@ func (q *Queue) Close() error {
 func (j *Job) snapshot() *Job {
 	c := *j
 	c.Payload = append(json.RawMessage(nil), j.Payload...)
-	c.Result = append(json.RawMessage(nil), j.Result...)
 	return &c
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -18,6 +19,16 @@ func openT(t *testing.T, path string, opts ...Option) *Queue {
 	}
 	t.Cleanup(func() { q.Close() })
 	return q
+}
+
+// resultT reads job id's result, which must be done.
+func resultT(t *testing.T, q *Queue, id string) string {
+	t.Helper()
+	res, state, err := q.Result(id, nil)
+	if err != nil || state != StateDone {
+		t.Fatalf("Result(%s) = %s, %v; want done", id, state, err)
+	}
+	return string(res)
 }
 
 func TestEnqueueLeaseFinish(t *testing.T) {
@@ -42,8 +53,11 @@ func TestEnqueueLeaseFinish(t *testing.T) {
 		t.Fatalf("Finish: %v", err)
 	}
 	got, ok := q.Get(j.ID)
-	if !ok || got.State != StateDone || string(got.Result) != `{"ok":true}` {
-		t.Fatalf("Get = %+v, %v", got, ok)
+	if !ok || got.State != StateDone || got.Payload != nil {
+		t.Fatalf("Get = %+v, %v; want done, its payload dropped", got, ok)
+	}
+	if res := resultT(t, q, j.ID); res != `{"ok":true}` {
+		t.Fatalf("Result = %s", res)
 	}
 	if c := q.Stats(); c.Done != 1 || c.Pending != 0 {
 		t.Fatalf("Stats = %+v", c)
@@ -209,9 +223,8 @@ func TestRecoveryPreservesResults(t *testing.T) {
 	q.Close()
 
 	q2 := openT(t, path)
-	ga, _ := q2.Get(a.ID)
-	if ga.State != StateDone || string(ga.Result) != `{"v":42}` {
-		t.Fatalf("done job after replay: %+v", ga)
+	if res := resultT(t, q2, a.ID); res != `{"v":42}` {
+		t.Fatalf("done job after replay: %s", res)
 	}
 	gb, _ := q2.Get(b.ID)
 	if gb.State != StateFailed || gb.Error != "boom" {
@@ -370,9 +383,8 @@ func TestAppendFailureStopsQueue(t *testing.T) {
 	}
 }
 
-// TestResultSameAfterReopen: the queue keeps a result in the compact form
-// its journal holds, so Get reads the same bytes before and after a
-// restart.
+// TestResultSameAfterReopen: Result reads the compact form the journal
+// holds, the same bytes before and after a restart.
 func TestResultSameAfterReopen(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
@@ -382,14 +394,89 @@ func TestResultSameAfterReopen(t *testing.T) {
 	if err := q.Finish(l.ID, l.Attempt, []byte("{\n  \"v\": [\n    1,\n    2\n  ]\n}\n")); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := q.Get(j.ID)
-	if string(before.Result) != `{"v":[1,2]}` {
-		t.Fatalf("result before reopen = %q, want it compacted", before.Result)
+	before := resultT(t, q, j.ID)
+	if before != `{"v":[1,2]}` {
+		t.Fatalf("result before reopen = %q, want it compacted", before)
 	}
 	q.Close()
-	after, _ := openT(t, path).Get(j.ID)
-	if string(after.Result) != string(before.Result) {
-		t.Fatalf("result after reopen = %q, before %q", after.Result, before.Result)
+	if after := resultT(t, openT(t, path), j.ID); after != before {
+		t.Fatalf("result after reopen = %q, before %q", after, before)
+	}
+}
+
+// TestResultAfterClose: a closed queue reads no result, and says so.
+func TestResultAfterClose(t *testing.T) {
+	t.Parallel()
+	q, _, err := openMem(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := q.Enqueue([]byte(`{}`))
+	l, _ := q.TryLease()
+	if err := q.Finish(l.ID, l.Attempt, []byte(`{"v":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	q.Close()
+	if res, state, err := q.Result(j.ID, nil); !errors.Is(err, errClosed) || state != StateDone || len(res) != 0 {
+		t.Fatalf("Result after Close = %q, %s, %v; want done and errClosed", res, state, err)
+	}
+}
+
+// syncless is a journal file whose Sync does nothing, for tests that
+// append thousands of records and measure something other than fsync.
+type syncless struct{ *os.File }
+
+func (syncless) Sync() error { return nil }
+
+// TestFinishedJobKeepsNoResult: a finished job's heap does not depend on
+// its result, which stays in the journal file.
+//
+//lint:allow paralleltest heap measurement: no other test may allocate meanwhile
+func TestFinishedJobKeepsNoResult(t *testing.T) {
+	const jobs = 2000
+	perJob := func(size int) float64 {
+		f, err := os.Create(filepath.Join(t.TempDir(), "jobs.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		result := []byte(`"` + strings.Repeat("r", size-2) + `"`)
+		payload := []byte(`{"scenarios":["o_oldwp7"]}`)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		q, err := load(nil, syncless{f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < jobs; i++ {
+			if _, err := q.Enqueue(payload); err != nil {
+				t.Fatal(err)
+			}
+			l, err := q.TryLease()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := q.Finish(l.ID, l.Attempt, result); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if res := resultT(t, q, "j00000001"); res != string(result) {
+			t.Fatalf("first job reads %d bytes, want %d", len(res), len(result))
+		}
+		return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / jobs
+	}
+	big, small := perJob(4096), perJob(40)
+	t.Logf("retained per finished job: %.0f B with 4 KB results, %.0f B with 40 B results", big, small)
+	if big > 256 || small > 256 {
+		t.Fatalf("a finished job keeps %.0f B (4 KB result) and %.0f B (40 B result), want at most 256", big, small)
+	}
+	if d := big - small; d >= 32 || d <= -32 {
+		t.Fatalf("a 4 KB result costs %.0f B more per finished job than a 40 B one, want under 32", d)
 	}
 }
 
@@ -469,5 +556,40 @@ func BenchmarkTryLease(b *testing.B) {
 				m.buf = m.buf[:0]
 			}
 		})
+	}
+}
+
+// BenchmarkOpen reopens a journal of 3,000 finished jobs, each with a
+// result of about 640 bytes, as a restarted service does.
+func BenchmarkOpen(b *testing.B) {
+	q, m, err := openMem(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	result := []byte(`{"cut":"` + strings.Repeat("c", 620) + `"}`)
+	for i := 0; i < 3000; i++ {
+		if _, err := q.Enqueue([]byte(`{"scenarios":["o_oldwp7"]}`)); err != nil {
+			b.Fatal(err)
+		}
+		l, err := q.TryLease()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := q.Finish(l.ID, l.Attempt, result); err != nil {
+			b.Fatal(err)
+		}
+	}
+	path := filepath.Join(b.TempDir(), "jobs.jsonl")
+	if err := os.WriteFile(path, m.buf, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q, err := Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q.Close()
 	}
 }

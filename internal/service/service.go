@@ -2,9 +2,10 @@
 // service: an HTTP API accepts partitioning requests (pipeline.Spec
 // bodies), a crash-safe jobqueue persists them, and a worker pool drives
 // each through pipeline.Run. A job's result is the pipeline's canonical
-// JSON: the queue keeps it compacted, as its journal does, and the result
-// endpoint indents it back, so the service returns byte-for-byte what
-// `coign run -json` prints for the same spec, before a restart and after.
+// JSON: the queue's journal holds it compacted, the result endpoint reads
+// it from there and indents it back, so the service returns byte-for-byte
+// what `coign run -json` prints for the same spec, before a restart and
+// after.
 // A queue whose journal append failed stops, and so does the service: its
 // workers exit and its submit and health endpoints answer 503.
 package service
@@ -141,37 +142,52 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// indentBufs holds the buffers handleResult indents results into, so that
-// a served result costs no buffer of its own once the pool is warm.
-var indentBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// resultBuf is what handleResult reads a compact result into and indents
+// it into.
+type resultBuf struct {
+	compact  []byte
+	indented bytes.Buffer
+}
 
-// handleResult serves a finished job's canonical result bytes: the queue's
-// compact form indented as pipeline.MarshalResult indents it, with its
-// trailing newline.
+// resultBufs holds handleResult's buffers, so that a served result costs no
+// buffer of its own once the pool is warm.
+var resultBufs = sync.Pool{New: func() any { return new(resultBuf) }}
+
+// handleResult serves a finished job's canonical result bytes: the compact
+// form the queue reads from its journal, indented as
+// pipeline.MarshalResult indents it, with its trailing newline.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.queue.Get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+	id := r.PathValue("id")
+	buf := resultBufs.Get().(*resultBuf)
+	defer resultBufs.Put(buf)
+	compact, state, err := s.queue.Result(id, buf.compact[:0])
+	buf.compact = compact
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "job %s: stored result: %v", id, err)
 		return
 	}
-	switch job.State {
+	switch state {
+	case "":
+		writeError(w, http.StatusNotFound, "unknown job %q", id)
 	case jobqueue.StateDone:
-		buf := indentBufs.Get().(*bytes.Buffer)
-		defer indentBufs.Put(buf)
-		buf.Reset()
-		if err := json.Indent(buf, job.Result, "", "  "); err != nil {
-			writeError(w, http.StatusInternalServerError, "job %s: stored result: %v", job.ID, err)
+		buf.indented.Reset()
+		if err := json.Indent(&buf.indented, compact, "", "  "); err != nil {
+			writeError(w, http.StatusInternalServerError, "job %s: stored result: %v", id, err)
 			return
 		}
-		buf.WriteByte('\n')
+		buf.indented.WriteByte('\n')
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(buf.Bytes()) //nolint:errcheck // streaming to client
+		w.Write(buf.indented.Bytes()) //nolint:errcheck // streaming to client
+	// Failed and dead are terminal, so the error Get reads is the one the
+	// state came with.
 	case jobqueue.StateFailed:
-		writeError(w, http.StatusConflict, "job %s failed: %s", job.ID, job.Error)
+		job, _ := s.queue.Get(id)
+		writeError(w, http.StatusConflict, "job %s failed: %s", id, job.Error)
 	case jobqueue.StateDead:
-		writeError(w, http.StatusConflict, "job %s is dead: %s", job.ID, job.Error)
+		job, _ := s.queue.Get(id)
+		writeError(w, http.StatusConflict, "job %s is dead: %s", id, job.Error)
 	default:
-		writeError(w, http.StatusConflict, "job %s is %s; result not ready", job.ID, job.State)
+		writeError(w, http.StatusConflict, "job %s is %s; result not ready", id, state)
 	}
 }
 
