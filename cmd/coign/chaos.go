@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/logger"
 	"repro/internal/pipeline"
 )
@@ -41,13 +40,12 @@ func cmdChaos(_ context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	pol := &dist.FaultPolicy{
-		Rates:      fault.Rates{Drop: *drop, Corrupt: *corrupt},
+		Drop:       *drop,
+		Corrupt:    *corrupt,
 		CallPolicy: dist.CallPolicy{Timeout: *timeout, MaxAttempts: *attempts, Backoff: *backoff},
 	}
 	if *fromModel {
-		// The virtual clock prices drops and corruptions only.
-		r := fault.FromModel(adps.Network)
-		pol.Rates = fault.Rates{Drop: r.Drop, Corrupt: r.Corrupt}
+		pol.Drop, pol.Corrupt = dist.ModelRates(adps.Network)
 	}
 	cfg, err := adps.RunConfig(dist.ModeDefault, *scen)
 	if err != nil {
@@ -62,7 +60,7 @@ func cmdChaos(_ context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "%s on %s (drop %.1f%%, corrupt %.1f%%, %d attempt(s), seed %d)\n",
-		*scen, cfg.Network.Name, pol.Rates.Drop*100, pol.Rates.Corrupt*100, pol.MaxAttempts, cfg.Seed)
+		*scen, cfg.Network.Name, pol.Drop*100, pol.Corrupt*100, pol.MaxAttempts, cfg.Seed)
 	if err != nil {
 		fmt.Fprintf(w, "  outcome: FAILED — %v\n", err)
 		return nil

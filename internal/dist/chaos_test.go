@@ -6,133 +6,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/classify"
 	"repro/internal/com"
-	"repro/internal/fault"
-	"repro/internal/idl"
 	"repro/internal/logger"
 	"repro/internal/netsim"
 )
-
-// chaosPipelineRun drives the pipeline's storage component through the real
-// transport with a seeded fault injector on the server's listener, and
-// returns the injected-fault log plus the client's retry counters. A single
-// sequential caller keeps the injector's operation sequence — and therefore
-// its fault schedule — deterministic.
-func chaosPipelineRun(t *testing.T, seed int64, calls int) ([]fault.Event, int64, int64) {
-	t.Helper()
-	app := pipelineApp()
-	env := com.NewEnv(app)
-	storage, err := env.CreateInstance(nil, "CLSID_Storage")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := fault.New(fault.Config{
-		Seed: seed,
-		Send: fault.Rates{Drop: 0.05, Corrupt: 0.05},
-		Recv: fault.Rates{Drop: 0.05, Corrupt: 0.05},
-	})
-	srv, err := Serve("127.0.0.1:0", NewStub(env).Handle, WithListenerWrapper(inj.WrapListener))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := Dial(srv.Addr(),
-		WithDialSeed(seed),
-		WithPolicy(CallPolicy{
-			Timeout:     200 * time.Millisecond,
-			MaxAttempts: 8,
-			Backoff:     time.Millisecond,
-			BackoffMax:  10 * time.Millisecond,
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	proxy := NewProxy(conn, app.Interfaces, "IStorage", storage.ID)
-	for i := 0; i < calls; i++ {
-		rets, err := proxy.Invoke("ReadBlock", idl.Int32(int32(i)))
-		if err != nil {
-			t.Fatalf("call %d under faults: %v", i, err)
-		}
-		if len(rets) != 1 || len(rets[0].Bytes) != 4096 {
-			t.Fatalf("call %d returned wrong payload: %v", i, rets)
-		}
-	}
-	retries, reconnects := conn.Stats()
-	return inj.Events(), retries, reconnects
-}
-
-func TestChaosTransportPipelineUnderFaults(t *testing.T) {
-	t.Parallel()
-	events, retries, reconnects := chaosPipelineRun(t, 1, 40)
-	if len(events) == 0 {
-		t.Fatal("5% fault rates injected nothing over 40 calls; pick another seed")
-	}
-	if retries == 0 {
-		t.Fatal("faults were injected but the client never retried")
-	}
-	t.Logf("completed 40 calls under %d injected faults (%d retries, %d reconnects)",
-		len(events), retries, reconnects)
-}
-
-func TestChaosTransportReproducibleFromSeed(t *testing.T) {
-	t.Parallel()
-	a, retriesA, reconnectsA := chaosPipelineRun(t, 2, 25)
-	b, retriesB, reconnectsB := chaosPipelineRun(t, 2, 25)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different fault schedules:\n%v\n%v", a, b)
-	}
-	if retriesA != retriesB || reconnectsA != reconnectsB {
-		t.Fatalf("same seed, different recovery: (%d,%d) vs (%d,%d)",
-			retriesA, reconnectsA, retriesB, reconnectsB)
-	}
-	c, _, _ := chaosPipelineRun(t, 3, 25)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical fault schedules")
-	}
-}
-
-func TestChaosTransportFailsFastWithoutRetries(t *testing.T) {
-	t.Parallel()
-	app := pipelineApp()
-	env := com.NewEnv(app)
-	storage, err := env.CreateInstance(nil, "CLSID_Storage")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every server read blackholes: no request ever gets an answer.
-	inj := fault.New(fault.Config{Seed: 9, Recv: fault.Rates{Drop: 1}})
-	srv, err := Serve("127.0.0.1:0", NewStub(env).Handle, WithListenerWrapper(inj.WrapListener))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	start := time.Now()
-	_, err = conn.Call("IStorage", storage.ID, "ReadBlock", nil,
-		WithTimeout(100*time.Millisecond), WithoutRetries())
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("err = %v, want ErrTimeout", err)
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("fail-fast call took %v", d)
-	}
-	var te *TransportError
-	if !errors.As(err, &te) || te.Attempts != 1 {
-		t.Fatalf("want a single attempt, got %+v", te)
-	}
-}
 
 // simChaosRun executes the pipeline scenario on the virtual clock under a
 // fault policy and returns the result plus the fault trail from the trace.
@@ -159,7 +38,7 @@ func simChaosRun(t *testing.T, seed int64, pol *FaultPolicy) (*Result, []logger.
 
 func TestChaosSimPipelineCompletesWithRetries(t *testing.T) {
 	t.Parallel()
-	pol := &FaultPolicy{Rates: fault.Rates{Drop: 0.05, Corrupt: 0.05}}
+	pol := &FaultPolicy{Drop: 0.05, Corrupt: 0.05}
 	res, trail := simChaosRun(t, 7, pol)
 	if res.FaultDrops+res.FaultCorruptions == 0 {
 		t.Fatal("5% rates injected nothing on the big scenario; pick another seed")
@@ -189,7 +68,7 @@ func TestChaosSimPipelineCompletesWithRetries(t *testing.T) {
 
 func TestChaosSimReproducibleFromSeed(t *testing.T) {
 	t.Parallel()
-	pol := &FaultPolicy{Rates: fault.Rates{Drop: 0.05, Corrupt: 0.05}}
+	pol := &FaultPolicy{Drop: 0.05, Corrupt: 0.05}
 	a, trailA := simChaosRun(t, 7, pol)
 	b, trailB := simChaosRun(t, 7, pol)
 	if a.Clock.CommTime() != b.Clock.CommTime() || a.Clock.Messages() != b.Clock.Messages() {
@@ -210,7 +89,7 @@ func TestChaosSimFailsFastWhenRetriesDisabled(t *testing.T) {
 	_, err := Run(Config{
 		App: pipelineApp(), Scenario: "big", Seed: 7, Mode: ModeDefault,
 		Classifier: classify.New(classify.IFCB, 0),
-		Faults:     &FaultPolicy{Rates: fault.Rates{Drop: 0.5}, CallPolicy: CallPolicy{MaxAttempts: 1}},
+		Faults:     &FaultPolicy{Drop: 0.5, CallPolicy: CallPolicy{MaxAttempts: 1}},
 	})
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
@@ -231,7 +110,7 @@ func TestReplayWithFaultsChargesRetransmissions(t *testing.T) {
 	cfg := Config{App: pipelineApp(), Scenario: "big", Seed: 11, Mode: ModeCoign,
 		Classifier: classify.New(classify.IFCB, 0), Distribution: dm}
 	clean := replayEqualsRun(t, cfg, trace)
-	cfg.Faults = &FaultPolicy{Rates: fault.Rates{Drop: 0.1, Corrupt: 0.1}, CallPolicy: CallPolicy{MaxAttempts: 8}}
+	cfg.Faults = &FaultPolicy{Drop: 0.1, Corrupt: 0.1, CallPolicy: CallPolicy{MaxAttempts: 8}}
 	faulted := replayEqualsRun(t, cfg, trace)
 	if faulted.FaultDrops+faulted.FaultCorruptions == 0 {
 		t.Fatal("10% rates injected nothing into the replay; pick another seed")
@@ -251,40 +130,66 @@ func TestReplayWithFaultsChargesRetransmissions(t *testing.T) {
 	}
 }
 
+// TestModelRates: every network model's loss figure derives a valid
+// fault policy with its Loss dropped and a quarter of it corrupt, so a
+// lossy wire drops more than it corrupts and the loopback is fault-free.
+func TestModelRates(t *testing.T) {
+	t.Parallel()
+	for _, m := range netsim.Models() {
+		var pol FaultPolicy
+		pol.Drop, pol.Corrupt = ModelRates(m)
+		if pol.Drop != m.Loss || pol.Corrupt != m.Loss/4 {
+			t.Errorf("%s: ModelRates = %v, %v; want Loss %v, Loss/4 %v", m.Name, pol.Drop, pol.Corrupt, m.Loss, m.Loss/4)
+		}
+		if m.Loss > 0 && pol.Corrupt >= pol.Drop {
+			t.Errorf("%s: corrupt rate %v not below drop rate %v", m.Name, pol.Corrupt, pol.Drop)
+		}
+		if err := pol.validate(); err != nil {
+			t.Errorf("%s: derived policy refused: %v", m.Name, err)
+		}
+	}
+	if drop, corrupt := ModelRates(netsim.Loopback); drop != 0 || corrupt != 0 {
+		t.Errorf("loopback should be fault-free, got drop %v, corrupt %v", drop, corrupt)
+	}
+}
+
 // TestFaultPolicyRatesAreProbabilities: Run and Replay refuse a fault
 // policy whose drop or corrupt rate is NaN or outside [0, 1], or whose
-// rates sum above 1, or that sets a rate the virtual clock does not price
-// (Truncate, Delay, DelayJitter), in every mode; rates on the boundary
-// run, and fail only as an undeliverable call does.
+// rates sum above 1, in every mode; rates on the boundary run, and fail
+// only as an undeliverable call does. Every network model's loss figure
+// derives a policy that runs.
 func TestFaultPolicyRatesAreProbabilities(t *testing.T) {
 	t.Parallel()
 	trace := pipelineTrace(t, "big", 7)
-	for _, c := range []struct {
+	type row struct {
 		name    string
-		rates   fault.Rates
+		pol     FaultPolicy
 		refusal string // the refusal's words, or "" when the policy runs
 		timeout bool   // every message faults, so one gives up
-	}{
-		{"no faults", fault.Rates{}, "", false},
-		{"small rates", fault.Rates{Drop: 0.05, Corrupt: 0.05}, "", false},
-		{"drop every message", fault.Rates{Drop: 1}, "", true},
-		{"rates summing to one", fault.Rates{Drop: 0.4, Corrupt: 0.6}, "", true},
-		{"drop above one", fault.Rates{Drop: 1.5}, "fault rates", false},
-		{"corrupt above one", fault.Rates{Corrupt: 1.2}, "fault rates", false},
-		{"negative drop", fault.Rates{Drop: -0.5}, "fault rates", false},
-		{"negative rates", fault.Rates{Drop: -0.5, Corrupt: -0.2}, "fault rates", false},
-		{"sum above one", fault.Rates{Drop: 0.6, Corrupt: 0.5}, "fault rates", false},
-		{"NaN drop", fault.Rates{Drop: math.NaN()}, "fault rates", false},
-		{"NaN corrupt", fault.Rates{Corrupt: math.NaN()}, "fault rates", false},
-		{"truncate", fault.Rates{Drop: 0.05, Truncate: 0.01}, "Truncate 0.01,", false},
-		{"delay", fault.Rates{Delay: time.Millisecond}, "Delay 1ms,", false},
-		{"delay jitter", fault.Rates{DelayJitter: time.Millisecond}, "DelayJitter 1ms:", false},
-		{"a model's rates", fault.FromModel(netsim.ISDN), "Truncate 0.000625,", false},
-	} {
+	}
+	rows := []row{
+		{"no faults", FaultPolicy{}, "", false},
+		{"small rates", FaultPolicy{Drop: 0.05, Corrupt: 0.05}, "", false},
+		{"drop every message", FaultPolicy{Drop: 1}, "", true},
+		{"rates summing to one", FaultPolicy{Drop: 0.4, Corrupt: 0.6}, "", true},
+		{"drop above one", FaultPolicy{Drop: 1.5}, "fault rates", false},
+		{"corrupt above one", FaultPolicy{Corrupt: 1.2}, "fault rates", false},
+		{"negative drop", FaultPolicy{Drop: -0.5}, "fault rates", false},
+		{"negative rates", FaultPolicy{Drop: -0.5, Corrupt: -0.2}, "fault rates", false},
+		{"sum above one", FaultPolicy{Drop: 0.6, Corrupt: 0.5}, "fault rates", false},
+		{"NaN drop", FaultPolicy{Drop: math.NaN()}, "fault rates", false},
+		{"NaN corrupt", FaultPolicy{Corrupt: math.NaN()}, "fault rates", false},
+	}
+	for _, m := range netsim.Models() {
+		var pol FaultPolicy
+		pol.Drop, pol.Corrupt = ModelRates(m)
+		rows = append(rows, row{m.Name + "'s rates", pol, "", false})
+	}
+	for _, c := range rows {
 		refuses := c.refusal != ""
 		cfg := Config{App: pipelineApp(), Scenario: "big", Seed: 7, Mode: ModeDefault,
 			Classifier: classify.New(classify.IFCB, 0),
-			Faults:     &FaultPolicy{Rates: c.rates}}
+			Faults:     &c.pol}
 		_, runErr := Run(cfg)
 		_, replayErr := Replay(cfg, trace)
 		for what, err := range map[string]error{"Run": runErr, "Replay": replayErr} {

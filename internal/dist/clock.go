@@ -104,7 +104,7 @@ func (c *Clock) deliver(reqBytes, respBytes int) (int, error) {
 		start := c.comm
 		for _, size := range [2]int{reqBytes, respBytes} {
 			c.msgs++
-			o := fate(f.rng.Float64(), f.pol.Rates)
+			o := fate(f.rng.Float64(), f.pol.Drop, f.pol.Corrupt)
 			if o == dropped {
 				c.comm += f.pol.Timeout
 			} else {

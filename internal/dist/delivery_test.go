@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/apps/octarine"
 	"repro/internal/classify"
 	"repro/internal/com"
-	"repro/internal/fault"
 	"repro/internal/logger"
 	"repro/internal/netsim"
 	"repro/internal/rte"
@@ -114,7 +114,7 @@ func TestVirtualDeliveryCosts(t *testing.T) {
 	} {
 		rolls := scriptedRolls(c.rolls)
 		clock := NewClock(model, nil)
-		clock.SetFaults(FaultPolicy{Rates: fault.Rates{Drop: 0.2, Corrupt: 0.2}, CallPolicy: pol}, rand.New(&rolls), nil)
+		clock.SetFaults(FaultPolicy{Drop: 0.2, Corrupt: 0.2, CallPolicy: pol}, rand.New(&rolls), nil)
 		_, err := clock.deliver(req, resp)
 		if err != c.err || clock.CommTime() != c.cost || clock.Messages() != c.msgs || len(rolls) != 0 {
 			t.Errorf("%s: err %v, cost %v, %d messages, %d rolls left; want %v, %v, %d, 0",
@@ -127,7 +127,7 @@ func TestVirtualDeliveryCosts(t *testing.T) {
 // fate, as the virtual clock does, for every connection a Conn dials.
 type roller struct {
 	rng       *rand.Rand
-	rates     fault.Rates
+	rates     FaultPolicy     // its Drop and Corrupt
 	intact    int             // requests that reached the server unharmed
 	deadlines []time.Duration // per attempt, as the Conn set them
 }
@@ -145,7 +145,7 @@ type rollConn struct {
 }
 
 func (c *rollConn) Write(b []byte) (int, error) {
-	switch fate(c.r.rng.Float64(), c.r.rates) {
+	switch fate(c.r.rng.Float64(), c.r.rates.Drop, c.r.rates.Corrupt) {
 	case dropped:
 		c.lost = true
 		return len(b), nil
@@ -171,7 +171,7 @@ func (c *rollConn) Read(b []byte) (int, error) {
 		if _, err := io.ReadFull(c.Conn, frame[frameHdrLen:]); err != nil {
 			return 0, err
 		}
-		switch fate(c.r.rng.Float64(), c.r.rates) {
+		switch fate(c.r.rng.Float64(), c.r.rates.Drop, c.r.rates.Corrupt) {
 		case dropped:
 			c.lost = true
 			return 0, os.ErrDeadlineExceeded
@@ -224,13 +224,7 @@ func (pipeAddr) String() string  { return "pipe" }
 func pipeConn(t *testing.T, h CallHandler, r *roller, pol CallPolicy, waits *[]time.Duration) *Conn {
 	t.Helper()
 	pl := &pipeListener{conns: make(chan net.Conn, 1), done: make(chan struct{})}
-	srv, err := Serve("127.0.0.1:0", h, WithListenerWrapper(func(ln net.Listener) net.Listener {
-		ln.Close()
-		return pl
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serve(pl, h)
 	t.Cleanup(srv.Close)
 	conn, err := Dial(srv.Addr(), WithPolicy(pol), WithDialSeed(1), WithDialer(func(string) (net.Conn, error) {
 		client, server := net.Pipe()
@@ -269,11 +263,11 @@ func TestZeroPolicyFieldsMeanOneThing(t *testing.T) {
 		for i := 1; i < c.attempts; i++ {
 			wantWaits = append(wantWaits, c.backoff<<(i-1))
 		}
-		dropAll := fault.Rates{Drop: 1}
+		dropAll := FaultPolicy{Drop: 1, CallPolicy: c.pol}
 
 		clock := NewClock(netsim.TenBaseT, nil)
 		trail := logger.NewTrace(nil)
-		clock.SetFaults(FaultPolicy{Rates: dropAll, CallPolicy: c.pol}, rand.New(rand.NewSource(1)), trail)
+		clock.SetFaults(dropAll, rand.New(rand.NewSource(1)), trail)
 		vAttempts, vErr := clock.deliver(100, 100)
 		var vTimeouts []time.Duration
 		vWaited, wantWaited := clock.CommTime(), time.Duration(0)
@@ -341,101 +335,164 @@ func crossingCalls(app *com.App, trace *logger.Trace) [][2]int {
 	return calls
 }
 
-// TestDeliveryMatchesTransport is the differential test of the one
-// delivery protocol's two drivers. It takes the cross-machine calls of a
-// scenario's trace, prices them on the virtual clock, and sends the same
-// calls through a Conn and a Server over net.Pipe whose frames take their
-// fates from the same seeded roll sequence. For every call it requires the
-// same attempt count and the same outcome (a value, ErrTimeout or
-// ErrCorrupt), and at most one execution on the server: exactly one when
-// the request ever arrived intact, none otherwise.
-func TestDeliveryMatchesTransport(t *testing.T) {
-	t.Parallel()
-	pol := CallPolicy{Timeout: time.Second, MaxAttempts: 4, Backoff: time.Millisecond}
-	// What the adversary reached: giveups of each kind, and calls the
-	// server's dedup answered again after a lost reply.
-	var timeouts, corrupts, reanswered int
-	for _, sc := range []struct {
+// callTrail is what one call came to on the wire: its attempts, the
+// backoffs its Conn waited, and how often the server executed it.
+type callTrail struct {
+	attempts int
+	waits    string
+	execs    int
+}
+
+// differentialPolicy is the call policy both drivers of the delivery
+// protocol run under in the differential tests.
+var differentialPolicy = CallPolicy{Timeout: time.Second, MaxAttempts: 4, Backoff: time.Millisecond}
+
+// wireTally counts what the adversary reached: giveups of each kind, and
+// calls the server's dedup answered again after a lost reply.
+type wireTally struct{ timeouts, corrupts, reanswered int }
+
+// scenarioCalls is the cross-machine call sequence of one scenario's
+// profiled trace, checked to be the sequence Replay prices.
+func scenarioCalls(t *testing.T, app *com.App, scenario string) [][2]int {
+	t.Helper()
+	trace := logger.NewTrace(nil)
+	if _, err := Run(Config{App: app, Scenario: scenario, Seed: 1, Mode: ModeProfiling,
+		Classifier: classify.New(classify.IFCB, 0), Trace: trace}); err != nil {
+		t.Fatal(err)
+	}
+	calls := crossingCalls(app, trace)
+	clean := NewClock(netsim.TenBaseT, nil)
+	for _, c := range calls {
+		clean.RemoteCall(com.Client, com.Server, c[0], c[1])
+	}
+	replayed, err := Replay(Config{App: app, Scenario: scenario, Seed: 1, Mode: ModeDefault}, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.CommTime() != replayed.Clock.CommTime() || clean.Messages() != replayed.Clock.Messages() || len(calls) == 0 {
+		t.Fatalf("%s: %d crossing calls price to %v/%d, Replay to %v/%d", scenario, len(calls),
+			clean.CommTime(), clean.Messages(), replayed.Clock.CommTime(), replayed.Clock.Messages())
+	}
+	return calls
+}
+
+// differentialScenarios are the scenarios whose crossing calls the
+// differential tests send.
+func differentialScenarios() []struct {
+	app      *com.App
+	scenario string
+} {
+	return []struct {
 		app      *com.App
 		scenario string
 	}{
 		{pipelineApp(), "big"},
 		{octarine.New(), octarine.ScenOldWp7},
 		{benefits.New(), benefits.ScenAddOne},
-	} {
-		trace := logger.NewTrace(nil)
-		if _, err := Run(Config{App: sc.app, Scenario: sc.scenario, Seed: 1, Mode: ModeProfiling,
-			Classifier: classify.New(classify.IFCB, 0), Trace: trace}); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// sendCalls delivers calls on both drivers under drop = corrupt = p, with
+// the rolls seeded by seed: it prices each call on the virtual clock and
+// sends it through a Conn and a Server over net.Pipe whose frames take
+// their fates from the same seeded roll sequence. For every call it
+// requires the same attempt count and the same outcome (a value,
+// ErrTimeout or ErrCorrupt), and at most one execution on the server:
+// exactly one when the request ever arrived intact, none otherwise. It
+// adds what the calls reached to tally and returns the wire's trail.
+func sendCalls(t *testing.T, calls [][2]int, seed int64, p float64, name string, tally *wireTally) []callTrail {
+	t.Helper()
+	pol := differentialPolicy
+	rates := FaultPolicy{Drop: p, Corrupt: p, CallPolicy: pol}
+	clock := NewClock(netsim.TenBaseT, nil)
+	clock.SetFaults(rates, rand.New(rand.NewSource(seed)), nil)
+
+	var mu sync.Mutex
+	execs := make([]int, len(calls))
+	handler := func(_ string, i uint64, _ string, _ []byte) ([]byte, error) {
+		mu.Lock()
+		execs[i]++
+		mu.Unlock()
+		return make([]byte, calls[i][1]), nil
+	}
+	var waits []time.Duration
+	r := &roller{rng: rand.New(rand.NewSource(seed)), rates: rates}
+	conn := pipeConn(t, handler, r, pol, &waits)
+	defer conn.Close()
+	trail := make([]callTrail, len(calls))
+	for i, c := range calls {
+		vAttempts, vErr := clock.deliver(c[0], c[1])
+		intact, tried := r.intact, len(r.deadlines)
+		waits = waits[:0]
+		_, err := conn.Call("I", uint64(i), "m", make([]byte, c[0]))
+		attempts := len(r.deadlines) - tried
+		mu.Lock()
+		n := execs[i]
+		mu.Unlock()
+		switch {
+		case attempts != vAttempts || len(waits) != attempts-1:
+			t.Fatalf("%s call %d: %d attempts, %d backoffs on the wire; %d attempts virtual", name, i, attempts, len(waits), vAttempts)
+		case vErr == nil && err != nil, vErr != nil && !errors.Is(err, vErr):
+			t.Fatalf("%s call %d: wire err %v, virtual err %v", name, i, err, vErr)
+		case vErr != nil && !errors.Is(vErr, ErrTimeout) && !errors.Is(vErr, ErrCorrupt):
+			t.Fatalf("%s call %d: virtual err %v is not ErrTimeout or ErrCorrupt", name, i, vErr)
+		case r.intact > intact && n != 1, r.intact == intact && n != 0:
+			t.Fatalf("%s call %d: executed %d times, request arrived intact %d times", name, i, n, r.intact-intact)
 		}
-		calls := crossingCalls(sc.app, trace)
-		// The sequence is the one Replay prices.
-		clean := NewClock(netsim.TenBaseT, nil)
-		for _, c := range calls {
-			clean.RemoteCall(com.Client, com.Server, c[0], c[1])
+		switch {
+		case errors.Is(vErr, ErrTimeout):
+			tally.timeouts++
+		case errors.Is(vErr, ErrCorrupt):
+			tally.corrupts++
 		}
-		replayed, err := Replay(Config{App: sc.app, Scenario: sc.scenario, Seed: 1, Mode: ModeDefault}, trace)
-		if err != nil {
-			t.Fatal(err)
+		if r.intact-intact > 1 {
+			tally.reanswered++
 		}
-		if clean.CommTime() != replayed.Clock.CommTime() || clean.Messages() != replayed.Clock.Messages() || len(calls) == 0 {
-			t.Fatalf("%s: %d crossing calls price to %v/%d, Replay to %v/%d", sc.scenario, len(calls),
-				clean.CommTime(), clean.Messages(), replayed.Clock.CommTime(), replayed.Clock.Messages())
-		}
+		trail[i] = callTrail{attempts, fmt.Sprint(waits), n}
+	}
+	return trail
+}
+
+// TestDeliveryMatchesTransport is the differential test of the one
+// delivery protocol's two drivers. It takes the cross-machine calls of a
+// scenario's trace and sends them with sendCalls, which holds the virtual
+// clock and the real transport to each other call by call, for roll seeds
+// 1 to 5 at drop = corrupt = 0, 0.05 and 0.3. The rolls must reach every
+// path: timeouts, corruptions and dedup re-answers.
+func TestDeliveryMatchesTransport(t *testing.T) {
+	t.Parallel()
+	var tally wireTally
+	for _, sc := range differentialScenarios() {
+		calls := scenarioCalls(t, sc.app, sc.scenario)
 		for seed := int64(1); seed <= 5; seed++ {
 			for _, p := range []float64{0, 0.05, 0.3} {
-				name := fmt.Sprintf("%s seed %d rates %v", sc.scenario, seed, p)
-				rates := fault.Rates{Drop: p, Corrupt: p}
-				clock := NewClock(netsim.TenBaseT, nil)
-				clock.SetFaults(FaultPolicy{Rates: rates, CallPolicy: pol}, rand.New(rand.NewSource(seed)), nil)
-
-				var mu sync.Mutex
-				execs := make([]int, len(calls))
-				handler := func(_ string, i uint64, _ string, _ []byte) ([]byte, error) {
-					mu.Lock()
-					execs[i]++
-					mu.Unlock()
-					return make([]byte, calls[i][1]), nil
-				}
-				var waits []time.Duration
-				r := &roller{rng: rand.New(rand.NewSource(seed)), rates: rates}
-				conn := pipeConn(t, handler, r, pol, &waits)
-				for i, c := range calls {
-					vAttempts, vErr := clock.deliver(c[0], c[1])
-					intact, tried := r.intact, len(r.deadlines)
-					waits = waits[:0]
-					_, err := conn.Call("I", uint64(i), "m", make([]byte, c[0]))
-					attempts := len(r.deadlines) - tried
-					mu.Lock()
-					n := execs[i]
-					mu.Unlock()
-					switch {
-					case attempts != vAttempts || len(waits) != attempts-1:
-						t.Fatalf("%s call %d: %d attempts, %d backoffs on the wire; %d attempts virtual", name, i, attempts, len(waits), vAttempts)
-					case vErr == nil && err != nil, vErr != nil && !errors.Is(err, vErr):
-						t.Fatalf("%s call %d: wire err %v, virtual err %v", name, i, err, vErr)
-					case vErr != nil && !errors.Is(vErr, ErrTimeout) && !errors.Is(vErr, ErrCorrupt):
-						t.Fatalf("%s call %d: virtual err %v is not ErrTimeout or ErrCorrupt", name, i, vErr)
-					case r.intact > intact && n != 1, r.intact == intact && n != 0:
-						t.Fatalf("%s call %d: executed %d times, request arrived intact %d times", name, i, n, r.intact-intact)
-					}
-					switch {
-					case errors.Is(vErr, ErrTimeout):
-						timeouts++
-					case errors.Is(vErr, ErrCorrupt):
-						corrupts++
-					}
-					if r.intact-intact > 1 {
-						reanswered++
-					}
-				}
-				conn.Close()
+				sendCalls(t, calls, seed, p, fmt.Sprintf("%s seed %d rates %v", sc.scenario, seed, p), &tally)
 			}
 		}
 	}
-	if timeouts == 0 || corrupts == 0 || reanswered == 0 {
+	if tally.timeouts == 0 || tally.corrupts == 0 || tally.reanswered == 0 {
 		t.Fatalf("the rolls never reached every path: %d timeouts, %d corruptions, %d calls answered again",
-			timeouts, corrupts, reanswered)
+			tally.timeouts, tally.corrupts, tally.reanswered)
 	}
-	t.Logf("%d calls gave up timed out, %d corrupt; %d were answered again from the dedup cache", timeouts, corrupts, reanswered)
+	t.Logf("%d calls gave up timed out, %d corrupt; %d were answered again from the dedup cache",
+		tally.timeouts, tally.corrupts, tally.reanswered)
+}
+
+// TestChaosTransportReproducibleFromSeed: the wire's trail under faults is
+// a function of the roll seed. The same seed sent twice gives the same
+// attempts, waits and server executions call by call, and another seed
+// another trail.
+func TestChaosTransportReproducibleFromSeed(t *testing.T) {
+	t.Parallel()
+	var tally wireTally
+	for _, sc := range differentialScenarios() {
+		calls := scenarioCalls(t, sc.app, sc.scenario)
+		first := sendCalls(t, calls, 1, 0.3, sc.scenario+" seed 1", &tally)
+		if again := sendCalls(t, calls, 1, 0.3, sc.scenario+" seed 1 again", &tally); !reflect.DeepEqual(again, first) {
+			t.Fatalf("%s: the same roll seed sent twice left different trails:\n%v\n%v", sc.scenario, first, again)
+		}
+		if other := sendCalls(t, calls, 2, 0.3, sc.scenario+" seed 2", &tally); reflect.DeepEqual(other, first) {
+			t.Fatalf("%s: roll seeds 1 and 2 left the same trail %v", sc.scenario, first)
+		}
+	}
 }

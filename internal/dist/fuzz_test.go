@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/classify"
-	"repro/internal/fault"
 	"repro/internal/idl"
 	"repro/internal/logger"
 )
@@ -60,7 +59,7 @@ func FuzzReplay(f *testing.F) {
 	trace := pipelineTrace(f, "big", 3)
 	cfg := Config{App: pipelineApp(), Scenario: "big", Seed: 3, Mode: ModeCoign,
 		Classifier: classify.New(classify.IFCB, 0), Distribution: readerOnServer(trace),
-		Jitter: true, Faults: &FaultPolicy{Rates: fault.Rates{Drop: 0.05, Corrupt: 0.05}, CallPolicy: CallPolicy{MaxAttempts: 8}}}
+		Jitter: true, Faults: &FaultPolicy{Drop: 0.05, Corrupt: 0.05, CallPolicy: CallPolicy{MaxAttempts: 8}}}
 	run, err := Run(cfg)
 	if err != nil {
 		f.Fatal(err)

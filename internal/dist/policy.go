@@ -6,7 +6,7 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/fault"
+	"repro/internal/netsim"
 )
 
 // CallPolicy governs deadlines and retries for a call, on either clock:
@@ -97,11 +97,11 @@ func (o outcome) err() error {
 
 // fate maps one roll in [0, 1) to a frame's fate on a wire with the given
 // drop and corrupt rates.
-func fate(roll float64, r fault.Rates) outcome {
+func fate(roll, drop, corrupt float64) outcome {
 	switch {
-	case roll < r.Drop:
+	case roll < drop:
 		return dropped
-	case roll < r.Drop+r.Corrupt:
+	case roll < drop+corrupt:
 		return corrupted
 	}
 	return delivered
@@ -130,27 +130,27 @@ func (p CallPolicy) run(rng *rand.Rand, try func(attempt int) outcome, wait func
 // granularity and with the same zero-field defaults;
 // TestDeliveryMatchesTransport holds the two to each other call by call.
 type FaultPolicy struct {
-	// Rates supplies the Drop and Corrupt probabilities, rolled per frame.
-	// Use fault.FromModel's Drop and Corrupt to derive them from a network
-	// model's loss figure. The clock prices nothing else, so a non-zero
-	// Truncate, Delay or DelayJitter is refused.
-	Rates fault.Rates
+	// Drop and Corrupt are the probabilities, rolled once per frame, that
+	// the frame is lost or arrives with a bad checksum.
+	Drop, Corrupt float64
 	CallPolicy
+}
+
+// ModelRates derives a wire's drop and corrupt rates from a network
+// model's loss figure: every lost message is a drop, and a quarter as many
+// arrive corrupt, since loss on real links is more common than corruption
+// in flight.
+func ModelRates(m *netsim.Model) (drop, corrupt float64) {
+	return m.Loss, m.Loss / 4
 }
 
 // validate rejects rates that are not probabilities: Drop and Corrupt each
 // in [0, 1], and at most 1 together, since one roll decides a frame's
-// fate. A NaN rate fails every comparison, so it is refused too. So is any
-// rate the virtual clock would silently ignore.
+// fate. A NaN rate fails every comparison, so it is refused too.
 func (p FaultPolicy) validate() error {
-	r := p.Rates
-	d, c := r.Drop, r.Corrupt
-	switch {
-	case !(d >= 0 && d <= 1 && c >= 0 && c <= 1 && d+c <= 1):
+	d, c := p.Drop, p.Corrupt
+	if !(d >= 0 && d <= 1 && c >= 0 && c <= 1 && d+c <= 1) {
 		return fmt.Errorf("dist: fault rates drop %v, corrupt %v: each must be in [0, 1] and their sum at most 1", d, c)
-	case r.Truncate != 0 || r.Delay != 0 || r.DelayJitter != 0:
-		return fmt.Errorf("dist: fault rates Truncate %v, Delay %v, DelayJitter %v: the virtual clock prices only Drop and Corrupt",
-			r.Truncate, r.Delay, r.DelayJitter)
 	}
 	return nil
 }
@@ -185,9 +185,8 @@ func WithDialSeed(seed int64) DialOption {
 	}
 }
 
-// WithDialer replaces the TCP dialer — the hook for client-side fault
-// injection (wrap the returned conn with a fault.Injector) or alternate
-// transports. The dialer is also used for automatic reconnection.
+// WithDialer replaces the TCP dialer, for alternate transports or a
+// wrapped conn. The dialer is also used for automatic reconnection.
 func WithDialer(dial func(addr string) (net.Conn, error)) DialOption {
 	return func(c *Conn) { c.dialFn = dial }
 }

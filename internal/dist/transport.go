@@ -45,8 +45,8 @@ const (
 )
 
 func writeFrame(w io.Writer, payload []byte) error {
-	// One buffer, one Write: a frame is a single I/O operation, which
-	// fault injectors rely on for frame-granular, reproducible faults.
+	// One buffer, one Write: a frame is a single I/O operation, so a
+	// wrapped conn sees whole frames.
 	buf := make([]byte, frameHdrLen+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
@@ -99,28 +99,21 @@ type Server struct {
 	closed  bool
 }
 
-// ServeOption configures a transport server.
-type ServeOption func(*Server)
-
-// WithListenerWrapper interposes on the server's listener — the hook for
-// server-side fault injection (pass a fault.Injector's WrapListener).
-func WithListenerWrapper(wrap func(net.Listener) net.Listener) ServeOption {
-	return func(s *Server) { s.ln = wrap(s.ln) }
-}
-
 // Serve starts a server on addr (e.g. "127.0.0.1:0").
-func Serve(addr string, h CallHandler, opts ...ServeOption) (*Server, error) {
+func Serve(addr string, h CallHandler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	return serve(ln, h), nil
+}
+
+// serve starts a server accepting from ln.
+func serve(ln net.Listener, h CallHandler) *Server {
 	s := &Server{ln: ln, handler: h, calls: newDedup(), conns: make(map[net.Conn]struct{})}
-	for _, o := range opts {
-		o(s)
-	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s, nil
+	return s
 }
 
 // Addr returns the server's listen address.
@@ -278,9 +271,6 @@ type Conn struct {
 	connMu sync.Mutex
 	c      net.Conn
 	closed bool
-
-	retries    atomic.Int64
-	reconnects atomic.Int64
 }
 
 // clientSeq distinguishes connections of one process; mixed with the pid
@@ -331,12 +321,6 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// Stats reports how many retries and reconnections the connection has
-// performed — the counters chaos runs surface in their output.
-func (c *Conn) Stats() (retries, reconnects int64) {
-	return c.retries.Load(), c.reconnects.Load()
-}
-
 // acquire returns the live underlying connection, redialing when the
 // previous one was discarded after a failure.
 func (c *Conn) acquire() (net.Conn, error) {
@@ -353,7 +337,6 @@ func (c *Conn) acquire() (net.Conn, error) {
 		return nil, err
 	}
 	c.c = nc
-	c.reconnects.Add(1)
 	return nc, nil
 }
 
@@ -421,10 +404,7 @@ func (c *Conn) roundTrip(op byte, method string, body []byte, opts []CallOption)
 		var o outcome
 		resp, o, last = c.attempt(req, pol.Timeout)
 		return o
-	}, func(d time.Duration) {
-		c.retries.Add(1)
-		c.sleep(d)
-	})
+	}, c.sleep)
 	if err == nil {
 		return resp, nil
 	}

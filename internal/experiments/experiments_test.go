@@ -112,9 +112,14 @@ func TestFigureHelpers(t *testing.T) {
 	}
 }
 
+// TestMeasureOverheadOrdering orders the configurations by wall time:
+// profiling is slower than the distribution runtime, best of ten runs
+// each. Not parallel: a run takes under a millisecond, so sibling tests
+// sharing the CPU would time it instead of the configuration.
+//
+//lint:allow paralleltest wall times are measured on a shared CPU
 func TestMeasureOverheadOrdering(t *testing.T) {
-	t.Parallel()
-	row, err := MeasureOverhead("o_oldwp0", 3)
+	row, err := MeasureOverhead("o_oldwp0", 10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/binimg"
 	"repro/internal/com"
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/logger"
 	"repro/internal/par"
@@ -390,7 +389,8 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 		fmt.Sprintf("chosen distribution crossed %d non-remotable boundaries", r1.Violations))
 
 	dcfg.Faults = &dist.FaultPolicy{
-		Rates:      fault.Rates{Drop: 0.01, Corrupt: 0.005},
+		Drop:       0.01,
+		Corrupt:    0.005,
 		CallPolicy: dist.CallPolicy{MaxAttempts: 6, Timeout: 50 * time.Millisecond, Backoff: 5 * time.Millisecond},
 	}
 	chaos, err := dist.Run(dcfg)

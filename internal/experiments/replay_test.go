@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/logger"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
@@ -137,7 +136,7 @@ func TestRefoldMatchesProfile(t *testing.T) {
 func TestReplayMatchesRun(t *testing.T) {
 	t.Parallel()
 	specs := oracleSpecs(t)
-	faults := &dist.FaultPolicy{Rates: fault.Rates{Drop: 0.02, Corrupt: 0.01}, CallPolicy: dist.CallPolicy{MaxAttempts: 8}}
+	faults := &dist.FaultPolicy{Drop: 0.02, Corrupt: 0.01, CallPolicy: dist.CallPolicy{MaxAttempts: 8}}
 	for _, spec := range specs {
 		spec := spec
 		name := specName(spec)

@@ -52,7 +52,7 @@ type CallRecord struct {
 	NonRemotable      bool
 }
 
-// FaultRecord describes one injected or simulated network fault and the
+// FaultRecord describes one simulated network fault and the
 // runtime's reaction to it, so chaos runs leave an auditable trail.
 type FaultRecord struct {
 	// Kind is "drop", "corrupt", or "giveup" (attempt budget exhausted).

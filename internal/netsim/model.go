@@ -33,9 +33,9 @@ type Model struct {
 	// sample.
 	Jitter float64
 	// Loss is the per-message loss probability of the link. The mean-time
-	// cost model ignores it; fault-injected runs (internal/fault.FromModel,
-	// dist.FaultPolicy) map it into drop/corruption rates so degraded links
-	// can be both simulated and survived.
+	// cost model ignores it; a fault-simulated run (dist.ModelRates into a
+	// dist.FaultPolicy) maps it into per-frame drop and corrupt rates so
+	// degraded links can be both simulated and survived.
 	Loss float64
 }
 
