@@ -168,10 +168,9 @@ func BuildGraph(p *profile.Profile, np *netsim.Profile, classes *com.ClassRegist
 	g.Pin(profile.MainProgram, graph.SourceSide)
 
 	var st BuildStats
-	// Intern nodes in sorted order: node indices decide the edge-key order
-	// every downstream float accumulation (cut weights, assignment pricing)
-	// sums in, and map-order interning made those sums — and tie-breaks
-	// between equal-cost cuts — drift across runs.
+	// Intern nodes in sorted order: node indices decide the edge-key order,
+	// and with it the flow network's layout; map-order interning made the
+	// tie-breaks between equal-cost cuts drift across runs.
 	for _, id := range p.ClassificationIDs() {
 		g.Node(id)
 	}
@@ -208,7 +207,7 @@ func BuildGraph(p *profile.Profile, np *netsim.Profile, classes *com.ClassRegist
 		} else {
 			t = e.Time(np)
 		}
-		g.AddEdge(k.Src, k.Dst, t.Seconds())
+		g.AddEdge(k.Src, k.Dst, t)
 		if e.NonRemotable {
 			// A refined constraint set (see staticanal.Refined) may explain
 			// the dynamic evidence away as an immutable payload exchange; an
@@ -252,7 +251,7 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 		Graph:               g,
 		Cut:                 cut,
 		Distribution:        make(map[string]com.Machine, len(cut.Assignment)),
-		PredictedComm:       time.Duration(cut.Weight * float64(time.Second)),
+		PredictedComm:       cut.Cost,
 		NonRemotableEdges:   st.NonRemotable,
 		Constrained:         st.Constrained,
 		StaticCoLocations:   st.StaticCoLocations,
@@ -294,12 +293,9 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 		}
 		def[id] = side
 	}
-	// Price the default with true weights: collapsing to +Inf here used to
-	// overflow the duration conversion into garbage whenever the default
-	// split a co-located pair. The violation count is reported alongside.
-	defW, defViol := g.EvaluateAssignmentDetail(def)
-	res.DefaultComm = time.Duration(defW * float64(time.Second))
-	res.DefaultViolations = defViol
+	// Price the default with true weights, even where it splits a
+	// co-located pair; the violation count is reported alongside.
+	res.DefaultComm, res.DefaultViolations = g.EvaluateAssignmentDetail(def)
 
 	// Verifier: cross-check the static prediction against the observed ICC
 	// and the chosen cut against every constraint. With the constraints
@@ -335,12 +331,12 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 				return nil, fmt.Errorf("analysis: %s: replicated cut: %w", p.App, err)
 			}
 			res.ReplicatedCut = rcut
-			res.ReplicatedComm = time.Duration(rcut.Weight * float64(time.Second))
+			res.ReplicatedComm = rcut.Cost
 			res.Replicated = replicated
-			if rcut.Weight > cut.Weight*(1+1e-9)+1e-12 {
+			if rcut.Cost > cut.Cost {
 				res.Findings = append(res.Findings, staticanal.Finding{
 					Kind: KindReplicationRegression, Severity: staticanal.SeverityError,
-					Detail: fmt.Sprintf("replicated cut weight %g exceeds plain cut weight %g", rcut.Weight, cut.Weight),
+					Detail: fmt.Sprintf("replicated cut costs %v, more than the plain cut's %v", rcut.Cost, cut.Cost),
 				})
 			}
 		}

@@ -176,7 +176,7 @@ func TestMultiwayThreeTier(t *testing.T) {
 		}
 	}
 	for k, e := range p.Edges {
-		g.AddEdge(k.Src, k.Dst, e.Time(np).Seconds())
+		g.AddEdge(k.Src, k.Dst, e.Time(np))
 	}
 	assign, weight, err := g.MultiwayCut([]graph.MultiwayTerminal{
 		{Machine: "client", Pinned: clientPins},

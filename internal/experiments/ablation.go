@@ -25,9 +25,8 @@ type MinCutComparison struct {
 	Nodes, Edges int
 	PushRelabel  time.Duration
 	EdmondsKarp  time.Duration
-	WeightPR     float64
-	WeightEK     float64
-	WeightsAgree bool
+	WeightPR     time.Duration
+	WeightEK     time.Duration
 }
 
 // CompareMinCut builds the concrete ICC graph of one scenario and times
@@ -53,7 +52,7 @@ func CompareMinCut(scenName string) (*MinCutComparison, error) {
 		return nil, err
 	}
 	cmp.PushRelabel = time.Since(start)
-	cmp.WeightPR = pr.Weight
+	cmp.WeightPR = pr.Cost
 
 	g2 := build()
 	start = time.Now()
@@ -62,8 +61,7 @@ func CompareMinCut(scenName string) (*MinCutComparison, error) {
 		return nil, err
 	}
 	cmp.EdmondsKarp = time.Since(start)
-	cmp.WeightEK = ek.Weight
-	cmp.WeightsAgree = math.Abs(pr.Weight-ek.Weight) <= 1e-6*(1+pr.Weight)
+	cmp.WeightEK = ek.Cost
 	return cmp, nil
 }
 
@@ -162,13 +160,13 @@ func SyntheticCutInstance(nodes int, seed int64) *graph.Graph {
 	name := func(i int) string { return fmt.Sprintf("n%05d", i) }
 	for i := 0; i < nodes; i++ {
 		if i%13 == 0 {
-			g.AddEdge("client", name(i), rng.Float64()*5)
+			g.AddEdge("client", name(i), time.Duration(rng.Float64()*5e9))
 		}
 		if i%17 == 0 {
-			g.AddEdge(name(i), "server", rng.Float64()*5)
+			g.AddEdge(name(i), "server", time.Duration(rng.Float64()*5e9))
 		}
 		for k := 0; k < 3; k++ {
-			g.AddEdge(name(i), name(rng.Intn(nodes)), rng.Float64())
+			g.AddEdge(name(i), name(rng.Intn(nodes)), time.Duration(rng.Float64()*1e9))
 		}
 	}
 	return g

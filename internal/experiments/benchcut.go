@@ -59,7 +59,7 @@ type CutBenchRow struct {
 	Edges       int     `json:"edges"`
 	Pins        int     `json:"pins"`
 	CoLocations int     `json:"colocations"`
-	Weight      float64 `json:"cut_weight"`
+	CutWeight   float64 `json:"cut_weight"`
 
 	// NewNS is the production CSR highest-label core's wall time
 	// (best of Repeat), in nanoseconds, with NewNSMean the mean of the
@@ -92,14 +92,14 @@ type CutBenchRow struct {
 	OracleNS int64 `json:"oracle_ns"`
 
 	// WeightsAgree is true when every algorithm that ran returned the
-	// same cut weight (within 1e-6 relative tolerance).
+	// same cut cost, exactly.
 	WeightsAgree bool `json:"weights_agree"`
 
 	// Replicated is how many components the replication-aware variant
 	// cloned (a deterministic ~1% sample, minus pinned/welded nodes);
 	// ReplWeight and ReplNS are the cut weight and time on the replicated
-	// network. The harness fails if ReplWeight exceeds Weight: replication
-	// only removes edges, so the cut can never get costlier.
+	// network. The harness fails if ReplWeight exceeds CutWeight:
+	// replication only removes edges, so the cut can never get costlier.
 	Replicated int     `json:"replicated"`
 	ReplWeight float64 `json:"repl_weight"`
 	ReplNS     int64   `json:"repl_ns"`
@@ -211,7 +211,7 @@ func RunCutBench(cfg CutBenchConfig, progress io.Writer) (*CutBenchReport, error
 		}
 		runtime.ReadMemStats(&after)
 		row.NewAllocBytes = after.TotalAlloc - before.TotalAlloc
-		row.Weight = warm.Weight
+		row.CutWeight = warm.Cost.Seconds()
 
 		newT, newMean, newCut, err := timeCut(cfg.Repeat, mk, (*graph.Graph).MinCut)
 		if err != nil {
@@ -220,19 +220,17 @@ func RunCutBench(cfg CutBenchConfig, progress io.Writer) (*CutBenchReport, error
 		row.NewNS = newT.Nanoseconds()
 		row.NewNSMean = newMean.Nanoseconds()
 		row.WeightsAgree = true
-		tol := 1e-6 * (1 + newCut.Weight)
 
 		// Warm re-cut columns: one arena, one cold staging cut, then timed
 		// re-cuts. The unchanged sweep bounds the no-op re-cut (layout
 		// reuse, the last solve's cut re-read); the perturbed sweep re-prices
 		// ~1% of the edges each round, the adaptive-repartitioning shape.
-		// Every warm weight is checked against the cold result — the
+		// Every warm cost is checked against the cold result — the
 		// harness is a correctness gate first.
 		if progress != nil {
 			fmt.Fprintf(progress, " warm...")
 		}
-		if err := runWarmBench(ctx, cfg, g, newCut, &row, tol); err != nil {
-			row.WeightsAgree = false
+		if err := runWarmBench(ctx, cfg, g, newCut, &row); err != nil {
 			return rep, err
 		}
 
@@ -245,9 +243,8 @@ func RunCutBench(cfg CutBenchConfig, progress io.Writer) (*CutBenchReport, error
 				return nil, fmt.Errorf("bench-cut: n=%d oracle: %w", n, err)
 			}
 			row.OracleNS = ekT.Nanoseconds()
-			if math.Abs(ekCut.Weight-newCut.Weight) > tol {
-				row.WeightsAgree = false
-				return rep, fmt.Errorf("bench-cut: n=%d: oracle weight %v != %v", n, ekCut.Weight, newCut.Weight)
+			if ekCut.Cost != newCut.Cost {
+				return rep, fmt.Errorf("bench-cut: n=%d: oracle cost %v != %v", n, ekCut.Cost, newCut.Cost)
 			}
 		}
 
@@ -271,10 +268,9 @@ func RunCutBench(cfg CutBenchConfig, progress io.Writer) (*CutBenchReport, error
 			return nil, fmt.Errorf("bench-cut: n=%d replicated: %w", n, err)
 		}
 		row.ReplNS = replT.Nanoseconds()
-		row.ReplWeight = replCut.Weight
-		if replCut.Weight > newCut.Weight+tol {
-			row.WeightsAgree = false
-			return rep, fmt.Errorf("bench-cut: n=%d: replicated cut weight %v exceeds plain %v", n, replCut.Weight, newCut.Weight)
+		row.ReplWeight = replCut.Cost.Seconds()
+		if replCut.Cost > newCut.Cost {
+			return rep, fmt.Errorf("bench-cut: n=%d: replicated cut cost %v exceeds plain %v", n, replCut.Cost, newCut.Cost)
 		}
 
 		if progress != nil {
@@ -289,15 +285,15 @@ func RunCutBench(cfg CutBenchConfig, progress io.Writer) (*CutBenchReport, error
 // g through a single arena, first with nothing changed, then with ~1% of
 // the edge weights re-priced per round. It mutates g's weights and leaves
 // them perturbed; callers must not reuse g's weights afterwards.
-func runWarmBench(ctx context.Context, cfg CutBenchConfig, g *graph.Graph, newCut *graph.Cut, row *CutBenchRow, tol float64) error {
+func runWarmBench(ctx context.Context, cfg CutBenchConfig, g *graph.Graph, newCut *graph.Cut, row *CutBenchRow) error {
 	n := row.Nodes
 	arena := graph.NewCutArena()
 	coldCut, err := g.MinCutArena(ctx, arena)
 	if err != nil {
 		return fmt.Errorf("bench-cut: n=%d warm staging: %w", n, err)
 	}
-	if math.Abs(coldCut.Weight-newCut.Weight) > tol {
-		return fmt.Errorf("bench-cut: n=%d: arena cold weight %v != %v", n, coldCut.Weight, newCut.Weight)
+	if coldCut.Cost != newCut.Cost {
+		return fmt.Errorf("bench-cut: n=%d: arena cold cost %v != %v", n, coldCut.Cost, newCut.Cost)
 	}
 
 	best := time.Duration(math.MaxInt64)
@@ -309,8 +305,8 @@ func runWarmBench(ctx context.Context, cfg CutBenchConfig, g *graph.Graph, newCu
 		if err != nil {
 			return fmt.Errorf("bench-cut: n=%d warm: %w", n, err)
 		}
-		if math.Abs(c.Weight-newCut.Weight) > tol {
-			return fmt.Errorf("bench-cut: n=%d: warm weight %v != cold %v", n, c.Weight, newCut.Weight)
+		if c.Cost != newCut.Cost {
+			return fmt.Errorf("bench-cut: n=%d: warm cost %v != cold %v", n, c.Cost, newCut.Cost)
 		}
 		if elapsed < best {
 			best = elapsed
@@ -336,7 +332,7 @@ func runWarmBench(ctx context.Context, cfg CutBenchConfig, g *graph.Graph, newCu
 	for r := 0; r < cfg.Repeat; r++ {
 		for _, e := range names {
 			if rng.Float64() < 0.01 {
-				g.SetEdgeWeight(e[0], e[1], g.EdgeWeight(e[0], e[1])*(0.5+rng.Float64()))
+				g.SetEdgeCost(e[0], e[1], max(1, time.Duration(float64(g.EdgeCost(e[0], e[1]))*(0.5+rng.Float64()))))
 			}
 		}
 		start := time.Now()
@@ -349,9 +345,8 @@ func runWarmBench(ctx context.Context, cfg CutBenchConfig, g *graph.Graph, newCu
 		if err != nil {
 			return fmt.Errorf("bench-cut: n=%d cold perturbed: %w", n, err)
 		}
-		ptol := 1e-6 * (1 + coldCut.Weight)
-		if math.Abs(warmCut.Weight-coldCut.Weight) > ptol {
-			return fmt.Errorf("bench-cut: n=%d round %d: perturbed warm weight %v != cold %v", n, r, warmCut.Weight, coldCut.Weight)
+		if warmCut.Cost != coldCut.Cost {
+			return fmt.Errorf("bench-cut: n=%d round %d: perturbed warm cost %v != cold %v", n, r, warmCut.Cost, coldCut.Cost)
 		}
 		for i, side := range coldCut.Assignment {
 			if warmCut.Assignment[i] != side {
@@ -372,8 +367,8 @@ func runWarmBench(ctx context.Context, cfg CutBenchConfig, g *graph.Graph, newCu
 		if err != nil {
 			return fmt.Errorf("bench-cut: n=%d perturbed oracle: %w", n, err)
 		}
-		if math.Abs(warmCut.Weight-ekCut.Weight) > 1e-6*(1+ekCut.Weight) {
-			return fmt.Errorf("bench-cut: n=%d: perturbed warm weight %v != oracle %v", n, warmCut.Weight, ekCut.Weight)
+		if warmCut.Cost != ekCut.Cost {
+			return fmt.Errorf("bench-cut: n=%d: perturbed warm cost %v != oracle %v", n, warmCut.Cost, ekCut.Cost)
 		}
 	}
 	return nil
@@ -418,8 +413,8 @@ func PrintCutBench(w io.Writer, rep *CutBenchReport) {
 			warmX = fmt.Sprintf("%.1fx", r.WarmSpeedup)
 		}
 		frac := "-"
-		if r.Weight > 0 {
-			frac = fmt.Sprintf("%.3f", r.ReplWeight/r.Weight)
+		if r.CutWeight > 0 {
+			frac = fmt.Sprintf("%.3f", r.ReplWeight/r.CutWeight)
 		}
 		fmt.Fprintf(w, "%8d %9d %12s %12s %12s %8s %12s %9.1fM %6v %6d %12s %9s\n",
 			r.Nodes, r.Edges, ms(r.NewNS), ms(r.WarmNS), ms(r.WarmPerturbedNS), warmX,

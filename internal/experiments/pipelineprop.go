@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -78,8 +77,6 @@ func (r *PipelineReport) check(name string, ok bool, detail string) {
 	r.Checks = append(r.Checks, PipelineCheck{Name: name, OK: ok, Detail: detail})
 }
 
-const propEps = 1e-6
-
 // RunPipelineProperty generates the application for cfg and drives it
 // through the complete pipeline, recording every invariant verdict.
 func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineReport, error) {
@@ -148,7 +145,7 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 
 	rep.GraphNodes = ares.Graph.Len()
 	rep.GraphEdges = ares.Graph.Edges()
-	rep.CutWeight = ares.Cut.Weight
+	rep.CutWeight = ares.Cut.Cost.Seconds()
 	rep.DefaultViolations = ares.DefaultViolations
 
 	verr = ares.Graph.Validate()
@@ -184,19 +181,19 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	edgeNames := ares.Graph.EdgeNames()
 	arenaOK, arenaDetail := true, ""
 	for round := 0; round < 3 && arenaOK; round++ {
-		saved := make(map[[2]string]float64)
+		saved := make(map[[2]string]time.Duration)
 		for _, e := range edgeNames {
 			if arng.Intn(2) == 0 {
-				w := ares.Graph.EdgeWeight(e[0], e[1])
+				w := ares.Graph.EdgeCost(e[0], e[1])
 				saved[e] = w
-				ares.Graph.SetEdgeWeight(e[0], e[1], w*(0.5+arng.Float64()))
+				ares.Graph.SetEdgeCost(e[0], e[1], max(1, time.Duration(float64(w)*(0.5+arng.Float64()))))
 			}
 		}
 		if _, cerr := ares.Graph.MinCutArena(ctx, arena); cerr != nil {
 			return nil, fmt.Errorf("experiments: perturbed arena cut of %s: %w", a.App.Name, cerr)
 		}
 		for e, w := range saved {
-			ares.Graph.SetEdgeWeight(e[0], e[1], w)
+			ares.Graph.SetEdgeCost(e[0], e[1], w)
 		}
 		cut, cerr := ares.Graph.MinCutArena(ctx, arena)
 		if cerr != nil {
@@ -225,11 +222,11 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	rep.check("purity-verifier-clean", misses == 0,
 		fmt.Sprintf("%d purity-miss/replication-regression finding(s): %v", misses, ares.Findings))
 	if ares.ReplicatedCut != nil {
-		rep.ReplicatedWeight = ares.ReplicatedCut.Weight
+		rep.ReplicatedWeight = ares.ReplicatedCut.Cost.Seconds()
 		rep.Replicated = len(ares.Replicated)
 		rep.check("replicated-not-costlier",
-			ares.ReplicatedCut.Weight <= ares.Cut.Weight+propEps*(1+ares.Cut.Weight),
-			fmt.Sprintf("replicated cut %.9g > plain cut %.9g", ares.ReplicatedCut.Weight, ares.Cut.Weight))
+			ares.ReplicatedCut.Cost <= ares.Cut.Cost,
+			fmt.Sprintf("replicated cut %v > plain cut %v", ares.ReplicatedCut.Cost, ares.Cut.Cost))
 	}
 
 	// Families with purity plants: every classification of the planted
@@ -247,9 +244,9 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 				a.StatefulDecoy, gradesOf(ares.Purity, a.StatefulDecoy)))
 		if ares.ReplicatedCut != nil {
 			rep.check("replication-strictly-cheaper",
-				ares.ReplicatedCut.Weight < ares.Cut.Weight-propEps*(1+ares.Cut.Weight),
-				fmt.Sprintf("replicated cut %.9g not strictly below plain cut %.9g",
-					ares.ReplicatedCut.Weight, ares.Cut.Weight))
+				ares.ReplicatedCut.Cost < ares.Cut.Cost,
+				fmt.Sprintf("replicated cut %v not strictly below plain cut %v",
+					ares.ReplicatedCut.Cost, ares.Cut.Cost))
 		}
 	}
 
@@ -274,7 +271,7 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 		return nil, fmt.Errorf("experiments: alias-refined pipeline run of %s: %w", a.App.Name, err)
 	}
 	adpsA, profA, aresA := runA.ADPS, runA.Profile, runA.Analysis
-	rep.RefinedCutWeight = aresA.Cut.Weight
+	rep.RefinedCutWeight = aresA.Cut.Cost.Seconds()
 	refinedCS := adpsA.AnalysisOptions.Constraints
 	rep.AliasPairs = len(refinedCS.AliasPairs)
 
@@ -403,28 +400,28 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 }
 
 // checkCutAgainstFloorAndOracle records two verdicts on an analysis's cut
-// and returns the relaxed weight. Monotonicity: dropping the co-location
-// welds can only cheapen the cut, so the constrained weight must be >= the
-// relaxed weight. Exactness: on small instances the push-relabel cut must
-// match the Edmonds-Karp oracle.
+// and returns the relaxed weight in seconds. Monotonicity: dropping the
+// co-location welds can only cheapen the cut, so the constrained cost must
+// be >= the relaxed cost. Exactness: on small instances the push-relabel
+// cut must cost what the Edmonds-Karp oracle's does.
 func (r *PipelineReport) checkCutAgainstFloorAndOracle(ares *analysis.Result, floorCheck, oracleCheck string) (float64, error) {
 	relaxed, err := ares.Graph.WithoutCoLocations().MinCut()
 	if err != nil {
 		return 0, err
 	}
 	r.check(floorCheck,
-		ares.Cut.Weight >= relaxed.Weight-propEps*(1+relaxed.Weight),
-		fmt.Sprintf("constrained cut %.9g < relaxed cut %.9g", ares.Cut.Weight, relaxed.Weight))
+		ares.Cut.Cost >= relaxed.Cost,
+		fmt.Sprintf("constrained cut %v < relaxed cut %v", ares.Cut.Cost, relaxed.Cost))
 	if ares.Graph.Len() <= 80 {
 		ek, err := ares.Graph.MinCutEdmondsKarp()
 		if err != nil {
 			return 0, err
 		}
 		r.check(oracleCheck,
-			math.Abs(ares.Cut.Weight-ek.Weight) <= propEps*(1+ek.Weight),
-			fmt.Sprintf("push-relabel %.9g vs Edmonds-Karp %.9g", ares.Cut.Weight, ek.Weight))
+			ares.Cut.Cost == ek.Cost,
+			fmt.Sprintf("push-relabel %v vs Edmonds-Karp %v", ares.Cut.Cost, ek.Cost))
 	}
-	return relaxed.Weight, nil
+	return relaxed.Cost.Seconds(), nil
 }
 
 // classGraded reports whether at least one classification of the class

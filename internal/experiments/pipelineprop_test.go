@@ -44,8 +44,8 @@ func TestPipelinePropertyAllFamilies(t *testing.T) {
 					if err != nil {
 						t.Fatalf("pipeline.Run: %v", err)
 					}
-					if res.Analysis.Cut.Weight != rep.CutWeight {
-						t.Errorf("harness cut weight %v, pipeline.Run %v", rep.CutWeight, res.Analysis.Cut.Weight)
+					if res.Analysis.Cut.Cost.Seconds() != rep.CutWeight {
+						t.Errorf("harness cut weight %v, pipeline.Run %v", rep.CutWeight, res.Analysis.Cut.Cost)
 					}
 				}
 			})

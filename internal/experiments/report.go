@@ -195,11 +195,11 @@ func Report(ctx context.Context, appName string, scenarios []string, theta float
 		Theta:      base.Purity.Theta,
 		Classes:    len(pr.Classes),
 		Grading:    base.Purity,
-		CutWeight:  base.Cut.Weight,
+		CutWeight:  base.Cut.Cost.Seconds(),
 		Replicated: base.Replicated,
 		Report:     pr,
 		// Run cut with Replicate on, so the replicated cut is there.
-		ReplicatedWeight: base.ReplicatedCut.Weight,
+		ReplicatedWeight: base.ReplicatedCut.Cost.Seconds(),
 	}
 	for _, ci := range pr.Classes {
 		if ci.HasDescriptor {

@@ -26,8 +26,8 @@ import (
 type ThreeTierResult struct {
 	// PerMachine counts application components per machine.
 	PerMachine map[com.Machine]int
-	// CutWeight is the predicted cross-machine communication (seconds).
-	CutWeight float64
+	// CutWeight is the predicted cross-machine communication.
+	CutWeight time.Duration
 	// Comm is the measured communication time of the executed three-way
 	// distribution; TwoWayComm the measured time of the exact two-way cut
 	// on the same scenario for comparison.
@@ -89,7 +89,7 @@ func threeTierConfig(ctx context.Context) (cfg dist.Config, _ *ThreeTierResult, 
 		}
 	}
 	for k, e := range p.Edges {
-		g.AddEdge(k.Src, k.Dst, e.Time(np).Seconds())
+		g.AddEdge(k.Src, k.Dst, e.Time(np))
 		if e.NonRemotable {
 			g.CoLocate(k.Src, k.Dst)
 		}

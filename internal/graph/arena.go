@@ -2,8 +2,8 @@ package graph
 
 import (
 	"context"
-	"fmt"
 	"slices"
+	"time"
 )
 
 // CutArena makes repeated minimum cuts cheap. Adaptive repartitioning
@@ -46,10 +46,10 @@ import (
 // An arena is NOT safe for concurrent use; give each goroutine its own.
 // The zero value is ready to use.
 type CutArena struct {
-	staged bool    // CSR arrays reflect the staged topology below
-	solved bool    // net.cap/st.excess/st.dist hold a completed solve over capStart
-	flow   float64 // that solve's flow value
-	inf    float64
+	staged bool          // CSR arrays reflect the staged topology below
+	solved bool          // net.cap/st.excess/st.dist hold a completed solve over capStart
+	flow   time.Duration // that solve's flow value, excess[t]
+	inf    time.Duration
 
 	// Staged topology, copied from the graph's store at restage and
 	// compared with it, array against array, to decide whether a new cut
@@ -64,8 +64,8 @@ type CutArena struct {
 	arcIdx []int32 // arc index of each pair's u-half, pairs in eachPair order
 
 	net      csrNet
-	capStart []float64 // capacities the last solve started from, per arc
-	deg      []int32   // layout scratch
+	capStart []time.Duration // capacities the last solve started from, per arc
+	deg      []int32         // layout scratch
 
 	st      hiprState
 	deficit []int32 // warm-start repair stack
@@ -141,14 +141,18 @@ func (g *Graph) MinCutArena(ctx context.Context, a *CutArena) (*Cut, error) {
 // network that no capacity rewrite changed is not solved again; its cut
 // is read off the last solve's residual distances.
 func (g *Graph) minCutArena(ctx context.Context, a *CutArena, pin []int8) (*Cut, error) {
+	inf, err := g.infinityProxy(pin)
+	if err != nil {
+		return nil, err
+	}
 	warm, changed := false, true
 	if a.matches(g, pin) {
-		warm, changed = a.rewrite(g)
+		warm, changed = a.rewrite(g, inf)
 	} else {
 		if err := g.validatePinned(pin); err != nil {
 			return nil, err
 		}
-		a.restage(g, pin)
+		a.restage(g, pin, inf)
 		a.stats.Restaged++
 	}
 	a.stats.Cuts++
@@ -157,7 +161,7 @@ func (g *Graph) minCutArena(ctx context.Context, a *CutArena, pin []int8) (*Cut,
 			return nil, err
 		}
 		a.stats.Reused++
-		return a.extractCut(g, a.flow)
+		return a.extractCut(g)
 	}
 	flow, err := a.net.maxFlowHL(ctx, &a.st, warm)
 	if err != nil {
@@ -173,33 +177,20 @@ func (g *Graph) minCutArena(ctx context.Context, a *CutArena, pin []int8) (*Cut,
 		a.stats.Cold++
 	}
 	a.net.distToSink(&a.st)
-	return a.extractCut(g, flow)
+	return a.extractCut(g)
 }
 
-// extractCut turns the residual distances of a finished solve into a Cut:
-// the nodes that cannot reach t (dist -1) are the source side. It rejects
-// a cut that breaks a staged pin, prices the crossing edges under the
-// graph's weights in store order and rejects any cut that splits a
-// co-location constraint. The Cut and its side vector are all it
-// allocates.
-func (a *CutArena) extractCut(g *Graph, flow float64) (*Cut, error) {
+// extractCut reads the last solve's cut off its residual distances: the
+// nodes that cannot reach t (dist -1) are the source side. The Cut and its
+// side vector are all it allocates.
+func (a *CutArena) extractCut(g *Graph) (*Cut, error) {
 	sides := make([]Side, g.Len())
 	for v := range sides {
 		if a.st.dist[v] != -1 {
 			sides[v] = SinkSide
 		}
 	}
-	if err := g.checkPins(a.pin, sides); err != nil {
-		return nil, err
-	}
-	w, welds := g.crossing(func(lo, hi int) bool { return sides[lo] != sides[hi] })
-	if welds > 0 {
-		return nil, fmt.Errorf("graph: minimum cut crosses a co-location constraint")
-	}
-	if w > a.inf {
-		return nil, fmt.Errorf("graph: cut weight %g exceeds infinity proxy %g", w, a.inf)
-	}
-	return &Cut{Assignment: sides, Weight: w, FlowValue: flow, names: g.names}, nil
+	return g.newCut(a.pin, sides, a.flow)
 }
 
 // matches reports whether the staged topology is exactly the graph's
@@ -220,28 +211,27 @@ func (a *CutArena) matches(g *Graph, pin []int8) bool {
 //
 // Coign's free-floating rule needs nothing here: a component touching no
 // pinned node has no arc into t, so the cut's reverse BFS from t never
-// reaches it and it lands on the source side (the client).
-func (a *CutArena) restage(g *Graph, pin []int8) {
+// reaches it and it lands on the source side (the client). inf is the
+// graph's infinity proxy, the capacity of every weld and pin arc.
+func (a *CutArena) restage(g *Graph, pin []int8, inf time.Duration) {
 	n := g.Len()
-	a.net.n, a.net.s, a.net.t = n+2, n, n+1
+	a.net.n, a.net.s, a.net.t, a.inf = n+2, n, n+1, inf
 	a.edgeKeys = append(a.edgeKeys[:0], g.ekey...)
 	a.colocKeys = append(a.colocKeys[:0], g.coloc...)
 	a.pin = append(a.pin[:0], pin...)
-	a.inf = g.infinityProxy()
 	a.layout(g.ew)
-	a.staged = true
-	a.solved = false
+	a.staged, a.solved = true, false
 }
 
 // eachPair visits the staged capacity pairs in layout order with their
 // position i: edges in store order (capacity ew[i] both ways), welds in
-// store order (the proxy both ways), then pins in node order (one
+// store order (the proxy a.inf both ways), then pins in node order (one
 // directed proxy arc from s to each client-pinned node, and from each
 // server-pinned node to t). No pair is a self-loop: the store holds only
-// lo < hi keys (AddEdge, SetEdgeWeight and CoLocate drop a == b at the
+// lo < hi keys (AddEdge, SetEdgeCost and CoLocate drop a == b at the
 // door) and a pin joins a node to a terminal. The layout's paired fill
 // relies on that; both halves of a u->u pair would land on one slot.
-func (a *CutArena) eachPair(ew []float64, visit func(i int, u, v int32, capUV, capVU float64)) {
+func (a *CutArena) eachPair(ew []time.Duration, visit func(i int, u, v int32, capUV, capVU time.Duration)) {
 	for i, k := range a.edgeKeys {
 		lo, hi := k.nodes()
 		visit(i, int32(lo), int32(hi), ew[i], ew[i])
@@ -270,11 +260,11 @@ func (a *CutArena) eachPair(ew []float64, visit func(i int, u, v int32, capUV, c
 // the arena-owned arrays in two passes (degree, fill), recording each
 // pair's u-half arc index so capacity rewrites can find their slots
 // without laying out again.
-func (a *CutArena) layout(ew []float64) {
+func (a *CutArena) layout(ew []time.Duration) {
 	n, m := a.net.n, 0
 	a.deg = grow(a.deg, n)
 	clear(a.deg)
-	a.eachPair(ew, func(_ int, u, v int32, _, _ float64) {
+	a.eachPair(ew, func(_ int, u, v int32, _, _ time.Duration) {
 		a.deg[u]++
 		a.deg[v]++
 		m++
@@ -291,7 +281,7 @@ func (a *CutArena) layout(ew []float64) {
 	}
 	pos := a.deg // reuse as the write cursor
 	copy(pos, a.net.head[:n])
-	a.eachPair(ew, func(i int, u, v int32, capUV, capVU float64) {
+	a.eachPair(ew, func(i int, u, v int32, capUV, capVU time.Duration) {
 		iu, iv := pos[u], pos[v]
 		pos[u]++
 		pos[v]++
@@ -311,21 +301,21 @@ const warmRepairBudgetFactor = 4
 // (topology already verified by matches) and reports whether the solver
 // may warm-start and whether any pair's capacity changed. With a previous
 // solve present it clamps the old flow onto the new capacities arc by
-// arc — untouched capacities keep their residuals bit-for-bit — and
-// repairs any deficits the clamp created. Without one it rewrites every
+// arc — untouched capacities keep their residuals — and repairs any
+// deficits the clamp created. Without one it rewrites every
 // pair and resets every residual to its capacity, so nothing an aborted
 // run left behind survives into the cold run that follows; after a
-// repair blowout it resets the residuals the same way.
-func (a *CutArena) rewrite(g *Graph) (warm, changed bool) {
-	a.inf = g.infinityProxy()
-	warm = a.solved
+// repair blowout it resets the residuals the same way. inf is the
+// graph's current infinity proxy, as for restage.
+func (a *CutArena) rewrite(g *Graph, inf time.Duration) (warm, changed bool) {
+	a.inf, warm = inf, a.solved
 	a.deficit = a.deficit[:0]
 	s, t := int32(a.net.s), int32(a.net.t)
-	a.eachPair(g.ew, func(i int, u, v int32, newUV, newVU float64) {
+	a.eachPair(g.ew, func(i int, u, v int32, newUV, newVU time.Duration) {
 		au := a.arcIdx[i]
 		av := a.net.rev[au]
 		if newUV == a.capStart[au] && newVU == a.capStart[av] {
-			return // untouched: keep residuals (and any flow) bit-for-bit
+			return // untouched: keep residuals (and any flow)
 		}
 		changed = true
 		if !warm {
@@ -336,21 +326,15 @@ func (a *CutArena) rewrite(g *Graph) (warm, changed bool) {
 		// flow u->v of the previous solve; any part of it the new
 		// capacities cannot carry is returned to the endpoints' excesses.
 		f := a.capStart[au] - a.net.cap[au]
-		nf := f
-		if nf > newUV {
-			nf = newUV
-		}
-		if nf < -newVU {
-			nf = -newVU
-		}
+		nf := max(min(f, newUV), -newVU)
 		if nf != f {
 			delta := f - nf
 			a.st.excess[u] += delta
 			a.st.excess[v] -= delta
-			if v != s && v != t && a.st.excess[v] < -capEps {
+			if v != s && v != t && a.st.excess[v] < 0 {
 				a.deficit = append(a.deficit, v)
 			}
-			if u != s && u != t && a.st.excess[u] < -capEps {
+			if u != s && u != t && a.st.excess[u] < 0 {
 				a.deficit = append(a.deficit, u)
 			}
 		}
@@ -392,12 +376,12 @@ func (a *CutArena) repairDeficits() bool {
 	for len(a.deficit) > 0 {
 		v := a.deficit[len(a.deficit)-1]
 		a.deficit = a.deficit[:len(a.deficit)-1]
-		for a.st.excess[v] < -capEps {
+		for a.st.excess[v] < 0 {
 			progressed := false
-			for arc := f.head[v]; arc < f.head[v+1] && a.st.excess[v] < -capEps; arc++ {
+			for arc := f.head[v]; arc < f.head[v+1] && a.st.excess[v] < 0; arc++ {
 				work++
 				fl := a.capStart[arc] - f.cap[arc] // flow v -> to[arc]
-				if fl <= capEps {
+				if fl <= 0 {
 					continue
 				}
 				d := -a.st.excess[v]
@@ -410,7 +394,7 @@ func (a *CutArena) repairDeficits() bool {
 				w := f.to[arc]
 				a.st.excess[w] -= d
 				progressed = true
-				if int(w) != f.s && int(w) != f.t && a.st.excess[w] < -capEps {
+				if int(w) != f.s && int(w) != f.t && a.st.excess[w] < 0 {
 					a.deficit = append(a.deficit, w)
 				}
 			}
@@ -418,8 +402,8 @@ func (a *CutArena) repairDeficits() bool {
 				return false
 			}
 			if !progressed {
-				// No outgoing flow left to pull back; cannot happen for a
-				// consistent preflow, but never spin on float dust.
+				// No outgoing flow left to pull back: the preflow is
+				// inconsistent. It cannot happen; never spin on it.
 				return false
 			}
 		}

@@ -1,26 +1,29 @@
 package graph
 
 import (
-	"fmt"
 	"math"
+	"time"
 )
 
 // The oracle: the same exact two-way minimum cut by BFS augmenting paths
 // (Edmonds–Karp) over a naive adjacency-list network, with a union-find
 // cut extractor of its own. Nothing in this file is reachable from the
 // production path and nothing here calls into it — the two share only the
-// Graph's store and accessors, so agreement between them is evidence
-// rather than a tautology. It is also the baseline of the min-cut ablation
-// benchmark.
+// Graph's store and accessors and newCut, which holds each cut to its own
+// solver's flow, so agreement between them is evidence rather than a
+// tautology. It is also the baseline of the min-cut ablation benchmark.
 
 // MinCutEdmondsKarp computes the minimum cut with the oracle.
 func (g *Graph) MinCutEdmondsKarp() (*Cut, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	f, inf := g.build()
+	f, err := g.build()
+	if err != nil {
+		return nil, err
+	}
 	flow := f.maxFlowEdmondsKarp()
-	return g.extractCutSides(f.minCutSides(), flow, inf)
+	return g.extractCutSides(f.minCutSides(), flow)
 }
 
 // flowNet is a residual network over the graph's nodes plus two terminals.
@@ -35,12 +38,12 @@ type flowNet struct {
 type arc struct {
 	to  int
 	rev int
-	cap float64
+	cap time.Duration
 }
 
 // addArc installs an arc u->v of capacity c and its residual v->u of
 // capacity back: back == c for an undirected edge, 0 for a directed one.
-func (f *flowNet) addArc(u, v int, c, back float64) {
+func (f *flowNet) addArc(u, v int, c, back time.Duration) {
 	f.arcs[u] = append(f.arcs[u], arc{to: v, rev: len(f.arcs[v]), cap: c})
 	f.arcs[v] = append(f.arcs[v], arc{to: u, rev: len(f.arcs[u]) - 1, cap: back})
 }
@@ -51,10 +54,13 @@ func (f *flowNet) addArc(u, v int, c, back float64) {
 // infinite-capacity node-to-node edges, "infinite" being the finite
 // infinity proxy. Arcs go in store order, so the oracle too lands on the
 // same cut run after run when several tie.
-func (g *Graph) build() (*flowNet, float64) {
+func (g *Graph) build() (*flowNet, error) {
 	n := g.Len()
 	f := &flowNet{n: n + 2, s: n, t: n + 1, arcs: make([][]arc, n+2)}
-	inf := g.infinityProxy()
+	inf, err := g.infinityProxy(g.pin)
+	if err != nil {
+		return nil, err
+	}
 	for i, k := range g.ekey {
 		lo, hi := k.nodes()
 		f.addArc(lo, hi, g.ew[i], g.ew[i])
@@ -71,11 +77,11 @@ func (g *Graph) build() (*flowNet, float64) {
 			f.addArc(v, f.t, inf, 0)
 		}
 	}
-	return f, inf
+	return f, nil
 }
 
-func (f *flowNet) maxFlowEdmondsKarp() float64 {
-	var total float64
+func (f *flowNet) maxFlowEdmondsKarp() time.Duration {
+	var total time.Duration
 	parentArc := make([]int, f.n)
 	parentNode := make([]int, f.n)
 	for {
@@ -90,7 +96,7 @@ func (f *flowNet) maxFlowEdmondsKarp() float64 {
 			queue = queue[1:]
 			for i := range f.arcs[u] {
 				a := &f.arcs[u][i]
-				if a.cap > capEps && parentNode[a.to] == -1 {
+				if a.cap > 0 && parentNode[a.to] == -1 {
 					parentNode[a.to] = u
 					parentArc[a.to] = i
 					queue = append(queue, a.to)
@@ -101,7 +107,7 @@ func (f *flowNet) maxFlowEdmondsKarp() float64 {
 			return total
 		}
 		// Find bottleneck.
-		bottleneck := math.Inf(1)
+		bottleneck := time.Duration(math.MaxInt64)
 		for v := f.t; v != f.s; v = parentNode[v] {
 			a := f.arcs[parentNode[v]][parentArc[v]]
 			if a.cap < bottleneck {
@@ -129,7 +135,7 @@ func (f *flowNet) minCutSides() []bool {
 		queue = queue[1:]
 		for i := range f.arcs[u] {
 			a := &f.arcs[u][i]
-			if a.cap > capEps && !seen[a.to] {
+			if a.cap > 0 && !seen[a.to] {
 				seen[a.to] = true
 				queue = append(queue, a.to)
 			}
@@ -139,11 +145,9 @@ func (f *flowNet) minCutSides() []bool {
 }
 
 // extractCutSides turns a source-side indicator over the graph's nodes
-// into a Cut: it applies Coign's free-floating-component rule, rejects a
-// cut that breaks a pin, prices the crossing edges under the original
-// weights in store order, and rejects any cut that splits a co-location
-// constraint.
-func (g *Graph) extractCutSides(onSource []bool, flow, inf float64) (*Cut, error) {
+// into a Cut: it applies Coign's free-floating-component rule, and newCut
+// holds the sides to the pins and to the Edmonds–Karp flow.
+func (g *Graph) extractCutSides(onSource []bool, flow time.Duration) (*Cut, error) {
 	// A connected component that touches neither terminal (no pinned node)
 	// crosses no cut edge wherever it lands. Coign leaves such
 	// free-floating components on the client, where the undistributed
@@ -167,26 +171,5 @@ func (g *Graph) extractCutSides(onSource []bool, flow, inf float64) (*Cut, error
 			side[i] = SinkSide
 		}
 	}
-	if err := g.checkPins(g.pin, side); err != nil {
-		return nil, err
-	}
-	cut := &Cut{Assignment: side, FlowValue: flow, names: g.names}
-	split := func(k pairKey) bool {
-		lo, hi := k.nodes()
-		return side[lo] != side[hi]
-	}
-	for i, k := range g.ekey {
-		if split(k) {
-			cut.Weight += g.ew[i]
-		}
-	}
-	for _, k := range g.coloc {
-		if split(k) {
-			return nil, fmt.Errorf("graph: minimum cut crosses a co-location constraint")
-		}
-	}
-	if cut.Weight > inf {
-		return nil, fmt.Errorf("graph: cut weight %g exceeds infinity proxy %g", cut.Weight, inf)
-	}
-	return cut, nil
+	return g.newCut(g.pin, side, flow)
 }

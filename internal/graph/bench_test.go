@@ -27,7 +27,7 @@ func benchSizes(b *testing.B, maxNodes int, cut func(*Graph) (*Cut, error)) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if c.Weight <= 0 {
+				if c.Cost <= 0 {
 					b.Fatalf("degenerate cut on %d-node workload", base.Len())
 				}
 			}

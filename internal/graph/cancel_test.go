@@ -15,10 +15,10 @@ func cancelTestGraph() *Graph {
 	g.Pin("t", SinkSide)
 	for i := 0; i < 50; i++ {
 		n := fmt.Sprintf("n%02d", i)
-		g.AddEdge("s", n, 1+float64(i%7))
-		g.AddEdge(n, "t", 1+float64(i%5))
+		g.AddEdge("s", n, secs(1+float64(i%7)))
+		g.AddEdge(n, "t", secs(1+float64(i%5)))
 		if i > 0 {
-			g.AddEdge(fmt.Sprintf("n%02d", i-1), n, 0.5)
+			g.AddEdge(fmt.Sprintf("n%02d", i-1), n, secs(0.5))
 		}
 	}
 	return g
@@ -47,8 +47,8 @@ func TestMinCutCtxBackgroundMatchesMinCut(t *testing.T) {
 	if err != nil {
 		t.Fatalf("MinCutCtx: %v", err)
 	}
-	if a.Weight != b.Weight {
-		t.Fatalf("weights diverge: MinCut %v vs MinCutCtx %v", a.Weight, b.Weight)
+	if a.Cost != b.Cost {
+		t.Fatalf("weights diverge: MinCut %v vs MinCutCtx %v", a.Cost, b.Cost)
 	}
 }
 

@@ -17,14 +17,14 @@ func randomGraph(r *rand.Rand, nodes int) *Graph {
 	g.Pin("n1", SinkSide)
 	// A spanning chain keeps the graph connected, then random extra edges.
 	for i := 1; i < nodes; i++ {
-		g.AddEdge(fmt.Sprintf("n%d", r.Intn(i)), fmt.Sprintf("n%d", i), 0.1+r.Float64())
+		g.AddEdge(fmt.Sprintf("n%d", r.Intn(i)), fmt.Sprintf("n%d", i), secs(0.1+r.Float64()))
 	}
 	for e := 0; e < nodes*2; e++ {
 		a, b := r.Intn(nodes), r.Intn(nodes)
 		if a == b {
 			continue
 		}
-		g.AddEdge(fmt.Sprintf("n%d", a), fmt.Sprintf("n%d", b), 0.1+r.Float64())
+		g.AddEdge(fmt.Sprintf("n%d", a), fmt.Sprintf("n%d", b), secs(0.1+r.Float64()))
 	}
 	return g
 }
@@ -54,9 +54,9 @@ func TestCoLocationNeverDecreasesCutCost(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: welded cut: %v", trial, err)
 		}
-		if cut.Weight < base.Weight-1e-9 {
-			t.Fatalf("trial %d: co-locating %s,%s decreased cut cost %.6f -> %.6f",
-				trial, a, b, base.Weight, cut.Weight)
+		if cut.Cost < base.Cost {
+			t.Fatalf("trial %d: co-locating %s,%s decreased cut cost %v -> %v",
+				trial, a, b, base.Cost, cut.Cost)
 		}
 	}
 }
@@ -73,7 +73,7 @@ func randomGraphCopy(g *Graph) *Graph {
 	}
 	for i := 0; i < g.Len(); i++ {
 		for j := i + 1; j < g.Len(); j++ {
-			if w := g.EdgeWeight(g.Name(i), g.Name(j)); w > 0 {
+			if w := g.EdgeCost(g.Name(i), g.Name(j)); w > 0 {
 				c.AddEdge(g.Name(i), g.Name(j), w)
 			}
 		}
@@ -94,12 +94,12 @@ func TestMultiwayPinnedNodesStayPut(t *testing.T) {
 			g.Node(fmt.Sprintf("n%d", i))
 		}
 		for i := 1; i < nodes; i++ {
-			g.AddEdge(fmt.Sprintf("n%d", r.Intn(i)), fmt.Sprintf("n%d", i), 0.1+r.Float64())
+			g.AddEdge(fmt.Sprintf("n%d", r.Intn(i)), fmt.Sprintf("n%d", i), secs(0.1+r.Float64()))
 		}
 		for e := 0; e < nodes; e++ {
 			a, b := r.Intn(nodes), r.Intn(nodes)
 			if a != b {
-				g.AddEdge(fmt.Sprintf("n%d", a), fmt.Sprintf("n%d", b), 0.1+r.Float64())
+				g.AddEdge(fmt.Sprintf("n%d", a), fmt.Sprintf("n%d", b), secs(0.1+r.Float64()))
 			}
 		}
 		// One distinct pinned node per machine.

@@ -1,5 +1,7 @@
 package graph
 
+import "time"
+
 // The CSR (compressed sparse row) flow network is the data structure of
 // the cut engine. An adjacency-list network allocates one slice per node
 // and chases pointers across them; at the multi-thousand-node ICC graphs
@@ -21,7 +23,7 @@ type csrNet struct {
 	head []int32
 	to   []int32
 	rev  []int32
-	cap  []float64
+	cap  []time.Duration // residual capacity, ns
 }
 
 // grow returns s resized to n, reusing its backing array, contents and

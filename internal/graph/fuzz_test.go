@@ -2,8 +2,8 @@ package graph
 
 import (
 	"context"
-	"math"
 	"testing"
+	"time"
 )
 
 // FuzzCSRBuilder decodes arbitrary bytes into a sequence of graph
@@ -14,13 +14,17 @@ import (
 // run. After every cut the arena's CSR network must keep its structural
 // invariants — the reverse-arc mapping is an involution, every arc's
 // reverse lives in the target node's row, offsets are monotone and cover
-// every arc exactly once, start capacities are finite and non-negative —
-// and the cut must agree with the Edmonds–Karp oracle.
+// every arc exactly once, start capacities are non-negative and at most the
+// infinity proxy — and the cut must cost what the Edmonds–Karp oracle's
+// does, each assignment priced at that cost.
 func FuzzCSRBuilder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 10, 1, 2, 20, 0x40, 0, 0x41, 2, 0x80, 1, 2})
 	f.Add([]byte{0, 0, 5, 3, 3, 0, 0x40, 7, 0x80, 7, 7})
 	f.Add([]byte{9, 2, 255, 0x80, 9, 2, 0x41, 9, 0x40, 2})
+	// Two minimum cuts tie (n0-n1 and n1-n2 both cost 100ms): the
+	// extractors may put n1 on different sides.
+	f.Add([]byte{0, 1, 10, 1, 2, 10, 0x40, 0, 0x41, 2})
 	// Self-edges at the door: (3,3) and (5,5) must never reach the store.
 	f.Add([]byte{3, 3, 50, 1, 2, 30, 5, 5, 99, 2, 3, 10})
 
@@ -38,10 +42,10 @@ func FuzzCSRBuilder(f *testing.F) {
 				g.CoLocate(nodeOf(data[i+1]), nodeOf(data[i+2]))
 				i += 3
 			case op == 0xC0 && i+3 < len(data): // re-price; weight 0 deletes
-				g.SetEdgeWeight(nodeOf(data[i+1]), nodeOf(data[i+2]), float64(data[i+3])*0.01)
+				g.SetEdgeCost(nodeOf(data[i+1]), nodeOf(data[i+2]), time.Duration(data[i+3])*10*time.Millisecond)
 				i += 4
 			case i+2 < len(data): // edge with weight from the third byte
-				g.AddEdge(nodeOf(op), nodeOf(data[i+1]), float64(data[i+2])*0.01)
+				g.AddEdge(nodeOf(op), nodeOf(data[i+1]), time.Duration(data[i+2])*10*time.Millisecond)
 				i += 3
 			default:
 				i = len(data)
@@ -72,7 +76,7 @@ func cutAgainstOracle(t *testing.T, g *Graph, arena *CutArena) {
 	}
 	checkCSRInvariants(t, net)
 	for a, c := range arena.capStart {
-		if c < 0 || math.IsNaN(c) || c > arena.inf {
+		if c < 0 || c > arena.inf {
 			t.Fatalf("arc %d: capacity %v out of range", a, c)
 		}
 	}
@@ -86,7 +90,19 @@ func cutAgainstOracle(t *testing.T, g *Graph, arena *CutArena) {
 		}
 		return
 	}
-	if math.Abs(hl.Weight-ek.Weight) > 1e-6*(1+hl.Weight) {
-		t.Fatalf("weights diverge: hl=%v ek=%v", hl.Weight, ek.Weight)
+	if hl.Cost != ek.Cost {
+		t.Fatalf("cuts diverge: hl=%v ek=%v", hl.Cost, ek.Cost)
+	}
+	// When several minimum cuts tie the two extractors pick different
+	// ones (the arena the largest source side, the oracle the smallest),
+	// so the assignments are held to their price, not to each other.
+	for _, c := range []*Cut{hl, ek} {
+		assign := make(map[string]Side, g.Len())
+		for i, side := range c.Assignment {
+			assign[g.Name(i)] = side
+		}
+		if cost, welds := g.EvaluateAssignmentDetail(assign); cost != hl.Cost || welds != 0 {
+			t.Fatalf("assignment prices %v with %d split welds, want %v and none", cost, welds, hl.Cost)
+		}
 	}
 }

@@ -5,9 +5,10 @@
 //   - graph.go owns the store: edges as parallel key/weight arrays in
 //     (lo, hi) node-index order, co-location welds as a sorted key slice,
 //     pins as a per-node side array. Order is established at most once per
-//     topology change (settle), never per cut, and every float sum over
-//     edges walks the store front to back, so the infinity proxy, the total
-//     weight and every cut weight are pure functions of the graph.
+//     topology change (settle), never per cut. Weights, capacities, flows
+//     and cut costs are integer nanoseconds (time.Duration), the unit the
+//     network model and the profile price in, so every sum is exact and a
+//     cut's cost equals its max flow with ==.
 //   - arena.go is the production cut: CutArena lays its copy of the store
 //     out as a flat CSR flow network (csr.go) with no arc list in between,
 //     runs highest-label push-relabel over it (hipr.go), and reads the cut
@@ -28,10 +29,12 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"time"
 )
 
 // Side identifies which terminal a node lands with after a two-way cut. It
@@ -62,8 +65,8 @@ func makePair(i, j int) pairKey {
 func (k pairKey) nodes() (lo, hi int) { return int(k >> 32), int(uint32(k)) }
 
 // Graph is an undirected, weighted communication graph with two designated
-// terminals. Node weights are communication times (seconds): the cost paid
-// if the edge's endpoints are placed on different machines.
+// terminals. Edge weights are communication times in nanoseconds: the cost
+// paid if the edge's endpoints are placed on different machines.
 type Graph struct {
 	names []string
 	index map[string]int
@@ -72,7 +75,7 @@ type Graph struct {
 	// Settled, it is strictly increasing in ekey; AddEdge appends in call
 	// order behind that and sets dirty.
 	ekey []pairKey
-	ew   []float64
+	ew   []time.Duration
 	// coloc holds pair-wise co-location constraints, sorted and distinct
 	// when settled. Keeping constraints out of the edge store preserves the
 	// accumulated communication weight of a constrained pair: the engine
@@ -120,9 +123,10 @@ func (g *Graph) NodeNames() []string {
 }
 
 // settle puts the store in order after AddEdge or CoLocate calls: edges
-// sorted by key with the weights of a repeated pair summed in call order
-// (what += on a keyed store gave), welds sorted and distinct. Every reader
-// calls it first; on a settled graph it reads one flag and writes nothing.
+// sorted by key with the weights of a repeated pair summed (saturating at
+// math.MaxInt64, which TotalWeight reports), welds sorted and distinct.
+// Every reader calls it first; on a settled graph it reads one flag and
+// writes nothing.
 func (g *Graph) settle() {
 	if !g.dirty {
 		return
@@ -153,10 +157,10 @@ func (g *Graph) settle() {
 		order, next = next, order
 	}
 	ekey := make([]pairKey, 0, len(order))
-	ew := make([]float64, 0, len(order))
+	ew := make([]time.Duration, 0, len(order))
 	for _, i := range order {
 		if n := len(ekey); n > 0 && ekey[n-1] == g.ekey[i] {
-			ew[n-1] += g.ew[i]
+			ew[n-1] = min(ew[n-1], math.MaxInt64-g.ew[i]) + g.ew[i]
 			continue
 		}
 		ekey = append(ekey, g.ekey[i])
@@ -168,16 +172,11 @@ func (g *Graph) settle() {
 	g.dirty = false
 }
 
-// AddEdge accumulates weight w onto the undirected edge {a, b}. Self-edges,
-// non-positive weights and NaN are ignored: communication within one node
-// never crosses a machine boundary. An infinite weight is the pair-wise
-// constraint by another name and becomes CoLocate(a, b).
-func (g *Graph) AddEdge(a, b string, w float64) {
-	if a == b || math.IsNaN(w) || w <= 0 {
-		return
-	}
-	if math.IsInf(w, 1) {
-		g.CoLocate(a, b)
+// AddEdge accumulates weight w onto the undirected edge {a, b}. Self-edges
+// and non-positive weights are ignored: communication within one node never
+// crosses a machine boundary. The pair-wise constraint is CoLocate.
+func (g *Graph) AddEdge(a, b string, w time.Duration) {
+	if a == b || w <= 0 {
 		return
 	}
 	g.ekey = append(g.ekey, makePair(g.Node(a), g.Node(b)))
@@ -185,19 +184,14 @@ func (g *Graph) AddEdge(a, b string, w float64) {
 	g.dirty = true
 }
 
-// SetEdgeWeight overwrites the weight of the undirected edge {a, b},
+// SetEdgeCost overwrites the weight of the undirected edge {a, b},
 // interning missing nodes. Unlike AddEdge it replaces rather than
 // accumulates — the entry point for re-pricing an existing topology
 // (adaptive repartitioning, warm-start sweeps), where it leaves the
-// store's order alone. A non-positive weight deletes the edge, which is a
-// topology change: an arena cutting the graph will restage. Self-edges and
-// NaN are ignored; +Inf becomes CoLocate(a, b) and leaves the weight be.
-func (g *Graph) SetEdgeWeight(a, b string, w float64) {
-	if a == b || math.IsNaN(w) {
-		return
-	}
-	if math.IsInf(w, 1) {
-		g.CoLocate(a, b)
+// store's order alone. A non-positive weight deletes the edge, a topology
+// change: an arena cutting the graph will restage. Self-edges are ignored.
+func (g *Graph) SetEdgeCost(a, b string, w time.Duration) {
+	if a == b {
 		return
 	}
 	g.settle()
@@ -238,8 +232,8 @@ func (g *Graph) pairOf(a, b string) (pairKey, bool) {
 	return makePair(i, j), ok
 }
 
-// EdgeWeight returns the accumulated weight of edge {a, b}.
-func (g *Graph) EdgeWeight(a, b string) float64 {
+// EdgeCost returns the accumulated weight of edge {a, b}.
+func (g *Graph) EdgeCost(a, b string) time.Duration {
 	g.settle()
 	if k, ok := g.pairOf(a, b); ok {
 		if i, found := slices.BinarySearch(g.ekey, k); found {
@@ -255,22 +249,46 @@ func (g *Graph) Edges() int {
 	return len(g.ekey)
 }
 
-// TotalWeight returns the sum of all edge weights, taken in store order.
-func (g *Graph) TotalWeight() float64 {
+// MaxTotalWeight bounds a graph's total edge weight (about 73 years), so
+// that a weld arc's residual of twice the infinity proxy fits an int64.
+const MaxTotalWeight = time.Duration(math.MaxInt64 / 4)
+
+// ErrOverflow reports weights the cut cannot carry in int64 nanoseconds.
+var ErrOverflow = errors.New("graph: edge weights overflow the cut's int64 capacities")
+
+// TotalWeight returns the sum of all edge weights, or ErrOverflow once the
+// sum passes MaxTotalWeight.
+func (g *Graph) TotalWeight() (time.Duration, error) {
 	g.settle()
-	var t float64
+	var t time.Duration
 	for _, w := range g.ew {
+		if w > MaxTotalWeight-t {
+			return 0, fmt.Errorf("%w: total edge weight passes %v", ErrOverflow, MaxTotalWeight)
+		}
 		t += w
 	}
-	return t
+	return t, nil
 }
 
 // infinityProxy returns the finite capacity standing in for an infinite
-// (weld or pin) arc: larger than the sum of all edge weights, so no
-// minimum cut can afford to cross it. Because the sum is taken in store
-// order it is the same float for the same graph, and an unchanged graph
-// re-prices no arc between two cuts.
-func (g *Graph) infinityProxy() float64 { return g.TotalWeight()*2 + 1 }
+// (weld or pin) arc under pin, 2·TotalWeight+1: more than any cut of edges
+// alone costs, so no minimum cut crosses one. Every residual and excess is
+// at most the network's total capacity — each edge and weld both ways,
+// each pin once — so that must fit an int64 too, or it is ErrOverflow.
+func (g *Graph) infinityProxy(pin []int8) (time.Duration, error) {
+	t, err := g.TotalWeight()
+	proxies := 2 * len(g.coloc)
+	for _, p := range pin {
+		if p != unpinned {
+			proxies++
+		}
+	}
+	inf := 2*t + 1
+	if err == nil && inf > (math.MaxInt64-2*t)/time.Duration(max(proxies, 1)) {
+		err = fmt.Errorf("%w: %d pin and weld arcs of 2·%v+1", ErrOverflow, proxies, t)
+	}
+	return inf, err
+}
 
 // Pin constrains a node to a side. Location constraints — GUI components
 // to the client, storage components to the server, programmer-specified
@@ -419,38 +437,23 @@ func (u *unionFind) union(a, b int) {
 	}
 }
 
-// EvaluateAssignment returns the total weight of edges crossing an
-// arbitrary assignment — the communication time of any proposed
-// distribution, not necessarily a minimum cut. Nodes missing from the
-// assignment count as SourceSide. Splitting a co-located pair yields
-// +Inf.
-func (g *Graph) EvaluateAssignment(assign map[string]Side) float64 {
-	w, violations := g.EvaluateAssignmentDetail(assign)
-	if violations > 0 {
-		return math.Inf(1)
-	}
-	return w
-}
-
-// EvaluateAssignmentDetail prices an arbitrary assignment with true edge
-// weights and reports constraint violations separately: the finite
-// communication weight crossing the assignment, and the number of
-// co-location constraints the assignment splits. Unlike
-// EvaluateAssignment it never collapses the price to +Inf, so an
-// infeasible default distribution still gets an honest communication
-// time alongside an explicit violation count.
-func (g *Graph) EvaluateAssignmentDetail(assign map[string]Side) (weight float64, violations int) {
+// EvaluateAssignmentDetail prices an arbitrary assignment — the
+// communication time of any distribution, not necessarily a minimum cut —
+// and counts the co-location constraints it splits, so an infeasible
+// default distribution still gets an honest communication time beside an
+// explicit violation count. Nodes missing from it count as SourceSide.
+func (g *Graph) EvaluateAssignmentDetail(assign map[string]Side) (cost time.Duration, violations int) {
 	g.settle()
 	return g.crossing(func(lo, hi int) bool { return assign[g.names[lo]] != assign[g.names[hi]] })
 }
 
-// crossing prices a partition of a settled graph's nodes: the weight,
-// summed in store order, of the edges whose endpoints apart separates, and
-// the number of co-location constraints it splits.
-func (g *Graph) crossing(apart func(lo, hi int) bool) (weight float64, welds int) {
+// crossing prices a partition of a settled graph's nodes: the weight of
+// the edges whose endpoints apart separates, and the number of co-location
+// constraints it splits.
+func (g *Graph) crossing(apart func(lo, hi int) bool) (cost time.Duration, welds int) {
 	for i, k := range g.ekey {
 		if apart(k.nodes()) {
-			weight += g.ew[i]
+			cost += g.ew[i]
 		}
 	}
 	for _, k := range g.coloc {
@@ -458,7 +461,7 @@ func (g *Graph) crossing(apart func(lo, hi int) bool) (weight float64, welds int
 			welds++
 		}
 	}
-	return weight, welds
+	return cost, welds
 }
 
 // AllOn returns the trivial assignment with every node on one side — the
@@ -481,14 +484,37 @@ type Cut struct {
 	// Assignment is every node's side, indexed like the graph's nodes:
 	// Assignment[i] is the side of the node g.Name(i).
 	Assignment []Side
-	// Weight is the total weight of edges crossing the cut (the
-	// communication time of the chosen distribution).
-	Weight float64
-	// FlowValue is the max-flow value computed; equal to Weight up to
-	// floating-point error, kept separately as a cross-check.
-	FlowValue float64
+	// Cost is the weight of the edges crossing the cut, the communication
+	// time of the chosen distribution, and the max flow of the solve that
+	// found the cut (newCut checks it).
+	Cost    time.Duration
+	seconds // Weight and FlowValue: Cost in seconds, for bench/ only
 
 	names []string // the cut graph's node names, shared with it, not copied
+}
+
+// ErrFlowMismatch reports a cut whose crossing cost is not the max flow of
+// the solve it was read from, which max-flow/min-cut makes equal.
+var ErrFlowMismatch = errors.New("graph: cut cost differs from its max flow")
+
+// newCut is both extractors' tail: an exact cut crosses no pin or weld
+// (proxy arcs) and costs its solve's flow, so a side vector that breaks a
+// pin (naming the node), splits a weld or costs other than flow comes from
+// a corrupted network or residual state and is an error, not a Cut.
+func (g *Graph) newCut(pin []int8, sides []Side, flow time.Duration) (*Cut, error) {
+	for v, p := range pin {
+		if p != unpinned && Side(p) != sides[v] {
+			return nil, fmt.Errorf("graph: cut puts %q, pinned to side %d, on side %d", g.names[v], p, sides[v])
+		}
+	}
+	cost, welds := g.crossing(func(lo, hi int) bool { return sides[lo] != sides[hi] })
+	if welds > 0 {
+		return nil, fmt.Errorf("graph: minimum cut crosses a co-location constraint")
+	}
+	if cost != flow {
+		return nil, fmt.Errorf("%w: crossing %v, flow %v", ErrFlowMismatch, cost, flow)
+	}
+	return &Cut{Assignment: sides, Cost: cost, seconds: seconds{cost.Seconds(), cost.Seconds()}, names: g.names}, nil
 }
 
 // Count returns how many nodes landed on the given side.
@@ -512,17 +538,4 @@ func (c *Cut) NodesOn(s Side) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// checkPins returns an error naming the first node of a finished cut that
-// landed on the other side from its pin. Pins are proxy-capacity terminal
-// arcs, so an exact cut never crosses one; a cut that does comes from a
-// corrupted network and must fail rather than be returned.
-func (g *Graph) checkPins(pin []int8, sides []Side) error {
-	for v, p := range pin {
-		if p != unpinned && Side(p) != sides[v] {
-			return fmt.Errorf("graph: cut puts %q, pinned to side %d, on side %d", g.names[v], p, sides[v])
-		}
-	}
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestNodeInterning(t *testing.T) {
@@ -26,9 +27,9 @@ func TestNodeInterning(t *testing.T) {
 func TestAddEdgeAccumulates(t *testing.T) {
 	t.Parallel()
 	g := New()
-	g.AddEdge("a", "b", 1.5)
-	g.AddEdge("b", "a", 2.5) // undirected: same edge
-	if got := g.EdgeWeight("a", "b"); got != 4 {
+	g.AddEdge("a", "b", 1500)
+	g.AddEdge("b", "a", 2500) // undirected: same edge
+	if got := g.EdgeCost("a", "b"); got != 4000 {
 		t.Errorf("weight = %v", got)
 	}
 	if g.Edges() != 1 {
@@ -37,10 +38,10 @@ func TestAddEdgeAccumulates(t *testing.T) {
 	g.AddEdge("a", "a", 9) // self edge ignored
 	g.AddEdge("a", "c", 0) // zero weight ignored
 	g.AddEdge("a", "d", -1)
-	if g.Edges() != 1 || g.TotalWeight() != 4 {
-		t.Errorf("after ignored edges: %d edges, weight %v", g.Edges(), g.TotalWeight())
+	if tw, err := g.TotalWeight(); g.Edges() != 1 || tw != 4000 || err != nil {
+		t.Errorf("after ignored edges: %d edges, weight %v (err %v)", g.Edges(), tw, err)
 	}
-	if g.EdgeWeight("x", "y") != 0 || g.EdgeWeight("a", "x") != 0 {
+	if g.EdgeCost("x", "y") != 0 || g.EdgeCost("a", "x") != 0 {
 		t.Error("missing edge weight nonzero")
 	}
 }
@@ -92,11 +93,8 @@ func TestMinCutSimple(t *testing.T) {
 		"edmonds-karp": (*Graph).MinCutEdmondsKarp,
 	} {
 		cut := simpleCut(t, algo)
-		if cut.Weight != 1 {
-			t.Errorf("%s: weight = %v, want 1", name, cut.Weight)
-		}
-		if math.Abs(cut.FlowValue-cut.Weight) > 1e-9 {
-			t.Errorf("%s: flow %v != weight %v", name, cut.FlowValue, cut.Weight)
+		if cut.Cost != 1 {
+			t.Errorf("%s: weight = %v, want 1", name, cut.Cost)
 		}
 		want := map[string]Side{"client": SourceSide, "a": SourceSide, "b": SinkSide, "server": SinkSide}
 		for n, s := range want {
@@ -134,15 +132,15 @@ func TestMinCutRespectsCoLocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sideOf(cut, "b") != SinkSide || cut.Weight != 1 {
-		t.Errorf("uncolocated: b=%v weight=%v", sideOf(cut, "b"), cut.Weight)
+	if sideOf(cut, "b") != SinkSide || cut.Cost != 1 {
+		t.Errorf("uncolocated: b=%v weight=%v", sideOf(cut, "b"), cut.Cost)
 	}
 	cut, err = build(true).MinCut()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sideOf(cut, "b") != SourceSide || cut.Weight != 2 {
-		t.Errorf("colocated: b=%v weight=%v", sideOf(cut, "b"), cut.Weight)
+	if sideOf(cut, "b") != SourceSide || cut.Cost != 2 {
+		t.Errorf("colocated: b=%v weight=%v", sideOf(cut, "b"), cut.Cost)
 	}
 }
 
@@ -164,8 +162,8 @@ func TestMinCutFreeComponentGoesToClient(t *testing.T) {
 	if sideOf(cut, "lonely") != SourceSide {
 		t.Error("isolated node not on client")
 	}
-	if cut.Weight != 3 {
-		t.Errorf("weight = %v", cut.Weight)
+	if cut.Cost != 3 {
+		t.Errorf("weight = %v", cut.Cost)
 	}
 }
 
@@ -186,17 +184,12 @@ func TestEvaluateAssignment(t *testing.T) {
 	g.AddEdge("a", "b", 2)
 	g.AddEdge("b", "c", 3)
 	assign := map[string]Side{"a": SourceSide, "b": SourceSide, "c": SinkSide}
-	if got := g.EvaluateAssignment(assign); got != 3 {
-		t.Errorf("Evaluate = %v", got)
+	if got, viol := g.EvaluateAssignmentDetail(assign); got != 3 || viol != 0 {
+		t.Errorf("Evaluate = %v, %d violations", got, viol)
 	}
 	// Missing nodes default to source.
-	if got := g.EvaluateAssignment(map[string]Side{"c": SinkSide}); got != 3 {
-		t.Errorf("Evaluate with defaults = %v", got)
-	}
-	g.CoLocate("a", "b")
-	bad := map[string]Side{"a": SourceSide, "b": SinkSide}
-	if got := g.EvaluateAssignment(bad); !math.IsInf(got, 1) {
-		t.Errorf("crossing co-location = %v", got)
+	if got, viol := g.EvaluateAssignmentDetail(map[string]Side{"c": SinkSide}); got != 3 || viol != 0 {
+		t.Errorf("Evaluate with defaults = %v, %d violations", got, viol)
 	}
 }
 
@@ -224,7 +217,7 @@ func TestMinCutOptimalOverBruteForce(t *testing.T) {
 		for i := 0; i < len(all); i++ {
 			for j := i + 1; j < len(all); j++ {
 				if rng.Intn(3) != 0 {
-					g.AddEdge(all[i], all[j], float64(1+rng.Intn(9)))
+					g.AddEdge(all[i], all[j], time.Duration(1+rng.Intn(9)))
 				}
 			}
 		}
@@ -233,7 +226,7 @@ func TestMinCutOptimalOverBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Brute force over free nodes.
-		best := math.Inf(1)
+		best := time.Duration(math.MaxInt64)
 		for mask := 0; mask < 1<<len(names); mask++ {
 			assign := map[string]Side{"s": SourceSide, "t": SinkSide}
 			for b, n := range names {
@@ -243,19 +236,19 @@ func TestMinCutOptimalOverBruteForce(t *testing.T) {
 					assign[n] = SourceSide
 				}
 			}
-			if w := g.EvaluateAssignment(assign); w < best {
+			if w, _ := g.EvaluateAssignmentDetail(assign); w < best {
 				best = w
 			}
 		}
-		if math.Abs(cut.Weight-best) > 1e-9 {
-			t.Fatalf("trial %d: push-relabel %v vs brute force %v", trial, cut.Weight, best)
+		if cut.Cost != best {
+			t.Fatalf("trial %d: push-relabel %v vs brute force %v", trial, cut.Cost, best)
 		}
 		ek, err := g.MinCutEdmondsKarp()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(ek.Weight-best) > 1e-9 {
-			t.Fatalf("trial %d: edmonds-karp %v vs brute force %v", trial, ek.Weight, best)
+		if ek.Cost != best {
+			t.Fatalf("trial %d: edmonds-karp %v vs brute force %v", trial, ek.Cost, best)
 		}
 	}
 }
@@ -275,7 +268,7 @@ func TestPropertyTwoAlgorithmsAgree(t *testing.T) {
 		for i := 0; i < len(nodes); i++ {
 			for j := i + 1; j < len(nodes); j++ {
 				if rng.Intn(2) == 0 {
-					g.AddEdge(nodes[i], nodes[j], rng.Float64()*10)
+					g.AddEdge(nodes[i], nodes[j], secs(rng.Float64()*10))
 				}
 			}
 		}
@@ -287,11 +280,12 @@ func TestPropertyTwoAlgorithmsAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if math.Abs(a.Weight-b.Weight) > 1e-6 {
+		if a.Cost != b.Cost {
 			return false
 		}
 		// The cut's weight equals the evaluation of its own assignment.
-		return math.Abs(g.EvaluateAssignment(byName(a))-a.Weight) < 1e-9
+		w, viol := g.EvaluateAssignmentDetail(byName(a))
+		return w == a.Cost && viol == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)
@@ -310,20 +304,20 @@ func TestPropertyCutNeverWorseThanDefault(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			a := string(rune('a' + rng.Intn(8)))
 			b := string(rune('a' + rng.Intn(8)))
-			g.AddEdge(a, b, rng.Float64()*5)
+			g.AddEdge(a, b, secs(rng.Float64()*5))
 			if rng.Intn(4) == 0 {
-				g.AddEdge("s", a, rng.Float64()*5)
+				g.AddEdge("s", a, secs(rng.Float64()*5))
 			}
 			if rng.Intn(4) == 0 {
-				g.AddEdge(b, "t", rng.Float64()*5)
+				g.AddEdge(b, "t", secs(rng.Float64()*5))
 			}
 		}
 		cut, err := g.MinCut()
 		if err != nil {
 			return false
 		}
-		def := g.EvaluateAssignment(g.AllOn(SourceSide))
-		return cut.Weight <= def+1e-9
+		def, _ := g.EvaluateAssignmentDetail(g.AllOn(SourceSide))
+		return cut.Cost <= def
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -396,8 +390,8 @@ func TestMultiwayCutTwoTerminalsMatchesMinCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(w-cut.Weight) > 1e-9 {
-		t.Errorf("multiway %v vs mincut %v", w, cut.Weight)
+	if w != cut.Cost {
+		t.Errorf("multiway %v vs mincut %v", w, cut.Cost)
 	}
 	if assign["a"] != "client" || assign["b"] != "server" {
 		t.Errorf("assignment = %v", assign)
@@ -416,13 +410,13 @@ func TestLargeGraphPerformanceSanity(t *testing.T) {
 	for i := 0; i < n; i++ {
 		name := nodeName(i)
 		if i%17 == 0 {
-			g.AddEdge("s", name, rng.Float64()*10)
+			g.AddEdge("s", name, secs(rng.Float64()*10))
 		}
 		if i%23 == 0 {
-			g.AddEdge(name, "t", rng.Float64()*10)
+			g.AddEdge(name, "t", secs(rng.Float64()*10))
 		}
 		for k := 0; k < 3; k++ {
-			g.AddEdge(name, nodeName(rng.Intn(n)), rng.Float64())
+			g.AddEdge(name, nodeName(rng.Intn(n)), secs(rng.Float64()))
 		}
 	}
 	cut, err := g.MinCut()
@@ -433,8 +427,8 @@ func TestLargeGraphPerformanceSanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(cut.Weight-ek.Weight) > 1e-6*(1+cut.Weight) {
-		t.Errorf("large graph: %v vs %v", cut.Weight, ek.Weight)
+	if cut.Cost != ek.Cost {
+		t.Errorf("large graph: %v vs %v", cut.Cost, ek.Cost)
 	}
 }
 

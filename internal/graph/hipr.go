@@ -3,6 +3,7 @@ package graph
 import (
 	"context"
 	"math"
+	"time"
 )
 
 // Highest-label push-relabel (the hi_pr family of Cherkassky and
@@ -42,9 +43,6 @@ import (
 // thousand pushes.
 const cancelCheckMask = 1<<10 - 1
 
-// capEps is the residual capacity below which an arc counts as saturated.
-const capEps = 1e-12
-
 // hiprState is the per-run scratch of the highest-label core: heights,
 // excesses, current-arc pointers, the active bucket stacks, the label
 // lists behind the gap heuristic, and the reverse-BFS queue and distances
@@ -52,7 +50,7 @@ const capEps = 1e-12
 // keeps one of these alive across cuts.
 type hiprState struct {
 	height []int32
-	excess []float64
+	excess []time.Duration
 	cur    []int32 // current-arc pointer, absolute arc index
 
 	// Active nodes: singly-linked bucket stacks per height < n.
@@ -189,7 +187,7 @@ func (f *csrNet) distToSink(st *hiprState) {
 		for a := f.head[x]; a < f.head[x+1]; a++ {
 			v := f.to[a]
 			// v reaches x iff residual(v -> x) > 0.
-			if dist[v] == -1 && f.cap[f.rev[a]] > capEps {
+			if dist[v] == -1 && f.cap[f.rev[a]] > 0 {
 				dist[v] = dist[x] + 1
 				queue[tail] = v
 				tail++
@@ -231,7 +229,7 @@ func (r *hiprRun) globalRelabel() {
 		st.cur[v] = f.head[v]
 		if h < int32(n) {
 			r.link(int32(v), h)
-			if st.excess[v] > capEps {
+			if st.excess[v] > 0 {
 				r.activate(int32(v))
 			}
 		}
@@ -252,7 +250,7 @@ func (r *hiprRun) globalRelabel() {
 // exact reverse BFS, which is a valid labeling for any feasible preflow.
 // A cancelled context aborts the run between discharge batches with the
 // context's error.
-func (f *csrNet) maxFlowHL(ctx context.Context, st *hiprState, warm bool) (float64, error) {
+func (f *csrNet) maxFlowHL(ctx context.Context, st *hiprState, warm bool) (time.Duration, error) {
 	n := f.n
 	done := ctx.Done()
 	m := len(f.to)
@@ -277,7 +275,7 @@ func (f *csrNet) maxFlowHL(ctx context.Context, st *hiprState, warm bool) (float
 	// preflow. On a warm run most of these arcs are already saturated from
 	// the previous solve; only capacity that grew since then moves.
 	for a := f.head[f.s]; a < f.head[f.s+1]; a++ {
-		if f.cap[a] <= capEps {
+		if f.cap[a] == 0 {
 			continue
 		}
 		amt := f.cap[a]
@@ -314,7 +312,7 @@ func (f *csrNet) maxFlowHL(ctx context.Context, st *hiprState, warm bool) (float
 		st.inActive[u] = false
 		// Pop guard: the gap heuristic and global relabeling leave stale
 		// bucket entries behind rather than unthreading them.
-		if height[u] >= int32(n) || excess[u] <= capEps {
+		if height[u] >= int32(n) || excess[u] <= 0 {
 			continue
 		}
 
@@ -324,7 +322,7 @@ func (f *csrNet) maxFlowHL(ctx context.Context, st *hiprState, warm bool) (float
 			aEnd := f.head[u+1]
 			a := cur[u]
 			for ; a < aEnd; a++ {
-				if f.cap[a] <= capEps {
+				if f.cap[a] == 0 {
 					continue
 				}
 				v := f.to[a]
@@ -342,12 +340,12 @@ func (f *csrNet) maxFlowHL(ctx context.Context, st *hiprState, warm bool) (float
 				if !st.inActive[v] {
 					r.activate(v)
 				}
-				if excess[u] <= capEps {
+				if excess[u] == 0 {
 					break
 				}
 			}
 			r.work += int(a-cur[u]) + 1
-			if excess[u] <= capEps {
+			if excess[u] == 0 {
 				// The arc at a may hold leftover capacity; resume there.
 				cur[u] = a
 				break
@@ -357,7 +355,7 @@ func (f *csrNet) maxFlowHL(ctx context.Context, st *hiprState, warm bool) (float
 			oldH := height[u]
 			minH := int32(math.MaxInt32)
 			for a := f.head[u]; a < aEnd; a++ {
-				if f.cap[a] > capEps && height[f.to[a]] < minH {
+				if f.cap[a] > 0 && height[f.to[a]] < minH {
 					minH = height[f.to[a]]
 				}
 			}

@@ -2,8 +2,8 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -23,7 +23,7 @@ func constrainedRandomGraph(seed int64) *Graph {
 	for e := 0; e < n*3; e++ {
 		a, b := rng.Intn(n), rng.Intn(n)
 		if a != b {
-			g.AddEdge(name(a), name(b), 0.1+rng.Float64()*5)
+			g.AddEdge(name(a), name(b), secs(0.1+rng.Float64()*5))
 		}
 	}
 	side := make([]int8, n+3)
@@ -58,7 +58,7 @@ func constrainedRandomGraph(seed int64) *Graph {
 		g.CoLocate(name(a), name(b))
 	}
 	// A free-floating pair plus an isolated node.
-	g.AddEdge("float1", "float2", 1+rng.Float64())
+	g.AddEdge("float1", "float2", secs(1+rng.Float64()))
 	g.Node("lonely")
 	return g
 }
@@ -82,12 +82,8 @@ func TestPropertyHighestLabelMatchesOracles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: edmonds-karp: %v", seed, err)
 		}
-		tol := 1e-6 * (1 + hl.Weight)
-		if math.Abs(hl.Weight-ek.Weight) > tol {
-			t.Fatalf("seed %d: weights diverge: hl=%v ek=%v", seed, hl.Weight, ek.Weight)
-		}
-		if math.Abs(hl.FlowValue-hl.Weight) > tol {
-			t.Fatalf("seed %d: flow %v != weight %v", seed, hl.FlowValue, hl.Weight)
+		if hl.Cost != ek.Cost {
+			t.Fatalf("seed %d: costs diverge: hl=%v ek=%v", seed, hl.Cost, ek.Cost)
 		}
 		// Constraints respected: pins and welds, via the cut's own pricing.
 		for i := 0; i < g.Len(); i++ {
@@ -108,8 +104,8 @@ func TestPropertyHighestLabelMatchesOracles(t *testing.T) {
 				t.Fatalf("seed %d: free node %s on %v", seed, free, sideOf(hl, free))
 			}
 		}
-		if w := g.EvaluateAssignment(byName(hl)); math.Abs(w-hl.Weight) > tol {
-			t.Fatalf("seed %d: assignment re-evaluates to %v, cut says %v", seed, w, hl.Weight)
+		if w, viol := g.EvaluateAssignmentDetail(byName(hl)); w != hl.Cost || viol != 0 {
+			t.Fatalf("seed %d: assignment re-evaluates to %v (%d violations), cut says %v", seed, w, viol, hl.Cost)
 		}
 	}
 }
@@ -124,11 +120,13 @@ func TestSynthesizeDeterministic(t *testing.T) {
 			a.Len(), a.Edges(), a.Pins(), a.CoLocations(),
 			b.Len(), b.Edges(), b.Pins(), b.CoLocations())
 	}
-	if a.TotalWeight() != b.TotalWeight() {
-		t.Fatalf("same seed, different weights: %v vs %v", a.TotalWeight(), b.TotalWeight())
+	ta, _ := a.TotalWeight()
+	tb, _ := b.TotalWeight()
+	tc, _ := Synthesize(SynthConfig{Nodes: 2000, Seed: 43}).TotalWeight()
+	if ta != tb {
+		t.Fatalf("same seed, different weights: %v vs %v", ta, tb)
 	}
-	c := Synthesize(SynthConfig{Nodes: 2000, Seed: 43})
-	if math.Abs(a.TotalWeight()-c.TotalWeight()) < 1e-12 {
+	if ta == tc {
 		t.Fatal("different seeds produced identical weights")
 	}
 	cutA, err := a.MinCut()
@@ -139,9 +137,8 @@ func TestSynthesizeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Equal graphs sum their crossing weights in the same store order.
-	if cutA.Weight != cutB.Weight {
-		t.Fatalf("same seed, different cuts: %v vs %v", cutA.Weight, cutB.Weight)
+	if cutA.Cost != cutB.Cost || !slices.Equal(cutA.Assignment, cutB.Assignment) {
+		t.Fatalf("same seed, different cuts: %v vs %v", cutA.Cost, cutB.Cost)
 	}
 }
 
@@ -167,8 +164,8 @@ func TestSynthesizeFeasibleAndExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(hl.Weight-ek.Weight) > 1e-6*(1+hl.Weight) {
-				t.Fatalf("n=%d seed=%d: hl %v vs ek %v", n, seed, hl.Weight, ek.Weight)
+			if hl.Cost != ek.Cost {
+				t.Fatalf("n=%d seed=%d: hl %v vs ek %v", n, seed, hl.Cost, ek.Cost)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/par"
 )
@@ -25,20 +26,20 @@ type MultiwayTerminal struct {
 // MultiwayCut assigns every node to one of the terminals' machines using
 // the isolation heuristic. It requires at least two terminals; with
 // exactly two it reduces to the exact minimum cut.
-func (g *Graph) MultiwayCut(terminals []MultiwayTerminal) (map[string]string, float64, error) {
+func (g *Graph) MultiwayCut(terminals []MultiwayTerminal) (map[string]string, time.Duration, error) {
 	return g.MultiwayCutCtx(context.Background(), terminals)
 }
 
 // MultiwayCutCtx is MultiwayCut under a context: the per-terminal
 // isolating cuts poll it, so a cancelled job aborts mid-heuristic.
-func (g *Graph) MultiwayCutCtx(ctx context.Context, terminals []MultiwayTerminal) (map[string]string, float64, error) {
+func (g *Graph) MultiwayCutCtx(ctx context.Context, terminals []MultiwayTerminal) (map[string]string, time.Duration, error) {
 	if len(terminals) < 2 {
 		return nil, 0, fmt.Errorf("graph: multiway cut needs >= 2 terminals, got %d", len(terminals))
 	}
 	type isoCut struct {
 		term   int
 		cut    *Cut
-		weight float64
+		weight time.Duration
 	}
 	// The k isolating cuts share one topology and differ only in which
 	// side each terminal's pins land on, so each is a cut of g through a
@@ -74,7 +75,7 @@ func (g *Graph) MultiwayCutCtx(ctx context.Context, terminals []MultiwayTerminal
 		if err != nil {
 			return isoCut{}, fmt.Errorf("graph: isolating cut for %s: %w", terminals[ti].Machine, err)
 		}
-		return isoCut{term: ti, cut: c, weight: c.Weight}, nil
+		return isoCut{term: ti, cut: c, weight: c.Cost}, nil
 	})
 	if err != nil {
 		return nil, 0, err
@@ -114,7 +115,7 @@ func (g *Graph) MultiwayCutCtx(ctx context.Context, terminals []MultiwayTerminal
 		}
 	}
 
-	// Total weight of edges crossing machine boundaries, in store order.
+	// Total weight of edges crossing machine boundaries.
 	w, welds := g.crossing(func(lo, hi int) bool { return assign[g.names[lo]] != assign[g.names[hi]] })
 	if welds > 0 {
 		return nil, 0, fmt.Errorf("graph: multiway assignment crosses a co-location constraint")

@@ -38,7 +38,7 @@ func TestMultiwayCutEqualWeightTieBreak(t *testing.T) {
 	if first["hub"] != "m2" {
 		t.Fatalf("hub on %s, want m2 (tie broken by terminal index)", first["hub"])
 	}
-	if d := w1 - 2; d > 1e-12 || d < -1e-12 {
+	if w1 != 2 {
 		t.Fatalf("weight %v, want 2", w1)
 	}
 	for run := 0; run < 100; run++ {
@@ -59,7 +59,6 @@ func TestMultiwayCutEqualWeightTieBreak(t *testing.T) {
 
 func TestMultiwayCutSynthDeterministic(t *testing.T) {
 	t.Parallel()
-	const eps = 1e-9
 	for seed := int64(0); seed < 4; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -86,7 +85,7 @@ func TestMultiwayCutSynthDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MultiwayCut (second run): %v", err)
 			}
-			if d := w1 - w2; d > eps || d < -eps {
+			if w1 != w2 {
 				t.Fatalf("weights differ across runs: %v vs %v", w1, w2)
 			}
 			if len(assign1) != len(assign2) || len(assign1) != g.Len() {

@@ -15,17 +15,19 @@ func randomPinnedGraph(seed int64, n int) *Graph {
 	for i := 0; i < n; i++ {
 		a := string(rune('a' + rng.Intn(8)))
 		b := string(rune('a' + rng.Intn(8)))
-		g.AddEdge(a, b, 1+rng.Float64()*4)
+		g.AddEdge(a, b, secs(1+rng.Float64()*4))
 		if rng.Intn(3) == 0 {
-			g.AddEdge("s", a, 1+rng.Float64()*4)
+			g.AddEdge("s", a, secs(1+rng.Float64()*4))
 		}
 		if rng.Intn(3) == 0 {
-			g.AddEdge(b, "t", 1+rng.Float64()*4)
+			g.AddEdge(b, "t", secs(1+rng.Float64()*4))
 		}
 	}
 	return g
 }
 
+// TestPropertyCutWeightEqualsFlow: a cut's cost is the max flow, exactly:
+// the Edmonds–Karp oracle's flow, and the price of its own assignment.
 func TestPropertyCutWeightEqualsFlow(t *testing.T) {
 	t.Parallel()
 	f := func(seed int64) bool {
@@ -34,11 +36,12 @@ func TestPropertyCutWeightEqualsFlow(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		diff := cut.Weight - cut.FlowValue
-		if diff < 0 {
-			diff = -diff
+		ek, err := g.MinCutEdmondsKarp()
+		if err != nil {
+			return false
 		}
-		return diff <= 1e-6*(1+cut.Weight)
+		w, viol := g.EvaluateAssignmentDetail(byName(cut))
+		return cut.Cost == ek.Cost && cut.Cost == w && viol == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -56,12 +59,12 @@ func TestPropertyMinCutMonotoneUnderEdgeAddition(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed ^ 0x55))
 		a := string(rune('a' + rng.Intn(8)))
-		g.AddEdge("s", a, float64(wRaw%16)+0.5)
+		g.AddEdge("s", a, secs(float64(wRaw%16)+0.5))
 		after, err := g.MinCut()
 		if err != nil {
 			return false
 		}
-		return after.Weight >= before.Weight-1e-9
+		return after.Cost >= before.Cost
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

@@ -1,40 +1,36 @@
 package graph
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
 
 // Regression: CoLocate used to overwrite the accumulated finite edge
-// weight with +Inf, corrupting TotalWeight, EdgeWeight, and any later
-// AddEdge accumulation on the pair. The constraint now lives in a side
-// table and the communication weight survives.
+// weight with an infinite one, corrupting TotalWeight, the edge's weight,
+// and any later AddEdge accumulation on the pair. The constraint now lives
+// in a side table and the communication weight survives.
 func TestCoLocateKeepsAccumulatedWeight(t *testing.T) {
 	t.Parallel()
 	g := New()
-	g.AddEdge("a", "b", 2.5)
+	g.AddEdge("a", "b", 2500)
 	g.CoLocate("a", "b")
-	if got := g.EdgeWeight("a", "b"); got != 2.5 {
-		t.Errorf("EdgeWeight after CoLocate = %v, want 2.5", got)
+	if got := g.EdgeCost("a", "b"); got != 2500 {
+		t.Errorf("EdgeCost after CoLocate = %v, want 2.5µs", got)
 	}
-	if got := g.TotalWeight(); got != 2.5 {
-		t.Errorf("TotalWeight after CoLocate = %v, want 2.5", got)
+	if got, err := g.TotalWeight(); got != 2500 || err != nil {
+		t.Errorf("TotalWeight after CoLocate = %v (err %v), want 2.5µs", got, err)
 	}
 	// Accumulation on the pair keeps working after the weld.
-	g.AddEdge("b", "a", 1.5)
-	if got := g.EdgeWeight("a", "b"); got != 4 {
-		t.Errorf("EdgeWeight after post-weld AddEdge = %v, want 4", got)
-	}
-	if math.IsInf(g.TotalWeight(), 1) {
-		t.Error("TotalWeight is infinite")
+	g.AddEdge("b", "a", 1500)
+	if got := g.EdgeCost("a", "b"); got != 4000 {
+		t.Errorf("EdgeCost after post-weld AddEdge = %v, want 4µs", got)
 	}
 	// Welding first and pricing later also preserves the weight.
 	g2 := New()
 	g2.CoLocate("x", "y")
 	g2.AddEdge("x", "y", 3)
-	if got := g2.EdgeWeight("x", "y"); got != 3 {
-		t.Errorf("EdgeWeight weld-then-price = %v, want 3", got)
+	if got := g2.EdgeCost("x", "y"); got != 3 {
+		t.Errorf("EdgeCost weld-then-price = %v, want 3", got)
 	}
 	if !g2.CoLocated("x", "y") || !g2.CoLocated("y", "x") {
 		t.Error("CoLocated lost the constraint")
@@ -88,15 +84,14 @@ func TestValidateTransitiveCoLocationChain(t *testing.T) {
 			t.Errorf("chained node %s not welded to pinned a: %v", n, sideOf(cut, n))
 		}
 	}
-	if cut.Weight != 2 {
-		t.Errorf("chain cut weight = %v, want 2", cut.Weight)
+	if cut.Cost != 2 {
+		t.Errorf("chain cut weight = %v, want 2", cut.Cost)
 	}
 }
 
-// The co-location side table must keep behaving like the old infinite
-// edge for assignment evaluation: splitting the pair is infinitely
-// expensive, while the detailed evaluator reports the true finite price
-// plus an explicit violation count.
+// Assignment evaluation reports the true price of the edges a split
+// co-location crosses plus an explicit violation count: the count, not an
+// infinite price, is what marks the assignment infeasible.
 func TestEvaluateAssignmentDetailSeparatesViolations(t *testing.T) {
 	t.Parallel()
 	g := New()
@@ -104,9 +99,6 @@ func TestEvaluateAssignmentDetailSeparatesViolations(t *testing.T) {
 	g.AddEdge("b", "c", 3)
 	g.CoLocate("a", "b")
 	split := map[string]Side{"a": SourceSide, "b": SinkSide, "c": SinkSide}
-	if got := g.EvaluateAssignment(split); !math.IsInf(got, 1) {
-		t.Errorf("EvaluateAssignment split pair = %v, want +Inf", got)
-	}
 	w, viol := g.EvaluateAssignmentDetail(split)
 	if w != 2 || viol != 1 {
 		t.Errorf("Detail = (%v, %d), want (2, 1)", w, viol)

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -47,18 +46,17 @@ func TestReplicateNeverCostlier(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tol := 1e-9 * (1 + plain.Weight)
-			if rcut.Weight > plain.Weight+tol {
+			if rcut.Cost > plain.Cost {
 				t.Fatalf("replicated cut %v exceeds plain %v (replicated %d of %d eligible)",
-					rcut.Weight, plain.Weight, len(replicated), len(eligible))
+					rcut.Cost, plain.Cost, len(replicated), len(eligible))
 			}
 
 			oracle, err := rg.MinCutEdmondsKarp()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if math.Abs(oracle.Weight-rcut.Weight) > tol {
-				t.Fatalf("replicated network: production cut %v != oracle %v", rcut.Weight, oracle.Weight)
+			if oracle.Cost != rcut.Cost {
+				t.Fatalf("replicated network: production cut %v != oracle %v", rcut.Cost, oracle.Cost)
 			}
 		})
 	}
@@ -90,7 +88,7 @@ func TestReplicateSkipsPinnedAndWelded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rcut.Weight != 0 {
-		t.Fatalf("replicated cut weight = %v, want 0", rcut.Weight)
+	if rcut.Cost != 0 {
+		t.Fatalf("replicated cut weight = %v, want 0", rcut.Cost)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"time"
 )
 
 // Synthetic ICC-graph workloads. The paper's applications top out at a
@@ -81,10 +82,11 @@ func Synthesize(cfg SynthConfig) *Graph {
 		g.Node(synthName(i))
 	}
 
-	// Communication weight: exponentially distributed seconds around a
-	// millisecond mean — most interfaces chatter lightly, a few move bulk.
-	weight := func() float64 {
-		return -math.Log(1-rng.Float64()) * 1e-3
+	// Communication weight: exponentially distributed around a millisecond
+	// mean — most interfaces chatter lightly, a few move bulk — rounded to
+	// the nearest nanosecond, and at least one.
+	weight := func() time.Duration {
+		return max(1, time.Duration(math.Round(-math.Log(1-rng.Float64())*1e6)))
 	}
 
 	// Preferential attachment over the main component: each arriving node
