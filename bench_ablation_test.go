@@ -11,20 +11,21 @@ import (
 	"fmt"
 	"os"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/graph"
+	"repro/internal/pipeline"
 )
 
 // BenchmarkAblationMinCutPushRelabel times the production cut
-// (highest-label push-relabel) on synthetic ICC graphs.
+// (highest-label push-relabel) on synthetic ICC graphs, the power-law
+// generator coign bench-cut sweeps.
 func BenchmarkAblationMinCutPushRelabel(b *testing.B) {
 	for _, n := range []int{500, 2000, 8000} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				g := experiments.SyntheticCutInstance(n, 7)
+				g := graph.Synthesize(graph.SynthConfig{Nodes: n, Seed: 7})
 				b.StartTimer()
 				if _, err := g.MinCut(); err != nil {
 					b.Fatal(err)
@@ -41,7 +42,7 @@ func BenchmarkAblationMinCutEdmondsKarp(b *testing.B) {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				g := experiments.SyntheticCutInstance(n, 7)
+				g := graph.Synthesize(graph.SynthConfig{Nodes: n, Seed: 7})
 				b.StartTimer()
 				if _, err := g.MinCutEdmondsKarp(); err != nil {
 					b.Fatal(err)
@@ -109,19 +110,20 @@ func BenchmarkAblationNetworkProfile(b *testing.B) {
 }
 
 // BenchmarkAblationMultiwayCut times the isolation-heuristic multiway cut
-// (the paper's future-work extension) on synthetic three-terminal graphs.
+// (the paper's future-work extension) on synthetic graphs, three of whose
+// nodes are the terminals. The graphs carry no welds: the heuristic's
+// combined assignment may split one, which is an error.
 func BenchmarkAblationMultiwayCut(b *testing.B) {
 	for _, n := range []int{500, 2000} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				g := experiments.SyntheticCutInstance(n, 11)
-				g.AddEdge("middle", "n00001", 3*time.Second)
+				g := graph.Synthesize(graph.SynthConfig{Nodes: n, Seed: 11, CoLocateFraction: 1e-9})
 				b.StartTimer()
 				_, _, err := g.MultiwayCut([]graph.MultiwayTerminal{
-					{Machine: "client", Pinned: []string{"client"}},
-					{Machine: "middle", Pinned: []string{"middle"}},
-					{Machine: "server", Pinned: []string{"server"}},
+					{Machine: "client", Pinned: []string{g.Name(0)}},
+					{Machine: "middle", Pinned: []string{g.Name(1)}},
+					{Machine: "server", Pinned: []string{g.Name(2)}},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -169,21 +171,23 @@ func BenchmarkAblationThreeTier(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationWhatIfReplay sweeps random distributions over one
-// scenario's event trace, confirming empirically that the Coign cut is the
-// communication floor (paper §3.3's trace-driven simulation put to work).
-func BenchmarkAblationWhatIfReplay(b *testing.B) {
-	var res *experiments.WhatIfResult
+// BenchmarkAblationEveryMap replays one scenario's event trace under every
+// distribution its constraints allow (65,536 maps on o_oldwp7) and reports
+// how far the product-priced and exact-priced cuts land from the replay
+// optimum (paper §3.3's trace-driven simulation put to work).
+func BenchmarkAblationEveryMap(b *testing.B) {
+	var sw *experiments.MapSweep
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = experiments.WhatIf(context.Background(), "o_oldwp7", 40, 3)
+		sw, err = experiments.SweepMaps(context.Background(), pipeline.Spec{Scenarios: []string{"o_oldwp7"}})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	printOnce("ablation-whatif", func() {
-		fmt.Fprintf(os.Stderr, "\nWhat-if replay (%s): coign=%v best-random=%v worst-random=%v beaten=%d/%d\n",
-			res.Scenario, res.CoignComm, res.BestRandom, res.WorstRandom, res.Beaten, res.Samples)
+	printOnce("ablation-everymap", func() {
+		fmt.Fprintf(os.Stderr, "\nEvery map (%s): %d free groups, %d maps, optimum=%v coign=%v exact=%v\n",
+			sw.Scenario, sw.FreeGroups, sw.Maps, sw.Optimum, sw.Coign, sw.Exact)
 	})
-	b.ReportMetric(float64(res.Beaten), "random-assignments-beating-coign")
+	b.ReportMetric(float64(sw.Maps), "maps")
+	b.ReportMetric(float64(sw.Coign-sw.Optimum), "coign-gap-ns")
 }

@@ -2,14 +2,11 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/dist"
-	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
 )
@@ -36,15 +33,10 @@ func CompareMinCut(scenName string) (*MinCutComparison, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One graph for both: a cut reads the graph and never changes it.
 	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
-	build := func() *graph.Graph {
-		g, _ := analysis.BuildGraph(run.Profile, np, run.ADPS.App.Classes, analysis.Options{})
-		return g
-	}
-
-	cmp := &MinCutComparison{Scenario: scenName}
-	g := build()
-	cmp.Nodes, cmp.Edges = g.Len(), g.Edges()
+	g, _ := analysis.BuildGraph(run.Profile, np, run.ADPS.App.Classes, analysis.Options{})
+	cmp := &MinCutComparison{Scenario: scenName, Nodes: g.Len(), Edges: g.Edges()}
 
 	start := time.Now()
 	pr, err := g.MinCut()
@@ -54,9 +46,8 @@ func CompareMinCut(scenName string) (*MinCutComparison, error) {
 	cmp.PushRelabel = time.Since(start)
 	cmp.WeightPR = pr.Cost
 
-	g2 := build()
 	start = time.Now()
-	ek, err := g2.MinCutEdmondsKarp()
+	ek, err := g.MinCutEdmondsKarp()
 	if err != nil {
 		return nil, err
 	}
@@ -148,28 +139,6 @@ func CompareNetworkProfile(scenName string, samples int) (*NetProfileComparison,
 	}
 	cmp.RelativeError, cmp.SamePlacement = against(sampled, oracle)
 	return cmp, nil
-}
-
-// SyntheticCutInstance builds a random two-terminal graph of the given
-// size for min-cut scaling benchmarks.
-func SyntheticCutInstance(nodes int, seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.New()
-	g.Pin("client", graph.SourceSide)
-	g.Pin("server", graph.SinkSide)
-	name := func(i int) string { return fmt.Sprintf("n%05d", i) }
-	for i := 0; i < nodes; i++ {
-		if i%13 == 0 {
-			g.AddEdge("client", name(i), time.Duration(rng.Float64()*5e9))
-		}
-		if i%17 == 0 {
-			g.AddEdge(name(i), "server", time.Duration(rng.Float64()*5e9))
-		}
-		for k := 0; k < 3; k++ {
-			g.AddEdge(name(i), name(rng.Intn(nodes)), time.Duration(rng.Float64()*1e9))
-		}
-	}
-	return g
 }
 
 // CachingComparison reports the effect of per-interface caching

@@ -252,21 +252,6 @@ func TestCompareNetworkProfile(t *testing.T) {
 	}
 }
 
-func TestSyntheticCutInstance(t *testing.T) {
-	t.Parallel()
-	g := SyntheticCutInstance(500, 1)
-	if g.Len() < 500 {
-		t.Fatalf("nodes = %d", g.Len())
-	}
-	cut, err := g.MinCut()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut.Cost < 0 {
-		t.Fatal("negative cut")
-	}
-}
-
 func TestFiguresBundleAndPrinter(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -376,41 +361,5 @@ func TestTable2OtherApplications(t *testing.T) {
 	}
 	if _, err := Table3("solitaire"); err == nil {
 		t.Error("unknown app evaluated for table 3")
-	}
-}
-
-func TestWhatIfCoignNearOptimalOnTrace(t *testing.T) {
-	t.Parallel()
-	res, err := WhatIf(context.Background(), "o_oldwp7", 60, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Samples != 60 {
-		t.Fatalf("samples = %d", res.Samples)
-	}
-	// The replayed Coign distribution must beat (or tie within bucket
-	// quantization) essentially every random alternative.
-	if res.Beaten > 3 {
-		t.Errorf("%d of %d random assignments beat the Coign cut (coign=%v best-random=%v)",
-			res.Beaten, res.Samples, res.CoignComm, res.BestRandom)
-	}
-	if res.WorstRandom <= res.CoignComm {
-		t.Errorf("no random assignment was worse: worst=%v coign=%v",
-			res.WorstRandom, res.CoignComm)
-	}
-	if _, err := WhatIf(context.Background(), "nope", 1, 1); err == nil {
-		t.Error("unknown scenario analyzed")
-	}
-}
-
-// TestWhatIfNeedsASample: with no random alternative there is no best or
-// worst one to report, so fewer than one sample is an error, not a
-// BestRandom of 2⁶²−1 ns.
-func TestWhatIfNeedsASample(t *testing.T) {
-	t.Parallel()
-	for _, samples := range []int{0, -1} {
-		if res, err := WhatIf(context.Background(), "o_oldwp7", samples, 3); err == nil {
-			t.Errorf("WhatIf with %d samples: %+v, want an error", samples, res)
-		}
 	}
 }

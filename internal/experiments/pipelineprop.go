@@ -64,6 +64,11 @@ type PipelineReport struct {
 	BaselineWelds    int     `json:"baselineWelds"`
 	RefinedWelds     int     `json:"refinedWelds"`
 
+	// The bigone's map sweep (SweepMaps, 0 maps over its cap): the product
+	// cut's replay minus the optimum.
+	MapsSwept    int           `json:"mapsSwept"`
+	ProductGapNs time.Duration `json:"productGapNs"`
+
 	Checks []PipelineCheck `json:"checks"`
 	Failed int             `json:"failed"`
 }
@@ -395,6 +400,19 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 		return nil, fmt.Errorf("experiments: chaos run of %s: %w", a.App.Name, err)
 	}
 	rep.checkReplay("chaos-replay-matches-run", dcfg, traced.Trace, chaos)
+
+	// Coign's map against every map: the exact-priced cut must replay at
+	// the optimum; the product cut's distance from it is recorded.
+	sw, err := SweepMaps(ctx, pipeline.Spec{App: spec.App, Scenarios: []string{a.Bigone}})
+	switch err.(type) {
+	case *TooManyGroupsError:
+	case nil:
+		rep.MapsSwept, rep.ProductGapNs = sw.Maps, sw.Coign-sw.Optimum
+		rep.check("enumerated-optimum", sw.Exact == sw.Optimum,
+			fmt.Sprintf("exact-priced cut replays at %v, the optimum of %d maps at %v", sw.Exact, sw.Maps, sw.Optimum))
+	default:
+		return nil, fmt.Errorf("experiments: map sweep of %s: %w", a.App.Name, err)
+	}
 
 	return rep, nil
 }
