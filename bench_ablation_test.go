@@ -2,18 +2,22 @@ package coign
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
 // graph-cutting algorithm (push-relabel vs BFS augmenting paths), the
-// exponential message-size bucketing (vs exact byte accounting), the
-// sampled network profile (vs oracle means), and the multiway-cut
-// extension.
+// exponential message-size bucketing (vs exact byte accounting) and the
+// sampled network profile (vs oracle means). Those three exhibits have no
+// command of their own, so their comparisons live here with their tests.
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"testing"
+	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/experiments"
 	"repro/internal/graph"
+	"repro/internal/netsim"
 	"repro/internal/pipeline"
 )
 
@@ -55,10 +59,10 @@ func BenchmarkAblationMinCutEdmondsKarp(b *testing.B) {
 // BenchmarkAblationMinCutOnRealGraph cross-checks both algorithms on a
 // real scenario's concrete graph and reports their wall times.
 func BenchmarkAblationMinCutOnRealGraph(b *testing.B) {
-	var cmp *experiments.MinCutComparison
+	var cmp *minCutComparison
 	for i := 0; i < b.N; i++ {
 		var err error
-		cmp, err = experiments.CompareMinCut("o_oldbth")
+		cmp, err = compareMinCut("o_oldbth")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,10 +80,10 @@ func BenchmarkAblationMinCutOnRealGraph(b *testing.B) {
 // BenchmarkAblationBucketing compares exponential-bucket pricing against
 // exact byte accounting (storage-for-accuracy trade of paper §3.3).
 func BenchmarkAblationBucketing(b *testing.B) {
-	var cmp *experiments.BucketingComparison
+	var cmp *bucketingComparison
 	for i := 0; i < b.N; i++ {
 		var err error
-		cmp, err = experiments.CompareBucketing("o_oldwp7")
+		cmp, err = compareBucketing("o_oldwp7")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -94,10 +98,10 @@ func BenchmarkAblationBucketing(b *testing.B) {
 // BenchmarkAblationNetworkProfile compares the statistically sampled
 // network profile against oracle model means.
 func BenchmarkAblationNetworkProfile(b *testing.B) {
-	var cmp *experiments.NetProfileComparison
+	var cmp *netProfileComparison
 	for i := 0; i < b.N; i++ {
 		var err error
-		cmp, err = experiments.CompareNetworkProfile("o_oldtb3", 25)
+		cmp, err = compareNetworkProfile("o_oldtb3", 25)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,30 +111,6 @@ func BenchmarkAblationNetworkProfile(b *testing.B) {
 			cmp.Scenario, cmp.SampledComm, cmp.OracleComm, cmp.RelativeError*100, cmp.SamePlacement)
 	})
 	b.ReportMetric(cmp.RelativeError*100, "sampling-error-%")
-}
-
-// BenchmarkAblationMultiwayCut times the isolation-heuristic multiway cut
-// (the paper's future-work extension) on synthetic graphs, three of whose
-// nodes are the terminals. The graphs carry no welds: the heuristic's
-// combined assignment may split one, which is an error.
-func BenchmarkAblationMultiwayCut(b *testing.B) {
-	for _, n := range []int{500, 2000} {
-		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g := graph.Synthesize(graph.SynthConfig{Nodes: n, Seed: 11, CoLocateFraction: 1e-9})
-				b.StartTimer()
-				_, _, err := g.MultiwayCut([]graph.MultiwayTerminal{
-					{Machine: "client", Pinned: []string{g.Name(0)}},
-					{Machine: "middle", Pinned: []string{g.Name(1)}},
-					{Machine: "server", Pinned: []string{g.Name(2)}},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationCaching measures per-interface caching (semi-custom
@@ -154,23 +134,6 @@ func BenchmarkAblationCaching(b *testing.B) {
 	b.ReportMetric(cmp.Savings*100, "extra-savings-%")
 }
 
-// BenchmarkAblationThreeTier times the full three-machine experiment: the
-// multiway isolation-heuristic cut plus the executed distribution.
-func BenchmarkAblationThreeTier(b *testing.B) {
-	var res *experiments.ThreeTierResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.ThreeTier(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	printOnce("ablation-threetier", func() {
-		fmt.Fprintf(os.Stderr, "\nThree-tier: per-machine=%v comm=%v (two-way %v)\n",
-			res.PerMachine, res.Comm, res.TwoWayComm)
-	})
-}
-
 // BenchmarkAblationEveryMap replays one scenario's event trace under every
 // distribution its constraints allow (65,536 maps on o_oldwp7) and reports
 // how far the product-priced and exact-priced cuts land from the replay
@@ -190,4 +153,174 @@ func BenchmarkAblationEveryMap(b *testing.B) {
 	})
 	b.ReportMetric(float64(sw.Maps), "maps")
 	b.ReportMetric(float64(sw.Coign-sw.Optimum), "coign-gap-ns")
+}
+
+// minCutComparison cross-checks the push-relabel production cut against the
+// Edmonds–Karp baseline on a scenario's concrete graph.
+type minCutComparison struct {
+	Scenario     string
+	Nodes, Edges int
+	PushRelabel  time.Duration
+	EdmondsKarp  time.Duration
+	WeightPR     time.Duration
+	WeightEK     time.Duration
+}
+
+// compareMinCut builds the concrete ICC graph of one scenario and times
+// both exact minimum-cut implementations.
+func compareMinCut(scenName string) (*minCutComparison, error) {
+	run, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{scenName}})
+	if err != nil {
+		return nil, err
+	}
+	// One graph for both: a cut reads the graph and never changes it.
+	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
+	g, _ := analysis.BuildGraph(run.Profile, np, run.ADPS.App.Classes, analysis.Options{})
+	cmp := &minCutComparison{Scenario: scenName, Nodes: g.Len(), Edges: g.Edges()}
+
+	start := time.Now()
+	pr, err := g.MinCut()
+	if err != nil {
+		return nil, err
+	}
+	cmp.PushRelabel = time.Since(start)
+	cmp.WeightPR = pr.Cost
+
+	start = time.Now()
+	ek, err := g.MinCutEdmondsKarp()
+	if err != nil {
+		return nil, err
+	}
+	cmp.EdmondsKarp = time.Since(start)
+	cmp.WeightEK = ek.Cost
+	return cmp, nil
+}
+
+// bucketingComparison reports predicted communication time with
+// exponential bucket pricing versus exact byte totals.
+type bucketingComparison struct {
+	Scenario      string
+	BucketedComm  time.Duration
+	ExactComm     time.Duration
+	RelativeError float64 // |bucketed-exact| / exact
+	SamePlacement bool
+}
+
+// compareBucketing runs the analysis twice — bucket representatives versus
+// exact byte totals — and compares predictions and placements.
+func compareBucketing(scenName string) (*bucketingComparison, error) {
+	run, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{scenName}})
+	if err != nil {
+		return nil, err
+	}
+	bucketed := run.Analysis
+	run.ADPS.AnalysisOptions.ExactPricing = true
+	exact, err := run.ADPS.Analyze(context.Background(), run.Profile)
+	if err != nil {
+		return nil, err
+	}
+	cmp := &bucketingComparison{
+		Scenario:     scenName,
+		BucketedComm: bucketed.PredictedComm,
+		ExactComm:    exact.PredictedComm,
+	}
+	cmp.RelativeError, cmp.SamePlacement = against(bucketed, exact)
+	return cmp, nil
+}
+
+// against compares an analysis with its reference: the relative error of
+// the predicted communication time, and whether both place every
+// classification on the same machine.
+func against(got, ref *analysis.Result) (relErr float64, samePlacement bool) {
+	if ref.PredictedComm > 0 {
+		relErr = math.Abs(float64(got.PredictedComm-ref.PredictedComm)) / float64(ref.PredictedComm)
+	}
+	for id, m := range got.Distribution {
+		if ref.Distribution[id] != m {
+			return relErr, false
+		}
+	}
+	return relErr, true
+}
+
+// netProfileComparison reports how a sampled network profile's prediction
+// differs from an oracle (exact-mean) profile.
+type netProfileComparison struct {
+	Scenario      string
+	SampledComm   time.Duration
+	OracleComm    time.Duration
+	RelativeError float64
+	SamePlacement bool
+}
+
+// compareNetworkProfile analyzes one scenario under a statistically
+// sampled network profile and under the exact model means.
+func compareNetworkProfile(scenName string, samples int) (*netProfileComparison, error) {
+	run, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{scenName}})
+	if err != nil {
+		return nil, err
+	}
+	adps, p := run.ADPS, run.Profile
+	adps.Samples = samples
+	adps.NetProfile = nil // re-sample the network with the requested count
+	sampled, err := adps.Analyze(context.Background(), p)
+	if err != nil {
+		return nil, err
+	}
+	adps.NetProfile = netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
+	oracle, err := adps.Analyze(context.Background(), p)
+	if err != nil {
+		return nil, err
+	}
+	cmp := &netProfileComparison{
+		Scenario:    scenName,
+		SampledComm: sampled.PredictedComm,
+		OracleComm:  oracle.PredictedComm,
+	}
+	cmp.RelativeError, cmp.SamePlacement = against(sampled, oracle)
+	return cmp, nil
+}
+
+func TestCompareMinCut(t *testing.T) {
+	t.Parallel()
+	cmp, err := compareMinCut("o_oldbth")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.WeightPR != cmp.WeightEK {
+		t.Errorf("algorithms disagree: pr=%v ek=%v", cmp.WeightPR, cmp.WeightEK)
+	}
+	if cmp.Nodes < 100 {
+		t.Errorf("graph too small: %d nodes", cmp.Nodes)
+	}
+}
+
+func TestCompareBucketing(t *testing.T) {
+	t.Parallel()
+	cmp, err := compareBucketing("o_oldwp7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Bucket quantization stays within a factor-of-two envelope of exact
+	// pricing; the paper relies on it not changing placement decisions.
+	if cmp.RelativeError > 1.0 {
+		t.Errorf("bucketing error = %v", cmp.RelativeError)
+	}
+	if !cmp.SamePlacement {
+		t.Error("bucketing changed the placement")
+	}
+}
+
+func TestCompareNetworkProfile(t *testing.T) {
+	t.Parallel()
+	cmp, err := compareNetworkProfile("o_oldtb3", 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp.RelativeError > 0.2 {
+		t.Errorf("sampled profile error = %v", cmp.RelativeError)
+	}
+	if !cmp.SamePlacement {
+		t.Error("sampling noise flipped the placement")
+	}
 }

@@ -18,7 +18,7 @@
 //	internal/classify  the seven instance classifiers
 //	internal/profile   ICC profiles, size buckets, communication vectors
 //	internal/netsim    network models and the network profiler
-//	internal/graph     push-relabel min-cut, Edmonds-Karp oracle, multiway heuristic
+//	internal/graph     push-relabel min-cut, Edmonds-Karp oracle
 //	internal/analysis  the profile analysis engine and constraint inference
 //	internal/factory   the component factory that realizes distributions
 //	internal/dist      the two-machine execution engine, replayer, TCP transport

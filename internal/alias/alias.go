@@ -501,7 +501,7 @@ func (r *Result) locID(key string) int {
 }
 
 // FillChains builds every shared pair's provenance chains, ChainA and
-// ChainB, on its first call; WriteText and WriteJSON call it, and so must
+// ChainB, on its first call; WriteJSON calls it, and so must
 // any other reader of the chains. Safe for concurrent use.
 func (r *Result) FillChains() {
 	r.chains.Do(func() {

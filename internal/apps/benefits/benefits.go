@@ -32,17 +32,6 @@ const (
 	ScenBigone = "b_bigone"
 )
 
-// Scenarios lists the Benefits profiling scenarios in Table 1 order.
-func Scenarios() []string {
-	return []string{ScenVueOne, ScenAddOne, ScenDelOne, ScenBigone}
-}
-
-// ScenariosWithoutBigone lists the classifier-training scenarios.
-func ScenariosWithoutBigone() []string {
-	all := Scenarios()
-	return all[:len(all)-1]
-}
-
 // Interface IDs.
 const (
 	iDB     = "IDatabase"

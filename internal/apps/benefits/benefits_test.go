@@ -8,9 +8,6 @@ import (
 	"repro/internal/com"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/graph"
-	"repro/internal/netsim"
-	"repro/internal/profile"
 )
 
 func TestAppAssembly(t *testing.T) {
@@ -140,69 +137,6 @@ func TestViewSavingsApproximatePaper(t *testing.T) {
 	// Paper: 35% communication reduction on b_vueone.
 	if rep.Savings < 0.2 || rep.Savings > 0.5 {
 		t.Errorf("b_vueone savings = %v, want ~0.35", rep.Savings)
-	}
-}
-
-// TestMultiwayThreeTier exercises the paper's future-work extension: a
-// three-machine cut (client / middle / database server) via the isolation
-// heuristic, treating the database as its own terminal.
-func TestMultiwayThreeTier(t *testing.T) {
-	t.Parallel()
-	app := New()
-	res, err := dist.Run(dist.Config{
-		App: app, Scenario: ScenBigone, Mode: dist.ModeProfiling,
-		Classifier: classify.New(classify.IFCB, 0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := res.Profile
-	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
-
-	g := graph.New()
-	var clientPins, middlePins, dbPins []string
-	clientPins = append(clientPins, profile.MainProgram)
-	g.Node(profile.MainProgram)
-	for id, ci := range p.Classifications {
-		g.Node(id)
-		cl := app.Classes.LookupName(ci.Class)
-		switch {
-		case cl != nil && cl.Infrastructure:
-			dbPins = append(dbPins, id)
-		case cl != nil && cl.Home == com.Client:
-			clientPins = append(clientPins, id)
-		case ci.Class == "EmployeeManager":
-			middlePins = append(middlePins, id)
-		}
-	}
-	for k, e := range p.Edges {
-		g.AddEdge(k.Src, k.Dst, e.Time(np))
-	}
-	assign, weight, err := g.MultiwayCut([]graph.MultiwayTerminal{
-		{Machine: "client", Pinned: clientPins},
-		{Machine: "middle", Pinned: middlePins},
-		{Machine: "dbserver", Pinned: dbPins},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if weight <= 0 {
-		t.Fatalf("multiway weight = %v", weight)
-	}
-	counts := map[string]int{}
-	for id, m := range assign {
-		if ci := p.Classifications[id]; ci != nil {
-			counts[m] += int(ci.Instances)
-		}
-	}
-	if counts["middle"] == 0 || counts["client"] == 0 {
-		t.Errorf("degenerate multiway assignment: %v", counts)
-	}
-	// The caches end up on the client here too.
-	for id, m := range assign {
-		if ci := p.Classifications[id]; ci != nil && ci.Class == "RecordCache" && m != "client" {
-			t.Errorf("multiway put RecordCache on %s", m)
-		}
 	}
 }
 

@@ -21,8 +21,8 @@ func TestAppAssembly(t *testing.T) {
 	if n := app.Classes.Len(); n < 120 || n > 170 {
 		t.Errorf("class count = %d, want ~150", n)
 	}
-	if app.Interfaces.Len() < 10 {
-		t.Errorf("interfaces = %d", app.Interfaces.Len())
+	if n := len(app.Interfaces.IIDs()); n < 10 {
+		t.Errorf("interfaces = %d", n)
 	}
 	// Storage is server-pinned infrastructure.
 	fs := app.Classes.LookupName("FileStore")

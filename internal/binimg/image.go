@@ -32,7 +32,7 @@ type Mode string
 // Instrumentation modes.
 const (
 	// ModeNone: the image has no configuration record.
-	ModeNone Mode = ""
+	ModeNone Mode = "" //lint:allow unusedexport closed set: the values of binimg.Mode, whose siblings are used
 	// ModeProfiling loads the runtime with the profiling logger: every
 	// call is sized and summarized.
 	ModeProfiling Mode = "profiling"
@@ -286,13 +286,4 @@ func (im *Image) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadFile reads an image from disk.
-func ReadFile(path string) (*Image, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
 }

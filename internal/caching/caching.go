@@ -32,7 +32,6 @@ type Cache struct {
 	entries map[key][]idl.Value
 	max     int
 	hits    int64
-	misses  int64
 }
 
 // New returns a cache bounded to max entries (0 means a generous default).
@@ -46,12 +45,6 @@ func New(max int) *Cache {
 // Hits returns how many cross-machine calls were answered locally.
 func (c *Cache) Hits() int64 { return c.hits }
 
-// Misses returns how many cacheable calls had to cross the network.
-func (c *Cache) Misses() int64 { return c.misses }
-
-// Len returns the number of cached results.
-func (c *Cache) Len() int { return len(c.entries) }
-
 // Lookup returns the cached results for an invocation, if present.
 func (c *Cache) Lookup(inst uint64, method string, args []idl.Value) ([]idl.Value, bool) {
 	d, ok := digest(args)
@@ -63,7 +56,6 @@ func (c *Cache) Lookup(inst uint64, method string, args []idl.Value) ([]idl.Valu
 		c.hits++
 		return rets, true
 	}
-	c.misses++
 	return nil, false
 }
 

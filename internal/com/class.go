@@ -24,20 +24,17 @@ type CLSID string
 // a set of known GUI or storage APIs are placed on the client or server
 // respectively).
 const (
-	APIGdiPaint      = "gdi32.BitBlt"
-	APIUserWindow    = "user32.CreateWindow"
-	APIUserInput     = "user32.GetMessage"
-	APIFileRead      = "kernel32.ReadFile"
-	APIFileWrite     = "kernel32.WriteFile"
-	APIFileOpen      = "kernel32.CreateFile"
-	APIODBCConnect   = "odbc32.SQLConnect"
-	APIODBCExec      = "odbc32.SQLExecDirect"
-	APISharedMemory  = "kernel32.MapViewOfFile"
-	APIRegistryRead  = "advapi32.RegQueryValue"
-	APIClipboard     = "user32.OpenClipboard"
-	APIPrintSpool    = "winspool.StartDoc"
-	APIMemoryAlloc   = "kernel32.HeapAlloc"
-	APINetworkSocket = "ws2_32.connect"
+	APIGdiPaint     = "gdi32.BitBlt"
+	APIUserWindow   = "user32.CreateWindow"
+	APIUserInput    = "user32.GetMessage"
+	APIFileRead     = "kernel32.ReadFile"
+	APIFileWrite    = "kernel32.WriteFile"
+	APIFileOpen     = "kernel32.CreateFile"
+	APIODBCConnect  = "odbc32.SQLConnect"
+	APIODBCExec     = "odbc32.SQLExecDirect"
+	APISharedMemory = "kernel32.MapViewOfFile"
+	APIClipboard    = "user32.OpenClipboard"
+	APIPrintSpool   = "winspool.StartDoc"
 )
 
 // Object is a component implementation: a dispatcher for interface method

@@ -9,15 +9,14 @@ import (
 	"repro/internal/idl"
 )
 
-// Machine identifies a placement target. The two-way cut uses Client and
-// Server; the multiway extension adds Middle.
+// Machine identifies a placement target: the exact two-way cut's Client
+// or Server.
 type Machine int
 
 // Placement targets.
 const (
 	Client Machine = 0
 	Server Machine = 1
-	Middle Machine = 2
 )
 
 // String names the machine.
@@ -27,8 +26,6 @@ func (m Machine) String() string {
 		return "client"
 	case Server:
 		return "server"
-	case Middle:
-		return "middle"
 	default:
 		return fmt.Sprintf("machine%d", int(m))
 	}
@@ -275,16 +272,6 @@ func (e *Env) Query(inst *Instance, iid string) (*Interface, error) {
 	return &Interface{iid: iid, inst: inst}, nil
 }
 
-// MustQuery is Query for statically known-good requests; it panics on
-// failure and exists for concise application code.
-func (e *Env) MustQuery(inst *Instance, iid string) *Interface {
-	itf, err := e.Query(inst, iid)
-	if err != nil {
-		panic(err)
-	}
-	return itf
-}
-
 // Call invokes method on the target interface on behalf of caller (nil for
 // the main program). The invocation routes through the CallInterface hook
 // when installed. Call keeps no reference to args, so a caller's variadic
@@ -389,17 +376,6 @@ func checkArgs(iid string, mdesc *idl.MethodDesc, args []idl.Value) error {
 // isIn reports whether p travels caller → callee, the filter
 // idl.MethodDesc.InParams applies.
 func isIn(p idl.ParamDesc) bool { return p.Dir == idl.In || p.Dir == idl.InOut }
-
-// Release destroys an instance. Further calls through its interfaces fail.
-func (e *Env) Release(inst *Instance) {
-	if inst == nil || inst.Released {
-		return
-	}
-	inst.Released = true
-	if e.hooks.ReleaseInstance != nil {
-		e.hooks.ReleaseInstance(inst)
-	}
-}
 
 // Compute accrues CPU time for inst's machine on the installed clock.
 func (e *Env) Compute(inst *Instance, d time.Duration) {

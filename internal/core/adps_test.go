@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -287,7 +288,11 @@ func TestImageRoundTripThroughDisk(t *testing.T) {
 	if err := adps.Image.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := binimg.ReadFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := binimg.Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}

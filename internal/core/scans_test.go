@@ -40,15 +40,19 @@ func scanOutputs(t *testing.T, name string) [5]string {
 		sum := sha256.Sum256(buf.Bytes())
 		return hex.EncodeToString(sum[:])
 	}
-	encode := func(v any) func(io.Writer) error {
-		return func(w io.Writer) error { return json.NewEncoder(w).Encode(v) }
+	encode := func(v any, indent string) func(io.Writer) error {
+		return func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", indent)
+			return enc.Encode(v)
+		}
 	}
 	return [5]string{
-		hash(encode(a.Reach)),
-		hash(encode(a.Purity)),
-		hash(encode(a.AnalysisOptions.Purity)),
+		hash(encode(a.Reach, "")),
+		hash(encode(a.Purity, "")),
+		hash(encode(a.AnalysisOptions.Purity, "")),
 		hash(a.Alias.WriteJSON),
-		hash(a.Static.WriteJSON),
+		hash(encode(a.Static, "  ")),
 	}
 }
 

@@ -174,7 +174,7 @@ func TestServerCloseRacesInflightCalls(t *testing.T) {
 	pol := CallPolicy{Timeout: time.Second, MaxAttempts: 2, Backoff: time.Millisecond}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		conn, err := Dial(srv.Addr(), WithPolicy(pol))
+		conn, err := dial(srv.Addr(), pol, int64(i), tcpDial)
 		if err != nil {
 			t.Fatalf("dial %d: %v", i, err)
 		}
@@ -302,7 +302,7 @@ func TestRetryReconnectsAfterConnFailure(t *testing.T) {
 	t.Parallel()
 	srv := serveEcho(t)
 	var dials atomic.Int32
-	conn, err := Dial(srv.Addr(), WithDialer(func(addr string) (net.Conn, error) {
+	conn, err := dial(srv.Addr(), DefaultCallPolicy(), 1, func(addr string) (net.Conn, error) {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
 			return nil, err
@@ -311,7 +311,7 @@ func TestRetryReconnectsAfterConnFailure(t *testing.T) {
 			return &failFirstWrite{Conn: nc}, nil
 		}
 		return nc, nil
-	}))
+	})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -348,7 +348,8 @@ func TestTimeoutErrorTyped(t *testing.T) {
 	}
 	defer conn.Close()
 
-	_, err = conn.Call("I", 1, "slow", nil, WithTimeout(50*time.Millisecond), WithoutRetries())
+	conn.policy.Timeout, conn.policy.MaxAttempts = 50*time.Millisecond, 1
+	_, err = conn.Call("I", 1, "slow", nil)
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}

@@ -143,6 +143,3 @@ func (c *Clock) Messages() int64 { return c.msgs }
 
 // Bytes returns the number of cross-machine payload bytes.
 func (c *Clock) Bytes() int64 { return c.bytes }
-
-// Network returns the clock's network model.
-func (c *Clock) Network() *netsim.Model { return c.net }

@@ -226,11 +226,11 @@ func pipeConn(t *testing.T, h CallHandler, r *roller, pol CallPolicy, waits *[]t
 	pl := &pipeListener{conns: make(chan net.Conn, 1), done: make(chan struct{})}
 	srv := serve(pl, h)
 	t.Cleanup(srv.Close)
-	conn, err := Dial(srv.Addr(), WithPolicy(pol), WithDialSeed(1), WithDialer(func(string) (net.Conn, error) {
+	conn, err := dial(srv.Addr(), pol, 1, func(string) (net.Conn, error) {
 		client, server := net.Pipe()
 		pl.conns <- server
 		return &rollConn{Conn: client, r: r}, nil
-	}))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

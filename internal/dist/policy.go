@@ -154,39 +154,3 @@ func (p FaultPolicy) validate() error {
 	}
 	return nil
 }
-
-// CallOption adjusts the policy of a single call.
-type CallOption func(*CallPolicy)
-
-// WithTimeout sets the per-attempt deadline for this call.
-func WithTimeout(d time.Duration) CallOption {
-	return func(p *CallPolicy) { p.Timeout = d }
-}
-
-// WithoutRetries disables retries for this call: one attempt, fail fast.
-func WithoutRetries() CallOption {
-	return func(p *CallPolicy) { p.MaxAttempts = 1 }
-}
-
-// DialOption configures a client connection.
-type DialOption func(*Conn)
-
-// WithPolicy sets the connection's default call policy.
-func WithPolicy(p CallPolicy) DialOption {
-	return func(c *Conn) { c.policy = p }
-}
-
-// WithDialSeed seeds the connection's client identity and backoff jitter,
-// making a chaos run's retry schedule reproducible.
-func WithDialSeed(seed int64) DialOption {
-	return func(c *Conn) {
-		c.clientID = splitmixID(uint64(seed))
-		c.rng = rand.New(rand.NewSource(seed))
-	}
-}
-
-// WithDialer replaces the TCP dialer, for alternate transports or a
-// wrapped conn. The dialer is also used for automatic reconnection.
-func WithDialer(dial func(addr string) (net.Conn, error)) DialOption {
-	return func(c *Conn) { c.dialFn = dial }
-}

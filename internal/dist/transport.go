@@ -284,23 +284,28 @@ func splitmixID(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Dial connects to a transport server.
-func Dial(addr string, opts ...DialOption) (*Conn, error) {
-	id := splitmixID(uint64(os.Getpid())<<32 ^ clientSeq.Add(1))
+// Dial connects to a transport server over TCP under the default call
+// policy.
+func Dial(addr string) (*Conn, error) {
+	seed := int64(uint64(os.Getpid())<<32 ^ clientSeq.Add(1))
+	return dial(addr, DefaultCallPolicy(), seed, tcpDial)
+}
+
+func tcpDial(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, 2*time.Second) }
+
+// dial connects through dialFn, which also redials a broken link, with
+// pol as every call's policy. seed fixes the client identity and the
+// backoff jitter, so a seeded connection's retry schedule reproduces.
+func dial(addr string, pol CallPolicy, seed int64, dialFn func(addr string) (net.Conn, error)) (*Conn, error) {
 	c := &Conn{
 		addr:     addr,
-		policy:   DefaultCallPolicy(),
-		clientID: id,
-		rng:      rand.New(rand.NewSource(int64(id))),
+		policy:   pol,
+		dialFn:   dialFn,
+		clientID: splitmixID(uint64(seed)),
+		rng:      rand.New(rand.NewSource(seed)),
 		sleep:    time.Sleep,
-		dialFn: func(a string) (net.Conn, error) {
-			return net.DialTimeout("tcp", a, 2*time.Second)
-		},
 	}
-	for _, o := range opts {
-		o(c)
-	}
-	nc, err := c.dialFn(addr)
+	nc, err := dialFn(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -388,12 +393,8 @@ func (c *Conn) attempt(req []byte, timeout time.Duration) ([]byte, outcome, erro
 // roundTrip sends one request and returns the response body: the real
 // driver of the delivery state machine (CallPolicy.run), feeding it socket
 // outcomes and sleeping its backoffs.
-func (c *Conn) roundTrip(op byte, method string, body []byte, opts []CallOption) ([]byte, error) {
-	pol := c.policy
-	for _, o := range opts {
-		o(&pol)
-	}
-	pol = pol.withDefaults()
+func (c *Conn) roundTrip(op byte, method string, body []byte) ([]byte, error) {
+	pol := c.policy.withDefaults()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	req := reqFrame(op, c.clientID, c.seq, body)
@@ -414,9 +415,8 @@ func (c *Conn) roundTrip(op byte, method string, body []byte, opts []CallOption)
 	return nil, &TransportError{Addr: c.addr, Method: method, Attempts: attempts, Err: last}
 }
 
-// Call invokes a remote method with pre-encoded parameters. Options
-// override the connection's policy for this call only.
-func (c *Conn) Call(iid string, instID uint64, method string, argBytes []byte, opts ...CallOption) ([]byte, error) {
+// Call invokes a remote method with pre-encoded parameters.
+func (c *Conn) Call(iid string, instID uint64, method string, argBytes []byte) ([]byte, error) {
 	e := idl.NewEncoder()
 	if err := e.Encode(idl.String(iid)); err != nil {
 		return nil, err
@@ -430,16 +430,16 @@ func (c *Conn) Call(iid string, instID uint64, method string, argBytes []byte, o
 	if err := e.Encode(idl.ByteBuf(argBytes)); err != nil {
 		return nil, err
 	}
-	return c.roundTrip(opCall, method, e.Bytes(), opts)
+	return c.roundTrip(opCall, method, e.Bytes())
 }
 
 // Ping measures one round trip carrying a payload of the given size; the
 // network profiler samples it to build a profile of a real transport.
-func (c *Conn) Ping(size int, opts ...CallOption) (time.Duration, error) {
+func (c *Conn) Ping(size int) (time.Duration, error) {
 	payload := make([]byte, size)
 	//lint:allow wallclock Ping measures real network round-trip time
 	start := time.Now()
-	if _, err := c.roundTrip(opPing, "ping", payload, opts); err != nil {
+	if _, err := c.roundTrip(opPing, "ping", payload); err != nil {
 		return 0, err
 	}
 	return time.Since(start), nil

@@ -97,7 +97,7 @@ func TestServerDispatchErrors(t *testing.T) {
 		t.Fatalf("handlerless call error = %v, want ErrRemote", err)
 	}
 	// Unknown opcode.
-	if _, err := conn.roundTrip(99, "", nil, nil); err == nil {
+	if _, err := conn.roundTrip(99, "", nil); err == nil {
 		t.Fatal("unknown opcode accepted")
 	}
 }

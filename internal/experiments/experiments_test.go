@@ -208,50 +208,6 @@ func TestAdaptiveRepartitioning(t *testing.T) {
 	}
 }
 
-func TestCompareMinCut(t *testing.T) {
-	t.Parallel()
-	cmp, err := CompareMinCut("o_oldbth")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.WeightPR != cmp.WeightEK {
-		t.Errorf("algorithms disagree: pr=%v ek=%v", cmp.WeightPR, cmp.WeightEK)
-	}
-	if cmp.Nodes < 100 {
-		t.Errorf("graph too small: %d nodes", cmp.Nodes)
-	}
-}
-
-func TestCompareBucketing(t *testing.T) {
-	t.Parallel()
-	cmp, err := CompareBucketing("o_oldwp7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bucket quantization stays within a factor-of-two envelope of exact
-	// pricing; the paper relies on it not changing placement decisions.
-	if cmp.RelativeError > 1.0 {
-		t.Errorf("bucketing error = %v", cmp.RelativeError)
-	}
-	if !cmp.SamePlacement {
-		t.Error("bucketing changed the placement")
-	}
-}
-
-func TestCompareNetworkProfile(t *testing.T) {
-	t.Parallel()
-	cmp, err := CompareNetworkProfile("o_oldtb3", 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cmp.RelativeError > 0.2 {
-		t.Errorf("sampled profile error = %v", cmp.RelativeError)
-	}
-	if !cmp.SamePlacement {
-		t.Error("sampling noise flipped the placement")
-	}
-}
-
 func TestFiguresBundleAndPrinter(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -282,31 +238,6 @@ func TestDistributionDrillDown(t *testing.T) {
 	}
 	if res.Analysis == nil || res.Analysis.ServerInstances == 0 {
 		t.Error("no server instances in PhotoDraw distribution")
-	}
-}
-
-func TestThreeTierEndToEnd(t *testing.T) {
-	t.Parallel()
-	res, err := ThreeTier(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All three machines host application components... the database
-	// machine hosts only infrastructure, so check client and middle.
-	if res.PerMachine[0] == 0 || res.PerMachine[2] == 0 {
-		t.Errorf("degenerate three-way placement: %v", res.PerMachine)
-	}
-	if res.Violations != 0 {
-		t.Errorf("violations = %d", res.Violations)
-	}
-	if res.CutWeight <= 0 || res.Comm <= 0 {
-		t.Errorf("weights: cut=%v comm=%v", res.CutWeight, res.Comm)
-	}
-	// Splitting the middle tier from the database costs extra crossings;
-	// the three-way distribution cannot beat the two-way one here, but it
-	// must stay within a small factor (the DB round trips are chatty).
-	if res.Comm > res.TwoWayComm*20 {
-		t.Errorf("three-way comm %v implausibly worse than two-way %v", res.Comm, res.TwoWayComm)
 	}
 }
 

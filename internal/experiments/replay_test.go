@@ -164,12 +164,4 @@ func TestReplayMatchesRun(t *testing.T) {
 			replayOracle(t, name, cfgs)
 		})
 	}
-	t.Run("three-tier", func(t *testing.T) {
-		t.Parallel()
-		cfg, _, err := threeTierConfig(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		replayOracle(t, "three-tier", []dist.Config{cfg})
-	})
 }

@@ -104,10 +104,10 @@ func (a *CutArena) Stats() CutArenaStats { return a.stats }
 // MinCut partitions the graph between client (source side) and server
 // (sink side) minimizing the weight of crossing edges, using
 // highest-label push-relabel over the CSR flow network (csr.go, hipr.go).
-// It is exact for two-way client/server cuts; partitioning across three
-// or more machines is NP-hard and handled by the heuristic in
-// multiway.go. Unpinned nodes in components touching neither terminal
-// carry no crossing cost; they land on the source side.
+// It is exact for two-way client/server cuts, the paper's claim;
+// partitioning across three or more machines is NP-hard. Unpinned nodes
+// in components touching neither terminal carry no crossing cost; they
+// land on the source side.
 func (g *Graph) MinCut() (*Cut, error) {
 	return g.MinCutCtx(context.Background())
 }
@@ -129,30 +129,29 @@ func (g *Graph) MinCutCtx(ctx context.Context) (*Cut, error) {
 // returned is identical to MinCutCtx's on the same graph.
 func (g *Graph) MinCutArena(ctx context.Context, a *CutArena) (*Cut, error) {
 	g.settle()
-	return g.minCutArena(ctx, a, g.pin)
+	return g.minCutArena(ctx, a)
 }
 
-// minCutArena runs one arena-backed cut of a settled graph under an
-// explicit per-node pin array (the multiway heuristic substitutes
-// per-terminal pins). It is the only path from a Graph to a production
-// Cut. Pins are validated against the welds once per staging: a matched
-// arena holds the very pin array and weld keys that passed at its last
-// restage, and the pin array's length fixes the node count. A matched
-// network that no capacity rewrite changed is not solved again; its cut
-// is read off the last solve's residual distances.
-func (g *Graph) minCutArena(ctx context.Context, a *CutArena, pin []int8) (*Cut, error) {
-	inf, err := g.infinityProxy(pin)
+// minCutArena runs one arena-backed cut of a settled graph. It is the
+// only path from a Graph to a production Cut. Pins are validated against
+// the welds once per staging: a matched arena holds a copy of the very
+// pin array and weld keys that passed at its last restage, and the pin
+// array's length fixes the node count. A matched network that no
+// capacity rewrite changed is not solved again; its cut is read off the
+// last solve's residual distances.
+func (g *Graph) minCutArena(ctx context.Context, a *CutArena) (*Cut, error) {
+	inf, err := g.infinityProxy()
 	if err != nil {
 		return nil, err
 	}
 	warm, changed := false, true
-	if a.matches(g, pin) {
+	if a.matches(g) {
 		warm, changed = a.rewrite(g, inf)
 	} else {
-		if err := g.validatePinned(pin); err != nil {
+		if err := g.Validate(); err != nil {
 			return nil, err
 		}
-		a.restage(g, pin, inf)
+		a.restage(g, inf)
 		a.stats.Restaged++
 	}
 	a.stats.Cuts++
@@ -190,15 +189,15 @@ func (a *CutArena) extractCut(g *Graph) (*Cut, error) {
 			sides[v] = SinkSide
 		}
 	}
-	return g.newCut(a.pin, sides, a.flow)
+	return g.newCut(sides, a.flow)
 }
 
 // matches reports whether the staged topology is exactly the graph's
 // current one (same nodes, edge keys, weld keys, and pin assignment), so
 // the CSR layout can be reused with only capacities rewritten. Both sides
 // are flat and sorted, so it is three array compares.
-func (a *CutArena) matches(g *Graph, pin []int8) bool {
-	return a.staged && slices.Equal(a.pin, pin) &&
+func (a *CutArena) matches(g *Graph) bool {
+	return a.staged && slices.Equal(a.pin, g.pin) &&
 		slices.Equal(a.edgeKeys, g.ekey) && slices.Equal(a.colocKeys, g.coloc)
 }
 
@@ -213,12 +212,12 @@ func (a *CutArena) matches(g *Graph, pin []int8) bool {
 // pinned node has no arc into t, so the cut's reverse BFS from t never
 // reaches it and it lands on the source side (the client). inf is the
 // graph's infinity proxy, the capacity of every weld and pin arc.
-func (a *CutArena) restage(g *Graph, pin []int8, inf time.Duration) {
+func (a *CutArena) restage(g *Graph, inf time.Duration) {
 	n := g.Len()
 	a.net.n, a.net.s, a.net.t, a.inf = n+2, n, n+1, inf
 	a.edgeKeys = append(a.edgeKeys[:0], g.ekey...)
 	a.colocKeys = append(a.colocKeys[:0], g.coloc...)
-	a.pin = append(a.pin[:0], pin...)
+	a.pin = append(a.pin[:0], g.pin...)
 	a.layout(g.ew)
 	a.staged, a.solved = true, false
 }

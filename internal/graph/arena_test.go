@@ -435,11 +435,11 @@ func TestBrokenPinIsAnError(t *testing.T) {
 	g := cancelTestGraph()
 	g.settle()
 	a := NewCutArena()
-	inf, err := g.infinityProxy(g.pin)
+	inf, err := g.infinityProxy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.restage(g, g.pin, inf)
+	a.restage(g, inf)
 	s := int32(g.index["s"])
 	for arc := a.net.head[a.net.s]; arc < a.net.head[a.net.s+1]; arc++ {
 		if a.net.to[arc] == s {

@@ -57,7 +57,7 @@ func (f *flowNet) addArc(u, v int, c, back time.Duration) {
 func (g *Graph) build() (*flowNet, error) {
 	n := g.Len()
 	f := &flowNet{n: n + 2, s: n, t: n + 1, arcs: make([][]arc, n+2)}
-	inf, err := g.infinityProxy(g.pin)
+	inf, err := g.infinityProxy()
 	if err != nil {
 		return nil, err
 	}
@@ -171,5 +171,5 @@ func (g *Graph) extractCutSides(onSource []bool, flow time.Duration) (*Cut, erro
 			side[i] = SinkSide
 		}
 	}
-	return g.newCut(g.pin, side, flow)
+	return g.newCut(side, flow)
 }

@@ -51,24 +51,3 @@ func TestMinCutCtxBackgroundMatchesMinCut(t *testing.T) {
 		t.Fatalf("weights diverge: MinCut %v vs MinCutCtx %v", a.Cost, b.Cost)
 	}
 }
-
-// TestMultiwayCutCtxCancelled: cancellation propagates through the
-// per-terminal isolating cuts.
-func TestMultiwayCutCtxCancelled(t *testing.T) {
-	t.Parallel()
-	g := New()
-	for i := 0; i < 30; i++ {
-		g.AddEdge(fmt.Sprintf("a%02d", i), fmt.Sprintf("b%02d", i), 1)
-		g.AddEdge(fmt.Sprintf("b%02d", i), fmt.Sprintf("c%02d", i), 2)
-	}
-	terms := []MultiwayTerminal{
-		{Machine: "m1", Pinned: []string{"a00"}},
-		{Machine: "m2", Pinned: []string{"b00"}},
-		{Machine: "m3", Pinned: []string{"c00"}},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := g.MultiwayCutCtx(ctx, terms); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MultiwayCutCtx(cancelled) err = %v, want context.Canceled", err)
-	}
-}

@@ -80,55 +80,3 @@ func randomGraphCopy(g *Graph) *Graph {
 	}
 	return c
 }
-
-// TestMultiwayPinnedNodesStayPut: whatever the isolation heuristic does
-// with free nodes, every pinned node must land on its own machine.
-func TestMultiwayPinnedNodesStayPut(t *testing.T) {
-	t.Parallel()
-	r := rand.New(rand.NewSource(23))
-	machines := []string{"client", "server", "middle"}
-	for trial := 0; trial < 40; trial++ {
-		nodes := 6 + r.Intn(12)
-		g := New()
-		for i := 0; i < nodes; i++ {
-			g.Node(fmt.Sprintf("n%d", i))
-		}
-		for i := 1; i < nodes; i++ {
-			g.AddEdge(fmt.Sprintf("n%d", r.Intn(i)), fmt.Sprintf("n%d", i), secs(0.1+r.Float64()))
-		}
-		for e := 0; e < nodes; e++ {
-			a, b := r.Intn(nodes), r.Intn(nodes)
-			if a != b {
-				g.AddEdge(fmt.Sprintf("n%d", a), fmt.Sprintf("n%d", b), secs(0.1+r.Float64()))
-			}
-		}
-		// One distinct pinned node per machine.
-		terminals := make([]MultiwayTerminal, len(machines))
-		for mi, m := range machines {
-			terminals[mi] = MultiwayTerminal{Machine: m, Pinned: []string{fmt.Sprintf("n%d", mi)}}
-		}
-		assign, _, err := g.MultiwayCut(terminals)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for mi, m := range machines {
-			node := fmt.Sprintf("n%d", mi)
-			if got := assign[node]; got != m {
-				t.Fatalf("trial %d: pinned node %s assigned to %q, want %q", trial, node, got, m)
-			}
-		}
-		// Every node must be assigned to some known machine.
-		for i := 0; i < nodes; i++ {
-			m := assign[fmt.Sprintf("n%d", i)]
-			known := false
-			for _, want := range machines {
-				if m == want {
-					known = true
-				}
-			}
-			if !known {
-				t.Fatalf("trial %d: node n%d assigned to unknown machine %q", trial, i, m)
-			}
-		}
-	}
-}

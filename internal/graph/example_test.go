@@ -43,23 +43,3 @@ func ExampleGraph_CoLocate() {
 	// Output:
 	// sprite side=0 reader side=1
 }
-
-// The multiway extension partitions across three machines with the
-// isolation heuristic.
-func ExampleGraph_MultiwayCut() {
-	g := graph.New()
-	g.AddEdge("form", "cache", 2*time.Second)
-	g.AddEdge("cache", "logic", 500*time.Millisecond)
-	g.AddEdge("logic", "db", 4*time.Second)
-	assign, weight, err := g.MultiwayCut([]graph.MultiwayTerminal{
-		{Machine: "client", Pinned: []string{"form"}},
-		{Machine: "middle", Pinned: []string{"logic"}},
-		{Machine: "dbserver", Pinned: []string{"db"}},
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("cache on %s, crossing weight %.1f\n", assign["cache"], weight.Seconds())
-	// Output:
-	// cache on client, crossing weight 4.5
-}

@@ -12,10 +12,8 @@
 //   - arena.go is the production cut: CutArena lays its copy of the store
 //     out as a flat CSR flow network (csr.go) with no arc list in between,
 //     runs highest-label push-relabel over it (hipr.go), and reads the cut
-//     off the solver's own reverse BFS from t. MinCut, MinCutCtx and every
-//     isolating cut of the multiway heuristic (multiway.go, the paper's
-//     future-work extension to three or more machines) are cuts through an
-//     arena.
+//     off the solver's own reverse BFS from t. MinCut and MinCutCtx are
+//     cuts through an arena.
 //   - baseline.go is the oracle: Edmonds–Karp on its own adjacency-list
 //     network with its own union-find extractor, sharing nothing with the
 //     production path but the Graph accessors.
@@ -33,7 +31,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"time"
 )
 
@@ -103,12 +100,6 @@ func (g *Graph) Node(name string) int {
 	g.pin = append(g.pin, unpinned)
 	g.index[name] = i
 	return i
-}
-
-// HasNode reports whether the named node exists.
-func (g *Graph) HasNode(name string) bool {
-	_, ok := g.index[name]
-	return ok
 }
 
 // Name returns the name of node i.
@@ -271,18 +262,13 @@ func (g *Graph) TotalWeight() (time.Duration, error) {
 }
 
 // infinityProxy returns the finite capacity standing in for an infinite
-// (weld or pin) arc under pin, 2·TotalWeight+1: more than any cut of edges
-// alone costs, so no minimum cut crosses one. Every residual and excess is
-// at most the network's total capacity — each edge and weld both ways,
-// each pin once — so that must fit an int64 too, or it is ErrOverflow.
-func (g *Graph) infinityProxy(pin []int8) (time.Duration, error) {
+// (weld or pin) arc, 2·TotalWeight+1: more than any cut of edges alone
+// costs, so no minimum cut crosses one. Every residual and excess is at
+// most the network's total capacity — each edge and weld both ways, each
+// pin once — so that must fit an int64 too, or it is ErrOverflow.
+func (g *Graph) infinityProxy() (time.Duration, error) {
 	t, err := g.TotalWeight()
-	proxies := 2 * len(g.coloc)
-	for _, p := range pin {
-		if p != unpinned {
-			proxies++
-		}
-	}
+	proxies := 2*len(g.coloc) + g.pins
 	inf := 2*t + 1
 	if err == nil && inf > (math.MaxInt64-2*t)/time.Duration(max(proxies, 1)) {
 		err = fmt.Errorf("%w: %d pin and weld arcs of 2·%v+1", ErrOverflow, proxies, t)
@@ -379,19 +365,12 @@ func (g *Graph) WithoutCoLocations() *Graph {
 // apart is rejected even though no single constraint spans the pins.
 func (g *Graph) Validate() error {
 	g.settle()
-	return g.validatePinned(g.pin)
-}
-
-// validatePinned is Validate under an explicit per-node pin array over the
-// graph's welds, for callers (the multiway heuristic) that cut the same
-// graph under substituted pins.
-func (g *Graph) validatePinned(pin []int8) error {
 	uf := newUnionFind(g.Len())
 	for _, k := range g.coloc {
 		uf.union(k.nodes())
 	}
 	firstPinned := make(map[int]int) // weld-component root -> pinned node
-	for v, side := range pin {
+	for v, side := range g.pin {
 		if side == unpinned {
 			continue
 		}
@@ -401,7 +380,7 @@ func (g *Graph) validatePinned(pin []int8) error {
 			firstPinned[root] = v
 			continue
 		}
-		if pin[w] != side {
+		if g.pin[w] != side {
 			return fmt.Errorf("graph: nodes %q and %q are (transitively) co-located but pinned to different machines",
 				g.names[w], g.names[v])
 		}
@@ -464,21 +443,6 @@ func (g *Graph) crossing(apart func(lo, hi int) bool) (cost time.Duration, welds
 	return cost, welds
 }
 
-// AllOn returns the trivial assignment with every node on one side — the
-// "default distribution" of a desktop application that runs entirely on
-// the client (pinned nodes keep their pins).
-func (g *Graph) AllOn(s Side) map[string]Side {
-	assign := make(map[string]Side, g.Len())
-	for i, name := range g.names {
-		if p := g.pin[i]; p != unpinned {
-			assign[name] = Side(p)
-		} else {
-			assign[name] = s
-		}
-	}
-	return assign
-}
-
 // Cut is the result of a two-way partition.
 type Cut struct {
 	// Assignment is every node's side, indexed like the graph's nodes:
@@ -501,8 +465,8 @@ var ErrFlowMismatch = errors.New("graph: cut cost differs from its max flow")
 // (proxy arcs) and costs its solve's flow, so a side vector that breaks a
 // pin (naming the node), splits a weld or costs other than flow comes from
 // a corrupted network or residual state and is an error, not a Cut.
-func (g *Graph) newCut(pin []int8, sides []Side, flow time.Duration) (*Cut, error) {
-	for v, p := range pin {
+func (g *Graph) newCut(sides []Side, flow time.Duration) (*Cut, error) {
+	for v, p := range g.pin {
 		if p != unpinned && Side(p) != sides[v] {
 			return nil, fmt.Errorf("graph: cut puts %q, pinned to side %d, on side %d", g.names[v], p, sides[v])
 		}
@@ -515,27 +479,4 @@ func (g *Graph) newCut(pin []int8, sides []Side, flow time.Duration) (*Cut, erro
 		return nil, fmt.Errorf("%w: crossing %v, flow %v", ErrFlowMismatch, cost, flow)
 	}
 	return &Cut{Assignment: sides, Cost: cost, seconds: seconds{cost.Seconds(), cost.Seconds()}, names: g.names}, nil
-}
-
-// Count returns how many nodes landed on the given side.
-func (c *Cut) Count(s Side) int {
-	n := 0
-	for _, side := range c.Assignment {
-		if side == s {
-			n++
-		}
-	}
-	return n
-}
-
-// NodesOn returns the sorted names on a side.
-func (c *Cut) NodesOn(s Side) []string {
-	var out []string
-	for i, side := range c.Assignment {
-		if side == s {
-			out = append(out, c.names[i])
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -324,80 +324,6 @@ func TestPropertyCutNeverWorseThanDefault(t *testing.T) {
 	}
 }
 
-func TestMultiwayCutThreeTerminals(t *testing.T) {
-	t.Parallel()
-	// Three clusters, each hanging off its own terminal with heavy
-	// internal edges and light cross edges.
-	g := New()
-	clusters := map[string][]string{
-		"client": {"c1", "c2"},
-		"middle": {"m1", "m2"},
-		"server": {"s1", "s2"},
-	}
-	for term, nodes := range clusters {
-		for _, n := range nodes {
-			g.AddEdge(term, n, 100)
-		}
-	}
-	g.AddEdge("c1", "m1", 1)
-	g.AddEdge("m2", "s1", 1)
-	g.AddEdge("c2", "s2", 1)
-	assign, w, err := g.MultiwayCut([]MultiwayTerminal{
-		{Machine: "client", Pinned: []string{"client"}},
-		{Machine: "middle", Pinned: []string{"middle"}},
-		{Machine: "server", Pinned: []string{"server"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for term, nodes := range clusters {
-		for _, n := range nodes {
-			if assign[n] != term {
-				t.Errorf("%s assigned to %s, want %s", n, assign[n], term)
-			}
-		}
-	}
-	if w != 3 {
-		t.Errorf("multiway weight = %v, want 3", w)
-	}
-}
-
-func TestMultiwayCutErrors(t *testing.T) {
-	t.Parallel()
-	g := New()
-	g.AddEdge("a", "b", 1)
-	if _, _, err := g.MultiwayCut([]MultiwayTerminal{{Machine: "x", Pinned: []string{"a"}}}); err == nil {
-		t.Fatal("single terminal accepted")
-	}
-}
-
-func TestMultiwayCutTwoTerminalsMatchesMinCut(t *testing.T) {
-	t.Parallel()
-	g := New()
-	g.Pin("s", SourceSide)
-	g.Pin("t", SinkSide)
-	g.AddEdge("s", "a", 10)
-	g.AddEdge("a", "b", 1)
-	g.AddEdge("b", "t", 10)
-	cut, err := g.MinCut()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assign, w, err := g.MultiwayCut([]MultiwayTerminal{
-		{Machine: "client", Pinned: []string{"s"}},
-		{Machine: "server", Pinned: []string{"t"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w != cut.Cost {
-		t.Errorf("multiway %v vs mincut %v", w, cut.Cost)
-	}
-	if assign["a"] != "client" || assign["b"] != "server" {
-		t.Errorf("assignment = %v", assign)
-	}
-}
-
 func TestLargeGraphPerformanceSanity(t *testing.T) {
 	t.Parallel()
 	// The paper's largest graphs have a few thousand classifications; the

@@ -29,9 +29,6 @@ func NewEncoder() *Encoder { return &Encoder{} }
 // Bytes returns the accumulated wire bytes.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 func (e *Encoder) u32(n uint32) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, n)
 }

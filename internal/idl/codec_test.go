@@ -257,7 +257,7 @@ func TestPropertyEncodedLenMatchesDeepSizeForPointerFreeValues(t *testing.T) {
 		if err := e.Encode(v); err != nil {
 			return false
 		}
-		return e.Len() == v.DeepSize()
+		return len(e.Bytes()) == v.DeepSize()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -1,0 +1,44 @@
+package idl
+
+import "strings"
+
+// Constructors and accessors that only the tests use.
+
+// Void is the void value.
+func Void() Value { return Value{Type: TVoid} }
+
+// Bool constructs a boolean value.
+func Bool(b bool) Value {
+	v := Value{Type: TBool}
+	if b {
+		v.Int = 1
+	}
+	return v
+}
+
+// ArrayVal constructs an array value.
+func ArrayVal(t *TypeDesc, elems ...Value) Value {
+	return Value{Type: t, Elems: elems}
+}
+
+// IsVoid reports whether v is the void value.
+func (v Value) IsVoid() bool { return v.Type == nil || v.Type.Kind == KindVoid }
+
+// AsBool returns the boolean payload.
+func (v Value) AsBool() bool { return v.Int != 0 }
+
+// AsFloat returns the float payload.
+func (v Value) AsFloat() float64 { return v.Float }
+
+// Array constructs a conformant-array type descriptor.
+func Array(elem *TypeDesc) *TypeDesc {
+	return &TypeDesc{Kind: KindArray, Elem: elem}
+}
+
+// FormatString returns a compact one-line encoding of a type, e.g.
+// "S{l,d,a(y)}" for struct{long, double, byte[][]}.
+func (t *TypeDesc) FormatString() string {
+	var b strings.Builder
+	t.format(&b)
+	return b.String()
+}

@@ -97,7 +97,7 @@ type FieldDesc struct {
 // Predeclared scalar type descriptors.
 var (
 	TVoid    = &TypeDesc{Kind: KindVoid}
-	TBool    = &TypeDesc{Kind: KindBool}
+	TBool    = &TypeDesc{Kind: KindBool} //lint:allow unusedexport closed set: one predeclared descriptor per scalar Kind
 	TInt32   = &TypeDesc{Kind: KindInt32}
 	TInt64   = &TypeDesc{Kind: KindInt64}
 	TFloat64 = &TypeDesc{Kind: KindFloat64}
@@ -114,11 +114,6 @@ func Struct(name string, fields ...FieldDesc) *TypeDesc {
 // Field constructs a struct field descriptor.
 func Field(name string, t *TypeDesc) FieldDesc {
 	return FieldDesc{Name: name, Type: t}
-}
-
-// Array constructs a conformant-array type descriptor.
-func Array(elem *TypeDesc) *TypeDesc {
-	return &TypeDesc{Kind: KindArray, Elem: elem}
 }
 
 // InterfaceType constructs an interface-pointer type descriptor. iid may be
@@ -311,9 +306,6 @@ func (r *Registry) Register(d *InterfaceDesc) {
 func (r *Registry) Lookup(iid string) *InterfaceDesc {
 	return r.byIID[iid]
 }
-
-// Len returns the number of registered interfaces.
-func (r *Registry) Len() int { return len(r.byIID) }
 
 // IIDs returns all registered interface ids, sorted.
 func (r *Registry) IIDs() []string {

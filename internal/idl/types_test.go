@@ -119,8 +119,8 @@ func TestRegistry(t *testing.T) {
 	if got := r.Lookup("IBar"); got != nil {
 		t.Fatalf("Lookup(IBar) = %+v, want nil", got)
 	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", r.Len())
+	if n := len(r.IIDs()); n != 1 {
+		t.Fatalf("%d interfaces, want 1", n)
 	}
 	ids := r.IIDs()
 	if len(ids) != 1 || ids[0] != "IFoo" {

@@ -29,18 +29,6 @@ type Value struct {
 	Opaque any          // KindOpaque
 }
 
-// Void is the void value.
-func Void() Value { return Value{Type: TVoid} }
-
-// Bool constructs a boolean value.
-func Bool(b bool) Value {
-	v := Value{Type: TBool}
-	if b {
-		v.Int = 1
-	}
-	return v
-}
-
 // Int32 constructs a 32-bit integer value.
 func Int32(n int32) Value { return Value{Type: TInt32, Int: int64(n)} }
 
@@ -78,11 +66,6 @@ func StructVal(t *TypeDesc, fields ...Value) Value {
 	return Value{Type: t, Elems: fields}
 }
 
-// ArrayVal constructs an array value.
-func ArrayVal(t *TypeDesc, elems ...Value) Value {
-	return Value{Type: t, Elems: elems}
-}
-
 // anyInterface types every IfacePtr value. A pointer carries its own IID,
 // so the descriptor names none ("any") and one shared descriptor serves
 // every value; declared parameter types keep their IIDs.
@@ -95,17 +78,8 @@ func IfacePtr(p InterfacePtr) Value { return Value{Type: anyInterface, Iface: p}
 // non-remotable by construction.
 func OpaquePtr(p any) Value { return Value{Type: TOpaque, Opaque: p} }
 
-// IsVoid reports whether v is the void value.
-func (v Value) IsVoid() bool { return v.Type == nil || v.Type.Kind == KindVoid }
-
-// AsBool returns the boolean payload.
-func (v Value) AsBool() bool { return v.Int != 0 }
-
 // AsInt returns the integer payload.
 func (v Value) AsInt() int64 { return v.Int }
-
-// AsFloat returns the float payload.
-func (v Value) AsFloat() float64 { return v.Float }
 
 // AsString returns the string payload.
 func (v Value) AsString() string { return v.Str }

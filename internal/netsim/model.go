@@ -130,13 +130,6 @@ func (m *Model) MessageTime(bytes int) time.Duration {
 	return m.PerMessageCPU + m.Latency + tx
 }
 
-// RoundTripTime returns the mean cost of a synchronous interface call that
-// sends inBytes of parameters and receives outBytes of results. Each
-// direction is a message.
-func (m *Model) RoundTripTime(inBytes, outBytes int) time.Duration {
-	return m.MessageTime(inBytes) + m.MessageTime(outBytes)
-}
-
 // SampleMessageTime returns one stochastic observation of the one-way cost,
 // applying the model's jitter. Samples never fall below half the mean.
 func (m *Model) SampleMessageTime(bytes int, rng *rand.Rand) time.Duration {

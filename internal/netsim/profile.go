@@ -114,11 +114,6 @@ func lerp(a, b ProfilePoint, x int) time.Duration {
 	return a.Time + time.Duration(frac*float64(b.Time-a.Time))
 }
 
-// RoundTripTime predicts a synchronous call's cost from the profile.
-func (p *Profile) RoundTripTime(inBytes, outBytes int) time.Duration {
-	return p.MessageTime(inBytes) + p.MessageTime(outBytes)
-}
-
 // ExactProfile builds a profile that reproduces a model's mean exactly at
 // the given sizes (no sampling noise). Useful for tests and for the
 // ablation comparing sampled against oracle network knowledge.

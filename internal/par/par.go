@@ -1,6 +1,6 @@
 // Package par provides the bounded fan-out shared by CPU-bound work
-// across the repository: the experiment pipelines, the static-analysis
-// report, and the multiway cut's per-terminal isolating cuts.
+// across the repository: the experiment pipelines and the static-analysis
+// report.
 package par
 
 import (
@@ -13,7 +13,7 @@ import (
 // returns the results in input order. Callers are CPU-bound (profile
 // replay, graph cuts), so more workers would only thrash. Every call
 // spawns its own workers, so nested fan-outs (an experiment sweep whose
-// items each run a multiway cut) cannot deadlock against each other —
+// items each fan out again) cannot deadlock against each other —
 // they merely oversubscribe briefly, which the scheduler absorbs.
 //
 // When several items fail, the error of the earliest item wins, so the

@@ -61,8 +61,11 @@ func TestCommFieldsAreExactSums(t *testing.T) {
 			continue
 		}
 		server, cloned := map[string]bool{}, map[string]bool{}
-		for _, id := range a.ReplicatedCut.NodesOn(graph.SinkSide) {
-			server[id] = true
+		// The replicated graph keeps the base graph's nodes in order.
+		for i, side := range a.ReplicatedCut.Assignment {
+			if side == graph.SinkSide {
+				server[a.Graph.Name(i)] = true
+			}
 		}
 		for _, id := range a.Replicated {
 			cloned[id] = true

@@ -52,13 +52,6 @@ type ReplicationSet struct {
 	Classifications []string `json:"classifications"`
 	// Classes lists the distinct classes behind them, sorted.
 	Classes []string `json:"classes,omitempty"`
-
-	index map[string]bool
-}
-
-// Eligible reports whether the classification is replication-eligible.
-func (rs *ReplicationSet) Eligible(classification string) bool {
-	return rs.index[classification]
 }
 
 // Grading is the profile-folded output of the purity analysis: every
@@ -73,16 +66,6 @@ type Grading struct {
 	Replication ReplicationSet   `json:"replication"`
 }
 
-// Component returns the grade for a classification id, or nil.
-func (g *Grading) Component(classification string) *ComponentGrade {
-	for i := range g.Components {
-		if g.Components[i].Classification == classification {
-			return &g.Components[i]
-		}
-	}
-	return nil
-}
-
 // Grade folds profile evidence into the static report and grades every
 // profiled component. theta ≤ 0 selects DefaultTheta. The main program
 // is never graded (it is not a component and never replicates).
@@ -91,7 +74,6 @@ func (r *Report) Grade(p *profile.Profile, theta float64) *Grading {
 		theta = DefaultTheta
 	}
 	g := &Grading{App: r.App, Theta: theta}
-	g.Replication.index = make(map[string]bool)
 
 	// Per-classification observed call/write totals.
 	calls := make(map[string]int64)
@@ -155,7 +137,6 @@ func (r *Report) Grade(p *profile.Profile, theta float64) *Grading {
 		}
 		if cg.Grade == GradeStateless || cg.Grade == GradeReadMostly {
 			g.Replication.Classifications = append(g.Replication.Classifications, id)
-			g.Replication.index[id] = true
 			classes[ci.Class] = true
 		}
 		g.Components = append(g.Components, cg)

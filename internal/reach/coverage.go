@@ -187,18 +187,6 @@ func (c *Coverage) UncoveredEdges() []Edge {
 	return out
 }
 
-// UncoveredSites returns the statically possible activation sites no
-// training scenario exercised.
-func (c *Coverage) UncoveredSites() []Site {
-	var out []Site
-	for _, s := range c.Sites {
-		if !s.Covered {
-			out = append(out, s.Site)
-		}
-	}
-	return out
-}
-
 // InstallConstraints adds one conservative co-location pair per uncovered
 // class-to-class edge to the constraint set: the profile recorded no
 // traffic for the edge, so the partitioner has no cost evidence, and the

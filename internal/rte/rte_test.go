@@ -112,7 +112,7 @@ func TestProfilingRunCollectsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	itf := env.MustQuery(root, "IRoot")
+	itf := mustQuery(env, root, "IRoot")
 	if _, err := env.Call(nil, itf, "Run"); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestClassifierSeesNestedContext(t *testing.T) {
 	r.BeginRun("s")
 	leafDirect, _ := env.CreateInstance(nil, "CLSID_Leaf")
 	root, _ := env.CreateInstance(nil, "CLSID_Root")
-	itf := env.MustQuery(root, "IRoot")
+	itf := mustQuery(env, root, "IRoot")
 	if _, err := env.Call(nil, itf, "Run"); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestPlacerAndRemoteCommunication(t *testing.T) {
 	r := attach(t, env, Options{Placer: placer, Comm: comm})
 	r.BeginRun("s")
 	root, _ := env.CreateInstance(nil, "CLSID_Root")
-	itf := env.MustQuery(root, "IRoot")
+	itf := mustQuery(env, root, "IRoot")
 	if _, err := env.Call(nil, itf, "Run"); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestNonRemotableCrossingCountsViolation(t *testing.T) {
 	r := attach(t, env, Options{Placer: placer, Comm: comm})
 	r.BeginRun("s")
 	leaf, _ := env.CreateInstance(nil, "CLSID_Leaf")
-	shm := env.MustQuery(leaf, "ISharedMem")
+	shm := mustQuery(env, leaf, "ISharedMem")
 	if _, err := env.Call(nil, shm, "Ptr", idl.OpaquePtr("region")); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestSnapshotOrdering(t *testing.T) {
 	probe, _ := env.CreateInstance(nil, "CLSID_Probe")
 	root, _ := env.CreateInstance(nil, "CLSID_Root")
 	_ = root
-	itf := env.MustQuery(probe, "ILeaf")
+	itf := mustQuery(env, probe, "ILeaf")
 	if _, err := env.Call(nil, itf, "Work", idl.ByteBuf(nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -346,8 +346,8 @@ func TestTrappedIfaceCallAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hold := env.MustQuery(leaf, "IHold")
-	arg := env.MustQuery(leaf, "ILeaf")
+	hold := mustQuery(env, leaf, "IHold")
+	arg := mustQuery(env, leaf, "ILeaf")
 	allocs := testing.AllocsPerRun(100, func() {
 		_, err = env.Call(nil, hold, "Hold", idl.IfacePtr(arg))
 	})
@@ -511,7 +511,7 @@ func TestMeasureDetectsNonRemotable(t *testing.T) {
 	plain := []idl.Value{idl.Int32(1)}
 	opaque := []idl.Value{idl.OpaquePtr("shm")}
 	// An empty array whose element type is opaque still cannot marshal.
-	emptyOpaque := []idl.Value{idl.ArrayVal(idl.Array(idl.TOpaque))}
+	emptyOpaque := []idl.Value{{Type: &idl.TypeDesc{Kind: idl.KindArray, Elem: idl.TOpaque}}}
 	for _, c := range []struct {
 		name       string
 		iface      *idl.InterfaceDesc
@@ -529,4 +529,13 @@ func TestMeasureDetectsNonRemotable(t *testing.T) {
 			t.Errorf("%s: non-remotable = %v, want %v", c.name, got, c.want)
 		}
 	}
+}
+
+// mustQuery is Query for requests a test knows are good.
+func mustQuery(env *com.Env, inst *com.Instance, iid string) *com.Interface {
+	itf, err := env.Query(inst, iid)
+	if err != nil {
+		panic(err)
+	}
+	return itf
 }

@@ -150,18 +150,6 @@ func generateSynth(name string) (*synthapp.App, error) {
 	return sa, nil
 }
 
-// ForApp returns the scenario names belonging to one application, in
-// Table 1 order.
-func ForApp(app string) []string {
-	var out []string
-	for _, s := range Table1() {
-		if s.App == app {
-			out = append(out, s.Name)
-		}
-	}
-	return out
-}
-
 // TrainingForApp returns the classifier-training scenarios (everything
 // except the bigone synthesis). For "synth:..." names it is the
 // generated application's own training suite, so profile-dependent

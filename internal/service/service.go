@@ -65,9 +65,6 @@ func New(q *jobqueue.Queue, opts ...Option) *Server {
 	return s
 }
 
-// Metrics exposes the registry (the worker pool and handlers share it).
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // Handler returns the HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()

@@ -248,12 +248,6 @@ func (cs *ConstraintSet) AddCoveragePair(a, b, iid, reason string) bool {
 	return true
 }
 
-// Empty reports whether the set constrains nothing.
-func (cs *ConstraintSet) Empty() bool {
-	return cs == nil || (len(cs.Pins) == 0 && len(cs.Pairs) == 0 &&
-		len(cs.CoveragePairs) == 0 && len(cs.AliasPairs) == 0)
-}
-
 // PinFor returns the location constraint for a class name, if any.
 func (cs *ConstraintSet) PinFor(class string) (Pin, bool) {
 	p, ok := cs.Pins[class]
@@ -322,7 +316,7 @@ type ApplyStats struct {
 // ApplyToGraph installs the constraint set into a communication graph
 // built from a profile: classification-level pins become terminal pins
 // and statically welded communicating pairs become infinite-weight edges,
-// before mincut/multiway runs. The main program's permanent client pin is
+// before the cut runs. The main program's permanent client pin is
 // the graph builder's responsibility, not this set's.
 func (cs *ConstraintSet) ApplyToGraph(g *graph.Graph, p *profile.Profile) ApplyStats {
 	var st ApplyStats

@@ -35,12 +35,13 @@ func FuzzScanImage(f *testing.F) {
 	seed(photodraw.New(), true)
 	seed(benefits.New(), true)
 
+	app := photodraw.New()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		img, err := binimg.Decode(data)
 		if err != nil {
 			return
 		}
-		m, err := staticanal.ScanImage(img, nil)
+		m, err := staticanal.ScanImage(img, app)
 		if err != nil {
 			return
 		}

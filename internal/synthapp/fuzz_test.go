@@ -2,7 +2,9 @@ package synthapp_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/binimg"
@@ -10,7 +12,7 @@ import (
 )
 
 // FuzzSynthApp feeds arbitrary config bytes into the generator. The
-// contract: FromBytes either rejects the input with a typed ConfigError
+// contract: fromBytes either rejects the input with a typed ConfigError
 // or yields a config for which Generate must succeed, the resulting app
 // must be Validate-clean, and regeneration must be byte-identical.
 func FuzzSynthApp(f *testing.F) {
@@ -24,11 +26,11 @@ func FuzzSynthApp(f *testing.F) {
 	f.Add([]byte{0xee})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, err := synthapp.FromBytes(data)
+		cfg, err := fromBytes(data)
 		if err != nil {
 			var ce *synthapp.ConfigError
 			if !errors.As(err, &ce) {
-				t.Fatalf("FromBytes returned untyped error %v", err)
+				t.Fatalf("fromBytes returned untyped error %v", err)
 			}
 			return
 		}
@@ -54,4 +56,23 @@ func FuzzSynthApp(f *testing.F) {
 			t.Fatalf("config %+v regenerated a different image", cfg)
 		}
 	})
+}
+
+// fromBytes derives a Config from raw bytes, the fuzzing entry point: a
+// family selector byte, a little-endian seed, and a scale byte. Inputs
+// shorter than the 10-byte header are rejected with a ConfigError.
+func fromBytes(data []byte) (synthapp.Config, error) {
+	if len(data) < 10 {
+		return synthapp.Config{}, &synthapp.ConfigError{Field: "bytes", Reason: fmt.Sprintf("need 10 bytes, got %d", len(data))}
+	}
+	fams := synthapp.Families()
+	seed := int64(binary.LittleEndian.Uint64(data[1:9]))
+	if seed < 0 {
+		seed = -(seed + 1) // keep the full bit pattern reachable, positively
+	}
+	return synthapp.Config{
+		Family: fams[int(data[0])%len(fams)],
+		Seed:   seed,
+		Scale:  1 + int(data[9])%synthapp.MaxScale,
+	}, nil
 }

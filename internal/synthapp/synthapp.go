@@ -43,7 +43,6 @@
 package synthapp
 
 import (
-	"encoding/binary"
 	"fmt"
 )
 
@@ -131,23 +130,4 @@ func (c Config) Name() string {
 		name += fmt.Sprintf("-x%d", c.Scale)
 	}
 	return name
-}
-
-// FromBytes derives a Config from raw bytes — the fuzzing entry point: a
-// family selector byte, a little-endian seed, and a scale byte. Inputs
-// shorter than the 10-byte header are rejected with a ConfigError.
-func FromBytes(data []byte) (Config, error) {
-	if len(data) < 10 {
-		return Config{}, &ConfigError{Field: "bytes", Reason: fmt.Sprintf("need 10 bytes, got %d", len(data))}
-	}
-	fams := Families()
-	seed := int64(binary.LittleEndian.Uint64(data[1:9]))
-	if seed < 0 {
-		seed = -(seed + 1) // keep the full bit pattern reachable, positively
-	}
-	return Config{
-		Family: fams[int(data[0])%len(fams)],
-		Seed:   seed,
-		Scale:  1 + int(data[9])%MaxScale,
-	}, nil
 }

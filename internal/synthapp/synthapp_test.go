@@ -139,18 +139,18 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := synthapp.Generate(synthapp.Config{Family: synthapp.Skewed, Seed: 1, Scale: synthapp.MaxScale + 1}); !errors.As(err, &ce) {
 		t.Fatalf("oversized scale: got %v, want ConfigError", err)
 	}
-	if _, err := synthapp.FromBytes([]byte{1, 2, 3}); !errors.As(err, &ce) {
+	if _, err := fromBytes([]byte{1, 2, 3}); !errors.As(err, &ce) {
 		t.Fatalf("short bytes: got %v, want ConfigError", err)
 	}
-	cfg, err := synthapp.FromBytes([]byte{3, 0xaa, 0xbb, 0xcc, 0, 0, 0, 0, 0x80, 9})
+	cfg, err := fromBytes([]byte{3, 0xaa, 0xbb, 0xcc, 0, 0, 0, 0, 0x80, 9})
 	if err != nil {
-		t.Fatalf("FromBytes: %v", err)
+		t.Fatalf("fromBytes: %v", err)
 	}
 	if cfg.Seed < 0 {
-		t.Fatalf("FromBytes produced negative seed %d", cfg.Seed)
+		t.Fatalf("fromBytes produced negative seed %d", cfg.Seed)
 	}
 	if cfg.Scale < 1 || cfg.Scale > synthapp.MaxScale {
-		t.Fatalf("FromBytes produced scale %d", cfg.Scale)
+		t.Fatalf("fromBytes produced scale %d", cfg.Scale)
 	}
 	if _, err := synthapp.Generate(cfg); err != nil {
 		t.Fatalf("Generate(FromBytes config): %v", err)

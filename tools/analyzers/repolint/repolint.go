@@ -23,6 +23,9 @@
 //	errcmp       sentinel errors (ErrFoo) must be compared with
 //	             errors.Is, never == / != — identity breaks under
 //	             wrapping; custom Is methods are exempt
+//	unusedexport an exported identifier of an internal/ package needs a
+//	             reference from a non-test file somewhere in the tree
+//	             (a whole-tree rule: CheckDir runs it, CheckFile does not)
 //
 // A finding is waived by a comment on the same or the preceding line:
 //
@@ -380,31 +383,50 @@ func waivers(f *File) map[int]map[string]bool {
 	return out
 }
 
-// CheckFile parses one file and runs every analyzer, dropping waived
-// findings.
+// CheckFile parses one file and runs every per-file analyzer, dropping
+// waived findings.
 func CheckFile(fset *token.FileSet, path string, src any) ([]Diagnostic, error) {
+	f, err := parseFile(fset, path, src)
+	if err != nil {
+		return nil, err
+	}
+	return unwaived(f, runFile(f)), nil
+}
+
+func parseFile(fset *token.FileSet, path string, src any) (*File, error) {
 	astf, err := parser.ParseFile(fset, path, src, parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}
-	f := &File{Path: filepath.ToSlash(path), Fset: fset, AST: astf}
-	w := waivers(f)
+	return &File{Path: filepath.ToSlash(path), Fset: fset, AST: astf}, nil
+}
+
+func runFile(f *File) []Diagnostic {
 	var out []Diagnostic
 	for _, a := range Analyzers {
-		for _, d := range a.Run(f) {
-			if w[d.Pos.Line][d.Rule] {
-				continue
-			}
+		out = append(out, a.Run(f)...)
+	}
+	return out
+}
+
+// unwaived drops the findings in f that a //lint:allow comment waives.
+func unwaived(f *File, ds []Diagnostic) []Diagnostic {
+	w := waivers(f)
+	var out []Diagnostic
+	for _, d := range ds {
+		if !w[d.Pos.Line][d.Rule] {
 			out = append(out, d)
 		}
 	}
-	return out, nil
+	return out
 }
 
-// CheckDir walks a directory tree and checks every non-generated Go file.
+// CheckDir walks a directory tree, checks every non-generated Go file,
+// and runs the unusedexport rule over the whole tree.
 func CheckDir(root string) ([]Diagnostic, error) {
 	fset := token.NewFileSet()
-	var out []Diagnostic
+	var files []*File
+	var modDirs []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -416,18 +438,33 @@ func CheckDir(root string) ([]Diagnostic, error) {
 			}
 			return nil
 		}
+		if d.Name() == "go.mod" {
+			modDirs = append(modDirs, filepath.Dir(path))
+		}
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		ds, err := CheckFile(fset, path, nil)
+		f, err := parseFile(fset, path, nil)
 		if err != nil {
 			return err
 		}
-		out = append(out, ds...)
+		files = append(files, f)
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	tree, err := unusedExports(fset, files, modDirs)
+	if err != nil {
+		return nil, err
+	}
+	byFile := map[string][]Diagnostic{}
+	for _, d := range tree {
+		byFile[d.Pos.Filename] = append(byFile[d.Pos.Filename], d)
+	}
+	var out []Diagnostic
+	for _, f := range files {
+		out = append(out, unwaived(f, append(runFile(f), byFile[fset.Position(f.AST.Pos()).Filename]...))...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos.Filename != out[j].Pos.Filename {

@@ -2,6 +2,8 @@ package repolint
 
 import (
 	"go/token"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -224,5 +226,101 @@ func TestCheckDirOnThisPackage(t *testing.T) {
 	}
 	if len(ds) != 0 {
 		t.Fatalf("repolint has findings on itself: %v", ds)
+	}
+}
+
+// unusedTree is a two-module tree in the shape of this repository: a
+// command, an internal package and a benchmark module of its own that
+// imports it.
+var unusedTree = map[string]string{
+	"go.mod": "module example.com/m\n",
+	"cmd/m/main.go": `package main
+
+import "example.com/m/internal/p"
+
+func main() { p.Used(); _ = p.Measure(p.Square{}) }
+`,
+	"internal/p/p.go": `package p
+
+// Used is called by the command.
+func Used() {}
+
+// OnlyTests is referenced from a test file alone.
+func OnlyTests() {}
+
+// FromBench is referenced by the benchmark module alone.
+func FromBench() {}
+
+// Shape is what Measure measures.
+type Shape interface{ Area() int }
+
+// Square is a Shape.
+type Square struct{}
+
+// Area is reached only through Shape.
+func (Square) Area() int { return 1 }
+
+// Measure is called by the command.
+func Measure(s Shape) int { return s.Area() }
+`,
+	"internal/p/p_test.go": "package p\n\nvar _ = OnlyTests\n",
+	"bench/go.mod":         "module example.com/m/bench\n",
+	"bench/main.go": `package main
+
+import "example.com/m/internal/p"
+
+func main() { p.FromBench() }
+`,
+}
+
+// checkTree writes files under a fresh directory, with replace applied
+// to internal/p/p.go, and runs CheckDir over it.
+func checkTree(t *testing.T, files map[string]string, old, replacement string) []Diagnostic {
+	t.Helper()
+	root := t.TempDir()
+	for name, src := range files {
+		if name == "internal/p/p.go" {
+			src = strings.Replace(src, old, replacement, 1)
+		}
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds, err := CheckDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+func TestUnusedExport(t *testing.T) {
+	t.Parallel()
+	// Only OnlyTests is flagged: a test reference is no use, while the
+	// benchmark module's call and the call through Shape are.
+	ds := checkTree(t, unusedTree, "", "")
+	if len(ds) != 1 || ds[0].Rule != "unusedexport" || !strings.Contains(ds[0].Message, "function OnlyTests") {
+		t.Fatalf("diagnostics = %v, want one unusedexport for OnlyTests", ds)
+	}
+	// Without the benchmark module's call, FromBench is flagged too.
+	noBench := map[string]string{}
+	for name, src := range unusedTree {
+		noBench[name] = src
+	}
+	noBench["bench/main.go"] = "package main\n\nfunc main() {}\n"
+	if ds := checkTree(t, noBench, "", ""); len(ds) != 2 {
+		t.Fatalf("diagnostics = %v, want OnlyTests and FromBench", ds)
+	}
+	// A waiver with a reason silences the finding ...
+	const decl = "func OnlyTests() {}"
+	if ds := checkTree(t, unusedTree, decl, "//lint:allow unusedexport closed set: a test fixture\n"+decl); len(ds) != 0 {
+		t.Fatalf("waived finding reported: %v", ds)
+	}
+	// ... and one without a reason does not.
+	if ds := checkTree(t, unusedTree, decl, "//lint:allow unusedexport\n"+decl); len(ds) != 1 {
+		t.Fatalf("reasonless waiver: diagnostics = %v, want one", ds)
 	}
 }
