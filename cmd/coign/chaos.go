@@ -16,7 +16,9 @@ import (
 // cmdChaos runs one scenario in its default distribution over a lossy
 // network: the frames of cross-machine calls are dropped/corrupted per the
 // configured (or model-derived) rates and calls are retried with backoff.
-// The same seed always produces the same fault schedule.
+// The same seed always produces the same fault schedule. With -trace it
+// first prints the run's fault records, read back from its stored trace,
+// also when a call gave up and failed the run.
 func cmdChaos(_ context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
 	scen := fs.String("scenario", "o_oldwp7", "scenario to run")
@@ -53,11 +55,19 @@ func cmdChaos(_ context.Context, args []string, w io.Writer) error {
 	}
 	cfg.Seed, cfg.Faults = *seed, pol
 	if *trace {
-		cfg.Trace = logger.NewTrace(w)
+		cfg.Trace = logger.NewTrace()
 	}
 	res, err := dist.Run(cfg)
 	if err != nil && !errors.Is(err, dist.ErrTimeout) {
 		return err
+	}
+	if *trace {
+		for i := 0; i < cfg.Trace.Len(); i++ {
+			if ev := cfg.Trace.At(i); ev.Kind == logger.EvFault {
+				f := ev.Fault
+				fmt.Fprintf(w, "fault %s attempt=%d bytes=%d penalty=%v\n", f.Kind, f.Attempt, f.Bytes, f.Penalty)
+			}
+		}
 	}
 	fmt.Fprintf(w, "%s on %s (drop %.1f%%, corrupt %.1f%%, %d attempt(s), seed %d)\n",
 		*scen, cfg.Network.Name, pol.Drop*100, pol.Corrupt*100, pol.MaxAttempts, cfg.Seed)

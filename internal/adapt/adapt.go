@@ -97,17 +97,17 @@ func (w *Watchdog) ShouldReprofile() bool {
 	return w.Drift() > w.Threshold
 }
 
-// TopDivergences lists the classification pairs contributing most to the
-// drift: edges whose observed share differs most from their profiled
-// share. Useful diagnostics for the developer usage model.
+// Divergence is one classification pair's share of the calls in the
+// profile and in the observed run.
 type Divergence struct {
 	Src, Dst      string
 	ProfiledShare float64
 	ObservedShare float64
 }
 
-// TopDivergences returns up to n divergences ordered by absolute share
-// difference.
+// TopDivergences lists up to n classification pairs contributing most to
+// the drift: the edges whose observed share differs most from their
+// profiled share, ordered by absolute share difference.
 func (w *Watchdog) TopDivergences(n int) []Divergence {
 	var profTotal, obsTotal float64
 	for _, e := range w.Profile.Edges {

@@ -164,8 +164,8 @@ func TestNestedCallThroughComponent(t *testing.T) {
 	if out[0].AsInt() != 5 {
 		t.Fatalf("Poke returned %v", out)
 	}
-	if all := env.Instances(); len(all) != 2 || all[0].Released || all[1].Released {
-		t.Fatalf("instances = %+v, want 2 live", all)
+	if all := env.Instances(); len(all) != 2 {
+		t.Fatalf("instances = %+v, want 2", all)
 	}
 }
 
@@ -194,31 +194,6 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, err := env.Query(nil, "ICounter"); err == nil {
 		t.Error("query on nil instance succeeded")
-	}
-	env.Release(counter)
-	if _, err := env.Query(counter, "ICounter"); err == nil {
-		t.Error("query on released instance succeeded")
-	}
-}
-
-func TestReleaseSemantics(t *testing.T) {
-	t.Parallel()
-	env := NewEnv(testApp())
-	counter, _ := env.CreateInstance(nil, "CLSID_Counter")
-	itf := env.MustQuery(counter, "ICounter")
-	released := 0
-	env.SetHooks(Hooks{ReleaseInstance: func(*Instance) { released++ }})
-	env.Release(counter)
-	env.Release(counter) // double release is a no-op
-	env.Release(nil)
-	if released != 1 {
-		t.Fatalf("release hook ran %d times", released)
-	}
-	if all := env.Instances(); len(all) != 1 || !all[0].Released {
-		t.Fatalf("instances after release = %+v, want 1 released", all)
-	}
-	if _, err := env.Call(nil, itf, "Get"); err == nil {
-		t.Error("call to released instance succeeded")
 	}
 }
 
@@ -320,7 +295,6 @@ func TestInstancesIteration(t *testing.T) {
 	}
 	a, _ := env.CreateInstance(nil, "CLSID_Counter")
 	b, _ := env.CreateInstance(nil, "CLSID_Caller")
-	env.Release(a)
 	all := env.Instances()
 	if len(all) != 2 || all[0] != a || all[1] != b {
 		t.Fatalf("Instances = %v, want creation order", all)

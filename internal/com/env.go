@@ -39,7 +39,6 @@ type Instance struct {
 	Object         Object
 	Machine        Machine
 	Classification string // assigned by the instance classifier, "" before
-	Released       bool
 
 	// primary is the handle Query returns for the class's first interface,
 	// filled at activation, so the usual one query per instance allocates
@@ -126,8 +125,6 @@ type Hooks struct {
 	// target method.
 	CallInterface func(caller *Instance, target *Interface, call *Call,
 		next func(*Call) ([]idl.Value, error)) ([]idl.Value, error)
-	// ReleaseInstance observes instance destruction.
-	ReleaseInstance func(inst *Instance)
 	// StateWrite observes a state mutation performed by the named method
 	// of inst. The default discards the observation.
 	StateWrite func(inst *Instance, method string)
@@ -260,9 +257,6 @@ func (e *Env) Query(inst *Instance, iid string) (*Interface, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("com: QueryInterface on nil instance")
 	}
-	if inst.Released {
-		return nil, fmt.Errorf("com: QueryInterface on released instance %d (%s)", inst.ID, inst.Class.Name)
-	}
 	if !inst.Class.Implements(iid) {
 		return nil, fmt.Errorf("com: class %s does not implement %s", inst.Class.Name, iid)
 	}
@@ -279,9 +273,6 @@ func (e *Env) Query(inst *Instance, iid string) (*Interface, error) {
 func (e *Env) Call(caller *Instance, target *Interface, method string, args ...idl.Value) ([]idl.Value, error) {
 	if target == nil {
 		return nil, fmt.Errorf("com: call through nil interface")
-	}
-	if target.inst.Released {
-		return nil, fmt.Errorf("com: call to released instance %d (%s)", target.inst.ID, target.inst.Class.Name)
 	}
 	var mdesc *idl.MethodDesc
 	idesc := e.app.Interfaces.Lookup(target.iid)

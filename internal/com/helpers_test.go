@@ -11,16 +11,3 @@ func (e *Env) MustQuery(inst *Instance, iid string) *Interface {
 	}
 	return itf
 }
-
-// Release destroys an instance. Further calls through its interfaces
-// fail. No application releases an instance; the release path is
-// exercised from the tests alone.
-func (e *Env) Release(inst *Instance) {
-	if inst == nil || inst.Released {
-		return
-	}
-	inst.Released = true
-	if e.hooks.ReleaseInstance != nil {
-		e.hooks.ReleaseInstance(inst)
-	}
-}

@@ -212,7 +212,7 @@ func (a *ADPS) profile(scenario string, instanceDetail, trace bool) (*profile.Pr
 		return nil, nil, err
 	}
 	if trace {
-		cfg.Trace = logger.NewTrace(nil)
+		cfg.Trace = logger.NewTrace()
 	}
 	res, err := dist.Run(cfg)
 	if err != nil {
@@ -485,7 +485,7 @@ func (a *ADPS) ClassifierAccuracy(kind classify.Kind, depth int,
 		if err != nil {
 			return nil, err
 		}
-		cfg.Seed, cfg.Classifier, cfg.Trace = seed, classify.New(kind, depth), logger.NewTrace(nil)
+		cfg.Seed, cfg.Classifier, cfg.Trace = seed, classify.New(kind, depth), logger.NewTrace()
 		if _, err := dist.Run(cfg); err != nil {
 			return nil, err
 		}

@@ -17,7 +17,7 @@ import (
 // fault policy and returns the result plus the fault trail from the trace.
 func simChaosRun(t *testing.T, seed int64, pol *FaultPolicy) (*Result, []logger.FaultRecord) {
 	t.Helper()
-	trace := logger.NewTrace(nil)
+	trace := logger.NewTrace()
 	res, err := Run(Config{
 		App: pipelineApp(), Scenario: "big", Seed: seed, Mode: ModeDefault,
 		Classifier: classify.New(classify.IFCB, 0),

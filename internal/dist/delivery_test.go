@@ -266,7 +266,7 @@ func TestZeroPolicyFieldsMeanOneThing(t *testing.T) {
 		dropAll := FaultPolicy{Drop: 1, CallPolicy: c.pol}
 
 		clock := NewClock(netsim.TenBaseT, nil)
-		trail := logger.NewTrace(nil)
+		trail := logger.NewTrace()
 		clock.SetFaults(dropAll, rand.New(rand.NewSource(1)), trail)
 		vAttempts, vErr := clock.deliver(100, 100)
 		var vTimeouts []time.Duration
@@ -355,7 +355,7 @@ type wireTally struct{ timeouts, corrupts, reanswered int }
 // profiled trace, checked to be the sequence Replay prices.
 func scenarioCalls(t *testing.T, app *com.App, scenario string) [][2]int {
 	t.Helper()
-	trace := logger.NewTrace(nil)
+	trace := logger.NewTrace()
 	if _, err := Run(Config{App: app, Scenario: scenario, Seed: 1, Mode: ModeProfiling,
 		Classifier: classify.New(classify.IFCB, 0), Trace: trace}); err != nil {
 		t.Fatal(err)

@@ -224,7 +224,7 @@ func TestRunDefaultModeChargesStorageTraffic(t *testing.T) {
 
 func TestRunProfilingMode(t *testing.T) {
 	t.Parallel()
-	trace := logger.NewTrace(nil)
+	trace := logger.NewTrace()
 	res, err := Run(Config{
 		App: pipelineApp(), Scenario: "small", Mode: ModeProfiling,
 		Classifier: classify.New(classify.IFCB, 0), Trace: trace,
@@ -354,7 +354,7 @@ func TestRunErrors(t *testing.T) {
 // app's scenario at seed.
 func pipelineTrace(t testing.TB, scenario string, seed int64) *logger.Trace {
 	t.Helper()
-	trace := logger.NewTrace(nil)
+	trace := logger.NewTrace()
 	if _, err := Run(Config{
 		App: pipelineApp(), Scenario: scenario, Seed: seed, Mode: ModeProfiling,
 		Classifier: classify.New(classify.IFCB, 0), Trace: trace,
@@ -376,7 +376,7 @@ func events(trace *logger.Trace) []logger.Event {
 // record appends evs to a new trace through its recording methods; an
 // event of no known kind is dropped.
 func record(evs []logger.Event) *logger.Trace {
-	trace := logger.NewTrace(nil)
+	trace := logger.NewTrace()
 	for _, ev := range evs {
 		switch ev.Kind {
 		case logger.EvBegin:
@@ -385,8 +385,6 @@ func record(evs []logger.Event) *logger.Trace {
 			trace.Instantiation(ev.Inst)
 		case logger.EvCall:
 			trace.Call(ev.Call)
-		case logger.EvRelease:
-			trace.Release(ev.Inst.ID)
 		case logger.EvEnd:
 			trace.EndRun()
 		case logger.EvFault:
@@ -477,7 +475,7 @@ func TestOneMeasurementInEveryMode(t *testing.T) {
 		{octarine.New(), octarine.ScenOldWp7},
 	} {
 		calls := func(mode Mode) ([]logger.CallRecord, map[uint64]com.Machine, *Result) {
-			trace := logger.NewTrace(nil)
+			trace := logger.NewTrace()
 			res, err := Run(Config{App: c.app, Scenario: c.scenario, Mode: mode,
 				Classifier: classify.New(classify.IFCB, 0), Trace: trace})
 			if err != nil {

@@ -21,7 +21,7 @@ import (
 func replayOracle(t *testing.T, name string, cfgs []dist.Config) {
 	t.Helper()
 	prof := cfgs[0]
-	trace := logger.NewTrace(nil)
+	trace := logger.NewTrace()
 	prof.Mode, prof.Trace, prof.Faults = dist.ModeProfiling, trace, nil
 	if _, err := dist.Run(prof); err != nil {
 		t.Fatalf("%s: traced run: %v", name, err)

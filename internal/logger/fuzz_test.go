@@ -33,8 +33,9 @@ func encode(t *testing.T, p *profile.Profile) string {
 // FuzzEventTrace ./internal/logger` to explore beyond the seed corpus.
 func FuzzEventTrace(f *testing.F) {
 	for _, n := range []uint16{0, 1, traceChunk - 1, traceChunk, traceChunk + 1} {
-		f.Add(n, []byte{0, 1, 2, 2, 3, 5, 4})
-		f.Add(n, []byte{0, 1, 1, 2, 6, 2, 1, 6, 2, 3})
+		f.Add(n, []byte{byte(EvBegin), byte(EvInstantiation), byte(EvCall), byte(EvCall), byte(EvFault), byte(EvEnd)})
+		f.Add(n, []byte{byte(EvBegin), byte(EvInstantiation), byte(EvInstantiation), byte(EvCall), byte(EvMutation),
+			byte(EvCall), byte(EvInstantiation), byte(EvMutation), byte(EvCall), byte(EvEnd)})
 		f.Add(n, []byte{byte(EvInstantiation)})
 		f.Add(n, []byte{byte(EvCall)})
 		f.Add(n, []byte{byte(EvFault)})
@@ -45,10 +46,10 @@ func FuzzEventTrace(f *testing.F) {
 		if len(kinds) == 0 {
 			kinds = []byte{byte(EvCall)}
 		}
-		tr, zero := NewTrace(nil), new(Trace)
+		tr, zero := NewTrace(), new(Trace)
 		want := make([]Event, 0, count)
 		for i := 0; i < count; i++ {
-			k := EventKind(kinds[i%len(kinds)] % 7)
+			k := EventKind(kinds[i%len(kinds)]) % (EvMutation + 1)
 			// Instance ids run densely from 1 for the first half of the
 			// events, then sparsely; calls and writes hit instantiated
 			// instances, the main program and unknown ones.
@@ -74,9 +75,6 @@ func FuzzEventTrace(f *testing.F) {
 					full := ev.Call
 					full.IID = "IThing"
 					t.Call(full)
-				case EvRelease:
-					ev.Inst.ID = id
-					t.Release(id)
 				case EvEnd:
 					t.EndRun()
 				case EvFault:

@@ -1,9 +1,7 @@
 package logger
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -27,7 +25,7 @@ func sampleCall() CallRecord {
 func TestProfilingLoggerSummarizes(t *testing.T) {
 	t.Parallel()
 	var l Trace
-	stored := NewTrace(nil)
+	stored := NewTrace()
 	for _, tr := range []*Trace{&l, stored} {
 		tr.BeginRun("app", "o_newdoc", "ifcb")
 		tr.Instantiation(sampleInst(1))
@@ -72,7 +70,7 @@ func TestProfilingLoggerSummarizes(t *testing.T) {
 
 func TestProfilingLoggerWithoutInstanceDetail(t *testing.T) {
 	t.Parallel()
-	l := NewTrace(nil)
+	l := NewTrace()
 	l.BeginRun("app", "s", "ifcb")
 	l.Instantiation(sampleInst(1))
 	l.Call(sampleCall())
@@ -99,7 +97,7 @@ func TestProfilingLoggerKeepsOneRun(t *testing.T) {
 
 func TestProfilingLoggerStartsEmpty(t *testing.T) {
 	t.Parallel()
-	if new(Trace).Profile() != nil || NewTrace(nil).Profile() != nil {
+	if new(Trace).Profile() != nil || NewTrace().Profile() != nil {
 		t.Fatal("profile before any run")
 	}
 }
@@ -128,7 +126,7 @@ func TestProfilingLoggerIgnoresEventsOutsideRun(t *testing.T) {
 // refold of the stored trace alike.
 func TestTraceFoldsMutations(t *testing.T) {
 	t.Parallel()
-	l := NewTrace(nil)
+	l := NewTrace()
 	l.BeginRun("app", "s", "ifcb")
 	l.Instantiation(sampleInst(1))
 	l.Call(sampleCall())
@@ -154,7 +152,7 @@ func TestTraceFoldsMutations(t *testing.T) {
 func TestTraceClassifiesSparseInstances(t *testing.T) {
 	t.Parallel()
 	for _, ids := range [][]uint64{{5, 6, 7}, {5, 9, 2}, {5, 6, 6, 9}} {
-		l := NewTrace(nil)
+		l := NewTrace()
 		l.BeginRun("app", "s", "ifcb")
 		for _, id := range ids {
 			l.Instantiation(InstRecord{ID: id, Class: "C", Classification: fmt.Sprintf("C@%d", id)})
@@ -181,38 +179,26 @@ func TestTraceClassifiesSparseInstances(t *testing.T) {
 
 func TestEventLoggerTracesEverything(t *testing.T) {
 	t.Parallel()
-	var buf bytes.Buffer
-	l := NewTrace(&buf)
+	l := NewTrace()
 	l.BeginRun("app", "s", "ifcb")
 	l.Instantiation(sampleInst(1))
 	l.Call(sampleCall())
-	l.Release(1)
+	l.Fault(FaultRecord{Kind: "drop", Attempt: 1, Bytes: 8})
 	l.EndRun()
 	if l.Len() != 5 {
 		t.Fatalf("events = %d", l.Len())
 	}
-	kinds := []EventKind{EvBegin, EvInstantiation, EvCall, EvRelease, EvEnd}
+	kinds := []EventKind{EvBegin, EvInstantiation, EvCall, EvFault, EvEnd}
 	for i, k := range kinds {
 		if l.At(i).Kind != k {
 			t.Errorf("event %d kind = %v, want %v", i, l.At(i).Kind, k)
 		}
 	}
-	out := buf.String()
-	for _, want := range []string{"begin app s", "create #1 Reader", "call #0->#1 IReader.Read", "release #1", "end"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q in %q", want, out)
-		}
+	if ev := l.At(1); ev.Inst.ID != 1 || ev.Inst.Class != "Reader" {
+		t.Errorf("instantiation read back as %+v", ev.Inst)
 	}
-}
-
-func TestEventLoggerNilWriter(t *testing.T) {
-	t.Parallel()
-	l := NewTrace(nil)
-	l.BeginRun("a", "s", "ifcb")
-	l.Call(sampleCall())
-	l.EndRun()
-	if l.Len() != 3 {
-		t.Fatalf("events = %d", l.Len())
+	if ev := l.At(3); ev.Fault.Kind != "drop" || ev.Fault.Bytes != 8 {
+		t.Errorf("fault read back as %+v", ev.Fault)
 	}
 }
 
@@ -224,7 +210,7 @@ func TestTraceRefusesOversizedCall(t *testing.T) {
 		t.Errorf("a trace record is %d bytes, want 32", n)
 	}
 	for _, size := range []struct{ in, out int }{{1 << 32, 0}, {0, 1 << 40}, {-1, 0}} {
-		l := NewTrace(nil)
+		l := NewTrace()
 		l.Call(sampleCall())
 		c := sampleCall()
 		c.InBytes, c.OutBytes = size.in, size.out
@@ -237,7 +223,7 @@ func TestTraceRefusesOversizedCall(t *testing.T) {
 			t.Errorf("in=%d out=%d: %d events recorded, want the 2 that fit", size.in, size.out, l.Len())
 		}
 	}
-	l := NewTrace(nil)
+	l := NewTrace()
 	c := sampleCall()
 	c.InBytes, c.OutBytes = 1<<32-1, 1<<32-1
 	if l.Call(c); l.Err() != nil || l.At(0).Call.InBytes != 1<<32-1 {
@@ -249,16 +235,15 @@ func TestTraceRefusesOversizedCall(t *testing.T) {
 // profile, the two roles one recorder plays.
 func TestTraceStoresAndFolds(t *testing.T) {
 	t.Parallel()
-	e := NewTrace(nil)
+	e := NewTrace()
 	e.BeginRun("app", "s", "ifcb")
 	e.Instantiation(sampleInst(1))
 	e.Call(sampleCall())
-	e.Release(1)
 	e.EndRun()
 	if e.Profile() == nil || e.Profile().TotalCalls() != 1 {
 		t.Error("the trace folded no call")
 	}
-	if e.Len() != 5 {
-		t.Errorf("the trace stored %d events, want 5", e.Len())
+	if e.Len() != 4 {
+		t.Errorf("the trace stored %d events, want 4", e.Len())
 	}
 }

@@ -1,10 +1,10 @@
 // Package logger implements Coign's information logger (paper §3.3).
 // Under direction of the runtime executive, Coign components pass
-// application events — component instantiations and destructions,
-// interface calls, state writes — to the information logger, which the
-// paper lets summarize them (profiling logger), trace them in full (event
-// logger), or discard them (null logger, used during distributed
-// execution).
+// application events — component instantiations, interface calls, state
+// writes — to the information logger, which the paper lets summarize them
+// (profiling logger), trace them in full (event logger), or discard them
+// (null logger, used during distributed execution). Components are never
+// destroyed here, so there is no release event.
 //
 // Here the three roles are one recorder, Trace, and its absence. Every
 // event becomes one 32-byte record, and the ICC profile is a fold over
@@ -19,7 +19,6 @@ package logger
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -73,7 +72,6 @@ const (
 	EvBegin EventKind = iota
 	EvInstantiation
 	EvCall
-	EvRelease
 	EvEnd
 	// EvFault records an injected network fault (chaos runs).
 	EvFault
@@ -82,12 +80,11 @@ const (
 )
 
 // Event is one trace entry as read back (see Trace.At). Kind says which
-// fields are set: App and Scen for EvBegin, Inst for EvInstantiation (its
-// ID alone for EvRelease), Call for EvCall, Fault for EvFault. A call is
-// read back as the trace keeps it: SrcInst, DstInst, Method, InBytes,
-// OutBytes and NonRemotable. An EvMutation is read back as Call.DstInst,
-// the instance whose state was written, and Call.Method, the method that
-// wrote it.
+// fields are set: App and Scen for EvBegin, Inst for EvInstantiation,
+// Call for EvCall, Fault for EvFault. A call is read back as the trace
+// keeps it: SrcInst, DstInst, Method, InBytes, OutBytes and NonRemotable.
+// An EvMutation is read back as Call.DstInst, the instance whose state was
+// written, and Call.Method, the method that wrote it.
 type Event struct {
 	Kind  EventKind
 	Inst  InstRecord
@@ -124,8 +121,8 @@ func (c *chunked[T]) at(i uint64) *T { return &c.chunks[i/traceChunk][i%traceChu
 // record is one trace event as stored: 32 bytes whatever its kind. For an
 // EvCall, a and b are the calling and the called instance and method
 // indexes the method table; an EvMutation has its instance in a and its
-// method in method; for an EvRelease, a is the instance; for EvBegin,
-// EvInstantiation and EvFault, a indexes the event's side table.
+// method in method; for EvBegin, EvInstantiation and EvFault, a indexes
+// the event's side table.
 type record struct {
 	a, b         uint64
 	in, out      uint32
@@ -142,8 +139,7 @@ type record struct {
 // replayer prices the execution again from it under any distribution
 // (paper §3.3: the event logger's traces "drive detailed application
 // simulations"). The zero Trace stores nothing: its profile is all it
-// keeps. With a writer, every event but a state write is also printed in
-// full as it happens.
+// keeps.
 type Trace struct {
 	store   bool
 	events  chunked[record]
@@ -154,11 +150,10 @@ type Trace struct {
 	index   map[string]uint32 // method name -> its index in methods
 	sum     summary
 	err     error
-	w       io.Writer // optional live text sink
 }
 
-// NewTrace returns an empty trace that stores every event; w may be nil.
-func NewTrace(w io.Writer) *Trace { return &Trace{store: true, w: w} }
+// NewTrace returns an empty trace that stores every event.
+func NewTrace() *Trace { return &Trace{store: true} }
 
 // Len returns the number of events stored.
 func (t *Trace) Len() int { return t.events.n }
@@ -175,8 +170,6 @@ func (t *Trace) At(i int) Event {
 	case EvCall:
 		ev.Call = CallRecord{SrcInst: r.a, DstInst: r.b, Method: t.methods[r.method],
 			InBytes: int(r.in), OutBytes: int(r.out), NonRemotable: r.nonRemotable}
-	case EvRelease:
-		ev.Inst.ID = r.a
 	case EvFault:
 		ev.Fault = *t.faults.at(r.a)
 	case EvMutation:
@@ -248,9 +241,6 @@ func (t *Trace) intern(name string) uint32 {
 func (t *Trace) BeginRun(app, scenario, classifier string) {
 	t.runs = append(t.runs, [3]string{app, scenario, classifier})
 	t.add(record{kind: EvBegin, a: uint64(len(t.runs) - 1)}, nil, "")
-	if t.w != nil {
-		fmt.Fprintf(t.w, "begin %s %s\n", app, scenario)
-	}
 }
 
 // Instantiation records a component creation.
@@ -260,18 +250,11 @@ func (t *Trace) Instantiation(rec InstRecord) {
 		r.a = t.insts.add(rec)
 	}
 	t.add(r, &rec, "")
-	if t.w != nil {
-		fmt.Fprintf(t.w, "create #%d %s as %s\n", rec.ID, rec.Class, rec.Classification)
-	}
 }
 
 // Call records one interface invocation. A size outside a record's 32
 // bits is not recorded but kept as the trace's error.
 func (t *Trace) Call(rec CallRecord) {
-	if t.w != nil {
-		fmt.Fprintf(t.w, "call #%d->#%d %s.%s in=%d out=%d\n",
-			rec.SrcInst, rec.DstInst, rec.IID, rec.Method, rec.InBytes, rec.OutBytes)
-	}
 	if !fits32(rec.InBytes) || !fits32(rec.OutBytes) {
 		if t.err == nil {
 			t.err = fmt.Errorf("logger: call #%d->#%d %s.%s: sizes in=%d out=%d do not fit a trace record",
@@ -293,20 +276,9 @@ func (t *Trace) Mutation(inst uint64, method string) {
 	t.add(record{kind: EvMutation, a: inst}, nil, method)
 }
 
-// Release records a component destruction.
-func (t *Trace) Release(instID uint64) {
-	t.add(record{kind: EvRelease, a: instID}, nil, "")
-	if t.w != nil {
-		fmt.Fprintf(t.w, "release #%d\n", instID)
-	}
-}
-
 // EndRun finishes the current run.
 func (t *Trace) EndRun() {
 	t.add(record{kind: EvEnd}, nil, "")
-	if t.w != nil {
-		fmt.Fprintln(t.w, "end")
-	}
 }
 
 // Fault records an injected network fault.
@@ -316,10 +288,6 @@ func (t *Trace) Fault(rec FaultRecord) {
 		r.a = t.faults.add(rec)
 	}
 	t.add(r, nil, "")
-	if t.w != nil {
-		fmt.Fprintf(t.w, "fault %s attempt=%d bytes=%d penalty=%v\n",
-			rec.Kind, rec.Attempt, rec.Bytes, rec.Penalty)
-	}
 }
 
 // summary is the profile a trace's records fold into: inter-component

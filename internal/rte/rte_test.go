@@ -104,7 +104,7 @@ func TestAttachRequiresTable(t *testing.T) {
 func TestProfilingRunCollectsEverything(t *testing.T) {
 	t.Parallel()
 	env := com.NewEnv(chainApp())
-	trace := logger.NewTrace(nil)
+	trace := logger.NewTrace()
 	r := attach(t, env, Options{Logger: trace})
 
 	r.BeginRun("scenario1")
@@ -423,7 +423,7 @@ func TestLoggedInstantiationAllocs(t *testing.T) {
 func TestActivationPathShared(t *testing.T) {
 	t.Parallel()
 	env := com.NewEnv(chainApp())
-	trace := logger.NewTrace(nil)
+	trace := logger.NewTrace()
 	r := attach(t, env, Options{Logger: trace})
 	r.BeginRun("s")
 	for range 2 {
