@@ -14,9 +14,12 @@ import (
 // push-relabel from zero flow. The arena keeps all of that alive between
 // cuts:
 //
-//   - the CSR arrays (head/to/rev/cap) and the per-pair arc index, so an
-//     unchanged topology only rewrites cap instead of re-laying out and
-//     re-allocating;
+//   - the CSR arrays (head/to/rev/cap), so an unchanged topology only
+//     rewrites cap instead of re-laying out and re-allocating. Nothing
+//     else is kept per arc: every push keeps a pair's two residuals
+//     summing to its two capacities, (w, w) for an edge, (inf, inf) for a
+//     weld and (inf, 0) for a pin, so a rewrite reads each arc's capacity,
+//     and with it the flow it carries, off its residual pair;
 //   - the highest-label solver scratch (buckets, label lists, and the
 //     reverse-BFS queue and distances the cut is read from);
 //   - the previous solve's residual capacities and excess vector, which
@@ -47,7 +50,7 @@ import (
 // The zero value is ready to use.
 type CutArena struct {
 	staged bool          // CSR arrays reflect the staged topology below
-	solved bool          // net.cap/st.excess/st.dist hold a completed solve over capStart
+	solved bool          // net.cap/st.excess/st.dist hold a completed solve
 	flow   time.Duration // that solve's flow value, excess[t]
 	inf    time.Duration
 
@@ -61,11 +64,8 @@ type CutArena struct {
 	colocKeys []pairKey
 	pin       []int8
 
-	arcIdx []int32 // arc index of each pair's u-half, pairs in eachPair order
-
-	net      csrNet
-	capStart []time.Duration // capacities the last solve started from, per arc
-	deg      []int32         // layout scratch
+	net csrNet
+	deg []int32 // layout scratch: per-node degree, then write cursor
 
 	st      hiprState
 	deficit []int32 // warm-start repair stack
@@ -222,48 +222,41 @@ func (a *CutArena) restage(g *Graph, inf time.Duration) {
 	a.staged, a.solved = true, false
 }
 
-// eachPair visits the staged capacity pairs in layout order with their
-// position i: edges in store order (capacity ew[i] both ways), welds in
-// store order (the proxy a.inf both ways), then pins in node order (one
-// directed proxy arc from s to each client-pinned node, and from each
-// server-pinned node to t). No pair is a self-loop: the store holds only
-// lo < hi keys (AddEdge, SetEdgeCost and CoLocate drop a == b at the
-// door) and a pin joins a node to a terminal. The layout's paired fill
-// relies on that; both halves of a u->u pair would land on one slot.
-func (a *CutArena) eachPair(ew []time.Duration, visit func(i int, u, v int32, capUV, capVU time.Duration)) {
+// eachPair visits the staged capacity pairs in layout order: edges in
+// store order (capacity ew[i] both ways), welds in store order (the proxy
+// a.inf both ways), then pins in node order (one directed proxy arc from s
+// to each client-pinned node, and from each server-pinned node to t). No
+// pair is a self-loop: the store holds only lo < hi keys (AddEdge,
+// SetEdgeCost and CoLocate drop a == b at the door) and a pin joins a node
+// to a terminal. The layout's paired fill relies on that; both halves of a
+// u->u pair would land on one slot.
+func (a *CutArena) eachPair(ew []time.Duration, visit func(u, v int32, capUV, capVU time.Duration)) {
 	for i, k := range a.edgeKeys {
 		lo, hi := k.nodes()
-		visit(i, int32(lo), int32(hi), ew[i], ew[i])
+		visit(int32(lo), int32(hi), ew[i], ew[i])
 	}
-	i := len(a.edgeKeys)
 	for _, k := range a.colocKeys {
 		lo, hi := k.nodes()
-		visit(i, int32(lo), int32(hi), a.inf, a.inf)
-		i++
+		visit(int32(lo), int32(hi), a.inf, a.inf)
 	}
 	s, t := int32(a.net.s), int32(a.net.t)
 	for v, side := range a.pin {
 		switch Side(side) {
 		case SourceSide:
-			visit(i, s, int32(v), a.inf, 0)
+			visit(s, int32(v), a.inf, 0)
 		case SinkSide:
-			visit(i, int32(v), t, a.inf, 0)
-		default:
-			continue
+			visit(int32(v), t, a.inf, 0)
 		}
-		i++
 	}
 }
 
 // layout performs the counting-sort CSR layout of the staged pairs into
-// the arena-owned arrays in two passes (degree, fill), recording each
-// pair's u-half arc index so capacity rewrites can find their slots
-// without laying out again.
+// the arena-owned arrays in two passes: degrees, then fill.
 func (a *CutArena) layout(ew []time.Duration) {
 	n, m := a.net.n, 0
 	a.deg = grow(a.deg, n)
 	clear(a.deg)
-	a.eachPair(ew, func(_ int, u, v int32, _, _ time.Duration) {
+	a.eachPair(ew, func(u, v int32, _, _ time.Duration) {
 		a.deg[u]++
 		a.deg[v]++
 		m++
@@ -272,22 +265,26 @@ func (a *CutArena) layout(ew []time.Duration) {
 	a.net.to = grow(a.net.to, 2*m)
 	a.net.rev = grow(a.net.rev, 2*m)
 	a.net.cap = grow(a.net.cap, 2*m)
-	a.capStart = grow(a.capStart, 2*m)
-	a.arcIdx = grow(a.arcIdx, m)
 	a.net.head[0] = 0
 	for i := 0; i < n; i++ {
 		a.net.head[i+1] = a.net.head[i] + a.deg[i]
 	}
-	pos := a.deg // reuse as the write cursor
-	copy(pos, a.net.head[:n])
-	a.eachPair(ew, func(i int, u, v int32, capUV, capVU time.Duration) {
+	a.fill(ew)
+}
+
+// fill writes every staged pair's two arcs at zero flow, each residual its
+// arc's capacity, with a per-node write cursor that starts at head. The
+// pairs, visited in eachPair order, land on the same two slots every time,
+// so on a laid-out network fill is the reset of every residual.
+func (a *CutArena) fill(ew []time.Duration) {
+	pos := a.deg // the degrees are spent: reuse them as the cursor
+	copy(pos, a.net.head[:a.net.n])
+	a.eachPair(ew, func(u, v int32, capUV, capVU time.Duration) {
 		iu, iv := pos[u], pos[v]
 		pos[u]++
 		pos[v]++
 		a.net.to[iu], a.net.cap[iu], a.net.rev[iu] = v, capUV, iv
 		a.net.to[iv], a.net.cap[iv], a.net.rev[iv] = u, capVU, iu
-		a.capStart[iu], a.capStart[iv] = capUV, capVU
-		a.arcIdx[i] = iu
 	})
 }
 
@@ -298,59 +295,113 @@ const warmRepairBudgetFactor = 4
 
 // rewrite maps the graph's current capacities onto the staged layout
 // (topology already verified by matches) and reports whether the solver
-// may warm-start and whether any pair's capacity changed. With a previous
-// solve present it clamps the old flow onto the new capacities arc by
-// arc — untouched capacities keep their residuals — and repairs any
-// deficits the clamp created. Without one it rewrites every
-// pair and resets every residual to its capacity, so nothing an aborted
-// run left behind survives into the cold run that follows; after a
-// repair blowout it resets the residuals the same way. inf is the
-// graph's current infinity proxy, as for restage.
+// may warm-start and whether any pair's capacity changed. Without a
+// finished solve it resets every residual to its capacity, so nothing an
+// aborted run left behind survives into the cold run that follows. With
+// one it clamps the old flow onto the new capacities pair by pair —
+// untouched pairs keep their residuals — and repairs any deficits the
+// clamp created; after a repair blowout it resets the residuals the same
+// way. inf is the graph's current infinity proxy, as for restage.
+//
+// Every push keeps a pair's two residuals summing to its two capacities,
+// so a pair's old capacities come off its residuals: the sum split evenly
+// for an edge or weld, all of it one way for a pin, whose reverse
+// capacity is 0 before and after. A pair's u-half is found from where
+// fill put it in its row and its v-half is rev of that, so an edge's walk
+// moves no cursor at its upper end.
 func (a *CutArena) rewrite(g *Graph, inf time.Duration) (warm, changed bool) {
-	a.inf, warm = inf, a.solved
+	a.inf = inf
+	if !a.solved {
+		a.fill(g.ew)
+		return false, true
+	}
 	a.deficit = a.deficit[:0]
+	res, rev, excess := a.net.cap, a.net.rev, a.st.excess
 	s, t := int32(a.net.s), int32(a.net.t)
-	a.eachPair(g.ew, func(i int, u, v int32, newUV, newVU time.Duration) {
-		au := a.arcIdx[i]
-		av := a.net.rev[au]
-		if newUV == a.capStart[au] && newVU == a.capStart[av] {
+	clamp := func(au, u, v int32, newUV, newVU time.Duration) {
+		av := rev[au]
+		sum := res[au] + res[av]
+		if sum == newUV+newVU {
 			return // untouched: keep residuals (and any flow)
 		}
 		changed = true
-		if !warm {
-			a.capStart[au], a.capStart[av] = newUV, newVU
-			return
+		oldVU := sum / 2
+		if newVU == 0 {
+			oldVU = 0 // a pin
 		}
 		// Clamp the old flow into the new capacity band. f is the signed
 		// flow u->v of the previous solve; any part of it the new
 		// capacities cannot carry is returned to the endpoints' excesses.
-		f := a.capStart[au] - a.net.cap[au]
+		f := sum - oldVU - res[au]
 		nf := max(min(f, newUV), -newVU)
 		if nf != f {
 			delta := f - nf
-			a.st.excess[u] += delta
-			a.st.excess[v] -= delta
-			if v != s && v != t && a.st.excess[v] < 0 {
+			excess[u] += delta
+			excess[v] -= delta
+			if v != s && v != t && excess[v] < 0 {
 				a.deficit = append(a.deficit, v)
 			}
-			if u != s && u != t && a.st.excess[u] < 0 {
+			if u != s && u != t && excess[u] < 0 {
 				a.deficit = append(a.deficit, u)
 			}
 		}
-		a.net.cap[au] = newUV - nf
-		a.net.cap[av] = newVU + nf
-		a.capStart[au], a.capStart[av] = newUV, newVU
-	})
-	if !warm {
-		copy(a.net.cap, a.capStart)
-		return false, changed
+		res[au] = newUV - nf
+		res[av] = newVU + nf
+	}
+	// fill leaves each node's row as its edge arcs, its weld arcs, then its
+	// pin arc. pos[x] starts on x's first weld arc, counted back from the
+	// row's end.
+	pos := a.deg
+	for x, side := range a.pin {
+		pos[x] = a.net.head[x+1]
+		if side != unpinned {
+			pos[x]--
+		}
+	}
+	for _, k := range a.colocKeys {
+		lo, hi := k.nodes()
+		pos[lo]--
+		pos[hi]--
+	}
+	// The store is sorted by (lo, hi), so every edge into x from below was
+	// filled before x's own: the u-halves of a run of edges with one lower
+	// end are the run's last slots before that end's weld arcs, in store
+	// order.
+	keys := a.edgeKeys
+	for i := 0; i < len(keys); {
+		lo, _ := keys[i].nodes()
+		j := i + 1
+		for j < len(keys) && keys[j]>>32 == keys[i]>>32 {
+			j++
+		}
+		au := pos[lo] - int32(j-i)
+		for ; i < j; i++ {
+			_, hi := keys[i].nodes()
+			clamp(au, int32(lo), int32(hi), g.ew[i], g.ew[i])
+			au++
+		}
+	}
+	// Welds replay fill's cursor from there, which leaves pos[x] on the
+	// pin arc of a pinned x.
+	for _, k := range a.colocKeys {
+		lo, hi := k.nodes()
+		clamp(pos[lo], int32(lo), int32(hi), inf, inf)
+		pos[lo]++
+		pos[hi]++
+	}
+	for v, side := range a.pin {
+		switch Side(side) {
+		case SourceSide:
+			clamp(rev[pos[v]], s, int32(v), inf, 0)
+		case SinkSide:
+			clamp(pos[v], int32(v), t, inf, 0)
+		}
 	}
 	if !a.repairDeficits() {
-		// Blown budget: tear-up too large, resume is not worth it. The
-		// capacities in capStart are already the new ones; reset the
-		// residuals to them and run cold.
+		// Blown budget: tear-up too large, resume is not worth it. Reset
+		// the residuals to the new capacities and run cold.
 		a.stats.Fallbacks++
-		copy(a.net.cap, a.capStart)
+		a.fill(g.ew)
 		return false, changed
 	}
 	return true, changed
@@ -379,18 +430,27 @@ func (a *CutArena) repairDeficits() bool {
 			progressed := false
 			for arc := f.head[v]; arc < f.head[v+1] && a.st.excess[v] < 0; arc++ {
 				work++
-				fl := a.capStart[arc] - f.cap[arc] // flow v -> to[arc]
+				// The arc's capacity, off its residual pair (see rewrite):
+				// v is no terminal, so an arc into t is a pin's and carries
+				// the whole sum, an arc into s is a pin's reverse and
+				// carries none, and any other carries half.
+				w := f.to[arc]
+				c := f.cap[arc] + f.cap[f.rev[arc]]
+				switch int(w) {
+				case f.t:
+				case f.s:
+					c = 0
+				default:
+					c /= 2
+				}
+				fl := c - f.cap[arc] // flow v -> w
 				if fl <= 0 {
 					continue
 				}
-				d := -a.st.excess[v]
-				if fl < d {
-					d = fl
-				}
+				d := min(fl, -a.st.excess[v])
 				f.cap[arc] += d
 				f.cap[f.rev[arc]] -= d
 				a.st.excess[v] += d
-				w := f.to[arc]
 				a.st.excess[w] -= d
 				progressed = true
 				if int(w) != f.s && int(w) != f.t && a.st.excess[w] < 0 {

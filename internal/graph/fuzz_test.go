@@ -14,9 +14,9 @@ import (
 // run. After every cut the arena's CSR network must keep its structural
 // invariants — the reverse-arc mapping is an involution, every arc's
 // reverse lives in the target node's row, offsets are monotone and cover
-// every arc exactly once, start capacities are non-negative and at most the
-// infinity proxy — and the cut must cost what the Edmonds–Karp oracle's
-// does, each assignment priced at that cost.
+// every arc exactly once — and its residuals must hold the store's
+// capacities (checkResidualPairs); the cut must cost what the Edmonds–Karp
+// oracle's does, each assignment priced at that cost.
 func FuzzCSRBuilder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 10, 1, 2, 20, 0x40, 0, 0x41, 2, 0x80, 1, 2})
@@ -27,6 +27,10 @@ func FuzzCSRBuilder(f *testing.F) {
 	f.Add([]byte{0, 1, 10, 1, 2, 10, 0x40, 0, 0x41, 2})
 	// Self-edges at the door: (3,3) and (5,5) must never reach the store.
 	f.Add([]byte{3, 3, 50, 1, 2, 30, 5, 5, 99, 2, 3, 10})
+	// Warm rewrites: an edge carrying the whole flow between two pins is
+	// re-priced up, then down below its flow, and every pin arc's proxy
+	// moves with the total.
+	f.Add([]byte{0, 1, 10, 1, 2, 20, 0x40, 0, 0x41, 2, 0xC0, 0, 1, 30, 0xC0, 0, 1, 5})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := New()
@@ -75,11 +79,7 @@ func cutAgainstOracle(t *testing.T, g *Graph, arena *CutArena) {
 		t.Fatalf("node count %d, want %d", net.n, g.Len()+2)
 	}
 	checkCSRInvariants(t, net)
-	for a, c := range arena.capStart {
-		if c < 0 || c > arena.inf {
-			t.Fatalf("arc %d: capacity %v out of range", a, c)
-		}
-	}
+	checkResidualPairs(t, g, arena)
 	ek, ekErr := g.MinCutEdmondsKarp()
 	if err != nil || ekErr != nil {
 		// Feasible pins/welds can still force an unsplittable pair across

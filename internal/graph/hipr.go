@@ -94,6 +94,9 @@ type hiprRun struct {
 	n       int
 	highest int
 	work    int
+	// maxLabel bounds the highest label list in use (hi_pr's dMax): link
+	// raises it, globalRelabel rebuilds it, and a gap lowers it to the gap.
+	maxLabel int32
 }
 
 func (r *hiprRun) link(v, h int32) {
@@ -105,6 +108,9 @@ func (r *hiprRun) link(v, h int32) {
 	}
 	st.labelHead[h] = v
 	st.count[h]++
+	if h > r.maxLabel {
+		r.maxLabel = h
+	}
 }
 
 func (r *hiprRun) unlink(v, h int32) {
@@ -150,16 +156,17 @@ func (r *hiprRun) setHeight(v, newH int32) {
 
 // gap lifts every node strictly above an emptied height to dormancy:
 // any residual path to t from above the gap would need a node at the
-// gap height.
+// gap height. No list above maxLabel holds a node.
 func (r *hiprRun) gap(h int32) {
 	st := r.st
-	for hh := h + 1; hh < int32(r.n); hh++ {
+	for hh := h + 1; hh <= r.maxLabel; hh++ {
 		for st.labelHead[hh] != -1 {
 			v := st.labelHead[hh]
 			r.unlink(v, hh)
 			st.height[v] = int32(r.n)
 		}
 	}
+	r.maxLabel = h
 }
 
 // distToSink fills st.dist with every node's residual distance to t, -1
@@ -207,7 +214,7 @@ func (r *hiprRun) globalRelabel() {
 		st.labelHead[h] = -1
 		st.count[h] = 0
 	}
-	r.highest = -1
+	r.highest, r.maxLabel = -1, 0
 	for v := 0; v < n; v++ {
 		if v == f.s || v == f.t {
 			continue
