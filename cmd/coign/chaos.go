@@ -73,11 +73,11 @@ func cmdChaos(_ context.Context, args []string, w io.Writer) error {
 		*scen, cfg.Network.Name, pol.Drop*100, pol.Corrupt*100, pol.MaxAttempts, cfg.Seed)
 	if err != nil {
 		fmt.Fprintf(w, "  outcome: FAILED — %v\n", err)
-		return nil
+	} else {
+		fmt.Fprintf(w, "  outcome:   completed (%d components, %d messages, %d bytes)\n",
+			res.Instances, res.Clock.Messages(), res.Clock.Bytes())
+		fmt.Fprintf(w, "  comm time: %v (compute %v)\n", res.Clock.CommTime(), res.Clock.ComputeTime())
 	}
-	fmt.Fprintf(w, "  outcome:   completed (%d components, %d messages, %d bytes)\n",
-		res.Instances, res.Clock.Messages(), res.Clock.Bytes())
-	fmt.Fprintf(w, "  comm time: %v (compute %v)\n", res.Clock.CommTime(), res.Clock.ComputeTime())
 	fmt.Fprintf(w, "  faults:    %d drops, %d corruptions, %d retries, %d giveups\n",
 		res.FaultDrops, res.FaultCorruptions, res.Retries, res.FaultGiveUps)
 	return nil

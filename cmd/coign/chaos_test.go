@@ -3,15 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/dist"
-	"repro/internal/logger"
-	"repro/internal/pipeline"
 )
 
 // TestChaosFaultFlags: chaos refuses fault flags that are not a policy —
@@ -46,78 +40,62 @@ func TestChaosFaultFlags(t *testing.T) {
 }
 
 // TestChaosTracePrintsOnlyFaults: -trace prints the run's fault records and
-// nothing else of its trace, one line each, ahead of the summary. For a
-// completed run there is one line per drop, corruption and give-up the
-// summary's faults line counts. A run that gives up prints no faults
-// line, so its give-up lines are held to the outcome's count and its lines
-// to the fault records of the same run's stored trace.
+// nothing else of its trace, one line each, ahead of the summary: one line
+// per drop, corruption and give-up the summary's faults line counts. A run
+// that gives up prints its faults line too, and its give-up lines are held
+// to the outcome's count of undeliverable calls as well.
 func TestChaosTracePrintsOnlyFaults(t *testing.T) {
 	t.Parallel()
-	faultLines := func(t *testing.T, args []string) (faults, rest []string) {
-		t.Helper()
+	for _, c := range []struct {
+		args   []string
+		failed bool
+	}{
+		{[]string{"-from-model", "-network", "ISDN", "-seed", "7"}, false},
+		{[]string{"-drop", "0.05", "-seed", "7"}, true},
+	} {
 		var out bytes.Buffer
-		if err := cmdChaos(context.Background(), append(args, "-trace"), &out); err != nil {
+		if err := cmdChaos(context.Background(), append(c.args, "-trace"), &out); err != nil {
 			t.Fatal(err)
 		}
 		lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+		faults, rest := lines, []string(nil)
 		for i, l := range lines {
 			if !strings.HasPrefix(l, "fault ") {
-				return lines[:i], lines[i:]
+				faults, rest = lines[:i], lines[i:]
+				break
 			}
 		}
-		return lines, nil
-	}
-
-	faults, rest := faultLines(t, []string{"-from-model", "-network", "ISDN", "-seed", "7"})
-	var drops, corrupts, retries, giveups int
-	if len(rest) != 4 {
-		t.Fatalf("completed run printed %q after its fault lines, want the 4 summary lines", rest)
-	}
-	if _, err := fmt.Sscanf(rest[3], "  faults:    %d drops, %d corruptions, %d retries, %d giveups",
-		&drops, &corrupts, &retries, &giveups); err != nil {
-		t.Fatalf("faults line %q: %v", rest[3], err)
-	}
-	if len(faults) == 0 || len(faults) != drops+corrupts+giveups {
-		t.Errorf("completed run printed %d fault lines, its summary counts %d drops + %d corruptions + %d giveups",
-			len(faults), drops, corrupts, giveups)
-	}
-
-	args := []string{"-drop", "0.05", "-seed", "7"}
-	faults, rest = faultLines(t, args)
-	if len(rest) != 2 || !strings.HasPrefix(rest[1], "  outcome: FAILED") {
-		t.Fatalf("given-up run printed %q after its fault lines, want the header and a FAILED outcome", rest)
-	}
-	var undeliverable int
-	if _, after, ok := strings.Cut(rest[1], "o_oldwp7: "); !ok {
-		t.Fatalf("outcome %q names no scenario", rest[1])
-	} else if _, err := fmt.Sscanf(after, "%d call(s) undeliverable", &undeliverable); err != nil {
-		t.Fatalf("outcome %q: %v", rest[1], err)
-	}
-	if n := countPrefix(faults, "fault giveup "); n == 0 || n != undeliverable {
-		t.Errorf("given-up run printed %d giveup lines, its outcome counts %d undeliverable calls", n, undeliverable)
-	}
-	adps, err := pipeline.Open(pipeline.Spec{Scenarios: []string{"o_oldwp7"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := adps.RunConfig(dist.ModeDefault, "o_oldwp7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Seed, cfg.Trace = 7, logger.NewTrace()
-	cfg.Faults = &dist.FaultPolicy{Drop: 0.05, Corrupt: 0.05,
-		CallPolicy: dist.CallPolicy{Timeout: 250 * time.Millisecond, MaxAttempts: 4, Backoff: 10 * time.Millisecond}}
-	if _, err := dist.Run(cfg); !errors.Is(err, dist.ErrTimeout) {
-		t.Fatalf("the same run returned %v, want a give-up", err)
-	}
-	stored := 0
-	for i := 0; i < cfg.Trace.Len(); i++ {
-		if cfg.Trace.At(i).Kind == logger.EvFault {
-			stored++
+		want := 4 // header, outcome, comm time, faults
+		if c.failed {
+			want = 3 // header, FAILED outcome, faults
 		}
-	}
-	if len(faults) != stored {
-		t.Errorf("given-up run printed %d fault lines, its stored trace holds %d fault records", len(faults), stored)
+		if len(rest) != want || strings.HasPrefix(rest[1], "  outcome: FAILED") != c.failed {
+			t.Fatalf("chaos %v printed %q after its fault lines, want %d summary lines, failed %v", c.args, rest, want, c.failed)
+		}
+		var drops, corrupts, retries, giveups int
+		if _, err := fmt.Sscanf(rest[len(rest)-1], "  faults:    %d drops, %d corruptions, %d retries, %d giveups",
+			&drops, &corrupts, &retries, &giveups); err != nil {
+			t.Fatalf("chaos %v: faults line %q: %v", c.args, rest[len(rest)-1], err)
+		}
+		if len(faults) == 0 || len(faults) != drops+corrupts+giveups {
+			t.Errorf("chaos %v printed %d fault lines, its summary counts %d drops + %d corruptions + %d giveups",
+				c.args, len(faults), drops, corrupts, giveups)
+		}
+		if n := countPrefix(faults, "fault giveup "); n != giveups {
+			t.Errorf("chaos %v printed %d giveup lines, its summary counts %d", c.args, n, giveups)
+		}
+		if !c.failed {
+			continue
+		}
+		var undeliverable int
+		if _, after, ok := strings.Cut(rest[1], "o_oldwp7: "); !ok {
+			t.Fatalf("outcome %q names no scenario", rest[1])
+		} else if _, err := fmt.Sscanf(after, "%d call(s) undeliverable", &undeliverable); err != nil {
+			t.Fatalf("outcome %q: %v", rest[1], err)
+		}
+		if giveups == 0 || giveups != undeliverable {
+			t.Errorf("given-up run counts %d giveups, its outcome %d undeliverable calls", giveups, undeliverable)
+		}
 	}
 }
 

@@ -156,6 +156,7 @@ wrote DIR/o_oldtb3.icc: 1809 calls, 237 classifications
 		{name: "chaos", run: cmdChaos, args: []string{"-drop", "0.05", "-seed", "7"},
 			want: `o_oldwp7 on 10BaseT (drop 5.0%, corrupt 5.0%, 4 attempt(s), seed 7)
   outcome: FAILED — dist: scenario o_oldwp7: 1 call(s) undeliverable after 4 attempt(s): dist: call timed out
+  faults:    52 drops, 50 corruptions, 101 retries, 1 giveups
 `},
 		{name: "chaos from model", run: cmdChaos, args: []string{"-from-model", "-network", "ISDN", "-seed", "7"},
 			want: `o_oldwp7 on ISDN (drop 0.5%, corrupt 0.1%, 4 attempt(s), seed 7)

@@ -48,8 +48,8 @@ func main() {
 	}
 	middle := map[string]int64{}
 	client := map[string]int64{}
-	for id, ci := range p.Classifications {
-		m := res.Distribution[id]
+	for _, ci := range p.Classifications {
+		m := res.Distribution[ci.ID]
 		if m == 1 { // com.Server: the middle tier
 			middle[ci.Class] += ci.Instances
 		} else {

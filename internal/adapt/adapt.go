@@ -29,15 +29,11 @@ import (
 // metric independent of how long the application has been running.
 func Drift(profiled, observed *profile.Profile) float64 {
 	var dot, na, nb float64
-	for k, e := range profiled.Edges {
-		v := float64(e.Calls)
-		na += v * v
-		if o, ok := observed.Edges[k]; ok {
-			dot += v * float64(o.Calls)
-		}
-	}
-	for _, o := range observed.Edges {
-		nb += float64(o.Calls) * float64(o.Calls)
+	for _, j := range join(profiled, observed) {
+		p, o := float64(j.profiled), float64(j.observed)
+		na += p * p
+		nb += o * o
+		dot += p * o
 	}
 	if na == 0 && nb == 0 {
 		return 0
@@ -46,6 +42,35 @@ func Drift(profiled, observed *profile.Profile) float64 {
 		return 1
 	}
 	return 1 - dot/(math.Sqrt(na)*math.Sqrt(nb))
+}
+
+// pairCalls is one classification pair's edge calls in a profile and in
+// the observed runs.
+type pairCalls struct {
+	src, dst           string
+	profiled, observed int64
+}
+
+// join lists every classification pair either profile has an edge for,
+// with its calls in each. The two profiles number their classifications
+// apart, so the join goes by the endpoints' names, once per edge.
+func join(profiled, observed *profile.Profile) []pairCalls {
+	out := make([]pairCalls, 0, len(profiled.Edges))
+	at := make(map[[2]string]int, len(profiled.Edges))
+	for _, e := range profiled.Edges {
+		k := [2]string{profiled.Name(e.Src), profiled.Name(e.Dst)}
+		at[k] = len(out)
+		out = append(out, pairCalls{src: k[0], dst: k[1], profiled: e.Calls})
+	}
+	for _, o := range observed.Edges {
+		k := [2]string{observed.Name(o.Src), observed.Name(o.Dst)}
+		if i, ok := at[k]; ok {
+			out[i].observed = o.Calls
+			continue
+		}
+		out = append(out, pairCalls{src: k[0], dst: k[1], observed: o.Calls})
+	}
+	return out
 }
 
 // Watchdog accumulates run-time counts and decides when the application's
@@ -109,30 +134,22 @@ type Divergence struct {
 // the drift: the edges whose observed share differs most from their
 // profiled share, ordered by absolute share difference.
 func (w *Watchdog) TopDivergences(n int) []Divergence {
+	pairs := join(w.Profile, w.observed)
 	var profTotal, obsTotal float64
-	for _, e := range w.Profile.Edges {
-		profTotal += float64(e.Calls)
+	for _, j := range pairs {
+		profTotal += float64(j.profiled)
+		obsTotal += float64(j.observed)
 	}
-	for _, o := range w.observed.Edges {
-		obsTotal += float64(o.Calls)
-	}
-	keys := make(map[profile.PairKey]bool)
-	for k := range w.Profile.Edges {
-		keys[k] = true
-	}
-	for k := range w.observed.Edges {
-		keys[k] = true
-	}
-	var out []Divergence
-	for k := range keys {
+	out := make([]Divergence, 0, len(pairs))
+	for _, j := range pairs {
 		var ps, os float64
-		if e, ok := w.Profile.Edges[k]; ok && profTotal > 0 {
-			ps = float64(e.Calls) / profTotal
+		if profTotal > 0 {
+			ps = float64(j.profiled) / profTotal
 		}
-		if o, ok := w.observed.Edges[k]; ok && obsTotal > 0 {
-			os = float64(o.Calls) / obsTotal
+		if obsTotal > 0 {
+			os = float64(j.observed) / obsTotal
 		}
-		out = append(out, Divergence{Src: k.Src, Dst: k.Dst, ProfiledShare: ps, ObservedShare: os})
+		out = append(out, Divergence{Src: j.src, Dst: j.dst, ProfiledShare: ps, ObservedShare: os})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		di := math.Abs(out[i].ObservedShare - out[i].ProfiledShare)

@@ -13,13 +13,13 @@ import (
 	"repro/internal/classify"
 )
 
-// usage returns a profile of app "a" under ifcb whose edges carry the
-// given call counts.
-func usage(calls map[profile.PairKey]int) *profile.Profile {
+// usage returns a profile of app "a" under ifcb whose edges, keyed by
+// source and destination classification, carry the given call counts.
+func usage(calls map[[2]string]int) *profile.Profile {
 	p := profile.New("a", "ifcb")
 	for k, n := range calls {
 		for range n {
-			p.Edge(k.Src, k.Dst).Record(10, 10, false)
+			p.Edge(k[0], k[1]).Record(10, 10, false)
 		}
 	}
 	return p
@@ -27,19 +27,19 @@ func usage(calls map[profile.PairKey]int) *profile.Profile {
 
 func TestWatchdogObserve(t *testing.T) {
 	t.Parallel()
-	w, err := NewWatchdog(usage(map[profile.PairKey]int{{Src: "x", Dst: "y"}: 1}), 0.3, 1)
+	w, err := NewWatchdog(usage(map[[2]string]int{{"x", "y"}: 1}), 0.3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for range 2 {
-		if err := w.Observe(usage(map[profile.PairKey]int{{Src: "x", Dst: "y"}: 2, {Src: "y", Dst: "z"}: 1})); err != nil {
+		if err := w.Observe(usage(map[[2]string]int{{"x", "y"}: 2, {"y", "z"}: 1})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := w.observed.TotalCalls(); got != 6 {
 		t.Fatalf("observed calls = %d, want 6", got)
 	}
-	if got := w.observed.Edges[profile.PairKey{Src: "x", Dst: "y"}].Calls; got != 4 {
+	if got := w.observed.Edge("x", "y").Calls; got != 4 {
 		t.Fatalf("observed x->y calls = %d, want 4", got)
 	}
 	other := profile.New("a", "pcb")
@@ -50,15 +50,15 @@ func TestWatchdogObserve(t *testing.T) {
 
 func TestDriftMetric(t *testing.T) {
 	t.Parallel()
-	p := usage(map[profile.PairKey]int{{Src: "x", Dst: "y"}: 2, {Src: "y", Dst: "z"}: 1})
+	p := usage(map[[2]string]int{{"x", "y"}: 2, {"y", "z"}: 1})
 
 	// Identical mix: zero drift.
-	same := usage(map[profile.PairKey]int{{Src: "x", Dst: "y"}: 20, {Src: "y", Dst: "z"}: 10})
+	same := usage(map[[2]string]int{{"x", "y"}: 20, {"y", "z"}: 10})
 	if d := Drift(p, same); d > 1e-9 {
 		t.Errorf("identical mix drift = %v", d)
 	}
 	// Disjoint edges: full drift.
-	other := usage(map[profile.PairKey]int{{Src: "q", Dst: "r"}: 5})
+	other := usage(map[[2]string]int{{"q", "r"}: 5})
 	if d := Drift(p, other); d < 0.999 {
 		t.Errorf("disjoint drift = %v", d)
 	}
@@ -93,7 +93,7 @@ func TestWatchdogMinCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Observe(usage(map[profile.PairKey]int{{Src: "q", Dst: "r"}: 1})); err != nil {
+	if err := w.Observe(usage(map[[2]string]int{{"q", "r"}: 1})); err != nil {
 		t.Fatal(err)
 	}
 	if w.ShouldReprofile() {

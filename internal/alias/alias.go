@@ -608,37 +608,27 @@ func (r *Result) Verify(p *profile.Profile) []staticanal.Finding {
 	if p == nil {
 		return out
 	}
-	keys := make([]profile.PairKey, 0, len(p.Edges))
-	for k := range p.Edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
-		}
-		return keys[i].Dst < keys[j].Dst
-	})
-	for _, k := range keys {
-		if !p.Edges[k].NonRemotable || k.Dst == profile.MainProgram {
+	for _, e := range p.SortedEdges() {
+		if !e.NonRemotable || p.Name(e.Dst) == profile.MainProgram {
 			continue
 		}
 		src := profile.MainProgram
-		if k.Src != profile.MainProgram {
-			if ci := p.Classifications[k.Src]; ci != nil {
+		if name := p.Name(e.Src); name != profile.MainProgram {
+			if ci := p.ClassificationOf(e.Src); ci != nil {
 				src = ci.Class
 			} else {
 				out = append(out, staticanal.Finding{
 					Kind: staticanal.KindUnknownClass, Severity: staticanal.SeverityWarning,
-					Detail: fmt.Sprintf("non-remotable call from unclassified component %s", k.Src),
+					Detail: fmt.Sprintf("non-remotable call from unclassified component %s", name),
 				})
 				continue
 			}
 		}
-		ci := p.Classifications[k.Dst]
+		ci := p.ClassificationOf(e.Dst)
 		if ci == nil {
 			out = append(out, staticanal.Finding{
 				Kind: staticanal.KindUnknownClass, Severity: staticanal.SeverityWarning,
-				Detail: fmt.Sprintf("non-remotable call into unclassified component %s", k.Dst),
+				Detail: fmt.Sprintf("non-remotable call into unclassified component %s", p.Name(e.Dst)),
 			})
 			continue
 		}
@@ -662,7 +652,7 @@ func (r *Result) Verify(p *profile.Profile) []staticanal.Finding {
 				Kind: KindAliasMiss, Severity: staticanal.SeverityError,
 				Detail: fmt.Sprintf(
 					"profile observed a non-remotable call on %s -> %s, but the points-to analysis predicts no opaque transfer from %q to %q",
-					k.Src, k.Dst, src, ci.Class),
+					p.Name(e.Src), p.Name(e.Dst), src, ci.Class),
 			})
 		}
 	}

@@ -183,16 +183,10 @@ func TestPredictsTransferIsCalleeSided(t *testing.T) {
 
 // verifyProfile builds a classified profile with one instance per class.
 func verifyProfile() *profile.Profile {
-	p := &profile.Profile{
-		App:             "aliastest",
-		Classifications: make(map[string]*profile.ClassificationInfo),
-		Edges:           make(map[profile.PairKey]*profile.EdgeSummary),
+	p := profile.New("aliastest", "")
+	for i, class := range []string{"Doc", "Editor", "Viewer", "Frozen", "Reader"} {
+		p.AddInstance(profile.InstanceRecord{ID: uint64(i + 1), Class: class, Classification: class + "#0"})
 	}
-	for _, class := range []string{"Doc", "Editor", "Viewer", "Frozen", "Reader"} {
-		id := class + "#0"
-		p.Classifications[id] = &profile.ClassificationInfo{ID: id, Class: class, Instances: 1}
-	}
-	p.Classifications[profile.MainProgram] = &profile.ClassificationInfo{ID: profile.MainProgram, Class: profile.MainProgram}
 	return p
 }
 

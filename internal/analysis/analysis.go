@@ -181,13 +181,13 @@ func BuildGraph(p *profile.Profile, np *netsim.Profile, classes *com.ClassRegist
 		st.CoverageCoLocations = applied.CoverageCoLocations
 		st.AliasCoLocations = applied.AliasCoLocations
 	} else {
-		for id, ci := range p.Classifications {
+		for _, ci := range p.Classifications {
 			if m, _, ok := staticanal.InferPin(classes.LookupName(ci.Class)); ok {
 				st.Constrained++
 				if m == com.Client {
-					g.Pin(id, graph.SourceSide)
+					g.Pin(ci.ID, graph.SourceSide)
 				} else {
-					g.Pin(id, graph.SinkSide)
+					g.Pin(ci.ID, graph.SinkSide)
 				}
 			}
 		}
@@ -200,25 +200,38 @@ func BuildGraph(p *profile.Profile, np *netsim.Profile, classes *com.ClassRegist
 		}
 	}
 
-	for k, e := range p.Edges {
+	// Edges reach the graph by index: node[n] is the node of profile
+	// classification number n, made when an edge first names it.
+	node := make([]int, p.Numbered())
+	for n := range node {
+		node[n] = -1
+	}
+	nodeOf := func(n int32) int {
+		if node[n] < 0 {
+			node[n] = g.Node(p.Name(n))
+		}
+		return node[n]
+	}
+	for _, e := range p.Edges {
 		var t time.Duration
 		if opts.ExactPricing {
 			t = e.ExactTime(np)
 		} else {
 			t = e.Time(np)
 		}
-		g.AddEdge(k.Src, k.Dst, t)
+		src, dst := nodeOf(e.Src), nodeOf(e.Dst)
+		g.AddEdgeAt(src, dst, t)
 		if e.NonRemotable {
 			// A refined constraint set (see staticanal.Refined) may explain
 			// the dynamic evidence away as an immutable payload exchange; an
 			// unrefined set always welds.
 			if cs := opts.Constraints; cs != nil &&
-				!cs.ObservedNonRemotableWeld(classNameOf(p, k.Src), classNameOf(p, k.Dst)) {
+				!cs.ObservedNonRemotableWeld(classNameOf(p, e.Src), classNameOf(p, e.Dst)) {
 				st.NonRemotableCleared++
 				continue
 			}
 			st.NonRemotable++
-			g.CoLocate(k.Src, k.Dst)
+			g.CoLocateAt(src, dst)
 		}
 	}
 	return g, st
@@ -269,7 +282,7 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 			m = com.Server
 		}
 		res.Distribution[id] = m
-		ci := p.Classifications[id]
+		ci := p.Classification(id)
 		var n int64 = 0
 		if ci != nil {
 			n = ci.Instances
@@ -286,12 +299,12 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 	// Default distribution: every classification at its class's Home.
 	def := make(map[string]graph.Side, len(p.Classifications))
 	def[profile.MainProgram] = graph.SourceSide
-	for id, ci := range p.Classifications {
+	for _, ci := range p.Classifications {
 		side := graph.SourceSide
 		if cl := app.Classes.LookupName(ci.Class); cl != nil && cl.Home != com.Client {
 			side = graph.SinkSide
 		}
-		def[id] = side
+		def[ci.ID] = side
 	}
 	// Price the default with true weights, even where it splits a
 	// co-located pair; the violation count is reported alongside.
@@ -344,10 +357,10 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 	return res, nil
 }
 
-// classNameOf maps a classification id to its class name ("" for the
+// classNameOf maps a classification number to its class name ("" for the
 // main program and unknown classifications).
-func classNameOf(p *profile.Profile, id string) string {
-	if ci := p.Classifications[id]; ci != nil {
+func classNameOf(p *profile.Profile, n int32) string {
+	if ci := p.ClassificationOf(n); ci != nil {
 		return ci.Class
 	}
 	return ""
@@ -363,7 +376,7 @@ func (r *Result) ServerComponents(p *profile.Profile) []ComponentPlacement {
 			continue
 		}
 		cp := ComponentPlacement{Classification: id}
-		if ci := p.Classifications[id]; ci != nil {
+		if ci := p.Classification(id); ci != nil {
 			cp.Class = ci.Class
 			cp.Instances = ci.Instances
 		}

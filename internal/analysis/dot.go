@@ -22,15 +22,9 @@ func (r *Result) WriteDOT(w io.Writer, p *profile.Profile, title string) error {
 	fmt.Fprintf(&b, "  layout=neato; overlap=false; splines=true;\n")
 	fmt.Fprintf(&b, "  node [shape=circle, fontsize=8, width=0.3, fixedsize=false];\n")
 
-	ids := make([]string, 0, len(p.Classifications))
-	for id := range p.Classifications {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
 	fmt.Fprintf(&b, "  %q [shape=box, label=\"main\"];\n", profile.MainProgram)
-	for _, id := range ids {
-		ci := p.Classifications[id]
+	for _, id := range p.ClassificationIDs() {
+		ci := p.Classification(id)
 		attrs := []string{fmt.Sprintf("label=%q", fmt.Sprintf("%s\nx%d", ci.Class, ci.Instances))}
 		if r.Distribution[id] == com.Server {
 			attrs = append(attrs, "style=filled", "fillcolor=gray25", "fontcolor=white")
@@ -47,8 +41,8 @@ func (r *Result) WriteDOT(w io.Writer, p *profile.Profile, title string) error {
 		nonRemotable bool
 	}
 	undirected := map[ekey]*einfo{}
-	for k, e := range p.Edges {
-		a, bb := k.Src, k.Dst
+	for _, e := range p.Edges {
+		a, bb := p.Name(e.Src), p.Name(e.Dst)
 		if a > bb {
 			a, bb = bb, a
 		}

@@ -60,8 +60,8 @@ func EvaluateClassifier(profiled, eval *profile.Profile, np *netsim.Profile) (*C
 	if n := len(profiled.Classifications); n > 0 {
 		res.AvgInstancesPerClassification = float64(profiled.TotalInstances()) / float64(n)
 	}
-	for id := range eval.Classifications {
-		if _, seen := profiled.Classifications[id]; !seen {
+	for _, ci := range eval.Classifications {
+		if profiled.Classification(ci.ID) == nil {
 			res.NewClassifications++
 		}
 	}

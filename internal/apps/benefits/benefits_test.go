@@ -109,7 +109,7 @@ func TestCachesMoveBusinessLogicStays(t *testing.T) {
 	}
 	placed := map[string]com.Machine{}
 	for id, m := range res.Distribution {
-		if ci := p.Classifications[id]; ci != nil {
+		if ci := p.Classification(id); ci != nil {
 			placed[ci.Class] = m
 		}
 	}

@@ -209,8 +209,8 @@ func TestClassificationsStableAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids := make(map[string]bool)
-		for id := range res.Profile.Classifications {
-			ids[id] = true
+		for _, ci := range res.Profile.Classifications {
+			ids[ci.ID] = true
 		}
 		return ids
 	}

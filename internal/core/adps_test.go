@@ -581,6 +581,34 @@ func TestTraceCostsLittle(t *testing.T) {
 	}
 }
 
+// TestFoldCostsLittle guards what profiling adds to a run of o_bigone:
+// the objects a profiling run allocates beyond the bare binary's run —
+// the runtime's hooks, the classifier and the profile's fold — at most
+// 800, its measured 705 to 728 (the race build counts the most) + 10 %.
+// It was 3,684 while the profile kept its edges and methods in
+// string-keyed maps and each edge's two histograms in maps of their own.
+//
+//lint:allow paralleltest Mallocs is process-wide
+func TestFoldCostsLittle(t *testing.T) {
+	adps := New(octarine.New())
+	objects := func(mode dist.Mode) uint64 {
+		n, _ := allocated(t, func() error {
+			cfg, err := adps.RunConfig(mode, octarine.ScenBigone)
+			if err != nil {
+				return err
+			}
+			_, err = dist.Run(cfg)
+			return err
+		})
+		return n
+	}
+	bare, profiling := objects(dist.ModeBare), objects(dist.ModeProfiling)
+	t.Logf("profiling run: %d objects, bare run %d: +%d", profiling, bare, profiling-bare)
+	if profiling > bare+800 {
+		t.Errorf("profiling run allocated %d objects, bare run %d: over +800", profiling, bare)
+	}
+}
+
 // TestScenarioExperimentAllocs guards the experiment on o_bigone at 110 k
 // objects. Executing the scenario three times after profiling it, instead
 // of replaying the profiling run's trace twice, cost about 183 k.

@@ -56,7 +56,7 @@ func TestCoverageGateQuickstart(t *testing.T) {
 	}
 	machines := make(map[string]map[com.Machine]bool)
 	for id, m := range res.Distribution {
-		ci := prof.Classifications[id]
+		ci := prof.Classification(id)
 		if ci == nil {
 			continue
 		}

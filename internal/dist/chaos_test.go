@@ -96,6 +96,33 @@ func TestChaosSimFailsFastWhenRetriesDisabled(t *testing.T) {
 	}
 }
 
+// TestGivenUpRunReturnsItsPrice: a run that gives up on a call fails with
+// ErrTimeout and returns its Result with the error, counted and priced to
+// its end, from Run and from Replay alike, and the two agree.
+func TestGivenUpRunReturnsItsPrice(t *testing.T) {
+	t.Parallel()
+	trace := pipelineTrace(t, "big", 7)
+	cfg := Config{App: pipelineApp(), Scenario: "big", Seed: 7, Mode: ModeDefault,
+		Classifier: classify.New(classify.IFCB, 0),
+		Faults:     &FaultPolicy{Drop: 0.5, CallPolicy: CallPolicy{MaxAttempts: 1}}}
+	run, runErr := Run(cfg)
+	rep, repErr := Replay(cfg, trace)
+	for what, c := range map[string]struct {
+		res *Result
+		err error
+	}{"Run": {run, runErr}, "Replay": {rep, repErr}} {
+		if !errors.Is(c.err, ErrTimeout) {
+			t.Fatalf("%s: err = %v, want ErrTimeout", what, c.err)
+		}
+		if c.res == nil || c.res.FaultGiveUps == 0 || c.res.Clock.Messages() == 0 {
+			t.Fatalf("%s returned %+v with its error, want the priced run", what, c.res)
+		}
+	}
+	if got, want := priced(rep), priced(run); got != want {
+		t.Errorf("given-up replay %s\nrun              %s", got, want)
+	}
+}
+
 func TestReplayWithFaultsChargesRetransmissions(t *testing.T) {
 	t.Parallel()
 	trace := pipelineTrace(t, "big", 11)

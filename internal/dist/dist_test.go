@@ -266,12 +266,12 @@ func TestRunCoignModeMovesReaderToServer(t *testing.T) {
 	}
 	// Build a hand-made distribution: reader to the server.
 	distMap := make(map[string]com.Machine)
-	for id, ci := range prof.Profile.Classifications {
+	for _, ci := range prof.Profile.Classifications {
 		switch ci.Class {
 		case "Reader", "Storage":
-			distMap[id] = com.Server
+			distMap[ci.ID] = com.Server
 		default:
-			distMap[id] = com.Client
+			distMap[ci.ID] = com.Client
 		}
 	}
 	coign, err := Run(Config{

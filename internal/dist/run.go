@@ -68,7 +68,8 @@ type Config struct {
 	// ModeCoign: the frames of cross-machine calls are dropped/corrupted
 	// per the policy (seeded from Seed, so chaos runs reproduce exactly)
 	// and calls are retried with backoff. If any call exhausts its attempt
-	// budget the run fails with an error wrapping ErrTimeout.
+	// budget the run fails with an error wrapping ErrTimeout, and returns
+	// its Result, priced and counted, with it.
 	Faults *FaultPolicy
 }
 
@@ -184,7 +185,9 @@ func (res *Result) place(class *com.Class, m com.Machine) {
 }
 
 // settle copies the clock's and the factory's counters into res and fails
-// the execution if a call exhausted its attempt budget.
+// the execution if a call exhausted its attempt budget. A failed execution
+// still returns res, priced up to its end, with the error: the faults and
+// the time it cost are the report of a chaos run that gave up.
 func settle(cfg Config, res *Result, fac *factory.Factory) (*Result, error) {
 	f := res.Clock.faults
 	if f != nil {
@@ -195,7 +198,7 @@ func settle(cfg Config, res *Result, fac *factory.Factory) (*Result, error) {
 		res.Unknown = fac.Unknown()
 	}
 	if res.FaultGiveUps > 0 {
-		return nil, fmt.Errorf("dist: scenario %s: %d call(s) undeliverable after %d attempt(s): %w",
+		return res, fmt.Errorf("dist: scenario %s: %d call(s) undeliverable after %d attempt(s): %w",
 			cfg.Scenario, res.FaultGiveUps, f.pol.MaxAttempts, ErrTimeout)
 	}
 	return res, nil

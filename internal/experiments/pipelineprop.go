@@ -483,7 +483,7 @@ func classesCoLocated(distribution map[string]com.Machine, prof *profile.Profile
 	var machines []com.Machine
 	var ids []string
 	for _, id := range prof.ClassificationIDs() {
-		ci := prof.Classifications[id]
+		ci := prof.Classification(id)
 		if ci.Class != classA && ci.Class != classB {
 			continue
 		}

@@ -361,11 +361,11 @@ func (r *AppReport) WriteText(w io.Writer) error {
 // unclassified components are skipped (they never weld class pairs).
 func WeldedClassPairs(cs *staticanal.ConstraintSet, p *profile.Profile) [][2]string {
 	seen := make(map[[2]string]bool)
-	for k, e := range p.Edges {
-		if k.Src == profile.MainProgram || k.Dst == profile.MainProgram {
+	for _, e := range p.Edges {
+		if p.Name(e.Src) == profile.MainProgram || p.Name(e.Dst) == profile.MainProgram {
 			continue
 		}
-		srcCI, dstCI := p.Classifications[k.Src], p.Classifications[k.Dst]
+		srcCI, dstCI := p.ClassificationOf(e.Src), p.ClassificationOf(e.Dst)
 		if srcCI == nil || dstCI == nil || srcCI.Class == dstCI.Class {
 			continue
 		}

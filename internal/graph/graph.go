@@ -167,10 +167,15 @@ func (g *Graph) settle() {
 // and non-positive weights are ignored: communication within one node never
 // crosses a machine boundary. The pair-wise constraint is CoLocate.
 func (g *Graph) AddEdge(a, b string, w time.Duration) {
-	if a == b || w <= 0 {
+	g.AddEdgeAt(g.Node(a), g.Node(b), w)
+}
+
+// AddEdgeAt is AddEdge between nodes i and j by index.
+func (g *Graph) AddEdgeAt(i, j int, w time.Duration) {
+	if i == j || w <= 0 {
 		return
 	}
-	g.ekey = append(g.ekey, makePair(g.Node(a), g.Node(b)))
+	g.ekey = append(g.ekey, makePair(i, j))
 	g.ew = append(g.ew, w)
 	g.dirty = true
 }
@@ -305,7 +310,11 @@ func (g *Graph) Pinned(name string) (Side, bool) {
 // communication weight accumulated on the pair — before or after — is
 // preserved.
 func (g *Graph) CoLocate(a, b string) {
-	i, j := g.Node(a), g.Node(b)
+	g.CoLocateAt(g.Node(a), g.Node(b))
+}
+
+// CoLocateAt is CoLocate on nodes i and j by index.
+func (g *Graph) CoLocateAt(i, j int) {
 	if i == j {
 		return
 	}

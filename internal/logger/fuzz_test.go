@@ -29,7 +29,8 @@ func encode(t *testing.T, p *profile.Profile) string {
 // byte for byte as Encode writes them. The input is an event count
 // (modulo 4·traceChunk) and a pattern of event kinds cycled over it; the
 // seeds put the count and each side table's length at 0, 1,
-// traceChunk−1, traceChunk and traceChunk+1. Run with `go test -fuzz
+// traceChunk−1, traceChunk and traceChunk+1, and one seed grows an edge's
+// histograms past their two carved slots. Run with `go test -fuzz
 // FuzzEventTrace ./internal/logger` to explore beyond the seed corpus.
 func FuzzEventTrace(f *testing.F) {
 	for _, n := range []uint16{0, 1, traceChunk - 1, traceChunk, traceChunk + 1} {
@@ -41,6 +42,10 @@ func FuzzEventTrace(f *testing.F) {
 		f.Add(n, []byte{byte(EvFault)})
 		f.Add(n, []byte{byte(EvMutation)})
 	}
+	// One run of 15 calls from uninstantiated instances: eleven reach the
+	// edge between two unknown classifications, five buckets each way,
+	// more than the two slots a profile carves for a histogram.
+	f.Add(uint16(16), append([]byte{byte(EvBegin)}, bytes.Repeat([]byte{byte(EvCall)}, 15)...))
 	f.Fuzz(func(t *testing.T, n uint16, kinds []byte) {
 		count := int(n) % (4 * traceChunk)
 		if len(kinds) == 0 {

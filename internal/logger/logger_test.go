@@ -134,10 +134,13 @@ func TestTraceFoldsMutations(t *testing.T) {
 	l.Mutation(1, "Write")
 	l.EndRun()
 	for _, p := range []*profile.Profile{l.Profile(), l.Fold(false)} {
-		if m := p.Methods[profile.MethodKey{Classification: "Reader@1", Method: "Write"}]; m == nil || m.Writes != 2 || m.Calls != 0 {
+		if len(p.Methods) != 2 {
+			t.Errorf("%d method entries, want Read and Write", len(p.Methods))
+		}
+		if m := p.Method("Reader@1", "Write"); m.Writes != 2 || m.Calls != 0 {
 			t.Errorf("Write stats = %+v", m)
 		}
-		if m := p.Methods[profile.MethodKey{Classification: "Reader@1", Method: "Read"}]; m == nil || m.Calls != 1 || m.Writes != 0 {
+		if m := p.Method("Reader@1", "Read"); m.Calls != 1 || m.Writes != 0 {
 			t.Errorf("Read stats = %+v", m)
 		}
 	}

@@ -197,14 +197,10 @@ func (t *Trace) Fold(instanceEdges bool) *profile.Profile {
 	for i := 0; i < t.events.n; i++ {
 		r := t.events.at(uint64(i))
 		var inst *InstRecord
-		var method string
-		switch r.kind {
-		case EvInstantiation:
+		if r.kind == EvInstantiation {
 			inst = t.insts.at(r.a)
-		case EvCall, EvMutation:
-			method = t.methods[r.method]
 		}
-		s.fold(r, t.runs, inst, method)
+		s.fold(r, t.runs, inst, "", t.methods)
 	}
 	return s.p
 }
@@ -219,7 +215,7 @@ func (t *Trace) add(r record, inst *InstRecord, method string) {
 		}
 		t.events.add(r)
 	}
-	t.sum.fold(&r, t.runs, inst, method)
+	t.sum.fold(&r, t.runs, inst, method, t.methods)
 }
 
 // intern returns the method table's index of name, adding it if new.
@@ -294,22 +290,41 @@ func (t *Trace) Fault(rec FaultRecord) {
 // communication per classification pair, with exponential size buckets,
 // per-method call and write counts, and the instances. Each EvBegin starts
 // a fresh profile; events outside a run are not counted.
+//
+// The fold looks up at most one name per call, its method's. It keeps
+// each instance's classification number beside its record, so a call
+// finds its edge by integer key. A trace that stores its records numbers
+// the method in its own table first (Trace.intern), and the fold keeps
+// the profile's number of each beside it; a trace that stores nothing
+// lets the profile number the method by name.
 type summary struct {
 	p         *profile.Profile
-	open      bool   // between EvBegin and EvEnd
-	instEdges bool   // also keep per-instance edges
-	first     uint64 // id of the run's first instance
+	open      bool    // between EvBegin and EvEnd
+	instEdges bool    // also keep per-instance edges
+	first     uint64  // id of the run's first instance
+	nums      []int32 // classification number of each of p.Instances
+	main      int32   // the main program's classification number
+	methods   []int32 // profile method number of each trace method index, -1 until seen
 }
 
 // fold accumulates one record: runs is the trace's run table, inst the
-// instantiation of an EvInstantiation, method the method of an EvCall or
-// EvMutation.
-func (s *summary) fold(r *record, runs [][3]string, inst *InstRecord, method string) {
+// instantiation of an EvInstantiation. The method of an EvCall or
+// EvMutation is methods[r.method] when the trace stores its records, and
+// method when it does not (methods is then empty).
+func (s *summary) fold(r *record, runs [][3]string, inst *InstRecord, method string, methods []string) {
 	switch r.kind {
 	case EvBegin:
 		run := runs[r.a]
 		s.p = profile.New(run[0], run[2])
 		s.p.Scenarios = []string{run[1]}
+		s.main = s.p.Number(profile.MainProgram)
+		if s.nums == nil {
+			s.nums = make([]int32, 0, 8)
+		}
+		s.nums = s.nums[:0]
+		for i := range s.methods {
+			s.methods[i] = -1
+		}
 		s.open = true
 		return
 	case EvEnd:
@@ -324,44 +339,63 @@ func (s *summary) fold(r *record, runs [][3]string, inst *InstRecord, method str
 		if len(s.p.Instances) == 0 {
 			s.first = inst.ID
 		}
-		s.p.AddInstance(profile.InstanceRecord{
+		s.nums = append(s.nums, s.p.AddInstance(profile.InstanceRecord{
 			ID:                    inst.ID,
 			Class:                 inst.Class,
 			Classification:        inst.Classification,
 			CreatorClassification: inst.CreatorClassification,
 			Order:                 inst.Order,
 			Path:                  inst.Path,
-		})
+		}))
 	case EvCall:
 		in, out := int(r.in), int(r.out)
 		dst := s.classification(r.b)
-		s.p.Edge(s.classification(r.a), dst).Record(in, out, r.nonRemotable)
-		s.p.Method(dst, method).Calls++
+		s.p.EdgeOf(s.classification(r.a), dst).Record(in, out, r.nonRemotable)
+		s.p.MethodOf(dst, s.method(r, method, methods)).Calls++
 		if s.instEdges {
 			s.p.InstEdge(r.a, r.b).Record(in, out, r.nonRemotable)
 		}
 	case EvMutation:
-		s.p.Method(s.classification(r.a), method).Writes++
+		s.p.MethodOf(s.classification(r.a), s.method(r, method, methods)).Writes++
 	}
 }
 
-// classification returns the classification of instance id in the current
-// run: its instantiation's, the main program's for 0, and "" for an
-// instance the run did not instantiate. The runtime numbers a run's
-// instances densely in instantiation order, so instance id is
-// p.Instances[id-first]; the instances of any other trace are searched.
-func (s *summary) classification(id uint64) string {
+// method returns the profile's number of the record's method: by name
+// when methods is empty, else through trace method index r.method,
+// numbering methods[r.method] in the profile the first time the run sees
+// it.
+func (s *summary) method(r *record, method string, methods []string) int32 {
+	if len(methods) == 0 {
+		return s.p.MethodNumber(method)
+	}
+	i := r.method
+	for int(i) >= len(s.methods) {
+		s.methods = append(s.methods, -1)
+	}
+	if s.methods[i] < 0 {
+		s.methods[i] = s.p.MethodNumber(methods[i])
+	}
+	return s.methods[i]
+}
+
+// classification returns the classification number of instance id in the
+// current run: its instantiation's, the main program's for 0, and the
+// number of "" for an instance the run did not instantiate. The runtime
+// numbers a run's instances densely in instantiation order, so instance
+// id is p.Instances[id-first]; the instances of any other trace are
+// searched.
+func (s *summary) classification(id uint64) int32 {
 	if id == 0 {
-		return profile.MainProgram
+		return s.main
 	}
 	ins := s.p.Instances
 	if i := id - s.first; i < uint64(len(ins)) && ins[i].ID == id {
-		return ins[i].Classification
+		return s.nums[i]
 	}
 	for i := range ins {
 		if ins[i].ID == id {
-			return ins[i].Classification
+			return s.nums[i]
 		}
 	}
-	return ""
+	return s.p.Number("")
 }

@@ -47,7 +47,7 @@ func TestCommFieldsAreExactSums(t *testing.T) {
 			t.Errorf("%s: predictedCommNs %d, the crossing edges sum to %d", name, got, want)
 		}
 		def := func(id string) com.Machine {
-			if ci := res.Profile.Classifications[id]; ci != nil {
+			if ci := res.Profile.Classification(id); ci != nil {
 				if cl := res.ADPS.App.Classes.LookupName(ci.Class); cl != nil {
 					return cl.Home
 				}
@@ -89,8 +89,9 @@ func TestCommFieldsAreExactSums(t *testing.T) {
 func crossingSum(res *Result, at func(id string) com.Machine, cloned map[string]bool) time.Duration {
 	np := res.ADPS.NetProfile
 	var sum time.Duration
-	for k, e := range res.Profile.Edges {
-		if cloned[k.Src] || cloned[k.Dst] || side(at, k.Src) == side(at, k.Dst) {
+	for _, e := range res.Profile.Edges {
+		src, dst := res.Profile.Name(e.Src), res.Profile.Name(e.Dst)
+		if cloned[src] || cloned[dst] || side(at, src) == side(at, dst) {
 			continue
 		}
 		if res.Spec.ExactPricing {

@@ -346,9 +346,9 @@ func applyPins(adps *core.ADPS, prof *profile.Profile, pins map[string]string) e
 			m = com.Server
 		}
 		matched := 0
-		for id, ci := range prof.Classifications {
+		for _, ci := range prof.Classifications {
 			if ci.Class == class {
-				adps.AnalysisOptions.ExtraPins[id] = m
+				adps.AnalysisOptions.ExtraPins[ci.ID] = m
 				matched++
 			}
 		}

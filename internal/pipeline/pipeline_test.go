@@ -137,13 +137,13 @@ func TestRunPins(t *testing.T) {
 			t.Fatalf("compare=%v: Run with pin: %v", compare, err)
 		}
 		pinned := 0
-		for id, ci := range res.Profile.Classifications {
+		for _, ci := range res.Profile.Classifications {
 			if ci.Class != "DocReader" {
 				continue
 			}
 			pinned++
-			if m := res.Analysis.Distribution[id]; m != com.Server {
-				t.Errorf("compare=%v: pinned classification %s placed on %v", compare, id, m)
+			if m := res.Analysis.Distribution[ci.ID]; m != com.Server {
+				t.Errorf("compare=%v: pinned classification %s placed on %v", compare, ci.ID, m)
 			}
 		}
 		if pinned == 0 {

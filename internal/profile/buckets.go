@@ -4,7 +4,10 @@
 // vectors, and the dot-product correlation metric of paper §4.2.
 package profile
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Message sizes are summarized into buckets whose ranges grow
 // exponentially (paper §3.3: "successive ranges grow in size
@@ -36,17 +39,42 @@ func BucketRepresentative(idx int) int {
 // sizes.
 const NumBuckets = 33
 
-// BucketCounts is a sparse histogram of message counts per size bucket.
-type BucketCounts map[int]int64
+// Bucket is one bucket of a histogram: Count messages of sizes in bucket
+// Index.
+type Bucket struct {
+	Index int
+	Count int64
+}
+
+// BucketCounts is a histogram of message counts per size bucket: the
+// buckets that hold messages, in increasing Index order. A profile's
+// summaries start with two slots per histogram carved from its slab (see
+// Profile.slots), enough for most edges; a third bucket makes append move
+// the histogram out rather than write into a neighbour's slots.
+type BucketCounts []Bucket
 
 // Add records n messages of the given byte size.
-func (b BucketCounts) Add(size int, n int64) {
-	b[BucketIndex(size)] += n
+func (b *BucketCounts) Add(size int, n int64) {
+	b.add(BucketIndex(size), n)
+}
+
+// add adds n messages to bucket idx, inserting it in order if new.
+func (b *BucketCounts) add(idx int, n int64) {
+	h := *b
+	i := 0
+	for i < len(h) && h[i].Index < idx {
+		i++
+	}
+	if i < len(h) && h[i].Index == idx {
+		h[i].Count += n
+		return
+	}
+	*b = slices.Insert(h, i, Bucket{Index: idx, Count: n})
 }
 
 // Merge folds other into b.
-func (b BucketCounts) Merge(other BucketCounts) {
-	for idx, n := range other {
-		b[idx] += n
+func (b *BucketCounts) Merge(other BucketCounts) {
+	for _, o := range other {
+		b.add(o.Index, o.Count)
 	}
 }

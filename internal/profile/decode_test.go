@@ -77,6 +77,9 @@ func FuzzDecode(f *testing.F) {
 	clean := cleanLog(f)
 	f.Add(clean)
 	f.Add(strings.Replace(clean, `"in":{"8":1}`, `"in":{"70":2}`, 1))
+	// An edge of three buckets each way: more than the two carved slots.
+	f.Add(strings.Replace(clean, `"calls":1,"in":{"8":1},"out":{"5":1}`,
+		`"calls":3,"in":{"8":1,"10":1,"2":1},"out":{"0":1,"5":1,"31":1}`, 1))
 	f.Add(`{"app":"a","classifier":"ifcb","scenarios":[],"edges":[{"src":"x","dst":"y","calls":0,"in":{"0":0},"exactIn":0,"exactOut":0}],"classifications":null}`)
 	f.Add(`{}`)
 	f.Add(`null`)

@@ -5,8 +5,8 @@ package profile
 // Total returns the total message count.
 func (b BucketCounts) Total() int64 {
 	var t int64
-	for _, n := range b {
-		t += n
+	for _, x := range b {
+		t += x.Count
 	}
 	return t
 }
@@ -14,17 +14,18 @@ func (b BucketCounts) Total() int64 {
 // ApproxBytes returns the total bytes implied by bucket representatives.
 func (b BucketCounts) ApproxBytes() int64 {
 	var t int64
-	for idx, n := range b {
-		t += n * int64(BucketRepresentative(idx))
+	for _, x := range b {
+		t += x.Count * int64(BucketRepresentative(x.Index))
 	}
 	return t
 }
 
-// Clone returns a deep copy.
-func (b BucketCounts) Clone() BucketCounts {
-	c := make(BucketCounts, len(b))
-	for k, v := range b {
-		c[k] = v
+// Count returns the count of bucket idx, 0 when it holds none.
+func (b BucketCounts) Count(idx int) int64 {
+	for _, x := range b {
+		if x.Index == idx {
+			return x.Count
+		}
 	}
-	return c
+	return 0
 }

@@ -1,11 +1,13 @@
 package profile
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 )
 
@@ -56,42 +58,55 @@ type fileForm struct {
 
 // form returns e as the log holds it.
 func (e *EdgeSummary) form() summaryForm {
-	return summaryForm{Calls: e.Calls, In: e.In, Out: e.Out,
+	return summaryForm{Calls: e.Calls, In: e.In.form(), Out: e.Out.form(),
 		ExactIn: e.ExactInBytes, ExactOut: e.ExactOutBytes, NonRemotable: e.NonRemotable}
 }
 
-// summary returns the EdgeSummary f holds, refusing one that Record and
-// Merge could not have produced: a bucket index outside [0, NumBuckets), a
-// negative count or byte total, or a call count other than the request
-// and the reply histograms' totals.
-func (f *summaryForm) summary() (*EdgeSummary, error) {
-	e := &EdgeSummary{Calls: f.Calls, In: BucketCounts(f.In), Out: BucketCounts(f.Out),
-		ExactInBytes: f.ExactIn, ExactOutBytes: f.ExactOut, NonRemotable: f.NonRemotable}
-	if e.In == nil {
-		e.In = make(BucketCounts)
+// form returns b as the log holds it: a map from bucket to count, nil
+// when b is empty.
+func (b BucketCounts) form() map[int]int64 {
+	if len(b) == 0 {
+		return nil
 	}
-	if e.Out == nil {
-		e.Out = make(BucketCounts)
+	m := make(map[int]int64, len(b))
+	for _, x := range b {
+		m[x.Index] = x.Count
 	}
+	return m
+}
+
+// fill sets e, a fresh summary, to the summary f holds, refusing one that
+// Record and Merge could not have produced: a bucket index outside [0,
+// NumBuckets), a negative count or byte total, or a call count other than
+// the request and the reply histograms' totals.
+func (f *summaryForm) fill(e *EdgeSummary) error {
 	if f.Calls < 0 || f.ExactIn < 0 || f.ExactOut < 0 {
-		return nil, fmt.Errorf("negative count or byte total (calls %d, bytes %d in, %d out)", f.Calls, f.ExactIn, f.ExactOut)
+		return fmt.Errorf("negative count or byte total (calls %d, bytes %d in, %d out)", f.Calls, f.ExactIn, f.ExactOut)
 	}
-	for _, b := range []BucketCounts{e.In, e.Out} {
+	e.Calls, e.ExactInBytes, e.ExactOutBytes, e.NonRemotable = f.Calls, f.ExactIn, f.ExactOut, f.NonRemotable
+	for _, h := range []struct {
+		m map[int]int64
+		b *BucketCounts
+	}{{f.In, &e.In}, {f.Out, &e.Out}} {
+		for idx, n := range h.m {
+			*h.b = append(*h.b, Bucket{Index: idx, Count: n})
+		}
+		slices.SortFunc(*h.b, func(x, y Bucket) int { return cmp.Compare(x.Index, y.Index) })
 		var total int64
-		for idx, n := range b {
-			if idx < 0 || idx >= NumBuckets {
-				return nil, fmt.Errorf("bucket %d outside [0, %d)", idx, NumBuckets)
+		for _, x := range *h.b {
+			if x.Index < 0 || x.Index >= NumBuckets {
+				return fmt.Errorf("bucket %d outside [0, %d)", x.Index, NumBuckets)
 			}
-			if n < 0 || n > math.MaxInt64-total {
-				return nil, fmt.Errorf("bucket %d holds %d messages", idx, n)
+			if x.Count < 0 || x.Count > math.MaxInt64-total {
+				return fmt.Errorf("bucket %d holds %d messages", x.Index, x.Count)
 			}
-			total += n
+			total += x.Count
 		}
 		if total != f.Calls {
-			return nil, fmt.Errorf("%d calls, but a histogram holds %d messages", f.Calls, total)
+			return fmt.Errorf("%d calls, but a histogram holds %d messages", f.Calls, total)
 		}
 	}
-	return e, nil
+	return nil
 }
 
 // Encode writes the profile as JSON.
@@ -101,33 +116,21 @@ func (p *Profile) Encode(w io.Writer) error {
 		Classifier: p.Classifier,
 		Scenarios:  p.Scenarios,
 	}
-	for k, e := range p.Edges {
-		f.Edges = append(f.Edges, edgeForm{Src: k.Src, Dst: k.Dst, summaryForm: e.form()})
+	for _, e := range p.SortedEdges() {
+		f.Edges = append(f.Edges, edgeForm{Src: p.Name(e.Src), Dst: p.Name(e.Dst), summaryForm: e.form()})
 	}
-	sort.Slice(f.Edges, func(i, j int) bool {
-		if f.Edges[i].Src != f.Edges[j].Src {
-			return f.Edges[i].Src < f.Edges[j].Src
-		}
-		return f.Edges[i].Dst < f.Edges[j].Dst
-	})
 	for _, ci := range p.Classifications {
 		f.Classifications = append(f.Classifications, *ci)
 	}
 	sort.Slice(f.Classifications, func(i, j int) bool {
 		return f.Classifications[i].ID < f.Classifications[j].ID
 	})
-	for k, m := range p.Methods {
+	for _, m := range p.SortedMethods() {
 		f.Methods = append(f.Methods, methodForm{
-			Classification: k.Classification, Method: k.Method,
+			Classification: p.Name(m.Classification), Method: m.Method,
 			Calls: m.Calls, Writes: m.Writes,
 		})
 	}
-	sort.Slice(f.Methods, func(i, j int) bool {
-		if f.Methods[i].Classification != f.Methods[j].Classification {
-			return f.Methods[i].Classification < f.Methods[j].Classification
-		}
-		return f.Methods[i].Method < f.Methods[j].Method
-	})
 	f.Instances = p.Instances
 	for k, e := range p.InstEdges {
 		f.InstEdges = append(f.InstEdges, instEdgeForm{Src: k.Src, Dst: k.Dst, summaryForm: e.form()})
@@ -144,9 +147,10 @@ func (p *Profile) Encode(w io.Writer) error {
 
 // Decode reads a profile previously written by Encode. A log is read from
 // disk, so Decode holds it to what Encode writes: every edge summary as
-// EdgeSummary.Record and Merge keep one (see summaryForm.summary), no
+// EdgeSummary.Record and Merge keep one (see summaryForm.fill), no
 // negative method or instance count, and no edge, method, classification
-// or instance edge listed twice.
+// or instance edge listed twice. The log names classifications; Decode
+// numbers each name once.
 func Decode(r io.Reader) (*Profile, error) {
 	var f fileForm
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -155,35 +159,35 @@ func Decode(r io.Reader) (*Profile, error) {
 	p := New(f.App, f.Classifier)
 	p.Scenarios = f.Scenarios
 	for _, ef := range f.Edges {
-		k := PairKey{ef.Src, ef.Dst}
-		if p.Edges[k] != nil {
+		n := len(p.Edges)
+		e := p.Edge(ef.Src, ef.Dst)
+		if len(p.Edges) == n {
 			return nil, fmt.Errorf("profile: decode: edge %s -> %s listed twice", ef.Src, ef.Dst)
 		}
-		e, err := ef.summary()
-		if err != nil {
+		if err := ef.fill(e); err != nil {
 			return nil, fmt.Errorf("profile: decode: edge %s -> %s: %w", ef.Src, ef.Dst, err)
 		}
-		p.Edges[k] = e
 	}
 	for _, ci := range f.Classifications {
-		if p.Classifications[ci.ID] != nil {
+		n := p.Number(ci.ID)
+		if p.ClassificationOf(n) != nil {
 			return nil, fmt.Errorf("profile: decode: classification %s listed twice", ci.ID)
 		}
 		if ci.Instances < 0 {
 			return nil, fmt.Errorf("profile: decode: classification %s: %d instances", ci.ID, ci.Instances)
 		}
-		c := ci
-		p.Classifications[ci.ID] = &c
+		p.addClassification(n, ci)
 	}
 	for _, mf := range f.Methods {
-		k := MethodKey{mf.Classification, mf.Method}
-		if p.Methods[k] != nil {
+		n := len(p.Methods)
+		m := p.Method(mf.Classification, mf.Method)
+		if len(p.Methods) == n {
 			return nil, fmt.Errorf("profile: decode: method %s of %s listed twice", mf.Method, mf.Classification)
 		}
 		if mf.Calls < 0 || mf.Writes < 0 {
 			return nil, fmt.Errorf("profile: decode: method %s of %s: %d calls, %d writes", mf.Method, mf.Classification, mf.Calls, mf.Writes)
 		}
-		p.Methods[k] = &MethodStats{Calls: mf.Calls, Writes: mf.Writes}
+		m.Calls, m.Writes = mf.Calls, mf.Writes
 	}
 	p.Instances = f.Instances
 	for _, ef := range f.InstEdges {
@@ -191,11 +195,9 @@ func Decode(r io.Reader) (*Profile, error) {
 		if p.InstEdges[k] != nil {
 			return nil, fmt.Errorf("profile: decode: instance edge #%d -> #%d listed twice", ef.Src, ef.Dst)
 		}
-		e, err := ef.summary()
-		if err != nil {
+		if err := ef.fill(p.InstEdge(ef.Src, ef.Dst)); err != nil {
 			return nil, fmt.Errorf("profile: decode: instance edge #%d -> #%d: %w", ef.Src, ef.Dst, err)
 		}
-		p.InstEdges[k] = e
 	}
 	return p, nil
 }

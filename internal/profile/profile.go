@@ -2,7 +2,8 @@ package profile
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/netsim"
@@ -13,19 +14,20 @@ import (
 // component). It is permanently constrained to the client.
 const MainProgram = "<main>"
 
-// PairKey identifies an ordered communication edge between two instance
-// classifications.
-type PairKey struct {
-	Src string
-	Dst string
-}
-
 // InstPairKey identifies an ordered communication edge between two
 // concrete instances (instance-level detail, kept only when classifier
 // evaluation needs it).
 type InstPairKey struct {
 	Src uint64
 	Dst uint64
+}
+
+// Pair is one ordered classification pair's entry in a profile: its
+// endpoints by classification number (see Profile.Name) and the summary
+// of the messages that crossed it.
+type Pair struct {
+	Src, Dst int32
+	EdgeSummary
 }
 
 // EdgeSummary aggregates the messages that crossed one edge: request and
@@ -39,11 +41,6 @@ type EdgeSummary struct {
 	ExactInBytes  int64
 	ExactOutBytes int64
 	NonRemotable  bool
-}
-
-// NewEdgeSummary returns an empty summary.
-func NewEdgeSummary() *EdgeSummary {
-	return &EdgeSummary{In: make(BucketCounts), Out: make(BucketCounts)}
 }
 
 // Record adds one call with the given request/reply payload sizes.
@@ -73,11 +70,10 @@ func (e *EdgeSummary) Merge(other *EdgeSummary) {
 // machines.
 func (e *EdgeSummary) Time(np *netsim.Profile) time.Duration {
 	var t time.Duration
-	for idx, n := range e.In {
-		t += time.Duration(n) * np.MessageTime(BucketRepresentative(idx))
-	}
-	for idx, n := range e.Out {
-		t += time.Duration(n) * np.MessageTime(BucketRepresentative(idx))
+	for _, h := range [2]BucketCounts{e.In, e.Out} {
+		for _, b := range h {
+			t += time.Duration(b.Count) * np.MessageTime(BucketRepresentative(b.Index))
+		}
 	}
 	return t
 }
@@ -128,22 +124,19 @@ type ClassificationInfo struct {
 	Path []string
 }
 
-// MethodKey identifies one method of one instance classification, the
-// granularity at which mutation evidence is aggregated.
-type MethodKey struct {
-	Classification string
-	Method         string
-}
-
 // MethodStats aggregates per-method call and state-mutation counts — the
 // profile evidence the purity analysis folds into component grading and
 // the purity verifier diffs against static read-only claims.
 type MethodStats struct {
-	Calls  int64
-	Writes int64
+	// Classification numbers the method's classification (see
+	// Profile.Name); Method names the method.
+	Classification int32
+	Method         string
+	Calls          int64
+	Writes         int64
 }
 
-// Merge folds other into m.
+// Merge folds other's counts into m.
 func (m *MethodStats) Merge(other *MethodStats) {
 	m.Calls += other.Calls
 	m.Writes += other.Writes
@@ -151,57 +144,198 @@ func (m *MethodStats) Merge(other *MethodStats) {
 
 // Profile is a complete ICC profile: the output of one or more profiling
 // runs under a given classifier.
+//
+// A profile numbers every classification name it holds once, in
+// first-seen order (Number, Name), and keys its edge and method tables by
+// those numbers: an edge by the pair of its endpoints' numbers, a method
+// by its classification's number and the number of its name. A name is
+// looked up only where a name comes in: an instantiation, a join with
+// another profile (Merge, Decode), or a caller asking by name. The tables'
+// entries are allocated a chunk at a time and never move once made, so a
+// *ClassificationInfo, *EdgeSummary or *MethodStats stays the profile's
+// own for as long as the profile lives.
 type Profile struct {
 	App        string
 	Scenarios  []string
 	Classifier string
 
-	// Edges aggregates communication between classifications.
-	Edges map[PairKey]*EdgeSummary
-	// Classifications indexes the instance classifications observed.
-	Classifications map[string]*ClassificationInfo
-	// Methods aggregates per-method call and mutation counts.
-	Methods map[MethodKey]*MethodStats
+	// Classifications lists the instance classifications observed, in
+	// first-seen order; Classification finds one by name.
+	Classifications []*ClassificationInfo
+	// Edges aggregates communication between classifications: one entry
+	// per ordered pair, in first-seen order.
+	Edges []*Pair
+	// Methods aggregates per-method call and mutation counts: one entry per
+	// method of a classification, in first-seen order.
+	Methods []*MethodStats
 	// Instances holds per-instance records (optional detail).
 	Instances []InstanceRecord
 	// InstEdges aggregates communication between concrete instances
 	// (optional detail for classifier evaluation).
 	InstEdges map[InstPairKey]*EdgeSummary
+
+	names   []named          // indexed by classification number
+	numbers map[string]int32 // name -> classification number
+	edgeAt  map[uint64]int32 // uint64(src)<<32 | dst -> index in Edges
+
+	methodNames   []string         // method number -> name
+	methodNumbers map[string]int32 // name -> method number
+	methodAt      map[uint64]int32 // uint64(classification)<<32 | method number -> index in Methods
+
+	classes chunks[ClassificationInfo]
+	pairs   chunks[Pair]
+	stats   chunks[MethodStats]
+	slab    []Bucket // the uncarved rest of the histogram slab
+}
+
+// named is one numbered classification name and, once the profile
+// observed an instance of it, its entry in Classifications.
+type named struct {
+	name string
+	info *ClassificationInfo
 }
 
 // New returns an empty profile.
 func New(app, classifier string) *Profile {
-	return &Profile{
-		App:             app,
-		Classifier:      classifier,
-		Edges:           make(map[PairKey]*EdgeSummary),
-		Classifications: make(map[string]*ClassificationInfo),
-		Methods:         make(map[MethodKey]*MethodStats),
-		InstEdges:       make(map[InstPairKey]*EdgeSummary),
-	}
+	return &Profile{App: app, Classifier: classifier}
 }
 
-// Edge returns the (created-on-demand) summary for the ordered pair.
-func (p *Profile) Edge(src, dst string) *EdgeSummary {
-	k := PairKey{src, dst}
-	e := p.Edges[k]
-	if e == nil {
-		e = NewEdgeSummary()
-		p.Edges[k] = e
+// push appends v to s, giving an empty s room for four at once: a small
+// profile's tables then grow in one allocation, not three.
+func push[T any](s []T, v T) []T {
+	if cap(s) == 0 {
+		s = make([]T, 0, 4)
 	}
-	return e
+	return append(s, v)
+}
+
+// chunks hands out zero values that never move: it allocates them a chunk
+// at a time, each chunk as large as all before it, from 4 up to 256.
+type chunks[T any] struct {
+	free []T
+	n    int // values handed out
+}
+
+// next returns a fresh zero value.
+func (c *chunks[T]) next() *T {
+	if len(c.free) == 0 {
+		c.free = make([]T, min(max(c.n, 4), 256))
+	}
+	v := &c.free[0]
+	c.free = c.free[1:]
+	c.n++
+	return v
+}
+
+// slots returns an empty histogram with room for two buckets, carved from
+// the profile's slab with a full slice expression, so that appending a
+// third bucket moves the histogram out instead of writing into the next
+// histogram's slots. Profiling the paper's three applications, about two
+// of three edge directions hold one bucket and all but 16 of 9,092 at
+// most two.
+func (p *Profile) slots() BucketCounts {
+	if len(p.slab) < 2 {
+		p.slab = make([]Bucket, min(max(4*len(p.Edges), 8), 1024))
+	}
+	h := p.slab[:0:2]
+	p.slab = p.slab[2:]
+	return h
+}
+
+// Number returns the classification number of name, numbering it if new.
+func (p *Profile) Number(name string) int32 {
+	if n, ok := p.numbers[name]; ok {
+		return n
+	}
+	if p.numbers == nil {
+		p.numbers = make(map[string]int32)
+	}
+	n := int32(len(p.names))
+	p.names = push(p.names, named{name: name})
+	p.numbers[name] = n
+	return n
+}
+
+// Name returns the name of classification number n.
+func (p *Profile) Name(n int32) string { return p.names[n].name }
+
+// Numbered returns how many classification names the profile numbers:
+// every number is in [0, Numbered()).
+func (p *Profile) Numbered() int { return len(p.names) }
+
+// Classification returns the named instance classification, or nil when
+// the profile observed no instance of it.
+func (p *Profile) Classification(name string) *ClassificationInfo {
+	if n, ok := p.numbers[name]; ok {
+		return p.names[n].info
+	}
+	return nil
+}
+
+// ClassificationOf returns the instance classification numbered n, or nil
+// when the profile observed no instance of it (the main program, say).
+func (p *Profile) ClassificationOf(n int32) *ClassificationInfo { return p.names[n].info }
+
+// EdgeOf returns the (created-on-demand) summary for the ordered pair of
+// classification numbers: one integer-keyed lookup.
+func (p *Profile) EdgeOf(src, dst int32) *EdgeSummary {
+	k := uint64(uint32(src))<<32 | uint64(uint32(dst))
+	if i, ok := p.edgeAt[k]; ok {
+		return &p.Edges[i].EdgeSummary
+	}
+	if p.edgeAt == nil {
+		p.edgeAt = make(map[uint64]int32)
+	}
+	e := p.pairs.next()
+	e.Src, e.Dst = src, dst
+	e.In, e.Out = p.slots(), p.slots()
+	p.edgeAt[k] = int32(len(p.Edges))
+	p.Edges = push(p.Edges, e)
+	return &e.EdgeSummary
+}
+
+// Edge returns the (created-on-demand) summary for the ordered pair of
+// named classifications.
+func (p *Profile) Edge(src, dst string) *EdgeSummary {
+	return p.EdgeOf(p.Number(src), p.Number(dst))
+}
+
+// MethodNumber returns the number of a method name, numbering it if new.
+func (p *Profile) MethodNumber(name string) int32 {
+	if n, ok := p.methodNumbers[name]; ok {
+		return n
+	}
+	if p.methodNumbers == nil {
+		p.methodNumbers = make(map[string]int32)
+	}
+	n := int32(len(p.methodNames))
+	p.methodNames = push(p.methodNames, name)
+	p.methodNumbers[name] = n
+	return n
+}
+
+// MethodOf returns the (created-on-demand) statistics of method number
+// method of classification number classification: one integer-keyed
+// lookup.
+func (p *Profile) MethodOf(classification, method int32) *MethodStats {
+	k := uint64(uint32(classification))<<32 | uint64(uint32(method))
+	if i, ok := p.methodAt[k]; ok {
+		return p.Methods[i]
+	}
+	if p.methodAt == nil {
+		p.methodAt = make(map[uint64]int32)
+	}
+	m := p.stats.next()
+	m.Classification, m.Method = classification, p.methodNames[method]
+	p.methodAt[k] = int32(len(p.Methods))
+	p.Methods = push(p.Methods, m)
+	return m
 }
 
 // Method returns the (created-on-demand) per-method statistics for the
 // given classification and method name.
 func (p *Profile) Method(classification, method string) *MethodStats {
-	k := MethodKey{classification, method}
-	m := p.Methods[k]
-	if m == nil {
-		m = &MethodStats{}
-		p.Methods[k] = m
-	}
-	return m
+	return p.MethodOf(p.Number(classification), p.MethodNumber(method))
 }
 
 // InstEdge returns the (created-on-demand) instance-level summary.
@@ -209,28 +343,45 @@ func (p *Profile) InstEdge(src, dst uint64) *EdgeSummary {
 	k := InstPairKey{src, dst}
 	e := p.InstEdges[k]
 	if e == nil {
-		e = NewEdgeSummary()
+		if p.InstEdges == nil {
+			p.InstEdges = make(map[InstPairKey]*EdgeSummary)
+		}
+		e = &EdgeSummary{In: p.slots(), Out: p.slots()}
 		p.InstEdges[k] = e
 	}
 	return e
 }
 
-// AddInstance records an instantiation under the given classification.
-func (p *Profile) AddInstance(rec InstanceRecord) {
-	p.Instances = append(p.Instances, rec)
-	ci := p.Classifications[rec.Classification]
+// AddInstance records an instantiation under the given classification and
+// returns the classification's number.
+func (p *Profile) AddInstance(rec InstanceRecord) int32 {
+	p.Instances = push(p.Instances, rec)
+	n := p.Number(rec.Classification)
+	ci := p.names[n].info
 	if ci == nil {
-		ci = &ClassificationInfo{ID: rec.Classification, Class: rec.Class}
-		p.Classifications[rec.Classification] = ci
+		ci = p.addClassification(n, ClassificationInfo{ID: rec.Classification, Class: rec.Class})
 	}
 	if ci.Path == nil && len(rec.Path) > 0 {
 		ci.Path = rec.Path // shared: a recorded path is immutable
 	}
 	ci.Instances++
+	return n
+}
+
+// addClassification lists ci as classification number n and returns the
+// profile's entry.
+func (p *Profile) addClassification(n int32, ci ClassificationInfo) *ClassificationInfo {
+	c := p.classes.next()
+	*c = ci
+	p.names[n].info = c
+	p.Classifications = push(p.Classifications, c)
+	return c
 }
 
 // Merge folds other into p: edges and classification counts accumulate,
-// scenario lists concatenate. Instance ids restart every execution, so
+// scenario lists concatenate. The two profiles number their
+// classifications apart, so other's entries are joined to p's by name,
+// once per distinct name. Instance ids restart every execution, so
 // other's concrete ids are shifted past p's largest (the main program, id
 // 0, stays fixed): per-instance detail from separate runs stays distinct
 // and communication vectors stay per-instance. other is not modified.
@@ -250,16 +401,21 @@ func (p *Profile) Merge(other *Profile) error {
 		return id + delta
 	}
 	p.Scenarios = append(p.Scenarios, other.Scenarios...)
-	for k, e := range other.Edges {
-		p.Edge(k.Src, k.Dst).Merge(e)
+	num := make([]int32, len(other.names))
+	for i, c := range other.names {
+		num[i] = p.Number(c.name)
 	}
-	for id, ci := range other.Classifications {
-		mine := p.Classifications[id]
+	for _, e := range other.Edges {
+		p.EdgeOf(num[e.Src], num[e.Dst]).Merge(&e.EdgeSummary)
+	}
+	for _, ci := range other.Classifications {
+		n := p.Number(ci.ID)
+		mine := p.names[n].info
 		if mine == nil {
-			p.Classifications[id] = &ClassificationInfo{
-				ID: id, Class: ci.Class, Instances: ci.Instances,
+			p.addClassification(n, ClassificationInfo{
+				ID: ci.ID, Class: ci.Class, Instances: ci.Instances,
 				Path: append([]string(nil), ci.Path...),
-			}
+			})
 		} else {
 			mine.Instances += ci.Instances
 			if mine.Path == nil && len(ci.Path) > 0 {
@@ -267,8 +423,8 @@ func (p *Profile) Merge(other *Profile) error {
 			}
 		}
 	}
-	for k, m := range other.Methods {
-		p.Method(k.Classification, k.Method).Merge(m)
+	for _, m := range other.Methods {
+		p.MethodOf(num[m.Classification], p.MethodNumber(m.Method)).Merge(m)
 	}
 	for _, r := range other.Instances {
 		r.ID = shift(r.ID)
@@ -278,6 +434,32 @@ func (p *Profile) Merge(other *Profile) error {
 		p.InstEdge(shift(k.Src), shift(k.Dst)).Merge(e)
 	}
 	return nil
+}
+
+// SortedEdges returns the edges ordered by source and then destination
+// name: the order a log lists them in and findings report them in.
+func (p *Profile) SortedEdges() []*Pair {
+	out := slices.Clone(p.Edges)
+	slices.SortFunc(out, func(a, b *Pair) int {
+		if c := strings.Compare(p.Name(a.Src), p.Name(b.Src)); c != 0 {
+			return c
+		}
+		return strings.Compare(p.Name(a.Dst), p.Name(b.Dst))
+	})
+	return out
+}
+
+// SortedMethods returns the method entries ordered by classification and
+// then method name.
+func (p *Profile) SortedMethods() []*MethodStats {
+	out := slices.Clone(p.Methods)
+	slices.SortFunc(out, func(a, b *MethodStats) int {
+		if c := strings.Compare(p.Name(a.Classification), p.Name(b.Classification)); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Method, b.Method)
+	})
+	return out
 }
 
 // TotalCalls returns the number of inter-component calls summarized.
@@ -302,10 +484,10 @@ func (p *Profile) TotalInstances() int64 {
 // ClassificationIDs returns all classification ids sorted.
 func (p *Profile) ClassificationIDs() []string {
 	ids := make([]string, 0, len(p.Classifications))
-	for id := range p.Classifications {
-		ids = append(ids, id)
+	for _, ci := range p.Classifications {
+		ids = append(ids, ci.ID)
 	}
-	sort.Strings(ids)
+	slices.Sort(ids)
 	return ids
 }
 

@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"repro/internal/netsim"
 )
@@ -59,25 +61,25 @@ func TestPropertyBucketRoundTrip(t *testing.T) {
 
 func TestBucketCounts(t *testing.T) {
 	t.Parallel()
-	b := make(BucketCounts)
-	b.Add(0, 2)
+	var b BucketCounts
 	b.Add(100, 3)
+	b.Add(0, 2)
 	b.Add(120, 1)
 	if b.Total() != 6 {
 		t.Errorf("Total = %d", b.Total())
 	}
-	if b[0] != 2 || b[BucketIndex(100)] != 4 {
-		t.Errorf("buckets = %v", b)
+	if want := (BucketCounts{{0, 2}, {BucketIndex(100), 4}}); !slices.Equal(b, want) {
+		t.Errorf("buckets = %v, want %v", b, want)
 	}
-	c := b.Clone()
+	c := slices.Clone(b)
 	c.Add(100, 1)
-	if b[BucketIndex(100)] != 4 {
-		t.Error("Clone aliases original")
+	if b.Count(BucketIndex(100)) != 4 {
+		t.Error("a clone aliases the original")
 	}
-	other := make(BucketCounts)
+	var other BucketCounts
 	other.Add(0, 5)
 	b.Merge(other)
-	if b[0] != 7 {
+	if b.Count(0) != 7 {
 		t.Errorf("Merge: %v", b)
 	}
 	// ApproxBytes sums representatives.
@@ -87,10 +89,66 @@ func TestBucketCounts(t *testing.T) {
 	}
 }
 
+// TestBucketMergeKeepsOrder: merging overlapping and disjoint bucket sets,
+// from either side, leaves the buckets in increasing order with the counts
+// summed.
+func TestBucketMergeKeepsOrder(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		name      string
+		a, b, sum BucketCounts
+	}{
+		{"overlapping", BucketCounts{{2, 1}, {5, 2}, {9, 3}}, BucketCounts{{5, 4}, {9, 1}},
+			BucketCounts{{2, 1}, {5, 6}, {9, 4}}},
+		{"disjoint", BucketCounts{{3, 1}, {7, 1}}, BucketCounts{{0, 2}, {5, 2}, {12, 2}},
+			BucketCounts{{0, 2}, {3, 1}, {5, 2}, {7, 1}, {12, 2}}},
+		{"into empty", nil, BucketCounts{{1, 1}, {4, 1}}, BucketCounts{{1, 1}, {4, 1}}},
+	} {
+		for _, order := range [][2]BucketCounts{{c.a, c.b}, {c.b, c.a}} {
+			got := slices.Clone(order[0])
+			got.Merge(order[1])
+			if !slices.Equal(got, c.sum) {
+				t.Errorf("%s: %v merged with %v = %v, want %v", c.name, order[0], order[1], got, c.sum)
+			}
+		}
+	}
+}
+
+// TestHistogramGrowthKeepsNeighbours: a profile carves each new edge's
+// histograms two slots apiece from one slab, so a third bucket must move
+// the histogram out of its slots instead of writing into the next
+// histogram's.
+func TestHistogramGrowthKeepsNeighbours(t *testing.T) {
+	t.Parallel()
+	p := New("app", "ifcb")
+	a := p.Edge("a", "b")
+	b := p.Edge("b", "c")
+	b.Record(1, 1, false)
+	b.Record(2, 2, false)
+	want := slices.Clone(b.In)
+	// a's reply histogram's slots lie right before b's request histogram's.
+	next := unsafe.Add(unsafe.Pointer(&a.Out[:2][1]), unsafe.Sizeof(Bucket{}))
+	if cap(a.In) != 2 || cap(a.Out) != 2 || next != unsafe.Pointer(&b.In[0]) {
+		t.Fatalf("histograms not carved two adjacent slots each: caps %d, %d", cap(a.In), cap(a.Out))
+	}
+	for _, size := range []int{0, 4, 8, 16, 1 << 20} {
+		a.Record(size, size, false)
+	}
+	if !slices.Equal(b.In, want) || !slices.Equal(b.Out, want) {
+		t.Fatalf("growing a's histograms wrote into b's: %v, %v, want %v", b.In, b.Out, want)
+	}
+	if len(a.In) != 5 || a.In.Total() != 5 || !slices.IsSortedFunc(a.In, func(x, y Bucket) int { return x.Index - y.Index }) {
+		t.Fatalf("a's grown histogram = %v", a.In)
+	}
+	if p.Edge("a", "b") != a || p.Edge("b", "c") != b {
+		t.Fatal("an edge's summary moved")
+	}
+}
+
 func TestEdgeSummaryRecordAndTime(t *testing.T) {
 	t.Parallel()
 	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
-	e := NewEdgeSummary()
+	e := new(EdgeSummary)
 	e.Record(100, 1000, false)
 	e.Record(100, 1000, false)
 	if e.Calls != 2 || e.ExactInBytes != 200 || e.ExactOutBytes != 2000 {
@@ -114,16 +172,16 @@ func TestEdgeSummaryRecordAndTime(t *testing.T) {
 	if ratio < 0.5 || ratio > 2 {
 		t.Errorf("bucketed %v vs exact %v (ratio %.2f)", bt, et, ratio)
 	}
-	if NewEdgeSummary().ExactTime(np) != 0 {
+	if new(EdgeSummary).ExactTime(np) != 0 {
 		t.Error("empty edge has nonzero exact time")
 	}
 }
 
 func TestEdgeSummaryMerge(t *testing.T) {
 	t.Parallel()
-	a := NewEdgeSummary()
+	a := new(EdgeSummary)
 	a.Record(10, 20, false)
-	b := NewEdgeSummary()
+	b := new(EdgeSummary)
 	b.Record(30, 40, true)
 	a.Merge(b)
 	if a.Calls != 2 || a.ExactInBytes != 40 || a.ExactOutBytes != 60 || !a.NonRemotable {
@@ -158,8 +216,8 @@ func TestProfileAccumulation(t *testing.T) {
 	if len(ids) != 2 || ids[0] != "c:reader" || ids[1] != "c:view" {
 		t.Errorf("ClassificationIDs = %v", ids)
 	}
-	if p.Classifications["c:view"].Instances != 2 {
-		t.Errorf("view instances = %d", p.Classifications["c:view"].Instances)
+	if p.Classification("c:view").Instances != 2 {
+		t.Errorf("view instances = %d", p.Classification("c:view").Instances)
 	}
 }
 
@@ -177,8 +235,8 @@ func TestProfileMerge(t *testing.T) {
 	if a.Edge(MainProgram, "c:reader").Calls != 2 {
 		t.Errorf("merged edge calls = %d", a.Edge(MainProgram, "c:reader").Calls)
 	}
-	if a.Classifications["c:view"].Instances != 4 {
-		t.Errorf("merged view instances = %d", a.Classifications["c:view"].Instances)
+	if a.Classification("c:view").Instances != 4 {
+		t.Errorf("merged view instances = %d", a.Classification("c:view").Instances)
 	}
 
 	wrong := New("app", "st")
@@ -338,21 +396,21 @@ func TestEdgeTimeUsesBuckets(t *testing.T) {
 	// Two messages in the same bucket price identically even if sizes
 	// differ: network independence with bounded storage.
 	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
-	a := NewEdgeSummary()
+	a := new(EdgeSummary)
 	a.Record(1000, 0, false)
-	b := NewEdgeSummary()
+	b := new(EdgeSummary)
 	b.Record(1023, 0, false)
 	if a.Time(np) != b.Time(np) {
 		t.Error("same-bucket messages priced differently")
 	}
 	// Messages a bucket apart price differently.
-	c := NewEdgeSummary()
+	c := new(EdgeSummary)
 	c.Record(2048, 0, false)
 	if a.Time(np) == c.Time(np) {
 		t.Error("different buckets priced identically")
 	}
 	var zero time.Duration
-	if NewEdgeSummary().Time(np) != zero {
+	if new(EdgeSummary).Time(np) != zero {
 		t.Error("empty edge nonzero time")
 	}
 }
@@ -390,9 +448,12 @@ func TestPropertyMergeCommutesOnTotals(t *testing.T) {
 			return false
 		}
 		// Edge-level equality both ways.
-		for k, e := range ab.Edges {
-			o := ba.Edges[k]
-			if o == nil || o.Calls != e.Calls || o.ExactInBytes != e.ExactInBytes ||
+		if len(ab.Edges) != len(ba.Edges) {
+			return false
+		}
+		for _, e := range ab.Edges {
+			o := ba.Edge(ab.Name(e.Src), ab.Name(e.Dst))
+			if o.Calls != e.Calls || !slices.Equal(o.In, e.In) || !slices.Equal(o.Out, e.Out) || o.ExactInBytes != e.ExactInBytes ||
 				o.NonRemotable != e.NonRemotable {
 				return false
 			}

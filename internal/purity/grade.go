@@ -78,9 +78,10 @@ func (r *Report) Grade(p *profile.Profile, theta float64) *Grading {
 	// Per-classification observed call/write totals.
 	calls := make(map[string]int64)
 	writes := make(map[string]int64)
-	for k, m := range p.Methods {
-		calls[k.Classification] += m.Calls
-		writes[k.Classification] += m.Writes
+	for _, m := range p.Methods {
+		id := p.Name(m.Classification)
+		calls[id] += m.Calls
+		writes[id] += m.Writes
 	}
 
 	classes := make(map[string]bool)
@@ -88,7 +89,7 @@ func (r *Report) Grade(p *profile.Profile, theta float64) *Grading {
 		if id == profile.MainProgram {
 			continue
 		}
-		ci := p.Classifications[id]
+		ci := p.Classification(id)
 		cg := ComponentGrade{
 			Classification: id,
 			Class:          ci.Class,
@@ -160,26 +161,16 @@ func (r *Report) Verify(p *profile.Profile) []staticanal.Finding {
 	if p == nil {
 		return out
 	}
-	keys := make([]profile.MethodKey, 0, len(p.Methods))
-	for k := range p.Methods {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Classification != keys[j].Classification {
-			return keys[i].Classification < keys[j].Classification
-		}
-		return keys[i].Method < keys[j].Method
-	})
-	for _, k := range keys {
-		m := p.Methods[k]
+	for _, m := range p.SortedMethods() {
 		if m.Writes == 0 {
 			continue
 		}
-		ci := p.Classifications[k.Classification]
+		id := p.Name(m.Classification)
+		ci := p.ClassificationOf(m.Classification)
 		if ci == nil {
 			out = append(out, staticanal.Finding{
 				Kind: staticanal.KindUnknownClass, Severity: staticanal.SeverityWarning,
-				Detail: fmt.Sprintf("observed %d mutation(s) on unclassified component %s", m.Writes, k.Classification),
+				Detail: fmt.Sprintf("observed %d mutation(s) on unclassified component %s", m.Writes, id),
 			})
 			continue
 		}
@@ -188,15 +179,15 @@ func (r *Report) Verify(p *profile.Profile) []staticanal.Finding {
 			out = append(out, staticanal.Finding{
 				Kind: staticanal.KindUnknownClass, Severity: staticanal.SeverityWarning,
 				Detail: fmt.Sprintf("observed %d mutation(s) on %s (class %s) absent from the static model",
-					m.Writes, k.Classification, ci.Class),
+					m.Writes, id, ci.Class),
 			})
 			continue
 		}
-		if info.MethodPurity(k.Method) == ReadOnly {
+		if info.MethodPurity(m.Method) == ReadOnly {
 			out = append(out, staticanal.Finding{
 				Kind: KindPurityMiss, Severity: staticanal.SeverityError,
 				Detail: fmt.Sprintf("profile observed %d state mutation(s) through %s.%s, which the static analysis classified read-only",
-					m.Writes, k.Classification, k.Method),
+					m.Writes, id, m.Method),
 			})
 		}
 	}

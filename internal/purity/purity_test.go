@@ -139,18 +139,13 @@ func TestScanPropagatesImpurity(t *testing.T) {
 // gradeProfile builds a profile with one classification per class and the
 // given call/write counts for Store.
 func gradeProfile(storeCalls, storeWrites int64) *profile.Profile {
-	p := &profile.Profile{
-		App:             "puritytest",
-		Classifications: make(map[string]*profile.ClassificationInfo),
-		Methods:         make(map[profile.MethodKey]*profile.MethodStats),
+	p := profile.New("puritytest", "")
+	for i, class := range []string{"Pure", "Cache", "Store", "NoDesc"} {
+		p.AddInstance(profile.InstanceRecord{ID: uint64(i + 1), Class: class, Classification: class + "#0"})
 	}
-	for _, class := range []string{"Pure", "Cache", "Store", "NoDesc"} {
-		id := class + "#0"
-		p.Classifications[id] = &profile.ClassificationInfo{ID: id, Class: class, Instances: 1}
-	}
-	p.Classifications[profile.MainProgram] = &profile.ClassificationInfo{ID: profile.MainProgram, Class: profile.MainProgram}
-	p.Methods[profile.MethodKey{Classification: "Store#0", Method: "Get"}] = &profile.MethodStats{Calls: storeCalls}
-	p.Methods[profile.MethodKey{Classification: "Store#0", Method: "Put"}] = &profile.MethodStats{Calls: storeWrites, Writes: storeWrites}
+	p.Method("Store#0", "Get").Calls = storeCalls
+	put := p.Method("Store#0", "Put")
+	put.Calls, put.Writes = storeWrites, storeWrites
 	return p
 }
 
@@ -211,7 +206,7 @@ func TestVerifyPurityMiss(t *testing.T) {
 
 	// A mutation observed through Store.Get — statically claimed
 	// read-only — must be a hard error.
-	p.Methods[profile.MethodKey{Classification: "Store#0", Method: "Get"}].Writes = 3
+	p.Method("Store#0", "Get").Writes = 3
 	fs := r.Verify(p)
 	if len(fs) != 1 || fs[0].Kind != KindPurityMiss || fs[0].Severity != staticanal.SeverityError {
 		t.Fatalf("findings = %v, want one %s error", fs, KindPurityMiss)
@@ -222,7 +217,8 @@ func TestVerifyPurityMiss(t *testing.T) {
 
 	// Mutations through an unclassified component are warnings, not misses.
 	p = gradeProfile(10, 1)
-	p.Methods[profile.MethodKey{Classification: "Ghost#9", Method: "Do"}] = &profile.MethodStats{Calls: 1, Writes: 1}
+	ghost := p.Method("Ghost#9", "Do")
+	ghost.Calls, ghost.Writes = 1, 1
 	fs = r.Verify(p)
 	if len(fs) != 1 || fs[0].Kind != staticanal.KindUnknownClass || fs[0].Severity != staticanal.SeverityWarning {
 		t.Fatalf("findings = %v, want one unknown-class warning", fs)

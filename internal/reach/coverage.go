@@ -60,21 +60,18 @@ func (g *Graph) Coverage(p *profile.Profile) *Coverage {
 	observedSites := make(map[[2]string]bool)
 	// Observed ICC edges at class-pair level.
 	observedEdges := make(map[[2]string]bool)
-	classOf := func(id string) string {
-		if id == profile.MainProgram {
+	classOf := func(n int32) string {
+		if p.Name(n) == profile.MainProgram {
 			return profile.MainProgram
 		}
-		if p == nil {
-			return ""
-		}
-		if ci := p.Classifications[id]; ci != nil {
+		if ci := p.ClassificationOf(n); ci != nil {
 			return ci.Class
 		}
 		return ""
 	}
 	if p != nil {
 		for _, id := range p.ClassificationIDs() {
-			ci := p.Classifications[id]
+			ci := p.Classification(id)
 			creator := g.EffectiveCreator(ci.Path)
 			key := [2]string{creator, ci.Class}
 			if observedSites[key] {
@@ -91,8 +88,8 @@ func (g *Graph) Coverage(p *profile.Profile) *Coverage {
 				})
 			}
 		}
-		for k := range p.Edges {
-			src, dst := classOf(k.Src), classOf(k.Dst)
+		for _, e := range p.Edges {
+			src, dst := classOf(e.Src), classOf(e.Dst)
 			if src == "" || dst == "" || src == dst || dst == profile.MainProgram {
 				continue
 			}

@@ -133,12 +133,12 @@ func TestProfilingRunCollectsEverything(t *testing.T) {
 	}
 	// Root's classification context is <main>; Leaf's creator is Root.
 	var rootClassification, leafClassification string
-	for id, ci := range p.Classifications {
+	for _, ci := range p.Classifications {
 		switch ci.Class {
 		case "Root":
-			rootClassification = id
+			rootClassification = ci.ID
 		case "Leaf":
-			leafClassification = id
+			leafClassification = ci.ID
 		}
 	}
 	if rootClassification == "" || leafClassification == "" {
@@ -463,7 +463,7 @@ func TestActivationPathShared(t *testing.T) {
 		t.Errorf("profile path = %q after an append to a recorded path", p.Instances[3].Path)
 	}
 	// A classification shares its first instance's path instead of a copy.
-	if ci := p.Classifications[p.Instances[2].Classification]; &ci.Path[0] != &p.Instances[2].Path[0] {
+	if ci := p.Classification(p.Instances[2].Classification); &ci.Path[0] != &p.Instances[2].Path[0] {
 		t.Errorf("classification path %q is a copy of its instance's", ci.Path)
 	}
 }

@@ -323,26 +323,26 @@ func (cs *ConstraintSet) ApplyToGraph(g *graph.Graph, p *profile.Profile) ApplyS
 	if cs == nil || g == nil || p == nil {
 		return st
 	}
-	for id, ci := range p.Classifications {
+	for _, ci := range p.Classifications {
 		pin, ok := cs.Pins[ci.Class]
 		if !ok {
 			continue
 		}
 		st.Pins++
 		if pin.Machine == com.Client {
-			g.Pin(id, graph.SourceSide)
+			g.Pin(ci.ID, graph.SourceSide)
 		} else {
-			g.Pin(id, graph.SinkSide)
+			g.Pin(ci.ID, graph.SinkSide)
 		}
 	}
-	for k := range p.Edges {
-		srcClass := cs.classOf(p, k.Src)
-		dstClass := cs.classOf(p, k.Dst)
+	for _, e := range p.Edges {
+		srcClass := classOf(p, e.Src)
+		dstClass := classOf(p, e.Dst)
 		if srcClass == "" || dstClass == "" {
 			continue
 		}
 		if _, weld := cs.MustCoLocate(srcClass, dstClass); weld {
-			g.CoLocate(k.Src, k.Dst)
+			g.CoLocate(p.Name(e.Src), p.Name(e.Dst))
 			st.CoLocations++
 		}
 	}
@@ -355,8 +355,8 @@ func (cs *ConstraintSet) ApplyToGraph(g *graph.Graph, p *profile.Profile) ApplyS
 	// skipped (the cut then relies on the pins, as before).
 	if len(cs.CoveragePairs) > 0 {
 		byClass := make(map[string][]string)
-		for id, ci := range p.Classifications {
-			byClass[ci.Class] = append(byClass[ci.Class], id)
+		for _, ci := range p.Classifications {
+			byClass[ci.Class] = append(byClass[ci.Class], ci.ID)
 		}
 		for _, cls := range byClass {
 			sort.Strings(cls)
@@ -383,8 +383,8 @@ func (cs *ConstraintSet) ApplyToGraph(g *graph.Graph, p *profile.Profile) ApplyS
 	// with the same pinned-apart escape hatch as coverage pairs.
 	if len(cs.AliasPairs) > 0 {
 		byClass := make(map[string][]string)
-		for id, ci := range p.Classifications {
-			byClass[ci.Class] = append(byClass[ci.Class], id)
+		for _, ci := range p.Classifications {
+			byClass[ci.Class] = append(byClass[ci.Class], ci.ID)
 		}
 		for _, cls := range byClass {
 			sort.Strings(cls)
@@ -407,10 +407,10 @@ func (cs *ConstraintSet) ApplyToGraph(g *graph.Graph, p *profile.Profile) ApplyS
 	return st
 }
 
-// classOf maps a classification id to its class name ("" when unknown;
-// the main program has no class).
-func (cs *ConstraintSet) classOf(p *profile.Profile, id string) string {
-	if ci := p.Classifications[id]; ci != nil {
+// classOf maps a classification number to its class name ("" when
+// unknown; the main program has no class).
+func classOf(p *profile.Profile, n int32) string {
+	if ci := p.ClassificationOf(n); ci != nil {
 		return ci.Class
 	}
 	return ""

@@ -405,7 +405,7 @@ func TestVerifierOctarineWithCoverageConstraints(t *testing.T) {
 	machine := func(class string) map[com.Machine]bool {
 		out := make(map[com.Machine]bool)
 		for id, m := range res.Distribution {
-			if ci := prof.Classifications[id]; ci != nil && ci.Class == class {
+			if ci := prof.Classification(id); ci != nil && ci.Class == class {
 				out[m] = true
 			}
 		}
@@ -437,8 +437,8 @@ func TestCheckCutFlagsViolations(t *testing.T) {
 
 	// Everything on the server violates every client pin.
 	allServer := make(map[string]com.Machine)
-	for id := range p.Classifications {
-		allServer[id] = com.Server
+	for _, ci := range p.Classifications {
+		allServer[ci.ID] = com.Server
 	}
 	findings := cs.CheckCut(p, allServer)
 	if staticanal.ErrorCount(findings) == 0 {

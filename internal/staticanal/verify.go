@@ -2,7 +2,6 @@ package staticanal
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/com"
 	"repro/internal/profile"
@@ -67,23 +66,13 @@ func (cs *ConstraintSet) CrossCheck(p *profile.Profile) []Finding {
 	if cs == nil || p == nil {
 		return out
 	}
-	keys := make([]profile.PairKey, 0, len(p.Edges))
-	for k := range p.Edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
-		}
-		return keys[i].Dst < keys[j].Dst
-	})
-	for _, k := range keys {
-		e := p.Edges[k]
-		srcClass := cs.classOf(p, k.Src)
-		dstClass := cs.classOf(p, k.Dst)
+	for _, e := range p.SortedEdges() {
+		src, dst := p.Name(e.Src), p.Name(e.Dst)
+		srcClass := classOf(p, e.Src)
+		dstClass := classOf(p, e.Dst)
 		// The main program has no class and no static metadata; every
 		// other classification must resolve.
-		for _, end := range []struct{ id, class string }{{k.Src, srcClass}, {k.Dst, dstClass}} {
+		for _, end := range []struct{ id, class string }{{src, srcClass}, {dst, dstClass}} {
 			if end.class == "" && end.id != profile.MainProgram {
 				out = append(out, Finding{
 					Kind: KindUnknownClass, Severity: SeverityWarning,
@@ -101,7 +90,7 @@ func (cs *ConstraintSet) CrossCheck(p *profile.Profile) []Finding {
 				Kind: KindStaticMiss, Severity: SeverityWarning,
 				Detail: fmt.Sprintf(
 					"profile observed a non-remotable call on %s -> %s, but neither %q nor %q implements an interface that passes opaque pointers",
-					k.Src, k.Dst, srcClass, dstClass),
+					src, dst, srcClass, dstClass),
 			})
 		}
 	}
@@ -124,13 +113,8 @@ func (cs *ConstraintSet) CheckCut(p *profile.Profile, distribution map[string]co
 		return distribution[id]
 	}
 
-	ids := make([]string, 0, len(p.Classifications))
-	for id := range p.Classifications {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		ci := p.Classifications[id]
+	for _, id := range p.ClassificationIDs() {
+		ci := p.Classification(id)
 		pin, ok := cs.Pins[ci.Class]
 		if !ok {
 			continue
@@ -144,19 +128,9 @@ func (cs *ConstraintSet) CheckCut(p *profile.Profile, distribution map[string]co
 		}
 	}
 
-	keys := make([]profile.PairKey, 0, len(p.Edges))
-	for k := range p.Edges {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
-		}
-		return keys[i].Dst < keys[j].Dst
-	})
-	for _, k := range keys {
-		e := p.Edges[k]
-		srcClass, dstClass := cs.classOf(p, k.Src), cs.classOf(p, k.Dst)
+	for _, e := range p.SortedEdges() {
+		src, dst := p.Name(e.Src), p.Name(e.Dst)
+		srcClass, dstClass := classOf(p, e.Src), classOf(p, e.Dst)
 		reason, weld := "", false
 		if srcClass != "" && dstClass != "" {
 			reason, weld = cs.MustCoLocate(srcClass, dstClass)
@@ -167,11 +141,11 @@ func (cs *ConstraintSet) CheckCut(p *profile.Profile, distribution map[string]co
 		if !weld && e.NonRemotable && cs.ObservedNonRemotableWeld(srcClass, dstClass) {
 			reason, weld = "profile observed a non-remotable call on the edge", true
 		}
-		if weld && machineOf(k.Src) != machineOf(k.Dst) {
+		if weld && machineOf(src) != machineOf(dst) {
 			out = append(out, Finding{
 				Kind: KindCoLocationViolation, Severity: SeverityError,
 				Detail: fmt.Sprintf("%s on %s and %s on %s must be co-located: %s",
-					k.Src, machineOf(k.Src), k.Dst, machineOf(k.Dst), reason),
+					src, machineOf(src), dst, machineOf(dst), reason),
 			})
 		}
 	}
