@@ -608,7 +608,7 @@ func (r *Result) Verify(p *profile.Profile) []staticanal.Finding {
 	if p == nil {
 		return out
 	}
-	for _, e := range p.SortedEdges() {
+	for _, e := range p.Edges {
 		if !e.NonRemotable || p.Name(e.Dst) == profile.MainProgram {
 			continue
 		}

@@ -168,11 +168,12 @@ func BuildGraph(p *profile.Profile, np *netsim.Profile, classes *com.ClassRegist
 	g.Pin(profile.MainProgram, graph.SourceSide)
 
 	var st BuildStats
-	// Intern nodes in sorted order: node indices decide the edge-key order,
-	// and with it the flow network's layout; map-order interning made the
-	// tie-breaks between equal-cost cuts drift across runs.
-	for _, id := range p.ClassificationIDs() {
-		g.Node(id)
+	// Intern nodes in id order, the order the profile lists them in: node
+	// indices decide the edge-key order, and with it the flow network's
+	// layout; map-order interning made the tie-breaks between equal-cost
+	// cuts drift across runs.
+	for _, ci := range p.Classifications {
+		g.Node(ci.ID)
 	}
 	if cs := opts.Constraints; cs != nil {
 		applied := cs.ApplyToGraph(g, p)
@@ -226,7 +227,7 @@ func BuildGraph(p *profile.Profile, np *netsim.Profile, classes *com.ClassRegist
 			// the dynamic evidence away as an immutable payload exchange; an
 			// unrefined set always welds.
 			if cs := opts.Constraints; cs != nil &&
-				!cs.ObservedNonRemotableWeld(classNameOf(p, e.Src), classNameOf(p, e.Dst)) {
+				!cs.ObservedNonRemotableWeld(p.ClassOf(e.Src), p.ClassOf(e.Dst)) {
 				st.NonRemotableCleared++
 				continue
 			}
@@ -355,15 +356,6 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 		}
 	}
 	return res, nil
-}
-
-// classNameOf maps a classification number to its class name ("" for the
-// main program and unknown classifications).
-func classNameOf(p *profile.Profile, n int32) string {
-	if ci := p.ClassificationOf(n); ci != nil {
-		return ci.Class
-	}
-	return ""
 }
 
 // ServerComponents returns the classifications the cut placed on the

@@ -57,6 +57,7 @@ func benchProfile() *profile.Profile {
 		p.Edge("reader@1", "gui@1").Record(128, 16, false)
 	}
 	// Worker floats free of everything.
+	p.Sort()
 	return p
 }
 

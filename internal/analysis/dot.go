@@ -23,15 +23,14 @@ func (r *Result) WriteDOT(w io.Writer, p *profile.Profile, title string) error {
 	fmt.Fprintf(&b, "  node [shape=circle, fontsize=8, width=0.3, fixedsize=false];\n")
 
 	fmt.Fprintf(&b, "  %q [shape=box, label=\"main\"];\n", profile.MainProgram)
-	for _, id := range p.ClassificationIDs() {
-		ci := p.Classification(id)
+	for _, ci := range p.Classifications {
 		attrs := []string{fmt.Sprintf("label=%q", fmt.Sprintf("%s\nx%d", ci.Class, ci.Instances))}
-		if r.Distribution[id] == com.Server {
+		if r.Distribution[ci.ID] == com.Server {
 			attrs = append(attrs, "style=filled", "fillcolor=gray25", "fontcolor=white")
 		} else {
 			attrs = append(attrs, "style=filled", "fillcolor=white")
 		}
-		fmt.Fprintf(&b, "  %q [%s];\n", id, strings.Join(attrs, ", "))
+		fmt.Fprintf(&b, "  %q [%s];\n", ci.ID, strings.Join(attrs, ", "))
 	}
 
 	// Aggregate ordered edges into undirected ones for drawing.

@@ -482,17 +482,16 @@ func gradesOf(g *purity.Grading, class string) string {
 func classesCoLocated(distribution map[string]com.Machine, prof *profile.Profile, classA, classB string) (bool, string) {
 	var machines []com.Machine
 	var ids []string
-	for _, id := range prof.ClassificationIDs() {
-		ci := prof.Classification(id)
+	for _, ci := range prof.Classifications {
 		if ci.Class != classA && ci.Class != classB {
 			continue
 		}
-		m, ok := distribution[id]
+		m, ok := distribution[ci.ID]
 		if !ok {
-			return false, fmt.Sprintf("classification %s (class %s) missing from distribution", id, ci.Class)
+			return false, fmt.Sprintf("classification %s (class %s) missing from distribution", ci.ID, ci.Class)
 		}
 		machines = append(machines, m)
-		ids = append(ids, id)
+		ids = append(ids, ci.ID)
 	}
 	if len(machines) == 0 {
 		return false, fmt.Sprintf("no classifications profiled for %s/%s", classA, classB)

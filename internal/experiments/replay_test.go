@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/classify"
@@ -128,6 +131,145 @@ func TestRefoldMatchesProfile(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestProducersHandOutNameOrder holds every producer of a profile to one
+// order: a live profiling run, a refold of its trace with instance edges,
+// a merge of two runs and a decode of a log whose entries were shuffled
+// each hand out their classifications by id, their edges by source and
+// then destination name and their methods by classification and then
+// method name, with every entry still found by its key, and re-encode to
+// the bytes they were encoded to.
+func TestProducersHandOutNameOrder(t *testing.T) {
+	t.Parallel()
+	adps, err := pipeline.Open(pipeline.Spec{Scenarios: []string{"p_newdoc", "p_oldmsr"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := adps.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	encode := func(p *profile.Profile) []byte {
+		var b bytes.Buffer
+		if err := p.Encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	decode := func(b []byte) *profile.Profile {
+		p, err := profile.Decode(bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	live, _, err := adps.ProfileScenario("p_newdoc", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, run, err := adps.TraceScenario("p_newdoc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, _, err := adps.ProfileScenario("p_newdoc", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _, err := adps.ProfileScenario("p_oldmsr", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := merged.Merge(other); err != nil {
+		t.Fatal(err)
+	}
+	log := encode(live)
+	shuffled := shuffleLog(t, log)
+	if bytes.Equal(shuffled, log) {
+		t.Fatal("shuffling left the log as it was")
+	}
+	for _, c := range []struct {
+		name string
+		p    *profile.Profile
+		want []byte // the encoding p must re-encode to
+	}{
+		{"live run", live, nil},
+		{"trace fold", run.Trace.Fold(true), nil},
+		{"merge", merged, nil},
+		{"decoded shuffled log", decode(shuffled), log},
+	} {
+		p := c.p
+		if len(p.Classifications) < 2 || len(p.Edges) < 2 || len(p.Methods) < 2 {
+			t.Fatalf("%s: %d classifications, %d edges, %d methods: too few to have an order",
+				c.name, len(p.Classifications), len(p.Edges), len(p.Methods))
+		}
+		for i, ci := range p.Classifications {
+			if i > 0 && p.Classifications[i-1].ID >= ci.ID {
+				t.Errorf("%s: classification %s listed after %s", c.name, ci.ID, p.Classifications[i-1].ID)
+			}
+			if p.Classification(ci.ID) != ci {
+				t.Errorf("%s: classification %s not found by its id", c.name, ci.ID)
+			}
+		}
+		for i, e := range p.Edges {
+			if i > 0 {
+				prev := p.Edges[i-1]
+				if cmp.Or(cmp.Compare(p.Name(prev.Src), p.Name(e.Src)), cmp.Compare(p.Name(prev.Dst), p.Name(e.Dst))) >= 0 {
+					t.Errorf("%s: edge %s -> %s listed after %s -> %s", c.name,
+						p.Name(e.Src), p.Name(e.Dst), p.Name(prev.Src), p.Name(prev.Dst))
+				}
+			}
+			if p.EdgeOf(e.Src, e.Dst) != &e.EdgeSummary {
+				t.Errorf("%s: edge %s -> %s not found by its key", c.name, p.Name(e.Src), p.Name(e.Dst))
+			}
+		}
+		for i, m := range p.Methods {
+			if i > 0 {
+				prev := p.Methods[i-1]
+				if cmp.Or(cmp.Compare(p.Name(prev.Classification), p.Name(m.Classification)), cmp.Compare(prev.Method, m.Method)) >= 0 {
+					t.Errorf("%s: method %s.%s listed after %s.%s", c.name,
+						p.Name(m.Classification), m.Method, p.Name(prev.Classification), prev.Method)
+				}
+			}
+			if p.Method(p.Name(m.Classification), m.Method) != m {
+				t.Errorf("%s: method %s.%s not found by its key", c.name, p.Name(m.Classification), m.Method)
+			}
+		}
+		want := c.want
+		if want == nil {
+			want = encode(p)
+		}
+		if got := encode(decode(encode(p))); !bytes.Equal(got, want) {
+			t.Errorf("%s: re-encodes to %d bytes unlike the %d it was encoded to", c.name, len(got), len(want))
+		}
+	}
+}
+
+// shuffleLog returns the log with its edge, classification and method
+// entries in a seeded random order.
+func shuffleLog(t *testing.T, log []byte) []byte {
+	t.Helper()
+	var f map[string]json.RawMessage
+	if err := json.Unmarshal(log, &f); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, table := range []string{"edges", "classifications", "methods"} {
+		var entries []json.RawMessage
+		if err := json.Unmarshal(f[table], &entries); err != nil {
+			t.Fatal(err)
+		}
+		rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+		b, err := json.Marshal(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f[table] = b
+	}
+	b, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestReplayMatchesRun is the exact oracle between the replayer and the

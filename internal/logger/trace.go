@@ -184,7 +184,8 @@ func (t *Trace) At(i int) Event {
 func (t *Trace) Err() error { return t.err }
 
 // Profile returns the profile of the latest run the trace was given, as
-// folded so far, or nil before any run.
+// folded so far, or nil before any run. Its tables are in name order once
+// the run ended and in first-seen order before.
 func (t *Trace) Profile() *profile.Profile { return t.sum.p }
 
 // Fold folds the stored events again from the first, into a fresh profile
@@ -289,7 +290,8 @@ func (t *Trace) Fault(rec FaultRecord) {
 // summary is the profile a trace's records fold into: inter-component
 // communication per classification pair, with exponential size buckets,
 // per-method call and write counts, and the instances. Each EvBegin starts
-// a fresh profile; events outside a run are not counted.
+// a fresh profile and each EvEnd hands it out in name order; events outside
+// a run are not counted.
 //
 // The fold looks up at most one name per call, its method's. It keeps
 // each instance's classification number beside its record, so a call
@@ -328,6 +330,9 @@ func (s *summary) fold(r *record, runs [][3]string, inst *InstRecord, method str
 		s.open = true
 		return
 	case EvEnd:
+		if s.open {
+			s.p.Sort()
+		}
 		s.open = false
 		return
 	}

@@ -12,8 +12,7 @@ import (
 // depth with a pin, at exact pricing; a synthetic app with coverage,
 // replication, alias refinement and a purity threshold; and a Compare-mode
 // run with its experiment block. Together they fill
-// every field MarshalResult writes. The build version is blanked, since it
-// names the binary, not the result. A change behind the contract that
+// every field MarshalResult writes. A change behind the contract that
 // moves one byte of a result fails here.
 func TestCanonicalBytesPinned(t *testing.T) {
 	t.Parallel()
@@ -21,18 +20,17 @@ func TestCanonicalBytesPinned(t *testing.T) {
 		spec Spec
 		sum  string
 	}{
-		{Spec{Scenarios: []string{"o_oldwp7"}}, "5b8b824352b47c9caf10f9f2d2bd7c6064bd4a78f1a6f13e7ac2de1064a20962"},
+		{Spec{Scenarios: []string{"o_oldwp7"}}, "cbdcbe710bffe552f99e35498e49cab5969a5e835eead8f5dc447bc8f74f4a4d"},
 		{Spec{Scenarios: []string{"p_newdoc", "p_oldmsr"}, Network: "ISDN", Classifier: "pcb",
-			Depth: 3, Pins: map[string]string{"ExifData": "client"}, ExactPricing: true}, "714d035325943bddfc5a91228f721ae7625d05b20b48193b2c17841c63e325bb"},
+			Depth: 3, Pins: map[string]string{"ExifData": "client"}, ExactPricing: true}, "e44a9cf0ae6a98ed24e0617694189f94b0a961811b7c4939c1bf6a5ce6b28fcd"},
 		{Spec{App: "synth:shared-state:1", Scenarios: []string{"y_base", "y_heavy", "y_alt"},
-			Coverage: true, Replicate: true, Alias: true, Theta: 0.1}, "9349b68fd28e9278e6e5cf65330100419877a8a3d5f061ad16d4806ee54b855c"},
-		{Spec{Scenarios: []string{"b_vueone"}, Compare: true}, "2cfe54cc70cc8dfcc521a1b9684db5ac3f5efdbf9982e97f3e876f1a65d5fd6b"},
+			Coverage: true, Replicate: true, Alias: true, Theta: 0.1}, "d1bce723608f59b4e208971f2273ce39c1600958d415b936a5cc56de7135e9b7"},
+		{Spec{Scenarios: []string{"b_vueone"}, Compare: true}, "b830827b546d270ac602efce7e3cae08c79c43abec6656bc4103fe1b497f2ded"},
 	} {
 		res, err := Run(context.Background(), c.spec)
 		if err != nil {
 			t.Fatalf("%+v: %v", c.spec, err)
 		}
-		res.Version = ""
 		b, err := MarshalResult(res)
 		if err != nil {
 			t.Fatal(err)

@@ -21,7 +21,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/profile"
 	"repro/internal/scenario"
-	"repro/internal/version"
 )
 
 // Spec is one partitioning request. The zero value plus at least one
@@ -150,8 +149,7 @@ type Experiment = core.Experiment
 // identical bytes. Wall-clock measurements and internal handles carry
 // `json:"-"` and never enter the canonical encoding.
 type Result struct {
-	Spec    Spec   `json:"spec"`
-	Version string `json:"version"`
+	Spec Spec `json:"spec"`
 
 	Classifications Sides `json:"classifications"`
 	Instances       Sides `json:"instances"`
@@ -311,7 +309,7 @@ func run(ctx context.Context, spec Spec, prof *profile.Profile) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Spec: spec, Version: version.String(), ADPS: adps}
+	res := &Result{Spec: spec, ADPS: adps}
 	if spec.Alias {
 		res.AliasPairs = len(adps.AnalysisOptions.Constraints.AliasPairs)
 	}

@@ -109,23 +109,21 @@ func (f *summaryForm) fill(e *EdgeSummary) error {
 	return nil
 }
 
-// Encode writes the profile as JSON.
+// Encode writes the profile as JSON, its tables in the name order every
+// producer leaves them in (Sort).
 func (p *Profile) Encode(w io.Writer) error {
 	f := fileForm{
 		App:        p.App,
 		Classifier: p.Classifier,
 		Scenarios:  p.Scenarios,
 	}
-	for _, e := range p.SortedEdges() {
+	for _, e := range p.Edges {
 		f.Edges = append(f.Edges, edgeForm{Src: p.Name(e.Src), Dst: p.Name(e.Dst), summaryForm: e.form()})
 	}
 	for _, ci := range p.Classifications {
 		f.Classifications = append(f.Classifications, *ci)
 	}
-	sort.Slice(f.Classifications, func(i, j int) bool {
-		return f.Classifications[i].ID < f.Classifications[j].ID
-	})
-	for _, m := range p.SortedMethods() {
+	for _, m := range p.Methods {
 		f.Methods = append(f.Methods, methodForm{
 			Classification: p.Name(m.Classification), Method: m.Method,
 			Calls: m.Calls, Writes: m.Writes,
@@ -199,6 +197,7 @@ func Decode(r io.Reader) (*Profile, error) {
 			return nil, fmt.Errorf("profile: decode: instance edge #%d -> #%d: %w", ef.Src, ef.Dst, err)
 		}
 	}
+	p.Sort()
 	return p, nil
 }
 

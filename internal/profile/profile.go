@@ -148,7 +148,9 @@ func (m *MethodStats) Merge(other *MethodStats) {
 // A profile numbers every classification name it holds once, in
 // first-seen order (Number, Name), and keys its edge and method tables by
 // those numbers: an edge by the pair of its endpoints' numbers, a method
-// by its classification's number and the number of its name. A name is
+// by its classification's number and the number of its name. The tables
+// grow in first-seen order while a run folds; every producer hands the
+// profile out with them in name order (Sort). A name is
 // looked up only where a name comes in: an instantiation, a join with
 // another profile (Merge, Decode), or a caller asking by name. The tables'
 // entries are allocated a chunk at a time and never move once made, so a
@@ -159,14 +161,14 @@ type Profile struct {
 	Scenarios  []string
 	Classifier string
 
-	// Classifications lists the instance classifications observed, in
-	// first-seen order; Classification finds one by name.
+	// Classifications lists the instance classifications observed, by id;
+	// Classification finds one by name.
 	Classifications []*ClassificationInfo
 	// Edges aggregates communication between classifications: one entry
-	// per ordered pair, in first-seen order.
+	// per ordered pair, by source and then destination name.
 	Edges []*Pair
 	// Methods aggregates per-method call and mutation counts: one entry per
-	// method of a classification, in first-seen order.
+	// method of a classification, by classification and then method name.
 	Methods []*MethodStats
 	// Instances holds per-instance records (optional detail).
 	Instances []InstanceRecord
@@ -176,11 +178,11 @@ type Profile struct {
 
 	names   []named          // indexed by classification number
 	numbers map[string]int32 // name -> classification number
-	edgeAt  map[uint64]int32 // uint64(src)<<32 | dst -> index in Edges
+	edgeAt  map[uint64]int32 // key(src, dst) -> index in Edges
 
 	methodNames   []string         // method number -> name
 	methodNumbers map[string]int32 // name -> method number
-	methodAt      map[uint64]int32 // uint64(classification)<<32 | method number -> index in Methods
+	methodAt      map[uint64]int32 // key(classification, method number) -> index in Methods
 
 	classes chunks[ClassificationInfo]
 	pairs   chunks[Pair]
@@ -276,10 +278,23 @@ func (p *Profile) Classification(name string) *ClassificationInfo {
 // when the profile observed no instance of it (the main program, say).
 func (p *Profile) ClassificationOf(n int32) *ClassificationInfo { return p.names[n].info }
 
+// ClassOf returns the class of classification number n: "" for the main
+// program and any classification with no instance in the profile.
+func (p *Profile) ClassOf(n int32) string {
+	if ci := p.names[n].info; ci != nil {
+		return ci.Class
+	}
+	return ""
+}
+
+// key is the index key of a pair of numbers: an edge's endpoints, or a
+// method's classification and name.
+func key(a, b int32) uint64 { return uint64(uint32(a))<<32 | uint64(uint32(b)) }
+
 // EdgeOf returns the (created-on-demand) summary for the ordered pair of
 // classification numbers: one integer-keyed lookup.
 func (p *Profile) EdgeOf(src, dst int32) *EdgeSummary {
-	k := uint64(uint32(src))<<32 | uint64(uint32(dst))
+	k := key(src, dst)
 	if i, ok := p.edgeAt[k]; ok {
 		return &p.Edges[i].EdgeSummary
 	}
@@ -318,7 +333,7 @@ func (p *Profile) MethodNumber(name string) int32 {
 // method of classification number classification: one integer-keyed
 // lookup.
 func (p *Profile) MethodOf(classification, method int32) *MethodStats {
-	k := uint64(uint32(classification))<<32 | uint64(uint32(method))
+	k := key(classification, method)
 	if i, ok := p.methodAt[k]; ok {
 		return p.Methods[i]
 	}
@@ -433,33 +448,40 @@ func (p *Profile) Merge(other *Profile) error {
 	for k, e := range other.InstEdges {
 		p.InstEdge(shift(k.Src), shift(k.Dst)).Merge(e)
 	}
+	p.Sort()
 	return nil
 }
 
-// SortedEdges returns the edges ordered by source and then destination
-// name: the order a log lists them in and findings report them in.
-func (p *Profile) SortedEdges() []*Pair {
-	out := slices.Clone(p.Edges)
-	slices.SortFunc(out, func(a, b *Pair) int {
+// Sort puts the tables in name order, in place: Classifications by id,
+// Edges by source and then destination name, Methods by classification
+// and then method name. Numbers do not change, and the indexes are
+// refilled rather than remade. Every producer hands its profile out
+// sorted (the trace fold at a run's end, Merge and Decode), so readers
+// range the tables as they are.
+func (p *Profile) Sort() {
+	slices.SortFunc(p.Classifications, func(a, b *ClassificationInfo) int {
+		return strings.Compare(a.ID, b.ID)
+	})
+	slices.SortFunc(p.Edges, func(a, b *Pair) int {
 		if c := strings.Compare(p.Name(a.Src), p.Name(b.Src)); c != 0 {
 			return c
 		}
 		return strings.Compare(p.Name(a.Dst), p.Name(b.Dst))
 	})
-	return out
-}
-
-// SortedMethods returns the method entries ordered by classification and
-// then method name.
-func (p *Profile) SortedMethods() []*MethodStats {
-	out := slices.Clone(p.Methods)
-	slices.SortFunc(out, func(a, b *MethodStats) int {
+	slices.SortFunc(p.Methods, func(a, b *MethodStats) int {
 		if c := strings.Compare(p.Name(a.Classification), p.Name(b.Classification)); c != 0 {
 			return c
 		}
 		return strings.Compare(a.Method, b.Method)
 	})
-	return out
+	clear(p.edgeAt)
+	for i, e := range p.Edges {
+		p.edgeAt[key(e.Src, e.Dst)] = int32(i)
+	}
+	clear(p.methodAt)
+	for i, m := range p.Methods {
+		p.methodAt[key(m.Classification, p.methodNumbers[m.Method])] = int32(i)
+	}
 }
 
 // TotalCalls returns the number of inter-component calls summarized.
@@ -479,16 +501,6 @@ func (p *Profile) TotalInstances() int64 {
 		t += ci.Instances
 	}
 	return t
-}
-
-// ClassificationIDs returns all classification ids sorted.
-func (p *Profile) ClassificationIDs() []string {
-	ids := make([]string, 0, len(p.Classifications))
-	for _, ci := range p.Classifications {
-		ids = append(ids, ci.ID)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // maxInstanceID returns the largest concrete instance id recorded.

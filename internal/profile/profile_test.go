@@ -200,6 +200,7 @@ func buildTestProfile() *Profile {
 	p.InstEdge(0, 1).Record(64, 4096, false)
 	p.InstEdge(1, 2).Record(128, 16, false)
 	p.InstEdge(1, 3).Record(128, 16, false)
+	p.Sort()
 	return p
 }
 
@@ -212,9 +213,12 @@ func TestProfileAccumulation(t *testing.T) {
 	if p.TotalCalls() != 2 {
 		t.Errorf("TotalCalls = %d", p.TotalCalls())
 	}
-	ids := p.ClassificationIDs()
+	var ids []string
+	for _, ci := range p.Classifications {
+		ids = append(ids, ci.ID)
+	}
 	if len(ids) != 2 || ids[0] != "c:reader" || ids[1] != "c:view" {
-		t.Errorf("ClassificationIDs = %v", ids)
+		t.Errorf("Classifications = %v", ids)
 	}
 	if p.Classification("c:view").Instances != 2 {
 		t.Errorf("view instances = %d", p.Classification("c:view").Instances)

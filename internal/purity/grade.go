@@ -85,11 +85,11 @@ func (r *Report) Grade(p *profile.Profile, theta float64) *Grading {
 	}
 
 	classes := make(map[string]bool)
-	for _, id := range p.ClassificationIDs() {
+	for _, ci := range p.Classifications {
+		id := ci.ID
 		if id == profile.MainProgram {
 			continue
 		}
-		ci := p.Classification(id)
 		cg := ComponentGrade{
 			Classification: id,
 			Class:          ci.Class,
@@ -161,7 +161,7 @@ func (r *Report) Verify(p *profile.Profile) []staticanal.Finding {
 	if p == nil {
 		return out
 	}
-	for _, m := range p.SortedMethods() {
+	for _, m := range p.Methods {
 		if m.Writes == 0 {
 			continue
 		}

@@ -146,6 +146,7 @@ func gradeProfile(storeCalls, storeWrites int64) *profile.Profile {
 	p.Method("Store#0", "Get").Calls = storeCalls
 	put := p.Method("Store#0", "Put")
 	put.Calls, put.Writes = storeWrites, storeWrites
+	p.Sort()
 	return p
 }
 

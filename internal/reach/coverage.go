@@ -64,14 +64,10 @@ func (g *Graph) Coverage(p *profile.Profile) *Coverage {
 		if p.Name(n) == profile.MainProgram {
 			return profile.MainProgram
 		}
-		if ci := p.ClassificationOf(n); ci != nil {
-			return ci.Class
-		}
-		return ""
+		return p.ClassOf(n)
 	}
 	if p != nil {
-		for _, id := range p.ClassificationIDs() {
-			ci := p.Classification(id)
+		for _, ci := range p.Classifications {
 			creator := g.EffectiveCreator(ci.Path)
 			key := [2]string{creator, ci.Class}
 			if observedSites[key] {

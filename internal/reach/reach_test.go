@@ -266,6 +266,7 @@ func fakeProfile(app string, classes map[string][]string, edges [][2]string) *pr
 	for _, e := range edges {
 		p.Edge(e[0], e[1]).Calls++
 	}
+	p.Sort()
 	return p
 }
 

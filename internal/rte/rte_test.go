@@ -142,7 +142,7 @@ func TestProfilingRunCollectsEverything(t *testing.T) {
 		}
 	}
 	if rootClassification == "" || leafClassification == "" {
-		t.Fatalf("classifications = %v", p.ClassificationIDs())
+		t.Fatalf("%d classifications, want a Root and a Leaf", len(p.Classifications))
 	}
 	// The main->Root edge and Root->Leaf edge both exist.
 	if p.Edge(profile.MainProgram, rootClassification).Calls != 1 {

@@ -37,8 +37,8 @@ func TestZeroPageNeverWritten(t *testing.T) {
 			// Alternate classifications between the machines so calls
 			// cross and the cache answers some of them.
 			split := make(map[string]com.Machine)
-			for i, id := range prof.Profile.ClassificationIDs() {
-				split[id] = com.Machine(i % 2)
+			for i, ci := range prof.Profile.Classifications {
+				split[ci.ID] = com.Machine(i % 2)
 			}
 			for _, cfg := range []dist.Config{
 				{App: app, Scenario: sc, Mode: dist.ModeDefault, Classifier: clf},

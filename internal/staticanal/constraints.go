@@ -336,8 +336,7 @@ func (cs *ConstraintSet) ApplyToGraph(g *graph.Graph, p *profile.Profile) ApplyS
 		}
 	}
 	for _, e := range p.Edges {
-		srcClass := classOf(p, e.Src)
-		dstClass := classOf(p, e.Dst)
+		srcClass, dstClass := p.ClassOf(e.Src), p.ClassOf(e.Dst)
 		if srcClass == "" || dstClass == "" {
 			continue
 		}
@@ -357,9 +356,6 @@ func (cs *ConstraintSet) ApplyToGraph(g *graph.Graph, p *profile.Profile) ApplyS
 		byClass := make(map[string][]string)
 		for _, ci := range p.Classifications {
 			byClass[ci.Class] = append(byClass[ci.Class], ci.ID)
-		}
-		for _, cls := range byClass {
-			sort.Strings(cls)
 		}
 		for _, pair := range cs.CoveragePairs {
 			pa, oka := cs.Pins[pair.A]
@@ -386,9 +382,6 @@ func (cs *ConstraintSet) ApplyToGraph(g *graph.Graph, p *profile.Profile) ApplyS
 		for _, ci := range p.Classifications {
 			byClass[ci.Class] = append(byClass[ci.Class], ci.ID)
 		}
-		for _, cls := range byClass {
-			sort.Strings(cls)
-		}
 		for _, pair := range cs.AliasPairs {
 			pa, oka := cs.Pins[pair.A]
 			pb, okb := cs.Pins[pair.B]
@@ -405,13 +398,4 @@ func (cs *ConstraintSet) ApplyToGraph(g *graph.Graph, p *profile.Profile) ApplyS
 		}
 	}
 	return st
-}
-
-// classOf maps a classification number to its class name ("" when
-// unknown; the main program has no class).
-func classOf(p *profile.Profile, n int32) string {
-	if ci := p.ClassificationOf(n); ci != nil {
-		return ci.Class
-	}
-	return ""
 }

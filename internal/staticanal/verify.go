@@ -66,10 +66,9 @@ func (cs *ConstraintSet) CrossCheck(p *profile.Profile) []Finding {
 	if cs == nil || p == nil {
 		return out
 	}
-	for _, e := range p.SortedEdges() {
+	for _, e := range p.Edges {
 		src, dst := p.Name(e.Src), p.Name(e.Dst)
-		srcClass := classOf(p, e.Src)
-		dstClass := classOf(p, e.Dst)
+		srcClass, dstClass := p.ClassOf(e.Src), p.ClassOf(e.Dst)
 		// The main program has no class and no static metadata; every
 		// other classification must resolve.
 		for _, end := range []struct{ id, class string }{{src, srcClass}, {dst, dstClass}} {
@@ -113,24 +112,23 @@ func (cs *ConstraintSet) CheckCut(p *profile.Profile, distribution map[string]co
 		return distribution[id]
 	}
 
-	for _, id := range p.ClassificationIDs() {
-		ci := p.Classification(id)
+	for _, ci := range p.Classifications {
 		pin, ok := cs.Pins[ci.Class]
 		if !ok {
 			continue
 		}
-		if got := machineOf(id); got != pin.Machine {
+		if got := machineOf(ci.ID); got != pin.Machine {
 			out = append(out, Finding{
 				Kind: KindPinViolation, Severity: SeverityError,
 				Detail: fmt.Sprintf("classification %s (class %s) placed on %s, pinned to %s (%s)",
-					id, ci.Class, got, pin.Machine, pin.Reason),
+					ci.ID, ci.Class, got, pin.Machine, pin.Reason),
 			})
 		}
 	}
 
-	for _, e := range p.SortedEdges() {
+	for _, e := range p.Edges {
 		src, dst := p.Name(e.Src), p.Name(e.Dst)
-		srcClass, dstClass := classOf(p, e.Src), classOf(p, e.Dst)
+		srcClass, dstClass := p.ClassOf(e.Src), p.ClassOf(e.Dst)
 		reason, weld := "", false
 		if srcClass != "" && dstClass != "" {
 			reason, weld = cs.MustCoLocate(srcClass, dstClass)
