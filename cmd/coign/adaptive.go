@@ -33,7 +33,7 @@ func cmdAdapt(ctx context.Context, args []string, w io.Writer) error {
 	return nil
 }
 
-func cmdOverhead(_ context.Context, args []string) error {
+func cmdOverhead(_ context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("overhead", flag.ExitOnError)
 	scen := fs.String("scenario", "o_oldwp0", "scenario to measure")
 	reps := fs.Int("reps", 5, "repetitions (best-of)")
@@ -44,7 +44,7 @@ func cmdOverhead(_ context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(row)
+	fmt.Fprintln(w, row)
 	return nil
 }
 

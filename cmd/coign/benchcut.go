@@ -16,7 +16,7 @@ import (
 // table and optionally writing the machine-readable report that CI
 // archives. The run fails when any algorithm disagrees with the oracle,
 // so the benchmark doubles as a correctness gate.
-func cmdBenchCut(_ context.Context, args []string) error {
+func cmdBenchCut(_ context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("bench-cut", flag.ExitOnError)
 	sizes := fs.String("sizes", "1000,3000,10000,30000,100000,300000,1000000", "comma-separated node counts")
 	seed := fs.Int64("seed", 1, "workload seed (same seed, same graphs)")
@@ -49,7 +49,7 @@ func cmdBenchCut(_ context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	experiments.PrintCutBench(os.Stdout, rep)
+	experiments.PrintCutBench(w, rep)
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
 		if err != nil {
@@ -59,7 +59,7 @@ func cmdBenchCut(_ context.Context, args []string) error {
 		if err := rep.WriteJSON(f); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *jsonPath)
+		fmt.Fprintf(w, "wrote %s\n", *jsonPath)
 	}
 	return nil
 }

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
 	"repro/internal/pipeline"
 )
 
@@ -22,10 +21,10 @@ import (
 // temporary directory. analyze prints in cut's layout, so its golden text
 // is `coign cut -scenario o_newdoc,o_oldtb3 -v` at that commit; for the
 // anonymous log the instance, time and server lines are that commit's
-// `analyze -v` numbers. table4 and table5 are what they printed at commit
-// 4403396, when each column came from a real execution, not a replay. The
-// chaos text is what it printed once the virtual clock retried whole round
-// trips, as the real transport does.
+// `analyze -v` numbers. The chaos text is what it printed once the virtual
+// clock retried whole round trips, as the real transport does. What the
+// exhibits of EXPERIMENTS.md print is held there, by
+// TestExperimentsAreCommandOutput.
 func TestCommandOutputGolden(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -53,75 +52,6 @@ func TestCommandOutputGolden(t *testing.T) {
 		want  string
 		files map[string]string // file under DIR -> sha256
 	}{
-		{name: "adapt", run: cmdAdapt, args: []string{"-scenario", "o_oldwp7"}, want: `Network       SrvInst      Predicted        Default   Savings
-ISDN               11       118.576s      1446.162s       92%
-10BaseT             3         2.171s        19.926s       89%
-100BaseT            3         0.606s         2.516s       76%
-ATM                 3         0.475s         1.734s       73%
-SAN                 3         0.099s         0.595s       83%
-`},
-		{name: "drift", run: cmdDrift, want: `distribution optimized for o_oldwp0, observed usage o_oldbth
-  drift: 0.936 (threshold 0.30) — re-profile: true
-  DocReader@92a398ab76c44b13               -> FileStore@578dad07848bb1c                profiled 0.0% observed 19.9%
-  PagePlanner@a3b5c00935b643c3             -> TableNegotiator@7d33c6a9a9757c84         profiled 0.0% observed 18.8%
-  TableNegotiator@7d33c6a9a9757c84         -> DocReader@92a398ab76c44b13               profiled 0.0% observed 14.1%
-  PagePlanner@a3b5c00935b643c3             -> TextNegotiator@a62f9a50e648eb1d          profiled 0.0% observed 7.1%
-  TextNegotiator@a62f9a50e648eb1d          -> DocReader@92a398ab76c44b13               profiled 0.0% observed 5.3%
-`},
-		{name: "cache", run: cmdCache, want: `o_oldwp7 with per-interface caching:
-  plain:  1.664s
-  cached: 1.568s (45 hits, 6% further savings)
-`},
-		{name: "table4", run: scenarioTable(experiments.PrintTable4), want: `Scenario        Default        Coign   Savings  DefViol
-o_newdoc         0.180s       0.180s        0%        0
-o_newmus         0.190s       0.190s        0%        0
-o_newtbl         0.012s       0.012s        0%        0
-o_oldtb0         0.444s       0.420s        5%        0
-o_oldtb3        13.208s       0.830s       94%        0
-o_oldwp0         0.444s       0.444s        0%        0
-o_oldwp3         1.149s       1.149s        0%        0
-o_oldwp7        18.313s       1.664s       91%        0
-o_oldbth         3.553s       0.920s       74%        0
-o_offtb3        13.388s       1.010s       92%        0
-o_offwp7        18.493s       1.944s       89%        0
-o_bigone        69.374s       9.176s       87%        0
-p_newdoc         4.701s       4.389s        7%        0
-p_newmsr        15.513s      13.802s       11%        0
-p_oldcur         2.657s       1.847s       31%        0
-p_oldmsr        14.157s      10.977s       22%        0
-p_offcur         7.358s       6.235s       15%        0
-p_offmsr        18.858s      15.365s       19%        0
-p_bigone        53.843s      43.837s       19%        0
-b_vueone         3.946s       2.628s       33%        0
-b_addone         0.205s       0.095s       54%        0
-b_delone         0.118s       0.094s       20%        0
-b_bigone         4.252s       2.800s       34%        0
-`},
-		{name: "table5", run: scenarioTable(experiments.PrintTable5), want: `Scenario      Predicted     Measured    Error
-o_newdoc           2.2s         2.2s    +0.5%
-o_newmus           2.3s         2.3s    +0.6%
-o_newtbl           0.8s         0.8s    -0.2%
-o_oldtb0           9.3s         9.3s    +0.4%
-o_oldtb3          54.9s        54.8s    +0.1%
-o_oldwp0           4.5s         4.5s    +0.8%
-o_oldwp3           7.8s         7.7s    +1.4%
-o_oldwp7          29.2s        28.7s    +1.8%
-o_oldbth          48.1s        47.8s    +0.6%
-o_offtb3          56.4s        56.3s    +0.2%
-o_offwp7          30.9s        30.3s    +2.0%
-o_bigone         240.9s       238.2s    +1.1%
-p_newdoc          16.7s        16.6s    +0.6%
-p_newmsr          52.5s        52.2s    +0.5%
-p_oldcur           7.6s         7.6s    +0.5%
-p_oldmsr          42.8s        42.6s    +0.5%
-p_offcur          24.1s        23.9s    +0.5%
-p_offmsr          59.3s        58.9s    +0.6%
-p_bigone         168.6s       167.6s    +0.6%
-b_vueone          26.6s        26.1s    +2.2%
-b_addone           1.5s         1.5s    -1.1%
-b_delone           1.5s         1.5s    -1.1%
-b_bigone          29.5s        28.9s    +1.9%
-`},
 		{name: "profile", run: cmdProfile, args: []string{"-scenarios", "o_newdoc,o_oldtb3", "-dir", "DIR"},
 			want: `wrote DIR/o_newdoc.icc: 1086 calls, 245 classifications
 wrote DIR/o_oldtb3.icc: 1809 calls, 237 classifications

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -31,7 +32,7 @@ func parsePins(s string) (map[string]string, error) {
 // distribution the analysis engine chooses. It is a thin veneer over
 // pipeline.Run: the same spec submitted to the job service yields exactly
 // the bytes -json prints here.
-func cmdCut(ctx context.Context, args []string) error {
+func cmdCut(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("cut", flag.ExitOnError)
 	appName := fs.String("app", "", "application name (default: inferred from the first scenario; required for synth:... apps)")
 	scens := fs.String("scenario", "o_oldwp7", "comma-separated scenarios to partition (one application)")
@@ -70,13 +71,13 @@ func cmdCut(ctx context.Context, args []string) error {
 		return err
 	}
 	if *jsonOut {
-		return pipeline.EncodeJSON(os.Stdout, res)
+		return pipeline.EncodeJSON(w, res)
 	}
-	if err := res.WriteText(os.Stdout); err != nil {
+	if err := res.WriteText(w); err != nil {
 		return err
 	}
 	if *verbose {
-		res.WriteServerPlacements(os.Stdout)
+		res.WriteServerPlacements(w)
 	}
 	if *dotPath != "" {
 		f, err := os.Create(*dotPath)
@@ -88,7 +89,7 @@ func cmdCut(ctx context.Context, args []string) error {
 		if err := res.Analysis.WriteDOT(f, res.Profile, title); err != nil {
 			return err
 		}
-		fmt.Printf("  wrote %s (render with: neato -Tsvg %s)\n", *dotPath, *dotPath)
+		fmt.Fprintf(w, "  wrote %s (render with: neato -Tsvg %s)\n", *dotPath, *dotPath)
 	}
 	return nil
 }
@@ -96,7 +97,7 @@ func cmdCut(ctx context.Context, args []string) error {
 // cmdRun runs the full end-to-end experiment for one scenario — write the
 // distribution into the binary, execute default and Coign placements,
 // measure — via the pipeline's compare mode.
-func cmdRun(ctx context.Context, args []string) error {
+func cmdRun(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	scen := fs.String("scenario", "o_oldwp7", "scenario to run")
 	jsonOut := fs.Bool("json", false, "emit the result as canonical JSON on stdout")
@@ -108,7 +109,7 @@ func cmdRun(ctx context.Context, args []string) error {
 		return err
 	}
 	if *jsonOut {
-		return pipeline.EncodeJSON(os.Stdout, res)
+		return pipeline.EncodeJSON(w, res)
 	}
-	return res.WriteText(os.Stdout)
+	return res.WriteText(w)
 }

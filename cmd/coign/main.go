@@ -24,11 +24,13 @@ import (
 )
 
 // command is one coign subcommand. The context is cancelled on SIGINT or
-// SIGTERM, so long experiments and the serve loop shut down cleanly.
+// SIGTERM, so long experiments and the serve loop shut down cleanly. A
+// command prints to w, which main makes os.Stdout, so a test can run it
+// in-process and read what it printed.
 type command struct {
 	name    string
 	summary string
-	run     func(ctx context.Context, args []string) error
+	run     func(ctx context.Context, args []string, w io.Writer) error
 }
 
 var commands = []command{
@@ -37,28 +39,22 @@ var commands = []command{
 	{"run", "full experiment for one scenario (Tables 4 and 5 rows)", cmdRun},
 	{"table2", "classifier accuracy (Table 2)", classifierTable("table2", experiments.Table2, experiments.PrintTable2)},
 	{"table3", "IFCB accuracy vs stack-walk depth (Table 3)", classifierTable("table3", experiments.Table3, experiments.PrintTable3)},
-	{"table4", "communication time for all 23 scenarios (Table 4)", stdout(scenarioTable(experiments.PrintTable4))},
-	{"table5", "execution-time prediction accuracy (Table 5)", stdout(scenarioTable(experiments.PrintTable5))},
+	{"table4", "communication time for all 23 scenarios (Table 4)", scenarioTable(experiments.PrintTable4)},
+	{"table5", "execution-time prediction accuracy (Table 5)", scenarioTable(experiments.PrintTable5)},
 	{"figures", "distribution figures 4-8", cmdFigures},
-	{"chaos", "run one scenario under injected network faults with retries", stdout(cmdChaos)},
-	{"adapt", "re-partition one scenario across network generations", stdout(cmdAdapt)},
+	{"chaos", "run one scenario under injected network faults with retries", cmdChaos},
+	{"adapt", "re-partition one scenario across network generations", cmdAdapt},
 	{"overhead", "instrumentation overhead measurements", cmdOverhead},
-	{"drift", "watchdog: detect usage drift from the profiled scenarios", stdout(cmdDrift)},
-	{"cache", "per-interface caching (semi-custom marshaling) effect", stdout(cmdCache)},
+	{"drift", "watchdog: detect usage drift from the profiled scenarios", cmdDrift},
+	{"cache", "per-interface caching (semi-custom marshaling) effect", cmdCache},
 	{"bench-cut", "cut-engine benchmark sweep over synthetic ICC graphs", cmdBenchCut},
-	{"report", "static analyses checked against the profiled scenarios: check, coverage, purity, alias", stdout(cmdReport)},
-	{"instrument", "rewrite an application binary for profiling", stdout(cmdInstrument)},
-	{"profile", "run profiling scenarios and write .icc log files", stdout(cmdProfile)},
-	{"analyze", "combine .icc log files and print the chosen distribution", stdout(cmdAnalyze)},
+	{"report", "static analyses checked against the profiled scenarios: check, coverage, purity, alias", cmdReport},
+	{"instrument", "rewrite an application binary for profiling", cmdInstrument},
+	{"profile", "run profiling scenarios and write .icc log files", cmdProfile},
+	{"analyze", "combine .icc log files and print the chosen distribution", cmdAnalyze},
 	{"synth", "generate a synthetic application, or sweep the property harness", cmdSynth},
 	{"serve", "run the partitioning job service (HTTP API + worker pool)", cmdServe},
 	{"version", "print the build version", cmdVersion},
-}
-
-// stdout adapts a command that prints to a writer — so a test can run it
-// in-process and read what it printed — to the command table.
-func stdout(run func(context.Context, []string, io.Writer) error) func(context.Context, []string) error {
-	return func(ctx context.Context, args []string) error { return run(ctx, args, os.Stdout) }
 }
 
 func main() {
@@ -71,13 +67,7 @@ func main() {
 		usage()
 		return
 	}
-	var cmd *command
-	for i := range commands {
-		if commands[i].name == name {
-			cmd = &commands[i]
-			break
-		}
-	}
+	cmd := lookup(name)
 	if cmd == nil {
 		fmt.Fprintf(os.Stderr, "coign: unknown command %q\n", name)
 		usage()
@@ -85,10 +75,20 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := cmd.run(ctx, args); err != nil {
+	if err := cmd.run(ctx, args, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "coign:", err)
 		os.Exit(1)
 	}
+}
+
+// lookup returns the named command, or nil if there is none.
+func lookup(name string) *command {
+	for i := range commands {
+		if commands[i].name == name {
+			return &commands[i]
+		}
+	}
+	return nil
 }
 
 func usage() {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -20,7 +21,7 @@ import (
 // (or SIGINT) triggers a graceful drain — leasing stops, in-flight jobs
 // get the -drain window to finish, and any still running are requeued for
 // the next serve to pick up.
-func cmdServe(ctx context.Context, args []string) error {
+func cmdServe(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7090", "listen address (use :0 for an ephemeral port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file (pairs with -addr :0)")
@@ -52,7 +53,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		}
 	}
 	c := q.Stats()
-	fmt.Printf("coign %s serving on http://%s (queue %s: %d pending, %d done; %d workers)\n",
+	fmt.Fprintf(w, "coign %s serving on http://%s (queue %s: %d pending, %d done; %d workers)\n",
 		version.String(), bound, *queuePath, c.Pending, c.Done, *workers)
 
 	hs := &http.Server{Handler: srv.Handler()}
@@ -66,7 +67,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		return err
 	case <-ctx.Done():
 	}
-	fmt.Println("coign: signal received; draining workers")
+	fmt.Fprintln(w, "coign: signal received; draining workers")
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drain+5*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
@@ -74,6 +75,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		return err
 	}
 	<-workersDone
-	fmt.Println("coign: drained")
+	fmt.Fprintln(w, "coign: drained")
 	return nil
 }

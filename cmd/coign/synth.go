@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -19,7 +20,7 @@ import (
 // emit one generated application (optionally as a binary image), or sweep
 // the full-pipeline property harness over the whole seed matrix — the
 // mode the CI pipeline-property job runs.
-func cmdSynth(ctx context.Context, args []string) error {
+func cmdSynth(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("synth", flag.ExitOnError)
 	list := fs.Bool("list", false, "list the generator families and exit")
 	family := fs.String("family", string(synthapp.ThreeTier), "generator family")
@@ -33,13 +34,13 @@ func cmdSynth(ctx context.Context, args []string) error {
 		return err
 	}
 	if *list {
-		fmt.Printf("%-15s %-24s %s\n", "Family", "Training", "Bigone")
+		fmt.Fprintf(w, "%-15s %-24s %s\n", "Family", "Training", "Bigone")
 		for _, fam := range synthapp.Families() {
 			sa, err := synthapp.Generate(synthapp.Config{Family: fam})
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-15s %-24s %s\n", fam, strings.Join(sa.Training, ","), sa.Bigone)
+			fmt.Fprintf(w, "%-15s %-24s %s\n", fam, strings.Join(sa.Training, ","), sa.Bigone)
 		}
 		return nil
 	}
@@ -49,18 +50,18 @@ func cmdSynth(ctx context.Context, args []string) error {
 			return err
 		}
 		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
+			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
 			if err := enc.Encode(sum); err != nil {
 				return err
 			}
 		} else {
-			fmt.Printf("pipeline property matrix: %d families x %d seeds = %d runs, %d failed\n",
+			fmt.Fprintf(w, "pipeline property matrix: %d families x %d seeds = %d runs, %d failed\n",
 				len(sum.Families), sum.SeedsPerFamily, sum.Runs, sum.Failed)
 			for _, rep := range sum.Reports {
 				for _, c := range rep.Checks {
 					if !c.OK {
-						fmt.Printf("  FAIL %s seed %d: %s: %s\n", rep.Family, rep.Seed, c.Name, c.Detail)
+						fmt.Fprintf(w, "  FAIL %s seed %d: %s: %s\n", rep.Family, rep.Seed, c.Name, c.Detail)
 					}
 				}
 			}
@@ -85,22 +86,22 @@ func cmdSynth(ctx context.Context, args []string) error {
 	if err := img.Encode(&buf); err != nil {
 		return err
 	}
-	fmt.Printf("%s: %d classes, %d interfaces, training %s, bigone %s\n",
+	fmt.Fprintf(w, "%s: %d classes, %d interfaces, training %s, bigone %s\n",
 		sa.App.Name, sa.App.Classes.Len(), len(sa.App.Interfaces.IIDs()),
 		strings.Join(sa.Training, ","), sa.Bigone)
-	fmt.Printf("image: %d bytes, sha256 %x\n", buf.Len(), sha256.Sum256(buf.Bytes()))
+	fmt.Fprintf(w, "image: %d bytes, sha256 %x\n", buf.Len(), sha256.Sum256(buf.Bytes()))
 	if sa.PlantsInfeasibleDefault {
-		fmt.Println("plants: infeasible default distribution (expect DefaultViolations > 0)")
+		fmt.Fprintln(w, "plants: infeasible default distribution (expect DefaultViolations > 0)")
 	}
 	for _, pair := range sa.LatentPairs {
-		fmt.Printf("plants: latent activation %s -> %s (uncovered by training scenarios)\n",
+		fmt.Fprintf(w, "plants: latent activation %s -> %s (uncovered by training scenarios)\n",
 			pair[0], pair[1])
 	}
 	if *out != "" {
 		if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
 			return fmt.Errorf("writing image: %w", err)
 		}
-		fmt.Printf("wrote %s\n", *out)
+		fmt.Fprintf(w, "wrote %s\n", *out)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"flag"
 	"io"
-	"os"
 
 	"repro/internal/analysis"
 	"repro/internal/experiments"
@@ -15,8 +14,8 @@ import (
 // classifiers on one application and print the same rows under different
 // headings.
 func classifierTable(name string, table func(string) ([]*analysis.ClassifierEval, error),
-	print func(io.Writer, []*analysis.ClassifierEval)) func(context.Context, []string) error {
-	return func(_ context.Context, args []string) error {
+	print func(io.Writer, []*analysis.ClassifierEval)) func(context.Context, []string, io.Writer) error {
+	return func(_ context.Context, args []string, w io.Writer) error {
 		fs := flag.NewFlagSet(name, flag.ExitOnError)
 		app := fs.String("app", "octarine", "application")
 		if err := fs.Parse(args); err != nil {
@@ -26,7 +25,7 @@ func classifierTable(name string, table func(string) ([]*analysis.ClassifierEval
 		if err != nil {
 			return err
 		}
-		print(os.Stdout, rows)
+		print(w, rows)
 		return nil
 	}
 }
@@ -44,11 +43,11 @@ func scenarioTable(print func(io.Writer, []*pipeline.Result)) func(context.Conte
 	}
 }
 
-func cmdFigures(ctx context.Context, _ []string) error {
+func cmdFigures(ctx context.Context, _ []string, w io.Writer) error {
 	rows, err := experiments.Figures(ctx)
 	if err != nil {
 		return err
 	}
-	experiments.PrintFigures(os.Stdout, rows)
+	experiments.PrintFigures(w, rows)
 	return nil
 }

@@ -27,19 +27,6 @@ type ClassifierEval struct {
 	NewClassifications            int
 	AvgInstancesPerClassification float64
 	AvgCorrelation                float64
-	// Stateless, ReadMostly, and Stateful count the purity grades of the
-	// profiled classifications — how the granularity of a classifier
-	// shifts the replication-eligible population. Filled by
-	// core.ClassifierAccuracy; zero when no purity report is available.
-	Stateless  int
-	ReadMostly int
-	Stateful   int
-	// AliasEligible counts the profiled classifications graded
-	// replication-eligible (stateless or read-mostly) under the
-	// alias-refined purity closure, where transitive impurity propagates
-	// only across may-alias edges. Always >= Stateless + ReadMostly;
-	// zero when the alias analysis is unavailable.
-	AliasEligible int
 }
 
 // EvaluateClassifier compares an evaluation profile against the combined

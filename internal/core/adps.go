@@ -469,15 +469,9 @@ func (a *ADPS) Execute(ares *analysis.Result, traced *dist.Result) (*ScenarioRep
 // the session's application, network and seed: all profiling scenarios
 // are profiled and combined, then the evaluation scenario (bigone) is
 // profiled, and the classifier's ability to correlate the two is
-// measured. The purity columns grade the combined profile under both the
-// plain and the alias-refined closure, so the session's alias refinement
-// is enabled (see EnableAlias); neither depends on the classifier, and one
-// session serves every row of a table.
+// measured. One session serves every row of a table.
 func (a *ADPS) ClassifierAccuracy(kind classify.Kind, depth int,
 	scenarios []string, evalScenario string) (*analysis.ClassifierEval, error) {
-	if err := a.EnableAlias(); err != nil {
-		return nil, err
-	}
 	np := netsim.ExactProfile(a.Network, netsim.DefaultSampleSizes)
 	// Per-instance edges come from folding each run's stored trace again.
 	detailed := func(scenario string, seed int64) (*profile.Profile, error) {
@@ -517,16 +511,5 @@ func (a *ADPS) ClassifierAccuracy(kind classify.Kind, depth int,
 		return nil, err
 	}
 	ev.Depth = depth
-	// Purity grades per classification: the finer the classifier, the more
-	// of the profiled population can be proven replication-eligible.
-	grading := a.Purity.Grade(combined, 0)
-	ev.Stateless = grading.Stateless
-	ev.ReadMostly = grading.ReadMostly
-	ev.Stateful = grading.Stateful
-	// The alias-refined closure frees components whose only impurity was
-	// transitive through non-aliasing calls; report how much of the
-	// population it adds to the replication-eligible pool.
-	refined := a.AnalysisOptions.Purity.Grade(combined, 0)
-	ev.AliasEligible = refined.Stateless + refined.ReadMostly
 	return ev, nil
 }

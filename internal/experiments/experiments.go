@@ -18,9 +18,7 @@ import (
 
 // Table2 evaluates all seven instance classifiers on an application:
 // profile every scenario except bigone, then correlate bigone instances
-// against the profiled classifications. Each row carries the purity
-// analysis's per-classification grade counts: how many of the profiled
-// classifications the classifier proves replication-eligible.
+// against the profiled classifications.
 func Table2(app string) ([]*analysis.ClassifierEval, error) {
 	return classifierTable(app, classify.Kinds(), []int{0})
 }
@@ -115,30 +113,27 @@ func Figures(ctx context.Context) ([]FigureRow, error) {
 	})
 }
 
-// PrintTable2 renders Table 2 in the paper's layout, with the purity
-// grade counts appended (stateless/read-mostly/stateful).
+// PrintTable2 renders Table 2 in the paper's layout.
 func PrintTable2(w io.Writer, rows []*analysis.ClassifierEval) {
-	fmt.Fprintf(w, "%-24s %10s %8s %12s %12s %14s %8s\n",
-		"Instance Classifier", "Profiled", "New", "Inst/Class", "Avg Corr", "SL/RM/SF", "Alias+")
+	fmt.Fprintf(w, "%-24s %10s %8s %12s %12s\n",
+		"Instance Classifier", "Profiled", "New", "Inst/Class", "Avg Corr")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-24s %10d %8d %12.1f %12.3f %14s %8d\n",
+		fmt.Fprintf(w, "%-24s %10d %8d %12.1f %12.3f\n",
 			r.Classifier, r.ProfiledClassifications, r.NewClassifications,
-			r.AvgInstancesPerClassification, r.AvgCorrelation,
-			fmt.Sprintf("%d/%d/%d", r.Stateless, r.ReadMostly, r.Stateful), r.AliasEligible)
+			r.AvgInstancesPerClassification, r.AvgCorrelation)
 	}
 }
 
-// PrintTable3 renders Table 3, with the purity grade counts appended.
+// PrintTable3 renders Table 3.
 func PrintTable3(w io.Writer, rows []*analysis.ClassifierEval) {
-	fmt.Fprintf(w, "%-12s %10s %12s %12s %14s %8s\n", "Stack Depth", "Profiled", "Inst/Class", "Avg Corr", "SL/RM/SF", "Alias+")
+	fmt.Fprintf(w, "%-12s %10s %12s %12s\n", "Stack Depth", "Profiled", "Inst/Class", "Avg Corr")
 	for _, r := range rows {
 		depth := fmt.Sprintf("%d", r.Depth)
 		if r.Depth == 0 {
 			depth = "complete"
 		}
-		fmt.Fprintf(w, "%-12s %10d %12.1f %12.3f %14s %8d\n",
-			depth, r.ProfiledClassifications, r.AvgInstancesPerClassification, r.AvgCorrelation,
-			fmt.Sprintf("%d/%d/%d", r.Stateless, r.ReadMostly, r.Stateful), r.AliasEligible)
+		fmt.Fprintf(w, "%-12s %10d %12.1f %12.3f\n",
+			depth, r.ProfiledClassifications, r.AvgInstancesPerClassification, r.AvgCorrelation)
 	}
 }
 

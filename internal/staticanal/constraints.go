@@ -346,56 +346,37 @@ func (cs *ConstraintSet) ApplyToGraph(g *graph.Graph, p *profile.Profile) ApplyS
 		}
 	}
 
-	// Coverage pairs weld classes the scenarios produced no traffic
-	// evidence for, so there need not be a profile edge between them: weld
-	// the cross-product of the two classes' classifications. A pair whose
-	// endpoints the location rules pin to different machines cannot be
-	// honored without making the graph infeasible; it is counted and
-	// skipped (the cut then relies on the pins, as before).
-	if len(cs.CoveragePairs) > 0 {
-		byClass := make(map[string][]string)
-		for _, ci := range p.Classifications {
-			byClass[ci.Class] = append(byClass[ci.Class], ci.ID)
-		}
-		for _, pair := range cs.CoveragePairs {
+	// Coverage and alias pairs weld classes that need no profile edge
+	// between them (the scenarios never drove the edge, or the payload
+	// travelled through an intermediary): weld the cross-product of the
+	// two classes' classifications. A pair whose endpoints the location
+	// rules pin to different machines cannot be honored without making the
+	// graph infeasible; it is counted and skipped (the cut then relies on
+	// the pins).
+	if len(cs.CoveragePairs) == 0 && len(cs.AliasPairs) == 0 {
+		return st
+	}
+	byClass := make(map[string][]string)
+	for _, ci := range p.Classifications {
+		byClass[ci.Class] = append(byClass[ci.Class], ci.ID)
+	}
+	weld := func(pairs []Pair, welded, unsatisfied *int) {
+		for _, pair := range pairs {
 			pa, oka := cs.Pins[pair.A]
 			pb, okb := cs.Pins[pair.B]
 			if oka && okb && pa.Machine != pb.Machine {
-				st.CoverageUnsatisfied++
+				*unsatisfied++
 				continue
 			}
 			for _, a := range byClass[pair.A] {
 				for _, b := range byClass[pair.B] {
 					g.CoLocate(a, b)
-					st.CoverageCoLocations++
+					*welded++
 				}
 			}
 		}
 	}
-
-	// Alias pairs weld classes that share mutable state even when no
-	// profile edge connects them directly (the payload travelled through
-	// an intermediary): weld the cross-product of their classifications,
-	// with the same pinned-apart escape hatch as coverage pairs.
-	if len(cs.AliasPairs) > 0 {
-		byClass := make(map[string][]string)
-		for _, ci := range p.Classifications {
-			byClass[ci.Class] = append(byClass[ci.Class], ci.ID)
-		}
-		for _, pair := range cs.AliasPairs {
-			pa, oka := cs.Pins[pair.A]
-			pb, okb := cs.Pins[pair.B]
-			if oka && okb && pa.Machine != pb.Machine {
-				st.AliasUnsatisfied++
-				continue
-			}
-			for _, a := range byClass[pair.A] {
-				for _, b := range byClass[pair.B] {
-					g.CoLocate(a, b)
-					st.AliasCoLocations++
-				}
-			}
-		}
-	}
+	weld(cs.CoveragePairs, &st.CoverageCoLocations, &st.CoverageUnsatisfied)
+	weld(cs.AliasPairs, &st.AliasCoLocations, &st.AliasUnsatisfied)
 	return st
 }
