@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 
@@ -15,9 +14,9 @@ import (
 )
 
 func cmdAdapt(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("adapt", flag.ExitOnError)
+	fs := newFlags("adapt")
 	scen := fs.String("scenario", "o_oldwp7", "scenario to re-partition")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	rows, err := experiments.Adaptive(ctx, *scen, []string{"ISDN", "10BaseT", "100BaseT", "ATM", "SAN"})
@@ -34,10 +33,10 @@ func cmdAdapt(ctx context.Context, args []string, w io.Writer) error {
 }
 
 func cmdOverhead(_ context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("overhead", flag.ExitOnError)
+	fs := newFlags("overhead")
 	scen := fs.String("scenario", "o_oldwp0", "scenario to measure")
 	reps := fs.Int("reps", 5, "repetitions (best-of)")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	row, err := experiments.MeasureOverhead(*scen, *reps)
@@ -49,11 +48,11 @@ func cmdOverhead(_ context.Context, args []string, w io.Writer) error {
 }
 
 func cmdDrift(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("drift", flag.ExitOnError)
+	fs := newFlags("drift")
 	optimized := fs.String("optimized-for", "o_oldwp0", "scenario the distribution was computed from")
 	observed := fs.String("observed", "o_oldbth", "scenario representing actual usage")
 	threshold := fs.Float64("threshold", 0.3, "drift threshold recommending re-profiling")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	res, err := pipeline.Run(ctx, pipeline.Spec{Scenarios: []string{*optimized}})
@@ -96,9 +95,9 @@ func cmdDrift(ctx context.Context, args []string, w io.Writer) error {
 }
 
 func cmdCache(_ context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("cache", flag.ExitOnError)
+	fs := newFlags("cache")
 	scen := fs.String("scenario", "o_oldwp7", "scenario to measure")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	cmp, err := experiments.CompareCaching(*scen)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -17,7 +16,7 @@ import (
 // archives. The run fails when any algorithm disagrees with the oracle,
 // so the benchmark doubles as a correctness gate.
 func cmdBenchCut(_ context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("bench-cut", flag.ExitOnError)
+	fs := newFlags("bench-cut")
 	sizes := fs.String("sizes", "1000,3000,10000,30000,100000,300000,1000000", "comma-separated node counts")
 	seed := fs.Int64("seed", 1, "workload seed (same seed, same graphs)")
 	degree := fs.Int("degree", 0, "average attachment degree (0 = generator default)")
@@ -25,7 +24,7 @@ func cmdBenchCut(_ context.Context, args []string, w io.Writer) error {
 	repeat := fs.Int("repeat", 3, "timed repetitions per algorithm (min and mean reported)")
 	jsonPath := fs.String("json", "", "write the report as JSON to this file")
 	quiet := fs.Bool("q", false, "suppress per-size progress")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	cfg := experiments.CutBenchConfig{

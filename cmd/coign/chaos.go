@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"time"
@@ -20,7 +19,7 @@ import (
 // first prints the run's fault records, read back from its stored trace,
 // also when a call gave up and failed the run.
 func cmdChaos(_ context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
+	fs := newFlags("chaos")
 	scen := fs.String("scenario", "o_oldwp7", "scenario to run")
 	network := fs.String("network", "10BaseT", "network model")
 	drop := fs.Float64("drop", 0.05, "per-frame drop probability")
@@ -31,7 +30,7 @@ func cmdChaos(_ context.Context, args []string, w io.Writer) error {
 	seed := fs.Int64("seed", 1, "fault-schedule seed (same seed, same faults)")
 	fromModel := fs.Bool("from-model", false, "derive drop/corrupt rates from the network model's loss figure")
 	trace := fs.Bool("trace", false, "print every injected fault")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	if *attempts < 1 {

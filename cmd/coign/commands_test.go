@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -22,7 +23,9 @@ import (
 // is `coign cut -scenario o_newdoc,o_oldtb3 -v` at that commit; for the
 // anonymous log the instance, time and server lines are that commit's
 // `analyze -v` numbers. The chaos text is what it printed once the virtual
-// clock retried whole round trips, as the real transport does. What the
+// clock retried whole round trips, as the real transport does. The .icc
+// digests are of that commit's logs with their "instances" member
+// removed, since a profile holds no per-instance detail. What the
 // exhibits of EXPERIMENTS.md print is held there, by
 // TestExperimentsAreCommandOutput.
 func TestCommandOutputGolden(t *testing.T) {
@@ -57,8 +60,8 @@ func TestCommandOutputGolden(t *testing.T) {
 wrote DIR/o_oldtb3.icc: 1809 calls, 237 classifications
 `,
 			files: map[string]string{
-				"o_newdoc.icc": "ea5e2531c100587788ac287b3a084cb1899b2e3d1c32577ab1a7b1fbe8a2d7ed",
-				"o_oldtb3.icc": "7aa2fb084248e5e55106fee136b684f472e49b02d95ff22d19b92d82f2d67981",
+				"o_newdoc.icc": "b624907908af855622b9755368c9684344ca740decc2ec849483154a900f4013",
+				"o_oldtb3.icc": "74f6a5acfb30870a9ef2bc58c5b5e6a00d98e9c515d71643951fe2bb13b2d915",
 			}},
 		{name: "analyze", run: cmdAnalyze, args: []string{"-logs", "DIR/o_newdoc.icc,DIR/o_oldtb3.icc", "-v"},
 			want: `o_newdoc+o_oldtb3 on 10BaseT (ifcb classifier)
@@ -137,15 +140,16 @@ wrote DIR/o_oldtb3.icc: 1809 calls, 237 classifications
 // TestProfileLogsPinned holds the .icc log of each paper application's
 // bigone scenario, written by `coign profile`, and of quickstart's default
 // run to the bytes the tree wrote before the profile became a fold over
-// the runtime's event records (digests captured at commit c8d0f24).
+// the runtime's event records (captured at commit c8d0f24), less their
+// "instances" member: a profile holds no per-instance detail.
 func TestProfileLogsPinned(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	want := map[string]string{
-		"o_bigone.icc":   "aacdaa9f2c6616260f114f245de1c5bb378e2fd0f0ea757f58594c9982e07f06",
-		"p_bigone.icc":   "4c13f8d55a6affc1884cc33e2db2ad8a56bc4e176c0e49f7fac622969ddaedc2",
-		"b_bigone.icc":   "d2888789f7467da39387b62ee4c3f428434bb9434a92c752bebca96d4ff96bb4",
-		"quickstart.icc": "3a533c3706f602168985d46196a2f7fc0451cae44879bb6c1f043cd696679933",
+		"o_bigone.icc":   "04a1e1c6d50b5b08b1c6ba61057285e1d2a45abbcb97b27cbc0659da6b5eca8f",
+		"p_bigone.icc":   "d7e2571a724ddfdd42393153a468160add02c6b4118cde816a10d8ab7de2d782",
+		"b_bigone.icc":   "185e37689964402fc18ef7cf19f26436293c64213315692ed6140b9b6bd819fd",
+		"quickstart.icc": "bac02ab1d16257063e9d70f82ff86cb68cb899874a13808cc1f462ca8ecce2e5",
 	}
 	for _, scen := range []string{"o_bigone", "p_bigone", "b_bigone"} {
 		if err := cmdProfile(context.Background(), []string{"-scenarios", scen, "-dir", dir}, io.Discard); err != nil {
@@ -221,6 +225,28 @@ func TestAnalyzeClassifierDepth(t *testing.T) {
 			t.Errorf("%s: %v", c.classifier, err)
 		case c.header != "" && !strings.HasPrefix(out.String(), c.header):
 			t.Errorf("%s: printed\n%s\nwant it to start %q", c.classifier, out.String(), c.header)
+		}
+	}
+}
+
+// TestCommandsRefuseBadArguments: every command, flagless ones too,
+// refuses an unknown flag and a positional argument before any work
+// starts: it prints nothing and returns a usageError, which main turns
+// into exit code 2. The context is cancelled, so a command that started
+// anyway stops soon.
+func TestCommandsRefuseBadArguments(t *testing.T) {
+	t.Parallel()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range commands {
+		for _, args := range [][]string{{"-bogus"}, {"stray"}} {
+			var out bytes.Buffer
+			err := c.run(ctx, args, &out)
+			var bad usageError
+			if !errors.As(err, &bad) || out.Len() > 0 {
+				t.Errorf("coign %s %s: error %v after printing %d bytes, want a usage error and nothing printed",
+					c.name, args[0], err, out.Len())
+			}
 		}
 	}
 }

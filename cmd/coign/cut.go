@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -33,7 +32,7 @@ func parsePins(s string) (map[string]string, error) {
 // pipeline.Run: the same spec submitted to the job service yields exactly
 // the bytes -json prints here.
 func cmdCut(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("cut", flag.ExitOnError)
+	fs := newFlags("cut")
 	appName := fs.String("app", "", "application name (default: inferred from the first scenario; required for synth:... apps)")
 	scens := fs.String("scenario", "o_oldwp7", "comma-separated scenarios to partition (one application)")
 	network := fs.String("network", "10BaseT", "network model")
@@ -47,7 +46,7 @@ func cmdCut(ctx context.Context, args []string, w io.Writer) error {
 	theta := fs.Float64("theta", 0, "read-mostly purity threshold (0 = default)")
 	exact := fs.Bool("exact", false, "price edges from exact byte totals instead of buckets")
 	jsonOut := fs.Bool("json", false, "emit the result as canonical JSON on stdout")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	pinMap, err := parsePins(*pins)
@@ -98,10 +97,10 @@ func cmdCut(ctx context.Context, args []string, w io.Writer) error {
 // distribution into the binary, execute default and Coign placements,
 // measure — via the pipeline's compare mode.
 func cmdRun(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
+	fs := newFlags("run")
 	scen := fs.String("scenario", "o_oldwp7", "scenario to run")
 	jsonOut := fs.Bool("json", false, "emit the result as canonical JSON on stdout")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	res, err := pipeline.Run(ctx, pipeline.Spec{Scenarios: []string{*scen}, Compare: true})

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -19,12 +18,12 @@ import (
 // it differs from cut only in where the profile comes from.
 
 func cmdInstrument(_ context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("instrument", flag.ExitOnError)
+	fs := newFlags("instrument")
 	appName := fs.String("app", "octarine", "application")
 	out := fs.String("o", "", "output image path (default <app>.img)")
 	classifier := fs.String("classifier", "ifcb", "instance classifier")
 	depth := fs.Int("depth", 0, "classifier stack depth (0 = complete)")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	adps, err := pipeline.Open(pipeline.Spec{App: *appName, Classifier: *classifier, Depth: *depth})
@@ -50,10 +49,10 @@ func cmdInstrument(_ context.Context, args []string, w io.Writer) error {
 // inter-component communication log to a .icc file, the paper's
 // post-profiling artifact.
 func cmdProfile(_ context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("profile", flag.ExitOnError)
+	fs := newFlags("profile")
 	scens := fs.String("scenarios", "o_oldwp0", "comma-separated scenarios (one application)")
 	dir := fs.String("dir", ".", "directory for .icc log files")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	names := strings.Split(*scens, ",")
@@ -90,11 +89,11 @@ func cmdProfile(_ context.Context, args []string, w io.Writer) error {
 // distribution the analysis engine chooses. Unlike cut, it consumes
 // pre-recorded .icc files instead of profiling scenarios itself.
 func cmdAnalyze(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
+	fs := newFlags("analyze")
 	logs := fs.String("logs", "", "comma-separated .icc log files")
 	network := fs.String("network", "10BaseT", "network model")
 	verbose := fs.Bool("v", false, "list server-side classifications")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	if *logs == "" {

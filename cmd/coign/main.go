@@ -14,6 +14,8 @@ package main
 
 import (
 	"context"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -39,8 +41,8 @@ var commands = []command{
 	{"run", "full experiment for one scenario (Tables 4 and 5 rows)", cmdRun},
 	{"table2", "classifier accuracy (Table 2)", classifierTable("table2", experiments.Table2, experiments.PrintTable2)},
 	{"table3", "IFCB accuracy vs stack-walk depth (Table 3)", classifierTable("table3", experiments.Table3, experiments.PrintTable3)},
-	{"table4", "communication time for all 23 scenarios (Table 4)", scenarioTable(experiments.PrintTable4)},
-	{"table5", "execution-time prediction accuracy (Table 5)", scenarioTable(experiments.PrintTable5)},
+	{"table4", "communication time for all 23 scenarios (Table 4)", scenarioTable("table4", experiments.PrintTable4)},
+	{"table5", "execution-time prediction accuracy (Table 5)", scenarioTable("table5", experiments.PrintTable5)},
 	{"figures", "distribution figures 4-8", cmdFigures},
 	{"chaos", "run one scenario under injected network faults with retries", cmdChaos},
 	{"adapt", "re-partition one scenario across network generations", cmdAdapt},
@@ -75,10 +77,51 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := cmd.run(ctx, args, os.Stdout); err != nil {
+	err := cmd.run(ctx, args, os.Stdout)
+	var bad usageError
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+	case errors.As(err, &bad):
+		os.Exit(2) // the flag set printed the error and the usage
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "coign:", err)
 		os.Exit(1)
 	}
+}
+
+// flags is a command's flag set. Every command parses its arguments with
+// it, flagless ones too, so a command line it cannot take is refused
+// before any work starts, and comes back as an error rather than exiting
+// the process: a test runs any command in-process, and main picks the
+// exit code.
+type flags struct{ *flag.FlagSet }
+
+// newFlags returns the named command's empty flag set.
+func newFlags(name string) flags { return flags{flag.NewFlagSet(name, flag.ContinueOnError)} }
+
+// usageError is a command line a command refused: an unknown or malformed
+// flag, or a positional argument, which no command reads.
+type usageError struct{ err error }
+
+func (e usageError) Error() string { return e.err.Error() }
+
+// parse parses a command's arguments. -h prints the usage and returns
+// flag.ErrHelp; anything else the command cannot take prints the error
+// and the usage and returns a usageError.
+func (fs flags) parse(args []string) error {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return usageError{err}
+	}
+	if fs.NArg() > 0 {
+		err := fmt.Errorf("%s takes no argument, got %q", fs.Name(), fs.Arg(0))
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		return usageError{err}
+	}
+	return nil
 }
 
 // lookup returns the named command, or nil if there is none.

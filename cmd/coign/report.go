@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"strings"
@@ -17,7 +16,7 @@ import (
 // scenarios: constraint check, scenario coverage, purity grading with the
 // replication-aware cut, and alias refinement. One gate covers all four.
 func cmdReport(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("report", flag.ExitOnError)
+	fs := newFlags("report")
 	appName := fs.String("app", "all", "application to analyze, or 'all' (the Table 1 suite and quickstart)")
 	scens := fs.String("scenarios", "", "comma-separated scenario override (default: the app's training suite)")
 	theta := fs.Float64("theta", 0, "read-mostly write-fraction threshold (0 = default)")
@@ -25,7 +24,7 @@ func cmdReport(ctx context.Context, args []string, w io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit the reports as JSON on stdout")
 	failOn := fs.String("fail-on", "", "comma-separated conditions that exit nonzero: violation, misclassified, miss")
 	failUnder := fs.Float64("fail-under", 0, "exit nonzero when an app's coverage is below this percentage")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	apps := experiments.ReportApps()

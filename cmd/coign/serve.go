@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -22,14 +21,14 @@ import (
 // get the -drain window to finish, and any still running are requeued for
 // the next serve to pick up.
 func cmdServe(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+	fs := newFlags("serve")
 	addr := fs.String("addr", "127.0.0.1:7090", "listen address (use :0 for an ephemeral port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file (pairs with -addr :0)")
 	queuePath := fs.String("queue", "coign-jobs.jsonl", "job journal path")
 	workers := fs.Int("workers", 2, "worker-pool width")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown grace for in-flight jobs")
 	maxAttempts := fs.Int("max-attempts", 5, "dead-letter a job after this many attempts (0 = retry forever)")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 

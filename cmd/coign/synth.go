@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -21,7 +20,7 @@ import (
 // the full-pipeline property harness over the whole seed matrix — the
 // mode the CI pipeline-property job runs.
 func cmdSynth(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("synth", flag.ExitOnError)
+	fs := newFlags("synth")
 	list := fs.Bool("list", false, "list the generator families and exit")
 	family := fs.String("family", string(synthapp.ThreeTier), "generator family")
 	seed := fs.Int64("seed", 0, "generator seed")
@@ -30,7 +29,7 @@ func cmdSynth(ctx context.Context, args []string, w io.Writer) error {
 	harness := fs.Bool("harness", false, "run the full-pipeline property harness over every family")
 	seeds := fs.Int("seeds", 20, "harness: seeds per family")
 	jsonOut := fs.Bool("json", false, "harness: emit the matrix summary as JSON on stdout")
-	if err := fs.Parse(args); err != nil {
+	if err := fs.parse(args); err != nil {
 		return err
 	}
 	if *list {

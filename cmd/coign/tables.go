@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"io"
 
 	"repro/internal/analysis"
@@ -16,9 +15,9 @@ import (
 func classifierTable(name string, table func(string) ([]*analysis.ClassifierEval, error),
 	print func(io.Writer, []*analysis.ClassifierEval)) func(context.Context, []string, io.Writer) error {
 	return func(_ context.Context, args []string, w io.Writer) error {
-		fs := flag.NewFlagSet(name, flag.ExitOnError)
+		fs := newFlags(name)
 		app := fs.String("app", "octarine", "application")
-		if err := fs.Parse(args); err != nil {
+		if err := fs.parse(args); err != nil {
 			return err
 		}
 		rows, err := table(*app)
@@ -32,8 +31,11 @@ func classifierTable(name string, table func(string) ([]*analysis.ClassifierEval
 
 // scenarioTable is the command for Tables 4 and 5: one pass over every
 // scenario yields the rows of both.
-func scenarioTable(print func(io.Writer, []*pipeline.Result)) func(context.Context, []string, io.Writer) error {
-	return func(ctx context.Context, _ []string, w io.Writer) error {
+func scenarioTable(name string, print func(io.Writer, []*pipeline.Result)) func(context.Context, []string, io.Writer) error {
+	return func(ctx context.Context, args []string, w io.Writer) error {
+		if err := newFlags(name).parse(args); err != nil {
+			return err
+		}
 		rows, err := experiments.Tables4And5(ctx)
 		if err != nil {
 			return err
@@ -43,7 +45,10 @@ func scenarioTable(print func(io.Writer, []*pipeline.Result)) func(context.Conte
 	}
 }
 
-func cmdFigures(ctx context.Context, _ []string, w io.Writer) error {
+func cmdFigures(ctx context.Context, args []string, w io.Writer) error {
+	if err := newFlags("figures").parse(args); err != nil {
+		return err
+	}
 	rows, err := experiments.Figures(ctx)
 	if err != nil {
 		return err

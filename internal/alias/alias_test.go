@@ -184,8 +184,8 @@ func TestPredictsTransferIsCalleeSided(t *testing.T) {
 // verifyProfile builds a classified profile with one instance per class.
 func verifyProfile() *profile.Profile {
 	p := profile.New("aliastest", "")
-	for i, class := range []string{"Doc", "Editor", "Viewer", "Frozen", "Reader"} {
-		p.AddInstance(profile.InstanceRecord{ID: uint64(i + 1), Class: class, Classification: class + "#0"})
+	for _, class := range []string{"Doc", "Editor", "Viewer", "Frozen", "Reader"} {
+		p.AddInstance(class+"#0", class, nil)
 	}
 	return p
 }

@@ -2,11 +2,13 @@ package analysis
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/com"
+	"repro/internal/logger"
 	"repro/internal/netsim"
 	"repro/internal/profile"
 )
@@ -38,8 +40,7 @@ func benchProfile() *profile.Profile {
 	p.Scenarios = []string{"s"}
 	add := func(id, class string, n int64) {
 		for i := int64(0); i < n; i++ {
-			p.AddInstance(profile.InstanceRecord{ID: uint64(len(p.Instances) + 1),
-				Class: class, Classification: id})
+			p.AddInstance(id, class, nil)
 		}
 	}
 	add("gui@1", "GUI", 3)
@@ -143,8 +144,8 @@ func TestAnalyzeDefaultCommSurvivesSplitCoLocation(t *testing.T) {
 
 	p := profile.New("bench", "ifcb")
 	p.Scenarios = []string{"s"}
-	p.AddInstance(profile.InstanceRecord{ID: 1, Class: "GUI", Classification: "gui@1"})
-	p.AddInstance(profile.InstanceRecord{ID: 2, Class: "Worker", Classification: "worker@1"})
+	p.AddInstance("gui@1", "GUI", nil)
+	p.AddInstance("worker@1", "Worker", nil)
 	for i := 0; i < 20; i++ {
 		p.Edge(profile.MainProgram, "gui@1").Record(64, 16, false)
 	}
@@ -242,34 +243,106 @@ func TestAnalyzeUnsatisfiableConstraints(t *testing.T) {
 	}
 }
 
-// evalProfiles builds profiled+eval profile pairs where two View instances
-// behave identically and a Writer behaves differently.
-func evalProfiles(classifier string) (*profile.Profile, *profile.Profile) {
-	mk := func(scen string, extraView bool) *profile.Profile {
-		p := profile.New("app", classifier)
-		p.Scenarios = []string{scen}
-		p.AddInstance(profile.InstanceRecord{ID: 1, Class: "View", Classification: "view@1"})
-		p.AddInstance(profile.InstanceRecord{ID: 2, Class: "Writer", Classification: "writer@1"})
-		p.InstEdge(0, 1).Record(100, 100, false)
-		p.Edge(profile.MainProgram, "view@1").Record(100, 100, false)
-		p.InstEdge(2, 1).Record(50, 10, false)
-		p.Edge("writer@1", "view@1").Record(50, 10, false)
-		if extraView {
-			p.AddInstance(profile.InstanceRecord{ID: 3, Class: "View", Classification: "view@new"})
-			p.InstEdge(0, 3).Record(100, 100, false)
-			p.Edge(profile.MainProgram, "view@new").Record(100, 100, false)
-		}
-		return p
+// recordRun records one run of scen into tr under classifier: the main
+// program calls a reader, which calls two views alike.
+func recordRun(tr *logger.Trace, scen, classifier string) {
+	tr.BeginRun("app", scen, classifier)
+	tr.Instantiation(logger.InstRecord{ID: 1, Class: "Reader", Classification: "c:reader"})
+	tr.Instantiation(logger.InstRecord{ID: 2, Class: "View", Classification: "c:view"})
+	tr.Instantiation(logger.InstRecord{ID: 3, Class: "View", Classification: "c:view"})
+	tr.Call(logger.CallRecord{SrcInst: 0, DstInst: 1, Method: "Read", InBytes: 64, OutBytes: 4096})
+	tr.Call(logger.CallRecord{SrcInst: 1, DstInst: 2, Method: "Show", InBytes: 128, OutBytes: 16})
+	tr.Call(logger.CallRecord{SrcInst: 1, DstInst: 3, Method: "Show", InBytes: 128, OutBytes: 16})
+	tr.EndRun()
+}
+
+// TestInstanceVectors: every instance of every run stored in a trace gets
+// a vector over its peers' classifications, each priced as its instance
+// pair's edge summary prices it; instance ids restart every run.
+func TestInstanceVectors(t *testing.T) {
+	t.Parallel()
+	tr := logger.NewTrace()
+	recordRun(tr, "s1", "ifcb")
+	recordRun(tr, "s2", "ifcb")
+	vecs := instances(tr, np())
+	if len(vecs) != 6 {
+		t.Fatalf("got %d vectors, want 3 per run", len(vecs))
 	}
-	return mk("profiled", false), mk("bigone", true)
+	var main, view profile.EdgeSummary
+	main.Record(64, 4096, false)
+	view.Record(128, 16, false)
+	for run := 0; run < 2; run++ {
+		v := vecs[3*run : 3*run+3]
+		// The reader talks to main and to both views.
+		r := v[0].vec
+		if r[profile.MainProgram] != float64(main.Time(np())) || r["c:view"] != 2*float64(view.Time(np())) {
+			t.Fatalf("run %d: reader vector = %v", run, r)
+		}
+		// The two views behave alike: perfect correlation.
+		if got := profile.Correlation(v[1].vec, v[2].vec); math.Abs(got-1) > 1e-12 {
+			t.Errorf("run %d: twin views correlation = %v", run, got)
+		}
+		// The reader's vector differs from a view's.
+		if got := profile.Correlation(v[0].vec, v[1].vec); got > 0.999 {
+			t.Errorf("run %d: reader-view correlation = %v", run, got)
+		}
+	}
+}
+
+// TestClassificationVectors: a classification's profiled vector is the
+// mean of its instances' vectors over every training run.
+func TestClassificationVectors(t *testing.T) {
+	t.Parallel()
+	var training []*logger.Trace
+	for _, scen := range []string{"s1", "s2"} {
+		tr := logger.NewTrace()
+		recordRun(tr, scen, "ifcb")
+		training = append(training, tr)
+	}
+	cv, n := classificationVectors(training, np())
+	if len(cv) != 2 || n != 6 {
+		t.Fatalf("got %d classification vectors over %d instances", len(cv), n)
+	}
+	inst := instances(training[1], np())
+	// The view classification's mean vector equals each (identical) member.
+	if got := profile.Correlation(cv["c:view"], inst[2].vec); math.Abs(got-1) > 1e-12 {
+		t.Errorf("mean vs member correlation = %v", got)
+	}
+	if got, want := cv["c:view"]["c:reader"], inst[2].vec["c:reader"]; got != want {
+		t.Errorf("mean of the views' reader time = %v, want a member's %v", got, want)
+	}
+}
+
+// evalTraces builds a profiling run and an evaluation run in which two
+// View instances behave identically and a Writer behaves differently; the
+// evaluation run adds a View of a classification never profiled.
+func evalTraces(classifier string) ([]*logger.Trace, *logger.Trace) {
+	mk := func(scen string, extraView bool) *logger.Trace {
+		tr := logger.NewTrace()
+		tr.BeginRun("app", scen, classifier)
+		tr.Instantiation(logger.InstRecord{ID: 1, Class: "View", Classification: "view@1"})
+		tr.Instantiation(logger.InstRecord{ID: 2, Class: "Writer", Classification: "writer@1"})
+		tr.Call(logger.CallRecord{SrcInst: 0, DstInst: 1, Method: "Show", InBytes: 100, OutBytes: 100})
+		tr.Call(logger.CallRecord{SrcInst: 2, DstInst: 1, Method: "Show", InBytes: 50, OutBytes: 10})
+		if extraView {
+			tr.Instantiation(logger.InstRecord{ID: 3, Class: "View", Classification: "view@new"})
+			tr.Call(logger.CallRecord{SrcInst: 0, DstInst: 3, Method: "Show", InBytes: 100, OutBytes: 100})
+		}
+		tr.EndRun()
+		return tr
+	}
+	return []*logger.Trace{mk("profiled", false)}, mk("bigone", true)
 }
 
 func TestEvaluateClassifier(t *testing.T) {
 	t.Parallel()
-	profiled, eval := evalProfiles("ifcb")
-	res, err := EvaluateClassifier(profiled, eval, np())
+	training, eval := evalTraces("ifcb")
+	res, err := EvaluateClassifier(training, eval, np())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Classifier != "ifcb" {
+		t.Errorf("classifier = %q", res.Classifier)
 	}
 	if res.ProfiledClassifications != 2 {
 		t.Errorf("profiled classifications = %d", res.ProfiledClassifications)
@@ -287,17 +360,28 @@ func TestEvaluateClassifier(t *testing.T) {
 	}
 }
 
+// TestEvaluateClassifierErrors: evaluation refuses runs under different
+// classifiers, a trace that stored no events, and no profiling run.
 func TestEvaluateClassifierErrors(t *testing.T) {
 	t.Parallel()
-	profiled, eval := evalProfiles("ifcb")
-	other := profile.New("app", "st")
-	other.Instances = eval.Instances
-	if _, err := EvaluateClassifier(profiled, other, np()); err == nil {
+	training, eval := evalTraces("ifcb")
+	_, other := evalTraces("st")
+	if _, err := EvaluateClassifier(training, other, np()); err == nil {
 		t.Error("classifier mismatch accepted")
 	}
-	empty := profile.New("app", "ifcb")
-	if _, err := EvaluateClassifier(profiled, empty, np()); err == nil {
-		t.Error("missing instance detail accepted")
+	var unstored logger.Trace // folds a profile, stores no event
+	recordRun(&unstored, "s", "ifcb")
+	if unstored.Profile() == nil {
+		t.Fatal("the zero Trace folded no profile")
+	}
+	if _, err := EvaluateClassifier(training, &unstored, np()); err == nil {
+		t.Error("an evaluation trace without events accepted")
+	}
+	if _, err := EvaluateClassifier([]*logger.Trace{&unstored}, eval, np()); err == nil {
+		t.Error("a training trace without events accepted")
+	}
+	if _, err := EvaluateClassifier(nil, eval, np()); err == nil {
+		t.Error("no profiling run accepted")
 	}
 }
 

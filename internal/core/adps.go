@@ -187,23 +187,10 @@ func (a *ADPS) ProfileNetwork() error {
 }
 
 // ProfileScenario runs the instrumented binary through one profiling
-// scenario and returns its ICC profile. With instanceDetail the run stores
-// its event trace and the profile is that trace folded again with
-// per-instance edges.
-func (a *ADPS) ProfileScenario(scenario string, instanceDetail bool) (*profile.Profile, *dist.Result, error) {
-	return a.profile(scenario, instanceDetail, instanceDetail)
-}
-
-// TraceScenario is ProfileScenario that also records the run's event trace
-// (the result's Trace), so Execute can price the default and Coign
-// distributions from this one execution.
-func (a *ADPS) TraceScenario(scenario string) (*profile.Profile, *dist.Result, error) {
-	return a.profile(scenario, false, true)
-}
-
-// profile is the one profiling run behind ProfileScenario and
-// TraceScenario.
-func (a *ADPS) profile(scenario string, instanceDetail, trace bool) (*profile.Profile, *dist.Result, error) {
+// scenario and returns its ICC profile. With trace the run also stores its
+// event trace (the result's Trace), so Execute can price the default and
+// Coign distributions from this one execution.
+func (a *ADPS) ProfileScenario(scenario string, trace bool) (*profile.Profile, *dist.Result, error) {
 	if a.Image == nil || !a.Image.Instrumented() {
 		return nil, nil, fmt.Errorf("core: application binary is not instrumented")
 	}
@@ -218,22 +205,22 @@ func (a *ADPS) profile(scenario string, instanceDetail, trace bool) (*profile.Pr
 	if err != nil {
 		return nil, nil, err
 	}
-	prof := res.Profile
-	if instanceDetail {
-		prof = cfg.Trace.Fold(true)
-	}
-	return prof, res, nil
+	return res.Profile, res, nil
 }
 
 // ProfileScenarios profiles several scenarios and merges their logs, the
-// combining step the analysis engine consumes.
-func (a *ADPS) ProfileScenarios(scenarios []string, instanceDetail bool) (*profile.Profile, error) {
+// combining step the analysis engine consumes. A merged profile has no
+// one trace, so trace must be false.
+func (a *ADPS) ProfileScenarios(scenarios []string, trace bool) (*profile.Profile, error) {
+	if trace {
+		return nil, fmt.Errorf("core: a merged profile keeps no trace; trace one scenario with ProfileScenario")
+	}
 	if len(scenarios) == 0 {
 		return nil, fmt.Errorf("core: no profiling scenarios")
 	}
 	var combined *profile.Profile
 	for _, s := range scenarios {
-		p, _, err := a.ProfileScenario(s, instanceDetail)
+		p, _, err := a.ProfileScenario(s, false)
 		if err != nil {
 			return nil, fmt.Errorf("core: scenario %s: %w", s, err)
 		}
@@ -379,7 +366,7 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 			return nil, err
 		}
 	}
-	prof, traced, err := a.TraceScenario(scenario)
+	prof, traced, err := a.ProfileScenario(scenario, true)
 	if err != nil {
 		return nil, err
 	}
@@ -391,10 +378,10 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 }
 
 // Execute is the run half of an experiment on the scenario of traced, a
-// TraceScenario run that ares was analyzed from: it writes the analysis
-// engine's distribution into the binary, prices the scenario under the
-// default and the Coign-chosen distribution, and compares a measured
-// execution against the prediction. The prediction starts from the traced
+// traced ProfileScenario run that ares was analyzed from: it writes the
+// analysis engine's distribution into the binary, prices the scenario
+// under the default and the Coign-chosen distribution, and compares a
+// measured execution against the prediction. The prediction starts from the traced
 // run's compute time. Table 4's columns replay its trace (dist.Replay
 // charges what the runtime charges) under the default distribution and
 // under the map read back from the rewritten binary. Table 5's measured
@@ -403,7 +390,7 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 // image re-armed for profiling.
 func (a *ADPS) Execute(ares *analysis.Result, traced *dist.Result) (*ScenarioReport, error) {
 	if traced == nil || traced.Trace == nil || traced.Profile == nil || len(traced.Profile.Scenarios) != 1 {
-		return nil, fmt.Errorf("core: Execute prices the trace of one TraceScenario run")
+		return nil, fmt.Errorf("core: Execute prices the trace of one traced ProfileScenario run")
 	}
 	scenario := traced.Profile.Scenarios[0]
 	if err := a.WriteDistribution(ares); err != nil {
@@ -466,15 +453,14 @@ func (a *ADPS) Execute(ares *analysis.Result, traced *dist.Result) (*ScenarioRep
 }
 
 // ClassifierAccuracy runs the Table 2 experiment for one classifier on
-// the session's application, network and seed: all profiling scenarios
-// are profiled and combined, then the evaluation scenario (bigone) is
-// profiled, and the classifier's ability to correlate the two is
-// measured. One session serves every row of a table.
+// the session's application, network and seed: every profiling scenario
+// is run with its event trace stored, then the evaluation scenario
+// (bigone), and the classifier's ability to correlate the two is measured
+// from the traces. One session serves every row of a table.
 func (a *ADPS) ClassifierAccuracy(kind classify.Kind, depth int,
 	scenarios []string, evalScenario string) (*analysis.ClassifierEval, error) {
 	np := netsim.ExactProfile(a.Network, netsim.DefaultSampleSizes)
-	// Per-instance edges come from folding each run's stored trace again.
-	detailed := func(scenario string, seed int64) (*profile.Profile, error) {
+	traced := func(scenario string, seed int64) (*logger.Trace, error) {
 		cfg, err := a.RunConfig(dist.ModeProfiling, scenario)
 		if err != nil {
 			return nil, err
@@ -483,30 +469,24 @@ func (a *ADPS) ClassifierAccuracy(kind classify.Kind, depth int,
 		if _, err := dist.Run(cfg); err != nil {
 			return nil, err
 		}
-		return cfg.Trace.Fold(true), nil
+		return cfg.Trace, nil
 	}
-	var combined *profile.Profile
-	for _, s := range scenarios {
-		p, err := detailed(s, a.Seed)
+	if len(scenarios) == 0 {
+		return nil, fmt.Errorf("core: no profiling scenarios")
+	}
+	training := make([]*logger.Trace, len(scenarios))
+	for i, s := range scenarios {
+		tr, err := traced(s, a.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("core: profiling %s: %w", s, err)
 		}
-		if combined == nil {
-			combined = p
-			continue
-		}
-		if err := combined.Merge(p); err != nil {
-			return nil, err
-		}
+		training[i] = tr
 	}
-	if combined == nil {
-		return nil, fmt.Errorf("core: no profiling scenarios")
-	}
-	eval, err := detailed(evalScenario, a.Seed+1)
+	eval, err := traced(evalScenario, a.Seed+1)
 	if err != nil {
 		return nil, fmt.Errorf("core: evaluating %s: %w", evalScenario, err)
 	}
-	ev, err := analysis.EvaluateClassifier(combined, eval, np)
+	ev, err := analysis.EvaluateClassifier(training, eval, np)
 	if err != nil {
 		return nil, err
 	}

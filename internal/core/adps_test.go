@@ -433,7 +433,7 @@ func TestExecuteMatchesRuns(t *testing.T) {
 
 // TestExecuteNeedsTracedRunOfTheScenario: Execute prices the run it is
 // handed, so it refuses no run and a run without a trace, and prices a
-// TraceScenario run to the experiment three real executions give.
+// traced ProfileScenario run to the experiment three real executions give.
 func TestExecuteNeedsTracedRunOfTheScenario(t *testing.T) {
 	t.Parallel()
 	scen := octarine.ScenOldTb3
@@ -454,7 +454,7 @@ func TestExecuteNeedsTracedRunOfTheScenario(t *testing.T) {
 			t.Errorf("%s: executed", name)
 		}
 	}
-	prof, traced, err := a.TraceScenario(scen)
+	prof, traced, err := a.ProfileScenario(scen, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func TestTraceCostsLittle(t *testing.T) {
 		return err
 	})
 	tracedObj, tracedB := allocated(t, func() error {
-		_, _, err := adps.TraceScenario(octarine.ScenBigone)
+		_, _, err := adps.ProfileScenario(octarine.ScenBigone, true)
 		return err
 	})
 	t.Logf("traced run: +%d objects, +%d bytes", tracedObj-plainObj, tracedB-plainB)

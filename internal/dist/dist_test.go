@@ -235,8 +235,12 @@ func TestRunProfilingMode(t *testing.T) {
 	if res.Profile == nil {
 		t.Fatal("no profile collected")
 	}
-	if res.Profile.TotalInstances() != 3 {
-		t.Errorf("profile instances = %d", res.Profile.TotalInstances())
+	var instances int64
+	for _, ci := range res.Profile.Classifications {
+		instances += ci.Instances
+	}
+	if instances != 3 {
+		t.Errorf("profile instances = %d", instances)
 	}
 	// 2 block reads + Load + Show = 4 calls.
 	if res.Profile.TotalCalls() != 4 {
@@ -246,11 +250,9 @@ func TestRunProfilingMode(t *testing.T) {
 	if res.Clock.CommTime() != 0 {
 		t.Error("profiling run accrued communication")
 	}
-	if len(res.Profile.InstEdges) != 0 {
-		t.Error("the run's own profile keeps per-instance edges")
-	}
-	if len(trace.Fold(true).InstEdges) == 0 {
-		t.Error("instance detail missing from the refolded trace")
+	// The run's profile is what its trace folded.
+	if res.Trace != trace || res.Profile != trace.Profile() || trace.Len() == 0 {
+		t.Error("the run's profile is not its stored trace's fold")
 	}
 }
 

@@ -371,7 +371,7 @@ func RunPipelineProperty(ctx context.Context, cfg synthapp.Config) (*PipelineRep
 	// distribution into the binary, and hold the replay of that trace field
 	// by field to the distributed run and to a chaos run (seeded faults and
 	// retries): the replayer prices exactly what the runtime charges.
-	_, traced, err := adps.TraceScenario(a.Bigone)
+	_, traced, err := adps.ProfileScenario(a.Bigone, true)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: traced run of %s: %w", a.App.Name, err)
 	}

@@ -88,9 +88,9 @@ func specName(spec pipeline.Spec) string {
 
 // TestRefoldMatchesProfile is the exact oracle between the profile the
 // runtime folds as a run records and its stored records: on every oracle
-// execution, folding a TraceScenario run's trace again from the first
-// record encodes to the bytes of that run's profile, and so does the
-// profile of the same run with no trace stored (ProfileScenario).
+// execution, folding a traced run's trace (ProfileScenario with trace)
+// again from the first record encodes to the bytes of that run's profile,
+// and so does the profile of the same run with no trace stored.
 func TestRefoldMatchesProfile(t *testing.T) {
 	t.Parallel()
 	encode := func(p *profile.Profile) string {
@@ -111,7 +111,7 @@ func TestRefoldMatchesProfile(t *testing.T) {
 			if err := adps.Instrument(); err != nil {
 				t.Fatal(err)
 			}
-			traced, run, err := adps.TraceScenario(spec.Scenarios[0])
+			traced, run, err := adps.ProfileScenario(spec.Scenarios[0], true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func TestRefoldMatchesProfile(t *testing.T) {
 			if traced.TotalCalls() == 0 || run.Trace.Len() == 0 {
 				t.Fatalf("%d calls profiled, %d events stored", traced.TotalCalls(), run.Trace.Len())
 			}
-			if got := encode(run.Trace.Fold(false)); got != want {
+			if got := encode(run.Trace.Fold()); got != want {
 				t.Errorf("refolded trace encodes to %d bytes unlike the run's profile's %d", len(got), len(want))
 			}
 			if got := encode(plain); got != want {
@@ -167,7 +167,7 @@ func TestProducersHandOutNameOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, run, err := adps.TraceScenario("p_newdoc")
+	_, run, err := adps.ProfileScenario("p_newdoc", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestProducersHandOutNameOrder(t *testing.T) {
 		want []byte // the encoding p must re-encode to
 	}{
 		{"live run", live, nil},
-		{"trace fold", run.Trace.Fold(true), nil},
+		{"trace fold", run.Trace.Fold(), nil},
 		{"merge", merged, nil},
 		{"decoded shuffled log", decode(shuffled), log},
 	} {

@@ -61,7 +61,7 @@ func SweepMaps(ctx context.Context, spec pipeline.Spec) (*MapSweep, error) {
 	if err := adps.Instrument(); err != nil {
 		return nil, err
 	}
-	prof, run, err := adps.TraceScenario(scen)
+	prof, run, err := adps.ProfileScenario(scen, true)
 	if err != nil {
 		return nil, err
 	}

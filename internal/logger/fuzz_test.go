@@ -72,7 +72,7 @@ func FuzzEventTrace(f *testing.F) {
 					t.BeginRun(ev.App, ev.Scen, "ifcb")
 				case EvInstantiation:
 					ev.Inst = InstRecord{ID: id, Class: "C", Classification: string(rune('A' + i%26)),
-						CreatorClassification: "<main>", CreatorInst: id / 2, Order: i, Path: []string{"C", "D"}}
+						CreatorInst: id / 2, Path: []string{"C", "D"}}
 					t.Instantiation(ev.Inst)
 				case EvCall:
 					ev.Call = CallRecord{SrcInst: id, DstInst: peer, Method: method, InBytes: int(uint32(v)),
@@ -104,7 +104,7 @@ func FuzzEventTrace(f *testing.F) {
 			}
 		}
 		online := encode(t, tr.Profile())
-		if refolded := encode(t, tr.Fold(false)); refolded != online {
+		if refolded := encode(t, tr.Fold()); refolded != online {
 			t.Fatalf("refolded profile\n%s\nonline profile\n%s", refolded, online)
 		}
 		if unstored := encode(t, zero.Profile()); unstored != online {

@@ -2,6 +2,7 @@ package logger
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -9,8 +10,7 @@ import (
 )
 
 func sampleInst(id uint64) InstRecord {
-	return InstRecord{ID: id, Class: "Reader", Classification: "Reader@1",
-		CreatorClassification: "<main>", Order: int(id)}
+	return InstRecord{ID: id, Class: "Reader", Classification: "Reader@1"}
 }
 
 func sampleCall() CallRecord {
@@ -20,8 +20,7 @@ func sampleCall() CallRecord {
 
 // TestProfilingLoggerSummarizes: the zero Trace is the profiling logger.
 // It folds a run into a profile and stores no event; a Trace that stores
-// them folds the same profile and, refolded with instance edges, adds
-// per-instance edges to it.
+// them folds the same profile, online and refolded.
 func TestProfilingLoggerSummarizes(t *testing.T) {
 	t.Parallel()
 	var l Trace
@@ -44,8 +43,8 @@ func TestProfilingLoggerSummarizes(t *testing.T) {
 	if p.App != "app" || p.Classifier != "ifcb" {
 		t.Fatalf("profile of %s under %s", p.App, p.Classifier)
 	}
-	if p.TotalInstances() != 2 || p.TotalCalls() != 2 {
-		t.Fatalf("instances=%d calls=%d", p.TotalInstances(), p.TotalCalls())
+	if n := p.Classification("Reader@1").Instances; n != 2 || p.TotalCalls() != 2 {
+		t.Fatalf("instances=%d calls=%d", n, p.TotalCalls())
 	}
 	e := p.Edge("<main>", "Reader@1")
 	if e.Calls != 2 || e.ExactInBytes != 200 || e.ExactOutBytes != 8000 {
@@ -60,23 +59,37 @@ func TestProfilingLoggerSummarizes(t *testing.T) {
 	if got, want := encode(t, stored.Profile()), encode(t, p); got != want {
 		t.Errorf("a storing trace folded\n%s\nthe zero Trace\n%s", got, want)
 	}
-	if got := l.Fold(true); got != nil {
+	if got := l.Fold(); got != nil {
 		t.Errorf("a trace that stores nothing refolded to %+v", got)
 	}
-	if d := stored.Fold(true); len(d.InstEdges) != 1 || d.InstEdge(0, 1).Calls != 2 {
-		t.Fatalf("instance detail = %d edges", len(d.InstEdges))
+	if got, want := encode(t, stored.Fold()), encode(t, p); got != want {
+		t.Errorf("a storing trace refolded\n%s\nthe zero Trace\n%s", got, want)
 	}
 }
 
+// TestProfilingLoggerWithoutInstanceDetail: a run's profile summarises per
+// classification; which instance called which is kept only in the stored
+// events.
 func TestProfilingLoggerWithoutInstanceDetail(t *testing.T) {
 	t.Parallel()
 	l := NewTrace()
 	l.BeginRun("app", "s", "ifcb")
 	l.Instantiation(sampleInst(1))
+	l.Instantiation(sampleInst(2))
 	l.Call(sampleCall())
+	second := sampleCall()
+	second.DstInst = 2
+	l.Call(second)
 	l.EndRun()
-	if len(l.Profile().InstEdges) != 0 || len(l.Fold(false).InstEdges) != 0 {
-		t.Fatal("instance detail recorded without being asked for")
+	p := l.Profile()
+	if len(p.Classifications) != 1 || p.Classification("Reader@1").Instances != 2 || len(p.Edges) != 1 {
+		t.Fatalf("%d classifications, %d edges; want one of each, with two instances", len(p.Classifications), len(p.Edges))
+	}
+	if log := encode(t, p); strings.Contains(log, `"instances"`) || strings.Contains(log, `"instEdges"`) {
+		t.Errorf("the profile encodes per-instance detail:\n%s", log)
+	}
+	if ev := l.At(4); ev.Kind != EvCall || ev.Call.DstInst != 2 {
+		t.Errorf("the trace read back %+v, want the call to instance 2", ev)
 	}
 }
 
@@ -133,7 +146,7 @@ func TestTraceFoldsMutations(t *testing.T) {
 	l.Mutation(1, "Write")
 	l.Mutation(1, "Write")
 	l.EndRun()
-	for _, p := range []*profile.Profile{l.Profile(), l.Fold(false)} {
+	for _, p := range []*profile.Profile{l.Profile(), l.Fold()} {
 		if len(p.Methods) != 2 {
 			t.Errorf("%d method entries, want Read and Write", len(p.Methods))
 		}
@@ -174,7 +187,7 @@ func TestTraceClassifiesSparseInstances(t *testing.T) {
 		if p.Edge("", "C@5").Calls != 1 {
 			t.Errorf("ids %v: the call from an unknown instance is not on the unclassified edge", ids)
 		}
-		if got, want := encode(t, l.Fold(false)), encode(t, p); got != want {
+		if got, want := encode(t, l.Fold()), encode(t, p); got != want {
 			t.Errorf("ids %v: refolded\n%s\nonline\n%s", ids, got, want)
 		}
 	}

@@ -9,12 +9,15 @@
 // Here the three roles are one recorder, Trace, and its absence. Every
 // event becomes one 32-byte record, and the ICC profile is a fold over
 // those records: a Trace folds each record into its run's profile as it
-// is appended. A Trace made by NewTrace also stores the records, so the
-// dist package's replayer can price the execution again and Fold can
-// fold it again with per-instance edges; the zero Trace stores none, so
-// the memory of a profiling run stays bounded by the number of distinct
-// edges rather than by the run's length. No Trace at all — the runtime's
-// nil logger — discards every event.
+// is appended. The profile summarises per classification pair; the
+// per-instance detail — which instance called which, in what order — is
+// kept only by a Trace made by NewTrace, which also stores the records:
+// the dist package's replayer prices the execution again from them, and
+// classifier evaluation (analysis.EvaluateClassifier) reads each
+// instance's communication from them. The zero Trace stores none, so the
+// memory of a profiling run stays bounded by the number of distinct edges
+// rather than by the run's length. No Trace at all — the runtime's nil
+// logger — discards every event.
 package logger
 
 import (
@@ -27,14 +30,12 @@ import (
 
 // InstRecord describes one component instantiation event.
 type InstRecord struct {
-	ID                    uint64
-	Class                 string
-	Classification        string
-	CreatorClassification string
+	ID             uint64
+	Class          string
+	Classification string
 	// CreatorInst is the instance on whose behalf the component was
 	// created; 0 is the main program. A replayed instance follows it.
 	CreatorInst uint64
-	Order       int
 	// Path is the activation call path: the classes of the component
 	// instances on the stack at the instantiation, innermost first.
 	// Consecutive records may share one path, so it is never written into.
@@ -189,12 +190,14 @@ func (t *Trace) Err() error { return t.err }
 func (t *Trace) Profile() *profile.Profile { return t.sum.p }
 
 // Fold folds the stored events again from the first, into a fresh profile
-// of the last run; with instanceEdges the profile also keeps per-instance
-// edges, which classifier evaluation (Tables 2 and 3) requires. Without,
-// it is Profile's profile byte for byte. A trace that stores nothing folds
-// to nil.
-func (t *Trace) Fold(instanceEdges bool) *profile.Profile {
-	s := summary{instEdges: instanceEdges}
+// of the last run: Profile's profile byte for byte. It is the oracle the
+// online fold is held to, on the fuzz corpus and on real applications
+// (experiments.TestRefoldMatchesProfile); no product code refolds. A
+// trace that stores nothing folds to nil.
+//
+//lint:allow unusedexport test oracle: the refold tests of logger and experiments call it
+func (t *Trace) Fold() *profile.Profile {
+	var s summary
 	for i := 0; i < t.events.n; i++ {
 		r := t.events.at(uint64(i))
 		var inst *InstRecord
@@ -289,24 +292,28 @@ func (t *Trace) Fault(rec FaultRecord) {
 
 // summary is the profile a trace's records fold into: inter-component
 // communication per classification pair, with exponential size buckets,
-// per-method call and write counts, and the instances. Each EvBegin starts
-// a fresh profile and each EvEnd hands it out in name order; events outside
-// a run are not counted.
+// per-method call and write counts, and per-classification instance
+// counts. Each EvBegin starts a fresh profile and each EvEnd hands it out
+// in name order; events outside a run are not counted.
 //
 // The fold looks up at most one name per call, its method's. It keeps
-// each instance's classification number beside its record, so a call
-// finds its edge by integer key. A trace that stores its records numbers
-// the method in its own table first (Trace.intern), and the fold keeps
-// the profile's number of each beside it; a trace that stores nothing
-// lets the profile number the method by name.
+// each instance's id and classification number, so a call finds its edge
+// by integer key. A trace that stores its records numbers the method in
+// its own table first (Trace.intern), and the fold keeps the profile's
+// number of each beside it; a trace that stores nothing lets the profile
+// number the method by name.
 type summary struct {
-	p         *profile.Profile
-	open      bool    // between EvBegin and EvEnd
-	instEdges bool    // also keep per-instance edges
-	first     uint64  // id of the run's first instance
-	nums      []int32 // classification number of each of p.Instances
-	main      int32   // the main program's classification number
-	methods   []int32 // profile method number of each trace method index, -1 until seen
+	p       *profile.Profile
+	open    bool         // between EvBegin and EvEnd
+	insts   []classified // the run's instances, in instantiation order
+	main    int32        // the main program's classification number
+	methods []int32      // profile method number of each trace method index, -1 until seen
+}
+
+// classified is one instance of a run and its classification's number.
+type classified struct {
+	id  uint64
+	num int32
 }
 
 // fold accumulates one record: runs is the trace's run table, inst the
@@ -320,10 +327,10 @@ func (s *summary) fold(r *record, runs [][3]string, inst *InstRecord, method str
 		s.p = profile.New(run[0], run[2])
 		s.p.Scenarios = []string{run[1]}
 		s.main = s.p.Number(profile.MainProgram)
-		if s.nums == nil {
-			s.nums = make([]int32, 0, 8)
+		if s.insts == nil {
+			s.insts = make([]classified, 0, 8)
 		}
-		s.nums = s.nums[:0]
+		s.insts = s.insts[:0]
 		for i := range s.methods {
 			s.methods[i] = -1
 		}
@@ -341,25 +348,11 @@ func (s *summary) fold(r *record, runs [][3]string, inst *InstRecord, method str
 	}
 	switch r.kind {
 	case EvInstantiation:
-		if len(s.p.Instances) == 0 {
-			s.first = inst.ID
-		}
-		s.nums = append(s.nums, s.p.AddInstance(profile.InstanceRecord{
-			ID:                    inst.ID,
-			Class:                 inst.Class,
-			Classification:        inst.Classification,
-			CreatorClassification: inst.CreatorClassification,
-			Order:                 inst.Order,
-			Path:                  inst.Path,
-		}))
+		s.insts = append(s.insts, classified{inst.ID, s.p.AddInstance(inst.Classification, inst.Class, inst.Path)})
 	case EvCall:
-		in, out := int(r.in), int(r.out)
 		dst := s.classification(r.b)
-		s.p.EdgeOf(s.classification(r.a), dst).Record(in, out, r.nonRemotable)
+		s.p.EdgeOf(s.classification(r.a), dst).Record(int(r.in), int(r.out), r.nonRemotable)
 		s.p.MethodOf(dst, s.method(r, method, methods)).Calls++
-		if s.instEdges {
-			s.p.InstEdge(r.a, r.b).Record(in, out, r.nonRemotable)
-		}
 	case EvMutation:
 		s.p.MethodOf(s.classification(r.a), s.method(r, method, methods)).Writes++
 	}
@@ -387,19 +380,21 @@ func (s *summary) method(r *record, method string, methods []string) int32 {
 // current run: its instantiation's, the main program's for 0, and the
 // number of "" for an instance the run did not instantiate. The runtime
 // numbers a run's instances densely in instantiation order, so instance
-// id is p.Instances[id-first]; the instances of any other trace are
+// id is insts[id-insts[0].id]; the instances of any other trace are
 // searched.
 func (s *summary) classification(id uint64) int32 {
 	if id == 0 {
 		return s.main
 	}
-	ins := s.p.Instances
-	if i := id - s.first; i < uint64(len(ins)) && ins[i].ID == id {
-		return s.nums[i]
+	ins := s.insts
+	if len(ins) > 0 {
+		if i := id - ins[0].id; i < uint64(len(ins)) && ins[i].id == id {
+			return ins[i].num
+		}
 	}
-	for i := range ins {
-		if ins[i].ID == id {
-			return s.nums[i]
+	for _, in := range ins {
+		if in.id == id {
+			return in.num
 		}
 	}
 	return s.p.Number("")

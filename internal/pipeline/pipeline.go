@@ -289,7 +289,7 @@ func run(ctx context.Context, spec Spec, prof *profile.Profile) (*Result, error)
 		}
 		if spec.Compare {
 			// Execute prices the comparison from this run's trace.
-			prof, traced, err = adps.TraceScenario(spec.Scenarios[0])
+			prof, traced, err = adps.ProfileScenario(spec.Scenarios[0], true)
 		} else {
 			prof, err = adps.ProfileScenarios(spec.Scenarios, false)
 		}

@@ -1,7 +1,12 @@
 // Package profile defines the inter-component communication (ICC) profiles
-// Coign collects during scenario-based profiling: message summaries in
-// exponentially growing size buckets, per-instance records, communication
-// vectors, and the dot-product correlation metric of paper §4.2.
+// Coign collects during scenario-based profiling (paper §3.3's profiling
+// logger): per classification pair, message summaries in exponentially
+// growing size buckets; per classification, instance counts and an
+// activation path; per method, call and state-write counts. A profile
+// holds no per-instance detail: that lives only in the event trace
+// (logger.Trace). The package also defines communication vectors and the
+// dot-product correlation metric of paper §4.2, which classifier
+// evaluation applies to vectors read from traces.
 package profile
 
 import (

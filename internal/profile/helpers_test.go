@@ -29,3 +29,13 @@ func (b BucketCounts) Count(idx int) int64 {
 	}
 	return 0
 }
+
+// TotalInstances returns the number of instantiations recorded across
+// classifications.
+func (p *Profile) TotalInstances() int64 {
+	var t int64
+	for _, ci := range p.Classifications {
+		t += ci.Instances
+	}
+	return t
+}

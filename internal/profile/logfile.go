@@ -8,7 +8,6 @@ import (
 	"math"
 	"os"
 	"slices"
-	"sort"
 )
 
 // Log file serialization. At the end of a profiling execution Coign writes
@@ -32,12 +31,6 @@ type edgeForm struct {
 	summaryForm
 }
 
-type instEdgeForm struct {
-	Src uint64 `json:"src"`
-	Dst uint64 `json:"dst"`
-	summaryForm
-}
-
 type methodForm struct {
 	Classification string `json:"classification"`
 	Method         string `json:"method"`
@@ -52,8 +45,24 @@ type fileForm struct {
 	Edges           []edgeForm           `json:"edges"`
 	Classifications []ClassificationInfo `json:"classifications"`
 	Methods         []methodForm         `json:"methods,omitempty"`
-	Instances       []InstanceRecord     `json:"instances,omitempty"`
-	InstEdges       []instEdgeForm       `json:"instEdges,omitempty"`
+}
+
+// legacyForm is what logs written before a profile dropped per-instance
+// detail hold beside a fileForm: one record per instantiation and one
+// summary per ordered instance pair. Decode reads the two members only to
+// refuse what it refused when they were part of a profile, and drops them.
+type legacyForm struct {
+	Instances []struct {
+		ID                                           uint64
+		Class, Classification, CreatorClassification string
+		Order                                        int
+		Path                                         []string
+	} `json:"instances"`
+	Pairs []struct {
+		Src uint64 `json:"src"`
+		Dst uint64 `json:"dst"`
+		summaryForm
+	} `json:"instEdges"`
 }
 
 // form returns e as the log holds it.
@@ -129,16 +138,6 @@ func (p *Profile) Encode(w io.Writer) error {
 			Calls: m.Calls, Writes: m.Writes,
 		})
 	}
-	f.Instances = p.Instances
-	for k, e := range p.InstEdges {
-		f.InstEdges = append(f.InstEdges, instEdgeForm{Src: k.Src, Dst: k.Dst, summaryForm: e.form()})
-	}
-	sort.Slice(f.InstEdges, func(i, j int) bool {
-		if f.InstEdges[i].Src != f.InstEdges[j].Src {
-			return f.InstEdges[i].Src < f.InstEdges[j].Src
-		}
-		return f.InstEdges[i].Dst < f.InstEdges[j].Dst
-	})
 	enc := json.NewEncoder(w)
 	return enc.Encode(&f)
 }
@@ -146,11 +145,15 @@ func (p *Profile) Encode(w io.Writer) error {
 // Decode reads a profile previously written by Encode. A log is read from
 // disk, so Decode holds it to what Encode writes: every edge summary as
 // EdgeSummary.Record and Merge keep one (see summaryForm.fill), no
-// negative method or instance count, and no edge, method, classification
-// or instance edge listed twice. The log names classifications; Decode
-// numbers each name once.
+// negative method or instance count, and no edge, method or
+// classification listed twice. The log names classifications; Decode
+// numbers each name once. A log of the older format reads as the profile
+// it holds, its per-instance members checked and dropped (legacyForm).
 func Decode(r io.Reader) (*Profile, error) {
-	var f fileForm
+	var f struct {
+		fileForm
+		legacyForm
+	}
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
 		return nil, fmt.Errorf("profile: decode: %w", err)
 	}
@@ -187,13 +190,8 @@ func Decode(r io.Reader) (*Profile, error) {
 		}
 		m.Calls, m.Writes = mf.Calls, mf.Writes
 	}
-	p.Instances = f.Instances
-	for _, ef := range f.InstEdges {
-		k := InstPairKey{ef.Src, ef.Dst}
-		if p.InstEdges[k] != nil {
-			return nil, fmt.Errorf("profile: decode: instance edge #%d -> #%d listed twice", ef.Src, ef.Dst)
-		}
-		if err := ef.fill(p.InstEdge(ef.Src, ef.Dst)); err != nil {
+	for _, ef := range f.Pairs {
+		if err := ef.fill(new(EdgeSummary)); err != nil {
 			return nil, fmt.Errorf("profile: decode: instance edge #%d -> #%d: %w", ef.Src, ef.Dst, err)
 		}
 	}

@@ -14,14 +14,6 @@ import (
 // component). It is permanently constrained to the client.
 const MainProgram = "<main>"
 
-// InstPairKey identifies an ordered communication edge between two
-// concrete instances (instance-level detail, kept only when classifier
-// evaluation needs it).
-type InstPairKey struct {
-	Src uint64
-	Dst uint64
-}
-
 // Pair is one ordered classification pair's entry in a profile: its
 // endpoints by classification number (see Profile.Name) and the summary
 // of the messages that crossed it.
@@ -96,22 +88,6 @@ func (e *EdgeSummary) ExactTime(np *netsim.Profile) time.Duration {
 	return time.Duration(2*e.Calls)*perMsg + marginal(e.ExactInBytes) + marginal(e.ExactOutBytes)
 }
 
-// InstanceRecord describes one component instantiation observed during a
-// run.
-type InstanceRecord struct {
-	ID                    uint64
-	Class                 string
-	Classification        string
-	CreatorClassification string
-	Order                 int
-	// Path is the activation call path: the classes of the component
-	// instances on the stack at the instantiation, innermost first (empty
-	// when the main program activated directly). The reachability coverage
-	// analysis joins it against static activation sites. Records and
-	// classifications share paths, so a path is never written into.
-	Path []string
-}
-
 // ClassificationInfo aggregates the instances grouped under one
 // classification.
 type ClassificationInfo struct {
@@ -119,8 +95,11 @@ type ClassificationInfo struct {
 	Class     string
 	Instances int64
 	// Path is the activation call path observed at the classification's
-	// first instantiation (see InstanceRecord.Path), shared with that
-	// record.
+	// first instantiation: the classes of the component instances on the
+	// stack, innermost first (empty when the main program activated
+	// directly). The reachability coverage analysis joins it against
+	// static activation sites. It is shared with the runtime's record of
+	// that instantiation, so it is never written into.
 	Path []string
 }
 
@@ -170,11 +149,6 @@ type Profile struct {
 	// Methods aggregates per-method call and mutation counts: one entry per
 	// method of a classification, by classification and then method name.
 	Methods []*MethodStats
-	// Instances holds per-instance records (optional detail).
-	Instances []InstanceRecord
-	// InstEdges aggregates communication between concrete instances
-	// (optional detail for classifier evaluation).
-	InstEdges map[InstPairKey]*EdgeSummary
 
 	names   []named          // indexed by classification number
 	numbers map[string]int32 // name -> classification number
@@ -353,31 +327,17 @@ func (p *Profile) Method(classification, method string) *MethodStats {
 	return p.MethodOf(p.Number(classification), p.MethodNumber(method))
 }
 
-// InstEdge returns the (created-on-demand) instance-level summary.
-func (p *Profile) InstEdge(src, dst uint64) *EdgeSummary {
-	k := InstPairKey{src, dst}
-	e := p.InstEdges[k]
-	if e == nil {
-		if p.InstEdges == nil {
-			p.InstEdges = make(map[InstPairKey]*EdgeSummary)
-		}
-		e = &EdgeSummary{In: p.slots(), Out: p.slots()}
-		p.InstEdges[k] = e
-	}
-	return e
-}
-
-// AddInstance records an instantiation under the given classification and
+// AddInstance counts an instantiation of class under the named
+// classification, activated along path (see ClassificationInfo.Path), and
 // returns the classification's number.
-func (p *Profile) AddInstance(rec InstanceRecord) int32 {
-	p.Instances = push(p.Instances, rec)
-	n := p.Number(rec.Classification)
+func (p *Profile) AddInstance(classification, class string, path []string) int32 {
+	n := p.Number(classification)
 	ci := p.names[n].info
 	if ci == nil {
-		ci = p.addClassification(n, ClassificationInfo{ID: rec.Classification, Class: rec.Class})
+		ci = p.addClassification(n, ClassificationInfo{ID: classification, Class: class})
 	}
-	if ci.Path == nil && len(rec.Path) > 0 {
-		ci.Path = rec.Path // shared: a recorded path is immutable
+	if ci.Path == nil && len(path) > 0 {
+		ci.Path = path // shared: a recorded path is immutable
 	}
 	ci.Instances++
 	return n
@@ -396,10 +356,7 @@ func (p *Profile) addClassification(n int32, ci ClassificationInfo) *Classificat
 // Merge folds other into p: edges and classification counts accumulate,
 // scenario lists concatenate. The two profiles number their
 // classifications apart, so other's entries are joined to p's by name,
-// once per distinct name. Instance ids restart every execution, so
-// other's concrete ids are shifted past p's largest (the main program, id
-// 0, stays fixed): per-instance detail from separate runs stays distinct
-// and communication vectors stay per-instance. other is not modified.
+// once per distinct name. other is not modified.
 func (p *Profile) Merge(other *Profile) error {
 	if p.Classifier != other.Classifier {
 		return fmt.Errorf("profile: cannot merge %s profile into %s profile",
@@ -407,13 +364,6 @@ func (p *Profile) Merge(other *Profile) error {
 	}
 	if p.App != other.App {
 		return fmt.Errorf("profile: cannot merge %s profile into %s profile", other.App, p.App)
-	}
-	delta := p.maxInstanceID()
-	shift := func(id uint64) uint64 {
-		if id == 0 {
-			return 0
-		}
-		return id + delta
 	}
 	p.Scenarios = append(p.Scenarios, other.Scenarios...)
 	num := make([]int32, len(other.names))
@@ -440,13 +390,6 @@ func (p *Profile) Merge(other *Profile) error {
 	}
 	for _, m := range other.Methods {
 		p.MethodOf(num[m.Classification], p.MethodNumber(m.Method)).Merge(m)
-	}
-	for _, r := range other.Instances {
-		r.ID = shift(r.ID)
-		p.Instances = append(p.Instances, r)
-	}
-	for k, e := range other.InstEdges {
-		p.InstEdge(shift(k.Src), shift(k.Dst)).Merge(e)
 	}
 	p.Sort()
 	return nil
@@ -491,26 +434,4 @@ func (p *Profile) TotalCalls() int64 {
 		t += e.Calls
 	}
 	return t
-}
-
-// TotalInstances returns the number of instantiations recorded across
-// classifications.
-func (p *Profile) TotalInstances() int64 {
-	var t int64
-	for _, ci := range p.Classifications {
-		t += ci.Instances
-	}
-	return t
-}
-
-// maxInstanceID returns the largest concrete instance id recorded.
-func (p *Profile) maxInstanceID() uint64 {
-	var m uint64
-	for _, r := range p.Instances {
-		m = max(m, r.ID)
-	}
-	for k := range p.InstEdges {
-		m = max(m, k.Src, k.Dst)
-	}
-	return m
 }

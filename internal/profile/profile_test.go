@@ -192,14 +192,11 @@ func TestEdgeSummaryMerge(t *testing.T) {
 func buildTestProfile() *Profile {
 	p := New("app", "ifcb")
 	p.Scenarios = []string{"s1"}
-	p.AddInstance(InstanceRecord{ID: 1, Class: "Reader", Classification: "c:reader", Order: 1})
-	p.AddInstance(InstanceRecord{ID: 2, Class: "View", Classification: "c:view", Order: 2})
-	p.AddInstance(InstanceRecord{ID: 3, Class: "View", Classification: "c:view", Order: 3})
+	p.AddInstance("c:reader", "Reader", nil)
+	p.AddInstance("c:view", "View", []string{"Reader"})
+	p.AddInstance("c:view", "View", []string{"Reader"})
 	p.Edge(MainProgram, "c:reader").Record(64, 4096, false)
 	p.Edge("c:reader", "c:view").Record(128, 16, false)
-	p.InstEdge(0, 1).Record(64, 4096, false)
-	p.InstEdge(1, 2).Record(128, 16, false)
-	p.InstEdge(1, 3).Record(128, 16, false)
 	p.Sort()
 	return p
 }
@@ -230,8 +227,18 @@ func TestProfileMerge(t *testing.T) {
 	a := buildTestProfile()
 	b := buildTestProfile()
 	b.Scenarios = []string{"s2"}
+	var before, after bytes.Buffer
+	if err := b.Encode(&before); err != nil {
+		t.Fatal(err)
+	}
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
+	}
+	if err := b.Encode(&after); err != nil {
+		t.Fatal(err)
+	}
+	if before.String() != after.String() {
+		t.Errorf("merge changed its argument:\n%s\nwas\n%s", after.String(), before.String())
 	}
 	if len(a.Scenarios) != 2 {
 		t.Errorf("scenarios = %v", a.Scenarios)
@@ -296,44 +303,6 @@ func TestPropertyCorrelationBounds(t *testing.T) {
 	}
 }
 
-func TestInstanceVectors(t *testing.T) {
-	t.Parallel()
-	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
-	p := buildTestProfile()
-	vecs := p.InstanceVectors(np)
-	if len(vecs) != 3 {
-		t.Fatalf("got %d vectors", len(vecs))
-	}
-	// Instance 1 (reader) talks to main and to both views.
-	v1 := vecs[1]
-	if v1[MainProgram] == 0 || v1["c:view"] == 0 {
-		t.Fatalf("reader vector = %v", v1)
-	}
-	// Views 2 and 3 have identical behaviour: perfect correlation.
-	if got := Correlation(vecs[2], vecs[3]); math.Abs(got-1) > 1e-12 {
-		t.Errorf("twin views correlation = %v", got)
-	}
-	// Reader's vector differs from a view's.
-	if got := Correlation(vecs[1], vecs[2]); got > 0.999 {
-		t.Errorf("reader-view correlation = %v", got)
-	}
-}
-
-func TestClassificationVectors(t *testing.T) {
-	t.Parallel()
-	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
-	p := buildTestProfile()
-	cv := p.ClassificationVectors(np)
-	if len(cv) != 2 {
-		t.Fatalf("got %d classification vectors", len(cv))
-	}
-	inst := p.InstanceVectors(np)
-	// The view classification's mean vector equals each (identical) member.
-	if got := Correlation(cv["c:view"], inst[2]); math.Abs(got-1) > 1e-12 {
-		t.Errorf("mean vs member correlation = %v", got)
-	}
-}
-
 func TestLogFileRoundTrip(t *testing.T) {
 	t.Parallel()
 	p := buildTestProfile()
@@ -356,15 +325,8 @@ func TestLogFileRoundTrip(t *testing.T) {
 	if !e.NonRemotable || e.Calls != 1 || e.ExactInBytes != 128 {
 		t.Fatalf("edge = %+v", e)
 	}
-	if len(got.Instances) != 3 || len(got.InstEdges) != 3 {
-		t.Fatal("instance detail lost")
-	}
-	// Vectors survive serialization.
-	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
-	want := p.InstanceVectors(np)[1]
-	have := got.InstanceVectors(np)[1]
-	if got := Correlation(want, have); math.Abs(got-1) > 1e-12 {
-		t.Errorf("vector after round trip correlates %v", got)
+	if path := got.Classification("c:view").Path; len(path) != 1 || path[0] != "Reader" {
+		t.Fatalf("view path = %q", path)
 	}
 }
 
@@ -434,8 +396,7 @@ func TestPropertyMergeCommutesOnTotals(t *testing.T) {
 			p.Edge(src, dst).Record(rr.Intn(4096), rr.Intn(4096), rr.Intn(8) == 0)
 		}
 		for i := 0; i < rr.Intn(4); i++ {
-			p.AddInstance(InstanceRecord{ID: uint64(i + 1),
-				Class: "C", Classification: string(rune('a' + rr.Intn(4)))})
+			p.AddInstance(string(rune('a'+rr.Intn(4))), "C", nil)
 		}
 		return p
 	}
@@ -466,43 +427,5 @@ func TestPropertyMergeCommutesOnTotals(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestOffsetInstanceIDs checks that Merge offsets the incoming run's
-// instance ids past the receiver's, leaving its argument as it was.
-func TestOffsetInstanceIDs(t *testing.T) {
-	t.Parallel()
-	a, b := buildTestProfile(), buildTestProfile()
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	// b's ids 1..3 land past a's largest, 3.
-	if a.maxInstanceID() != 6 || len(a.Instances) != 6 || a.Instances[3].ID != 4 {
-		t.Fatalf("max id after merge = %d, instances %+v", a.maxInstanceID(), a.Instances)
-	}
-	// Main program (id 0) stays fixed.
-	if _, ok := a.InstEdges[InstPairKey{Src: 0, Dst: 4}]; !ok {
-		t.Fatalf("main edge not shifted past the receiver's ids: %v", a.InstEdges)
-	}
-	// The argument is not modified.
-	if b.maxInstanceID() != 3 || b.Instances[0].ID != 1 {
-		t.Fatal("merge shifted its argument's ids")
-	}
-	if _, ok := b.InstEdges[InstPairKey{Src: 0, Dst: 1}]; !ok {
-		t.Fatal("merge rewrote its argument's instance edges")
-	}
-	// Into an empty profile nothing shifts.
-	c := New("app", "ifcb")
-	if err := c.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if c.maxInstanceID() != 3 {
-		t.Fatalf("merge into an empty profile shifted ids to %d", c.maxInstanceID())
-	}
-	// Vectors stay per-instance: one for each of the six instances.
-	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
-	if vecs := a.InstanceVectors(np); len(vecs) != 6 {
-		t.Fatalf("vectors after merge = %d", len(vecs))
 	}
 }

@@ -1,14 +1,12 @@
 package profile
 
-import (
-	"math"
-
-	"repro/internal/netsim"
-)
+import "math"
 
 // Vector is an instance communication vector (paper §4.2): one dimension
 // per peer classification, each quantifying the communication time the
 // instance would spend with that peer if the peer were located remotely.
+// A profile holds no instances: classifier evaluation builds the vectors
+// from stored event traces (analysis.EvaluateClassifier).
 type Vector map[string]float64
 
 // Correlation compares two communication vectors with the normalized dot
@@ -52,83 +50,4 @@ func (v Vector) Scale(f float64) {
 	for k := range v {
 		v[k] *= f
 	}
-}
-
-// InstanceVectors computes the communication vector of every instance in
-// the profile, pricing messages under the given network profile. Vector
-// dimensions are peer classifications, so vectors are comparable across
-// executions even though instance identities differ. Requires
-// instance-level detail.
-func (p *Profile) InstanceVectors(np *netsim.Profile) map[uint64]Vector {
-	classOf := make(map[uint64]string, len(p.Instances))
-	for _, r := range p.Instances {
-		classOf[r.ID] = r.Classification
-	}
-	vecs := make(map[uint64]Vector)
-	get := func(id uint64) Vector {
-		v := vecs[id]
-		if v == nil {
-			v = make(Vector)
-			vecs[id] = v
-		}
-		return v
-	}
-	for k, e := range p.InstEdges {
-		t := float64(e.Time(np))
-		if t == 0 {
-			continue
-		}
-		srcClass, dstClass := classOf[k.Src], classOf[k.Dst]
-		if k.Src == 0 {
-			srcClass = MainProgram
-		}
-		if k.Dst == 0 {
-			dstClass = MainProgram
-		}
-		// Communication is mutual: each endpoint sees time against the
-		// other's classification.
-		if k.Src != 0 {
-			get(k.Src)[dstClass] += t
-		}
-		if k.Dst != 0 {
-			get(k.Dst)[srcClass] += t
-		}
-	}
-	// Instances that never communicated still get (empty) vectors.
-	for _, r := range p.Instances {
-		get(r.ID)
-	}
-	return vecs
-}
-
-// ClassificationVectors computes, for each classification, the mean
-// communication vector of its member instances. This is the "profile"
-// against which a later execution's instances are correlated.
-func (p *Profile) ClassificationVectors(np *netsim.Profile) map[string]Vector {
-	inst := p.InstanceVectors(np)
-	classOf := make(map[uint64]string, len(p.Instances))
-	for _, r := range p.Instances {
-		classOf[r.ID] = r.Classification
-	}
-	sums := make(map[string]Vector)
-	counts := make(map[string]int)
-	for id, v := range inst {
-		c := classOf[id]
-		if c == "" {
-			continue
-		}
-		s := sums[c]
-		if s == nil {
-			s = make(Vector)
-			sums[c] = s
-		}
-		s.Add(v)
-		counts[c]++
-	}
-	for c, s := range sums {
-		if n := counts[c]; n > 1 {
-			s.Scale(1 / float64(n))
-		}
-	}
-	return sums
 }

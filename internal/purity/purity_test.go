@@ -140,8 +140,8 @@ func TestScanPropagatesImpurity(t *testing.T) {
 // given call/write counts for Store.
 func gradeProfile(storeCalls, storeWrites int64) *profile.Profile {
 	p := profile.New("puritytest", "")
-	for i, class := range []string{"Pure", "Cache", "Store", "NoDesc"} {
-		p.AddInstance(profile.InstanceRecord{ID: uint64(i + 1), Class: class, Classification: class + "#0"})
+	for _, class := range []string{"Pure", "Cache", "Store", "NoDesc"} {
+		p.AddInstance(class+"#0", class, nil)
 	}
 	p.Method("Store#0", "Get").Calls = storeCalls
 	put := p.Method("Store#0", "Put")

@@ -260,8 +260,7 @@ func TestStaleMetadataReportsUnknownTargets(t *testing.T) {
 func fakeProfile(app string, classes map[string][]string, edges [][2]string) *profile.Profile {
 	p := profile.New(app, "ifcb")
 	for id, pathAndClass := range classes {
-		p.AddInstance(profile.InstanceRecord{ID: uint64(len(p.Instances) + 1),
-			Class: pathAndClass[0], Classification: id, Path: pathAndClass[1:]})
+		p.AddInstance(id, pathAndClass[0], pathAndClass[1:])
 	}
 	for _, e := range edges {
 		p.Edge(e[0], e[1]).Calls++

@@ -125,8 +125,12 @@ func TestProfilingRunCollectsEverything(t *testing.T) {
 	if p.Classifier != "ifcb" || p.App != "chain" {
 		t.Errorf("profile of %s under %s, want chain under ifcb", p.App, p.Classifier)
 	}
-	if p.TotalInstances() != 2 {
-		t.Fatalf("instances = %d", p.TotalInstances())
+	var instances int64
+	for _, ci := range p.Classifications {
+		instances += ci.Instances
+	}
+	if instances != 2 {
+		t.Fatalf("instances = %d", instances)
 	}
 	if p.TotalCalls() != 2 {
 		t.Fatalf("calls = %d", p.TotalCalls())
@@ -156,15 +160,16 @@ func TestProfilingRunCollectsEverything(t *testing.T) {
 	if e.ExactInBytes != int64(DCOMHeaderBytes+4+100) {
 		t.Errorf("leaf in bytes = %d", e.ExactInBytes)
 	}
-	// Instance records carry creator classifications.
-	var leafRec *profile.InstanceRecord
-	for i := range p.Instances {
-		if p.Instances[i].Class == "Leaf" {
-			leafRec = &p.Instances[i]
+	// The trace's instantiation records carry their creators: Leaf's is
+	// Root.
+	var leafRec *logger.InstRecord
+	for i := 0; i < trace.Len(); i++ {
+		if ev := trace.At(i); ev.Kind == logger.EvInstantiation && ev.Inst.Class == "Leaf" {
+			leafRec = &ev.Inst
 		}
 	}
-	if leafRec == nil || leafRec.CreatorClassification != rootClassification {
-		t.Fatalf("leaf record = %+v", leafRec)
+	if leafRec == nil || leafRec.CreatorInst != root.ID || leafRec.Classification != leafClassification {
+		t.Fatalf("leaf record = %+v, want created by #%d", leafRec, root.ID)
 	}
 	if r.Calls() != 2 {
 		t.Errorf("calls = %d", r.Calls())
@@ -439,9 +444,11 @@ func TestActivationPathShared(t *testing.T) {
 	}
 	r.EndRun()
 	var paths [][]string
+	var classifications []string
 	for i := 0; i < trace.Len(); i++ {
 		if ev := trace.At(i); ev.Kind == logger.EvInstantiation {
 			paths = append(paths, ev.Inst.Path)
+			classifications = append(classifications, ev.Inst.Classification)
 		}
 	}
 	if len(paths) != 4 {
@@ -458,13 +465,13 @@ func TestActivationPathShared(t *testing.T) {
 	if paths[3][0] != "Leaf" || len(paths[3]) != 1 {
 		t.Errorf("appending to one instance's path changed another's: %q", paths[3])
 	}
-	p := trace.Profile()
-	if p.Instances[3].Path[0] != "Leaf" {
-		t.Errorf("profile path = %q after an append to a recorded path", p.Instances[3].Path)
-	}
 	// A classification shares its first instance's path instead of a copy.
-	if ci := p.Classification(p.Instances[2].Classification); &ci.Path[0] != &p.Instances[2].Path[0] {
+	ci := trace.Profile().Classification(classifications[2])
+	if &ci.Path[0] != &paths[2][0] {
 		t.Errorf("classification path %q is a copy of its instance's", ci.Path)
+	}
+	if ci.Path[0] != "Leaf" {
+		t.Errorf("profile path = %q after an append to a recorded path", ci.Path)
 	}
 }
 
