@@ -25,7 +25,10 @@ import (
 // `analyze -v` numbers. The chaos text is what it printed once the virtual
 // clock retried whole round trips, as the real transport does. The .icc
 // digests are of that commit's logs with their "instances" member
-// removed, since a profile holds no per-instance detail. What the
+// removed, since a profile holds no per-instance detail. The .img digests
+// are of that commit's images with the configuration record's interface
+// format strings and network name removed, since the record holds only
+// what the runtime reads. What the
 // exhibits of EXPERIMENTS.md print is held there, by
 // TestExperimentsAreCommandOutput.
 func TestCommandOutputGolden(t *testing.T) {
@@ -81,11 +84,11 @@ wrote DIR/o_oldtb3.icc: 1809 calls, 237 classifications
 `},
 		{name: "instrument", run: cmdInstrument, args: []string{"-o", "DIR/oct.img"},
 			want:  "wrote instrumented binary DIR/oct.img (1127253 bytes of code, 6 imports, coign.rt in slot 0)\n",
-			files: map[string]string{"oct.img": "79c1f11daa3ba7225c00e80b051df20d9329fad7d26af50c10aaac53289c0798"}},
+			files: map[string]string{"oct.img": "e7603ec971f799107ef5df24d6956d111340c053d5761b3d693a17bf97d99ca3"}},
 		{name: "instrument synth", run: cmdInstrument,
 			args:  []string{"-app", "synth:three-tier:1", "-classifier", "pcb", "-depth", "3", "-o", "DIR/tt.img"},
 			want:  "wrote instrumented binary DIR/tt.img (1211454 bytes of code, 3 imports, coign.rt in slot 0)\n",
-			files: map[string]string{"tt.img": "40d7ed3128b0564fdf7438bfc4fc9e03d6b1cc8afb1ca9975669c4a9c94e9932"}},
+			files: map[string]string{"tt.img": "5001ea6a31ada9e92e09e4226a944bda1a25c9d15ae85902b57b6ad251aaaeae"}},
 		{name: "chaos", run: cmdChaos, args: []string{"-drop", "0.05", "-seed", "7"},
 			want: `o_oldwp7 on 10BaseT (drop 5.0%, corrupt 5.0%, 4 attempt(s), seed 7)
   outcome: FAILED — dist: scenario o_oldwp7: 1 call(s) undeliverable after 4 attempt(s): dist: call timed out

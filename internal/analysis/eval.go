@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/logger"
 	"repro/internal/netsim"
@@ -148,7 +147,8 @@ func instances(tr *logger.Trace, np *netsim.Profile) []instance {
 			at[ev.Inst.ID] = len(out)
 			out = append(out, instance{ev.Inst.Classification, make(profile.Vector)})
 		case ev.Kind == logger.EvCall:
-			t := float64(messageTime(np, ev.Call.InBytes) + messageTime(np, ev.Call.OutBytes))
+			t := float64(profile.BucketTime(np, profile.BucketIndex(ev.Call.InBytes)) +
+				profile.BucketTime(np, profile.BucketIndex(ev.Call.OutBytes)))
 			src, srcClass := endpoint(ev.Call.SrcInst)
 			dst, dstClass := endpoint(ev.Call.DstInst)
 			if src >= 0 {
@@ -160,10 +160,4 @@ func instances(tr *logger.Trace, np *netsim.Profile) []instance {
 		}
 	}
 	return out
-}
-
-// messageTime prices one message of the given size at its size bucket's
-// representative.
-func messageTime(np *netsim.Profile, size int) time.Duration {
-	return np.MessageTime(profile.BucketRepresentative(profile.BucketIndex(size)))
 }

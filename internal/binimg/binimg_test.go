@@ -100,7 +100,7 @@ func TestBuildImageDefaultImports(t *testing.T) {
 func TestInstrumentInsertsFirstImportSlot(t *testing.T) {
 	t.Parallel()
 	im := BuildImage(testApp())
-	inst, err := Instrument(im, "ifcb", 0, map[string]string{"IFoo": "Read(in l):v"})
+	inst, err := Instrument(im, "ifcb", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,15 +115,12 @@ func TestInstrumentInsertsFirstImportSlot(t *testing.T) {
 	if inst.Config == nil || inst.Config.Mode != ModeProfiling || inst.Config.Classifier != "ifcb" {
 		t.Errorf("config = %+v", inst.Config)
 	}
-	if inst.Config.InterfaceMetadata["IFoo"] == "" {
-		t.Error("interface metadata lost")
-	}
 	// The original image is untouched.
 	if im.Instrumented() || im.Config != nil {
 		t.Error("Instrument mutated its input")
 	}
 	// Re-instrumenting does not duplicate the import entry.
-	again, err := Instrument(inst, "st", 0, nil)
+	again, err := Instrument(inst, "st", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +131,7 @@ func TestInstrumentInsertsFirstImportSlot(t *testing.T) {
 
 func TestInstrumentRequiresClassifier(t *testing.T) {
 	t.Parallel()
-	if _, err := Instrument(BuildImage(testApp()), "", 0, nil); err == nil {
+	if _, err := Instrument(BuildImage(testApp()), "", 0); err == nil {
 		t.Fatal("empty classifier accepted")
 	}
 }
@@ -142,18 +139,23 @@ func TestInstrumentRequiresClassifier(t *testing.T) {
 func TestSetDistribution(t *testing.T) {
 	t.Parallel()
 	im := BuildImage(testApp())
-	inst, _ := Instrument(im, "ifcb", 0, nil)
+	inst, _ := Instrument(im, "ifcb", 0)
 	dist := map[string]com.Machine{"A@1": com.Client, "B@2": com.Server}
-	d, err := SetDistribution(inst, dist, "10BaseT")
+	d, err := SetDistribution(inst, dist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Config.Mode != ModeDistribution || d.Config.Network != "10BaseT" {
+	if d.Config.Mode != ModeDistribution {
 		t.Errorf("config = %+v", d.Config)
 	}
-	got := d.Config.DistributionMap()
-	if got["A@1"] != com.Client || got["B@2"] != com.Server {
+	got := d.Config.Distribution
+	if len(got) != 2 || got["A@1"] != com.Client || got["B@2"] != com.Server {
 		t.Errorf("distribution = %v", got)
+	}
+	// The record holds its own copy: the caller's map may change after.
+	dist["A@1"] = com.Server
+	if got["A@1"] != com.Client {
+		t.Error("the record shares the caller's map")
 	}
 	// Classifier survives: the lightweight runtime needs it to correlate
 	// instantiations with profiled classifications.
@@ -161,34 +163,44 @@ func TestSetDistribution(t *testing.T) {
 		t.Errorf("classifier = %s", d.Config.Classifier)
 	}
 	// Errors.
-	if _, err := SetDistribution(im, dist, "x"); err == nil {
+	if _, err := SetDistribution(im, dist); err == nil {
 		t.Error("un-instrumented image accepted")
 	}
-	if _, err := SetDistribution(inst, nil, "x"); err == nil {
+	if _, err := SetDistribution(inst, nil); err == nil {
 		t.Error("empty distribution accepted")
 	}
 	broken := inst.clone()
 	broken.Config = nil
-	if _, err := SetDistribution(broken, dist, "x"); err == nil {
+	if _, err := SetDistribution(broken, dist); err == nil {
 		t.Error("missing config accepted")
 	}
 }
 
-func TestDistributionMapNil(t *testing.T) {
+// TestRecordWithoutDistribution: a profiling record carries no map, and
+// its encoding has no distribution member, so it decodes back to none.
+func TestRecordWithoutDistribution(t *testing.T) {
 	t.Parallel()
-	var c *ConfigRecord
-	if c.DistributionMap() != nil {
-		t.Error("nil config produced a map")
+	inst, _ := Instrument(BuildImage(testApp()), "ifcb", 0)
+	var buf bytes.Buffer
+	if err := inst.Encode(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if (&ConfigRecord{}).DistributionMap() != nil {
-		t.Error("empty config produced a map")
+	if bytes.Contains(buf.Bytes(), []byte(`"distribution"`)) {
+		t.Error("a profiling record encodes a distribution member")
+	}
+	got, err := Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Config.Distribution != nil {
+		t.Errorf("profiling record decoded a map: %v", got.Config.Distribution)
 	}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	t.Parallel()
 	im := BuildImage(testApp())
-	inst, _ := Instrument(im, "ifcb", 3, map[string]string{"I": "f"})
+	inst, _ := Instrument(im, "ifcb", 3)
 	var buf bytes.Buffer
 	if err := inst.Encode(&buf); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package binimg
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/com"
 )
 
 // FuzzDecode hardens the image decoder against arbitrary byte streams: it
@@ -10,19 +12,23 @@ import (
 // that decodes to the same image (idempotence). Run with `go test -fuzz
 // FuzzDecode ./internal/binimg` to explore beyond the seed corpus.
 func FuzzDecode(f *testing.F) {
-	// Seeds: a valid image, an instrumented image, and junk.
+	// Seeds: a valid image, a distribution image, and junk.
 	im := BuildImage(testApp())
 	var buf bytes.Buffer
 	if err := im.Encode(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
-	inst, err := Instrument(im, "ifcb", 3, map[string]string{"I": "x"})
+	inst, err := Instrument(im, "ifcb", 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	placed, err := SetDistribution(inst, map[string]com.Machine{"A@1": com.Client, "B@2": com.Server})
 	if err != nil {
 		f.Fatal(err)
 	}
 	buf.Reset()
-	if err := inst.Encode(&buf); err != nil {
+	if err := placed.Encode(&buf); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())

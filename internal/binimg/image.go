@@ -18,6 +18,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"repro/internal/com"
 )
 
 // Magic identifies the synthetic image format ("CoIm").
@@ -49,22 +51,15 @@ type Section struct {
 }
 
 // ConfigRecord is the configuration information the rewriter appends to
-// the binary. It tells the Coign runtime how to profile the application
-// and how to classify components during execution; after analysis it
-// additionally carries the distribution map that the lightweight runtime
-// enforces.
+// the binary: exactly what the Coign runtime reads at application load.
+// The mode picks the runtime, the classifier and its depth identify each
+// instantiation, and after analysis the distribution map places it. An
+// encoded machine is its integer.
 type ConfigRecord struct {
-	Mode            Mode   `json:"mode"`
-	Classifier      string `json:"classifier"`
-	ClassifierDepth int    `json:"classifierDepth"`
-	// InterfaceMetadata maps IIDs to format strings so the runtime can
-	// reconstruct static interface metadata without the original IDL.
-	InterfaceMetadata map[string]string `json:"interfaceMetadata,omitempty"`
-	// Distribution maps classification ids to machine numbers (the output
-	// of the profile analysis engine).
-	Distribution map[string]int `json:"distribution,omitempty"`
-	// Network names the network profile the distribution was computed for.
-	Network string `json:"network,omitempty"`
+	Mode            Mode                   `json:"mode"`
+	Classifier      string                 `json:"classifier"`
+	ClassifierDepth int                    `json:"classifierDepth"`
+	Distribution    map[string]com.Machine `json:"distribution,omitempty"`
 }
 
 // Image is a synthetic application binary.

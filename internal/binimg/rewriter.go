@@ -2,6 +2,7 @@ package binimg
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/com"
 )
@@ -91,7 +92,7 @@ func fill(data []byte, seed int) {
 // configuration record directing the runtime to profile with the given
 // classifier. Instrumenting an already-instrumented image only replaces
 // the configuration record.
-func Instrument(im *Image, classifier string, depth int, ifaceMetadata map[string]string) (*Image, error) {
+func Instrument(im *Image, classifier string, depth int) (*Image, error) {
 	if classifier == "" {
 		return nil, fmt.Errorf("binimg: instrumentation requires a classifier")
 	}
@@ -99,12 +100,7 @@ func Instrument(im *Image, classifier string, depth int, ifaceMetadata map[strin
 	if !out.Instrumented() {
 		out.Imports = append([]string{CoignRuntimeDLL}, out.Imports...)
 	}
-	out.Config = &ConfigRecord{
-		Mode:              ModeProfiling,
-		Classifier:        classifier,
-		ClassifierDepth:   depth,
-		InterfaceMetadata: ifaceMetadata,
-	}
+	out.Config = &ConfigRecord{Mode: ModeProfiling, Classifier: classifier, ClassifierDepth: depth}
 	return out, nil
 }
 
@@ -112,7 +108,7 @@ func Instrument(im *Image, classifier string, depth int, ifaceMetadata map[strin
 // execution: the profiling instrumentation is removed and in its place the
 // lightweight runtime will load to realize (enforce) the distribution
 // chosen by the graph-cutting algorithm.
-func SetDistribution(im *Image, dist map[string]com.Machine, network string) (*Image, error) {
+func SetDistribution(im *Image, dist map[string]com.Machine) (*Image, error) {
 	if !im.Instrumented() {
 		return nil, fmt.Errorf("binimg: cannot set a distribution on an un-instrumented image")
 	}
@@ -125,25 +121,9 @@ func SetDistribution(im *Image, dist map[string]com.Machine, network string) (*I
 	out := im.clone()
 	cfg := *im.Config
 	cfg.Mode = ModeDistribution
-	cfg.Network = network
-	cfg.Distribution = make(map[string]int, len(dist))
-	for id, m := range dist {
-		cfg.Distribution[id] = int(m)
-	}
+	cfg.Distribution = maps.Clone(dist)
 	out.Config = &cfg
 	return out, nil
-}
-
-// DistributionMap extracts the distribution from a configuration record.
-func (c *ConfigRecord) DistributionMap() map[string]com.Machine {
-	if c == nil || len(c.Distribution) == 0 {
-		return nil
-	}
-	out := make(map[string]com.Machine, len(c.Distribution))
-	for id, m := range c.Distribution {
-		out[id] = com.Machine(m)
-	}
-	return out
 }
 
 func (im *Image) clone() *Image {

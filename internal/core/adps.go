@@ -150,23 +150,13 @@ func (a *ADPS) EnableAlias() error {
 	return nil
 }
 
-// interfaceMetadata extracts format strings for the configuration record.
-func (a *ADPS) interfaceMetadata() map[string]string {
-	out := make(map[string]string)
-	for _, iid := range a.App.Interfaces.IIDs() {
-		out[iid] = a.App.Interfaces.Lookup(iid).FormatString()
-	}
-	return out
-}
-
 // Instrument runs the binary rewriter: the Coign runtime is inserted into
 // the first import slot and a profiling configuration record is appended.
 func (a *ADPS) Instrument() error {
 	if a.err != nil {
 		return a.err
 	}
-	img, err := binimg.Instrument(a.Image, a.ClassifierKind.String(), a.ClassifierDepth,
-		a.interfaceMetadata())
+	img, err := binimg.Instrument(a.Image, a.ClassifierKind.String(), a.ClassifierDepth)
 	if err != nil {
 		return err
 	}
@@ -255,7 +245,7 @@ func (a *ADPS) Analyze(ctx context.Context, p *profile.Profile) (*analysis.Resul
 // chosen distribution, replacing the profiling instrumentation with the
 // lightweight distribution runtime.
 func (a *ADPS) WriteDistribution(res *analysis.Result) error {
-	img, err := binimg.SetDistribution(a.Image, res.Distribution, a.Network.Name)
+	img, err := binimg.SetDistribution(a.Image, res.Distribution)
 	if err != nil {
 		return err
 	}
@@ -288,7 +278,7 @@ func (a *ADPS) RunConfig(mode dist.Mode, scenario string) (dist.Config, error) {
 		if rec.Mode != binimg.ModeDistribution {
 			return dist.Config{}, fmt.Errorf("core: binary is in %q mode, not distribution", rec.Mode)
 		}
-		if cfg.Distribution = rec.DistributionMap(); cfg.Distribution == nil {
+		if cfg.Distribution = rec.Distribution; len(cfg.Distribution) == 0 {
 			return dist.Config{}, fmt.Errorf("core: binary carries no distribution map")
 		}
 		kind, err := classify.KindByName(rec.Classifier)

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"maps"
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -36,9 +41,6 @@ func TestPipelineStages(t *testing.T) {
 	}
 	if !adps.Image.Instrumented() || adps.Image.Config.Mode != binimg.ModeProfiling {
 		t.Fatalf("image after rewrite: %+v", adps.Image.Config)
-	}
-	if len(adps.Image.Config.InterfaceMetadata) == 0 {
-		t.Error("no interface metadata in configuration record")
 	}
 
 	// Profile.
@@ -534,6 +536,85 @@ func TestRunConfig(t *testing.T) {
 	}
 	if _, err := a.RunConfig(dist.Mode(99), scen); err == nil {
 		t.Error("unknown mode configured")
+	}
+}
+
+// TestConfigRecordRoundTrip: the record an image carries holds exactly
+// what the runtime reads at load — the mode, the classifier, its depth
+// and the distribution map — and a Coign run configured from the decoded
+// image is the run configured from the image in memory.
+func TestConfigRecordRoundTrip(t *testing.T) {
+	t.Parallel()
+	a := New(octarine.New())
+	a.ClassifierKind, a.ClassifierDepth = classify.STCB, 3
+	if err := a.Instrument(); err != nil {
+		t.Fatal(err)
+	}
+	scen := octarine.ScenOldWp0
+	prof, _, err := a.ProfileScenario(scen, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ares, err := a.Analyze(context.Background(), prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.WriteDistribution(ares); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := a.Image.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+
+	// The record is the image's last field: a length-prefixed JSON
+	// object ahead of the 4-byte checksum.
+	start := bytes.LastIndex(data, []byte(`{"mode":`))
+	if start < 4 || int(binary.LittleEndian.Uint32(data[start-4:])) != len(data)-4-start {
+		t.Fatalf("no configuration record at the end of the image (start %d)", start)
+	}
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(data[start:len(data)-4], &members); err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(members))
+	for name := range members {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	if want := []string{"classifier", "classifierDepth", "distribution", "mode"}; !slices.Equal(names, want) {
+		t.Errorf("record members %v, want %v", names, want)
+	}
+
+	mem, err := a.RunConfig(dist.ModeCoign, scen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := binimg.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Image = decoded
+	got, err := a.RunConfig(dist.ModeCoign, scen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Classifier, mem.Classifier) || got.Classifier.Name() != "stcb-d3" {
+		t.Errorf("decoded classifier %s, in memory %s", got.Classifier.Name(), mem.Classifier.Name())
+	}
+	if decoded.Config.ClassifierDepth != 3 {
+		t.Errorf("decoded depth %d, want 3", decoded.Config.ClassifierDepth)
+	}
+	if len(got.Distribution) == 0 || !maps.Equal(got.Distribution, mem.Distribution) || !maps.Equal(got.Distribution, ares.Distribution) {
+		t.Errorf("decoded map %v, in memory %v", got.Distribution, mem.Distribution)
+	}
+
+	// A distribution record without a map places nothing: the runtime
+	// refuses it.
+	decoded.Config.Distribution = nil
+	if _, err := a.RunConfig(dist.ModeCoign, scen); err == nil {
+		t.Error("a record without a distribution map configured a Coign run")
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package dist executes applications under the synthetic two-machine (or
-// three-machine) environment: a virtual clock accrues compute time and the
-// communication time of every message that crosses machines, a run
+// Package dist executes applications under the synthetic two-machine
+// environment: a virtual clock accrues compute time and the communication
+// time of every message that crosses machines, a run
 // harness drives an application scenario under any instrumentation mode,
 // an event-trace replayer re-simulates executions from event logs, and a
 // loopback-TCP transport demonstrates real proxy/stub marshaling.

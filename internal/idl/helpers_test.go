@@ -1,7 +1,5 @@
 package idl
 
-import "strings"
-
 // Constructors and accessors that only the tests use.
 
 // Void is the void value.
@@ -33,12 +31,4 @@ func (v Value) AsFloat() float64 { return v.Float }
 // Array constructs a conformant-array type descriptor.
 func Array(elem *TypeDesc) *TypeDesc {
 	return &TypeDesc{Kind: KindArray, Elem: elem}
-}
-
-// FormatString returns a compact one-line encoding of a type, e.g.
-// "S{l,d,a(y)}" for struct{long, double, byte[][]}.
-func (t *TypeDesc) FormatString() string {
-	var b strings.Builder
-	t.format(&b)
-	return b.String()
 }

@@ -6,7 +6,10 @@
 // marshaling code emitted by the Microsoft IDL compiler; the profiling
 // interface informer invokes that code in-process to measure exactly the
 // number of bytes DCOM would transfer if a call crossed machines. This
-// package reproduces that capability for the synthetic component model.
+// package reproduces that measurement from the descriptors themselves, which
+// the runtime holds in the application's registry: there is no format-string
+// encoding, and the image's configuration record carries no interface
+// metadata.
 package idl
 
 import (

@@ -64,9 +64,9 @@ func TestRemotable(t *testing.T) {
 		{Struct("nested", Field("s", Struct("inner", Field("p", TOpaque)))), false},
 		{InterfaceType("IFoo"), true},
 	}
-	for _, c := range cases {
+	for i, c := range cases {
 		if got := c.t.Remotable(); got != c.want {
-			t.Errorf("Remotable(%s) = %v, want %v", c.t.FormatString(), got, c.want)
+			t.Errorf("case %d (%s %q): Remotable = %v, want %v", i, c.t.Kind, c.t.Name, got, c.want)
 		}
 	}
 }
@@ -148,35 +148,4 @@ func TestRegistryEmptyIIDPanics(t *testing.T) {
 		}
 	}()
 	NewRegistry().Register(&InterfaceDesc{})
-}
-
-func TestFormatStrings(t *testing.T) {
-	t.Parallel()
-	pt := Struct("Point", Field("x", TInt32), Field("y", TFloat64))
-	if got := pt.FormatString(); got != "S{l,d}" {
-		t.Errorf("struct format = %q", got)
-	}
-	if got := Array(TBytes).FormatString(); got != "a(y)" {
-		t.Errorf("array format = %q", got)
-	}
-	if got := InterfaceType("IDoc").FormatString(); got != "I<IDoc>" {
-		t.Errorf("interface format = %q", got)
-	}
-	m := MethodDesc{
-		Name: "Read",
-		Params: []ParamDesc{
-			{Name: "off", Dir: In, Type: TInt32},
-			{Name: "data", Dir: Out, Type: TBytes},
-		},
-		Result: TInt32,
-	}
-	if got := m.FormatString(); got != "Read(in l,out y):l" {
-		t.Errorf("method format = %q", got)
-	}
-	d := &InterfaceDesc{IID: "ISprite", Remotable: false,
-		Methods: []MethodDesc{{Name: "Ptr", Params: []ParamDesc{{Dir: Out, Type: TOpaque}}}}}
-	fs := d.FormatString()
-	if !strings.Contains(fs, "[local]") || !strings.Contains(fs, "Ptr(out p):v") {
-		t.Errorf("interface format = %q", fs)
-	}
 }

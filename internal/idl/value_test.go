@@ -2,6 +2,7 @@ package idl
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -234,7 +235,7 @@ func genValue(r *rand.Rand, depth int) Value {
 		arr := make([]Value, 0, len(vals)+1)
 		arr = append(arr, elem)
 		for _, v := range vals {
-			if v.Type.FormatString() == elem.Type.FormatString() {
+			if reflect.DeepEqual(v.Type, elem.Type) {
 				arr = append(arr, v)
 			}
 		}

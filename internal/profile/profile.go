@@ -57,6 +57,14 @@ func (e *EdgeSummary) Merge(other *EdgeSummary) {
 	e.NonRemotable = e.NonRemotable || other.NonRemotable
 }
 
+// BucketTime prices one message in size bucket idx under a network
+// profile: the time of a message of the bucket's representative size. It
+// is the one per-message rule of bucketed pricing, for the graph's edges
+// and for classifier evaluation alike.
+func BucketTime(np *netsim.Profile, idx int) time.Duration {
+	return np.MessageTime(BucketRepresentative(idx))
+}
+
 // Time prices the edge under a network profile using bucket
 // representatives: the cost of all calls if the endpoints were on opposite
 // machines.
@@ -64,7 +72,7 @@ func (e *EdgeSummary) Time(np *netsim.Profile) time.Duration {
 	var t time.Duration
 	for _, h := range [2]BucketCounts{e.In, e.Out} {
 		for _, b := range h {
-			t += time.Duration(b.Count) * np.MessageTime(BucketRepresentative(b.Index))
+			t += time.Duration(b.Count) * BucketTime(np, b.Index)
 		}
 	}
 	return t
