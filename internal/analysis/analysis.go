@@ -17,6 +17,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/profile"
 	"repro/internal/purity"
+	"repro/internal/span"
 	"repro/internal/staticanal"
 )
 
@@ -241,7 +242,8 @@ func BuildGraph(p *profile.Profile, np *netsim.Profile, classes *com.ClassRegist
 // Analyze runs the complete engine: graph construction, minimum cut, and
 // distribution extraction. The context is threaded into the push-relabel
 // core, so a cancelled or expired job aborts mid-cut instead of running
-// the flow to completion.
+// the flow to completion. The graph build, the cut, the checks and the
+// replicated cut are spans on ctx's recorder, if it carries one.
 func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *com.App, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -249,14 +251,18 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 	if p == nil || np == nil || app == nil {
 		return nil, fmt.Errorf("analysis: profile, network profile, and application are required")
 	}
+	sp := span.Begin(ctx, "build_graph")
 	g, st := BuildGraph(p, np, app.Classes, opts)
+	sp.End()
 	var cut *graph.Cut
 	var err error
+	sp = span.Begin(ctx, "cut")
 	if opts.Arena != nil {
 		cut, err = g.MinCutArena(ctx, opts.Arena)
 	} else {
 		cut, err = g.MinCutCtx(ctx)
 	}
+	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s: %w", p.App, err)
 	}
@@ -315,6 +321,7 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 	// and the chosen cut against every constraint. With the constraints
 	// installed as pins and infinite-weight edges, cut violations should be
 	// impossible; divergences surface as findings, never failures.
+	sp = span.Begin(ctx, "check")
 	if cs := opts.Constraints; cs != nil {
 		res.Findings = append(res.Findings, cs.CrossCheck(p)...)
 		res.Findings = append(res.Findings, cs.CheckCut(p, res.Distribution)...)
@@ -325,6 +332,7 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 	if opts.Alias != nil {
 		res.Findings = append(res.Findings, opts.Alias.Verify(p)...)
 	}
+	sp.End()
 
 	// Purity grading and the replication-aware cut. Replication only ever
 	// removes edges, so the replicated cut can never cost more than the
@@ -334,6 +342,7 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 		res.Purity = opts.Purity.Grade(p, opts.PurityTheta)
 		res.Findings = append(res.Findings, opts.Purity.Verify(p)...)
 		if opts.Replicate {
+			sp = span.Begin(ctx, "replicated_cut")
 			rg, replicated := g.Replicate(res.Purity.Replication.Classifications)
 			var rcut *graph.Cut
 			if opts.ReplicaArena != nil {
@@ -341,6 +350,7 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 			} else {
 				rcut, err = rg.MinCutCtx(ctx)
 			}
+			sp.End()
 			if err != nil {
 				return nil, fmt.Errorf("analysis: %s: replicated cut: %w", p.App, err)
 			}

@@ -25,6 +25,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/purity"
 	"repro/internal/reach"
+	"repro/internal/span"
 	"repro/internal/staticanal"
 )
 
@@ -364,7 +365,7 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 	if err != nil {
 		return nil, err
 	}
-	return a.Execute(ares, traced)
+	return a.Execute(ctx, ares, traced)
 }
 
 // Execute is the run half of an experiment on the scenario of traced, a
@@ -377,8 +378,9 @@ func (a *ADPS) ScenarioExperiment(ctx context.Context, scenario string) (*Scenar
 // under the map read back from the rewritten binary. Table 5's measured
 // time is a real run with network jitter, so its error is a gap between
 // model and execution. A run without a trace is refused. Execute leaves the
-// image re-armed for profiling.
-func (a *ADPS) Execute(ares *analysis.Result, traced *dist.Result) (*ScenarioReport, error) {
+// image re-armed for profiling. The two replays and the measured run are
+// spans on ctx's recorder, if it carries one.
+func (a *ADPS) Execute(ctx context.Context, ares *analysis.Result, traced *dist.Result) (*ScenarioReport, error) {
 	if traced == nil || traced.Trace == nil || traced.Profile == nil || len(traced.Profile.Scenarios) != 1 {
 		return nil, fmt.Errorf("core: Execute prices the trace of one traced ProfileScenario run")
 	}
@@ -390,7 +392,9 @@ func (a *ADPS) Execute(ares *analysis.Result, traced *dist.Result) (*ScenarioRep
 	if err != nil {
 		return nil, err
 	}
+	sp := span.Begin(ctx, "replay_default")
 	def, err := dist.Replay(defCfg, traced.Trace)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -398,12 +402,16 @@ func (a *ADPS) Execute(ares *analysis.Result, traced *dist.Result) (*ScenarioRep
 	if err != nil {
 		return nil, err
 	}
+	sp = span.Begin(ctx, "replay_coign")
 	coign, err := dist.Replay(cfg, traced.Trace)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
+	sp = span.Begin(ctx, "measured")
 	cfg.Jitter = true
 	measured, err := dist.Run(cfg)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}

@@ -452,7 +452,7 @@ func TestExecuteNeedsTracedRunOfTheScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]*dist.Result{"no run": nil, "untraced run": untraced} {
-		if _, err := a.Execute(ares, run); err == nil {
+		if _, err := a.Execute(context.Background(), ares, run); err == nil {
 			t.Errorf("%s: executed", name)
 		}
 	}
@@ -463,7 +463,7 @@ func TestExecuteNeedsTracedRunOfTheScenario(t *testing.T) {
 	if ares, err = a.Analyze(context.Background(), prof); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := a.Execute(ares, traced)
+	rep, err := a.Execute(context.Background(), ares, traced)
 	if err != nil {
 		t.Fatal(err)
 	}

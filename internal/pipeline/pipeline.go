@@ -21,6 +21,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/profile"
 	"repro/internal/scenario"
+	"repro/internal/span"
 )
 
 // Spec is one partitioning request. The zero value plus at least one
@@ -146,8 +147,8 @@ type Experiment = core.Experiment
 // deterministic for a given spec: slices are sorted or catalog-ordered and
 // durations marshal as integer nanoseconds, so two runs of the same
 // normalized spec — CLI or service, today or after a restart — encode to
-// identical bytes. Wall-clock measurements and internal handles carry
-// `json:"-"` and never enter the canonical encoding.
+// identical bytes. The stage spans (wall clock and heap) and internal
+// handles carry `json:"-"` and never enter the canonical encoding.
 type Result struct {
 	Spec Spec `json:"spec"`
 
@@ -185,10 +186,10 @@ type Result struct {
 	// Experiment is only set in Compare mode.
 	Experiment *Experiment `json:"experiment,omitempty"`
 
-	// CutDuration is how long the analysis engine ran (profiling through
-	// cut; Compare mode's executions come after it). Excluded from the
-	// canonical encoding — it is telemetry, not part of the result.
-	CutDuration time.Duration `json:"-"`
+	// Stages are the run's spans in the order they began (DESIGN §9):
+	// the top-level stages tile the run, and each child lies inside its
+	// parent. Excluded from the canonical encoding — telemetry.
+	Stages []span.Span `json:"-"`
 
 	// Internal handles for callers that drill further (DOT rendering,
 	// distribution maps, drift watchdogs). Never serialized.
@@ -276,36 +277,49 @@ func Analyze(ctx context.Context, spec Spec, prof *profile.Profile) (*Result, er
 
 // run is the one path behind Run and Analyze, on a checked spec; it
 // profiles the spec's scenarios unless the caller brought the profile.
+// Each stage is a span on the run's own recorder, which the result keeps.
 func run(ctx context.Context, spec Spec, prof *profile.Profile) (*Result, error) {
+	ctx, rec := span.NewRecorder(ctx)
+	sp := span.Begin(ctx, "open")
 	adps, err := Open(spec)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	var traced *dist.Result
 	if prof == nil {
-		if err := adps.Instrument(); err != nil {
+		sp = span.Begin(ctx, "instrument")
+		err = adps.Instrument()
+		sp.End()
+		if err != nil {
 			return nil, err
 		}
+		sp = span.Begin(ctx, "profile")
 		if spec.Compare {
 			// Execute prices the comparison from this run's trace.
 			prof, traced, err = adps.ProfileScenario(spec.Scenarios[0], true)
 		} else {
 			prof, err = adps.ProfileScenarios(spec.Scenarios, false)
 		}
+		sp.End()
 		if err != nil {
 			return nil, err
 		}
 	}
+	sp = span.Begin(ctx, "constraints")
 	if spec.Coverage {
 		// Uncovered statically reachable edges become conservative
 		// co-location welds.
 		adps.Reach.Coverage(prof).InstallConstraints(adps.AnalysisOptions.Constraints)
 	}
-	if err := applyPins(adps, prof, spec.Pins); err != nil {
+	err = applyPins(adps, prof, spec.Pins)
+	sp.End()
+	if err != nil {
 		return nil, err
 	}
+	sp = span.Begin(ctx, "analyze")
 	ares, err := adps.Analyze(ctx, prof)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -314,14 +328,16 @@ func run(ctx context.Context, spec Spec, prof *profile.Profile) (*Result, error)
 		res.AliasPairs = len(adps.AnalysisOptions.Constraints.AliasPairs)
 	}
 	res.fillAnalysis(ares, prof)
-	res.CutDuration = time.Since(start)
 	if spec.Compare {
-		rep, err := adps.Execute(ares, traced)
+		sp = span.Begin(ctx, "execute")
+		rep, err := adps.Execute(ctx, ares, traced)
+		sp.End()
 		if err != nil {
 			return nil, err
 		}
 		res.Experiment = &rep.Experiment
 	}
+	res.Stages = rec.Spans()
 	return res, nil
 }
 

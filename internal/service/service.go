@@ -317,7 +317,7 @@ func (s *Server) execute(ctx context.Context, job *jobqueue.Job) {
 	}
 	if err := s.queue.Finish(job.ID, job.Attempt, b); err == nil {
 		s.metrics.Inc("coign_jobs_done_total")
-		s.metrics.ObserveCutSeconds(res.CutDuration.Seconds())
+		s.metrics.ObserveStages(res.Stages)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/jobqueue"
 	"repro/internal/pipeline"
 	"repro/internal/scenario"
+	"repro/internal/span"
 )
 
 func startService(t *testing.T, workers int) (*Server, *httptest.Server, context.CancelFunc) {
@@ -193,7 +194,8 @@ func TestBadSyntheticSpecFailsJob(t *testing.T) {
 }
 
 // TestMetricsExposition: after a completed job, /metrics reports the
-// counters and the cut-duration histogram.
+// counters and one observation in the histogram of each of the run's
+// top-level stages; a run that is not in Compare mode executes nothing.
 func TestMetricsExposition(t *testing.T) {
 	t.Parallel()
 	_, ts, _ := startService(t, 1)
@@ -213,12 +215,19 @@ func TestMetricsExposition(t *testing.T) {
 		"coign_jobs_running 0",
 		"coign_jobs_done 1",
 		"coign_jobs_failed 0",
-		"coign_cut_duration_seconds_count 1",
-		"coign_cut_duration_seconds_bucket{le=\"+Inf\"} 1",
+		`coign_stage_duration_seconds_count{stage="open"} 1`,
+		`coign_stage_duration_seconds_count{stage="instrument"} 1`,
+		`coign_stage_duration_seconds_count{stage="profile"} 1`,
+		`coign_stage_duration_seconds_count{stage="constraints"} 1`,
+		`coign_stage_duration_seconds_count{stage="analyze"} 1`,
+		`coign_stage_duration_seconds_bucket{stage="analyze",le="+Inf"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, `stage="execute"`) {
+		t.Fatalf("/metrics reports an execute stage for a run that executed nothing:\n%s", text)
 	}
 }
 
@@ -364,12 +373,23 @@ func TestDrainDeadLettersExhaustedJob(t *testing.T) {
 	}
 }
 
+// TestMetricsWriteDeterministic: two scrapes of one state are byte-equal,
+// counters are sorted, and the stage histograms follow the run's stage
+// order with only top-level stages exported.
 func TestMetricsWriteDeterministic(t *testing.T) {
 	t.Parallel()
 	m := NewMetrics()
 	m.Inc("b_total")
 	m.Inc("a_total")
-	m.ObserveCutSeconds(0.003)
+	ms := time.Millisecond
+	cut := []span.Span{
+		{Name: "open", Parent: -1, End: ms},
+		{Name: "profile", Parent: -1, Start: ms, End: 3 * ms},
+		{Name: "analyze", Parent: -1, Start: 3 * ms, End: 4 * ms},
+		{Name: "cut", Parent: 2, Start: 3 * ms, End: 4 * ms},
+	}
+	m.ObserveStages(cut)
+	m.ObserveStages(append(cut, span.Span{Name: "execute", Parent: -1, Start: 4 * ms, End: 9 * ms}))
 	var x, y bytes.Buffer
 	if err := m.Write(&x, map[string]float64{"g": 1}); err != nil {
 		t.Fatal(err)
@@ -380,8 +400,29 @@ func TestMetricsWriteDeterministic(t *testing.T) {
 	if x.String() != y.String() {
 		t.Fatal("metrics exposition is not deterministic")
 	}
-	if !strings.Contains(x.String(), "a_total 1") || strings.Index(x.String(), "a_total") > strings.Index(x.String(), "b_total") {
-		t.Fatalf("counters not sorted:\n%s", x.String())
+	text := x.String()
+	if !strings.Contains(text, "a_total 1") || strings.Index(text, "a_total") > strings.Index(text, "b_total") {
+		t.Fatalf("counters not sorted:\n%s", text)
+	}
+	at := -1
+	for _, want := range []string{
+		`coign_stage_duration_seconds_count{stage="open"} 2`,
+		`coign_stage_duration_seconds_count{stage="profile"} 2`,
+		`coign_stage_duration_seconds_count{stage="analyze"} 2`,
+		`coign_stage_duration_seconds_count{stage="execute"} 1`,
+	} {
+		i := strings.Index(text, want)
+		if i <= at {
+			t.Fatalf("stage histograms missing or out of stage order at %q:\n%s", want, text)
+		}
+		at = i
+	}
+	if !strings.Contains(text, `coign_stage_duration_seconds_bucket{stage="open",le="0.00001"} 0`) ||
+		!strings.Contains(text, `coign_stage_duration_seconds_bucket{stage="open",le="0.001"} 2`) {
+		t.Fatalf("a 1 ms stage is not resolved from 10 µs up:\n%s", text)
+	}
+	if strings.Contains(text, `stage="cut"`) {
+		t.Fatalf("a child span is exported as a stage:\n%s", text)
 	}
 }
 
