@@ -4,13 +4,15 @@
 // engine combines with abstract ICC data).
 //
 // Two sources are supported: the parametric network models used by the
-// simulator (-model), and a real loopback-TCP transport (-tcp) in which
+// simulator (-model), sampled exactly as a coign session with the same
+// -seed and -samples samples them, so the table is the profile its cut
+// prices with; and a real loopback-TCP transport (-tcp) in which
 // every sample is an actual framed round trip through the DCOM-analog
 // wire protocol.
 //
 // Usage:
 //
-//	netprof -model 10BaseT [-samples 25]
+//	netprof -model 10BaseT [-samples 25] [-seed 1]
 //	netprof -tcp [-samples 25]
 //	netprof -list
 package main
@@ -18,7 +20,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"sort"
 	"time"
@@ -31,7 +32,7 @@ func main() {
 	model := flag.String("model", "10BaseT", "network model to profile")
 	useTCP := flag.Bool("tcp", false, "profile a real loopback-TCP transport instead of a model")
 	samples := flag.Int("samples", 25, "samples per message size")
-	seed := flag.Int64("seed", 1, "sampling seed")
+	seed := flag.Int64("seed", 1, "session seed: print the profile a coign session with this seed prices with")
 	list := flag.Bool("list", false, "list available network models")
 	flag.Parse()
 
@@ -56,8 +57,7 @@ func main() {
 		var m *netsim.Model
 		m, err = netsim.ByName(*model)
 		if err == nil {
-			rng := rand.New(rand.NewSource(*seed))
-			p, err = netsim.SampleModel(m, rng, netsim.DefaultSampleSizes, *samples)
+			p, err = netsim.Sampled(m, *seed, *samples)
 		}
 	}
 	if err != nil {

@@ -11,7 +11,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/alias"
@@ -167,9 +166,11 @@ func (a *ADPS) Instrument() error {
 
 // ProfileNetwork runs the network profiler, statistically sampling message
 // times for representative DCOM message sizes over the configured network.
+// The sample depends on the network, the session seed and Samples, not on
+// the application: netsim.Sampled takes it once per process and every
+// session with the same three shares it, read-only, as its NetProfile.
 func (a *ADPS) ProfileNetwork() error {
-	rng := rand.New(rand.NewSource(a.Seed + 7))
-	np, err := netsim.SampleModel(a.Network, rng, netsim.DefaultSampleSizes, a.Samples)
+	np, err := netsim.Sampled(a.Network, a.Seed, a.Samples)
 	if err != nil {
 		return err
 	}

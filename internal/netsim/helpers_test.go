@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"time"
 )
 
@@ -16,4 +17,13 @@ func (m *Model) RoundTripTime(inBytes, outBytes int) time.Duration {
 // RoundTripTime predicts a synchronous call's cost from the profile.
 func (p *Profile) RoundTripTime(inBytes, outBytes int) time.Duration {
 	return p.MessageTime(inBytes) + p.MessageTime(outBytes)
+}
+
+// SampleModel profiles a simulated network model with the caller's source;
+// Sampled is SampleModel over DefaultSampleSizes with a source seeded at
+// the session seed plus 7.
+func SampleModel(m *Model, rng *rand.Rand, sizes []int, samples int) (*Profile, error) {
+	return Sample(m.Name, func(sz int) time.Duration {
+		return m.SampleMessageTime(sz, rng)
+	}, sizes, samples)
 }

@@ -3,8 +3,9 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -13,6 +14,9 @@ import (
 // cost of an arbitrary message by piecewise-linear interpolation, so
 // predictions carry a small sampling error relative to the true network —
 // one of the real sources of the predicted-vs-measured gap in Table 5.
+//
+// A profile from Sampled is shared by every session that asks for the same
+// sample: it must not be modified.
 type Profile struct {
 	Name   string
 	Points []ProfilePoint // sorted by ascending size
@@ -44,10 +48,10 @@ func Sample(name string, measure MeasureFunc, sizes []int, samples int) (*Profil
 		return nil, fmt.Errorf("netsim: samples must be positive, got %d", samples)
 	}
 	p := &Profile{Name: name, Points: make([]ProfilePoint, 0, len(sizes))}
-	sorted := append([]int(nil), sizes...)
-	sort.Ints(sorted)
+	sorted := slices.Clone(sizes)
+	slices.Sort(sorted)
+	obs := make([]time.Duration, samples)
 	for _, sz := range sorted {
-		obs := make([]time.Duration, samples)
 		for i := range obs {
 			obs[i] = measure(sz)
 		}
@@ -56,18 +60,81 @@ func Sample(name string, measure MeasureFunc, sizes []int, samples int) (*Profil
 	return p, nil
 }
 
-// SampleModel profiles a simulated network model.
-func SampleModel(m *Model, rng *rand.Rand, sizes []int, samples int) (*Profile, error) {
-	return Sample(m.Name, func(sz int) time.Duration {
-		return m.SampleMessageTime(sz, rng)
-	}, sizes, samples)
+// sampledSlots is how many network samples a process keeps. A session's
+// seed comes from its caller (a service job's from the request), so the
+// cache is a fixed ring, never a map that grows with the seeds it sees.
+const sampledSlots = 8
+
+// sampleKey is what a network sample is a function of: the model's value
+// (not its address), the session seed and the observations per size.
+type sampleKey struct {
+	model   Model
+	seed    int64
+	samples int
+}
+
+// sampled is the process's ring of network samples; next is the oldest
+// slot, the one the next miss overwrites.
+var sampled struct {
+	sync.Mutex
+	keys  [sampledSlots]sampleKey
+	profs [sampledSlots]*Profile
+	next  int
+}
+
+// Sampled is the network profiler's output for a session with the given
+// seed: samples jittered observations of m at each of DefaultSampleSizes,
+// drawn from a source seeded with seed+7, kept as trimmed means. The
+// sample is a pure function of m's value, seed and samples, so the process
+// takes it once and hands every later caller the same *Profile, which must
+// not be modified.
+func Sampled(m *Model, seed int64, samples int) (*Profile, error) {
+	key := sampleKey{model: *m, seed: seed, samples: samples}
+	sampled.Lock()
+	hit := findSampled(&key)
+	sampled.Unlock()
+	if hit != nil {
+		return hit, nil
+	}
+	// Draw from a copy of the key's model: the stored sample is the key's
+	// even if *m changes meanwhile, and key stays off the heap.
+	model := key.model
+	rng := rand.New(rand.NewSource(seed + 7))
+	p, err := Sample(model.Name, func(sz int) time.Duration {
+		return model.SampleMessageTime(sz, rng)
+	}, DefaultSampleSizes, samples)
+	if err != nil {
+		return nil, err
+	}
+	sampled.Lock()
+	defer sampled.Unlock()
+	// A concurrent miss on the same key may have stored its sample while
+	// this one was drawn; hand out the stored one so the sample is shared.
+	if hit := findSampled(&key); hit != nil {
+		return hit, nil
+	}
+	sampled.keys[sampled.next] = key
+	sampled.profs[sampled.next] = p
+	sampled.next = (sampled.next + 1) % sampledSlots
+	return p, nil
+}
+
+// findSampled returns the stored sample for key, or nil. The caller holds
+// sampled's lock.
+func findSampled(key *sampleKey) *Profile {
+	for i := range sampled.keys {
+		if sampled.profs[i] != nil && sampled.keys[i] == *key {
+			return sampled.profs[i]
+		}
+	}
+	return nil
 }
 
 func trimmedMean(obs []time.Duration) time.Duration {
 	if len(obs) == 0 {
 		return 0
 	}
-	sort.Slice(obs, func(i, j int) bool { return obs[i] < obs[j] })
+	slices.Sort(obs)
 	lo, hi := 0, len(obs)
 	if len(obs) >= 4 {
 		lo, hi = 1, len(obs)-1
@@ -119,8 +186,8 @@ func lerp(a, b ProfilePoint, x int) time.Duration {
 // ablation comparing sampled against oracle network knowledge.
 func ExactProfile(m *Model, sizes []int) *Profile {
 	p := &Profile{Name: m.Name + "-exact"}
-	sorted := append([]int(nil), sizes...)
-	sort.Ints(sorted)
+	sorted := slices.Clone(sizes)
+	slices.Sort(sorted)
 	for _, sz := range sorted {
 		p.Points = append(p.Points, ProfilePoint{Size: sz, Time: m.MessageTime(sz)})
 	}
