@@ -9,8 +9,9 @@ import (
 )
 
 // TestChaosFaultFlags: chaos refuses fault flags that are not a policy —
-// rates outside [0, 1] and fewer than one delivery attempt — before it
-// prints anything, and prints the policy the run used. -from-model takes
+// rates outside [0, 1], fewer than one delivery attempt, and so many
+// attempts that one call's backoffs overflow — before it prints anything,
+// and prints the policy the run used. -from-model takes
 // only the model's drop and corrupt rates, the ones the virtual clock
 // prices, so the model's truncation and delay do not refuse the run.
 func TestChaosFaultFlags(t *testing.T) {
@@ -22,6 +23,7 @@ func TestChaosFaultFlags(t *testing.T) {
 		{[]string{"-drop", "1.5"}, "fault rates drop 1.5, corrupt 0.05"},
 		{[]string{"-drop", "-0.5", "-corrupt", "-0.2"}, "fault rates drop -0.5, corrupt -0.2"},
 		{[]string{"-attempts", "0"}, "-attempts 0: a message needs at least one delivery attempt"},
+		{[]string{"-attempts", "41", "-backoff", "10ms"}, "call policy of 41 attempt(s), timeout 250ms, backoff 10ms: one call's deadlines and backoffs overflow a time.Duration"},
 		{[]string{"-drop", "0.5", "-attempts", "1"}, "o_oldwp7 on 10BaseT (drop 50.0%, corrupt 5.0%, 1 attempt(s), seed 1)\n"},
 		{[]string{"-from-model", "-network", "ISDN"}, "o_oldwp7 on ISDN (drop 0.5%, corrupt 0.1%, 4 attempt(s), seed 1)\n"},
 	} {

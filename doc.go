@@ -10,7 +10,7 @@
 //
 // The repository layout follows the paper's toolchain:
 //
-//	internal/idl       interface metadata, deep-copy measurement, wire codec
+//	internal/idl       interface metadata, deep-copy measurement, remotability
 //	internal/com       the synthetic component object model
 //	internal/binimg    application binary images and the binary rewriter
 //	internal/rte       the Coign runtime executive (traps, wrapping, shadow stack, call sizing)
@@ -21,7 +21,7 @@
 //	internal/graph     push-relabel min-cut, Edmonds-Karp oracle
 //	internal/analysis  the profile analysis engine and constraint inference
 //	internal/factory   the component factory that realizes distributions
-//	internal/dist      the two-machine execution engine, replayer, TCP transport
+//	internal/dist      the two-machine execution engine, virtual clock, replayer
 //	internal/core      the end-to-end ADPS pipeline
 //	internal/apps/...  reconstructions of Octarine, PhotoDraw, and Benefits
 //	internal/scenario  the 23-scenario profiling suite of Table 1

@@ -42,8 +42,7 @@ type Instance struct {
 
 	// primary is the handle Query returns for the class's first interface,
 	// filled at activation, so the usual one query per instance allocates
-	// nothing. Nothing writes it afterwards: concurrent Query calls (the
-	// transport's per-connection stubs) only read it.
+	// nothing. Nothing writes it afterwards, so Query only reads it.
 	primary Interface
 }
 
@@ -147,16 +146,15 @@ type Env struct {
 	// chunks holds every instance, indexed by its dense id: chunk k holds
 	// 4<<k instances, ids 4(2^k-1)+1 through 4(2^(k+1)-1). A chunk is made
 	// at its full size and never grown, so an Instance never moves once
-	// written and handles, shadow-stack frames and stubs may point at it.
-	// Instantiation happens on the run's goroutine; stubs only read.
+	// written and handles and shadow-stack frames may point at it.
 	chunks [][]Instance
 	// activation is e.activate, bound once so handing it to the
 	// CreateInstance hook allocates nothing per instantiation.
 	activation func(*Class, Machine) *Instance
 
 	// freeCalls holds the Calls finished calls gave back, for Env.Call to
-	// reuse. dist.Stub.Handle calls Env.Call from one goroutine per
-	// connection, so a mutex guards the list.
+	// reuse. A mutex guards the list, so calls on more than one goroutine
+	// never share a Call.
 	freeMu    sync.Mutex
 	freeCalls []*Call
 }
@@ -364,8 +362,7 @@ func checkArgs(iid string, mdesc *idl.MethodDesc, args []idl.Value) error {
 	return nil
 }
 
-// isIn reports whether p travels caller → callee, the filter
-// idl.MethodDesc.InParams applies.
+// isIn reports whether p travels caller → callee.
 func isIn(p idl.ParamDesc) bool { return p.Dir == idl.In || p.Dir == idl.InOut }
 
 // Compute accrues CPU time for inst's machine on the installed clock.

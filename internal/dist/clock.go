@@ -2,8 +2,8 @@
 // environment: a virtual clock accrues compute time and the communication
 // time of every message that crosses machines, a run
 // harness drives an application scenario under any instrumentation mode,
-// an event-trace replayer re-simulates executions from event logs, and a
-// loopback-TCP transport demonstrates real proxy/stub marshaling.
+// and an event-trace replayer re-simulates executions from event logs.
+// The virtual clock is the one wire a run's messages cross.
 package dist
 
 import (
@@ -91,8 +91,8 @@ func (f *faults) emit(kind string, attempt, bytes int, penalty time.Duration) {
 }
 
 // deliver drives one call through the delivery state machine on the
-// virtual clock, at the real transport's granularity: each attempt sends
-// the request and, if it arrives intact, the reply, one roll per frame. A
+// virtual clock, a round trip per attempt: each attempt sends the request
+// and, if it arrives intact, the reply, one roll per frame. A
 // dropped frame costs the deadline on top of what the attempt already
 // spent, a corrupt one its wasted transfer, and every retry resends the
 // request after the policy's backoff. A call whose attempts run out counts
@@ -100,7 +100,7 @@ func (f *faults) emit(kind string, attempt, bytes int, penalty time.Duration) {
 func (c *Clock) deliver(reqBytes, respBytes int) (int, error) {
 	f := c.faults
 	var lost int // bytes of the last faulted frame
-	attempts, err := f.pol.run(f.rng, func(n int) outcome {
+	attempts, err := f.pol.run(func(n int) outcome {
 		start := c.comm
 		for _, size := range [2]int{reqBytes, respBytes} {
 			c.msgs++

@@ -521,53 +521,6 @@ func TestOneMeasurementInEveryMode(t *testing.T) {
 	}
 }
 
-func TestTransportRemoteCall(t *testing.T) {
-	t.Parallel()
-	app := pipelineApp()
-	env := com.NewEnv(app)
-	storage, err := env.CreateInstance(nil, "CLSID_Storage")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stub := NewStub(env)
-	srv, err := Serve("127.0.0.1:0", stub.Handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	proxy := NewProxy(conn, app.Interfaces, "IStorage", storage.ID)
-	rets, err := proxy.Invoke("ReadBlock", idl.Int32(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rets) != 1 || len(rets[0].Bytes) != 4096 {
-		t.Fatalf("remote ReadBlock returned %v", rets)
-	}
-	// Errors propagate.
-	if _, err := proxy.Invoke("NoSuchMethod"); err == nil {
-		t.Error("unknown method succeeded remotely")
-	}
-	bogus := NewProxy(conn, app.Interfaces, "IStorage", 9999)
-	if _, err := bogus.Invoke("ReadBlock", idl.Int32(0)); err == nil {
-		t.Error("call to unknown instance succeeded")
-	}
-	// Ping round trips.
-	d, err := conn.Ping(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d <= 0 {
-		t.Errorf("ping duration = %v", d)
-	}
-}
-
 func TestReplayUnknownInstance(t *testing.T) {
 	t.Parallel()
 	trace := pipelineTrace(t, "small", 0)

@@ -1,53 +1,11 @@
 package dist
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/classify"
-	"repro/internal/idl"
 	"repro/internal/logger"
 )
-
-// FuzzDispatch hardens the server's request dispatcher against arbitrary
-// request payloads: whatever bytes arrive inside a well-framed request, the
-// dispatcher must never panic and must always produce a response with a
-// valid status byte. Run with `go test -fuzz FuzzDispatch ./internal/dist`
-// to explore beyond the seed corpus.
-func FuzzDispatch(f *testing.F) {
-	// Seeds: a valid call, a valid ping, and structured junk.
-	e := idl.NewEncoder()
-	for _, v := range []idl.Value{idl.String("IStorage"), idl.Int64(7), idl.String("ReadBlock"), idl.ByteBuf([]byte{1, 2, 3})} {
-		if err := e.Encode(v); err != nil {
-			f.Fatal(err)
-		}
-	}
-	f.Add(reqFrame(opCall, 0xFEED, 1, e.Bytes()))
-	f.Add(reqFrame(opPing, 0xFEED, 2, make([]byte, 128)))
-	f.Add(reqFrame(opCall, 0, 0, nil))
-	f.Add(reqFrame(99, 1, 3, []byte("unknown opcode")))
-	f.Add([]byte{})
-	f.Add([]byte{opCall})
-	f.Add(bytes.Repeat([]byte{0xFF}, 64))
-
-	f.Fuzz(func(t *testing.T, req []byte) {
-		s := &Server{calls: newDedup(), handler: func(_ string, _ uint64, _ string, args []byte) ([]byte, error) {
-			return args, nil
-		}}
-		resp := s.dispatch(req)
-		if len(resp) < 1 {
-			t.Fatalf("dispatch returned an empty response for %x", req)
-		}
-		if resp[0] != statusOK && resp[0] != statusErr {
-			t.Fatalf("dispatch returned invalid status %d for %x", resp[0], req)
-		}
-		// Dispatching the same bytes again must be idempotent (dedup for
-		// calls, pure echo for pings, same failure for garbage).
-		if again := s.dispatch(req); !bytes.Equal(resp, again) {
-			t.Fatalf("re-dispatch disagreed: %x vs %x", resp, again)
-		}
-	})
-}
 
 // FuzzReplay hardens the replayer against damaged traces. Each three bytes
 // of the input mutate a real trace, read back, once: drop, duplicate or

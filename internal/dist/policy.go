@@ -2,53 +2,39 @@ package dist
 
 import (
 	"fmt"
-	"math/rand"
-	"net"
+	"math"
 	"time"
 
 	"repro/internal/netsim"
 )
 
-// CallPolicy governs deadlines and retries for a call, on either clock:
-// the real transport's Conn sleeps its backoffs, the virtual clock charges
-// them. The server's at-most-once dedup (request sequence numbers) makes
-// retries safe: a retried call whose first attempt actually executed is
-// answered from the server's response cache, never re-executed.
+// CallPolicy governs deadlines and retries for a cross-machine call on the
+// virtual clock, which charges every deadline a lost frame runs out and
+// every backoff a retry waits.
 //
-// A zero Timeout, MaxAttempts or Backoff means DefaultCallPolicy's value;
-// a zero BackoffMax or JitterFrac is off.
+// A zero field means DefaultCallPolicy's value.
 type CallPolicy struct {
-	// Timeout is the per-attempt deadline covering one full round trip
-	// (connect if needed, write request, read response). On the virtual
-	// clock it is what a dropped frame costs.
+	// Timeout is the per-attempt deadline covering one full round trip:
+	// what a dropped frame costs.
 	Timeout time.Duration
 	// MaxAttempts is the total number of attempts; 1 disables retries.
 	MaxAttempts int
 	// Backoff is the delay before the first retry; it doubles per retry.
 	Backoff time.Duration
-	// BackoffMax caps the exponential backoff.
-	BackoffMax time.Duration
-	// JitterFrac randomizes each backoff by ±JitterFrac of its value,
-	// de-synchronizing retry storms. Drawn from the caller's seeded
-	// generator, so a seeded dial or a chaos run retries reproducibly.
-	JitterFrac float64
 }
 
-// DefaultCallPolicy returns the transport's default resilience policy:
-// bounded per-call deadlines with a few jittered-backoff retries. Its
-// Timeout, MaxAttempts and Backoff are what a zero field stands for.
+// DefaultCallPolicy returns what a zero CallPolicy field stands for:
+// bounded per-call deadlines with a few doubling-backoff retries.
 func DefaultCallPolicy() CallPolicy {
 	return CallPolicy{
 		Timeout:     2 * time.Second,
 		MaxAttempts: 4,
 		Backoff:     5 * time.Millisecond,
-		BackoffMax:  250 * time.Millisecond,
-		JitterFrac:  0.2,
 	}
 }
 
 // withDefaults gives a zero Timeout, MaxAttempts or Backoff its one
-// meaning, the default, for both drivers of the delivery machine.
+// meaning, the default.
 func (p CallPolicy) withDefaults() CallPolicy {
 	d := DefaultCallPolicy()
 	if p.Timeout <= 0 {
@@ -63,20 +49,28 @@ func (p CallPolicy) withDefaults() CallPolicy {
 	return p
 }
 
-// delay returns the backoff before retry number `retry` (1-based).
-func (p CallPolicy) delay(retry int, rng *rand.Rand) time.Duration {
-	d := p.Backoff
-	for i := 1; i < retry && (p.BackoffMax <= 0 || d < p.BackoffMax); i++ {
-		d *= 2
+// delay returns the backoff before retry number `retry` (1-based):
+// Backoff·2^(retry-1). FaultPolicy.validate refuses a policy whose last
+// backoff would not fit in a time.Duration.
+func (p CallPolicy) delay(retry int) time.Duration {
+	return p.Backoff << (retry - 1)
+}
+
+// fits reports whether one call's worst case under p, every attempt's
+// deadline and every backoff, MaxAttempts·Timeout +
+// Backoff·(2^(MaxAttempts-1) - 1), fits in a time.Duration. p must have
+// its defaults filled in.
+func (p CallPolicy) fits() bool {
+	const most = time.Duration(math.MaxInt64)
+	retries := p.MaxAttempts - 1
+	if retries >= 63 {
+		return false
 	}
-	if p.BackoffMax > 0 && d > p.BackoffMax {
-		d = p.BackoffMax
+	deadlines, doublings := most/time.Duration(p.MaxAttempts), time.Duration(1)<<retries-1
+	if p.Timeout > deadlines || doublings > 0 && p.Backoff > most/doublings {
+		return false
 	}
-	if p.JitterFrac > 0 && rng != nil {
-		f := 1 + p.JitterFrac*(2*rng.Float64()-1)
-		d = time.Duration(float64(d) * f)
-	}
-	return d
+	return p.Timeout*time.Duration(p.MaxAttempts) <= most-p.Backoff*doublings
 }
 
 // outcome is what one attempt of a call came to.
@@ -85,14 +79,12 @@ type outcome uint8
 const (
 	delivered outcome = iota // the reply arrived intact
 	dropped                  // the deadline expired: the request or the reply was lost
-	corrupted                // a frame failed its checksum, or the link was severed
-	refused                  // the server ran the call and answered with an error
-	closed                   // the caller closed the connection
+	corrupted                // a frame failed its checksum
 )
 
 // err is the typed error a call that ends on o gives up with.
 func (o outcome) err() error {
-	return [...]error{nil, ErrTimeout, ErrCorrupt, ErrRemote, net.ErrClosed}[o]
+	return [...]error{nil, ErrTimeout, ErrCorrupt}[o]
 }
 
 // fate maps one roll in [0, 1) to a frame's fate on a wire with the given
@@ -109,26 +101,23 @@ func fate(roll, drop, corrupt float64) outcome {
 
 // run is the delivery state machine of one call, and the one retry loop:
 // try performs attempt number `attempt` and reports its outcome. A
-// delivered attempt succeeds; a refused or closed one gives up at once; a
-// dropped or corrupted one is retried after wait(delay(attempt)) until
-// MaxAttempts are spent, then gives up with its typed error. It returns
-// the attempts made. p must have its defaults filled in.
-func (p CallPolicy) run(rng *rand.Rand, try func(attempt int) outcome, wait func(time.Duration)) (int, error) {
+// delivered attempt succeeds; a dropped or corrupted one is retried after
+// wait(delay(attempt)) until MaxAttempts are spent, then gives up with its
+// typed error. It returns the attempts made. p must have its defaults
+// filled in.
+func (p CallPolicy) run(try func(attempt int) outcome, wait func(time.Duration)) (int, error) {
 	for attempt := 1; ; attempt++ {
 		o := try(attempt)
-		if (o != dropped && o != corrupted) || attempt >= p.MaxAttempts {
+		if o == delivered || attempt >= p.MaxAttempts {
 			return attempt, o.err()
 		}
-		wait(p.delay(attempt, rng))
+		wait(p.delay(attempt))
 	}
 }
 
 // FaultPolicy configures fault simulation on the virtual clock (Run,
 // Replay): the wire's per-frame drop and corrupt rates, and the CallPolicy
-// every cross-machine call is delivered under. The clock feeds the same
-// state machine as the real transport's Conn, at the same round-trip
-// granularity and with the same zero-field defaults;
-// TestDeliveryMatchesTransport holds the two to each other call by call.
+// every cross-machine call is delivered under.
 type FaultPolicy struct {
 	// Drop and Corrupt are the probabilities, rolled once per frame, that
 	// the frame is lost or arrives with a bad checksum.
@@ -146,11 +135,17 @@ func ModelRates(m *netsim.Model) (drop, corrupt float64) {
 
 // validate rejects rates that are not probabilities: Drop and Corrupt each
 // in [0, 1], and at most 1 together, since one roll decides a frame's
-// fate. A NaN rate fails every comparison, so it is refused too.
+// fate. A NaN rate fails every comparison, so it is refused too. It also
+// rejects a call policy, its defaults filled in, whose worst-case call
+// would not fit in a time.Duration, so no backoff the clock charges wraps.
 func (p FaultPolicy) validate() error {
 	d, c := p.Drop, p.Corrupt
 	if !(d >= 0 && d <= 1 && c >= 0 && c <= 1 && d+c <= 1) {
 		return fmt.Errorf("dist: fault rates drop %v, corrupt %v: each must be in [0, 1] and their sum at most 1", d, c)
+	}
+	if cp := p.withDefaults(); !cp.fits() {
+		return fmt.Errorf("dist: call policy of %d attempt(s), timeout %v, backoff %v: one call's deadlines and backoffs overflow a time.Duration",
+			cp.MaxAttempts, cp.Timeout, cp.Backoff)
 	}
 	return nil
 }

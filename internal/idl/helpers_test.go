@@ -14,6 +14,9 @@ func Bool(b bool) Value {
 	return v
 }
 
+// Int64 constructs a 64-bit integer value.
+func Int64(n int64) Value { return Value{Type: TInt64, Int: n} }
+
 // ArrayVal constructs an array value.
 func ArrayVal(t *TypeDesc, elems ...Value) Value {
 	return Value{Type: t, Elems: elems}

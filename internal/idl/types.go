@@ -1,6 +1,6 @@
 // Package idl provides interface metadata for the synthetic component model:
 // type descriptors, method signatures, typed values, deep-copy size
-// measurement with DCOM semantics, and an NDR-like wire codec.
+// measurement with DCOM semantics, and remotability.
 //
 // In the original Coign system this role is played by the format strings and
 // marshaling code emitted by the Microsoft IDL compiler; the profiling
@@ -102,7 +102,7 @@ var (
 	TVoid    = &TypeDesc{Kind: KindVoid}
 	TBool    = &TypeDesc{Kind: KindBool} //lint:allow unusedexport closed set: one predeclared descriptor per scalar Kind
 	TInt32   = &TypeDesc{Kind: KindInt32}
-	TInt64   = &TypeDesc{Kind: KindInt64}
+	TInt64   = &TypeDesc{Kind: KindInt64} //lint:allow unusedexport closed set: one predeclared descriptor per scalar Kind
 	TFloat64 = &TypeDesc{Kind: KindFloat64}
 	TString  = &TypeDesc{Kind: KindString}
 	TBytes   = &TypeDesc{Kind: KindBytes}
@@ -219,28 +219,6 @@ type MethodDesc struct {
 	Params    []ParamDesc
 	Result    *TypeDesc // KindVoid if none
 	Cacheable bool
-}
-
-// InParams returns the descriptors of parameters that travel caller→callee.
-func (m *MethodDesc) InParams() []ParamDesc {
-	var ps []ParamDesc
-	for _, p := range m.Params {
-		if p.Dir == In || p.Dir == InOut {
-			ps = append(ps, p)
-		}
-	}
-	return ps
-}
-
-// OutParams returns the descriptors of parameters that travel callee→caller.
-func (m *MethodDesc) OutParams() []ParamDesc {
-	var ps []ParamDesc
-	for _, p := range m.Params {
-		if p.Dir == Out || p.Dir == InOut {
-			ps = append(ps, p)
-		}
-	}
-	return ps
 }
 
 // InterfaceDesc describes a component interface: an IID, a name, and an

@@ -71,25 +71,6 @@ func TestRemotable(t *testing.T) {
 	}
 }
 
-func TestMethodParamDirections(t *testing.T) {
-	t.Parallel()
-	m := MethodDesc{
-		Name: "Transform",
-		Params: []ParamDesc{
-			{Name: "src", Dir: In, Type: TBytes},
-			{Name: "opts", Dir: InOut, Type: TInt32},
-			{Name: "dst", Dir: Out, Type: TBytes},
-		},
-		Result: TInt32,
-	}
-	if got := len(m.InParams()); got != 2 {
-		t.Errorf("InParams = %d, want 2", got)
-	}
-	if got := len(m.OutParams()); got != 2 {
-		t.Errorf("OutParams = %d, want 2", got)
-	}
-}
-
 func TestInterfaceDescMethodLookup(t *testing.T) {
 	t.Parallel()
 	d := &InterfaceDesc{

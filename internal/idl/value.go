@@ -32,9 +32,6 @@ type Value struct {
 // Int32 constructs a 32-bit integer value.
 func Int32(n int32) Value { return Value{Type: TInt32, Int: int64(n)} }
 
-// Int64 constructs a 64-bit integer value.
-func Int64(n int64) Value { return Value{Type: TInt64, Int: n} }
-
 // Float64 constructs a double value.
 func Float64(f float64) Value { return Value{Type: TFloat64, Float: f} }
 
@@ -85,7 +82,7 @@ func (v Value) AsInt() int64 { return v.Int }
 func (v Value) AsString() string { return v.Str }
 
 // Validate checks that the value's payload matches its type descriptor,
-// recursively. It is used by the stubs to reject malformed calls.
+// recursively. com.Env uses it to reject malformed calls.
 func (v Value) Validate() error {
 	if v.Type == nil {
 		return errors.New("idl: value has nil type")

@@ -33,8 +33,8 @@ type ProfilePoint struct {
 var DefaultSampleSizes = []int{0, 64, 256, 1024, 4096, 16384, 65536, 262144}
 
 // MeasureFunc observes the one-way time of a single message of the given
-// payload size. Implementations exist for simulated models
-// (Model.SampleMessageTime) and for the loopback-TCP transport.
+// payload size, as a simulated model's jittered message time
+// (Model.SampleMessageTime) does.
 type MeasureFunc func(size int) time.Duration
 
 // Sample builds a profile by taking `samples` observations at each size and

@@ -487,7 +487,7 @@ func TestMeasureMessage(t *testing.T) {
 	if in != DCOMHeaderBytes || out != DCOMHeaderBytes || nonRemotable {
 		t.Errorf("empty call = %d/%d non-remotable %v", in, out, nonRemotable)
 	}
-	vals := []idl.Value{idl.String("abcd"), idl.Int64(1)}
+	vals := []idl.Value{idl.String("abcd"), idl.Value{Type: idl.TInt64, Int: 1}}
 	if in, out, _ = measure(remotable, vals, vals); in != DCOMHeaderBytes+8+8 || out != in {
 		t.Errorf("message = %d/%d, want %d", in, out, DCOMHeaderBytes+8+8)
 	}
@@ -496,7 +496,7 @@ func TestMeasureMessage(t *testing.T) {
 func TestMeasureDeepCopySize(t *testing.T) {
 	t.Parallel()
 	remotable := &idl.InterfaceDesc{IID: "IReader", Remotable: true}
-	args := []idl.Value{idl.String("abcd"), idl.Int64(1), idl.IfacePtr(fakePtr{3}), idl.IfacePtr(nil)}
+	args := []idl.Value{idl.String("abcd"), idl.Value{Type: idl.TInt64, Int: 1}, idl.IfacePtr(fakePtr{3}), idl.IfacePtr(nil)}
 	rets := []idl.Value{idl.Zeros(1000), idl.Int32(0)}
 	in, out, nonRemotable := measure(remotable, args, rets)
 	// A string is its length prefix and bytes; a nil pointer is a marker.
