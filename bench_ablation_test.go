@@ -101,7 +101,7 @@ func BenchmarkAblationNetworkProfile(b *testing.B) {
 	var cmp *netProfileComparison
 	for i := 0; i < b.N; i++ {
 		var err error
-		cmp, err = compareNetworkProfile("o_oldtb3", 25)
+		cmp, err = compareNetworkProfile("o_oldtb3")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -255,14 +255,12 @@ type netProfileComparison struct {
 
 // compareNetworkProfile analyzes one scenario under a statistically
 // sampled network profile and under the exact model means.
-func compareNetworkProfile(scenName string, samples int) (*netProfileComparison, error) {
+func compareNetworkProfile(scenName string) (*netProfileComparison, error) {
 	run, err := pipeline.Run(context.Background(), pipeline.Spec{Scenarios: []string{scenName}})
 	if err != nil {
 		return nil, err
 	}
 	adps, p := run.ADPS, run.Profile
-	adps.Samples = samples
-	adps.NetProfile = nil // re-sample the network with the requested count
 	sampled, err := adps.Analyze(context.Background(), p)
 	if err != nil {
 		return nil, err
@@ -313,7 +311,7 @@ func TestCompareBucketing(t *testing.T) {
 
 func TestCompareNetworkProfile(t *testing.T) {
 	t.Parallel()
-	cmp, err := compareNetworkProfile("o_oldtb3", 25)
+	cmp, err := compareNetworkProfile("o_oldtb3")
 	if err != nil {
 		t.Fatal(err)
 	}

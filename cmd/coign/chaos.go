@@ -17,7 +17,8 @@ import (
 // configured (or model-derived) rates and calls are retried with backoff.
 // The same seed always produces the same fault schedule. With -trace it
 // first prints the run's fault records, read back from its stored trace,
-// also when a call gave up and failed the run.
+// also when a call gave up and failed the run. A run that gives up on a
+// call, or whose virtual clock overflows, prints as a FAILED outcome.
 func cmdChaos(_ context.Context, args []string, w io.Writer) error {
 	fs := newFlags("chaos")
 	scen := fs.String("scenario", "o_oldwp7", "scenario to run")
@@ -57,7 +58,7 @@ func cmdChaos(_ context.Context, args []string, w io.Writer) error {
 		cfg.Trace = logger.NewTrace()
 	}
 	res, err := dist.Run(cfg)
-	if err != nil && !errors.Is(err, dist.ErrTimeout) {
+	if err != nil && !errors.Is(err, dist.ErrTimeout) && !errors.Is(err, dist.ErrClockOverflow) {
 		return err
 	}
 	if *trace {

@@ -26,6 +26,9 @@ func TestChaosFaultFlags(t *testing.T) {
 		{[]string{"-attempts", "41", "-backoff", "10ms"}, "call policy of 41 attempt(s), timeout 250ms, backoff 10ms: one call's deadlines and backoffs overflow a time.Duration"},
 		{[]string{"-drop", "0.5", "-attempts", "1"}, "o_oldwp7 on 10BaseT (drop 50.0%, corrupt 5.0%, 1 attempt(s), seed 1)\n"},
 		{[]string{"-from-model", "-network", "ISDN"}, "o_oldwp7 on ISDN (drop 0.5%, corrupt 0.1%, 4 attempt(s), seed 1)\n"},
+		// Every call gives up after ~524,287 h of backoff: the clock
+		// overflows, and that is a reported outcome too.
+		{[]string{"-drop", "1", "-corrupt", "0", "-attempts", "20", "-timeout", "1s", "-backoff", "1h"}, "o_oldwp7 on 10BaseT (drop 100.0%, corrupt 0.0%, 20 attempt(s), seed 1)\n"},
 	} {
 		var out bytes.Buffer
 		err := cmdChaos(context.Background(), c.args, &out)

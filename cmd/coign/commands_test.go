@@ -23,7 +23,7 @@ import (
 // is `coign cut -scenario o_newdoc,o_oldtb3 -v` at that commit; for the
 // anonymous log the instance, time and server lines are that commit's
 // `analyze -v` numbers. The chaos text is what it printed once the virtual
-// clock retried whole round trips, as the real transport does. The .icc
+// clock retried whole round trips. The .icc
 // digests are of that commit's logs with their "instances" member
 // removed, since a profile holds no per-instance detail. The .img digests
 // are of that commit's images with the configuration record's interface

@@ -13,15 +13,14 @@
 //	internal/idl       interface metadata, deep-copy measurement, remotability
 //	internal/com       the synthetic component object model
 //	internal/binimg    application binary images and the binary rewriter
-//	internal/rte       the Coign runtime executive (traps, wrapping, shadow stack, call sizing)
+//	internal/rte       the Coign runtime executive (traps, shadow stack, call sizing)
 //	internal/logger    the information logger: one trace, the profile a fold over it
 //	internal/classify  the seven instance classifiers
 //	internal/profile   ICC profiles, size buckets, communication vectors
 //	internal/netsim    network models and the network profiler
 //	internal/graph     push-relabel min-cut, Edmonds-Karp oracle
 //	internal/analysis  the profile analysis engine and constraint inference
-//	internal/factory   the component factory that realizes distributions
-//	internal/dist      the two-machine execution engine, virtual clock, replayer
+//	internal/dist      the two-machine execution engine, component factory, virtual clock, replayer
 //	internal/core      the end-to-end ADPS pipeline
 //	internal/apps/...  reconstructions of Octarine, PhotoDraw, and Benefits
 //	internal/scenario  the 23-scenario profiling suite of Table 1

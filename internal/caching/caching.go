@@ -27,19 +27,18 @@ type key struct {
 	digest uint64
 }
 
+// maxEntries bounds a cache; a full cache stores nothing more.
+const maxEntries = 1 << 16
+
 // Cache is a proxy-side result cache for cacheable interface methods.
 type Cache struct {
 	entries map[key][]idl.Value
-	max     int
 	hits    int64
 }
 
-// New returns a cache bounded to max entries (0 means a generous default).
-func New(max int) *Cache {
-	if max <= 0 {
-		max = 1 << 16
-	}
-	return &Cache{entries: make(map[key][]idl.Value), max: max}
+// New returns an empty cache bounded to maxEntries entries.
+func New() *Cache {
+	return &Cache{entries: make(map[key][]idl.Value)}
 }
 
 // Hits returns how many cross-machine calls were answered locally.
@@ -62,7 +61,7 @@ func (c *Cache) Lookup(inst uint64, method string, args []idl.Value) ([]idl.Valu
 // Store records the results of an invocation. Results containing opaque
 // values are not stored (they cannot be replayed across machines).
 func (c *Cache) Store(inst uint64, method string, args, rets []idl.Value) {
-	if len(c.entries) >= c.max {
+	if len(c.entries) >= maxEntries {
 		return
 	}
 	d, ok := digest(args)

@@ -8,7 +8,7 @@ import (
 
 func TestLookupStoreRoundTrip(t *testing.T) {
 	t.Parallel()
-	c := New(0)
+	c := New()
 	args := []idl.Value{idl.Int32(7)}
 	if _, hit := c.Lookup(1, "Query", args); hit {
 		t.Fatal("hit on empty cache")
@@ -26,7 +26,7 @@ func TestLookupStoreRoundTrip(t *testing.T) {
 
 func TestKeyDiscrimination(t *testing.T) {
 	t.Parallel()
-	c := New(0)
+	c := New()
 	c.Store(1, "Query", []idl.Value{idl.Int32(7)}, []idl.Value{idl.Int32(1)})
 	// Different argument.
 	if _, hit := c.Lookup(1, "Query", []idl.Value{idl.Int32(8)}); hit {
@@ -44,7 +44,7 @@ func TestKeyDiscrimination(t *testing.T) {
 
 func TestRichArgumentDigests(t *testing.T) {
 	t.Parallel()
-	c := New(0)
+	c := New()
 	pt := idl.Struct("P", idl.Field("a", idl.TString), idl.Field("b", idl.TBytes))
 	argsA := []idl.Value{idl.StructVal(pt, idl.String("x"), idl.ByteBuf([]byte{1, 2}))}
 	argsB := []idl.Value{idl.StructVal(pt, idl.String("x"), idl.ByteBuf([]byte{1, 3}))}
@@ -67,7 +67,7 @@ func (p fakePtr) InstanceID() uint64 { return p.id }
 
 func TestInterfacePointerArgs(t *testing.T) {
 	t.Parallel()
-	c := New(0)
+	c := New()
 	a := []idl.Value{idl.IfacePtr(fakePtr{"I", 1})}
 	b := []idl.Value{idl.IfacePtr(fakePtr{"I", 2})}
 	c.Store(1, "M", a, []idl.Value{idl.Int32(1)})
@@ -81,7 +81,7 @@ func TestInterfacePointerArgs(t *testing.T) {
 
 func TestOpaqueArgumentsNeverCached(t *testing.T) {
 	t.Parallel()
-	c := New(0)
+	c := New()
 	args := []idl.Value{idl.OpaquePtr("shm")}
 	c.Store(1, "M", args, []idl.Value{idl.Int32(1)})
 	if c.Len() != 0 {
@@ -94,7 +94,7 @@ func TestOpaqueArgumentsNeverCached(t *testing.T) {
 
 func TestOpaqueResultsNeverCached(t *testing.T) {
 	t.Parallel()
-	c := New(0)
+	c := New()
 	c.Store(1, "M", []idl.Value{idl.Int32(1)}, []idl.Value{idl.OpaquePtr("shm")})
 	if c.Len() != 0 {
 		t.Fatal("opaque results stored")
@@ -103,11 +103,11 @@ func TestOpaqueResultsNeverCached(t *testing.T) {
 
 func TestCapacityBound(t *testing.T) {
 	t.Parallel()
-	c := New(2)
-	for i := 0; i < 5; i++ {
+	c := New()
+	for i := 0; i < maxEntries+3; i++ {
 		c.Store(1, "M", []idl.Value{idl.Int32(int32(i))}, []idl.Value{idl.Int32(1)})
 	}
-	if c.Len() > 2 {
-		t.Fatalf("cache exceeded bound: %d", c.Len())
+	if c.Len() != maxEntries {
+		t.Fatalf("cache holds %d entries, want its bound %d", c.Len(), maxEntries)
 	}
 }

@@ -119,12 +119,12 @@ func TestNestedCallsKeepTheirArgs(t *testing.T) {
 	t.Parallel()
 	innerCalls := 0
 	env := com.NewEnv(nestedApp(&innerCalls))
-	cache := caching.New(0)
+	cache := caching.New()
 	r, err := rte.Attach(env, rte.Options{
 		Table: classify.NewTable(classify.New(classify.IFCB, 0)),
-		Placer: rte.PlacerFunc(func(_ string, cl *com.Class, _ com.Machine) com.Machine {
+		Placer: func(_ string, cl *com.Class, _ com.Machine) com.Machine {
 			return cl.Home
-		}),
+		},
 		Comm:  nullComm{},
 		Cache: cache,
 	})

@@ -64,9 +64,6 @@ type ADPS struct {
 	// Alias is the points-to analysis over opaque payloads, derived on
 	// demand by EnableAlias (nil until then).
 	Alias *alias.Result
-	// Samples is the number of observations per message size in network
-	// profiling.
-	Samples int
 	// Seed drives all stochastic components reproducibly.
 	Seed int64
 
@@ -84,7 +81,6 @@ func New(app *com.App) *ADPS {
 		Network:        netsim.TenBaseT,
 		Image:          binimg.BuildImage(app),
 		ClassifierKind: classify.IFCB,
-		Samples:        25,
 		Seed:           1,
 	}
 	a.err = a.scan()
@@ -164,13 +160,17 @@ func (a *ADPS) Instrument() error {
 	return nil
 }
 
+// networkSamples is the number of observations per message size the
+// network profiler takes.
+const networkSamples = 25
+
 // ProfileNetwork runs the network profiler, statistically sampling message
 // times for representative DCOM message sizes over the configured network.
-// The sample depends on the network, the session seed and Samples, not on
-// the application: netsim.Sampled takes it once per process and every
-// session with the same three shares it, read-only, as its NetProfile.
+// The sample depends on the network and the session seed, not on the
+// application: netsim.Sampled takes it once per process and every session
+// with the same two shares it, read-only, as its NetProfile.
 func (a *ADPS) ProfileNetwork() error {
-	np, err := netsim.Sampled(a.Network, a.Seed, a.Samples)
+	np, err := netsim.Sampled(a.Network, a.Seed, networkSamples)
 	if err != nil {
 		return err
 	}

@@ -304,7 +304,7 @@ func TestImageRoundTripThroughDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dres.AppPerMachine[1] == 0 { // com.Server
+	if dres.AppPerMachine[com.Server] == 0 {
 		t.Error("distribution loaded from disk placed nothing on the server")
 	}
 }

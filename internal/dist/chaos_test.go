@@ -3,9 +3,11 @@ package dist
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/classify"
 	"repro/internal/com"
@@ -154,6 +156,51 @@ func TestReplayWithFaultsChargesRetransmissions(t *testing.T) {
 	}
 	if priced(again) != priced(faulted) {
 		t.Fatalf("same seed, different replay: %s vs %s", priced(again), priced(faulted))
+	}
+}
+
+// overflowPolicy is a policy validate accepts whose every call gives up
+// after 20 attempts, 20 s of deadlines and Backoff·(2^19 - 1) ≈ 524,287 h
+// of backoff: four give-ups fit in a time.Duration, the fifth does not.
+var overflowPolicy = FaultPolicy{Drop: 1, CallPolicy: CallPolicy{Timeout: time.Second, MaxAttempts: 20, Backoff: time.Hour}}
+
+// TestClockOverflowIsAnError: a charge that would carry the clock past the
+// largest time.Duration is refused and becomes the clock's error, so its
+// times never wrap negative, and Run and Replay return that error with
+// their priced Result.
+func TestClockOverflowIsAnError(t *testing.T) {
+	t.Parallel()
+	if err := overflowPolicy.validate(); err != nil {
+		t.Fatalf("the policy must be one validate accepts: %v", err)
+	}
+	c := NewClock(netsim.TenBaseT, nil)
+	c.SetFaults(overflowPolicy, rand.New(rand.NewSource(1)), nil)
+	for i := 1; i <= 5; i++ {
+		before := c.CommTime()
+		c.RemoteCall(com.Client, com.Server, 100, 100)
+		if c.CommTime() < before || c.Elapsed() < 0 {
+			t.Fatalf("call %d: comm %v after %v, elapsed %v", i, c.CommTime(), before, c.Elapsed())
+		}
+		if overflowed := errors.Is(c.err, ErrClockOverflow); overflowed != (i == 5) {
+			t.Fatalf("call %d: clock error %v", i, c.err)
+		}
+	}
+
+	trace := pipelineTrace(t, "big", 7)
+	cfg := Config{App: pipelineApp(), Scenario: "big", Seed: 7, Mode: ModeDefault,
+		Classifier: classify.New(classify.IFCB, 0), Faults: &overflowPolicy}
+	run, runErr := Run(cfg)
+	rep, repErr := Replay(cfg, trace)
+	for what, c := range map[string]struct {
+		res *Result
+		err error
+	}{"Run": {run, runErr}, "Replay": {rep, repErr}} {
+		if !errors.Is(c.err, ErrClockOverflow) {
+			t.Fatalf("%s: err = %v, want ErrClockOverflow", what, c.err)
+		}
+		if c.res == nil || c.res.FaultGiveUps < 5 || c.res.Clock.CommTime() < 0 || c.res.Clock.Elapsed() < 0 {
+			t.Fatalf("%s returned %+v with its error, want the run priced up to the overflow", what, c.res)
+		}
 	}
 }
 

@@ -7,6 +7,8 @@
 package dist
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -20,6 +22,10 @@ import (
 // every cross-machine call blocks for a full round trip, so elapsed time
 // is the sum of compute time on all machines plus communication time —
 // matching the paper's single-user client/server scenarios.
+//
+// Every charge goes through add, which keeps compute + comm within a
+// time.Duration: the first charge that would pass it is refused and
+// becomes the clock's err, and the clock charges nothing after it.
 type Clock struct {
 	net     *netsim.Model
 	rng     *rand.Rand
@@ -28,6 +34,7 @@ type Clock struct {
 	comm    time.Duration
 	msgs    int64
 	bytes   int64
+	err     error // wraps ErrClockOverflow
 }
 
 // NewClock returns a clock over the given network model. When rng is
@@ -40,7 +47,19 @@ func NewClock(net *netsim.Model, rng *rand.Rand) *Clock {
 // Compute implements com.ComputeClock. Compute on every machine adds to
 // one total, the only compute figure anything reads.
 func (c *Clock) Compute(_ com.Machine, d time.Duration) {
-	c.compute += d
+	c.add(&c.compute, d)
+}
+
+// add charges d to sum, c.compute or c.comm, as the Clock doc says.
+func (c *Clock) add(sum *time.Duration, d time.Duration) {
+	if c.err != nil {
+		return
+	}
+	if d > math.MaxInt64-(c.compute+c.comm) {
+		c.err = fmt.Errorf("%w: %v more on %v compute and %v communication", ErrClockOverflow, d, c.compute, c.comm)
+		return
+	}
+	*sum += d
 }
 
 // SetFaults enables message-level fault simulation: every subsequent
@@ -61,7 +80,8 @@ func (c *Clock) SetFaults(pol FaultPolicy, rng *rand.Rand, sink *logger.Trace) {
 func (c *Clock) RemoteCall(from, to com.Machine, reqBytes, respBytes int) {
 	c.bytes += int64(reqBytes + respBytes)
 	if c.faults == nil {
-		c.comm += c.net.SampleMessageTime(reqBytes, c.rng) + c.net.SampleMessageTime(respBytes, c.rng)
+		c.add(&c.comm, c.net.SampleMessageTime(reqBytes, c.rng))
+		c.add(&c.comm, c.net.SampleMessageTime(respBytes, c.rng))
 		c.msgs += 2
 		return
 	}
@@ -106,9 +126,9 @@ func (c *Clock) deliver(reqBytes, respBytes int) (int, error) {
 			c.msgs++
 			o := fate(f.rng.Float64(), f.pol.Drop, f.pol.Corrupt)
 			if o == dropped {
-				c.comm += f.pol.Timeout
+				c.add(&c.comm, f.pol.Timeout)
 			} else {
-				c.comm += c.net.SampleMessageTime(size, c.rng)
+				c.add(&c.comm, c.net.SampleMessageTime(size, c.rng))
 			}
 			if o != delivered {
 				f.faulted[o]++
@@ -120,7 +140,7 @@ func (c *Clock) deliver(reqBytes, respBytes int) (int, error) {
 		return delivered
 	}, func(d time.Duration) {
 		f.retries++
-		c.comm += d
+		c.add(&c.comm, d)
 	})
 	if err != nil {
 		f.giveups++

@@ -326,6 +326,62 @@ func TestRunCoignUnknownClassificationFallback(t *testing.T) {
 	}
 }
 
+// TestFactoryPlaces holds the component factory's one placement function
+// to its rules in each mode, and its counters to exactly the relocations
+// and unknown classifications it saw.
+func TestFactoryPlaces(t *testing.T) {
+	t.Parallel()
+	app := &com.Class{Name: "App", Home: com.Client}
+	remote := &com.Class{Name: "Remote", Home: com.Server}
+	infra := &com.Class{Name: "Infra", Home: com.Server, Infrastructure: true}
+	type placement struct {
+		classification string
+		class          *com.Class
+		creator, want  com.Machine
+	}
+	for _, tc := range []struct {
+		name                 string
+		fac                  factory
+		placements           []placement
+		relocations, unknown int64
+	}{{
+		name: "default sends every class home",
+		fac:  factory{mode: ModeDefault},
+		placements: []placement{
+			{"a", app, com.Server, com.Client},
+			{"b", remote, com.Client, com.Server},
+			{"c", infra, com.Client, com.Server},
+		},
+	}, {
+		name: "coign follows the map",
+		fac: factory{mode: ModeCoign, dist: map[string]com.Machine{
+			"a": com.Server, "b": com.Client, "infra": com.Client}},
+		placements: []placement{
+			{"a", app, com.Client, com.Server},                // mapped away from its creator and Home
+			{"a", app, com.Server, com.Server},                // mapped to where its creator is
+			{"b", remote, com.Server, com.Client},             // mapped away from its Home
+			{"mystery", app, com.Server, com.Server},          // unknown: follows its creator, not Home
+			{"mystery", remote, com.Client, com.Client},       // unknown: follows its creator, not Home
+			{"infra", infra, com.Client, com.Server},          // infrastructure stays Home though mapped away
+			{"unmapped-infra", infra, com.Client, com.Server}, // infrastructure never consults the map
+		},
+		relocations: 2,
+		unknown:     2,
+	}} {
+		f := tc.fac
+		for _, p := range tc.placements {
+			if got := f.place(p.classification, p.class, p.creator); got != p.want {
+				t.Errorf("%s: %s (%s) from %v placed on %v, want %v",
+					tc.name, p.classification, p.class.Name, p.creator, got, p.want)
+			}
+		}
+		if f.relocations != tc.relocations || f.unknown != tc.unknown {
+			t.Errorf("%s: %d relocations, %d unknown; want %d and %d",
+				tc.name, f.relocations, f.unknown, tc.relocations, tc.unknown)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	t.Parallel()
 	if _, err := Run(Config{}); err == nil {

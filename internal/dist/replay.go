@@ -11,10 +11,11 @@ import (
 // Replay is Run without the application: it walks an event-logger trace
 // (paper §3.3: logs from the event logger "drive detailed application
 // simulations") and places and prices it exactly as Run would under cfg,
-// with the same clock, placer and Result. Each instance is placed when its
-// instantiation is reached, with its creator's machine as Run's factory
-// sees it; a remote instantiation and every call whose endpoints land on
-// different machines go to Clock.RemoteCall. A trace recorded at cfg.Seed
+// with the same clock, component factory and Result. Each instance is
+// placed when its instantiation is reached, by one factory.place call
+// with its creator's machine as Run's factory sees it; a remote
+// instantiation and every call whose endpoints land on different machines
+// go to Clock.RemoteCall. A trace recorded at cfg.Seed
 // of cfg.App, scenario cfg.Scenario, replays to Run(cfg)'s CommTime,
 // counts, placements and fault counters exactly. The trace carries the
 // classifications, so cfg.Classifier is not consulted, and nothing is
@@ -35,11 +36,11 @@ func Replay(cfg Config, trace *logger.Trace) (*Result, error) {
 	case cfg.EnableCaching:
 		return nil, fmt.Errorf("dist: a trace cannot price caching: hits depend on argument values it does not carry")
 	}
-	clock, placer, fac, err := machinery(cfg, nil)
+	clock, fac, err := machinery(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	res := newResult(clock)
+	res := &Result{Clock: clock}
 	// machineOf is indexed by the dense instance id: the runtime numbers a
 	// run's instances 1, 2, 3, ... in instantiation order, and 0 is the
 	// main program.
@@ -62,9 +63,9 @@ func Replay(cfg Config, trace *logger.Trace) (*Result, error) {
 			case in.ID != next:
 				return nil, fmt.Errorf("dist: trace instantiates instance %d out of order, want id %d", in.ID, next)
 			}
-			m := placer.Place(in.Classification, class, creator)
+			m := fac.place(in.Classification, class, creator)
 			machineOf = append(machineOf, m)
-			res.place(class, m)
+			res.count(class, m)
 			if m != creator {
 				req, resp := rte.ActivationBytes(class)
 				clock.RemoteCall(creator, m, req, resp)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/caching"
 	"repro/internal/classify"
 	"repro/internal/com"
-	"repro/internal/factory"
 	"repro/internal/logger"
 	"repro/internal/netsim"
 	"repro/internal/profile"
@@ -36,7 +35,7 @@ const (
 	ModeProfiling
 	// ModeCoign runs the application in a Coign-chosen distribution: the
 	// null logger and the component factory enforcing the
-	// classification→machine map.
+	// classification→machine map (see factory.place).
 	ModeCoign
 )
 
@@ -79,13 +78,13 @@ type Result struct {
 	Profile    *profile.Profile // folded from the run's events: ModeProfiling, or with Config.Trace
 	Trace      *logger.Trace    // Config.Trace
 	Instances  int
-	PerMachine map[com.Machine]int
+	PerMachine [2]int // indexed by com.Machine
 	// AppInstances and AppPerMachine exclude infrastructure components
 	// (the file server's storage, the database engine), which are part of
 	// the environment rather than of the application being partitioned —
 	// the paper's figures count only application components.
 	AppInstances  int
-	AppPerMachine map[com.Machine]int
+	AppPerMachine [2]int
 	Violations    int
 	// Relocations and Unknown are component-factory counters (ModeCoign).
 	Relocations int64
@@ -106,23 +105,51 @@ type Result struct {
 	FaultGiveUps     int64
 }
 
-// homePlacer realizes the developer's default distribution: every class at
-// its Home machine.
-var homePlacer = rte.PlacerFunc(func(_ string, cl *com.Class, _ com.Machine) com.Machine {
-	return cl.Home
-})
+// factory is the component factory (paper §3.5). Its place method is the
+// one function that decides where an instantiation request is fulfilled,
+// in Run and Replay alike. Real Coign runs a peer factory on every
+// machine, each forwarding requests to the others; here one factory
+// places every instance and the clock charges the forwarded request.
+type factory struct {
+	mode Mode
+	dist map[string]com.Machine // the classification→machine map (ModeCoign)
+
+	relocations int64 // requests moved away from their creator's machine
+	unknown     int64 // classifications the map did not name
+}
+
+// place decides where an instantiation of class, classified as
+// classification and requested from creator, is fulfilled. In ModeDefault
+// every class goes to its Home: the developer's default distribution. In
+// ModeCoign an infrastructure class goes to its Home whatever the map
+// says, a profiled classification goes to its mapped machine, and an
+// unknown one (a "new classification" in the sense of paper Table 2)
+// follows its creator: an unknown component at worst stays local.
+func (f *factory) place(classification string, class *com.Class, creator com.Machine) com.Machine {
+	if f.mode == ModeDefault || class.Infrastructure {
+		return class.Home
+	}
+	target, known := f.dist[classification]
+	if !known {
+		f.unknown++
+		target = creator
+	}
+	if target != creator {
+		f.relocations++
+	}
+	return target
+}
 
 // machinery builds what an execution under cfg is placed and priced by, for
 // Run and Replay alike: the clock (message jitter and, in ModeDefault and
-// ModeCoign, cfg.Faults reporting to sink, each seeded from cfg.Seed) and
-// the placer (classes at Home in ModeDefault; in ModeCoign the factory
-// realizing the map, returned for its counters, with infrastructure
-// classes at Home whatever the map says; the creator's machine otherwise).
-// A fault policy whose rates are not probabilities is refused in any mode.
-func machinery(cfg Config, sink *logger.Trace) (*Clock, rte.Placer, *factory.Factory, error) {
+// ModeCoign, cfg.Faults reporting to sink, each seeded from cfg.Seed) and,
+// in ModeDefault and ModeCoign, the component factory. ModeBare and
+// ModeProfiling get no factory: every instance follows its creator. A
+// fault policy whose rates are not probabilities is refused in any mode.
+func machinery(cfg Config, sink *logger.Trace) (*Clock, *factory, error) {
 	if cfg.Faults != nil {
 		if err := cfg.Faults.validate(); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	net := cfg.Network
@@ -135,47 +162,25 @@ func machinery(cfg Config, sink *logger.Trace) (*Clock, rte.Placer, *factory.Fac
 	}
 	//lint:allow ctxthread the clock of a simulation is built here, once, and threaded everywhere else.
 	clock := NewClock(net, rng)
-	var placer rte.Placer
-	var fac *factory.Factory
 	switch cfg.Mode {
 	case ModeBare, ModeProfiling:
-		return clock, rte.FollowCreator, nil, nil
+		return clock, nil, nil
 	case ModeDefault:
-		placer = homePlacer
 	case ModeCoign:
 		if len(cfg.Distribution) == 0 {
-			return nil, nil, nil, fmt.Errorf("dist: ModeCoign requires a distribution map")
+			return nil, nil, fmt.Errorf("dist: ModeCoign requires a distribution map")
 		}
-		var err error
-		if fac, err = factory.New(cfg.Distribution); err != nil {
-			return nil, nil, nil, err
-		}
-		placer = rte.PlacerFunc(func(classification string, cl *com.Class, creator com.Machine) com.Machine {
-			if cl.Infrastructure {
-				return cl.Home
-			}
-			return fac.Place(classification, cl, creator)
-		})
 	default:
-		return nil, nil, nil, fmt.Errorf("dist: unknown mode %d", cfg.Mode)
+		return nil, nil, fmt.Errorf("dist: unknown mode %d", cfg.Mode)
 	}
 	if cfg.Faults != nil {
 		clock.SetFaults(*cfg.Faults, rand.New(rand.NewSource(cfg.Seed^0x0fa17)), sink)
 	}
-	return clock, placer, fac, nil
+	return clock, &factory{mode: cfg.Mode, dist: cfg.Distribution}, nil
 }
 
-// newResult returns an empty result over clock.
-func newResult(clock *Clock) *Result {
-	return &Result{
-		Clock:         clock,
-		PerMachine:    make(map[com.Machine]int),
-		AppPerMachine: make(map[com.Machine]int),
-	}
-}
-
-// place counts one instance of class on machine m.
-func (res *Result) place(class *com.Class, m com.Machine) {
+// count counts one instance of class on machine m.
+func (res *Result) count(class *com.Class, m com.Machine) {
 	res.Instances++
 	res.PerMachine[m]++
 	if !class.Infrastructure {
@@ -185,17 +190,21 @@ func (res *Result) place(class *com.Class, m com.Machine) {
 }
 
 // settle copies the clock's and the factory's counters into res and fails
-// the execution if a call exhausted its attempt budget. A failed execution
-// still returns res, priced up to its end, with the error: the faults and
-// the time it cost are the report of a chaos run that gave up.
-func settle(cfg Config, res *Result, fac *factory.Factory) (*Result, error) {
+// the execution if its virtual clock overflowed or a call exhausted its
+// attempt budget. A failed execution still returns res, priced up to its
+// end (or, on overflow, up to the last charge that fit), with the error:
+// the faults and the time it cost are the report of a chaos run that gave
+// up.
+func settle(cfg Config, res *Result, fac *factory) (*Result, error) {
 	f := res.Clock.faults
 	if f != nil {
 		res.Retries, res.FaultDrops, res.FaultCorruptions, res.FaultGiveUps = f.retries, f.faulted[dropped], f.faulted[corrupted], f.giveups
 	}
 	if fac != nil {
-		res.Relocations = fac.Relocations()
-		res.Unknown = fac.Unknown()
+		res.Relocations, res.Unknown = fac.relocations, fac.unknown
+	}
+	if err := res.Clock.err; err != nil {
+		return res, fmt.Errorf("dist: scenario %s: %w", cfg.Scenario, err)
 	}
 	if res.FaultGiveUps > 0 {
 		return res, fmt.Errorf("dist: scenario %s: %d call(s) undeliverable after %d attempt(s): %w",
@@ -220,24 +229,26 @@ func Run(cfg Config) (*Result, error) {
 	if log == nil && cfg.Mode == ModeProfiling {
 		log = new(logger.Trace) // folds the profile, stores no event
 	}
-	clock, placer, fac, err := machinery(cfg, cfg.Trace)
+	clock, fac, err := machinery(cfg, cfg.Trace)
 	if err != nil {
 		return nil, err
 	}
 	env := com.NewEnv(cfg.App)
 	env.SetClock(clock)
-	res := newResult(clock)
+	res := &Result{Clock: clock}
 
 	// ModeBare runs the original binary: no runtime is attached.
 	var r *rte.RTE
 	var cache *caching.Cache
 	if cfg.Mode != ModeBare {
-		// Profiling runs on the non-distributed application: nothing crosses.
+		// Profiling runs the non-distributed application: no factory, so
+		// every instance follows its creator and nothing crosses.
 		var comm rte.CommSink
-		if cfg.Mode != ModeProfiling {
-			comm = clock
+		var placer rte.Placer
+		if fac != nil {
+			comm, placer = clock, fac.place
 			if cfg.EnableCaching {
-				cache = caching.New(0)
+				cache = caching.New()
 			}
 		}
 		if r, err = rte.Attach(env, rte.Options{
@@ -258,7 +269,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.WallTime = time.Since(start)
 	for _, in := range env.Instances() {
-		res.place(in.Class, in.Machine)
+		res.count(in.Class, in.Machine)
 	}
 	if r == nil {
 		return res, nil

@@ -224,12 +224,12 @@ func TestPlacerAndRemoteCommunication(t *testing.T) {
 	env := com.NewEnv(chainApp())
 	comm := &recordingComm{}
 	// Place every Leaf on the server.
-	placer := PlacerFunc(func(_ string, cl *com.Class, creator com.Machine) com.Machine {
+	placer := func(_ string, cl *com.Class, creator com.Machine) com.Machine {
 		if cl.Name == "Leaf" {
 			return com.Server
 		}
 		return creator
-	})
+	}
 	r := attach(t, env, Options{Placer: placer, Comm: comm})
 	r.BeginRun("s")
 	root, _ := env.CreateInstance(nil, "CLSID_Root")
@@ -257,12 +257,12 @@ func TestNonRemotableCrossingCountsViolation(t *testing.T) {
 	t.Parallel()
 	env := com.NewEnv(chainApp())
 	comm := &recordingComm{}
-	placer := PlacerFunc(func(_ string, cl *com.Class, creator com.Machine) com.Machine {
+	placer := func(_ string, cl *com.Class, creator com.Machine) com.Machine {
 		if cl.Name == "Leaf" {
 			return com.Server
 		}
 		return creator
-	})
+	}
 	r := attach(t, env, Options{Placer: placer, Comm: comm})
 	r.BeginRun("s")
 	leaf, _ := env.CreateInstance(nil, "CLSID_Leaf")
