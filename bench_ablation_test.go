@@ -175,7 +175,7 @@ func compareMinCut(scenName string) (*minCutComparison, error) {
 	}
 	// One graph for both: a cut reads the graph and never changes it.
 	np := netsim.ExactProfile(netsim.TenBaseT, netsim.DefaultSampleSizes)
-	g, _ := analysis.BuildGraph(run.Profile, np, run.ADPS.App.Classes, analysis.Options{})
+	g, _ := analysis.BuildGraph(run.Profile, np, run.ADPS.App.Classes, analysis.Options{Constraints: run.ADPS.AnalysisOptions.Constraints})
 	cmp := &minCutComparison{Scenario: scenName, Nodes: g.Len(), Edges: g.Edges()}
 
 	start := time.Now()

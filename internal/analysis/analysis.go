@@ -26,11 +26,12 @@ type Options struct {
 	// ExactPricing prices edges from exact byte totals instead of bucket
 	// representatives (the bucketing-accuracy ablation).
 	ExactPricing bool
-	// Constraints, when set, is the static analyzer's constraint set: its
-	// pins and pair-wise co-location constraints are installed into the
+	// Constraints is the static analyzer's constraint set: BuildGraph
+	// installs its pins and pair-wise co-location constraints into the
 	// graph before cutting, and its verifier cross-checks the profile and
-	// the chosen cut (divergences land in Result.Findings). When nil the
-	// engine falls back to per-class API inference alone.
+	// the chosen cut (divergences land in Result.Findings). Analyze
+	// refuses a nil set: a cut is never less constrained than the static
+	// analysis says.
 	Constraints *staticanal.ConstraintSet
 	// ExtraPins force named classifications to machines, modeling the
 	// paper's programmer-supplied absolute constraints.
@@ -103,26 +104,8 @@ type Result struct {
 	// figures.
 	ServerInstances int64
 	ClientInstances int64
-	// NonRemotableEdges counts co-location constraints from opaque
-	// parameters (the black lines of Figures 4 and 5).
-	NonRemotableEdges int
-	// Constrained counts classifications pinned by static analysis.
-	Constrained int
-	// StaticCoLocations counts profile edges welded by the static
-	// constraint set (before any dynamic opaque-parameter evidence).
-	StaticCoLocations int
-	// CoverageCoLocations counts classification pairs welded because a
-	// statically reachable ICC edge was never exercised by the training
-	// scenarios (see reach.Coverage.InstallConstraints).
-	CoverageCoLocations int
-	// AliasCoLocations counts classification pairs welded by the
-	// points-to refinement's alias pairs (classes sharing mutable state
-	// through an intermediary).
-	AliasCoLocations int
-	// NonRemotableCleared counts profile edges whose dynamic
-	// non-remotable evidence the points-to refinement explained away as
-	// immutable payload exchange (the weld was skipped).
-	NonRemotableCleared int
+	// BuildStats counts the constraints BuildGraph installed.
+	BuildStats
 	// Findings is the static/dynamic verifier's output: cross-check
 	// divergences and (never expected) cut-constraint violations.
 	Findings []staticanal.Finding
@@ -142,31 +125,51 @@ type Result struct {
 // BuildStats summarizes the constraints installed during graph
 // construction.
 type BuildStats struct {
-	// Constrained counts classifications pinned to a machine.
+	// Constrained counts classifications pinned by static analysis.
 	Constrained int
-	// NonRemotable counts edges welded by dynamic opaque-parameter
-	// evidence in the profile.
-	NonRemotable int
-	// StaticCoLocations counts edges welded by the static constraint set.
+	// NonRemotableEdges counts profile edges welded by dynamic
+	// opaque-parameter evidence (the black lines of Figures 4 and 5).
+	NonRemotableEdges int
+	// StaticCoLocations counts profile edges welded by the static
+	// constraint set (before any dynamic opaque-parameter evidence).
 	StaticCoLocations int
-	// CoverageCoLocations counts pairs welded by scenario-coverage
-	// constraints.
+	// CoverageCoLocations counts classification pairs welded because a
+	// statically reachable ICC edge was never exercised by the training
+	// scenarios (see reach.Coverage.InstallConstraints).
 	CoverageCoLocations int
-	// AliasCoLocations counts pairs welded by points-to alias pairs.
+	// AliasCoLocations counts classification pairs welded by the
+	// points-to refinement's alias pairs (classes sharing mutable state
+	// through an intermediary).
 	AliasCoLocations int
-	// NonRemotableCleared counts dynamic non-remotable welds the
-	// points-to refinement cleared.
+	// NonRemotableCleared counts profile edges whose dynamic
+	// non-remotable evidence the points-to refinement explained away as
+	// immutable payload exchange (the weld was skipped).
 	NonRemotableCleared int
 }
 
-// BuildGraph constructs the concrete communication graph for a profile:
-// one node per classification, edges priced under the network profile,
-// pins and pair-wise welds from the static constraint set (falling back
-// to per-class API inference when no set is supplied), and co-location
-// for dynamically observed non-remotable edges.
+// sideOf is the cut side a machine is on: the client is the source.
+func sideOf(m com.Machine) graph.Side {
+	if m == com.Client {
+		return graph.SourceSide
+	}
+	return graph.SinkSide
+}
+
+// BuildGraph constructs the concrete communication graph for a profile
+// and installs every constraint the cut honours: one node per
+// classification, the main program pinned to the client, edges priced
+// under the network profile, the static set's pins (then
+// Options.ExtraPins, which override them) and welds, and co-location for
+// dynamically observed non-remotable edges. With a nil Options.Constraints
+// it installs no static constraint; Analyze refuses that. classes is
+// unread.
 func BuildGraph(p *profile.Profile, np *netsim.Profile, classes *com.ClassRegistry, opts Options) (*graph.Graph, BuildStats) {
 	g := graph.New()
 	g.Pin(profile.MainProgram, graph.SourceSide)
+	cs := opts.Constraints
+	if cs == nil {
+		cs = new(staticanal.ConstraintSet) // the empty set installs nothing
+	}
 
 	var st BuildStats
 	// Intern nodes in id order, the order the profile lists them in: node
@@ -175,31 +178,13 @@ func BuildGraph(p *profile.Profile, np *netsim.Profile, classes *com.ClassRegist
 	// cuts drift across runs.
 	for _, ci := range p.Classifications {
 		g.Node(ci.ID)
-	}
-	if cs := opts.Constraints; cs != nil {
-		applied := cs.ApplyToGraph(g, p)
-		st.Constrained = applied.Pins
-		st.StaticCoLocations = applied.CoLocations
-		st.CoverageCoLocations = applied.CoverageCoLocations
-		st.AliasCoLocations = applied.AliasCoLocations
-	} else {
-		for _, ci := range p.Classifications {
-			if m, _, ok := staticanal.InferPin(classes.LookupName(ci.Class)); ok {
-				st.Constrained++
-				if m == com.Client {
-					g.Pin(ci.ID, graph.SourceSide)
-				} else {
-					g.Pin(ci.ID, graph.SinkSide)
-				}
-			}
+		if pin, ok := cs.Pins[ci.Class]; ok {
+			st.Constrained++
+			g.Pin(ci.ID, sideOf(pin.Machine))
 		}
 	}
 	for id, m := range opts.ExtraPins {
-		if m == com.Client {
-			g.Pin(id, graph.SourceSide)
-		} else {
-			g.Pin(id, graph.SinkSide)
-		}
+		g.Pin(id, sideOf(m))
 	}
 
 	// Edges reach the graph by index: node[n] is the node of profile
@@ -223,19 +208,58 @@ func BuildGraph(p *profile.Profile, np *netsim.Profile, classes *com.ClassRegist
 		}
 		src, dst := nodeOf(e.Src), nodeOf(e.Dst)
 		g.AddEdgeAt(src, dst, t)
-		if e.NonRemotable {
-			// A refined constraint set (see staticanal.Refined) may explain
-			// the dynamic evidence away as an immutable payload exchange; an
-			// unrefined set always welds.
-			if cs := opts.Constraints; cs != nil &&
-				!cs.ObservedNonRemotableWeld(p.ClassOf(e.Src), p.ClassOf(e.Dst)) {
-				st.NonRemotableCleared++
+		srcClass, dstClass := p.ClassOf(e.Src), p.ClassOf(e.Dst)
+		if srcClass != "" && dstClass != "" {
+			if _, weld := cs.MustCoLocate(srcClass, dstClass); weld {
+				st.StaticCoLocations++
+				g.CoLocateAt(src, dst)
+			}
+		}
+		if !e.NonRemotable {
+			continue
+		}
+		// A refined constraint set (see staticanal.Refined) may explain
+		// the dynamic evidence away as an immutable payload exchange; an
+		// unrefined set always welds.
+		if !cs.ObservedNonRemotableWeld(srcClass, dstClass) {
+			st.NonRemotableCleared++
+			continue
+		}
+		st.NonRemotableEdges++
+		g.CoLocateAt(src, dst)
+	}
+
+	// Coverage and alias pairs weld classes that need no profile edge
+	// between them (the scenarios never drove the edge, or the payload
+	// travelled through an intermediary): weld the cross-product of the
+	// two classes' classifications. A pair whose endpoints the location
+	// rules pin to different machines cannot be honored without making the
+	// graph infeasible; it is skipped, and the cut relies on the pins.
+	if len(cs.CoveragePairs) == 0 && len(cs.AliasPairs) == 0 {
+		return g, st
+	}
+	byClass := make(map[string][]string)
+	for _, ci := range p.Classifications {
+		byClass[ci.Class] = append(byClass[ci.Class], ci.ID)
+	}
+	weld := func(pairs []staticanal.Pair) (welded int) {
+		for _, pair := range pairs {
+			pa, oka := cs.Pins[pair.A]
+			pb, okb := cs.Pins[pair.B]
+			if oka && okb && pa.Machine != pb.Machine {
 				continue
 			}
-			st.NonRemotable++
-			g.CoLocateAt(src, dst)
+			for _, a := range byClass[pair.A] {
+				for _, b := range byClass[pair.B] {
+					g.CoLocate(a, b)
+					welded++
+				}
+			}
 		}
+		return welded
 	}
+	st.CoverageCoLocations = weld(cs.CoveragePairs)
+	st.AliasCoLocations = weld(cs.AliasPairs)
 	return g, st
 }
 
@@ -250,6 +274,9 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 	}
 	if p == nil || np == nil || app == nil {
 		return nil, fmt.Errorf("analysis: profile, network profile, and application are required")
+	}
+	if opts.Constraints == nil {
+		return nil, fmt.Errorf("analysis: %s: no constraint set; a cut without one would drop every static pin and weld", p.App)
 	}
 	sp := span.Begin(ctx, "build_graph")
 	g, st := BuildGraph(p, np, app.Classes, opts)
@@ -268,16 +295,11 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 	}
 
 	res := &Result{
-		Graph:               g,
-		Cut:                 cut,
-		Distribution:        make(map[string]com.Machine, len(cut.Assignment)),
-		PredictedComm:       cut.Cost,
-		NonRemotableEdges:   st.NonRemotable,
-		Constrained:         st.Constrained,
-		StaticCoLocations:   st.StaticCoLocations,
-		CoverageCoLocations: st.CoverageCoLocations,
-		AliasCoLocations:    st.AliasCoLocations,
-		NonRemotableCleared: st.NonRemotableCleared,
+		Graph:         g,
+		Cut:           cut,
+		Distribution:  make(map[string]com.Machine, len(cut.Assignment)),
+		PredictedComm: cut.Cost,
+		BuildStats:    st,
 	}
 	for i, side := range cut.Assignment {
 		id := g.Name(i)
@@ -322,10 +344,8 @@ func Analyze(ctx context.Context, p *profile.Profile, np *netsim.Profile, app *c
 	// installed as pins and infinite-weight edges, cut violations should be
 	// impossible; divergences surface as findings, never failures.
 	sp = span.Begin(ctx, "check")
-	if cs := opts.Constraints; cs != nil {
-		res.Findings = append(res.Findings, cs.CrossCheck(p)...)
-		res.Findings = append(res.Findings, cs.CheckCut(p, res.Distribution)...)
-	}
+	res.Findings = append(res.Findings, opts.Constraints.CrossCheck(p)...)
+	res.Findings = append(res.Findings, opts.Constraints.CheckCut(p, res.Distribution)...)
 	// The points-to refiner's zero-miss check: every profile-observed
 	// non-remotable transfer must be statically predicted, or refining
 	// welds on its say-so would be unsound.

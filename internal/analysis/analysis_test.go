@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"repro/internal/com"
+	"repro/internal/idl"
 	"repro/internal/logger"
 	"repro/internal/netsim"
 	"repro/internal/profile"
+	"repro/internal/staticanal"
 )
 
 func np() *netsim.Profile {
@@ -18,6 +20,17 @@ func np() *netsim.Profile {
 }
 
 func nopObject() com.Object { return com.ObjectFunc(nil) }
+
+// static returns options carrying the constraint set the static analyzer
+// derives for app, the set a session hands the engine.
+func static(t *testing.T, app *com.App) Options {
+	t.Helper()
+	rep, err := staticanal.Analyze(app, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Options{Constraints: rep.Constraints}
+}
 
 // benchApp: GUI class (client-pinned), Storage class (server
 // infrastructure), Reader and Worker unconstrained.
@@ -30,7 +43,7 @@ func benchApp() *com.App {
 		New: nopObject})
 	classes.Register(&com.Class{ID: "C_Reader", Name: "Reader", New: nopObject})
 	classes.Register(&com.Class{ID: "C_Worker", Name: "Worker", New: nopObject})
-	return &com.App{Name: "bench", Classes: classes}
+	return &com.App{Name: "bench", Classes: classes, Interfaces: idl.NewRegistry()}
 }
 
 // benchProfile: main->GUI chatter (small), Reader<->Storage heavy,
@@ -64,7 +77,7 @@ func benchProfile() *profile.Profile {
 
 func TestAnalyzeMovesReaderToServer(t *testing.T) {
 	t.Parallel()
-	res, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), Options{})
+	res, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), static(t, benchApp()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +122,7 @@ func TestAnalyzeNonRemotableForcesColocation(t *testing.T) {
 	// traffic dominates; use a heavier opaque edge weight scenario: mark
 	// the reader->gui edge non-remotable.
 	p.Edge("reader@1", "gui@1").NonRemotable = true
-	res, err := Analyze(context.Background(), p, np(), benchApp(), Options{})
+	res, err := Analyze(context.Background(), p, np(), benchApp(), static(t, benchApp()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +135,30 @@ func TestAnalyzeNonRemotableForcesColocation(t *testing.T) {
 	// Never worse than default even when constrained.
 	if res.PredictedComm > res.DefaultComm {
 		t.Errorf("predicted %v worse than default %v", res.PredictedComm, res.DefaultComm)
+	}
+}
+
+// TestAnalyzeInstallsStaticWelds: a weld from the static set holds where
+// the profile saw no opaque call. Reader and GUI implement only a [local]
+// interface, so the light Reader->GUI edge welds Reader to the
+// client-pinned GUI despite Reader's heavy storage traffic.
+func TestAnalyzeInstallsStaticWelds(t *testing.T) {
+	t.Parallel()
+	app := benchApp()
+	app.Interfaces.Register(&idl.InterfaceDesc{IID: "IFrame", Name: "IFrame"})
+	for _, name := range []string{"GUI", "Reader"} {
+		c := app.Classes.LookupName(name)
+		c.Interfaces = append(c.Interfaces, "IFrame")
+	}
+	res, err := Analyze(context.Background(), benchProfile(), np(), app, static(t, app))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StaticCoLocations != 1 || res.NonRemotableEdges != 0 {
+		t.Errorf("static welds %d, dynamic %d; want 1 and 0", res.StaticCoLocations, res.NonRemotableEdges)
+	}
+	if res.Distribution["reader@1"] != com.Client {
+		t.Error("static weld not honored: reader left its GUI")
 	}
 }
 
@@ -140,7 +177,7 @@ func TestAnalyzeDefaultCommSurvivesSplitCoLocation(t *testing.T) {
 		APIs: []string{com.APIUserWindow}, New: nopObject})
 	classes.Register(&com.Class{ID: "C_Worker", Name: "Worker",
 		Home: com.Server, New: nopObject})
-	app := &com.App{Name: "bench", Classes: classes}
+	app := &com.App{Name: "bench", Classes: classes, Interfaces: idl.NewRegistry()}
 
 	p := profile.New("bench", "ifcb")
 	p.Scenarios = []string{"s"}
@@ -156,7 +193,7 @@ func TestAnalyzeDefaultCommSurvivesSplitCoLocation(t *testing.T) {
 	// worker at its server home) splits it.
 	p.Edge("gui@1", "worker@1").NonRemotable = true
 
-	res, err := Analyze(context.Background(), p, np(), app, Options{})
+	res, err := Analyze(context.Background(), p, np(), app, static(t, app))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +216,7 @@ func TestAnalyzeDefaultCommSurvivesSplitCoLocation(t *testing.T) {
 		t.Errorf("Savings = %v, want > 0", s)
 	}
 	// A feasible default reports zero violations.
-	res2, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), Options{})
+	res2, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), static(t, benchApp()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +227,9 @@ func TestAnalyzeDefaultCommSurvivesSplitCoLocation(t *testing.T) {
 
 func TestAnalyzeExtraConstraints(t *testing.T) {
 	t.Parallel()
-	res, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), Options{
-		ExtraPins: map[string]com.Machine{"reader@1": com.Client},
-	})
+	opts := static(t, benchApp())
+	opts.ExtraPins = map[string]com.Machine{"reader@1": com.Client}
+	res, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +240,13 @@ func TestAnalyzeExtraConstraints(t *testing.T) {
 
 func TestAnalyzeExactPricing(t *testing.T) {
 	t.Parallel()
-	a, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), Options{})
+	a, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), static(t, benchApp()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), Options{ExactPricing: true})
+	exact := static(t, benchApp())
+	exact.ExactPricing = true
+	b, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), exact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +262,10 @@ func TestAnalyzeExactPricing(t *testing.T) {
 
 func TestAnalyzeArgumentErrors(t *testing.T) {
 	t.Parallel()
-	if _, err := Analyze(context.Background(), nil, np(), benchApp(), Options{}); err == nil {
+	if _, err := Analyze(context.Background(), nil, np(), benchApp(), static(t, benchApp())); err == nil {
 		t.Error("nil profile accepted")
 	}
-	if _, err := Analyze(context.Background(), benchProfile(), nil, benchApp(), Options{}); err == nil {
+	if _, err := Analyze(context.Background(), benchProfile(), nil, benchApp(), static(t, benchApp())); err == nil {
 		t.Error("nil network profile accepted")
 	}
 	if _, err := Analyze(context.Background(), benchProfile(), np(), nil, Options{}); err == nil {
@@ -238,8 +277,19 @@ func TestAnalyzeUnsatisfiableConstraints(t *testing.T) {
 	t.Parallel()
 	p := benchProfile()
 	p.Edge("gui@1", "storage@1").Record(10, 10, true) // colocate GUI & storage
-	if _, err := Analyze(context.Background(), p, np(), benchApp(), Options{}); err == nil {
-		t.Error("contradictory constraints not reported")
+	_, err := Analyze(context.Background(), p, np(), benchApp(), static(t, benchApp()))
+	if err == nil || !strings.Contains(err.Error(), "pinned to different machines") {
+		t.Errorf("err = %v, want the pins-versus-weld contradiction", err)
+	}
+}
+
+// TestAnalyzeRefusesNoConstraintSet: without the static set the engine
+// would cut with the dynamic welds alone, so it refuses to cut at all.
+func TestAnalyzeRefusesNoConstraintSet(t *testing.T) {
+	t.Parallel()
+	_, err := Analyze(context.Background(), benchProfile(), np(), benchApp(), Options{})
+	if err == nil || !strings.Contains(err.Error(), "no constraint set") {
+		t.Errorf("err = %v, want a refusal to cut without a constraint set", err)
 	}
 }
 
@@ -404,7 +454,7 @@ func TestSavingsEdgeCases(t *testing.T) {
 func TestWriteDOT(t *testing.T) {
 	t.Parallel()
 	p := benchProfile()
-	res, err := Analyze(context.Background(), p, np(), benchApp(), Options{})
+	res, err := Analyze(context.Background(), p, np(), benchApp(), static(t, benchApp()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +475,7 @@ func TestWriteDOT(t *testing.T) {
 	}
 	// A non-remotable edge draws as a heavy black line.
 	p.Edge("reader@1", "gui@1").NonRemotable = true
-	res2, err := Analyze(context.Background(), p, np(), benchApp(), Options{})
+	res2, err := Analyze(context.Background(), p, np(), benchApp(), static(t, benchApp()))
 	if err != nil {
 		t.Fatal(err)
 	}

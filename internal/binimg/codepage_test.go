@@ -82,6 +82,33 @@ func TestBuildImageCodeIsFree(t *testing.T) {
 	}
 }
 
+// TestEveryClassHasCode: BuildImage gives every registered class of the
+// built-in apps one non-empty code section, which CodeSections reads back
+// as the class's code size, and writes no section CodeSections cannot
+// place.
+func TestEveryClassHasCode(t *testing.T) {
+	t.Parallel()
+	for _, name := range []string{"octarine", "photodraw", "benefits", "quickstart", "synth:read-replica:1"} {
+		app, err := scenario.NewApp(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, other, err := binimg.BuildImage(app).CodeSections()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(code) != app.Classes.Len() || len(other) != 0 {
+			t.Errorf("%s: %d code owners and other sections %v, want the registry's %d and none",
+				name, len(code), other, app.Classes.Len())
+		}
+		for _, c := range app.Classes.Classes() {
+			if code[c.ID] <= 0 {
+				t.Errorf("%s: class %s has %d code bytes", name, c.Name, code[c.ID])
+			}
+		}
+	}
+}
+
 // TestImageBytesPinned holds the encoded images of built-in apps to the
 // bytes they had while every code section was a fresh fill. The whole
 // encoding is hashed: its trailing CRC alone is no fingerprint, since a

@@ -166,8 +166,9 @@ var overflowPolicy = FaultPolicy{Drop: 1, CallPolicy: CallPolicy{Timeout: time.S
 
 // TestClockOverflowIsAnError: a charge that would carry the clock past the
 // largest time.Duration is refused and becomes the clock's error, so its
-// times never wrap negative, and Run and Replay return that error with
-// their priced Result.
+// times never wrap negative; a call after it counts no message, byte or
+// fault; and Run and Replay return that error with their Result priced
+// and counted up to the overflow.
 func TestClockOverflowIsAnError(t *testing.T) {
 	t.Parallel()
 	if err := overflowPolicy.validate(); err != nil {
@@ -185,6 +186,17 @@ func TestClockOverflowIsAnError(t *testing.T) {
 			t.Fatalf("call %d: clock error %v", i, c.err)
 		}
 	}
+	counts := func() [6]int64 {
+		f := c.faults
+		return [6]int64{c.Messages(), c.Bytes(), f.faulted[dropped], f.faulted[corrupted], f.retries, f.giveups}
+	}
+	overflowed := counts()
+	for i := 0; i < 3; i++ {
+		c.RemoteCall(com.Client, com.Server, 100, 100)
+	}
+	if after := counts(); after != overflowed {
+		t.Fatalf("calls after the overflow moved the counts (messages, bytes, drops, corruptions, retries, give-ups) from %v to %v", overflowed, after)
+	}
 
 	trace := pipelineTrace(t, "big", 7)
 	cfg := Config{App: pipelineApp(), Scenario: "big", Seed: 7, Mode: ModeDefault,
@@ -198,8 +210,13 @@ func TestClockOverflowIsAnError(t *testing.T) {
 		if !errors.Is(c.err, ErrClockOverflow) {
 			t.Fatalf("%s: err = %v, want ErrClockOverflow", what, c.err)
 		}
-		if c.res == nil || c.res.FaultGiveUps < 5 || c.res.Clock.CommTime() < 0 || c.res.Clock.Elapsed() < 0 {
+		if c.res == nil || c.res.Clock.CommTime() < 0 || c.res.Clock.Elapsed() < 0 {
 			t.Fatalf("%s returned %+v with its error, want the run priced up to the overflow", what, c.res)
+		}
+		// Five calls of 20 dropped attempts each, the fifth overflowing:
+		// nothing after it counts.
+		if got := [4]int64{c.res.Clock.Messages(), c.res.FaultDrops, c.res.Retries, c.res.FaultGiveUps}; got != [4]int64{100, 100, 95, 5} {
+			t.Errorf("%s: messages, drops, retries, give-ups = %v, want [100 100 95 5]", what, got)
 		}
 	}
 }

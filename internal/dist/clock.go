@@ -25,7 +25,9 @@ import (
 //
 // Every charge goes through add, which keeps compute + comm within a
 // time.Duration: the first charge that would pass it is refused and
-// becomes the clock's err, and the clock charges nothing after it.
+// becomes the clock's err, and the clock charges nothing after it. A
+// cross-machine call that starts after it counts nothing either, so a
+// run's message, byte and fault counts stop where its times do.
 type Clock struct {
 	net     *netsim.Model
 	rng     *rand.Rand
@@ -76,8 +78,12 @@ func (c *Clock) SetFaults(pol FaultPolicy, rng *rand.Rand, sink *logger.Trace) {
 // RemoteCall implements rte.CommSink: a synchronous cross-machine call
 // sends a request message and receives a reply message. Under a fault
 // policy a call may take several attempts; retransmissions count as extra
-// messages, but payload bytes are charged once.
+// messages, but payload bytes are charged once. After an overflow it
+// counts and rolls nothing.
 func (c *Clock) RemoteCall(from, to com.Machine, reqBytes, respBytes int) {
+	if c.err != nil {
+		return
+	}
 	c.bytes += int64(reqBytes + respBytes)
 	if c.faults == nil {
 		c.add(&c.comm, c.net.SampleMessageTime(reqBytes, c.rng))

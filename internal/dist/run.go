@@ -192,7 +192,8 @@ func (res *Result) count(class *com.Class, m com.Machine) {
 // settle copies the clock's and the factory's counters into res and fails
 // the execution if its virtual clock overflowed or a call exhausted its
 // attempt budget. A failed execution still returns res, priced up to its
-// end (or, on overflow, up to the last charge that fit), with the error:
+// end (or, on overflow, priced up to the last charge that fit and counted
+// up to the call that overflowed), with the error:
 // the faults and the time it cost are the report of a chaos run that gave
 // up.
 func settle(cfg Config, res *Result, fac *factory) (*Result, error) {

@@ -1,12 +1,12 @@
 package staticanal
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/com"
-	"repro/internal/graph"
-	"repro/internal/profile"
 )
 
 // The paper's static location rules: a component whose binary imports
@@ -34,9 +34,9 @@ var (
 )
 
 // InferPin applies the per-class location rules and reports the machine
-// the class is pinned to, with the rule that fired. It is the single
-// source of truth consumed by both the static analyzer and the profile
-// analysis engine.
+// the class is pinned to, with the rule that fired. Derive calls it for
+// every registered class; the pins reach the graph through the
+// constraint set alone.
 func InferPin(class *com.Class) (com.Machine, string, bool) {
 	if class == nil {
 		return 0, "", false
@@ -106,7 +106,9 @@ type ConstraintSet struct {
 	// the clique rule never saw them.
 	AliasPairs []Pair `json:"aliasPairs,omitempty"`
 
-	model *Model
+	// classes is the application's class registry, read for the
+	// interfaces each class implements.
+	classes *com.ClassRegistry
 	// fullyNonRemotable marks classes whose entire interface surface is
 	// non-remotable: any call into such a class welds caller to callee.
 	fullyNonRemotable map[string]bool
@@ -127,14 +129,16 @@ type ConstraintSet struct {
 	aliasIndex map[[2]string]string
 }
 
-// Derive runs the constraint-derivation pass over the scanned model and
-// the interface classification.
-func Derive(m *Model, reports map[string]*InterfaceReport) *ConstraintSet {
+// Derive runs the constraint-derivation pass over the class registry and
+// the interface classification: the location rules pin each class, and
+// the implementors of each non-remotable interface become co-location
+// pairs.
+func Derive(app string, reg *com.ClassRegistry, reports map[string]*InterfaceReport) *ConstraintSet {
 	cs := &ConstraintSet{
-		App:               m.App,
+		App:               app,
 		Pins:              make(map[string]Pin),
 		Interfaces:        reports,
-		model:             m,
+		classes:           reg,
 		fullyNonRemotable: make(map[string]bool),
 		pairIndex:         make(map[[2]string]string),
 	}
@@ -144,28 +148,24 @@ func Derive(m *Model, reports map[string]*InterfaceReport) *ConstraintSet {
 		return r != nil && r.Remotability == NonRemotable
 	}
 
-	// Location pins from the API-import rules.
-	for _, cm := range m.Components {
-		class := &com.Class{
-			Name:           cm.Name,
-			APIs:           cm.APIs,
-			Home:           cm.Home,
-			Infrastructure: cm.Infrastructure,
-		}
-		if machine, reason, ok := InferPin(class); ok {
-			cs.Pins[cm.Name] = Pin{Class: cm.Name, Machine: machine, Reason: reason}
+	// Location pins from the API-import rules, in name order.
+	byName := reg.Classes()
+	slices.SortFunc(byName, func(a, b *com.Class) int { return cmp.Compare(a.Name, b.Name) })
+	for _, c := range byName {
+		if machine, reason, ok := InferPin(c); ok {
+			cs.Pins[c.Name] = Pin{Class: c.Name, Machine: machine, Reason: reason}
 		}
 		// A class every one of whose interfaces is non-remotable cannot be
 		// called across a machine boundary at all.
-		if len(cm.Interfaces) > 0 {
+		if len(c.Interfaces) > 0 {
 			all := true
-			for _, iid := range cm.Interfaces {
+			for _, iid := range c.Interfaces {
 				if !nonRemotable(iid) {
 					all = false
 					break
 				}
 			}
-			cs.fullyNonRemotable[cm.Name] = all
+			cs.fullyNonRemotable[c.Name] = all
 		}
 	}
 
@@ -173,11 +173,11 @@ func Derive(m *Model, reports map[string]*InterfaceReport) *ConstraintSet {
 	// interface exchange its opaque payloads among themselves (the sprite
 	// meshes and widget trees of the paper's figures); each pair must
 	// co-locate whenever it communicates.
-	implementors := make(map[string][]string) // non-remotable IID -> class names
-	for _, cm := range m.Components {
-		for _, iid := range cm.Interfaces {
+	implementors := make(map[string][]string) // non-remotable IID -> class names, sorted
+	for _, c := range byName {
+		for _, iid := range c.Interfaces {
 			if nonRemotable(iid) {
-				implementors[iid] = append(implementors[iid], cm.Name)
+				implementors[iid] = append(implementors[iid], c.Name)
 			}
 		}
 	}
@@ -195,7 +195,6 @@ func Derive(m *Model, reports map[string]*InterfaceReport) *ConstraintSet {
 	}
 	for _, iid := range iids {
 		classes := implementors[iid]
-		sort.Strings(classes)
 		for i := 0; i < len(classes); i++ {
 			for j := i + 1; j < len(classes); j++ {
 				if coPinned(classes[i], classes[j]) {
@@ -291,92 +290,14 @@ func (cs *ConstraintSet) MustCoLocate(src, dst string) (string, bool) {
 // conditionally remotable with at least one opaque method. Dynamic
 // non-remotable evidence at such a class is statically anticipated.
 func (cs *ConstraintSet) ClassMayPassOpaque(class string) bool {
-	cm := cs.model.Component(class)
-	if cm == nil {
+	c := cs.classes.LookupName(class)
+	if c == nil {
 		return false
 	}
-	for _, iid := range cm.Interfaces {
+	for _, iid := range c.Interfaces {
 		if r := cs.Interfaces[iid]; r != nil && (r.Remotability == NonRemotable || r.Opaque) {
 			return true
 		}
 	}
 	return false
-}
-
-// ApplyStats summarizes what applying a constraint set did to a graph.
-type ApplyStats struct {
-	Pins                int // classifications pinned to a terminal
-	CoLocations         int // profile edges welded by static constraints
-	CoverageCoLocations int // classification pairs welded by coverage pairs
-	CoverageUnsatisfied int // coverage pairs skipped: endpoints pinned apart
-	AliasCoLocations    int // classification pairs welded by alias pairs
-	AliasUnsatisfied    int // alias pairs skipped: endpoints pinned apart
-}
-
-// ApplyToGraph installs the constraint set into a communication graph
-// built from a profile: classification-level pins become terminal pins
-// and statically welded communicating pairs become infinite-weight edges,
-// before the cut runs. The main program's permanent client pin is
-// the graph builder's responsibility, not this set's.
-func (cs *ConstraintSet) ApplyToGraph(g *graph.Graph, p *profile.Profile) ApplyStats {
-	var st ApplyStats
-	if cs == nil || g == nil || p == nil {
-		return st
-	}
-	for _, ci := range p.Classifications {
-		pin, ok := cs.Pins[ci.Class]
-		if !ok {
-			continue
-		}
-		st.Pins++
-		if pin.Machine == com.Client {
-			g.Pin(ci.ID, graph.SourceSide)
-		} else {
-			g.Pin(ci.ID, graph.SinkSide)
-		}
-	}
-	for _, e := range p.Edges {
-		srcClass, dstClass := p.ClassOf(e.Src), p.ClassOf(e.Dst)
-		if srcClass == "" || dstClass == "" {
-			continue
-		}
-		if _, weld := cs.MustCoLocate(srcClass, dstClass); weld {
-			g.CoLocate(p.Name(e.Src), p.Name(e.Dst))
-			st.CoLocations++
-		}
-	}
-
-	// Coverage and alias pairs weld classes that need no profile edge
-	// between them (the scenarios never drove the edge, or the payload
-	// travelled through an intermediary): weld the cross-product of the
-	// two classes' classifications. A pair whose endpoints the location
-	// rules pin to different machines cannot be honored without making the
-	// graph infeasible; it is counted and skipped (the cut then relies on
-	// the pins).
-	if len(cs.CoveragePairs) == 0 && len(cs.AliasPairs) == 0 {
-		return st
-	}
-	byClass := make(map[string][]string)
-	for _, ci := range p.Classifications {
-		byClass[ci.Class] = append(byClass[ci.Class], ci.ID)
-	}
-	weld := func(pairs []Pair, welded, unsatisfied *int) {
-		for _, pair := range pairs {
-			pa, oka := cs.Pins[pair.A]
-			pb, okb := cs.Pins[pair.B]
-			if oka && okb && pa.Machine != pb.Machine {
-				*unsatisfied++
-				continue
-			}
-			for _, a := range byClass[pair.A] {
-				for _, b := range byClass[pair.B] {
-					g.CoLocate(a, b)
-					*welded++
-				}
-			}
-		}
-	}
-	weld(cs.CoveragePairs, &st.CoverageCoLocations, &st.CoverageUnsatisfied)
-	weld(cs.AliasPairs, &st.AliasCoLocations, &st.AliasUnsatisfied)
-	return st
 }

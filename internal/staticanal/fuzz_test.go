@@ -12,10 +12,10 @@ import (
 	"repro/internal/staticanal"
 )
 
-// FuzzScanImage feeds corrupted binary images to the metadata scanner:
-// whatever the bytes decode to, scanning must return an error or a model,
-// never panic.
-func FuzzScanImage(f *testing.F) {
+// FuzzAnalyzeImage feeds corrupted binary images to the static analyzer:
+// whatever the bytes decode to, Analyze must return an error or a report
+// that accounts for every registered class, never panic.
+func FuzzAnalyzeImage(f *testing.F) {
 	seed := func(app *com.App, instrument bool) {
 		img := binimg.BuildImage(app)
 		if instrument {
@@ -41,18 +41,15 @@ func FuzzScanImage(f *testing.F) {
 		if err != nil {
 			return
 		}
-		m, err := staticanal.ScanImage(img, app)
+		rep, err := staticanal.Analyze(app, img)
 		if err != nil {
 			return
 		}
-		if m.Interfaces == nil {
-			t.Fatal("scan returned a model with a nil registry")
+		if rep.Constraints == nil {
+			t.Fatal("analyze returned a report without a constraint set")
 		}
-		// A scanned model must always classify and derive cleanly.
-		reports := staticanal.ClassifyInterfaces(m.Interfaces)
-		cs := staticanal.Derive(m, reports)
-		if cs == nil {
-			t.Fatal("derive returned nil")
+		if got, want := rep.ComponentsInImage+len(rep.MissingFromImage), rep.Components; got != want {
+			t.Fatalf("%d classes in the image and %d missing, want %d together", rep.ComponentsInImage, len(rep.MissingFromImage), want)
 		}
 	})
 }

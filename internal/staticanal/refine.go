@@ -54,7 +54,7 @@ func (cs *ConstraintSet) Refined(r OpaqueRefiner) *ConstraintSet {
 		Pins:              cs.Pins,
 		Interfaces:        cs.Interfaces,
 		CoveragePairs:     cs.CoveragePairs,
-		model:             cs.model,
+		classes:           cs.classes,
 		refiner:           r,
 		fullyNonRemotable: make(map[string]bool),
 		conditional:       make(map[string]bool),
@@ -117,11 +117,11 @@ func (cs *ConstraintSet) Refined(r OpaqueRefiner) *ConstraintSet {
 // classes stay outside the refinement: their welds have nothing to do
 // with payload aliasing.
 func (cs *ConstraintSet) classHasUnrefinableNonRemotable(class string) bool {
-	cm := cs.model.Component(class)
-	if cm == nil {
+	c := cs.classes.LookupName(class)
+	if c == nil {
 		return true // unknown class: stay conservative
 	}
-	for _, iid := range cm.Interfaces {
+	for _, iid := range c.Interfaces {
 		if r := cs.Interfaces[iid]; r != nil && r.Remotability == NonRemotable && !r.Opaque {
 			return true
 		}

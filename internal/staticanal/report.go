@@ -1,8 +1,17 @@
+// Package staticanal implements Coign's static binary analysis (paper §2):
+// before any scenario executes, it scans application binary images and
+// component metadata, classifies every interface signature as remotable,
+// conditionally remotable, or non-remotable, and derives the location and
+// pair-wise co-location constraints the graph-cutting algorithms must
+// honor. The dynamic profile can then be cross-checked against the static
+// prediction: an opaque-pointer transfer the static pass failed to predict
+// is reported as a finding, never a crash.
 package staticanal
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/binimg"
@@ -10,13 +19,15 @@ import (
 )
 
 // Report is the complete output of the static analyzer for one
-// application binary: the metadata model summary, the interface
-// classification, the derived constraint set, and any verifier findings
-// accumulated by cross-checks.
+// application binary: a summary of the image against the class registry,
+// the interface classification, the derived constraint set, and any
+// verifier findings accumulated by cross-checks.
 type Report struct {
 	App string `json:"app"`
 
-	// Model summary.
+	// Image summary. OrphanSections are code sections whose CLSID is not
+	// in the class registry, and MissingFromImage the registered classes
+	// with no code section; both sorted.
 	Components        int      `json:"components"`
 	ComponentsInImage int      `json:"componentsInImage"`
 	Imports           []string `json:"imports,omitempty"`
@@ -34,10 +45,11 @@ type Report struct {
 	Findings []Finding `json:"findings"`
 }
 
-// Analyze runs the full static pipeline — scan, classify, derive — over
-// an application and its binary image. img may be nil: the original
-// (un-instrumented) image is synthesized from the class registry, exactly
-// what the rewriter would operate on.
+// Analyze runs the full static pipeline — join the image with the
+// registries, classify, derive — over an application and its binary image.
+// img may be nil: the original (un-instrumented) image is synthesized from
+// the class registry, exactly what the rewriter would operate on. A
+// malformed image is an error, never a panic.
 func Analyze(app *com.App, img *binimg.Image) (*Report, error) {
 	if app == nil {
 		return nil, fmt.Errorf("staticanal: nil application")
@@ -45,28 +57,37 @@ func Analyze(app *com.App, img *binimg.Image) (*Report, error) {
 	if img == nil {
 		img = binimg.BuildImage(app)
 	}
-	m, err := ScanImage(img, app)
+	// Activation and state records belong to the reachability, purity and
+	// alias analyses; here only code sections and unrecognized sections
+	// count. A class without code and a section without a class are
+	// recorded, not fatal.
+	code, other, err := img.CodeSections()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("staticanal: %w", err)
 	}
-	reports := ClassifyInterfaces(m.Interfaces)
-	cs := Derive(m, reports)
-
+	reports := ClassifyInterfaces(app.Interfaces)
 	r := &Report{
-		App:              m.App,
-		Components:       len(m.Components),
-		Imports:          m.Imports,
-		Instrumented:     m.Instrumented,
-		OrphanSections:   m.OrphanSections,
-		MissingFromImage: m.MissingFromImage,
-		Constraints:      cs,
-		Findings:         []Finding{},
+		App:            img.AppName,
+		Components:     app.Classes.Len(),
+		Imports:        slices.Clone(img.Imports),
+		Instrumented:   img.Instrumented(),
+		OrphanSections: other,
+		Constraints:    Derive(img.AppName, app.Classes, reports),
+		Findings:       []Finding{},
 	}
-	for _, cm := range m.Components {
-		if cm.InImage {
+	for _, c := range app.Classes.Classes() {
+		if _, ok := code[c.ID]; ok {
 			r.ComponentsInImage++
+			delete(code, c.ID)
+		} else {
+			r.MissingFromImage = append(r.MissingFromImage, c.Name)
 		}
 	}
+	for clsid := range code {
+		r.OrphanSections = append(r.OrphanSections, binimg.CodePrefix+string(clsid))
+	}
+	sort.Strings(r.OrphanSections)
+	sort.Strings(r.MissingFromImage)
 	for _, ir := range reports {
 		r.Interfaces = append(r.Interfaces, ir)
 	}

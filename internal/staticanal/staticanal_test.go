@@ -18,37 +18,29 @@ import (
 	"repro/internal/staticanal"
 )
 
+// TestScanImagePhotodraw: on a clean build every registered class has a
+// code section and every code section a class.
 func TestScanImagePhotodraw(t *testing.T) {
 	t.Parallel()
 	app := photodraw.New()
-	m, err := staticanal.ScanImage(binimg.BuildImage(app), app)
+	rep, err := staticanal.Analyze(app, binimg.BuildImage(app))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Components) == 0 {
-		t.Fatal("no components scanned")
+	if rep.Components == 0 || rep.Components != app.Classes.Len() {
+		t.Fatalf("%d components, want the registry's %d", rep.Components, app.Classes.Len())
 	}
-	if len(m.OrphanSections) != 0 || len(m.MissingFromImage) != 0 {
+	if rep.ComponentsInImage != rep.Components {
+		t.Errorf("%d of %d components in the image, want all", rep.ComponentsInImage, rep.Components)
+	}
+	if len(rep.OrphanSections) != 0 || len(rep.MissingFromImage) != 0 {
 		t.Errorf("orphans %v, missing %v; want none on a clean build",
-			m.OrphanSections, m.MissingFromImage)
-	}
-	for _, cm := range m.Components {
-		if !cm.InImage {
-			t.Errorf("component %s not matched to a code section", cm.Name)
-		}
-		if cm.SectionBytes <= 0 {
-			t.Errorf("component %s has no code bytes", cm.Name)
-		}
-	}
-	if sc := m.Component("SpriteCache"); sc == nil {
-		t.Error("SpriteCache missing from model")
-	} else if len(sc.Interfaces) == 0 {
-		t.Error("SpriteCache has no interfaces in model")
+			rep.OrphanSections, rep.MissingFromImage)
 	}
 }
 
 // TestScanImageStateRecordsAreNotOrphans: the paper apps ship no state
-// descriptors, so only a generated app shows whether the model mistakes
+// descriptors, so only a generated app shows whether the analyzer mistakes
 // ".state$" record sections for code sections of unknown classes.
 func TestScanImageStateRecordsAreNotOrphans(t *testing.T) {
 	t.Parallel()
@@ -64,20 +56,16 @@ func TestScanImageStateRecordsAreNotOrphans(t *testing.T) {
 	if len(states) == 0 {
 		t.Fatal("read-replica app ships no state records; the test checks nothing")
 	}
-	m, err := staticanal.ScanImage(img, app)
+	rep, err := staticanal.Analyze(app, img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.OrphanSections) != 0 || len(m.MissingFromImage) != 0 {
-		t.Errorf("orphans %v, missing %v; want none on a clean build",
-			m.OrphanSections, m.MissingFromImage)
+	if rep.ComponentsInImage != rep.Components {
+		t.Errorf("%d of %d components in the image, want all", rep.ComponentsInImage, rep.Components)
 	}
-}
-
-func TestScanImageNilImage(t *testing.T) {
-	t.Parallel()
-	if _, err := staticanal.ScanImage(nil, photodraw.New()); err == nil {
-		t.Fatal("want error for nil image")
+	if len(rep.OrphanSections) != 0 || len(rep.MissingFromImage) != 0 {
+		t.Errorf("orphans %v, missing %v; want none on a clean build",
+			rep.OrphanSections, rep.MissingFromImage)
 	}
 }
 

@@ -24,7 +24,7 @@ const (
 	// edge the static analysis did not predict could carry one.
 	KindStaticMiss = "static-miss"
 	// KindUnknownClass: the profile references a class absent from the
-	// static metadata model.
+	// class registry.
 	KindUnknownClass = "unknown-class"
 	// KindPinViolation: a partition places a pinned classification on the
 	// wrong machine.
